@@ -4,15 +4,22 @@
 
 GO ?= go
 
-.PHONY: ci vet build lint lint-fix-list test-short test race selfcheck test-full bench kernelbench databench databench-smoke repbench repbench-smoke chaos chaos-smoke clean
+.PHONY: ci vet build bench-module lint lint-fix-list test-short test race selfcheck test-full bench kernelbench databench databench-smoke repbench repbench-smoke chaos chaos-smoke clean
 
-ci: vet build lint test-short race selfcheck databench-smoke repbench-smoke chaos-smoke
+ci: vet build bench-module lint test-short race selfcheck databench-smoke repbench-smoke chaos-smoke
 
 vet:
 	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
+
+# The whole-system benchmark (BENCHMARK.json) is a nested module, so the
+# root `./...` patterns above and below never reach it: vet and test it
+# here, or an internal/ API change that breaks its imports is first seen by
+# the acceptance driver.
+bench-module:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Determinism + memory-contract lint suite (DESIGN.md §8, §10): nodeterm,
 # maporder, procctx, wirecheck, borrowcheck, scratchflow, hotalloc over
@@ -69,10 +76,10 @@ databench:
 databench-smoke:
 	$(GO) run ./cmd/linefs-bench -databench -databench-time 25ms -databench-out /tmp/BENCH_dataplane_smoke.json
 
-# Regenerate BENCH_replication.json (seed per-chunk protocol vs batched
-# fast path down the 3-replica chain, plus the pooled-path allocation
-# gate). The chain numbers are simulated time, so they are deterministic;
-# only the allocs/op loop is wall clock.
+# Regenerate BENCH_replication.json (the recorded seed per-chunk column vs
+# the chain protocol down the 3-replica chain, plus the pooled-path
+# allocation gate). The chain numbers are simulated time, so they are
+# deterministic; only the allocs/op loop is wall clock.
 repbench:
 	$(GO) build -o linefs-bench ./cmd/linefs-bench
 	./linefs-bench -repbench -repbench-time 2s

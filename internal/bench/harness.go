@@ -139,21 +139,21 @@ func hostJitter(seed int64) *hw.JitterModel {
 	return hw.NewJitterModel(seed, 45*time.Microsecond, 0.004, 2500*time.Microsecond)
 }
 
+// sizes is the one quick/full size table: PM device, public area, per-client
+// log and inode table. LineFS and Assise are always sized alike, so their
+// numbers compare like for like.
+func (o Options) sizes() (pm, vol, log int64, inodes int) {
+	if o.Quick {
+		return 1600 << 20, 1280 << 20, 24 << 20, 32768
+	}
+	return 16 << 30, 12 << 30, 512 << 20, 131072
+}
+
 // lineFSConfig builds the LineFS configuration for a scale.
 func lineFSConfig(o Options, clients int) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.MaxClients = clients
-	if o.Quick {
-		cfg.Spec.PMSize = 1600 << 20
-		cfg.VolSize = 1280 << 20
-		cfg.LogSize = 24 << 20
-		cfg.InodesPerVol = 32768
-	} else {
-		cfg.Spec.PMSize = 16 << 30
-		cfg.VolSize = 12 << 30
-		cfg.LogSize = 512 << 20
-		cfg.InodesPerVol = 131072
-	}
+	cfg.Spec.PMSize, cfg.VolSize, cfg.LogSize, cfg.InodesPerVol = o.sizes()
 	return cfg
 }
 
@@ -161,17 +161,7 @@ func assiseConfig(o Options, clients int, mode assise.Mode) assise.Config {
 	cfg := assise.DefaultConfig()
 	cfg.Mode = mode
 	cfg.MaxClients = clients
-	if o.Quick {
-		cfg.Spec.PMSize = 1600 << 20
-		cfg.VolSize = 1280 << 20
-		cfg.LogSize = 24 << 20
-		cfg.InodesPerVol = 32768
-	} else {
-		cfg.Spec.PMSize = 16 << 30
-		cfg.VolSize = 12 << 30
-		cfg.LogSize = 512 << 20
-		cfg.InodesPerVol = 131072
-	}
+	cfg.Spec.PMSize, cfg.VolSize, cfg.LogSize, cfg.InodesPerVol = o.sizes()
 	return cfg
 }
 

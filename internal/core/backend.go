@@ -122,20 +122,17 @@ func (b *linefsBackend) close() {
 }
 
 // call issues a control RPC on the low-latency class. With RPCRetryEvery
-// unset (the default) it is a plain blocking Call. With it set, each
-// attempt is bounded and retried with doubling backoff: control RPCs are
-// idempotent (attach re-answers the same admission, lease acquisition and
-// open checks are pure reads or re-grants, fsync re-waits on a watermark),
-// so a lost request or response costs one timeout, not a wedged client.
+// unset (the default) the first attempt has no deadline: a plain blocking
+// call. With it set, each attempt is bounded and retried with doubling
+// backoff: control RPCs are idempotent (attach re-answers the same
+// admission, lease acquisition and open checks are pure reads or re-grants,
+// fsync re-waits on a watermark), so a lost request or response costs one
+// timeout, not a wedged client.
 func (b *linefsBackend) call(p *sim.Proc, op string, arg any, size int) (any, error) {
-	every := b.cl.Cfg.RPCRetryEvery
-	if every <= 0 {
-		return b.lowConn.Call(p, op, arg, size)
-	}
-	timeout := every
+	timeout := b.cl.Cfg.RPCRetryEvery
 	const maxAttempts = 12
 	for attempt := 1; ; attempt++ {
-		v, err, replied := b.lowConn.CallTimeout(p, op, arg, size, timeout)
+		v, err, replied := b.lowConn.CallTimeout(p, op, arg, size, timeout, nil)
 		if replied {
 			return v, err
 		}

@@ -37,9 +37,7 @@ func ReplHotLoop() (func(), error) {
 	}
 	dec := compress.NewDecoder()
 	bc := &batchChunk{
-		From:       0,
 		To:         uint64(len(raw)),
-		FirstSeq:   1,
 		Payload:    payload,
 		Compressed: true,
 		RawLen:     len(raw),

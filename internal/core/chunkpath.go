@@ -20,7 +20,6 @@ import (
 type chunk struct {
 	cs       *clientState
 	from, to uint64
-	firstSeq uint64
 
 	raw        []byte // pooled: grown once, reused across chunks
 	cbuf       []byte // pooled compression output buffer
@@ -73,12 +72,11 @@ type clientState struct {
 	// The sender serializes chain transfers: stages enqueue finished chunks
 	// on xferQ in any order, xferBuf reorders them by log offset, and the
 	// sendNext cursor walks them contiguously, coalescing backlog into
-	// replChunkBatch messages (bounded by RepBatchChunks/RepBatchBytes).
-	xferQ      *sim.Queue[*chunk]
-	xferBuf    map[uint64]*chunk
-	sendNext   uint64
-	batch      []*chunk
-	batchBytes int
+	// replChunkBatch messages (bounded by repBatchChunks/repBatchBytes).
+	xferQ    *sim.Queue[*chunk]
+	xferBuf  map[uint64]*chunk
+	sendNext uint64
+	batch    sendRun
 
 	// Chain geometry is static per slot; cache it so the ack path does not
 	// allocate. ackWater[i] is the cumulative watermark acknowledged by
@@ -216,73 +214,29 @@ func (cs *clientState) runRetransmit(p *sim.Proc) {
 }
 
 // resendPending re-ships every un-replicated pending chunk, coalescing
-// contiguous runs into batches bounded like the first transmission.
+// contiguous runs into messages bounded exactly like the first transmission.
+// Each message's run is gathered without yielding; transmit blocks, and acks
+// arriving meanwhile pop (and nil out) the deque's front, so no index into
+// repPending survives a send — only the log-offset cursor does.
 func (cs *clientState) resendPending(p *sim.Proc) {
-	n := cs.n
-	cfg := n.cl.Cfg
-	maxChunks := cfg.RepBatchChunks
-	if maxChunks < 1 {
-		maxChunks = 1
-	}
-	var run []*chunk
-	flush := func() {
-		if len(run) == 0 {
-			return
-		}
-		cs.sendRun(p, run)
-		run = run[:0]
-	}
-	for _, ck := range cs.repPending {
-		if ck.replicated.Triggered() {
-			flush()
-			continue
-		}
-		if len(run) > 0 && run[len(run)-1].to != ck.from {
-			flush()
-		}
-		run = append(run, ck)
-		if len(run) >= maxChunks {
-			flush()
-		}
-	}
-	flush()
-}
-
-// sendRun ships one contiguous chunk run as a retransmission frame.
-func (cs *clientState) sendRun(p *sim.Proc, run []*chunk) {
-	n := cs.n
-	sync := false
-	wire := 0
-	for _, ck := range run {
-		if ck.sync {
-			sync = true
-		}
-		wire += len(payloadOf(ck))
-	}
-	conn := n.peer(cs.chain[1], sync)
-	if len(run) == 1 {
-		ck := run[0]
-		_ = conn.Send(p, "repl-chunk", &replChunk{
-			Slot: cs.slot, From: ck.from, To: ck.to, FirstSeq: ck.firstSeq,
-			Payload: payloadOf(ck), Compressed: ck.compressed, RawLen: len(ck.raw),
-			Touched: ck.touched, Epoch: n.epoch, Sync: ck.sync,
-		}, wire)
-	} else {
-		msg := &replChunkBatch{
-			Slot: cs.slot, Epoch: n.epoch, From: run[0].from, To: run[len(run)-1].to,
-			Sync: sync, Chunks: make([]batchChunk, len(run)),
-		}
-		for i, ck := range run {
-			msg.Chunks[i] = batchChunk{
-				From: ck.from, To: ck.to, FirstSeq: ck.firstSeq,
-				Payload: payloadOf(ck), Compressed: ck.compressed,
-				RawLen: len(ck.raw), Touched: ck.touched, Sync: ck.sync,
+	var run sendRun
+	for next := uint64(0); ; run.reset() {
+		for _, ck := range cs.repPending {
+			fresh := ck.from >= next && !ck.replicated.Triggered()
+			if k := len(run.cks); k > 0 && (!fresh || run.cks[k-1].to != ck.from) {
+				break
+			}
+			if fresh && run.add(ck) {
+				break
 			}
 		}
-		_ = conn.Send(p, "repl-chunk-batch", msg, wire)
+		if len(run.cks) == 0 {
+			return
+		}
+		next = run.cks[len(run.cks)-1].to
+		_ = cs.transmit(p, &run)
+		cs.n.cl.Robust.RepResends++
 	}
-	n.RepMsgs++
-	n.cl.Robust.RepResends++
 }
 
 func (cs *clientState) kill() {
@@ -325,23 +279,12 @@ func (cs *clientState) getChunk(from, to uint64, sync bool) *chunk {
 		ck = &chunk{}
 	}
 	env := cs.n.cl.Env
-	ck.cs = cs
-	ck.from, ck.to = from, to
-	ck.firstSeq = 0
-	ck.raw = ck.raw[:0]
-	ck.entries = nil
-	ck.touched = ck.touched[:0]
-	ck.payload = nil
-	ck.compressed = false
-	ck.memHeld = 0
-	ck.sync = sync
-	ck.started = false
-	ck.sent = sim.NewEvent(env)
-	ck.published = sim.NewEvent(env)
-	ck.replicated = sim.NewEvent(env)
-	ck.valid = false
-	ck.retained = false
-	ck.dropped = 0
+	// Everything resets except the three pooled buffers.
+	*ck = chunk{
+		cs: cs, from: from, to: to, sync: sync,
+		raw: ck.raw[:0], cbuf: ck.cbuf, touched: ck.touched[:0],
+		sent: sim.NewEvent(env), published: sim.NewEvent(env), replicated: sim.NewEvent(env),
+	}
 	return ck
 }
 
@@ -434,7 +377,6 @@ func (cs *clientState) stageValidate(p *sim.Proc, ck *chunk) bool {
 		return false
 	}
 	if len(entries) > 0 {
-		ck.firstSeq = entries[0].Seq
 		if err := fs.ValidateSeq(entries, entries[0].Seq); err != nil {
 			cs.failChunk(p, ck, err)
 			return false
@@ -626,18 +568,12 @@ func (cs *clientState) runSender(p *sim.Proc) {
 
 // pumpSends walks the send cursor over contiguous queued chunks, coalescing
 // them into batches (doorbell batching: one wire message per backlog burst,
-// bounded by RepBatchChunks/RepBatchBytes). Sync chunks flush immediately;
-// the trailing partial batch flushes when the backlog runs dry, so batching
-// never adds latency — it only amortizes per-message overhead a backlog
-// would pay anyway. Invalid chunks and replica-less configurations pass
+// bounded by sendRun.add). Sync chunks flush immediately; the trailing
+// partial batch flushes when the backlog runs dry, so batching never adds
+// latency — it only amortizes per-message overhead a backlog would pay
+// anyway. Invalid chunks and replica-less configurations pass
 // through without a wire message, keeping the cursor contiguous.
 func (cs *clientState) pumpSends(p *sim.Proc) {
-	cfg := cs.n.cl.Cfg
-	maxChunks := cfg.RepBatchChunks
-	if maxChunks < 1 {
-		maxChunks = 1
-	}
-	maxBytes := cfg.RepBatchBytes
 	for {
 		ck, ok := cs.xferBuf[cs.sendNext]
 		if !ok {
@@ -654,9 +590,7 @@ func (cs *clientState) pumpSends(p *sim.Proc) {
 			cs.advanceRep(p, ck)
 			continue
 		}
-		cs.batch = append(cs.batch, ck)
-		cs.batchBytes += len(payloadOf(ck))
-		if ck.sync || len(cs.batch) >= maxChunks || (maxBytes > 0 && cs.batchBytes >= maxBytes) {
+		if cs.batch.add(ck) {
 			cs.flushBatch(p)
 		}
 	}
@@ -669,53 +603,74 @@ func payloadOf(ck *chunk) []byte {
 	return ck.raw
 }
 
-// flushBatch ships the open batch down the chain as one wire message. A
-// batch of one keeps the replChunk framing (identical wire semantics; it is
-// also the seed per-chunk baseline the repbench compares against).
+// Wire-message bounds for the chain. 16 chunks amortize the per-message
+// dispatch well past the point of diminishing returns; the byte cap keeps
+// one message from monopolizing a hop's egress (and the next hop's NIC
+// memory) when chunks are large — at the paper's 4 MB chunk size every
+// message is a batch of one.
+const (
+	repBatchChunks = 16
+	repBatchBytes  = 1 << 20
+)
+
+// sendRun accumulates contiguous chunks bound for one wire message.
+type sendRun struct {
+	cks   []*chunk
+	bytes int // payload bytes on the wire
+}
+
+// add appends ck and reports whether the run must go on the wire now:
+// fsync-path chunks never wait for company, and a message is bounded both
+// in chunks and in payload bytes. First transmission and retransmission
+// share this one predicate.
+func (r *sendRun) add(ck *chunk) (full bool) {
+	r.cks = append(r.cks, ck)
+	r.bytes += len(payloadOf(ck))
+	return ck.sync || len(r.cks) >= repBatchChunks || r.bytes >= repBatchBytes
+}
+
+func (r *sendRun) reset() {
+	clear(r.cks)
+	r.cks = r.cks[:0]
+	r.bytes = 0
+}
+
+// transmit frames run as one replChunkBatch and posts it to the first
+// replica; a batch of one is still a batch. Payloads and touched records
+// are lent, not copied: chunk buffers stay alive until replication
+// completes, which is also what lets a retransmission frame them again.
+func (cs *clientState) transmit(p *sim.Proc, run *sendRun) error {
+	n := cs.n
+	msg := &replChunkBatch{
+		Slot: cs.slot, Epoch: n.epoch, From: run.cks[0].from, To: run.cks[len(run.cks)-1].to,
+		Chunks: make([]batchChunk, len(run.cks)),
+	}
+	for i, ck := range run.cks {
+		msg.Sync = msg.Sync || ck.sync
+		msg.Chunks[i] = batchChunk{
+			From: ck.from, To: ck.to, Payload: payloadOf(ck), Compressed: ck.compressed,
+			RawLen: len(ck.raw), Touched: ck.touched,
+		}
+	}
+	err := n.peer(cs.chain[1], msg.Sync).Send(p, "repl-chunk-batch", msg, run.bytes)
+	n.RepMsgs++
+	return err
+}
+
+// flushBatch ships the open batch down the chain as one wire message.
 func (cs *clientState) flushBatch(p *sim.Proc) {
-	if len(cs.batch) == 0 {
+	if len(cs.batch.cks) == 0 {
 		return
 	}
 	n := cs.n
 	start := p.Now()
-	sync := false
-	wire := 0
-	for _, ck := range cs.batch {
-		if ck.sync {
-			sync = true
-		}
-		pl := payloadOf(ck)
-		wire += len(pl)
+	for _, ck := range cs.batch.cks {
 		n.RepBytes += int64(len(ck.raw))
-		n.RepWireBytes += int64(len(pl))
 	}
-	conn := n.peer(cs.chain[1], sync)
-	var err error
-	if len(cs.batch) == 1 {
-		ck := cs.batch[0]
-		err = conn.Send(p, "repl-chunk", &replChunk{
-			Slot: cs.slot, From: ck.from, To: ck.to, FirstSeq: ck.firstSeq,
-			Payload: payloadOf(ck), Compressed: ck.compressed, RawLen: len(ck.raw),
-			Touched: ck.touched, Epoch: n.epoch, Sync: ck.sync,
-		}, wire)
-	} else {
-		first, last := cs.batch[0], cs.batch[len(cs.batch)-1]
-		msg := &replChunkBatch{
-			Slot: cs.slot, Epoch: n.epoch, From: first.from, To: last.to,
-			Sync: sync, Chunks: make([]batchChunk, len(cs.batch)),
-		}
-		for i, ck := range cs.batch {
-			msg.Chunks[i] = batchChunk{
-				From: ck.from, To: ck.to, FirstSeq: ck.firstSeq,
-				Payload: payloadOf(ck), Compressed: ck.compressed,
-				RawLen: len(ck.raw), Touched: ck.touched, Sync: ck.sync,
-			}
-		}
-		err = conn.Send(p, "repl-chunk-batch", msg, wire)
-	}
-	n.RepMsgs++
-	n.RepChunksSent += int64(len(cs.batch))
-	for _, ck := range cs.batch {
+	n.RepWireBytes += int64(cs.batch.bytes)
+	err := cs.transmit(p, &cs.batch)
+	n.RepChunksSent += int64(len(cs.batch.cks))
+	for _, ck := range cs.batch.cks {
 		ck.sent.Trigger(nil)
 		cs.repPending = append(cs.repPending, ck)
 	}
@@ -723,15 +678,11 @@ func (cs *clientState) flushBatch(p *sim.Proc) {
 		// Next hop unreachable: account the chunks as replicated so the
 		// client is not blocked forever (degraded durability, as when a
 		// chain is cut; the cluster manager repairs membership).
-		for _, ck := range cs.batch {
+		for _, ck := range cs.batch.cks {
 			cs.advanceRep(p, ck)
 		}
 	}
-	for i := range cs.batch {
-		cs.batch[i] = nil
-	}
-	cs.batch = cs.batch[:0]
-	cs.batchBytes = 0
+	cs.batch.reset()
 	n.StageTimes["transfer"].add(time.Duration(p.Now() - start))
 }
 
@@ -794,11 +745,6 @@ func (cs *clientState) advanceAcked(p *sim.Proc) {
 	}
 }
 
-// resweepAcks re-evaluates pending chunks after a membership change.
-func (cs *clientState) resweepAcks(p *sim.Proc) {
-	cs.advanceAcked(p)
-}
-
 // failChunk rejects a chunk: the fault is recorded for the client and the
 // chunk is routed through the sender so the send cursor stays contiguous
 // (it left the pipeline at validation and would otherwise wedge every later
@@ -838,8 +784,6 @@ func (cs *clientState) waitReplicated(p *sim.Proc, off uint64) {
 	cs.repWait = append(cs.repWait, repWaiter{off: off, ev: ev})
 	p.Wait(ev)
 }
-
-func (cs *clientState) primaryMachine() int { return cs.n.machine }
 
 // runCompletion reclaims client log space once chunks are both published
 // and replicated, in order, and recycles chunk buffers to the freelist
@@ -883,16 +827,27 @@ func (cs *clientState) runSequential(p *sim.Proc) {
 		if !ok {
 			return
 		}
-		cs.stageFetch(p, ck)
-		if cs.stageValidate(p, ck) {
-			if cs.n.cl.Cfg.Compress {
-				cs.stageCompress(p, ck)
-			}
-			cs.stagePublish(p, ck)
-			cs.xferQ.Put(p, ck)
+		if cs.runInline(p, ck) {
 			cs.waitReplicated(p, ck.to)
 		}
 	}
+}
+
+// runInline executes every stage of one chunk back to back on the calling
+// process, bypassing the pipeline queues, and hands it to the sender. It
+// reports false when validation rejected the chunk (failChunk has already
+// routed it through the sender).
+func (cs *clientState) runInline(p *sim.Proc, ck *chunk) bool {
+	cs.stageFetch(p, ck)
+	if !cs.stageValidate(p, ck) {
+		return false
+	}
+	if cs.n.cl.Cfg.Compress {
+		cs.stageCompress(p, ck)
+	}
+	cs.stagePublish(p, ck)
+	cs.xferQ.Put(p, ck)
+	return true
 }
 
 // handleFsync implements fsync(): replicate everything through Head
@@ -906,21 +861,13 @@ func (n *NICFS) handleFsync(p *sim.Proc, msg *rdma.Msg, req *fsyncReq) {
 	}
 	if req.Head > cs.queued {
 		cs.formChunks(p, req.Head, true)
-		// The sync path runs fetch and validation inline and hands the
-		// chunk to the sender marked sync, which flushes immediately on the
-		// low-latency connection, bypassing pipeline queues.
+		// The sync path runs the stages inline and hands the chunk to the
+		// sender marked sync, which flushes immediately on the low-latency
+		// connection.
 		for _, ck := range cs.pending {
-			if !ck.sync || ck.started {
-				continue
-			}
-			ck.started = true
-			cs.stageFetch(p, ck)
-			if cs.stageValidate(p, ck) {
-				if n.cl.Cfg.Compress {
-					cs.stageCompress(p, ck)
-				}
-				cs.stagePublish(p, ck)
-				cs.xferQ.Put(p, ck)
+			if ck.sync && !ck.started {
+				ck.started = true
+				cs.runInline(p, ck)
 			}
 		}
 	}

@@ -68,9 +68,6 @@ func NewCluster(env *sim.Env, cfg Config) (*Cluster, error) {
 		m.HostPort.RegisterRegion("pm", &rdma.PMRegion{PM: m.PM, Base: 0, Len: cfg.Spec.PMSize, Persist: true})
 	}
 	cl.Mgr = cluster.NewManager(env, cfg.HeartbeatEvery)
-	if cfg.DownAfterProbes > 0 {
-		cl.Mgr.DownAfter = cfg.DownAfterProbes
-	}
 	// Timed-out and late-discarded RPCs on the cluster fabric count into the
 	// cluster's robustness summary even without a fault plane.
 	cl.Fabric.Robust = &cl.Robust

@@ -87,14 +87,6 @@ type Config struct {
 	// Compress enables the replication compression stage.
 	Compress bool
 
-	// RepBatchChunks caps how many queued chunks coalesce into one
-	// replChunkBatch wire message per replica hop (1 disables batching and
-	// restores the per-chunk replChunk path); RepBatchBytes caps the batch
-	// payload size (<= 0 means unbounded). Fsync-path chunks always flush
-	// the open batch immediately.
-	RepBatchChunks int
-	RepBatchBytes  int
-
 	// NotifyChunks is the submission-side doorbell coalescing degree: the
 	// LibFS client accumulates this many entry-aligned chunk boundaries
 	// before ringing one chunk-ready doorbell carrying all of them, so a
@@ -113,11 +105,6 @@ type Config struct {
 	// PubMode selects the kernel worker's publication method.
 	PubMode PubMode
 
-	// NICMem flow-control watermarks (§4): replication pauses above High
-	// and resumes below Low utilization of SmartNIC memory.
-	HighWatermark float64
-	LowWatermark  float64
-
 	// LeaseTTL is the lease lifetime.
 	LeaseTTL time.Duration
 
@@ -129,14 +116,11 @@ type Config struct {
 	// worker failure detector.
 	HeartbeatEvery time.Duration
 
-	// DownAfterProbes is the cluster manager's hysteresis: a member is
-	// declared down only after this many consecutive missed probes, so a
-	// single delayed probe does not bump the epoch and reshape every chain
-	// (<= 0 keeps the manager default).
-	DownAfterProbes int
-	// DetectorMisses is the same hysteresis for the NICFS->kernel-worker
-	// detector's isolated-mode flip (<= 0 means 1: flip on the first miss,
-	// the seed behavior — Figure 10's recovery timeline depends on it).
+	// DetectorMisses is the NICFS->kernel-worker detector's hysteresis: this
+	// many consecutive missed probes flip NICFS into isolated mode (<= 0
+	// means 1: flip on the first miss, the seed behavior — Figure 10's
+	// recovery timeline depends on it). The cluster manager's own hysteresis
+	// is cluster.Manager's default of 3 missed probes.
 	DetectorMisses int
 
 	// RepRetryEvery enables replication retransmission: chunks that sit in
@@ -169,15 +153,10 @@ func DefaultConfig() Config {
 		ChunkSize:         4 << 20,
 		Parallel:          true,
 		Compress:          false,
-		RepBatchChunks:    16,
-		RepBatchBytes:     1 << 20,
 		NotifyChunks:      1,
 		PubMode:           PubDMAIntrBatch,
-		HighWatermark:     0.7,
-		LowWatermark:      0.3,
 		LeaseTTL:          time.Second,
 		HeartbeatEvery:    time.Second,
-		DownAfterProbes:   3,
 		DetectorMisses:    1,
 		InodesPerVol:      65536,
 		InoRangePerClient: 4096,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -154,4 +155,120 @@ func TestPartitionStallsFsyncUntilHeal(t *testing.T) {
 		t.Error("heal never counted")
 	}
 	assertReplicasHold(t, cl, "/part", payload)
+}
+
+// TestRetransmitObeysBatchBounds blackholes the ack direction under a
+// backlog of small chunks, so the whole window is resent, and taps the
+// primary->mirror link: every data message — first transmission or resend —
+// must have been cut by the same full-batch predicate, i.e. it was not
+// already full (in chunks or payload bytes) before its last frame joined.
+// The resend path used to ignore the byte cap and ship 16-chunk runs of any
+// size.
+func TestRetransmitObeysBatchBounds(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	cfg.ChunkSize = 128 << 10
+	cfg.RepRetryEvery = 10 * time.Millisecond
+	env, cl := newTestCluster(t, cfg)
+	fp := cl.InstallFaultPlane()
+
+	var seen []*replChunkBatch
+	tap := func(svc string, dst *sim.Queue[*rdma.Msg]) {
+		q := sim.NewQueue[*rdma.Msg](env, 0)
+		cl.Machines[1].Port.Register(svc, q)
+		env.Go("tap/"+svc, func(p *sim.Proc) {
+			for {
+				m, ok := q.Get(p)
+				if !ok {
+					return
+				}
+				if rb, ok := m.Arg.(*replChunkBatch); ok {
+					seen = append(seen, rb)
+				}
+				dst.Put(p, m)
+			}
+		})
+	}
+	tap(svcBulk, cl.NICs[1].bulkQ)
+	tap(svcLow, cl.NICs[1].lowQ)
+
+	payload := bytes.Repeat([]byte{0x7B}, 4<<20)
+	run(t, env, 120*time.Second, func(p *sim.Proc) {
+		l, _ := cl.Attach(p, 0)
+		fd, _ := l.Create(p, "/cap")
+		fp.SetRule("node1", "node0", rdma.FaultRule{Drop: 1})
+		env.Go("heal", func(hp *sim.Proc) {
+			hp.Sleep(300 * time.Millisecond)
+			fp.ClearRules()
+		})
+		for off := 0; off < len(payload); off += cfg.ChunkSize {
+			if _, err := l.WriteAt(p, fd, uint64(off), payload[off:off+cfg.ChunkSize]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatalf("fsync across ack blackhole: %v", err)
+		}
+		p.Sleep(2 * time.Second)
+	})
+	if cl.Robust.RepResends == 0 {
+		t.Fatal("primary never retransmitted; the resend path was not exercised")
+	}
+	var highest uint64
+	coalescedResends := 0
+	for _, rb := range seen {
+		if rb.From < highest && len(rb.Chunks) > 1 {
+			coalescedResends++
+		}
+		if rb.To > highest {
+			highest = rb.To
+		}
+		beforeLast := batchWireLen(rb) - len(rb.Chunks[len(rb.Chunks)-1].Payload)
+		if len(rb.Chunks) > repBatchChunks || beforeLast >= repBatchBytes {
+			t.Errorf("message [%d,%d): %d chunks, %d payload bytes before its last frame; bounds are %d chunks, %d bytes",
+				rb.From, rb.To, len(rb.Chunks), beforeLast, repBatchChunks, repBatchBytes)
+		}
+	}
+	if coalescedResends == 0 {
+		t.Error("no resent message carried more than one chunk; the bound was never at stake")
+	}
+	assertReplicasHold(t, cl, "/cap", payload)
+}
+
+// TestCorruptCopyDraws pins what the fault plane's corruption costs in RNG
+// draws: one (the byte index) for a one-frame message, as for the per-chunk
+// frame it replaces, and one more (the frame index) only when there is a
+// choice. Seeded chaos schedules replay through this draw sequence. The
+// flip lands on a copy; the sender's pooled payload is untouched.
+func TestCorruptCopyDraws(t *testing.T) {
+	t.Parallel()
+	payload := bytes.Repeat([]byte{0x11}, 4096)
+	for frames := 1; frames <= 3; frames++ {
+		rb := &replChunkBatch{Chunks: make([]batchChunk, frames)}
+		for i := range rb.Chunks {
+			rb.Chunks[i].Payload = payload
+		}
+		got, want := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+		out := rb.CorruptCopy(got).(*replChunkBatch)
+		hit := 0
+		if frames > 1 {
+			hit = want.Intn(frames)
+		}
+		at := want.Intn(len(payload))
+		if got.Int63() != want.Int63() {
+			t.Errorf("%d frames: CorruptCopy consumed a different number of draws", frames)
+		}
+		for i := range out.Chunks {
+			clean := bytes.Equal(out.Chunks[i].Payload, payload)
+			if clean == (i == hit) {
+				t.Errorf("%d frames: frame %d clean=%v, flip belongs in frame %d", frames, i, clean, hit)
+			}
+		}
+		if out.Chunks[hit].Payload[at] != 0x11^0xA5 {
+			t.Errorf("%d frames: flip is not at the drawn byte %d", frames, at)
+		}
+		if payload[at] != 0x11 {
+			t.Fatalf("%d frames: CorruptCopy mutated the sender's payload", frames)
+		}
+	}
 }

@@ -71,58 +71,21 @@ type touched struct {
 	Gone bool // unlinked
 }
 
-// replChunk carries one pipeline chunk down the replication chain.
-type replChunk struct {
-	Slot     int
+// batchChunk is one chunk's framing inside a replChunkBatch.
+type batchChunk struct {
 	From, To uint64 // log logical offsets covered
-	FirstSeq uint64
 	// Payload is the raw log bytes, possibly LZW-compressed.
 	Payload    []byte
 	Compressed bool
 	RawLen     int
 	Touched    []touched
-	Epoch      uint64
-	// Sync marks fsync-path chunks (low-latency class).
-	Sync bool
 }
 
-// CorruptCopy implements rdma.Corrupter: the fault plane's in-flight
-// bit-flip. The receiver's payload buffer is pooled on the primary and
-// shared with down-chain forwards, so the flip lands on a deep copy of the
-// payload only — framing fields stay intact, which models a payload bit
-// error the CRC gate must catch (a mangled header is caught by the framing
-// checks instead).
-func (rc *replChunk) CorruptCopy(rng *rand.Rand) any {
-	out := *rc
-	out.Payload = corruptPayload(rc.Payload, rng)
-	return &out
-}
-
-func corruptPayload(payload []byte, rng *rand.Rand) []byte {
-	bad := make([]byte, len(payload))
-	copy(bad, payload)
-	if len(bad) > 0 {
-		bad[rng.Intn(len(bad))] ^= 0xA5
-	}
-	return bad
-}
-
-// batchChunk is one chunk's framing inside a replChunkBatch: the same
-// fields replChunk carries, minus the batch-level ones (Slot, Epoch).
-type batchChunk struct {
-	From, To   uint64
-	FirstSeq   uint64
-	Payload    []byte
-	Compressed bool
-	RawLen     int
-	Touched    []touched
-	Sync       bool
-}
-
-// replChunkBatch coalesces contiguous chunks of one slot into a single wire
-// message per replica hop (doorbell batching): one message header, one
-// switch traversal, and one RPC dispatch amortize over every chunk, and the
-// receiver persists and acknowledges the whole batch at once. Chunks are
+// replChunkBatch is the chain's only data message: contiguous chunks of one
+// slot framed into a single wire message per replica hop (doorbell
+// batching). One message header, one switch traversal, and one RPC dispatch
+// amortize over every chunk, and the receiver persists and acknowledges the
+// whole batch at once; an idle chain sends batches of one. Chunks are
 // ordered and contiguous: Chunks[0].From == From, each frame starts where
 // the previous ended, and the last ends at To.
 type replChunkBatch struct {
@@ -135,17 +98,29 @@ type replChunkBatch struct {
 	Chunks []batchChunk
 }
 
-// CorruptCopy implements rdma.Corrupter: one member frame's payload is
-// deep-copied and bit-flipped; the other frames are shared untouched.
+// CorruptCopy implements rdma.Corrupter: the fault plane's in-flight
+// bit-flip. Payload buffers are pooled on the primary and shared with
+// down-chain forwards, so the flip lands on a deep copy of one member
+// frame's payload only; the other frames are shared untouched and framing
+// fields stay intact, which models a payload bit error the CRC gate must
+// catch (a mangled header is caught by the framing checks instead). A
+// one-frame message draws no frame index: the fault schedule of a seed
+// depends on the draw sequence, and there is nothing to choose.
 func (rb *replChunkBatch) CorruptCopy(rng *rand.Rand) any {
 	out := *rb
 	if len(rb.Chunks) == 0 {
 		return &out
 	}
-	out.Chunks = make([]batchChunk, len(rb.Chunks))
-	copy(out.Chunks, rb.Chunks)
-	i := rng.Intn(len(out.Chunks))
-	out.Chunks[i].Payload = corruptPayload(out.Chunks[i].Payload, rng)
+	out.Chunks = append([]batchChunk(nil), rb.Chunks...)
+	i := 0
+	if len(out.Chunks) > 1 {
+		i = rng.Intn(len(out.Chunks))
+	}
+	bad := append([]byte(nil), out.Chunks[i].Payload...)
+	if len(bad) > 0 {
+		bad[rng.Intn(len(bad))] ^= 0xA5
+	}
+	out.Chunks[i].Payload = bad
 	return &out
 }
 
@@ -154,8 +129,6 @@ func (rb *replChunkBatch) CorruptCopy(rng *rand.Rand) any {
 type replDirect struct {
 	Slot     int
 	From, To uint64
-	FirstSeq uint64
-	RawLen   int
 	Touched  []touched
 	Epoch    uint64
 }

@@ -105,15 +105,8 @@ func (ms *mirrorState) putBuf(b []byte) {
 // routeMirror dispatches replication traffic to the slot's mirror process,
 // creating it on first contact.
 func (n *NICFS) routeMirror(p *sim.Proc, msg *rdma.Msg) {
-	var slot int
-	switch arg := msg.Arg.(type) {
-	case *replChunk:
-		slot = arg.Slot
-	case *replChunkBatch:
-		slot = arg.Slot
-	case *replDirect:
-		slot = arg.Slot
-	default:
+	slot, _, _, ok := replSpan(msg.Arg)
+	if !ok {
 		return
 	}
 	ms := n.mirrors[slot]
@@ -121,6 +114,18 @@ func (n *NICFS) routeMirror(p *sim.Proc, msg *rdma.Msg) {
 		ms = n.newMirror(slot)
 	}
 	ms.q.Put(p, msg)
+}
+
+// replSpan extracts the slot and log range a chain message covers: all the
+// mirror needs to route and order it, whichever of the two kinds it is.
+func replSpan(arg any) (slot int, from, to uint64, ok bool) {
+	switch arg := arg.(type) {
+	case *replChunkBatch:
+		return arg.Slot, arg.From, arg.To, true
+	case *replDirect:
+		return arg.Slot, arg.From, arg.To, true
+	}
+	return 0, 0, 0, false
 }
 
 func (n *NICFS) newMirror(slot int) *mirrorState {
@@ -165,12 +170,8 @@ func (n *NICFS) newMirror(slot int) *mirrorState {
 func (ms *mirrorState) kill() {
 	ms.q.Close()
 	ms.pubQ.Close()
-	if ms.proc != nil {
-		ms.proc.Kill()
-	}
-	if ms.pubProc != nil {
-		ms.pubProc.Kill()
-	}
+	ms.proc.Kill()
+	ms.pubProc.Kill()
 }
 
 // runPublisher applies replicated chunks to the replica's public area in
@@ -201,15 +202,8 @@ func (ms *mirrorState) run(p *sim.Proc) {
 		if !ok {
 			return
 		}
-		var from, to uint64
-		switch arg := msg.Arg.(type) {
-		case *replChunk:
-			from, to = arg.From, arg.To
-		case *replChunkBatch:
-			from, to = arg.From, arg.To
-		case *replDirect:
-			from, to = arg.From, arg.To
-		default:
+		_, from, to, ok := replSpan(msg.Arg)
+		if !ok {
 			continue
 		}
 		if ms.fresh {
@@ -245,8 +239,6 @@ func (ms *mirrorState) run(p *sim.Proc) {
 			}
 			delete(pending, ms.log.Head())
 			switch arg := next.Arg.(type) {
-			case *replChunk:
-				ms.handleChunk(p, arg)
 			case *replChunkBatch:
 				ms.handleBatch(p, arg)
 			case *replDirect:
@@ -264,38 +256,22 @@ func (ms *mirrorState) dedup(p *sim.Proc, msg *rdma.Msg, to uint64) *rdma.Msg {
 	n := ms.n
 	head := ms.log.Head()
 	n.cl.Robust.DupDelivered++
-	primary := ms.chain[0]
-	_ = n.peer(primary, true).Send(p, "repl-ack",
-		&replAck{Slot: ms.slot, To: head, Node: n.Name()}, 24)
+	ms.ack(p, head)
 	// Re-forward the duplicate down-chain: this hop has the range, but the
 	// retransmit that produced the duplicate may exist because a down-chain
 	// hop never got it (our original forward was the lost frame). Each hop
 	// dedups independently, so the repair propagates exactly as far as
-	// needed. replDirect only ever targets the last hop, so only chunk and
-	// batch frames re-forward.
-	if ms.chainPos != len(ms.chain)-1 {
+	// needed. replDirect only ever targets the last hop, so only data frames
+	// re-forward.
+	rb, isBatch := msg.Arg.(*replChunkBatch)
+	if isBatch && ms.chainPos != len(ms.chain)-1 {
 		next := ms.chain[ms.chainPos+1]
-		switch arg := msg.Arg.(type) {
-		case *replChunk:
-			n.cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) {
-				n.RepMsgs++
-				_ = n.peer(next, arg.Sync).Send(fp, "repl-chunk", arg, len(arg.Payload))
-			})
-		case *replChunkBatch:
-			n.cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) {
-				n.RepMsgs++
-				_ = n.peer(next, arg.Sync).Send(fp, "repl-chunk-batch", arg, batchWireLen(arg))
-			})
-		}
+		n.cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) { ms.forward(fp, next, rb) })
 	}
-	if to <= head {
-		return nil
-	}
-	rb, ok := msg.Arg.(*replChunkBatch)
-	if !ok {
-		// A single chunk (or direct note) straddling the head would mean
-		// the primary re-chunked acknowledged bytes — chunk boundaries are
-		// stable, so this cannot happen; drop rather than corrupt.
+	if to <= head || !isBatch {
+		// A direct note straddling the head would mean the primary re-chunked
+		// acknowledged bytes — chunk boundaries are stable, so this cannot
+		// happen; drop rather than corrupt.
 		return nil
 	}
 	trimmed := *rb
@@ -317,23 +293,6 @@ func (ms *mirrorState) dedup(p *sim.Proc, msg *rdma.Msg, to uint64) *rdma.Msg {
 // errBatchFrame rejects a replication frame whose decoded length does not
 // match its declared raw length.
 var errBatchFrame = errors.New("core: replication frame length mismatch")
-
-// decompressPayload expands a compressed chunk payload into dst (a pooled
-// mirror buffer) and verifies the declared raw length. Pure codec work;
-// the caller charges the virtual-time cost.
-//
-//linefs:hotpath
-func decompressPayload(dec *compress.Decoder, dst, payload []byte, rawLen int) ([]byte, error) {
-	//lint:allow scratchflow the grown buffer is returned to the caller, which stores it back
-	out, err := dec.DecompressInto(dst[:0], payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(out) != rawLen {
-		return nil, errBatchFrame
-	}
-	return out, nil
-}
 
 // decodeBatchChunk places one batch frame's raw bytes into dst, which the
 // caller sizes (and capacity-pins) to the declared raw length: a corrupt
@@ -363,109 +322,39 @@ func decodeBatchChunk(dec *compress.Decoder, dst []byte, bc *batchChunk) error {
 	return nil
 }
 
-// handleChunk is steps 4–7 of Figure 3: forward to the next hop (in
-// parallel with the local copy), persist the chunk into the local PM log
-// mirror, acknowledge the primary, and publish locally.
-func (ms *mirrorState) handleChunk(p *sim.Proc, rc *replChunk) {
-	n := ms.n
-	cl := n.cl
-
-	raw := ms.getBuf(rc.RawLen)
-	if rc.Compressed {
-		// Decompression on the wimpy cores (reads are cheaper than the
-		// compression side; charge at 2x the compression bandwidth).
-		out, err := decompressPayload(&ms.dec, raw, rc.Payload, rc.RawLen)
-		if err != nil {
-			ms.putBuf(raw)
-			return // corrupt transfer: never acknowledged
-		}
-		raw = out
-		n.nicCompute(p, time.Duration(float64(rc.RawLen)/(2*cl.Cfg.Spec.CompressBW)*float64(time.Second)))
-	} else {
-		if len(rc.Payload) != rc.RawLen {
-			ms.putBuf(raw)
-			return
-		}
-		copy(raw, rc.Payload)
-	}
-
-	// Integrity gate: a frame corrupted in flight must be rejected before it
-	// is forwarded, persisted, or acknowledged — the primary's retransmit
-	// layer resends it; an ack here would mark garbage durable.
-	if err := fs.VerifyWire(raw); err != nil {
-		n.cl.Robust.CRCRejected++
-		ms.putBuf(raw)
-		return
-	}
-
-	// Merge namespace history for epoch recovery.
-	n.recordHistory(rc.Epoch, rc.Touched)
-
-	// Forward down the chain asynchronously: the next hop's work overlaps
-	// both our local persist and later chunks' forwards (steps 4 and 5 of
-	// Figure 3 pipeline across chunks). Ordering needs no serialization —
-	// one-sided writes are offset-addressed and every mirror reorders
-	// message arrivals by log offset. The forward carries the message's
-	// original payload (primary-owned until the whole chain acks, so safe
-	// down-chain — unlike our pooled copy); compressed chunks stay
-	// compressed on the wire for every hop (the bandwidth saving is the
-	// point), which forgoes the last-hop direct write: raw bytes cannot be
-	// placed one-sided without a decompression stop at the last NICFS.
-	if ms.chainPos != len(ms.chain)-1 {
-		next := ms.chain[ms.chainPos+1]
-		nextIsLast := ms.chainPos+1 == len(ms.chain)-1 && !cl.Cfg.DisableDirectWrite && !rc.Compressed
-		cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) {
-			if nextIsLast {
-				ms.forwardDirect(fp, next, rc)
-			} else {
-				n.RepMsgs++
-				_ = n.peer(next, rc.Sync).Send(fp, "repl-chunk", rc, len(rc.Payload))
-			}
-		})
-	}
-
-	// Persist the chunk into the local PM log mirror. The hold's initial
-	// reference belongs to the publication pipeline and is released by the
-	// publisher once its own kernel-worker handoff resolves.
-	hold := ms.newHold(raw)
-	ms.persistRaw(p, rc.From, raw, hold)
-
-	// Acknowledge the primary: everything through To is durable here. Acks
-	// are latency-critical and ride the low-latency class (§3.3.2).
-	primary := ms.chain[0]
-	_ = n.peer(primary, true).Send(p, "repl-ack",
-		&replAck{Slot: rc.Slot, To: rc.To, Node: n.Name()}, 24)
-
-	// Publish locally in the background so the replica's public area keeps
-	// up and the mirror ring can be reclaimed.
-	ms.pubQ.Put(p, pubJob{raw: raw, from: rc.From, to: rc.To, hold: hold})
-}
-
-// handleBatch persists a whole replChunkBatch with one pass: every frame
-// decodes into one contiguous mirror buffer, one persist covers the batch
-// range, one cumulative ack reports To, and one background publication job
-// applies all entries.
+// handleBatch is steps 4–7 of Figure 3 for one replChunkBatch, in one pass:
+// every frame decodes into one contiguous mirror buffer, the batch forwards
+// to the next hop (in parallel with the local copy), one persist covers the
+// batch range in the local PM log mirror, one cumulative ack reports To,
+// and one background publication job applies all entries.
 func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 	n := ms.n
 	cl := n.cl
-	if len(rb.Chunks) == 0 || uint64(batchRawLen(rb)) != rb.To-rb.From {
+	// Framing first, before any buffer is taken: frames tile [From, To)
+	// exactly and each declares the raw length of its own range.
+	at := rb.From
+	for i := range rb.Chunks {
+		bc := &rb.Chunks[i]
+		if bc.From != at || uint64(bc.RawLen) != bc.To-bc.From {
+			return // malformed framing: never acknowledged
+		}
+		at = bc.To
+	}
+	if len(rb.Chunks) == 0 || at != rb.To {
 		return
 	}
 	raw := ms.getBuf(int(rb.To - rb.From))
 	off := 0
-	at := rb.From
 	allRaw := true
 	for i := range rb.Chunks {
 		bc := &rb.Chunks[i]
-		if bc.From != at || uint64(bc.RawLen) != bc.To-bc.From {
-			ms.putBuf(raw)
-			return // malformed framing: never acknowledged
-		}
 		if err := decodeBatchChunk(&ms.dec, raw[off:off+bc.RawLen:off+bc.RawLen], bc); err != nil {
 			ms.putBuf(raw)
 			return // corrupt transfer: never acknowledged
 		}
-		// Per-frame integrity gate (see handleChunk).
+		// Integrity gate: a frame corrupted in flight must be rejected before it
+		// is forwarded, persisted, or acknowledged — the primary's retransmit
+		// layer resends it; an ack here would mark garbage durable.
 		if err := fs.VerifyWire(raw[off : off+bc.RawLen]); err != nil {
 			n.cl.Robust.CRCRejected++
 			ms.putBuf(raw)
@@ -473,19 +362,28 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 		}
 		if bc.Compressed {
 			allRaw = false
+			// Decompression on the wimpy cores (reads are cheaper than the
+			// compression side; charge at 2x the compression bandwidth).
 			n.nicCompute(p, time.Duration(float64(bc.RawLen)/(2*cl.Cfg.Spec.CompressBW)*float64(time.Second)))
 		}
 		off += bc.RawLen
-		at = bc.To
 	}
 
+	// Merge namespace history for epoch recovery.
 	for i := range rb.Chunks {
 		n.recordHistory(rb.Epoch, rb.Chunks[i].Touched)
 	}
 
-	// Forward the whole batch down-chain as one message (or one-sided
-	// writes plus one note on the last hop), carrying the original
-	// primary-owned payloads.
+	// Forward down the chain asynchronously: the next hop's work overlaps
+	// both our local persist and later batches' forwards (steps 4 and 5 of
+	// Figure 3 pipeline across chunks). Ordering needs no serialization —
+	// one-sided writes are offset-addressed and every mirror reorders
+	// message arrivals by log offset. The forward carries the message's
+	// original payloads (primary-owned until the whole chain acks, so safe
+	// down-chain — unlike our pooled copy); compressed chunks stay
+	// compressed on the wire for every hop (the bandwidth saving is the
+	// point), which forgoes the last-hop direct write: raw bytes cannot be
+	// placed one-sided without a decompression stop at the last NICFS.
 	if ms.chainPos != len(ms.chain)-1 {
 		next := ms.chain[ms.chainPos+1]
 		nextIsLast := ms.chainPos+1 == len(ms.chain)-1 && !cl.Cfg.DisableDirectWrite && allRaw
@@ -493,29 +391,37 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 			if nextIsLast {
 				ms.forwardBatchDirect(fp, next, rb)
 			} else {
-				n.RepMsgs++
-				_ = n.peer(next, rb.Sync).Send(fp, "repl-chunk-batch", rb, batchWireLen(rb))
+				ms.forward(fp, next, rb)
 			}
 		})
 	}
 
+	// Persist the batch into the local PM log mirror. The hold's initial
+	// reference belongs to the publication pipeline and is released by the
+	// publisher once its own kernel-worker handoff resolves.
 	hold := ms.newHold(raw)
 	ms.persistRaw(p, rb.From, raw, hold)
 
 	// One cumulative acknowledgment covers every chunk in the batch.
-	primary := ms.chain[0]
-	_ = n.peer(primary, true).Send(p, "repl-ack",
-		&replAck{Slot: rb.Slot, To: rb.To, Node: n.Name()}, 24)
+	ms.ack(p, rb.To)
 
+	// Publish locally in the background so the replica's public area keeps
+	// up and the mirror ring can be reclaimed.
 	ms.pubQ.Put(p, pubJob{raw: raw, from: rb.From, to: rb.To, hold: hold})
 }
 
-func batchRawLen(rb *replChunkBatch) int {
-	total := 0
-	for i := range rb.Chunks {
-		total += rb.Chunks[i].RawLen
-	}
-	return total
+// ack tells the primary that everything through to is durable here. Acks
+// are latency-critical and ride the low-latency class (§3.3.2).
+func (ms *mirrorState) ack(p *sim.Proc, to uint64) {
+	_ = ms.n.peer(ms.chain[0], true).Send(p, "repl-ack",
+		&replAck{Slot: ms.slot, To: to, Node: ms.n.Name()}, 24)
+}
+
+// forward relays a data message to the next hop through its NICFS memory,
+// unchanged.
+func (ms *mirrorState) forward(p *sim.Proc, next int, rb *replChunkBatch) {
+	ms.n.RepMsgs++
+	_ = ms.n.peer(next, rb.Sync).Send(p, "repl-chunk-batch", rb, batchWireLen(rb))
 }
 
 func batchWireLen(rb *replChunkBatch) int {
@@ -526,38 +432,11 @@ func batchWireLen(rb *replChunkBatch) int {
 	return total
 }
 
-// forwardDirect implements the §3.3.2 step-6 optimization: the penultimate
-// replica writes the chunk straight into the last replica's host PM log
-// with a one-sided RDMA WRITE, then sends a small notification — saving a
-// SmartNIC memory copy on the last hop.
-func (ms *mirrorState) forwardDirect(p *sim.Proc, next int, rc *replChunk) {
-	n := ms.n
-	cl := n.cl
-	lastLog := fs.NewLogView(cl.logBase(rc.Slot), cl.Cfg.LogSize)
-	conn := n.peer(next, rc.Sync)
-	off := 0
-	for _, seg := range lastLog.SegmentsAt(rc.From, len(rc.Payload)) {
-		if err := conn.RDMAWrite(p, "pm", seg.PhysOff, rc.Payload[off:off+seg.Len]); err != nil {
-			// Fall back to the message path.
-			n.RepMsgs++
-			_ = conn.Send(p, "repl-chunk", rc, len(rc.Payload))
-			return
-		}
-		off += seg.Len
-	}
-	note := &replDirect{
-		Slot: rc.Slot, From: rc.From, To: rc.To, FirstSeq: rc.FirstSeq,
-		RawLen: rc.RawLen, Touched: rc.Touched, Epoch: rc.Epoch,
-	}
-	// The notification follows the one-sided data on the low-latency
-	// class: it must not queue behind other bulk transfers.
-	n.RepMsgs++
-	_ = n.peer(next, true).Send(p, "repl-direct", note, 64)
-}
-
-// forwardBatchDirect is the batch form of the last-hop optimization: every
-// chunk's payload is RDMA-written into the last replica's PM log, then one
-// notification covers the whole batch range.
+// forwardBatchDirect implements the §3.3.2 step-6 optimization: the
+// penultimate replica writes every chunk's payload straight into the last
+// replica's host PM log with one-sided RDMA WRITEs, then sends one small
+// notification covering the whole batch range — saving a SmartNIC memory
+// copy on the last hop.
 func (ms *mirrorState) forwardBatchDirect(p *sim.Proc, next int, rb *replChunkBatch) {
 	n := ms.n
 	cl := n.cl
@@ -570,8 +449,7 @@ func (ms *mirrorState) forwardBatchDirect(p *sim.Proc, next int, rb *replChunkBa
 			if err := conn.RDMAWrite(p, "pm", seg.PhysOff, bc.Payload[off:off+seg.Len]); err != nil {
 				// Fall back to the message path; the last replica persists
 				// the full batch from scratch (its head never advanced).
-				n.RepMsgs++
-				_ = conn.Send(p, "repl-chunk-batch", rb, batchWireLen(rb))
+				ms.forward(p, next, rb)
 				return
 			}
 			off += seg.Len
@@ -582,9 +460,10 @@ func (ms *mirrorState) forwardBatchDirect(p *sim.Proc, next int, rb *replChunkBa
 		touchedAll = append(touchedAll, rb.Chunks[i].Touched...)
 	}
 	note := &replDirect{
-		Slot: rb.Slot, From: rb.From, To: rb.To, FirstSeq: rb.Chunks[0].FirstSeq,
-		RawLen: int(rb.To - rb.From), Touched: touchedAll, Epoch: rb.Epoch,
+		Slot: rb.Slot, From: rb.From, To: rb.To, Touched: touchedAll, Epoch: rb.Epoch,
 	}
+	// The notification follows the one-sided data on the low-latency
+	// class: it must not queue behind other bulk transfers.
 	n.RepMsgs++
 	_ = n.peer(next, true).Send(p, "repl-direct", note, 64)
 }
@@ -616,9 +495,7 @@ func (ms *mirrorState) handleDirect(p *sim.Proc, rd *replDirect) {
 		ms.putBuf(raw)
 		return
 	}
-	primary := ms.chain[0]
-	_ = n.peer(primary, true).Send(p, "repl-ack",
-		&replAck{Slot: rd.Slot, To: rd.To, Node: n.Name()}, 24)
+	ms.ack(p, rd.To)
 
 	// Publication needs the entries: fetch them from our own host PM log
 	// across PCIe into a pooled buffer.

@@ -167,7 +167,7 @@ func (n *NICFS) PeerDown(p *sim.Proc, name string) {
 	// reconfigured chain. Slots are visited in order: resweeps emit
 	// completion events, so the sweep sequence must be deterministic.
 	for _, slot := range n.clientSlots() {
-		n.clients[slot].resweepAcks(p)
+		n.clients[slot].advanceAcked(p)
 	}
 }
 
@@ -257,7 +257,7 @@ func (n *NICFS) runLowLat(p *sim.Proc) {
 			n.cl.Env.Go(n.Name()+"/fsync", func(hp *sim.Proc) {
 				n.handleFsync(hp, msg, req)
 			})
-		case "repl-chunk", "repl-chunk-batch", "repl-direct":
+		case "repl-chunk-batch", "repl-direct":
 			// Sync-path replication arrives on the low-latency class.
 			n.routeMirror(p, msg)
 		case "repl-ack":
@@ -290,7 +290,7 @@ func (n *NICFS) runBulk(p *sim.Proc) {
 				}
 				cs.formChunks(p, req.Head, false)
 			}
-		case "repl-chunk", "repl-chunk-batch", "repl-direct":
+		case "repl-chunk-batch", "repl-direct":
 			n.routeMirror(p, msg)
 		case "repl-ack":
 			n.handleReplAck(p, msg.Arg.(*replAck))
@@ -447,7 +447,7 @@ func (n *NICFS) runDetector(p *sim.Proc) {
 	misses := 0
 	for {
 		p.Sleep(interval)
-		_, err, replied := n.kwConn.CallTimeout(p, "probe", nil, 8, interval/2)
+		_, err, replied := n.kwConn.CallTimeout(p, "probe", nil, 8, interval/2, nil)
 		healthy := replied && err == nil
 		if healthy {
 			misses = 0
@@ -541,7 +541,7 @@ func (n *NICFS) pruneHistory() {
 func (n *NICFS) publishItems(p *sim.Proc, items []copyItem, onDiscard func(p *sim.Proc)) bool {
 	retained := false
 	if !n.Isolated {
-		_, err, replied := n.kwConn.CallTimeoutDiscard(p, "copy", &copyReq{Items: items},
+		_, err, replied := n.kwConn.CallTimeout(p, "copy", &copyReq{Items: items},
 			64*len(items), 50*time.Millisecond, onDiscard)
 		if replied && err == nil {
 			return false
@@ -583,14 +583,20 @@ func (n *NICFS) Crash() {
 	n.bulkQ.Close()
 }
 
+// NICMem flow-control watermarks (§4): replication pauses above the high
+// and resumes below the low utilization of SmartNIC memory.
+const (
+	memHighWatermark = 0.7
+	memLowWatermark  = 0.3
+)
+
 // memReserve blocks until SmartNIC memory can hold n more bytes under the
 // high watermark; memRelease frees and wakes waiters once utilization
 // drops below the low watermark (§4 replication flow control).
 func (n *NICFS) memReserve(p *sim.Proc, bytes int64) {
 	mem := n.cl.Machines[n.machine].NICMem
-	cfg := n.cl.Cfg
 	for {
-		if mem.Utilization() <= cfg.HighWatermark && mem.Alloc(bytes) {
+		if mem.Utilization() <= memHighWatermark && mem.Alloc(bytes) {
 			return
 		}
 		ev := n.memFreed
@@ -601,7 +607,7 @@ func (n *NICFS) memReserve(p *sim.Proc, bytes int64) {
 func (n *NICFS) memRelease(bytes int64) {
 	mem := n.cl.Machines[n.machine].NICMem
 	mem.Free(bytes)
-	if mem.Utilization() < n.cl.Cfg.LowWatermark {
+	if mem.Utilization() < memLowWatermark {
 		n.memFreed.Trigger(nil)
 		n.memFreed = sim.NewEvent(n.cl.Env)
 	}

@@ -43,10 +43,9 @@ var wireFuncs = map[string]map[string]bool{
 		"DecompressInto": true,
 	},
 	"internal/core": {
-		// Replication batch decode entry points: a frame that fails to decode
-		// must never be persisted or acknowledged.
-		"decodeBatchChunk":  true,
-		"decompressPayload": true,
+		// Replication frame decode: a frame that fails to decode must never
+		// be persisted or acknowledged.
+		"decodeBatchChunk": true,
 	},
 }
 

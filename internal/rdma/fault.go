@@ -17,7 +17,7 @@ import (
 // rules executes the exact event sequence of a fabric without one, and a
 // given seed replays the same fault schedule bit-identically.
 //
-// The plane sits at Send/Call/CallTimeout/RDMARead/RDMAWrite dispatch: a
+// The plane sits at post (Send/Call/CallTimeout) and RDMARead/RDMAWrite: a
 // nil Fabric.Faults (the default) adds zero work to every path.
 type FaultPlane struct {
 	env *sim.Env
@@ -202,7 +202,9 @@ func (fp *FaultPlane) injectSend(p *sim.Proc, c *Conn, q *sim.Queue[*Msg], m *Ms
 // answers the duplicate finds no caller waiting, which matches a receiver
 // acking a retransmitted frame whose originator moved on.
 func dupMsg(m *Msg) *Msg {
-	return &Msg{Op: m.Op, From: m.From, Arg: m.Arg, Size: m.Size, conn: m.conn}
+	d := *m
+	d.reply = nil
+	return &d
 }
 
 // injectOneSided applies the fault mix to a one-sided verb. A drop or

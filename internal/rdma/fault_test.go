@@ -26,12 +26,12 @@ func testLink(seed int64) (*sim.Env, *Fabric, *FaultPlane, *stats.Robustness, *s
 	return e, f, f.Faults, rs, q
 }
 
-// TestCallTimeoutDiscardLateRespond commits the abandonment interleaving:
+// TestCallTimeoutLateRespondDiscarded commits the abandonment interleaving:
 // the handler responds after the caller's deadline passed. The late reply
 // must be discarded (never trigger into the caller that moved on), and the
 // onDiscard hook must run exactly once, in the responder's context — even
 // if the handler answers the same message twice.
-func TestCallTimeoutDiscardLateRespond(t *testing.T) {
+func TestCallTimeoutLateRespondDiscarded(t *testing.T) {
 	t.Parallel()
 	e, f, _, rs, q := testLink(1)
 	a, b := f.Lookup("a"), f.Lookup("b")
@@ -46,7 +46,7 @@ func TestCallTimeoutDiscardLateRespond(t *testing.T) {
 	clientDone := false
 	e.Go("client", func(p *sim.Proc) {
 		c := Dial(a, b, "svc", false)
-		v, err, ok := c.CallTimeoutDiscard(p, "x", nil, 8, 10*time.Millisecond,
+		v, err, ok := c.CallTimeout(p, "x", nil, 8, 10*time.Millisecond,
 			func(dp *sim.Proc) { discards++ })
 		if ok || v != nil || err != nil {
 			t.Errorf("abandoned call returned (%v, %v, %v), want (nil, nil, false)", v, err, ok)

@@ -187,104 +187,93 @@ func (c *Conn) Close() {
 	c.Remote.QPs--
 }
 
-// wireSize adds per-message overhead.
-func (c *Conn) wireSize(n int) int { return n + c.Local.MsgOverhead }
-
-// sendCost charges the request path: local egress serialization, switch
-// propagation, QP-cache penalties.
-func (c *Conn) sendCost(p *sim.Proc, size int) {
-	w := c.wireSize(size)
-	c.Local.TX.Transfer(p, w, c.Prio)
-	c.Local.Fab.Total.Add(int64(w))
-	if s := c.Local.Fab.Series; s != nil {
+// hop charges one direction of the wire to p: egress serialization at from
+// of the payload plus per-message overhead, switch propagation plus lat,
+// ingress accounting at to.
+func (c *Conn) hop(p *sim.Proc, from, to *NIC, size int, lat time.Duration) {
+	w := size + c.Local.MsgOverhead
+	from.TX.Transfer(p, w, c.Prio)
+	from.Fab.Total.Add(int64(w))
+	if s := from.Fab.Series; s != nil {
 		s.Add(time.Duration(p.Env().Now()), float64(w))
 	}
-	p.Sleep(c.Local.Fab.SwitchLat + c.Local.extraLat() + c.Remote.extraLat())
-	c.Remote.RX.Add(int64(w))
+	p.Sleep(from.Fab.SwitchLat + lat)
+	to.RX.Add(int64(w))
+}
+
+// sendCost charges the request path, QP-cache penalties included.
+func (c *Conn) sendCost(p *sim.Proc, size int) {
+	c.hop(p, c.Local, c.Remote, size, c.Local.extraLat()+c.Remote.extraLat())
 }
 
 // returnCost charges the response path back to the caller.
-func (c *Conn) returnCost(p *sim.Proc, size int) {
-	w := c.wireSize(size)
-	c.Remote.TX.Transfer(p, w, c.Prio)
-	c.Remote.Fab.Total.Add(int64(w))
-	if s := c.Remote.Fab.Series; s != nil {
-		s.Add(time.Duration(p.Env().Now()), float64(w))
-	}
-	p.Sleep(c.Remote.Fab.SwitchLat)
-	c.Local.RX.Add(int64(w))
-}
+func (c *Conn) returnCost(p *sim.Proc, size int) { c.hop(p, c.Remote, c.Local, size, 0) }
 
 // ErrUnreachable is returned when the remote service is not registered
 // (node down or not yet started).
 var ErrUnreachable = fmt.Errorf("rdma: service unreachable")
 
-// Send delivers a one-way message to the remote service, blocking the
-// caller for the wire time only.
-func (c *Conn) Send(p *sim.Proc, op string, arg any, size int) error {
+// post is the one two-sided dispatch path: it charges the request path,
+// builds the Msg — with a reply event when the sender will wait for a
+// response — consults the fault plane, and enqueues on the remote service.
+// A nil error means the frame was posted, not that it will arrive: the
+// plane may have dropped, deferred, or duplicated it.
+func (c *Conn) post(p *sim.Proc, op string, arg any, size int, wantReply bool) (*Msg, error) {
 	c.sendCost(p, size)
 	q, ok := c.Remote.services[c.Service]
 	if !ok {
-		return ErrUnreachable
+		return nil, ErrUnreachable
 	}
 	m := &Msg{Op: op, From: c.Local, Arg: arg, Size: size, conn: c}
+	if wantReply {
+		m.reply = sim.NewEvent(p.Env())
+	}
 	if fp := c.Local.Fab.Faults; fp != nil && fp.injectSend(p, c, q, m) {
-		// Dropped, deferred, or duplicated by the plane; either way the
-		// sender observes a successful post (fire-and-forget semantics).
-		return nil
+		// The plane consumed delivery; the wire cost is already paid, and a
+		// reply event fires only if some copy of the frame reaches a handler.
+		return m, nil
 	}
 	if !q.Put(p, m) {
-		return ErrUnreachable
+		return nil, ErrUnreachable
 	}
-	return nil
+	return m, nil
+}
+
+// Send delivers a one-way message to the remote service, blocking the
+// caller for the wire time only. A frame the fault plane eats still reports
+// a successful post (fire-and-forget semantics).
+func (c *Conn) Send(p *sim.Proc, op string, arg any, size int) error {
+	_, err := c.post(p, op, arg, size, false)
+	return err
 }
 
 // Call delivers a message and blocks until the handler responds. A fault
 // plane that drops the request frame leaves the caller blocked — lost
-// requests without a timeout hang, exactly as on real hardware; paths that
+// requests without a deadline hang, exactly as on real hardware; paths that
 // may face faults use CallTimeout.
 func (c *Conn) Call(p *sim.Proc, op string, arg any, size int) (any, error) {
-	c.sendCost(p, size)
-	q, ok := c.Remote.services[c.Service]
-	if !ok {
-		return nil, ErrUnreachable
-	}
-	m := &Msg{Op: op, From: c.Local, Arg: arg, Size: size, conn: c, reply: sim.NewEvent(p.Env())}
-	if fp := c.Local.Fab.Faults; fp != nil && fp.injectSend(p, c, q, m) {
-		// The plane consumed delivery (possibly dropping it); the reply
-		// event fires only if some copy of the frame reaches a handler.
-	} else if !q.Put(p, m) {
-		return nil, ErrUnreachable
-	}
-	rep := p.Wait(m.reply).(Reply)
-	return rep.Val, rep.Err
+	v, err, _ := c.CallTimeout(p, op, arg, size, 0, nil)
+	return v, err
 }
 
-// CallTimeout is Call with an upper bound; ok=false means no response in d
-// (e.g. the serving process died mid-request, or the fault plane ate the
-// frame). A timed-out call is abandoned: a response arriving later is
-// discarded instead of triggering into the caller that moved on.
-func (c *Conn) CallTimeout(p *sim.Proc, op string, arg any, size int, d time.Duration) (any, error, bool) {
-	return c.CallTimeoutDiscard(p, op, arg, size, d, nil)
-}
-
-// CallTimeoutDiscard is CallTimeout with an abandonment hook: if the call
-// times out and the handler later responds anyway, the late response is
-// discarded and onDiscard runs once, in the responder's process context —
-// the moment resources the caller lent the handler for the call's duration
-// (e.g. pooled buffers a kernel worker was still reading) are known free.
-// If the handler never responds, onDiscard never runs.
-func (c *Conn) CallTimeoutDiscard(p *sim.Proc, op string, arg any, size int, d time.Duration, onDiscard func(p *sim.Proc)) (any, error, bool) {
-	c.sendCost(p, size)
-	q, ok := c.Remote.services[c.Service]
-	if !ok {
-		return nil, ErrUnreachable, true
+// CallTimeout is Call with an upper bound d on the wait for the response
+// (d <= 0 means none, and schedules no timer); ok=false means no
+// response in d (e.g. the serving process died mid-request, or the fault
+// plane ate the frame). A timed-out call is abandoned: if the handler later
+// responds anyway, the late response is discarded instead of triggering
+// into the caller that moved on, and onDiscard (if non-nil) runs once, in
+// the responder's process context — the moment resources the caller lent
+// the handler for the call's duration (e.g. pooled buffers a kernel worker
+// was still reading) are known free. If the handler never responds,
+// onDiscard never runs.
+func (c *Conn) CallTimeout(p *sim.Proc, op string, arg any, size int, d time.Duration, onDiscard func(p *sim.Proc)) (any, error, bool) {
+	m, err := c.post(p, op, arg, size, true)
+	if err != nil {
+		return nil, err, true
 	}
-	m := &Msg{Op: op, From: c.Local, Arg: arg, Size: size, conn: c, reply: sim.NewEvent(p.Env())}
-	if fp := c.Local.Fab.Faults; fp != nil && fp.injectSend(p, c, q, m) {
-		// Delivery consumed by the plane; fall through to the timed wait.
-	} else if !q.Put(p, m) {
-		return nil, ErrUnreachable, true
+	if d <= 0 {
+		rep := p.Wait(m.reply).(Reply)
+		return rep.Val, rep.Err, true
 	}
 	v, replied := p.WaitTimeout(m.reply, d)
 	if !replied {
@@ -304,7 +293,12 @@ func (c *Conn) CallTimeoutDiscard(p *sim.Proc, op string, arg any, size int, d t
 // already timed out and abandoned the call, the response still burns its
 // wire time (the responder cannot know) but is discarded at the caller's
 // NIC instead of triggering into an event nobody waits on.
-func (m *Msg) Respond(p *sim.Proc, val any, size int) {
+func (m *Msg) Respond(p *sim.Proc, val any, size int) { m.respond(p, Reply{Val: val}, size) }
+
+// RespondErr sends an error response.
+func (m *Msg) RespondErr(p *sim.Proc, err error) { m.respond(p, Reply{Err: err}, 16) }
+
+func (m *Msg) respond(p *sim.Proc, rep Reply, size int) {
 	if m.reply == nil {
 		return
 	}
@@ -312,19 +306,7 @@ func (m *Msg) Respond(p *sim.Proc, val any, size int) {
 	if m.discardLate(p) {
 		return
 	}
-	m.reply.Trigger(Reply{Val: val})
-}
-
-// RespondErr sends an error response.
-func (m *Msg) RespondErr(p *sim.Proc, err error) {
-	if m.reply == nil {
-		return
-	}
-	m.conn.returnCost(p, 16)
-	if m.discardLate(p) {
-		return
-	}
-	m.reply.Trigger(Reply{Err: err})
+	m.reply.Trigger(rep)
 }
 
 // discardLate drops a response to an abandoned call, running the caller's

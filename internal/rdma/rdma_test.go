@@ -38,6 +38,43 @@ func TestCallRoundTrip(t *testing.T) {
 	e.Run()
 }
 
+// TestDeadlineLessCallTrace pins the event sequence of a Call with no
+// deadline: Call shares its body with CallTimeout, and must not start
+// scheduling a timer (or any other event) on the way. The constants are the
+// event count and digest the three-body rdma.Conn produced for this exact
+// exchange.
+func TestDeadlineLessCallTrace(t *testing.T) {
+	t.Parallel()
+	e := sim.NewEnv(1)
+	e.EnableTrace()
+	_, a, b := testFabric(e)
+	q := sim.NewQueue[*Msg](e, 0)
+	b.Register("svc", q)
+	const calls = 32
+	e.Go("server", func(p *sim.Proc) {
+		for i := 0; i < calls; i++ {
+			m, _ := q.Get(p)
+			m.Respond(p, i, 8)
+		}
+	})
+	e.Go("client", func(p *sim.Proc) {
+		c := Dial(a, b, "svc", false)
+		for i := 0; i < calls; i++ {
+			if v, err := c.Call(p, "ping", nil, 64); err != nil || v.(int) != i {
+				t.Errorf("call %d = %v, %v", i, v, err)
+			}
+		}
+	})
+	e.Run()
+	const wantEvents, wantDigest = 194, sim.Digest(0xd709bb2c6a1d070a)
+	if got := e.TracedEvents(); got != wantEvents {
+		t.Errorf("%d deadline-less calls folded %d events, want %d", calls, got, wantEvents)
+	}
+	if got := e.TraceDigest(); got != wantDigest {
+		t.Errorf("digest = %#x, want %#x", uint64(got), uint64(wantDigest))
+	}
+}
+
 func TestCallUnreachableService(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
@@ -61,7 +98,7 @@ func TestCallTimeoutOnDeadServer(t *testing.T) {
 	// nothing responds.
 	e.Go("client", func(p *sim.Proc) {
 		c := Dial(a, b, "svc", false)
-		_, _, ok := c.CallTimeout(p, "x", nil, 4, 5*time.Millisecond)
+		_, _, ok := c.CallTimeout(p, "x", nil, 4, 5*time.Millisecond, nil)
 		if ok {
 			t.Error("expected timeout")
 		}
