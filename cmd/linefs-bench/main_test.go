@@ -12,7 +12,7 @@ import (
 // stdout as -j 1. Two experiments make the schedules actually interleave.
 func TestParallelStdoutByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two experiments twice")
+		t.Skip("runs two experiments twice: 1s plain, 11s under -race")
 	}
 	runCLI := func(j string) string {
 		var out bytes.Buffer
@@ -34,9 +34,6 @@ func TestParallelStdoutByteIdentical(t *testing.T) {
 // TestSelfCheckCLI runs the -selfcheck mode end to end on one experiment
 // and checks it reports a digest match.
 func TestSelfCheckCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs an experiment twice")
-	}
 	var out bytes.Buffer
 	if code := run([]string{"-selfcheck", "-exp", "fig5"}, &out, io.Discard); code != 0 {
 		t.Fatalf("selfcheck exited %d:\n%s", code, out.String())

@@ -26,9 +26,6 @@ func TestChaosPlanCoversHostCrash(t *testing.T) {
 // durability, replica convergence, clean drain, digest reproducibility)
 // must hold.
 func TestChaosSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos schedules take seconds; covered by make chaos-smoke")
-	}
 	t.Parallel()
 	var out strings.Builder
 	if bad := Chaos(Options{Quick: true, Seed: 42}, 3, -1, &out, io.Discard); bad != 0 {

@@ -20,9 +20,6 @@ import (
 // sibling test allocating inside the window would be charged to the hot
 // path.
 func TestRepBenchAcceptance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full chain workload")
-	}
 	rep, err := MeasureRepBench(20 * time.Millisecond)
 	if err != nil {
 		t.Fatal(err)

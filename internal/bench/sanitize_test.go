@@ -50,9 +50,6 @@ func TestDigestGolden(t *testing.T) {
 // seed-independent.)
 func TestDigestDistinguishesExperiments(t *testing.T) {
 	t.Parallel()
-	if testing.Short() {
-		t.Skip("runs two experiments")
-	}
 	e1, _ := Find("fig5")
 	e2, _ := Find("fig8a")
 	opts := DefaultOptions()

@@ -15,13 +15,29 @@ import (
 // the volatile view, which lets tests exercise prefix crash consistency for
 // real.
 //
-// The two states are kept as full mirrored arrays: shadow is what programs
-// read (durable bytes plus unpersisted stores, written copy-in-place) and
-// data holds only persisted bytes. A sorted, coalesced span list records
-// where the two may differ. Writes therefore cost one memcpy and no
-// allocation — the seed kept a list of per-write buffer copies instead,
-// which made WriteNoCost the hottest allocation site in write-heavy
-// experiments and every read walk the whole list.
+// Storage is sparse and paged, so host memory follows the bytes a run
+// touches and not the device size. A directory maps each 4 KiB page to a
+// slot in slabs that are appended on demand; a page materializes on first
+// write and an absent page reads as zeros. A page is in one of three
+// states:
+//
+//	absent  cur == 0            never written: reads zeros, durably zeros
+//	clean   cur > 0, img == 0   every byte of the cur slot is durable
+//	dirty   cur > 0, img != 0   cur is the read view; img is the durable
+//	                            image (a slot, or imgZero for all zeros)
+//
+// The first write to a clean page sets its slot aside as the durable image
+// and moves the read view to another slot; persisting all of the page's
+// dirty bytes drops the image again. Persist therefore moves a slot index
+// where a mirrored device moves bytes, and a write covering a whole page
+// (the data path: 16 KiB and 4 MiB block-aligned stores) is copied once
+// between the caller's buffer and durability.
+//
+// The directory and the free list hold slot indices, not pointers, and the
+// slabs are pointer-free, so the garbage collector marks one pointer per
+// slab whatever the device size. A sorted, coalesced span list keeps the
+// byte-exact dirty ranges: a page is dirty exactly while a span intersects
+// it, and within a dirty page cur and img agree outside the spans.
 //
 // Access costs are charged in virtual time: a fixed media latency per
 // operation plus serialization through the device's shared bandwidth link.
@@ -29,14 +45,38 @@ type PM struct {
 	Env  *sim.Env
 	Name string
 
-	data   []byte   // persisted bytes only
-	shadow []byte   // persisted + unpersisted writes (what reads observe)
-	dirty  []pmSpan // sorted non-overlapping spans where shadow may differ
-	spare  []pmSpan // scratch for persist-time span rebuilds
+	size  int64
+	dir   []pmPage // one per 4 KiB page of the device
+	slabs [][]byte // slot k (from 1) is page (k-1)%slabPages of slab (k-1)/slabPages
+	slots int32    // slots carved from the slabs so far
+	free  []int32  // released slots; their bytes are stale, never zero
+	dirty []pmSpan // sorted non-overlapping spans of unpersisted bytes
+	spare []pmSpan // scratch for persist-time span rebuilds
 
 	ReadLat  time.Duration
 	WriteLat time.Duration
 	link     *Link
+}
+
+// The page is the file system's block and the host's page: block-aligned
+// stores cover pages exactly, and a materialized slot costs the host one
+// page. A slab is large enough that the runtime maps it directly and small
+// enough that the unused tail of the newest one is noise.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	slabPages = 1024
+	slabSize  = slabPages << pageShift
+
+	// imgZero marks a dirty page whose durable image is all zeros: the
+	// page was absent when it was first written.
+	imgZero = -1
+)
+
+// pmPage is one directory entry: slot numbers, 0 meaning none.
+type pmPage struct {
+	cur int32 // slot holding the bytes reads observe
+	img int32 // slot holding the durable bytes while the page is dirty
 }
 
 // pmSpan is a half-open byte range [off, end).
@@ -78,8 +118,8 @@ func NewPM(env *sim.Env, name string, cfg PMConfig) *PM {
 	return &PM{
 		Env:      env,
 		Name:     name,
-		data:     make([]byte, cfg.Size),
-		shadow:   make([]byte, cfg.Size),
+		size:     cfg.Size,
+		dir:      make([]pmPage, (cfg.Size+pageSize-1)>>pageShift),
 		ReadLat:  cfg.ReadLat,
 		WriteLat: cfg.WriteLat,
 		link:     newPMLink(env, name, cfg.Bandwidth),
@@ -87,17 +127,51 @@ func NewPM(env *sim.Env, name string, cfg PMConfig) *PM {
 }
 
 // Size returns the device capacity in bytes.
-func (pm *PM) Size() int64 { return int64(len(pm.data)) }
+func (pm *PM) Size() int64 { return pm.size }
+
+// ResidentBytes reports the host memory behind the device's bytes: every
+// slot carved so far, released ones included (they stay mapped for reuse).
+func (pm *PM) ResidentBytes() int64 { return int64(pm.slots) << pageShift }
 
 // Link exposes the device bandwidth link so co-located engines (DMA) can
 // share it.
 func (pm *PM) Link() *Link { return pm.link }
 
 func (pm *PM) check(off int64, n int) {
-	if off < 0 || off+int64(n) > int64(len(pm.data)) {
+	if off < 0 || off+int64(n) > pm.size {
 		panic(fmt.Sprintf("hw: PM %s access out of range: off=%d n=%d size=%d",
-			pm.Name, off, n, len(pm.data)))
+			pm.Name, off, n, pm.size))
 	}
+}
+
+// slot returns the page-sized window of slot k.
+func (pm *PM) slot(k int32) []byte {
+	i := int(k - 1)
+	base := i % slabPages << pageShift
+	return pm.slabs[i/slabPages][base : base+pageSize]
+}
+
+// takeSlot returns a slot whose bytes are unspecified: a released slot if
+// there is one, else the next page of the newest slab.
+func (pm *PM) takeSlot() int32 {
+	if n := len(pm.free); n > 0 {
+		k := pm.free[n-1]
+		pm.free = pm.free[:n-1]
+		return k
+	}
+	pm.carve()
+	pm.slots++
+	return pm.slots
+}
+
+// carve extends the slabs by one page. A slab's length is its bump pointer;
+// a new slab is appended when the newest is full.
+func (pm *PM) carve() {
+	if n := len(pm.slabs) - 1; n >= 0 && len(pm.slabs[n]) < cap(pm.slabs[n]) {
+		pm.slabs[n] = pm.slabs[n][:len(pm.slabs[n])+pageSize]
+		return
+	}
+	pm.slabs = append(pm.slabs, make([]byte, pageSize, slabSize))
 }
 
 // Read copies n=len(dst) bytes at off into dst, charging media latency and
@@ -109,12 +183,22 @@ func (pm *PM) Read(p *sim.Proc, off int64, dst []byte) {
 }
 
 // ReadNoCost copies bytes without charging time (for accessors whose cost
-// is modeled elsewhere, and for test inspection).
+// is modeled elsewhere, and for test inspection). Absent pages zero-fill
+// dst, which callers reuse as scratch.
 //
 //linefs:hotpath
 func (pm *PM) ReadNoCost(off int64, dst []byte) {
 	pm.check(off, len(dst))
-	copy(dst, pm.shadow[off:])
+	for len(dst) > 0 {
+		in := int(off & (pageSize - 1))
+		n := min(len(dst), pageSize-in)
+		if k := pm.dir[off>>pageShift].cur; k != 0 {
+			copy(dst[:n], pm.slot(k)[in:])
+		} else {
+			clear(dst[:n])
+		}
+		dst, off = dst[n:], off+int64(n)
+	}
 }
 
 // Write stores src at off into the volatile overlay, charging media latency
@@ -136,14 +220,45 @@ func (pm *PM) WriteAmp(p *sim.Proc, off int64, src []byte, amp int) {
 	pm.WriteNoCost(off, src)
 }
 
-// WriteNoCost stores bytes without charging time: one copy into the shadow
-// view plus a span-list update, no allocation (src is not retained).
+// WriteNoCost stores bytes without charging time: one copy into the read
+// view plus a span-list update, no allocation in steady state (src is not
+// retained).
 //
 //linefs:hotpath
 func (pm *PM) WriteNoCost(off int64, src []byte) {
 	pm.check(off, len(src))
-	copy(pm.shadow[off:], src)
 	pm.markDirty(off, off+int64(len(src)))
+	for len(src) > 0 {
+		pg := &pm.dir[off>>pageShift]
+		in := int(off & (pageSize - 1))
+		n := min(len(src), pageSize-in)
+		if pg.img == 0 {
+			pm.setAside(pg, in, in+n)
+		}
+		copy(pm.slot(pg.cur)[in:], src[:n])
+		src, off = src[n:], off+int64(n)
+	}
+}
+
+// setAside makes a clean or absent page dirty ahead of a write to its bytes
+// [lo, hi): the current slot becomes the durable image and the read view
+// moves to another slot, which inherits the bytes outside [lo, hi) — none
+// when the write covers the page. The new slot may be a recycled one, so
+// an absent page's surroundings are cleared explicitly.
+func (pm *PM) setAside(pg *pmPage, lo, hi int) {
+	k := pm.takeSlot()
+	dst := pm.slot(k)
+	if pg.cur == 0 {
+		pg.img = imgZero
+		clear(dst[:lo])
+		clear(dst[hi:])
+	} else {
+		pg.img = pg.cur
+		old := pm.slot(pg.cur)
+		copy(dst[:lo], old)
+		copy(dst[hi:], old[hi:])
+	}
+	pg.cur = k
 }
 
 // markDirty records [lo, hi) as possibly differing from durable data,
@@ -200,9 +315,11 @@ func (pm *PM) Persist(p *sim.Proc, off, n int64) {
 	pm.PersistNoCost(off, n)
 }
 
-// PersistNoCost copies the dirty parts of [off, off+n) from the shadow
-// view to durable storage without charging time. Dirty spans straddling
-// the window edge stay volatile outside it.
+// PersistNoCost makes the dirty parts of [off, off+n) durable without
+// charging time. Dirty spans straddling the window edge stay volatile
+// outside it. A page left with no dirty byte drops its durable image (the
+// read view is the durable view now); a page that keeps dirty bytes outside
+// the window has the persisted ones copied into its image.
 //
 //linefs:hotpath
 func (pm *PM) PersistNoCost(off, n int64) {
@@ -213,34 +330,69 @@ func (pm *PM) PersistNoCost(off, n int64) {
 			kept = append(kept, s)
 			continue
 		}
-		ps, pe := max64(s.off, lo), min64(s.end, hi)
-		copy(pm.data[ps:pe], pm.shadow[ps:pe])
-		if s.off < ps {
-			kept = append(kept, pmSpan{off: s.off, end: ps})
+		if s.off < lo {
+			kept = append(kept, pmSpan{off: s.off, end: lo})
 		}
-		if pe < s.end {
-			kept = append(kept, pmSpan{off: pe, end: s.end})
+		if hi < s.end {
+			kept = append(kept, pmSpan{off: hi, end: s.end})
+		}
+	}
+	// Both lists are sorted, so k only moves forward: kept[k] is the first
+	// span ending past the start of the page under consideration.
+	k := 0
+	for _, s := range pm.dirty {
+		ps, pe := max(s.off, lo), min(s.end, hi)
+		for ps < pe {
+			pageLo := ps &^ (pageSize - 1)
+			end := min(pe, pageLo+pageSize)
+			for k < len(kept) && kept[k].end <= pageLo {
+				k++
+			}
+			pg := &pm.dir[ps>>pageShift]
+			if k == len(kept) || kept[k].off >= pageLo+pageSize {
+				if pg.img > 0 {
+					pm.free = append(pm.free, pg.img)
+				}
+				pg.img = 0
+			} else {
+				pm.persistInto(pg, int(ps-pageLo), int(end-pageLo))
+			}
+			ps = end
 		}
 	}
 	pm.spare = pm.dirty[:0]
 	pm.dirty = kept
 }
 
+// persistInto copies bytes [lo, hi) of a page that stays dirty from the
+// read view into its durable image, materializing an all-zero image first.
+func (pm *PM) persistInto(pg *pmPage, lo, hi int) {
+	if pg.img == imgZero {
+		pg.img = pm.takeSlot()
+		clear(pm.slot(pg.img))
+	}
+	copy(pm.slot(pg.img)[lo:hi], pm.slot(pg.cur)[lo:])
+}
+
 // PersistAll flushes every pending write (a full fence; used at clean
 // shutdown and in setup code).
 func (pm *PM) PersistAll() {
-	for _, s := range pm.dirty {
-		copy(pm.data[s.off:s.end], pm.shadow[s.off:s.end])
-	}
-	pm.dirty = pm.dirty[:0]
+	pm.PersistNoCost(0, pm.size)
 }
 
 // Crash discards all unpersisted writes, emulating power loss or an OS
-// crash before the data reached the persistence domain: the shadow view is
-// rewound to the durable bytes.
+// crash before the data reached the persistence domain: every dirty page's
+// read view is rewound to its durable image.
 func (pm *PM) Crash() {
 	for _, s := range pm.dirty {
-		copy(pm.shadow[s.off:s.end], pm.data[s.off:s.end])
+		for p := s.off >> pageShift; p <= (s.end-1)>>pageShift; p++ {
+			pg := &pm.dir[p]
+			if pg.img == 0 {
+				continue // rewound under an earlier span
+			}
+			pm.free = append(pm.free, pg.cur)
+			pg.cur, pg.img = max(pg.img, 0), 0 // imgZero: absent again
+		}
 	}
 	pm.dirty = pm.dirty[:0]
 }
@@ -253,18 +405,4 @@ func (pm *PM) PendingBytes() int64 {
 		n += s.end - s.off
 	}
 	return n
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
