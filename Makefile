@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build bench-module lint lint-fix-list test-short test race selfcheck test-full bench kernelbench databench databench-smoke repbench repbench-smoke chaos chaos-smoke clean
+.PHONY: ci vet build bench-module lint lint-fix-list test-short test race fuzz-smoke selfcheck test-full bench kernelbench databench databench-smoke repbench repbench-smoke chaos chaos-smoke clean
 
-ci: vet build bench-module lint test race selfcheck databench-smoke repbench-smoke chaos-smoke
+ci: vet build bench-module lint test race fuzz-smoke selfcheck databench-smoke repbench-smoke chaos-smoke
 
 vet:
 	$(GO) vet ./...
@@ -47,6 +47,13 @@ test-short:
 # are -short-gated.
 race:
 	$(GO) test -race -short ./...
+
+# Ten seconds of native fuzzing on each wire decoder that has a target: the
+# replication frame (sub-block table, payload, declared length) and the LZW
+# codec under it. `go test` alone only replays the seed corpora.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBatchChunk -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzLZWRoundTrip -fuzztime 10s ./internal/compress
 
 # Runtime determinism gate (DESIGN.md §8): run every experiment twice with
 # the sim-sanitizer enabled and fail on digest or output divergence.

@@ -183,6 +183,9 @@ func FuzzLZWRoundTrip(f *testing.F) {
 	noise := make([]byte, 4096)
 	rng.Read(noise)
 	f.Add(noise)
+	step := make([]byte, 256) // its last code lands on the 9-to-10-bit step (see eofBits)
+	rand.New(rand.NewSource(1)).Read(step)
+	f.Add(step)
 	enc := NewEncoder()
 	dec := NewDecoder()
 	f.Fuzz(func(t *testing.T, src []byte) {

@@ -1,6 +1,10 @@
 // Package compress implements the Lempel-Ziv-Welch codec NICFS runs in its
-// replication pipeline's compression stage (the paper cites LZW running at
-// ~200 MB/s per SmartNIC core). The implementation is self-contained:
+// replication pipeline's compression stage. The paper cites LZW at
+// ~200 MB/s per SmartNIC core; the model charges 200 MB/s of reference-core
+// work (node.Spec.CompressBW) and a NIC core runs at NICSpeed = 0.30 of a
+// reference core, so a modeled SmartNIC core compresses at 60 MB/s and
+// decompresses at 120 MB/s (EXPERIMENTS.md, "Known modeling deviations").
+// The implementation is self-contained:
 // variable-width codes from 9 to 16 bits, MSB-first bit packing, and a
 // dictionary reset when the code space fills.
 //
@@ -218,9 +222,23 @@ outer:
 		cur = uint32(b)
 	}
 	w.write(cur, bits)
-	w.write(eofCode, bits)
+	w.write(eofCode, eofBits(next, bits))
 	w.flush()
 	return w.out
+}
+
+// eofBits is the width of the end marker after the last data code went out
+// at bits. The decoder counts a dictionary entry for every code it reads,
+// that last one included, which the encoder (with nothing left to pair it
+// with) never makes; when that phantom entry lands on a width step the
+// decoder reads the marker one bit wider. The seed encoder wrote it at
+// bits regardless, so one stream in a few thousand — 256 random bytes, for
+// one — could not be decoded by anybody, the seed decoder included.
+func eofBits(next uint32, bits uint) uint {
+	if next == 1<<bits-1 && bits < maxBits {
+		return bits + 1
+	}
+	return bits
 }
 
 // Compress encodes src with LZW. Empty input yields a minimal valid stream.

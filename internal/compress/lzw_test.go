@@ -128,3 +128,25 @@ func BenchmarkCompress1MB(b *testing.B) {
 		Compress(buf)
 	}
 }
+
+// TestEveryPrefixLengthRoundTrips walks the end of the stream across every
+// code-width step: incompressible input emits one code per byte, so among
+// 2048 prefix lengths the last code lands on the 9→10 and 10→11 bit steps
+// (at the seed, prefixes 256, 772 and 1811 of this buffer produced streams
+// no decoder accepted — the end marker was written one bit too narrow).
+func TestEveryPrefixLengthRoundTrips(t *testing.T) {
+	buf := make([]byte, 2048)
+	rand.New(rand.NewSource(1)).Read(buf)
+	enc, dec := NewEncoder(), NewDecoder()
+	var stream, out []byte
+	for n := 0; n <= len(buf); n++ {
+		stream = enc.CompressInto(stream[:0], buf[:n])
+		var err error
+		if out, err = dec.DecompressInto(out[:0], stream); err != nil || !bytes.Equal(out, buf[:n]) {
+			t.Fatalf("prefix %d: err=%v, %d bytes back", n, err, len(out))
+		}
+		if ref, err := ReferenceDecompress(stream); err != nil || !bytes.Equal(ref, buf[:n]) {
+			t.Fatalf("prefix %d: reference decoder: err=%v, %d bytes back", n, err, len(ref))
+		}
+	}
+}

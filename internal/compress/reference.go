@@ -78,7 +78,7 @@ func ReferenceCompress(src []byte) []byte {
 		cur = uint32(b)
 	}
 	w.write(cur, bits)
-	w.write(eofCode, bits)
+	w.write(eofCode, eofBits(next, bits)) // the one departure from the seed: see eofBits
 	w.flush()
 	return w.out
 }

@@ -11,9 +11,10 @@ import (
 // ReplHotLoop builds warmed state for the pooled replication hot path and
 // returns a closure that runs one steady-state iteration over it: growBuf
 // (payload staging into a pooled chunk buffer), appendTouched (namespace
-// history records into the pooled touched slice), compressChunk (the
-// chunk-owned compression buffer), and decodeBatchChunk (mirror-side batch
-// frame decode into a pooled receive buffer). The repbench drives the
+// history records into the pooled touched slice), zipSubBlock (sub-block
+// coding into the chunk-owned compression buffer and length table, through
+// the inline compress path), and decodeBatchChunk (mirror-side batch frame
+// decode into a pooled receive buffer). The repbench drives the
 // closure under a MemStats window to assert that the //linefs:hotpath
 // annotations hold at runtime: zero allocations per op once every buffer
 // is warm.
@@ -31,29 +32,26 @@ func ReplHotLoop() (func(), error) {
 		return nil, fmt.Errorf("repl hot loop: corpus decode: %w", err)
 	}
 	enc := compress.NewEncoder()
-	payload := enc.CompressInto(nil, raw)
-	if len(payload) >= len(raw) {
-		return nil, fmt.Errorf("repl hot loop: corpus did not compress (%d >= %d)", len(payload), len(raw))
+	sent := &chunk{to: uint64(len(raw)), raw: raw}
+	sent.zipAll(enc)
+	if sent.subLens == nil {
+		return nil, fmt.Errorf("repl hot loop: corpus did not compress (%d >= %d)", len(sent.cbuf), len(raw))
 	}
 	dec := compress.NewDecoder()
-	bc := &batchChunk{
-		To:         uint64(len(raw)),
-		Payload:    payload,
-		Compressed: true,
-		RawLen:     len(raw),
-	}
+	bc := sent.frame()
 	// One pooled incarnation of each buffer, reused every iteration — the
 	// steady state runCompletion's recycling produces.
 	stage := make([]byte, 0, len(raw))
 	var hist []touched
-	var cbuf []byte
+	ck := &chunk{raw: raw}
 	dst := make([]byte, len(raw))
 	return func() {
 		stage = growBuf(stage, len(raw))
 		//lint:allow borrowcheck the closure also captures raw, the borrow's backing buffer, so entries can never outlive it
 		hist = appendTouched(hist[:0], entries)
-		cbuf = compressChunk(enc, cbuf, raw)
-		if err := decodeBatchChunk(dec, dst[:len(raw):len(raw)], bc); err != nil {
+		ck.cbuf, ck.zipLens = ck.cbuf[:0], ck.zipLens[:0]
+		ck.zipAll(enc)
+		if err := decodeBatchChunk(dec, dst[:len(raw):len(raw)], &bc); err != nil {
 			panic(err)
 		}
 	}, nil

@@ -21,12 +21,18 @@ type chunk struct {
 	cs       *clientState
 	from, to uint64
 
-	raw        []byte // pooled: grown once, reused across chunks
-	cbuf       []byte // pooled compression output buffer
-	entries    []*fs.Entry
-	touched    []touched // pooled
-	payload    []byte    // raw or cbuf, for the wire
-	compressed bool
+	raw     []byte // pooled: grown once, reused across chunks
+	entries []*fs.Entry
+	touched []touched // pooled
+
+	// The compression stage codes raw one sub-block at a time, in index
+	// order: cbuf collects the LZW streams back to back and zipLens their
+	// lengths (both pooled). Sealing the chunk makes subLens zipLens (and
+	// cbuf the wire payload) if that saves wire bytes, and leaves it nil
+	// (the chunk travels raw) if not.
+	cbuf    []byte
+	zipLens []uint32
+	subLens []uint32
 
 	memHeld int64
 
@@ -99,9 +105,10 @@ type clientState struct {
 	// public area).
 	fault error
 
-	// enc is the compression-stage LZW dictionary, reused across chunks.
-	// Compression never yields to the scheduler mid-call, so one encoder
-	// is safe even with several compress-stage workers.
+	// enc is the compression-stage LZW dictionary, reused across
+	// sub-blocks (every call starts a fresh dictionary). A chunk is coded
+	// without yielding to the scheduler, so one encoder is safe even with
+	// several compress-stage workers.
 	enc compress.Encoder
 
 	mainPl *pipeline.Pipeline[*chunk]
@@ -279,10 +286,10 @@ func (cs *clientState) getChunk(from, to uint64, sync bool) *chunk {
 		ck = &chunk{}
 	}
 	env := cs.n.cl.Env
-	// Everything resets except the three pooled buffers.
+	// Everything resets except the pooled buffers.
 	*ck = chunk{
 		cs: cs, from: from, to: to, sync: sync,
-		raw: ck.raw[:0], cbuf: ck.cbuf, touched: ck.touched[:0],
+		raw: ck.raw[:0], cbuf: ck.cbuf[:0], zipLens: ck.zipLens[:0], touched: ck.touched[:0],
 		sent: sim.NewEvent(env), published: sim.NewEvent(env), replicated: sim.NewEvent(env),
 	}
 	return ck
@@ -295,7 +302,7 @@ func (cs *clientState) putChunk(ck *chunk) {
 		return
 	}
 	ck.entries = nil
-	ck.payload = nil
+	ck.subLens = nil
 	cs.freeCk = append(cs.freeCk, ck)
 }
 
@@ -449,29 +456,120 @@ func (cs *clientState) stageSplit(p *sim.Proc, ck *chunk) bool {
 	return false // split consumes the item in the main pipeline
 }
 
-// stageCompress LZW-compresses the chunk payload if it pays off (§3.3.2).
-// NICFS parallelizes this stage aggressively because a single wimpy core
-// compresses at only ~200 MB/s.
+// stageCompress LZW-codes the chunk, sub-block by sub-block, and keeps the
+// result if it pays off (§3.3.2). The bytes are produced here, in index
+// order, before the worker first yields, so the payload does not depend on
+// the schedule; the time they cost is then spread over the SmartNIC's cores
+// (codeAcrossCores), because one wimpy core codes a 4 MiB chunk in 70 ms.
 func (cs *clientState) stageCompress(p *sim.Proc, ck *chunk) bool {
-	n := cs.n
-	spec := n.cl.Cfg.Spec
-	ck.cbuf = compressChunk(&cs.enc, ck.cbuf, ck.raw)
-	n.nicCompute(p, time.Duration(float64(len(ck.raw))/spec.CompressBW*float64(time.Second)))
-	if len(ck.cbuf) < len(ck.raw) {
-		ck.payload = ck.cbuf
-		ck.compressed = true
-	}
+	ck.zipAll(&cs.enc)
+	cs.n.codeAcrossCores(p, len(ck.raw), cs.n.cl.Cfg.Spec.CompressBW)
 	return true
 }
 
-// compressChunk LZW-compresses raw into the chunk's pooled compression
-// buffer: the output is retained through replication, so it cannot share a
-// scratch across chunks — each chunk owns one, reused across its pool
-// incarnations. Pure codec work; the caller charges the virtual-time cost.
+// codeAcrossCores charges the LZW time of one chunk of rawLen bytes, at bw
+// bytes per second of a full-speed core, to the SmartNIC's cores: one
+// helper process per sub-block, all started together, and the caller
+// resumes when the last has finished (so a chunk takes one sub-block's
+// time, or its whole time divided by the cores when it has more sub-blocks
+// than there are cores — never a number of rounds that jumps with the
+// sub-block count). The NIC codes one chunk at a time, first come first
+// served across its clients and mirrors (codecGate): finishing chunks one
+// after the other hands each to the next hop sooner than time-slicing the
+// cores between several, and it keeps the clients' chunks apart on the
+// chain instead of letting them collide at every hop.
+//
+// The helpers die with the caller: when a NICFS crash kills it mid-chunk,
+// its unwinding kills them and frees the gate.
+func (n *NICFS) codeAcrossCores(p *sim.Proc, rawLen int, bw float64) {
+	env := n.cl.Env
+	n.codecGate.Acquire(p, 0)
+	helpers := make([]*sim.Proc, subBlocks(rawLen))
+	defer func() {
+		for _, h := range helpers {
+			h.Kill()
+		}
+		n.codecGate.Release()
+	}()
+	n.codecPeak = max(n.codecPeak, len(helpers))
+	left := len(helpers)
+	done := sim.NewEvent(env)
+	for i := range helpers {
+		lo, hi := subBlockSpan(rawLen, i)
+		helpers[i] = env.Go(n.Name()+"/codec", func(hp *sim.Proc) {
+			n.nicCompute(hp, codecCost(hi-lo, bw))
+			if left--; left == 0 {
+				done.Trigger(nil)
+			}
+		})
+	}
+	if left > 0 {
+		p.Wait(done)
+	}
+}
+
+// CompressPeakWorkers returns the most SmartNIC threads that have coded one
+// chunk at once on this node: 0 without compression, 1 for
+// LineFS-NotParallel's one thread.
+func (n *NICFS) CompressPeakWorkers() int {
+	cfg := n.cl.Cfg
+	switch {
+	case !cfg.Compress:
+		return 0
+	case !cfg.Parallel:
+		return 1
+	}
+	return n.codecPeak
+}
+
+// compressInline is the compress stage on one thread (LineFS-NotParallel):
+// the same sub-blocks, coded back to back.
+func (cs *clientState) compressInline(p *sim.Proc, ck *chunk) {
+	ck.zipAll(&cs.enc)
+	cs.n.nicCompute(p, codecCost(len(ck.raw), cs.n.cl.Cfg.Spec.CompressBW))
+}
+
+// zipAll codes every sub-block of ck in turn and seals it.
+func (ck *chunk) zipAll(enc *compress.Encoder) {
+	for i := 0; i < subBlocks(len(ck.raw)); i++ {
+		ck.cbuf, ck.zipLens = zipSubBlock(enc, ck.cbuf, ck.zipLens, ck.raw, i)
+	}
+	ck.seal()
+}
+
+// seal decides, once every sub-block is coded, whether the chunk travels
+// compressed: only if streams plus table are smaller than the raw bytes.
+func (ck *chunk) seal() {
+	if len(ck.cbuf)+subLenBytes*len(ck.zipLens) < len(ck.raw) {
+		ck.subLens = ck.zipLens
+	}
+}
+
+// zipSubBlock LZW-codes sub-block i of raw onto the end of dst and records
+// the stream's length in lens. dst and lens are the chunk's pooled
+// compression buffers: the output is retained through replication, so each
+// chunk owns its own, reused across pool incarnations. Pure codec work; the
+// caller charges the virtual-time cost.
 //
 //linefs:hotpath
-func compressChunk(enc *compress.Encoder, dst, raw []byte) []byte {
-	return enc.CompressInto(dst[:0], raw)
+func zipSubBlock(enc *compress.Encoder, dst []byte, lens []uint32, raw []byte, i int) ([]byte, []uint32) {
+	if len(lens) != i {
+		panic("core: sub-blocks coded out of index order")
+	}
+	lo, hi := subBlockSpan(len(raw), i)
+	at := len(dst)
+	dst = enc.CompressInto(dst, raw[lo:hi])
+	lens = append(lens, uint32(len(dst)-at))
+	return dst, lens
+}
+
+// codecCost is the single-core time to push n raw bytes through LZW at bw
+// bytes per second of a full-speed core; nicCompute stretches it by
+// NICSpeed, so a SmartNIC core really codes at 0.30 × bw (60 MB/s
+// compressing, 120 MB/s decompressing — EXPERIMENTS.md "Known modeling
+// deviations").
+func codecCost(n int, bw float64) time.Duration {
+	return time.Duration(float64(n) / bw * float64(time.Second))
 }
 
 // stagePublish applies chunks to the public area in log order, buffering
@@ -596,11 +694,18 @@ func (cs *clientState) pumpSends(p *sim.Proc) {
 	}
 }
 
-func payloadOf(ck *chunk) []byte {
-	if ck.payload != nil {
-		return ck.payload
+// frame is ck as it goes on the wire: the raw bytes, or the sealed
+// sub-block streams and their table. Payload, table and touched records are
+// lent, not copied.
+func (ck *chunk) frame() batchChunk {
+	payload := ck.raw
+	if len(ck.subLens) > 0 {
+		payload = ck.cbuf
 	}
-	return ck.raw
+	return batchChunk{
+		From: ck.from, To: ck.to, Payload: payload, SubLens: ck.subLens,
+		RawLen: len(ck.raw), Touched: ck.touched,
+	}
 }
 
 // Wire-message bounds for the chain. 16 chunks amortize the per-message
@@ -616,7 +721,7 @@ const (
 // sendRun accumulates contiguous chunks bound for one wire message.
 type sendRun struct {
 	cks   []*chunk
-	bytes int // payload bytes on the wire
+	bytes int // frame bytes on the wire
 }
 
 // add appends ck and reports whether the run must go on the wire now:
@@ -625,7 +730,7 @@ type sendRun struct {
 // share this one predicate.
 func (r *sendRun) add(ck *chunk) (full bool) {
 	r.cks = append(r.cks, ck)
-	r.bytes += len(payloadOf(ck))
+	r.bytes += ck.frame().wireLen()
 	return ck.sync || len(r.cks) >= repBatchChunks || r.bytes >= repBatchBytes
 }
 
@@ -647,10 +752,7 @@ func (cs *clientState) transmit(p *sim.Proc, run *sendRun) error {
 	}
 	for i, ck := range run.cks {
 		msg.Sync = msg.Sync || ck.sync
-		msg.Chunks[i] = batchChunk{
-			From: ck.from, To: ck.to, Payload: payloadOf(ck), Compressed: ck.compressed,
-			RawLen: len(ck.raw), Touched: ck.touched,
-		}
+		msg.Chunks[i] = ck.frame()
 	}
 	err := n.peer(cs.chain[1], msg.Sync).Send(p, "repl-chunk-batch", msg, run.bytes)
 	n.RepMsgs++
@@ -836,17 +938,28 @@ func (cs *clientState) runSequential(p *sim.Proc) {
 // runInline executes every stage of one chunk back to back on the calling
 // process, bypassing the pipeline queues, and hands it to the sender. It
 // reports false when validation rejected the chunk (failChunk has already
-// routed it through the sender).
+// routed it through the sender). The one stage that does not run here is
+// the parallel datapath's compression: an fsync's tail chunk goes through
+// the compress stage like any other (where clientState.kill can reach it),
+// and the stage hands it to the sender while publication proceeds on this
+// process.
 func (cs *clientState) runInline(p *sim.Proc, ck *chunk) bool {
 	cs.stageFetch(p, ck)
 	if !cs.stageValidate(p, ck) {
 		return false
 	}
-	if cs.n.cl.Cfg.Compress {
-		cs.stageCompress(p, ck)
+	zip := cs.n.cl.Cfg.Compress
+	fan := zip && cs.repPl != nil
+	switch {
+	case fan:
+		cs.repPl.Submit(p, ck)
+	case zip:
+		cs.compressInline(p, ck)
 	}
 	cs.stagePublish(p, ck)
-	cs.xferQ.Put(p, ck)
+	if !fan {
+		cs.xferQ.Put(p, ck)
+	}
 	return true
 }
 

@@ -373,6 +373,10 @@ func TestCompressionModePreservesData(t *testing.T) {
 		if n0.RepWireBytes >= n0.RepBytes {
 			t.Fatalf("no wire savings: wire=%d raw=%d", n0.RepWireBytes, n0.RepBytes)
 		}
+		// And the chunk's sub-blocks must have been coded side by side.
+		if peak := n0.CompressPeakWorkers(); peak < 2 {
+			t.Fatalf("compression never left one core (peak %d threads)", peak)
+		}
 	})
 }
 

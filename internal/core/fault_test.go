@@ -114,6 +114,61 @@ func TestCorruptedFrameRejectedEndToEnd(t *testing.T) {
 	assertReplicasHold(t, cl, "/crc", payload)
 }
 
+// TestCorruptedCompressedFrameRepaired is the same corrupting link under
+// Compress: the flipped byte now lands inside one sub-block's LZW stream,
+// so the frame dies in that sub-block's decode (a stream that no longer
+// parses, or comes out the wrong length) or, if the stream still decodes,
+// at the CRC gate over the decoded bytes. Either way nothing of it may be
+// persisted, forwarded or acknowledged while the link corrupts, and the
+// retransmit layer repairs every chunk once it heals.
+func TestCorruptedCompressedFrameRepaired(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	cfg.Compress = true
+	cfg.RepRetryEvery = 10 * time.Millisecond
+	env, cl := newTestCluster(t, cfg)
+	fp := cl.InstallFaultPlane()
+	payload := logOf(sortRecords(rand.New(rand.NewSource(3)), 0.6), 3<<19)
+	run(t, env, 120*time.Second, func(p *sim.Proc) {
+		l, _ := cl.Attach(p, 0)
+		fd, _ := l.Create(p, "/zipcrc")
+		l.Fsync(p, fd)
+		created := cl.NICs[1].mirrors[0].log.Head()
+		acksBefore, fwdBefore := cl.NICs[0].AckMsgs, cl.NICs[1].RepMsgs
+		fp.SetRule("node0", "node1", rdma.FaultRule{Corrupt: 1})
+		env.Go("heal", func(hp *sim.Proc) {
+			hp.Sleep(300 * time.Millisecond)
+			if cl.Robust.FramesCorrupted == 0 {
+				t.Error("corruption rule never engaged")
+			}
+			if cl.NICs[0].RepWireBytes >= cl.NICs[0].RepBytes {
+				t.Error("frames travelled raw; the test wants compressed ones corrupted")
+			}
+			if head := cl.NICs[1].mirrors[0].log.Head(); head != created {
+				t.Errorf("mirror persisted through %d from corrupted frames (was %d)", head, created)
+			}
+			if got := cl.NICs[0].AckMsgs - acksBefore; got != 0 {
+				t.Errorf("%d acks for corrupted frames", got)
+			}
+			if cl.NICs[1].RepMsgs != fwdBefore {
+				t.Error("a corrupted frame was forwarded down-chain")
+			}
+			fp.ClearRules()
+		})
+		if _, err := l.WriteAt(p, fd, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatalf("fsync across corrupting link: %v", err)
+		}
+		p.Sleep(2 * time.Second)
+	})
+	if cl.Robust.RepResends == 0 {
+		t.Error("primary never retransmitted the rejected frames")
+	}
+	assertReplicasHold(t, cl, "/zipcrc", payload)
+}
+
 // TestPartitionStallsFsyncUntilHeal cuts the primary off its first mirror
 // mid-replication: with the probe path unaffected (the manager still sees
 // the node alive), the fsync must stall rather than falsely complete, and

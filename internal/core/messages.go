@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 
 	"linefs/internal/fs"
@@ -71,14 +72,72 @@ type touched struct {
 	Gone bool // unlinked
 }
 
+// subBlockSize is the unit of LZW work on the chain: a chunk that travels
+// compressed is coded as independent sub-blocks of this many raw bytes (the
+// last one shorter), so that both ends can spread one chunk's codec time
+// over the SmartNIC's cores. 256 KiB is about one LZW dictionary lifetime on
+// log data, so cutting there costs 0.0-0.8 % in wire bytes; at 128 KiB every
+// cut throws away half a dictionary and the cost is up to 7 % (DESIGN.md
+// §11 has the measured table, TestSubBlockingCostsUnderOnePercent pins it).
+const subBlockSize = 256 << 10
+
+// subBlocks returns how many sub-blocks cover rawLen bytes.
+func subBlocks(rawLen int) int { return (rawLen + subBlockSize - 1) / subBlockSize }
+
+// subBlockSpan returns the raw byte range of sub-block i of a rawLen-byte
+// chunk.
+func subBlockSpan(rawLen, i int) (lo, hi int) {
+	return i * subBlockSize, min((i+1)*subBlockSize, rawLen)
+}
+
+// subLenBytes is the wire size of one SubLens entry.
+const subLenBytes = 4
+
 // batchChunk is one chunk's framing inside a replChunkBatch.
 type batchChunk struct {
 	From, To uint64 // log logical offsets covered
-	// Payload is the raw log bytes, possibly LZW-compressed.
-	Payload    []byte
-	Compressed bool
-	RawLen     int
-	Touched    []touched
+	// Payload is the chunk's raw log bytes when SubLens is empty. Otherwise
+	// it is the chunk's sub-blocks back to back, each an LZW stream of its
+	// own, and SubLens[i] is the compressed length of sub-block i: one entry
+	// per subBlockSize raw bytes, so a chunk no larger than a sub-block has
+	// one. The table is what lets a mirror decode sub-blocks independently.
+	Payload []byte
+	SubLens []uint32
+	RawLen  int
+	Touched []touched
+}
+
+// wireLen is the frame's size on the wire: payload plus sub-block table.
+func (bc batchChunk) wireLen() int { return len(bc.Payload) + subLenBytes*len(bc.SubLens) }
+
+// errBatchFrame rejects a replication frame whose payload, sub-block table
+// and declared raw length do not agree.
+var errBatchFrame = errors.New("core: replication frame length mismatch")
+
+// checkTable verifies a frame's lengths before anything is decoded: a raw
+// payload is exactly RawLen bytes; a compressed one has one non-empty
+// sub-block per subBlockSize raw bytes and the table sums to the payload.
+func (bc *batchChunk) checkTable() error {
+	if len(bc.SubLens) == 0 {
+		if len(bc.Payload) != bc.RawLen {
+			return errBatchFrame
+		}
+		return nil
+	}
+	if bc.RawLen < 0 || len(bc.SubLens) != subBlocks(bc.RawLen) {
+		return errBatchFrame
+	}
+	sum := 0
+	for _, l := range bc.SubLens {
+		if l == 0 || int(l) > len(bc.Payload)-sum {
+			return errBatchFrame
+		}
+		sum += int(l)
+	}
+	if sum != len(bc.Payload) {
+		return errBatchFrame
+	}
+	return nil
 }
 
 // replChunkBatch is the chain's only data message: contiguous chunks of one

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"linefs/internal/compress"
 	"linefs/internal/fs"
@@ -38,7 +36,8 @@ type mirrorState struct {
 	// the first arriving chunk's offset instead of expecting offset zero.
 	fresh bool
 
-	// dec is the decompression dictionary, reused across chunks.
+	// dec is the decompression dictionary, reused across sub-blocks (every
+	// call starts a fresh dictionary).
 	dec compress.Decoder
 
 	// bufs is the mirror's raw-buffer freelist: incoming payloads are
@@ -290,35 +289,49 @@ func (ms *mirrorState) dedup(p *sim.Proc, msg *rdma.Msg, to uint64) *rdma.Msg {
 	return msg
 }
 
-// errBatchFrame rejects a replication frame whose decoded length does not
-// match its declared raw length.
-var errBatchFrame = errors.New("core: replication frame length mismatch")
-
 // decodeBatchChunk places one batch frame's raw bytes into dst, which the
 // caller sizes (and capacity-pins) to the declared raw length: a corrupt
 // compressed frame cannot scribble outside its slot of the batch buffer.
+// Sub-blocks decode back to back, in index order.
 //
 //linefs:hotpath
 func decodeBatchChunk(dec *compress.Decoder, dst []byte, bc *batchChunk) error {
-	if bc.Compressed {
-		// dst's capacity is pinned to RawLen, so a decode that tries to grow
-		// past it reallocs away from the batch buffer — and can only do so by
-		// exceeding RawLen, which the length check below rejects. A correct
-		// decode lands fully inside dst; the grow (if any) is a failure path.
-		//lint:allow scratchflow over-long decode reallocs only on the rejected path
-		out, err := dec.DecompressInto(dst[:0], bc.Payload)
-		if err != nil {
-			return err
-		}
-		if len(out) != bc.RawLen {
-			return errBatchFrame
-		}
+	if err := bc.checkTable(); err != nil {
+		return err
+	}
+	if len(bc.SubLens) == 0 {
+		copy(dst, bc.Payload)
 		return nil
 	}
-	if len(bc.Payload) != bc.RawLen {
+	at := 0
+	for i, l := range bc.SubLens {
+		lo, hi := subBlockSpan(bc.RawLen, i)
+		if err := unzipSubBlock(dec, dst[lo:hi:hi], bc.Payload[at:at+int(l)]); err != nil {
+			return err
+		}
+		at += int(l)
+	}
+	return nil
+}
+
+// unzipSubBlock decodes one sub-block's LZW stream into dst, which must
+// come out exactly full.
+//
+//linefs:hotpath
+func unzipSubBlock(dec *compress.Decoder, dst, src []byte) error {
+	// dst's capacity is pinned to its length, so a decode that tries to grow
+	// past it reallocs away from the batch buffer — and can only do so by
+	// exceeding the sub-block's raw length, which the check below rejects. A
+	// correct decode lands fully inside dst; the grow (if any) is a failure
+	// path.
+	//lint:allow scratchflow over-long decode reallocs only on the rejected path
+	out, err := dec.DecompressInto(dst[:0], src)
+	if err != nil {
+		return err
+	}
+	if len(out) != len(dst) {
 		return errBatchFrame
 	}
-	copy(dst, bc.Payload)
 	return nil
 }
 
@@ -331,11 +344,12 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 	n := ms.n
 	cl := n.cl
 	// Framing first, before any buffer is taken: frames tile [From, To)
-	// exactly and each declares the raw length of its own range.
+	// exactly, each declares the raw length of its own range, and its
+	// sub-block table (if any) matches its payload.
 	at := rb.From
 	for i := range rb.Chunks {
 		bc := &rb.Chunks[i]
-		if bc.From != at || uint64(bc.RawLen) != bc.To-bc.From {
+		if bc.From != at || uint64(bc.RawLen) != bc.To-bc.From || bc.checkTable() != nil {
 			return // malformed framing: never acknowledged
 		}
 		at = bc.To
@@ -360,11 +374,17 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 			ms.putBuf(raw)
 			return
 		}
-		if bc.Compressed {
+		if len(bc.SubLens) > 0 {
 			allRaw = false
 			// Decompression on the wimpy cores (reads are cheaper than the
-			// compression side; charge at 2x the compression bandwidth).
-			n.nicCompute(p, time.Duration(float64(bc.RawLen)/(2*cl.Cfg.Spec.CompressBW)*float64(time.Second)))
+			// compression side; charge at 2x the compression bandwidth):
+			// spread over the cores like the primary's compression, or on
+			// this one thread under LineFS-NotParallel.
+			if cl.Cfg.Parallel {
+				n.codeAcrossCores(p, bc.RawLen, 2*cl.Cfg.Spec.CompressBW)
+			} else {
+				n.nicCompute(p, codecCost(bc.RawLen, 2*cl.Cfg.Spec.CompressBW))
+			}
 		}
 		off += bc.RawLen
 	}
@@ -427,7 +447,7 @@ func (ms *mirrorState) forward(p *sim.Proc, next int, rb *replChunkBatch) {
 func batchWireLen(rb *replChunkBatch) int {
 	total := 0
 	for i := range rb.Chunks {
-		total += len(rb.Chunks[i].Payload)
+		total += rb.Chunks[i].wireLen()
 	}
 	return total
 }

@@ -55,6 +55,11 @@ type NICFS struct {
 	// the SmartNIC's wimpy cores are one shared pool.
 	plBudget *pipeline.Budget
 
+	// codecGate admits one chunk at a time to LZW coding across the cores
+	// (codeAcrossCores); codecPeak is the most helpers one chunk has had.
+	codecGate *sim.Resource
+	codecPeak int
+
 	// Lease persistence/replication runs asynchronously; fsync waits for
 	// the pending count to drain (§3.4).
 	leasePending int
@@ -135,6 +140,7 @@ func newNICFS(cl *Cluster, machine int) *NICFS {
 	n.leaseDrained.Trigger(nil)
 	n.leaseKick = sim.NewEvent(cl.Env)
 	n.memFreed = sim.NewEvent(cl.Env)
+	n.codecGate = sim.NewResource(cl.Env, 1)
 	return n
 }
 

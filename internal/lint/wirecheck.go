@@ -43,9 +43,12 @@ var wireFuncs = map[string]map[string]bool{
 		"DecompressInto": true,
 	},
 	"internal/core": {
-		// Replication frame decode: a frame that fails to decode must never
+		// Replication frame decode, whole or one sub-block at a time, and the
+		// table check before it: a frame that fails any of them must never
 		// be persisted or acknowledged.
 		"decodeBatchChunk": true,
+		"unzipSubBlock":    true,
+		"checkTable":       true,
 	},
 }
 

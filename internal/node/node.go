@@ -58,7 +58,7 @@ type Spec struct {
 	NICRPCCost     time.Duration // SmartNIC-side RPC handling (wimpy)
 	ValidatePerMiB time.Duration // validation+coalescing scan, per MiB
 	LeaseCheckCost time.Duration // per-entry lease ownership check
-	CompressBW     float64       // LZW throughput per SmartNIC core (B/s)
+	CompressBW     float64       // LZW throughput of a reference core (B/s); a NIC core runs at NICSpeed of it
 	MemcpyBW       float64       // host-core DRAM memcpy bandwidth (B/s)
 	// PMStoreBW is single-thread CPU store bandwidth into PM: Optane's
 	// write-combining limits a core to ~1.5 GB/s — the physical reason

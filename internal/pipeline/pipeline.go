@@ -13,11 +13,7 @@
 // and prefix crash consistency while still overlapping stages.
 package pipeline
 
-import (
-	"time"
-
-	"linefs/internal/sim"
-)
+import "linefs/internal/sim"
 
 // Stage describes one execution stage.
 type Stage[T any] struct {
@@ -85,9 +81,6 @@ type Config struct {
 	QueueCap int
 	// ScaleThreshold is the queue depth that triggers growing a stage.
 	ScaleThreshold int
-	// MonitorInterval is unused: scaling is event-driven (checked on every
-	// enqueue). The field remains so existing configurations still compile.
-	MonitorInterval time.Duration
 	// ThreadBudget caps total workers across this pipeline's stages
 	// (0 = unlimited). Ignored when Budget is set.
 	ThreadBudget int

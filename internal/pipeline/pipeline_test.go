@@ -71,7 +71,7 @@ func TestInOrderCommit(t *testing.T) {
 	// first); stage b is in-order and must still see submission order.
 	e := sim.NewEnv(1)
 	var order []int
-	pl := New(e, "p", Config{QueueCap: 16, ScaleThreshold: 100, MonitorInterval: time.Millisecond},
+	pl := New(e, "p", Config{QueueCap: 16, ScaleThreshold: 100},
 		Stage[item]{Name: "a", MinWorkers: 4, MaxWorkers: 4, Work: func(p *sim.Proc, it item) bool {
 			p.Sleep(time.Duration(10-it.id) * time.Millisecond)
 			return true
