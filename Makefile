@@ -60,8 +60,8 @@ fuzz-smoke:
 selfcheck:
 	$(GO) run ./cmd/linefs-bench -selfcheck -exp all
 
-# Full suite (what the roadmap calls tier-1): under 20 s from a cold test
-# cache, no test process above 0.5 GB.
+# Full suite (what the roadmap calls tier-1): about 30 s from a cold test
+# cache, no test process above 0.9 GB (internal/core).
 test:
 	$(GO) test ./...
 
@@ -108,7 +108,9 @@ repbench-smoke:
 chaos:
 	$(GO) run ./cmd/linefs-bench -chaos
 
-# CI smoke: same harness and invariants, 25 schedules.
+# CI smoke: same harness and invariants, 25 schedules — after the control
+# schedule (no faults: no robustness counter may move), which is what checks
+# that the configuration under chaos and the fault-free one are one.
 chaos-smoke:
 	$(GO) run ./cmd/linefs-bench -chaos -chaos-n 25
 

@@ -41,6 +41,15 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// mode is one job the command does instead of printing experiment tables,
+// selected by a boolean flag of its own, which it registers along with the
+// flags only it reads. run returns the rows to print on stdout and the error
+// to exit 1 with (a mode that reports as it goes writes the streams itself).
+type mode struct {
+	on  *bool
+	run func() ([]string, error)
+}
+
 // run is main minus the process boundary, so tests can drive the CLI with
 // captured streams and compare stdout bytes across -j values.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -52,19 +61,46 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed   = fs.Int64("seed", 42, "simulation seed")
 		list   = fs.Bool("list", false, "list experiments and exit")
 		j      = fs.Int("j", runtime.GOMAXPROCS(0), "experiments to run concurrently")
-		kbench = fs.Bool("kernelbench", false, "run DES kernel microbenchmarks and write BENCH_kernel.json")
-		kout   = fs.String("kernelbench-out", "BENCH_kernel.json", "output path for -kernelbench")
-		dbench = fs.Bool("databench", false, "run data-plane microbenchmarks and write BENCH_dataplane.json")
-		dout   = fs.String("databench-out", "BENCH_dataplane.json", "output path for -databench")
-		dtime  = fs.Duration("databench-time", time.Second, "per-metric measurement window for -databench")
-		rbench = fs.Bool("repbench", false, "run replication-chain benchmarks and write BENCH_replication.json")
-		rout   = fs.String("repbench-out", "BENCH_replication.json", "output path for -repbench")
-		rtime  = fs.Duration("repbench-time", time.Second, "pooled-path allocation measurement window for -repbench")
-		self   = fs.Bool("selfcheck", false, "run each experiment twice and fail on sim-sanitizer digest divergence")
-		chaos  = fs.Bool("chaos", false, "run the seeded fault-schedule explorer and fail on any invariant violation")
 		chaosN = fs.Int("chaos-n", 200, "number of seeded fault schedules for -chaos")
 		chaosS = fs.Int64("chaos-seed", -1, "replay exactly this chaos seed (reproducer mode); -1 runs -chaos-n schedules")
+		opts   bench.Options
+		toRun  []bench.Experiment
 	)
+	modes := append(benchModes(fs),
+		mode{fs.Bool("chaos", false, "run the seeded fault-schedule explorer and fail on any invariant violation"), func() ([]string, error) {
+			if bad := bench.Chaos(opts, *chaosN, *chaosS, stdout, stderr); bad > 0 {
+				return nil, fmt.Errorf("chaos: %d schedule(s) violated invariants", bad)
+			}
+			return nil, nil
+		}},
+		mode{fs.Bool("selfcheck", false, "run each experiment twice and fail on sim-sanitizer digest divergence"), func() (rows []string, err error) {
+			start := time.Now()
+			failed := 0
+			for _, r := range bench.SelfCheck(toRun, opts, *j) {
+				switch {
+				case r.Err != nil:
+					fmt.Fprintf(stderr, "selfcheck %s: %v\n", r.Name, r.Err)
+					failed++
+				case !r.OK():
+					rows = append(rows, fmt.Sprintf("selfcheck %-10s DIVERGED: digest %016x over %d events vs %016x over %d events",
+						r.Name, uint64(r.Digest[0]), r.Events[0], uint64(r.Digest[1]), r.Events[1]))
+					if r.Output[0] != r.Output[1] {
+						rows = append(rows, fmt.Sprintf("selfcheck %-10s rendered outputs differ (%d vs %d bytes)",
+							r.Name, len(r.Output[0]), len(r.Output[1])))
+					}
+					failed++
+				default:
+					rows = append(rows, fmt.Sprintf("selfcheck %-10s ok: digest %016x over %d events",
+						r.Name, uint64(r.Digest[0]), r.Events[0]))
+				}
+			}
+			fmt.Fprintf(stderr, "selfchecked %d experiment(s) twice with -j %d in %s\n",
+				len(toRun), *j, time.Since(start).Round(time.Millisecond))
+			if failed > 0 {
+				err = fmt.Errorf("selfcheck: %d experiment(s) nondeterministic or failing", failed)
+			}
+			return rows, err
+		}})
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -76,76 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *kbench {
-		cur, err := bench.WriteKernelBench(*kout)
-		if err != nil {
-			fmt.Fprintf(stderr, "kernelbench: %v\n", err)
-			return 1
-		}
-		base := bench.KernelBaseline
-		fmt.Fprintf(stdout, "kernel events/sec:          %12.0f (baseline %12.0f, %.1fx)\n",
-			cur.EventsPerSec, base.EventsPerSec, cur.EventsPerSec/base.EventsPerSec)
-		fmt.Fprintf(stdout, "kernel handoff events/sec:  %12.0f (baseline %12.0f, %.1fx)\n",
-			cur.HandoffEventsPerSec, base.HandoffEventsPerSec, cur.HandoffEventsPerSec/base.HandoffEventsPerSec)
-		fmt.Fprintf(stdout, "resource grants/sec:        %12.0f (baseline %12.0f, %.1fx)\n",
-			cur.ResourceGrantsPerSec, base.ResourceGrantsPerSec, cur.ResourceGrantsPerSec/base.ResourceGrantsPerSec)
-		fmt.Fprintf(stdout, "queue put+get pairs/sec:    %12.0f (baseline %12.0f, %.1fx)\n",
-			cur.QueueOpsPerSec, base.QueueOpsPerSec, cur.QueueOpsPerSec/base.QueueOpsPerSec)
-		fmt.Fprintf(stdout, "wrote %s\n", *kout)
-		return 0
-	}
-
-	if *dbench {
-		rep, err := bench.WriteDataBench(*dout, *dtime)
-		if err != nil {
-			fmt.Fprintf(stderr, "databench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "lzw compress MB/s:          %12.1f (baseline %12.1f, %.1fx)\n",
-			rep.Current.LZWCompressMBps, rep.Baseline.LZWCompressMBps, rep.Speedup.LZWCompressMBps)
-		fmt.Fprintf(stdout, "lzw decompress MB/s:        %12.1f (baseline %12.1f, %.1fx)\n",
-			rep.Current.LZWDecompressMBps, rep.Baseline.LZWDecompressMBps, rep.Speedup.LZWDecompressMBps)
-		fmt.Fprintf(stdout, "log encode entries/sec:     %12.0f (baseline %12.0f, %.1fx)\n",
-			rep.Current.LogEncodePerSec, rep.Baseline.LogEncodePerSec, rep.Speedup.LogEncodePerSec)
-		fmt.Fprintf(stdout, "log decode entries/sec:     %12.0f (baseline %12.0f, %.1fx)\n",
-			rep.Current.LogDecodePerSec, rep.Baseline.LogDecodePerSec, rep.Speedup.LogDecodePerSec)
-		fmt.Fprintf(stdout, "pm write+persist GB/s:      %12.2f (baseline %12.2f, %.1fx)\n",
-			rep.Current.PMWriteGBps, rep.Baseline.PMWriteGBps, rep.Speedup.PMWriteGBps)
-		fmt.Fprintf(stdout, "aggregate speedup (lzw+log geomean): %.1fx\n", rep.SpeedupAggregate)
-		fmt.Fprintf(stdout, "wrote %s\n", *dout)
-		return 0
-	}
-
-	if *rbench {
-		rep, err := bench.WriteRepBench(*rout, *rtime)
-		if err != nil {
-			fmt.Fprintf(stderr, "repbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "chain chunks/sec:           %12.0f (baseline %12.0f, %.1fx)\n",
-			rep.Current.ChunksPerSec, rep.Baseline.ChunksPerSec, rep.ChunksPerSecSpeedup)
-		fmt.Fprintf(stdout, "wire messages/chunk:        %12.2f (baseline %12.2f, %.1fx fewer)\n",
-			rep.Current.WireMsgsPerChunk, rep.Baseline.WireMsgsPerChunk, rep.WireMsgReduction)
-		fmt.Fprintf(stdout, "fsync p50 us:               %12.1f (baseline %12.1f)\n",
-			rep.Current.FsyncP50Micros, rep.Baseline.FsyncP50Micros)
-		fmt.Fprintf(stdout, "fsync p99 us:               %12.1f (baseline %12.1f, %.2fx)\n",
-			rep.Current.FsyncP99Micros, rep.Baseline.FsyncP99Micros, rep.FsyncP99Speedup)
-		fmt.Fprintf(stdout, "pooled path allocs/op:      %12.3f\n", rep.PooledAllocsPerOp)
-		fmt.Fprintf(stdout, "wrote %s\n", *rout)
-		return 0
-	}
-
-	if *chaos {
-		if bad := bench.Chaos(bench.Options{Quick: !*full, Seed: *seed}, *chaosN, *chaosS, stdout, stderr); bad > 0 {
-			fmt.Fprintf(stderr, "chaos: %d schedule(s) violated invariants\n", bad)
-			return 1
-		}
-		return 0
-	}
-
-	opts := bench.Options{Quick: !*full, Seed: *seed}
-
-	var toRun []bench.Experiment
+	opts = bench.Options{Quick: !*full, Seed: *seed}
 	switch *exp {
 	case "all":
 		toRun = bench.All()
@@ -162,36 +129,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	start := time.Now()
-	if *self {
-		failed := 0
-		for _, r := range bench.SelfCheck(toRun, opts, *j) {
-			switch {
-			case r.Err != nil:
-				fmt.Fprintf(stderr, "selfcheck %s: %v\n", r.Name, r.Err)
-				failed++
-			case !r.OK():
-				fmt.Fprintf(stdout, "selfcheck %-10s DIVERGED: digest %016x over %d events vs %016x over %d events\n",
-					r.Name, uint64(r.Digest[0]), r.Events[0], uint64(r.Digest[1]), r.Events[1])
-				if r.Output[0] != r.Output[1] {
-					fmt.Fprintf(stdout, "selfcheck %-10s rendered outputs differ (%d vs %d bytes)\n",
-						r.Name, len(r.Output[0]), len(r.Output[1]))
-				}
-				failed++
-			default:
-				fmt.Fprintf(stdout, "selfcheck %-10s ok: digest %016x over %d events\n",
-					r.Name, uint64(r.Digest[0]), r.Events[0])
-			}
+	for _, m := range modes {
+		if !*m.on {
+			continue
 		}
-		fmt.Fprintf(stderr, "selfchecked %d experiment(s) twice with -j %d in %s\n",
-			len(toRun), *j, time.Since(start).Round(time.Millisecond))
-		if failed > 0 {
-			fmt.Fprintf(stderr, "selfcheck: %d experiment(s) nondeterministic or failing\n", failed)
+		rows, err := m.run()
+		for _, r := range rows {
+			fmt.Fprintln(stdout, r)
+		}
+		if err != nil {
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		return 0
 	}
 
+	start := time.Now()
 	results, errs := bench.RunAll(toRun, opts, *j)
 	for i, e := range toRun {
 		if errs[i] != nil {
@@ -203,4 +156,58 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "ran %d experiment(s) with -j %d in %s\n",
 		len(toRun), *j, time.Since(start).Round(time.Millisecond))
 	return 0
+}
+
+// benchMode is a mode that measures, writes its report as JSON to the path
+// its -name-out flag gives, and prints the report's headline rows.
+func benchMode(fs *flag.FlagSet, name, usage, file string, run func(out string) ([]string, error)) mode {
+	out := fs.String(name+"-out", file, "output path for -"+name)
+	return mode{fs.Bool(name, false, usage+" and write "+file), func() ([]string, error) {
+		rows, err := run(*out)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		return append(rows, "wrote "+*out), nil
+	}}
+}
+
+func benchModes(fs *flag.FlagSet) []mode {
+	dtime := fs.Duration("databench-time", time.Second, "per-metric measurement window for -databench")
+	rtime := fs.Duration("repbench-time", time.Second, "pooled-path allocation measurement window for -repbench")
+	row := fmt.Sprintf
+	return []mode{
+		benchMode(fs, "kernelbench", "run DES kernel microbenchmarks", "BENCH_kernel.json", func(out string) ([]string, error) {
+			cur, err := bench.WriteKernelBench(out)
+			base := bench.KernelBaseline
+			return []string{
+				row("kernel events/sec:          %12.0f (baseline %12.0f, %.1fx)", cur.EventsPerSec, base.EventsPerSec, cur.EventsPerSec/base.EventsPerSec),
+				row("kernel handoff events/sec:  %12.0f (baseline %12.0f, %.1fx)", cur.HandoffEventsPerSec, base.HandoffEventsPerSec, cur.HandoffEventsPerSec/base.HandoffEventsPerSec),
+				row("resource grants/sec:        %12.0f (baseline %12.0f, %.1fx)", cur.ResourceGrantsPerSec, base.ResourceGrantsPerSec, cur.ResourceGrantsPerSec/base.ResourceGrantsPerSec),
+				row("queue put+get pairs/sec:    %12.0f (baseline %12.0f, %.1fx)", cur.QueueOpsPerSec, base.QueueOpsPerSec, cur.QueueOpsPerSec/base.QueueOpsPerSec),
+			}, err
+		}),
+		benchMode(fs, "databench", "run data-plane microbenchmarks", "BENCH_dataplane.json", func(out string) ([]string, error) {
+			rep, err := bench.WriteDataBench(out, *dtime)
+			cur, base, x := rep.Current, rep.Baseline, rep.Speedup
+			return []string{
+				row("lzw compress MB/s:          %12.1f (baseline %12.1f, %.1fx)", cur.LZWCompressMBps, base.LZWCompressMBps, x.LZWCompressMBps),
+				row("lzw decompress MB/s:        %12.1f (baseline %12.1f, %.1fx)", cur.LZWDecompressMBps, base.LZWDecompressMBps, x.LZWDecompressMBps),
+				row("log encode entries/sec:     %12.0f (baseline %12.0f, %.1fx)", cur.LogEncodePerSec, base.LogEncodePerSec, x.LogEncodePerSec),
+				row("log decode entries/sec:     %12.0f (baseline %12.0f, %.1fx)", cur.LogDecodePerSec, base.LogDecodePerSec, x.LogDecodePerSec),
+				row("pm write+persist GB/s:      %12.2f (baseline %12.2f, %.1fx)", cur.PMWriteGBps, base.PMWriteGBps, x.PMWriteGBps),
+				row("aggregate speedup (lzw+log geomean): %.1fx", rep.SpeedupAggregate),
+			}, err
+		}),
+		benchMode(fs, "repbench", "run replication-chain benchmarks", "BENCH_replication.json", func(out string) ([]string, error) {
+			rep, err := bench.WriteRepBench(out, *rtime)
+			cur, base := rep.Current, rep.Baseline
+			return []string{
+				row("chain chunks/sec:           %12.0f (baseline %12.0f, %.1fx)", cur.ChunksPerSec, base.ChunksPerSec, rep.ChunksPerSecSpeedup),
+				row("wire messages/chunk:        %12.2f (baseline %12.2f, %.1fx fewer)", cur.WireMsgsPerChunk, base.WireMsgsPerChunk, rep.WireMsgReduction),
+				row("fsync p50 us:               %12.1f (baseline %12.1f)", cur.FsyncP50Micros, base.FsyncP50Micros),
+				row("fsync p99 us:               %12.1f (baseline %12.1f, %.2fx)", cur.FsyncP99Micros, base.FsyncP99Micros, rep.FsyncP99Speedup),
+				row("pooled path allocs/op:      %12.3f", rep.PooledAllocsPerOp),
+			}, err
+		}),
+	}
 }

@@ -192,12 +192,7 @@ func (cl *Cluster) hostCtx(p *sim.Proc, i int, tag string) *fs.Ctx {
 type Attachment struct {
 	*dfs.Client
 	backend *backend
-	machine int
-	slot    int
 }
-
-// Machine returns the machine index the client runs on.
-func (a *Attachment) Machine() int { return a.machine }
 
 // Attach creates a client process handle on the given machine.
 func (cl *Cluster) Attach(p *sim.Proc, machine int) (*Attachment, error) {

@@ -52,7 +52,7 @@ func newBackend(p *sim.Proc, cl *Cluster, machine, slot int) (*Attachment, error
 	})
 	b.client = client
 	b.ss = s.register(slot, client, la)
-	return &Attachment{Client: client, backend: b, machine: machine, slot: slot}, nil
+	return &Attachment{Client: client, backend: b}, nil
 }
 
 // ipc charges the cost of a LibFS<->SharedFS shared-memory call.

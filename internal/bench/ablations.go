@@ -37,13 +37,7 @@ func AblChunkSize(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tput, err := measureWriters(env, 2, fig4PerProc(o), func(p *sim.Proc, i int) writerClient {
-			a, err := cl.Attach(p, 0)
-			if err != nil {
-				return writerClient{}
-			}
-			return writerClient{c: a.Client}
-		})
+		tput, err := measureWriters(env, 2, fig4PerProc(o), lineFSClients(cl))
 		env.Shutdown()
 		if err != nil {
 			return nil, fmt.Errorf("abl-chunk %d: %w", cs, err)

@@ -1,8 +1,8 @@
 // Chaos is the seeded fault-schedule explorer (linefs-bench -chaos): each
 // seed derives one fault schedule — link fault rules, partitions, host
 // crashes, laid out on a timeline — and a write+fsync workload, runs them
-// together on a full LineFS cluster with the retry machinery enabled, heals
-// every fault, and asserts four invariants:
+// together on a full LineFS cluster, heals every fault, and asserts four
+// invariants:
 //
 //  1. durability: every byte a client saw fsync-acknowledged reads back
 //     intact after the faults heal;
@@ -14,6 +14,10 @@
 //
 // A violated schedule prints a one-line reproducer (-chaos-seed N) so the
 // failure can be replayed and debugged bit-identically.
+//
+// Every sweep starts with a control: the first seed's workload under the
+// empty schedule, on the same cluster, which must hold the same four
+// invariants and a fifth — no stats.Robustness counter moves.
 package bench
 
 import (
@@ -145,9 +149,10 @@ func genChaosPlan(seed int64) *chaosPlan {
 	return plan
 }
 
-// chaosClusterConfig is a deliberately small cluster — schedules run by the
-// hundreds — with every robustness knob enabled: replication retransmit,
-// control-RPC retry, manager hysteresis, and a two-miss kworker detector.
+// chaosClusterConfig is the default configuration on a deliberately small
+// cluster — schedules run by the hundreds — with heartbeats to match the
+// 1.6 s fault window. The survival layers are not configured: they are the
+// protocol, here as in every experiment.
 func chaosClusterConfig(clients int) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.MaxClients = clients
@@ -158,9 +163,6 @@ func chaosClusterConfig(clients int) core.Config {
 	cfg.InodesPerVol = 2048
 	cfg.InoRangePerClient = 512
 	cfg.HeartbeatEvery = 200 * time.Millisecond
-	cfg.DetectorMisses = 2
-	cfg.RepRetryEvery = 10 * time.Millisecond
-	cfg.RPCRetryEvery = 25 * time.Millisecond
 	return cfg
 }
 
@@ -397,6 +399,9 @@ func runChaosOnce(plan *chaosPlan) (r *chaosRun) {
 		r.acked += int64(n)
 	}
 	r.robust = cl.Robust
+	if len(plan.faults) == 0 && r.robust.Any() {
+		r.violations = append(r.violations, "idle: a survival layer acted without a fault: "+r.robust.Summary())
+	}
 	r.digest = o.Trace.Digest()
 	r.events = o.Trace.Events()
 	return r
@@ -423,52 +428,70 @@ func printAckTimeline(w io.Writer, seed int64, acks []time.Duration) {
 	}
 }
 
-// Chaos runs n seeded schedules (or exactly one when only >= 0), checking
-// all four invariants per seed — determinism by replaying each seed and
-// comparing sim-sanitizer digests. It returns the number of violating
-// seeds; every violation prints with a -chaos-seed reproducer line.
+// chaosTwice runs one plan twice and returns both runs and the first one's
+// violations, plus one if the replay executed a different event sequence.
+func chaosTwice(plan *chaosPlan) (r1, r2 *chaosRun, vs []string) {
+	r1, r2 = runChaosOnce(plan), runChaosOnce(plan)
+	vs = append([]string(nil), r1.violations...)
+	if r1.digest != r2.digest || r1.events != r2.events {
+		vs = append(vs, fmt.Sprintf(
+			"determinism: digest %016x over %d events, replay %016x over %d",
+			uint64(r1.digest), r1.events, uint64(r2.digest), r2.events))
+	}
+	return r1, r2, vs
+}
+
+// Chaos runs the fault-free control and then n seeded schedules (or exactly
+// one schedule, and no control, when only >= 0). It returns the number of
+// violating schedules; every violation prints with a reproducer line. The
+// totals are over the seeded schedules.
 func Chaos(opts Options, n int, only int64, stdout, stderr io.Writer) int {
 	var seeds []int64
+	bad := 0
 	if only >= 0 {
 		seeds = []int64{only}
 	} else {
 		for i := 0; i < n; i++ {
 			seeds = append(seeds, opts.Seed+int64(i))
 		}
+		control := genChaosPlan(opts.Seed)
+		control.faults = nil
+		r, _, vs := chaosTwice(control)
+		for _, v := range vs {
+			fmt.Fprintf(stdout, "chaos control VIOLATION: %s\n", v)
+		}
+		if len(vs) > 0 {
+			bad++
+			fmt.Fprintf(stdout, "chaos control: reproduce with: linefs-bench -chaos -chaos-n 0 -seed %d\n", opts.Seed)
+		} else {
+			fmt.Fprintf(stdout, "chaos control ok: seed %d's workload without faults, %d acked bytes, no robustness counter moved\n",
+				opts.Seed, r.acked)
+		}
 	}
 
 	var agg stats.Robustness
 	var totalAcked int64
 	var totalEvents uint64
-	bad := 0
 	start := time.Now()
 	for k, seed := range seeds {
 		plan := genChaosPlan(seed)
-		r1 := runChaosOnce(plan)
-		r2 := runChaosOnce(plan)
-		vs := append([]string(nil), r1.violations...)
-		if r1.digest != r2.digest || r1.events != r2.events {
-			vs = append(vs, fmt.Sprintf(
-				"determinism: digest %016x over %d events, replay %016x over %d",
-				uint64(r1.digest), r1.events, uint64(r2.digest), r2.events))
-		}
+		r1, r2, vs := chaosTwice(plan)
 		agg.Add(&r1.robust)
 		agg.Add(&r2.robust)
 		totalAcked += r1.acked
 		totalEvents += r1.events + r2.events
-		if len(vs) > 0 {
-			bad++
+		if len(vs) > 0 || only >= 0 {
 			for _, f := range plan.faults {
 				fmt.Fprintf(stdout, "chaos seed %d schedule: %s\n", seed, f.describe())
 			}
+		}
+		if len(vs) > 0 {
+			bad++
 			for _, v := range vs {
 				fmt.Fprintf(stdout, "chaos seed %d VIOLATION: %s\n", seed, v)
 			}
 			fmt.Fprintf(stdout, "chaos seed %d: reproduce with: linefs-bench -chaos -chaos-seed %d\n", seed, seed)
 		} else if only >= 0 {
-			for _, f := range plan.faults {
-				fmt.Fprintf(stdout, "chaos seed %d schedule: %s\n", seed, f.describe())
-			}
 			printAckTimeline(stdout, seed, r1.ackTimes)
 			fmt.Fprintf(stdout, "chaos seed %d ok: %d acked bytes, digest %016x over %d events\n",
 				seed, r1.acked, uint64(r1.digest), r1.events)

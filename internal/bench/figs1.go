@@ -6,6 +6,8 @@ import (
 
 	"linefs/internal/assise"
 	"linefs/internal/core"
+	"linefs/internal/dfs"
+	"linefs/internal/node"
 	"linefs/internal/sim"
 	"linefs/internal/workload"
 )
@@ -30,13 +32,7 @@ func lineFSWriteTput(parallel bool) tputRunner {
 			busyReplicas(env, cl.Machines)
 		}
 		defer env.Shutdown()
-		return measureWriters(env, nProcs, perProc, func(p *sim.Proc, i int) writerClient {
-			a, err := cl.Attach(p, 0)
-			if err != nil {
-				return writerClient{}
-			}
-			return writerClient{c: a.Client}
-		})
+		return measureWriters(env, nProcs, perProc, lineFSClients(cl))
 	}
 }
 
@@ -55,13 +51,7 @@ func assiseWriteTput(mode assise.Mode) tputRunner {
 			busyReplicas(env, cl.Machines)
 		}
 		defer env.Shutdown()
-		return measureWriters(env, nProcs, perProc, func(p *sim.Proc, i int) writerClient {
-			a, err := cl.Attach(p, 0)
-			if err != nil {
-				return writerClient{}
-			}
-			return writerClient{c: a.Client}
-		})
+		return measureWriters(env, nProcs, perProc, assiseClients(cl))
 	}
 }
 
@@ -75,17 +65,32 @@ func fig4PerProc(o Options) int {
 	return 2 << 30 // 4x the 512 MB log
 }
 
-type writerClient struct {
-	c interface {
-		Create(p *sim.Proc, path string) (int, error)
-		WriteAt(p *sim.Proc, fd int, off uint64, data []byte) (int, error)
-		Fsync(p *sim.Proc, fd int) error
+// attacher gives measureWriters one more client process on the primary.
+type attacher func(p *sim.Proc) (*dfs.Client, error)
+
+func lineFSClients(cl *core.Cluster) attacher {
+	return func(p *sim.Proc) (*dfs.Client, error) {
+		a, err := cl.Attach(p, 0)
+		if err != nil {
+			return nil, err
+		}
+		return a.Client, nil
+	}
+}
+
+func assiseClients(cl *assise.Cluster) attacher {
+	return func(p *sim.Proc) (*dfs.Client, error) {
+		a, err := cl.Attach(p, 0)
+		if err != nil {
+			return nil, err
+		}
+		return a.Client, nil
 	}
 }
 
 // measureWriters launches the writers and returns aggregate bytes/sec from
 // common start to the last fsync return.
-func measureWriters(env *sim.Env, nProcs, perProc int, attach func(p *sim.Proc, i int) writerClient) (float64, error) {
+func measureWriters(env *sim.Env, nProcs, perProc int, attach attacher) (float64, error) {
 	g := newGroup(env, nProcs)
 	var end sim.Time
 	failed := false
@@ -93,12 +98,12 @@ func measureWriters(env *sim.Env, nProcs, perProc int, attach func(p *sim.Proc, 
 		idx := i
 		env.Go("bench", func(p *sim.Proc) {
 			defer g.done()
-			w := attach(p, idx)
-			if w.c == nil {
+			c, err := attach(p)
+			if err != nil {
 				failed = true
 				return
 			}
-			fd, err := w.c.Create(p, fmt.Sprintf("/w%d", idx))
+			fd, err := c.Create(p, fmt.Sprintf("/w%d", idx))
 			if err != nil {
 				failed = true
 				return
@@ -108,12 +113,12 @@ func measureWriters(env *sim.Env, nProcs, perProc int, attach func(p *sim.Proc, 
 				buf[b] = byte(b * (idx + 3))
 			}
 			for off := 0; off < perProc; off += len(buf) {
-				if _, err := w.c.WriteAt(p, fd, uint64(off), buf); err != nil {
+				if _, err := c.WriteAt(p, fd, uint64(off), buf); err != nil {
 					failed = true
 					return
 				}
 			}
-			if err := w.c.Fsync(p, fd); err != nil {
+			if err := c.Fsync(p, fd); err != nil {
 				failed = true
 				return
 			}
@@ -267,68 +272,43 @@ func Fig6(o Options) (*Result, error) {
 		return sc.Elapsed, nil
 	}
 
-	runSystem := func(name string, mkWriters func(env *sim.Env) (func(p *sim.Proc, i int) writerClient, []*workload.Streamcluster)) (outcome, error) {
-		env := o.newEnv()
+	// runSystem measures the writers on a started cluster with streamcluster
+	// co-running on every machine.
+	runSystem := func(env *sim.Env, machines []*node.Machine, attach attacher) (outcome, error) {
 		defer env.Shutdown()
-		writers, scs := mkWriters(env)
-		tput, err := measureWriters(env, 2, perProc, writers)
-		if err != nil {
-			return outcome{}, fmt.Errorf("%s: %w", name, err)
-		}
-		// Let the co-runners finish.
-		deadline := time.Duration(env.Now()) + 60*time.Second
-		if !waitEvents(env, deadline, scs[0].Done, scs[1].Done) {
-			return outcome{}, fmt.Errorf("%s: streamcluster stalled", name)
-		}
-		return outcome{scPrimary: scs[0].Elapsed, scReplica: scs[1].Elapsed, tput: tput}, nil
-	}
-
-	mkLineFS := func(env *sim.Env) (func(p *sim.Proc, i int) writerClient, []*workload.Streamcluster) {
-		cfg := lineFSConfig(o, 2)
-		cl, _ := core.NewCluster(env, cfg)
-		for i, m := range cl.Machines {
-			m.HostCPU.Jitter = hostJitter(o.Seed + int64(i))
-		}
-		cl.Start()
 		var scs []*workload.Streamcluster
-		for _, m := range cl.Machines {
+		for _, m := range machines {
 			sc := workload.NewStreamcluster(m.HostCPU, m.HostCPU.NumCores(), rounds, roundWork, 0)
 			sc.MemLink = m.PM.Link()
 			sc.BytesPerRound = scBytesPerRound
 			sc.Start(env)
 			scs = append(scs, sc)
 		}
-		return func(p *sim.Proc, i int) writerClient {
-			a, err := cl.Attach(p, 0)
-			if err != nil {
-				return writerClient{}
-			}
-			return writerClient{c: a.Client}
-		}, scs
+		tput, err := measureWriters(env, 2, perProc, attach)
+		if err != nil {
+			return outcome{}, err
+		}
+		// Let the co-runners finish.
+		deadline := time.Duration(env.Now()) + 60*time.Second
+		if !waitEvents(env, deadline, scs[0].Done, scs[1].Done) {
+			return outcome{}, fmt.Errorf("streamcluster stalled")
+		}
+		return outcome{scPrimary: scs[0].Elapsed, scReplica: scs[1].Elapsed, tput: tput}, nil
 	}
-	mkAssise := func(mode assise.Mode) func(env *sim.Env) (func(p *sim.Proc, i int) writerClient, []*workload.Streamcluster) {
-		return func(env *sim.Env) (func(p *sim.Proc, i int) writerClient, []*workload.Streamcluster) {
-			cfg := assiseConfig(o, 2, mode)
-			cl, _ := assise.NewCluster(env, cfg)
-			for i, m := range cl.Machines {
-				m.HostCPU.Jitter = hostJitter(o.Seed + int64(i))
+	runLineFS := func() (outcome, error) {
+		env, cl, err := newLineFS(o, lineFSConfig(o, 2))
+		if err != nil {
+			return outcome{}, err
+		}
+		return runSystem(env, cl.Machines, lineFSClients(cl))
+	}
+	runAssise := func(mode assise.Mode) func() (outcome, error) {
+		return func() (outcome, error) {
+			env, cl, err := newAssise(o, assiseConfig(o, 2, mode))
+			if err != nil {
+				return outcome{}, err
 			}
-			cl.Start()
-			var scs []*workload.Streamcluster
-			for _, m := range cl.Machines {
-				sc := workload.NewStreamcluster(m.HostCPU, m.HostCPU.NumCores(), rounds, roundWork, 0)
-				sc.MemLink = m.PM.Link()
-				sc.BytesPerRound = scBytesPerRound
-				sc.Start(env)
-				scs = append(scs, sc)
-			}
-			return func(p *sim.Proc, i int) writerClient {
-				a, err := cl.Attach(p, 0)
-				if err != nil {
-					return writerClient{}
-				}
-				return writerClient{c: a.Client}
-			}, scs
+			return runSystem(env, cl.Machines, assiseClients(cl))
 		}
 	}
 
@@ -346,15 +326,15 @@ func Fig6(o Options) (*Result, error) {
 	}
 	for _, s := range []struct {
 		name string
-		mk   func(env *sim.Env) (func(p *sim.Proc, i int) writerClient, []*workload.Streamcluster)
+		run  func() (outcome, error)
 	}{
-		{"Assise", mkAssise(assise.Pessimistic)},
-		{"Assise-BgRepl", mkAssise(assise.BgRepl)},
-		{"LineFS", mkLineFS},
+		{"Assise", runAssise(assise.Pessimistic)},
+		{"Assise-BgRepl", runAssise(assise.BgRepl)},
+		{"LineFS", runLineFS},
 	} {
-		oc, err := runSystem(s.name, s.mk)
+		oc, err := s.run()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", s.name, err)
 		}
 		res.Rows = append(res.Rows, []string{
 			s.name,
@@ -388,7 +368,6 @@ func Fig7(o Options) (*Result, error) {
 	for _, mode := range modes {
 		env := o.newEnv()
 		cfg := lineFSConfig(o, 4)
-		_ = cfg
 		cfg.PubMode = mode
 		cl, err := core.NewCluster(env, cfg)
 		if err != nil {
@@ -403,13 +382,7 @@ func Fig7(o Options) (*Result, error) {
 		sc.MemLink = cl.Machines[0].PM.Link()
 		sc.BytesPerRound = scBytesPerRound
 		sc.Start(env)
-		tput, err := measureWriters(env, 4, perProc, func(p *sim.Proc, i int) writerClient {
-			a, err := cl.Attach(p, 0)
-			if err != nil {
-				return writerClient{}
-			}
-			return writerClient{c: a.Client}
-		})
+		tput, err := measureWriters(env, 4, perProc, lineFSClients(cl))
 		if err != nil {
 			return nil, fmt.Errorf("fig7 %v: %w", mode, err)
 		}

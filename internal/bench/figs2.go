@@ -319,12 +319,12 @@ func Fig9(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		saving := 100 * (1 - float64(oc.netBytes)/float64(base.netBytes))
+		change := 100 * (float64(oc.netBytes)/float64(base.netBytes) - 1)
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("LineFS-%.0f%%", zr*100),
 			fmt.Sprintf("%.2f", oc.elapsed.Seconds()),
 			fmt.Sprintf("%.0f", float64(oc.netBytes)/1e6),
-			fmt.Sprintf("-%.0f%%", saving),
+			fmt.Sprintf("%+.0f%%", change),
 		})
 	}
 	res.Notes = append(res.Notes,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"linefs/internal/dfs"
 	"linefs/internal/fs"
@@ -36,14 +37,7 @@ type Attachment struct {
 	*dfs.Client
 	backend *linefsBackend
 	machine int
-	slot    int
 }
-
-// Machine returns the machine index the client runs on.
-func (a *Attachment) Machine() int { return a.machine }
-
-// Slot returns the client's global slot.
-func (a *Attachment) Slot() int { return a.slot }
 
 // Detach closes the client (host process exit).
 func (a *Attachment) Detach() { a.backend.close() }
@@ -60,7 +54,7 @@ func newAttachment(p *sim.Proc, cl *Cluster, machine, slot int) (*Attachment, er
 	b.lowConn = rdma.Dial(m.HostPort, m.NICPort, svcLow, true)
 	b.bulkConn = rdma.Dial(m.HostPort, m.NICPort, svcBulk, false)
 
-	v, err := b.call(p, "attach", &attachReq{Client: b.id, Slot: slot}, 64)
+	v, err := b.call(p, "attach", &attachReq{Client: b.id, Slot: slot}, 64, rpcDeadline, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +82,7 @@ func newAttachment(p *sim.Proc, cl *Cluster, machine, slot int) (*Attachment, er
 	m.HostPort.Register(clientService(slot), b.svcQ)
 	b.svcProc = cl.Env.Go(b.id+"/svc", b.runService)
 
-	return &Attachment{Client: client, backend: b, machine: machine, slot: slot}, nil
+	return &Attachment{Client: client, backend: b, machine: machine}, nil
 }
 
 // runService relays NICFS notifications to the client library.
@@ -121,18 +115,17 @@ func (b *linefsBackend) close() {
 	}
 }
 
-// call issues a control RPC on the low-latency class. With RPCRetryEvery
-// unset (the default) the first attempt has no deadline: a plain blocking
-// call. With it set, each attempt is bounded and retried with doubling
-// backoff: control RPCs are idempotent (attach re-answers the same
-// admission, lease acquisition and open checks are pure reads or re-grants,
-// fsync re-waits on a watermark), so a lost request or response costs one
-// timeout, not a wedged client.
-func (b *linefsBackend) call(p *sim.Proc, op string, arg any, size int) (any, error) {
-	timeout := b.cl.Cfg.RPCRetryEvery
+// call issues a control RPC on the low-latency class. Each attempt waits d
+// (and d again, on the same call, while alive reports progress), then is
+// abandoned and retried with d doubled: control RPCs are idempotent (attach
+// re-answers the same admission, lease acquisition and open checks are pure
+// reads or re-grants, fsync re-waits on a watermark), so a lost request or
+// response costs one timeout, not a wedged client, and a NICFS that is gone
+// surfaces as an error on the first retry.
+func (b *linefsBackend) call(p *sim.Proc, op string, arg any, size int, d time.Duration, alive func() bool) (any, error) {
 	const maxAttempts = 12
 	for attempt := 1; ; attempt++ {
-		v, err, replied := b.lowConn.CallTimeout(p, op, arg, size, timeout, nil)
+		v, err, replied := b.lowConn.CallTimeout(p, op, arg, size, d, alive, nil)
 		if replied {
 			return v, err
 		}
@@ -140,14 +133,14 @@ func (b *linefsBackend) call(p *sim.Proc, op string, arg any, size int) (any, er
 			return nil, fmt.Errorf("core: %s RPC: no response after %d attempts", op, attempt)
 		}
 		b.cl.Robust.RPCRetries++
-		timeout *= 2
+		d *= 2
 	}
 }
 
 // AcquireLease implements dfs.Backend.
 func (b *linefsBackend) AcquireLease(p *sim.Proc, ino fs.Ino, mode lease.Mode) (bool, error) {
 	v, err := b.call(p, "lease-acquire",
-		&leaseReq{Client: b.id, Ino: ino, Mode: mode}, 24)
+		&leaseReq{Client: b.id, Ino: ino, Mode: mode}, 24, rpcDeadline, nil)
 	if err != nil {
 		return false, err
 	}
@@ -156,7 +149,7 @@ func (b *linefsBackend) AcquireLease(p *sim.Proc, ino fs.Ino, mode lease.Mode) (
 
 // OpenCheck implements dfs.Backend.
 func (b *linefsBackend) OpenCheck(p *sim.Proc, pth string) error {
-	_, err := b.call(p, "open", &openReq{Client: b.id, Path: pth}, 64)
+	_, err := b.call(p, "open", &openReq{Client: b.id, Path: pth}, 64, rpcDeadline, nil)
 	return err
 }
 
@@ -170,8 +163,18 @@ func (b *linefsBackend) ChunkReady(p *sim.Proc, head uint64, marks []uint64) {
 	_ = b.bulkConn.Send(p, "chunk-ready", msg, 24+8*len(marks))
 }
 
-// Fsync implements dfs.Backend.
+// Fsync implements dfs.Backend. An fsync takes as long as the log it flushes,
+// so its deadline is keyed to progress, not elapsed time: the call stays out
+// while every standstill finds the log's tail moved since the last (reclaim
+// notifications arrive on the service process meanwhile); only a slot that
+// stands still is timed out, counted and asked again.
 func (b *linefsBackend) Fsync(p *sim.Proc, head uint64) error {
-	_, err := b.call(p, "fsync", &fsyncReq{Slot: b.slot, Head: head}, 24)
+	tail := b.client.Log().Tail()
+	moved := func() bool {
+		was := tail
+		tail = b.client.Log().Tail()
+		return tail > was
+	}
+	_, err := b.call(p, "fsync", &fsyncReq{Slot: b.slot, Head: head}, 24, standstill, moved)
 	return err
 }

@@ -44,6 +44,7 @@ type chunk struct {
 	sent       *sim.Event
 	published  *sim.Event
 	replicated *sim.Event
+	sentAt     sim.Time // set by transmit
 	valid      bool
 	// retained marks buffers possibly still referenced by a timed-out
 	// kernel-worker copy; such a chunk is leaked instead of recycled.
@@ -93,6 +94,9 @@ type clientState struct {
 	chainNames []string
 	ackWater   []uint64
 	repPending []*chunk
+	// ackTook is the chain's last send-to-ack time, for a chunk of ackedBytes.
+	ackTook    time.Duration
+	ackedBytes int64
 
 	// freeCk is the chunk freelist fed by runCompletion.
 	freeCk []*chunk
@@ -176,48 +180,74 @@ func newClientState(n *NICFS, slot int, id string, la *fs.LogArea) *clientState 
 	}
 	cs.procs = append(cs.procs, env.Go(id+"/sender", cs.runSender))
 	cs.procs = append(cs.procs, env.Go(id+"/completion", cs.runCompletion))
-	if cfg.RepRetryEvery > 0 {
-		cs.procs = append(cs.procs, env.Go(id+"/retransmit", cs.runRetransmit))
-	}
+	cs.procs = append(cs.procs, env.Go(id+"/retransmit", cs.runRetransmit))
 	return cs
 }
 
-// runRetransmit is the replication retry layer (enabled by RepRetryEvery):
-// when the pending window sits without the cumulative-ack watermark
-// advancing for a full interval, the un-replicated chunks are resent down
-// the chain. Resends are idempotent — a mirror that already persisted a
-// range re-acks its watermark and drops the duplicate (re-forwarding it, in
-// case the lost frame was a mid-chain hop's forward) — and the interval
-// backs off exponentially while no progress is made, so a long partition
-// does not flood the fabric. Chunk buffers stay alive until replication
-// completes, so resending reuses them without copies.
+// The survival layers' numbers (DESIGN.md §12 says where each comes from).
+const (
+	resendFloor = 10 * time.Millisecond // shortest resend interval, and how often a slot is looked at
+	rpcDeadline = 25 * time.Millisecond // attach, open, lease: microsecond RPCs
+	standstill  = time.Second           // no progress for a default heartbeat, where nothing observed says otherwise
+)
+
+// resendEvery is how long the oldest pending chunk may wait for its ack with
+// owed bytes in flight: four times what the chain last took over a chunk of
+// ackedBytes, and no less than resendFloor. With more in flight than was
+// timed it is scaled up by size — an overestimate whenever part of the time
+// is per message, so a 4 KiB fsync's round trip errs on the long side for
+// the 4 MiB chunk behind it — but to no more than standstill, which is what
+// the unobserved gets, and every chunk before the first ack.
+func resendEvery(owed, ackedBytes int64, ackTook time.Duration) time.Duration {
+	if ackedBytes == 0 {
+		return standstill
+	}
+	every := 4 * ackTook
+	if owed > ackedBytes {
+		every = min(standstill, every*time.Duration(owed)/time.Duration(ackedBytes))
+	}
+	return max(resendFloor, every)
+}
+
+// runRetransmit is the replication retry layer: when the pending window has
+// waited at the same cumulative-ack watermark for resendEvery since it was
+// first seen there, the un-replicated chunks are resent down the chain.
+// Resends are idempotent — a mirror that already persisted a range re-acks
+// its watermark and drops the duplicate (re-forwarding it, in case the lost
+// frame was a mid-chain hop's forward) — and the interval backs off
+// exponentially while no progress is made, so a long partition does not
+// flood the fabric. Chunk buffers stay alive until replication completes,
+// so resending reuses them without copies.
 func (cs *clientState) runRetransmit(p *sim.Proc) {
-	every := cs.n.cl.Cfg.RepRetryEvery
-	delay := every
-	var lastWater uint64
+	var stuckAt uint64 // where the window was last seen waiting,
+	var since sim.Time // and since when: zero while nothing is owed
+	backoff := time.Duration(1)
 	for {
-		p.Sleep(delay)
-		if len(cs.repPending) == 0 {
-			delay = every
-			continue
-		}
+		p.Sleep(resendFloor)
 		water, any := cs.aliveWater()
-		if !any {
+		switch now := p.Now(); {
+		case len(cs.repPending) == 0 || !any:
 			// No live replica: advanceAcked already completes chunks against
 			// the reconfigured (empty) chain; nothing to resend to.
-			delay = every
-			continue
-		}
-		if water > lastWater {
-			lastWater = water
-			delay = every
-			continue
-		}
-		cs.resendPending(p)
-		if delay < 8*every {
-			delay *= 2
+			since = 0
+		case since == 0 || water != stuckAt:
+			stuckAt, since, backoff = water, now, 1
+		case time.Duration(now-since) >= backoff*resendEvery(cs.n.inFlight(), cs.ackedBytes, cs.ackTook):
+			cs.resendPending(p)
+			since, backoff = now, min(2*backoff, 8)
 		}
 	}
+}
+
+// inFlight is the raw bytes sent down the chain and not yet acked, over all
+// this NIC's clients: they share its wire and the replicas' cores.
+func (n *NICFS) inFlight() (bytes int64) {
+	for _, cs := range n.clients {
+		for _, ck := range cs.repPending {
+			bytes += int64(len(ck.raw))
+		}
+	}
+	return bytes
 }
 
 // resendPending re-ships every un-replicated pending chunk, coalescing
@@ -241,7 +271,7 @@ func (cs *clientState) resendPending(p *sim.Proc) {
 			return
 		}
 		next = run.cks[len(run.cks)-1].to
-		_ = cs.transmit(p, &run)
+		_ = cs.transmit(p, &run, 0)
 		cs.n.cl.Robust.RepResends++
 	}
 }
@@ -744,7 +774,9 @@ func (r *sendRun) reset() {
 // replica; a batch of one is still a batch. Payloads and touched records
 // are lent, not copied: chunk buffers stay alive until replication
 // completes, which is also what lets a retransmission frame them again.
-func (cs *clientState) transmit(p *sim.Proc, run *sendRun) error {
+// Each chunk is stamped sentAt: now for a first transmission, zero for a
+// resend, whose ack says nothing about how long the chain takes.
+func (cs *clientState) transmit(p *sim.Proc, run *sendRun, sentAt sim.Time) error {
 	n := cs.n
 	msg := &replChunkBatch{
 		Slot: cs.slot, Epoch: n.epoch, From: run.cks[0].from, To: run.cks[len(run.cks)-1].to,
@@ -753,6 +785,7 @@ func (cs *clientState) transmit(p *sim.Proc, run *sendRun) error {
 	for i, ck := range run.cks {
 		msg.Sync = msg.Sync || ck.sync
 		msg.Chunks[i] = ck.frame()
+		ck.sentAt = sentAt
 	}
 	err := n.peer(cs.chain[1], msg.Sync).Send(p, "repl-chunk-batch", msg, run.bytes)
 	n.RepMsgs++
@@ -770,7 +803,7 @@ func (cs *clientState) flushBatch(p *sim.Proc) {
 		n.RepBytes += int64(len(ck.raw))
 	}
 	n.RepWireBytes += int64(cs.batch.bytes)
-	err := cs.transmit(p, &cs.batch)
+	err := cs.transmit(p, &cs.batch, start)
 	n.RepChunksSent += int64(len(cs.batch.cks))
 	for _, ck := range cs.batch.cks {
 		ck.sent.Trigger(nil)
@@ -807,7 +840,9 @@ func (cs *clientState) ackChunk(p *sim.Proc, ack *replAck) {
 		return
 	}
 	cs.ackWater[pos] = ack.To
-	cs.advanceAcked(p)
+	if ck := cs.advanceAcked(p); ck != nil && ck.sentAt != 0 {
+		cs.ackTook, cs.ackedBytes = time.Duration(p.Now()-ck.sentAt), int64(len(ck.raw))
+	}
 }
 
 // aliveWater returns the minimum acknowledged watermark across replicas the
@@ -831,20 +866,24 @@ func (cs *clientState) aliveWater() (water uint64, any bool) {
 
 // advanceAcked completes pending chunks from the front of the deque up to
 // the minimum live-replica watermark: O(1) per completed chunk, no scan of
-// the un-acked tail.
-func (cs *clientState) advanceAcked(p *sim.Proc) {
+// the un-acked tail. It returns the oldest chunk it completed, if any.
+func (cs *clientState) advanceAcked(p *sim.Proc) (first *chunk) {
 	water, any := cs.aliveWater()
 	for len(cs.repPending) > 0 {
 		ck := cs.repPending[0]
 		if !ck.replicated.Triggered() {
 			if any && ck.to > water {
-				return
+				break
 			}
 			cs.advanceRep(p, ck)
+			if first == nil {
+				first = ck
+			}
 		}
 		cs.repPending[0] = nil
 		cs.repPending = cs.repPending[1:]
 	}
+	return first
 }
 
 // failChunk rejects a chunk: the fault is recorded for the client and the

@@ -148,10 +148,6 @@ func (cl *Cluster) Attach(p *sim.Proc, machine int) (*Attachment, error) {
 // RunFor advances the whole simulation (convenience for tests/benchmarks).
 func (cl *Cluster) RunFor(d time.Duration) { cl.Env.RunFor(d) }
 
-// Node helpers used across files.
-
-func (cl *Cluster) machine(i int) *node.Machine { return cl.Machines[i] }
-
 // hostStoreAmp is the memory-system amplification of host CPU stores into
 // PM (cacheline RMW, write-combining misses, cache pollution).
 const hostStoreAmp = 4

@@ -116,24 +116,6 @@ type Config struct {
 	// worker failure detector.
 	HeartbeatEvery time.Duration
 
-	// DetectorMisses is the NICFS->kernel-worker detector's hysteresis: this
-	// many consecutive missed probes flip NICFS into isolated mode (<= 0
-	// means 1: flip on the first miss, the seed behavior — Figure 10's
-	// recovery timeline depends on it). The cluster manager's own hysteresis
-	// is cluster.Manager's default of 3 missed probes.
-	DetectorMisses int
-
-	// RepRetryEvery enables replication retransmission: chunks that sit in
-	// the primary's pending window without their cumulative-ack watermark
-	// advancing for this long are resent (idempotent at mirrors: a frame at
-	// or below the mirror log head is re-acked and dropped). Zero — the
-	// default — disables the retransmit process entirely.
-	RepRetryEvery time.Duration
-	// RPCRetryEvery enables control-RPC retry with doubling backoff for
-	// client-side attach/lease/open/fsync calls. Zero — the default — keeps
-	// the seed's single blocking Call.
-	RPCRetryEvery time.Duration
-
 	// InodesPerVol sizes each node's inode table; InoRangePerClient is the
 	// private inode number range handed to each LibFS at attach.
 	InodesPerVol      int
@@ -157,7 +139,6 @@ func DefaultConfig() Config {
 		PubMode:           PubDMAIntrBatch,
 		LeaseTTL:          time.Second,
 		HeartbeatEvery:    time.Second,
-		DetectorMisses:    1,
 		InodesPerVol:      65536,
 		InoRangePerClient: 4096,
 	}

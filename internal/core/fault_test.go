@@ -45,7 +45,6 @@ func TestRetransmitDupDeliveryIdempotent(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	cfg.ChunkSize = 128 << 10
-	cfg.RepRetryEvery = 10 * time.Millisecond
 	env, cl := newTestCluster(t, cfg)
 	fp := cl.InstallFaultPlane()
 	payload := bytes.Repeat([]byte{0x5A}, 512<<10)
@@ -85,7 +84,6 @@ func TestCorruptedFrameRejectedEndToEnd(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	cfg.ChunkSize = 128 << 10
-	cfg.RepRetryEvery = 10 * time.Millisecond
 	env, cl := newTestCluster(t, cfg)
 	fp := cl.InstallFaultPlane()
 	payload := bytes.Repeat([]byte{0xC2}, 384<<10)
@@ -125,7 +123,6 @@ func TestCorruptedCompressedFrameRepaired(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	cfg.Compress = true
-	cfg.RepRetryEvery = 10 * time.Millisecond
 	env, cl := newTestCluster(t, cfg)
 	fp := cl.InstallFaultPlane()
 	payload := logOf(sortRecords(rand.New(rand.NewSource(3)), 0.6), 3<<19)
@@ -177,7 +174,6 @@ func TestPartitionStallsFsyncUntilHeal(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	cfg.ChunkSize = 128 << 10
-	cfg.RepRetryEvery = 10 * time.Millisecond
 	env, cl := newTestCluster(t, cfg)
 	fp := cl.InstallFaultPlane()
 	payload := bytes.Repeat([]byte{0x9D}, 256<<10)
@@ -223,7 +219,6 @@ func TestRetransmitObeysBatchBounds(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	cfg.ChunkSize = 128 << 10
-	cfg.RepRetryEvery = 10 * time.Millisecond
 	env, cl := newTestCluster(t, cfg)
 	fp := cl.InstallFaultPlane()
 

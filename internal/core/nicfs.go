@@ -437,33 +437,27 @@ func (n *NICFS) persistLeaseRecord(p *sim.Proc, rec leaseRecord) {
 // leaseJournalOff is a small PM scratch area for the lease journal.
 const leaseJournalOff = 384
 
-// runDetector monitors the host kernel worker (§3.5): Cfg.DetectorMisses
+// detectorMisses is the kernel-worker detector's hysteresis, the same idea
+// as the cluster manager's three missed probes: one late probe flips nothing.
+const detectorMisses = 2
+
+// runDetector monitors the host kernel worker (§3.5): detectorMisses
 // consecutive missed probes flip NICFS into isolated operation; a single
-// successful probe flips it back. The default threshold is 1 (flip on the
-// first miss): the probe runs over the machine-local fabric, where a miss
-// means the host really is gone, and entering isolated mode is cheap and
-// reversible — unlike a cluster-level down transition. The knob exists for
-// chaos schedules that inject faults on the local fabric.
+// successful probe flips it back. (A copy request that times out flips it at
+// once, in publishItems: that is a dead worker seen at first hand.)
 func (n *NICFS) runDetector(p *sim.Proc) {
 	interval := n.cl.Cfg.HeartbeatEvery / 2
-	need := n.cl.Cfg.DetectorMisses
-	if need <= 0 {
-		need = 1
-	}
 	misses := 0
 	for {
 		p.Sleep(interval)
-		_, err, replied := n.kwConn.CallTimeout(p, "probe", nil, 8, interval/2, nil)
-		healthy := replied && err == nil
-		if healthy {
+		_, err, replied := n.kwConn.CallTimeout(p, "probe", nil, 8, interval/2, nil, nil)
+		if replied && err == nil {
 			misses = 0
-			if n.Isolated {
-				n.Isolated = false
-			}
+			n.Isolated = false
 			continue
 		}
 		misses++
-		if misses >= need && !n.Isolated {
+		if misses >= detectorMisses {
 			n.Isolated = true
 		}
 	}
@@ -548,7 +542,7 @@ func (n *NICFS) publishItems(p *sim.Proc, items []copyItem, onDiscard func(p *si
 	retained := false
 	if !n.Isolated {
 		_, err, replied := n.kwConn.CallTimeout(p, "copy", &copyReq{Items: items},
-			64*len(items), 50*time.Millisecond, onDiscard)
+			64*len(items), 50*time.Millisecond, nil, onDiscard)
 		if replied && err == nil {
 			return false
 		}

@@ -169,13 +169,15 @@ func TestSubBlockingCostsUnderOnePercent(t *testing.T) {
 // compress-stage worker or mirror thread that started them, and those are
 // what clientState.kill and mirrorState.kill reach: none may go on computing
 // on the dead SmartNIC, the codec gate must come free, and Env.Shutdown must
-// find nothing stuck. The client's fsync must fare exactly as it does when the same node
-// dies with an uncompressed chunk in flight: parked for good when its own
-// NICFS is gone, released by the manager's resweep when the tail is. The
-// mid-chain replica decodes before it forwards, so a frame caught there dies
-// with the node (an uncompressed frame spends no time in that state to
-// compare with): the fsync must then stay parked — node 2 never saw the
-// bytes, and completing would claim a durability the chain does not have.
+// find nothing stuck. The client's fsync must fare exactly as it does when
+// the same node dies with an uncompressed chunk in flight: an error when its
+// own NICFS is gone (the call times out with the log tail at a standstill,
+// and the retry finds no service), released by the manager's resweep when
+// the tail is. The mid-chain replica decodes before it forwards, so a frame
+// caught there dies with the node (an uncompressed frame spends no time in
+// that state to compare with): the fsync must then stay parked — node 2
+// never saw the bytes, and completing would claim a durability the chain
+// does not have.
 func TestCrashMidSubBlocks(t *testing.T) {
 	t.Parallel()
 	type outcome struct{ crashed, fsyncDone, fsyncErr bool }
@@ -239,8 +241,8 @@ func TestCrashMidSubBlocks(t *testing.T) {
 		if plain != zipped {
 			t.Errorf("NICFS %d crash mid-chunk: uncompressed %+v, compressed %+v", victim, plain, zipped)
 		}
-		if released := victim == 2; zipped.fsyncDone != released || zipped.fsyncErr {
-			t.Errorf("NICFS %d crash mid-chunk: fsync %+v, want released=%v without error", victim, zipped, released)
+		if failed := victim == 0; !zipped.fsyncDone || zipped.fsyncErr != failed {
+			t.Errorf("NICFS %d crash mid-chunk: fsync %+v, want it to return, with an error=%v", victim, zipped, failed)
 		}
 	}
 	if oc := crashMidChunk(1, true); oc.fsyncDone {

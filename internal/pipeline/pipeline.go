@@ -81,11 +81,8 @@ type Config struct {
 	QueueCap int
 	// ScaleThreshold is the queue depth that triggers growing a stage.
 	ScaleThreshold int
-	// ThreadBudget caps total workers across this pipeline's stages
-	// (0 = unlimited). Ignored when Budget is set.
-	ThreadBudget int
-	// Budget, when non-nil, is a worker budget shared with other
-	// pipelines; it takes precedence over ThreadBudget.
+	// Budget, when non-nil, caps total workers across every pipeline that
+	// shares it; nil means unlimited.
 	Budget *Budget
 }
 
@@ -145,9 +142,6 @@ func New[T any](env *sim.Env, name string, cfg Config, stages ...Stage[T]) *Pipe
 		cfg.ScaleThreshold = 5
 	}
 	pl := &Pipeline[T]{env: env, name: name, cfg: cfg, budget: cfg.Budget, idle: sim.NewEvent(env)}
-	if pl.budget == nil {
-		pl.budget = NewBudget(cfg.ThreadBudget)
-	}
 	pl.idle.Trigger(nil)
 	for _, s := range stages {
 		if s.MinWorkers == 0 {

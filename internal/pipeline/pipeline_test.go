@@ -188,7 +188,7 @@ func TestDynamicScaling(t *testing.T) {
 func TestThreadBudgetCapsScaling(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
-	cfg := Config{QueueCap: 64, ScaleThreshold: 2, ThreadBudget: 2}
+	cfg := Config{QueueCap: 64, ScaleThreshold: 2, Budget: NewBudget(2)}
 	var pl *Pipeline[item]
 	peak := 0
 	pl = New(e, "p", cfg,

@@ -46,7 +46,7 @@ func TestCallTimeoutLateRespondDiscarded(t *testing.T) {
 	clientDone := false
 	e.Go("client", func(p *sim.Proc) {
 		c := Dial(a, b, "svc", false)
-		v, err, ok := c.CallTimeout(p, "x", nil, 8, 10*time.Millisecond,
+		v, err, ok := c.CallTimeout(p, "x", nil, 8, 10*time.Millisecond, nil,
 			func(dp *sim.Proc) { discards++ })
 		if ok || v != nil || err != nil {
 			t.Errorf("abandoned call returned (%v, %v, %v), want (nil, nil, false)", v, err, ok)

@@ -31,9 +31,9 @@ type Fabric struct {
 	// applied at every dispatch point (see fault.go). Nil — the default —
 	// costs nothing.
 	Faults *FaultPlane
-	// Robust, when non-nil, receives robustness counters the fabric
-	// produces even without a fault plane (timed-out calls, discarded
-	// late replies).
+	// Robust receives the robustness counters the fabric produces even
+	// without a fault plane (timed-out calls, discarded late replies): its
+	// own until an owner points it at a cluster's.
 	Robust *stats.Robustness
 
 	ports map[string]*NIC
@@ -41,7 +41,7 @@ type Fabric struct {
 
 // NewFabric creates a fabric with the given switch latency.
 func NewFabric(env *sim.Env, switchLat time.Duration) *Fabric {
-	return &Fabric{Env: env, SwitchLat: switchLat, ports: make(map[string]*NIC)}
+	return &Fabric{Env: env, SwitchLat: switchLat, Robust: &stats.Robustness{}, ports: make(map[string]*NIC)}
 }
 
 // NIC is a network port: the RDMA-capable interface of a host or SmartNIC.
@@ -252,21 +252,23 @@ func (c *Conn) Send(p *sim.Proc, op string, arg any, size int) error {
 // requests without a deadline hang, exactly as on real hardware; paths that
 // may face faults use CallTimeout.
 func (c *Conn) Call(p *sim.Proc, op string, arg any, size int) (any, error) {
-	v, err, _ := c.CallTimeout(p, op, arg, size, 0, nil)
+	v, err, _ := c.CallTimeout(p, op, arg, size, 0, nil, nil)
 	return v, err
 }
 
 // CallTimeout is Call with an upper bound d on the wait for the response
 // (d <= 0 means none, and schedules no timer); ok=false means no
 // response in d (e.g. the serving process died mid-request, or the fault
-// plane ate the frame). A timed-out call is abandoned: if the handler later
-// responds anyway, the late response is discarded instead of triggering
-// into the caller that moved on, and onDiscard (if non-nil) runs once, in
-// the responder's process context — the moment resources the caller lent
-// the handler for the call's duration (e.g. pooled buffers a kernel worker
-// was still reading) are known free. If the handler never responds,
-// onDiscard never runs.
-func (c *Conn) CallTimeout(p *sim.Proc, op string, arg any, size int, d time.Duration, onDiscard func(p *sim.Proc)) (any, error, bool) {
+// plane ate the frame) — unless alive (if non-nil) reports, each time d
+// runs out, that the caller sees the handler getting somewhere by other
+// means: the same call then waits another d. A timed-out call is abandoned:
+// if the handler later responds anyway, the late response is discarded
+// instead of triggering into the caller that moved on, and onDiscard (if
+// non-nil) runs once, in the responder's process context — the moment
+// resources the caller lent the handler for the call's duration (e.g. pooled
+// buffers a kernel worker was still reading) are known free. If the handler
+// never responds, onDiscard never runs.
+func (c *Conn) CallTimeout(p *sim.Proc, op string, arg any, size int, d time.Duration, alive func() bool, onDiscard func(p *sim.Proc)) (any, error, bool) {
 	m, err := c.post(p, op, arg, size, true)
 	if err != nil {
 		return nil, err, true
@@ -276,12 +278,13 @@ func (c *Conn) CallTimeout(p *sim.Proc, op string, arg any, size int, d time.Dur
 		return rep.Val, rep.Err, true
 	}
 	v, replied := p.WaitTimeout(m.reply, d)
+	for !replied && alive != nil && alive() {
+		v, replied = p.WaitTimeout(m.reply, d)
+	}
 	if !replied {
 		m.abandoned = true
 		m.onDiscard = onDiscard
-		if rs := c.Local.Fab.Robust; rs != nil {
-			rs.RPCTimeouts++
-		}
+		c.Local.Fab.Robust.RPCTimeouts++
 		return nil, nil, false
 	}
 	rep := v.(Reply)
@@ -315,9 +318,7 @@ func (m *Msg) discardLate(p *sim.Proc) bool {
 	if !m.abandoned {
 		return false
 	}
-	if rs := m.conn.Local.Fab.Robust; rs != nil {
-		rs.RepliesDiscarded++
-	}
+	m.conn.Local.Fab.Robust.RepliesDiscarded++
 	if fn := m.onDiscard; fn != nil {
 		m.onDiscard = nil
 		fn(p)

@@ -53,7 +53,7 @@ func TestCallTimeoutWhenHandlerDies(t *testing.T) {
 	done := false
 	e.Go("client", func(p *sim.Proc) {
 		c := Dial(a, b, "svc", false)
-		_, _, replied := c.CallTimeout(p, "x", nil, 8, 10*time.Millisecond, nil)
+		_, _, replied := c.CallTimeout(p, "x", nil, 8, 10*time.Millisecond, nil, nil)
 		if replied {
 			t.Error("expected timeout")
 		}

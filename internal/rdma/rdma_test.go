@@ -98,7 +98,7 @@ func TestCallTimeoutOnDeadServer(t *testing.T) {
 	// nothing responds.
 	e.Go("client", func(p *sim.Proc) {
 		c := Dial(a, b, "svc", false)
-		_, _, ok := c.CallTimeout(p, "x", nil, 4, 5*time.Millisecond, nil)
+		_, _, ok := c.CallTimeout(p, "x", nil, 4, 5*time.Millisecond, nil, nil)
 		if ok {
 			t.Error("expected timeout")
 		}
