@@ -95,8 +95,10 @@ repbench:
 	./linefs-bench -repbench -repbench-time 2s
 
 # CI smoke: same harness, tiny allocation window. Still asserts the pooled
-# replication hot path runs at 0 allocs/op and that the chain workloads
-# complete; the report goes to a scratch file.
+# replication hot path runs at 0 allocs/op, that the chain workloads
+# complete, and that an fsync which forms its own chunk costs less than the
+# value recorded before it stopped waiting for local publication; the report
+# goes to a scratch file.
 repbench-smoke:
 	$(GO) run ./cmd/linefs-bench -repbench -repbench-time 25ms -repbench-out /tmp/BENCH_replication_smoke.json
 

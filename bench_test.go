@@ -15,30 +15,35 @@ import (
 //
 // or print the full tables with cmd/linefs-bench.
 
-// runExperiment executes the named experiment once per benchmark iteration.
-func runExperiment(b *testing.B, name string) *bench.Result {
-	b.Helper()
+// runExperiment executes the named experiment once per benchmark iteration,
+// or once for a test.
+func runExperiment(tb testing.TB, name string) *bench.Result {
+	tb.Helper()
 	e, ok := bench.Find(name)
 	if !ok {
-		b.Fatalf("unknown experiment %q", name)
+		tb.Fatalf("unknown experiment %q", name)
 	}
 	opts := bench.DefaultOptions()
+	n := 1
+	if b, ok := tb.(*testing.B); ok {
+		n = b.N
+	}
 	var res *bench.Result
-	for i := 0; i < b.N; i++ {
+	for i := 0; i < n; i++ {
 		var err error
 		res, err = e.Run(opts)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return res
 }
 
 // cell parses a numeric table cell (strips %, GB/s already numeric).
-func cell(b *testing.B, res *bench.Result, row, col int) float64 {
-	b.Helper()
+func cell(tb testing.TB, res *bench.Result, row, col int) float64 {
+	tb.Helper()
 	if row >= len(res.Rows) || col >= len(res.Rows[row]) {
-		b.Fatalf("no cell (%d,%d) in %s", row, col, res.Name)
+		tb.Fatalf("no cell (%d,%d) in %s", row, col, res.Name)
 	}
 	s := res.Rows[row][col]
 	for len(s) > 0 && (s[len(s)-1] == '%' || s[len(s)-1] == 's') {
@@ -46,7 +51,7 @@ func cell(b *testing.B, res *bench.Result, row, col int) float64 {
 	}
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
-		b.Fatalf("cell %q not numeric: %v", res.Rows[row][col], err)
+		tb.Fatalf("cell %q not numeric: %v", res.Rows[row][col], err)
 	}
 	return v
 }
@@ -70,6 +75,33 @@ func BenchmarkTable3(b *testing.B) {
 	b.ReportMetric(cell(b, res, 2, 4), "linefs-busy-avg-us")
 	b.ReportMetric(cell(b, res, 0, 5), "assise-busy-p99-us")
 	b.ReportMetric(cell(b, res, 2, 5), "linefs-busy-p99-us")
+}
+
+// TestTable3Shape asserts the contrast Table 3 exists for: LineFS's
+// write+fsync latency sits near the paper's 149 us and grows by well under
+// 2x when the replicas' hosts are busy, because little that is
+// latency-critical runs on a host core, while Assise's average triples and
+// its tail grows tenfold.
+func TestTable3Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the table3 experiment: 5 s, far longer under the race detector")
+	}
+	res := runExperiment(t, "table3")
+	const assise, linefs = 0, 2                           // rows
+	const idleAvg, idleP99, busyAvg, busyP99 = 1, 2, 4, 5 // columns
+	at := func(row, col int) float64 { return cell(t, res, row, col) }
+	if v := at(linefs, idleAvg); v < 140 || v > 165 {
+		t.Errorf("LineFS idle avg = %v us, want 140-165 (paper 149)", v)
+	}
+	if busy, idle := at(linefs, busyAvg), at(linefs, idleAvg); busy > 1.7*idle {
+		t.Errorf("LineFS busy avg = %v us, idle %v: want at most 1.7x", busy, idle)
+	}
+	if busy, idle := at(assise, busyAvg), at(assise, idleAvg); busy < 3*idle {
+		t.Errorf("Assise busy avg = %v us, idle %v: want at least 3x", busy, idle)
+	}
+	if busy, idle := at(assise, busyP99), at(assise, idleP99); busy < 10*idle {
+		t.Errorf("Assise busy p99 = %v us, idle %v: want at least 10x", busy, idle)
+	}
 }
 
 func BenchmarkFig4(b *testing.B) {

@@ -94,6 +94,7 @@ chain chunks/sec: # (baseline #, #.#x)
 wire messages/chunk: #.# (baseline #.#, #.#x fewer)
 fsync p# us: #.# (baseline #.#)
 fsync p# us: #.# (baseline #.#, #.#x)
+sync-path fsync p# us: #.# (baseline #.#)
 pooled path allocs/op: #.#
 wrote ` + out},
 		{[]string{"-chaos", "-chaos-n", "2"}, `

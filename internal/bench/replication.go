@@ -14,7 +14,7 @@ import (
 
 // RepStats are simulated-time replication-chain numbers for one wire
 // protocol configuration: a fixed single-client stream pushed down the
-// 3-replica chain, then a train of single-chunk write+fsync round trips.
+// 3-replica chain, then two trains of write+fsync round trips.
 type RepStats struct {
 	// ChunksPerSec is replication throughput: chunks fully replicated and
 	// acknowledged per simulated second of the streaming phase.
@@ -28,6 +28,10 @@ type RepStats struct {
 	// percentiles in simulated microseconds (one chunk per sync).
 	FsyncP50Micros float64 `json:"fsync_p50_us"`
 	FsyncP99Micros float64 `json:"fsync_p99_us"`
+	// SyncPathFsyncP50Micros / SyncPathFsyncP99Micros are the same for a
+	// quarter-chunk write, where the fsync itself forms the chunk.
+	SyncPathFsyncP50Micros float64 `json:"sync_path_fsync_p50_us"`
+	SyncPathFsyncP99Micros float64 `json:"sync_path_fsync_p99_us"`
 }
 
 // RepBenchReport is the BENCH_replication.json schema. The baseline column
@@ -72,6 +76,11 @@ var seedRepStats = RepStats{
 	WireMsgsPerChunk: 4,
 	FsyncP50Micros:   154.975,
 	FsyncP99Micros:   154.975,
+	// Not the seed's: this row was added at PR 19 and its baseline is commit
+	// 367fb25, the last whose fsync ran fetch, validate and local
+	// publication back to back before the chunk went on the wire.
+	SyncPathFsyncP50Micros: 161.439,
+	SyncPathFsyncP99Micros: 161.439,
 }
 
 // measureRepChain runs the fixed workload against a fresh 3-node cluster.
@@ -139,25 +148,36 @@ func measureRepChain(o Options) (RepStats, error) {
 		st.ChunksPerSec = float64(chunks) / elapsed.Seconds()
 		st.WireMsgsPerChunk = float64(msgs) / float64(chunks)
 
-		// Latency phase: single-chunk write+fsync round trips.
-		lat := make([]time.Duration, 0, repFsyncOps)
+		// Latency phases: trains of write+fsync round trips, timing the
+		// fsync. A chunk-sized write crosses a chunk boundary, so the fsync
+		// rings the deferred doorbell and only waits for that chunk; a
+		// quarter-chunk write leaves the chunk far from full, so the fsync
+		// itself forms the chunk and carries it down the sync path.
 		off := uint64(repStreamChunks * repChunkSize)
-		for i := 0; i < repFsyncOps; i++ {
-			if _, err := a.Client.WriteAt(p, fd, off, payload); err != nil {
-				fail(err)
-				return
+		train := func(size int) (p50, p99 float64, err error) {
+			lat := make([]time.Duration, 0, repFsyncOps)
+			for i := 0; i < repFsyncOps; i++ {
+				if _, err := a.Client.WriteAt(p, fd, off, payload[:size]); err != nil {
+					return 0, 0, err
+				}
+				off += uint64(size)
+				s0 := p.Now()
+				if err := a.Client.Fsync(p, fd); err != nil {
+					return 0, 0, err
+				}
+				lat = append(lat, time.Duration(p.Now()-s0))
 			}
-			off += repChunkSize
-			s0 := p.Now()
-			if err := a.Client.Fsync(p, fd); err != nil {
-				fail(err)
-				return
-			}
-			lat = append(lat, time.Duration(p.Now()-s0))
+			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+			return float64(lat[len(lat)/2]) / 1e3, float64(lat[len(lat)*99/100]) / 1e3, nil
 		}
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		st.FsyncP50Micros = float64(lat[len(lat)/2]) / 1e3
-		st.FsyncP99Micros = float64(lat[len(lat)*99/100]) / 1e3
+		if st.FsyncP50Micros, st.FsyncP99Micros, err = train(repChunkSize); err != nil {
+			fail(err)
+			return
+		}
+		if st.SyncPathFsyncP50Micros, st.SyncPathFsyncP99Micros, err = train(repChunkSize / 4); err != nil {
+			fail(err)
+			return
+		}
 
 		for _, n := range cl.NICs {
 			if n.StaleAcks != 0 {
@@ -194,6 +214,10 @@ func MeasureRepBench(minTime time.Duration) (RepBenchReport, error) {
 	// below one per op, never a per-op allocation.
 	if allocs >= 1 {
 		return rep, fmt.Errorf("repbench: pooled hot path allocates (%.1f allocs/op, want 0)", allocs)
+	}
+	if cur.SyncPathFsyncP50Micros <= 0 || cur.SyncPathFsyncP50Micros >= base.SyncPathFsyncP50Micros {
+		return rep, fmt.Errorf("repbench: sync-path fsync p50 %.3f us, want below the %.3f us recorded when it still waited for local publication",
+			cur.SyncPathFsyncP50Micros, base.SyncPathFsyncP50Micros)
 	}
 	rep = RepBenchReport{
 		Baseline:            base,

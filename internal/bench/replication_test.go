@@ -10,9 +10,10 @@ import (
 // TestRepBenchAcceptance runs the replication-chain bench at a tiny
 // allocation window and pins its acceptance shape: the chain must beat the
 // recorded seed per-chunk protocol by >= 2x in chunks/sec and >= 4x in wire
-// messages per chunk without regressing fsync latency beyond noise, and the
-// pooled hot path must not allocate. The simulated columns are
-// deterministic, so both must reproduce the committed
+// messages per chunk without regressing fsync latency beyond noise, an fsync
+// that forms its own chunk must cost less than it did while it still waited
+// for local publication, and the pooled hot path must not allocate. The
+// simulated columns are deterministic, so both must reproduce the committed
 // BENCH_replication.json exactly: the baseline because it is frozen, the
 // current column because nothing may move it unannounced.
 //
@@ -33,6 +34,11 @@ func TestRepBenchAcceptance(t *testing.T) {
 	if rep.Current.FsyncP99Micros > 1.25*rep.Baseline.FsyncP99Micros {
 		t.Errorf("fsync p99 regressed: %.1f us vs baseline %.1f us",
 			rep.Current.FsyncP99Micros, rep.Baseline.FsyncP99Micros)
+	}
+	// MeasureRepBench itself refuses a sync-path p50 that is not below the
+	// recorded one; the tail must be too.
+	if cur, base := rep.Current.SyncPathFsyncP99Micros, rep.Baseline.SyncPathFsyncP99Micros; cur >= base {
+		t.Errorf("sync-path fsync p99 = %.3f us, want below the recorded %.3f us", cur, base)
 	}
 	if rep.PooledAllocsPerOp >= 1 {
 		t.Errorf("pooled hot path allocates %.1f allocs/op, want 0", rep.PooledAllocsPerOp)

@@ -480,6 +480,9 @@ func appendTouched(dst []touched, entries []*fs.Entry) []touched {
 
 // stageSplit hands the validated chunk to both the publishing and the
 // replication pipelines (they share the fetch and validation work, §3.3).
+// It is mainPl's last stage and the fsync handler's hand-off for its sync
+// chunk, which may therefore arrive ahead of its predecessors: pubBuf and
+// xferBuf put it back in log order.
 func (cs *clientState) stageSplit(p *sim.Proc, ck *chunk) bool {
 	cs.pubPl.Submit(p, ck)
 	cs.repPl.Submit(p, ck)
@@ -636,8 +639,6 @@ func (cs *clientState) publishChunk(p *sim.Proc, ck *chunk) {
 	cp := func(dst int64, src []byte) {
 		items = append(items, copyItem{Dst: dst, Data: src})
 	}
-	metaStart := p.Now()
-	defer func() { n.stageAdd("pub-meta", time.Duration(p.Now()-metaStart)) }()
 	if err := n.vol.ApplyAll(ctx, ck.entries, cp); err != nil {
 		// Publication cannot proceed (e.g. the public area is out of
 		// space). Record the fault and unblock waiters; the client sees an
@@ -657,13 +658,11 @@ func (cs *clientState) publishChunk(p *sim.Proc, ck *chunk) {
 	if len(items) == 0 {
 		return
 	}
-	copyStart := p.Now()
 	if n.publishItems(p, items, nil) {
 		// The timed-out kernel worker may still read these item buffers,
 		// which alias ck.raw: leak the chunk instead of recycling it.
 		ck.retained = true
 	}
-	n.stageAdd("pub-copy", time.Duration(p.Now()-copyStart))
 }
 
 // stageTransfer hands the chunk to the sender, which restores log order and
@@ -974,31 +973,20 @@ func (cs *clientState) runSequential(p *sim.Proc) {
 	}
 }
 
-// runInline executes every stage of one chunk back to back on the calling
-// process, bypassing the pipeline queues, and hands it to the sender. It
-// reports false when validation rejected the chunk (failChunk has already
-// routed it through the sender). The one stage that does not run here is
-// the parallel datapath's compression: an fsync's tail chunk goes through
-// the compress stage like any other (where clientState.kill can reach it),
-// and the stage hands it to the sender while publication proceeds on this
-// process.
+// runInline is LineFS-NotParallel's one thread: it executes every stage of
+// one chunk back to back on the calling process and hands it to the sender.
+// It reports false when validation rejected the chunk (failChunk has already
+// routed it through the sender).
 func (cs *clientState) runInline(p *sim.Proc, ck *chunk) bool {
 	cs.stageFetch(p, ck)
 	if !cs.stageValidate(p, ck) {
 		return false
 	}
-	zip := cs.n.cl.Cfg.Compress
-	fan := zip && cs.repPl != nil
-	switch {
-	case fan:
-		cs.repPl.Submit(p, ck)
-	case zip:
+	if cs.n.cl.Cfg.Compress {
 		cs.compressInline(p, ck)
 	}
 	cs.stagePublish(p, ck)
-	if !fan {
-		cs.xferQ.Put(p, ck)
-	}
+	cs.xferQ.Put(p, ck)
 	return true
 }
 
@@ -1013,13 +1001,20 @@ func (n *NICFS) handleFsync(p *sim.Proc, msg *rdma.Msg, req *fsyncReq) {
 	}
 	if req.Head > cs.queued {
 		cs.formChunks(p, req.Head, true)
-		// The sync path runs the stages inline and hands the chunk to the
-		// sender marked sync, which flushes immediately on the low-latency
-		// connection.
+		// A sync chunk is fetched and validated here, on the handler's own
+		// process, so that it does not queue in mainPl behind the client's
+		// bulk chunks; from the split on it goes the way every chunk goes,
+		// marked sync, which the sender flushes at once on the low-latency
+		// connection. Local publication is not waited for.
 		for _, ck := range cs.pending {
-			if ck.sync && !ck.started {
-				ck.started = true
+			if !ck.sync || ck.started {
+				continue
+			}
+			ck.started = true
+			if cs.mainPl == nil {
 				cs.runInline(p, ck)
+			} else if cs.stageFetch(p, ck) && cs.stageValidate(p, ck) {
+				cs.stageSplit(p, ck)
 			}
 		}
 	}
