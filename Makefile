@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build bench-module lint lint-fix-list test-short test race fuzz-smoke selfcheck test-full bench kernelbench databench databench-smoke repbench repbench-smoke chaos chaos-smoke clean
+.PHONY: ci vet build bench-module lint lint-fix-list loc test-short test race fuzz-smoke selfcheck test-full bench kernelbench databench databench-smoke repbench repbench-smoke chaos chaos-smoke clean
 
 ci: vet build bench-module lint test race fuzz-smoke selfcheck databench-smoke repbench-smoke chaos-smoke
 
@@ -34,6 +34,13 @@ lint:
 # seeing.
 lint-fix-list:
 	$(GO) run ./cmd/linefs-lint -allows ./...
+
+# The size ROADMAP tracks (item 3, "Recent"): non-test Go lines of internal/
+# and cmd/, and the public facade. Every simplicity PR reports these two
+# numbers, counted this way.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@wc -l linefs.go
 
 # Fast development loop: skips the TencentSort workload, the baseline
 # cross-check suites and the lint self-run. Not the gate: `ci` runs `test`,

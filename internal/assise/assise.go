@@ -18,13 +18,10 @@
 package assise
 
 import (
-	"fmt"
 	"time"
 
 	"linefs/internal/cluster"
 	"linefs/internal/dfs"
-	"linefs/internal/fs"
-	"linefs/internal/node"
 	"linefs/internal/rdma"
 	"linefs/internal/sim"
 )
@@ -56,111 +53,64 @@ func (m Mode) String() string {
 	return "unknown"
 }
 
-// Config parameterizes an Assise cluster.
+// Config parameterizes an Assise cluster: the shared testbed layout plus what
+// only SharedFS has.
 type Config struct {
-	Spec     node.Spec
-	Nodes    int
-	Replicas int
-
-	MaxClients int
-	VolSize    int64
-	LogSize    int64
-	// ChunkSize is the replication unit (4 MB, matching LineFS).
-	ChunkSize int
+	cluster.Layout
 
 	Mode Mode
-	// BgThreads caps cluster-wide background replication concurrency
-	// (the paper uses 3).
-	BgThreads int
-
-	LeaseTTL time.Duration
-	DFSPrio  int
-
-	InodesPerVol      int
-	InoRangePerClient int
 
 	// HyperloopCredits is the number of operations served per WQE re-post;
-	// HyperloopPostCost the host work to re-post a chain.
+	// HyperloopPost the host work to re-post a chain.
 	HyperloopCredits int
 	HyperloopPost    time.Duration
-
-	HeartbeatEvery time.Duration
 }
 
-// DefaultConfig mirrors the paper's Assise setup at simulation scale.
+// DefaultConfig mirrors the paper's Assise setup on the default layout.
 func DefaultConfig() Config {
 	return Config{
-		Spec:              node.DefaultSpec(),
-		Nodes:             3,
-		Replicas:          2,
-		MaxClients:        8,
-		VolSize:           1 << 30,
-		LogSize:           64 << 20,
-		ChunkSize:         4 << 20,
-		Mode:              Pessimistic,
-		BgThreads:         3,
-		LeaseTTL:          time.Second,
-		InodesPerVol:      65536,
-		InoRangePerClient: 4096,
-		HyperloopCredits:  1000,
-		HyperloopPost:     4 * time.Millisecond,
-		HeartbeatEvery:    time.Second,
+		Layout:           cluster.DefaultLayout(),
+		Mode:             Pessimistic,
+		HyperloopCredits: 1000,
+		HyperloopPost:    4 * time.Millisecond,
 	}
 }
 
-// Cluster is a running Assise deployment.
+// bgThreads is the background replication pool of each SharedFS (BgRepl
+// mode; the paper uses 3).
+const bgThreads = 3
+
+// Cluster is a running Assise deployment: the shared testbed plus a SharedFS
+// daemon on every machine.
 type Cluster struct {
-	Env    *sim.Env
-	Cfg    Config
-	Fabric *rdma.Fabric
+	*cluster.Testbed
+	Cfg Config
 
-	Machines []*node.Machine
-	Vols     []*fs.Vol
-	Shared   []*SharedFS
-	Mgr      *cluster.Manager
+	Shared []*SharedFS
 
-	clients []*Attachment
-	nAttach int
-	started bool
+	clients []*Attachment // by slot
 }
 
 // NewCluster builds and formats an Assise cluster.
 func NewCluster(env *sim.Env, cfg Config) (*Cluster, error) {
-	if cfg.Replicas >= cfg.Nodes {
-		return nil, fmt.Errorf("assise: %d replicas need more than %d nodes", cfg.Replicas, cfg.Nodes)
+	tb, err := cluster.NewTestbed(env, cfg.Layout)
+	if err != nil {
+		return nil, err
 	}
-	need := cfg.VolSize + int64(cfg.MaxClients)*cfg.LogSize
-	if need > cfg.Spec.PMSize {
-		return nil, fmt.Errorf("assise: PM too small: need %d, have %d", need, cfg.Spec.PMSize)
-	}
-	cl := &Cluster{
-		Env:     env,
-		Cfg:     cfg,
-		Fabric:  node.NewFabric(env, cfg.Spec),
-		clients: make([]*Attachment, cfg.MaxClients),
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		m := node.NewMachine(env, cl.Fabric, fmt.Sprintf("node%d", i), cfg.Spec)
-		v, err := fs.Format(env, m.PM, 0, cfg.VolSize, cfg.InodesPerVol)
-		if err != nil {
-			return nil, err
-		}
-		cl.Machines = append(cl.Machines, m)
-		cl.Vols = append(cl.Vols, v)
+	cl := &Cluster{Testbed: tb, Cfg: cfg, clients: make([]*Attachment, cfg.MaxClients)}
+	for _, m := range cl.Machines {
 		// Remote log slots are written with one-sided RDMA into host PM
 		// (Assise's replication path and Hyperloop's NIC-driven writes).
 		m.Port.RegisterRegion("pm", &rdma.PMRegion{PM: m.PM, Base: 0, Len: cfg.Spec.PMSize, Persist: true})
 	}
-	cl.Mgr = cluster.NewManager(env, cfg.HeartbeatEvery)
 	return cl, nil
 }
 
 // Start launches the per-node SharedFS daemons.
 func (cl *Cluster) Start() {
-	if cl.started {
+	if !cl.Begin() {
 		return
 	}
-	cl.started = true
 	for i := range cl.Machines {
 		cl.Shared = append(cl.Shared, newSharedFS(cl, i))
 	}
@@ -168,24 +118,6 @@ func (cl *Cluster) Start() {
 		s.Start()
 	}
 	cl.Mgr.Start()
-}
-
-// chain returns the machine indices of a slot's replication chain.
-func (cl *Cluster) chain(primary int) []int {
-	out := make([]int, 0, cl.Cfg.Replicas+1)
-	for i := 0; i <= cl.Cfg.Replicas; i++ {
-		out = append(out, (primary+i)%cl.Cfg.Nodes)
-	}
-	return out
-}
-
-func (cl *Cluster) logBase(slot int) int64 {
-	return cl.Cfg.VolSize + int64(slot)*cl.Cfg.LogSize
-}
-
-func (cl *Cluster) hostCtx(p *sim.Proc, i int, tag string) *fs.Ctx {
-	m := cl.Machines[i]
-	return &fs.Ctx{P: p, PM: m.PM, CPU: m.HostCPU, Prio: cl.Cfg.DFSPrio, Tag: tag, MemAmp: 4}
 }
 
 // Attachment is one attached Assise client.
@@ -196,21 +128,11 @@ type Attachment struct {
 
 // Attach creates a client process handle on the given machine.
 func (cl *Cluster) Attach(p *sim.Proc, machine int) (*Attachment, error) {
-	if !cl.started {
-		return nil, fmt.Errorf("assise: cluster not started")
-	}
-	if cl.nAttach >= cl.Cfg.MaxClients {
-		return nil, fmt.Errorf("assise: client slots exhausted")
-	}
-	slot := cl.nAttach
-	cl.nAttach++
-	a, err := newBackend(p, cl, machine, slot)
+	slot, err := cl.NewSlot(machine)
 	if err != nil {
 		return nil, err
 	}
+	a := newBackend(cl, machine, slot)
 	cl.clients[slot] = a
 	return a, nil
 }
-
-// RunFor advances the simulation.
-func (cl *Cluster) RunFor(d time.Duration) { cl.Env.RunFor(d) }

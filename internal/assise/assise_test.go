@@ -2,6 +2,7 @@ package assise
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -19,6 +20,25 @@ func testConfig(mode Mode) Config {
 	cfg.InodesPerVol = 8192
 	cfg.Mode = mode
 	return cfg
+}
+
+// TestConfigFieldsPinned is core's test of the same name for the baseline:
+// the embedded layout, its eleven promoted names, then SharedFS's own three.
+// A new field is a new option and a deliberate diff against this list.
+func TestConfigFieldsPinned(t *testing.T) {
+	want := []string{
+		"Layout",
+		"Spec", "Nodes", "Replicas", "MaxClients", "VolSize", "LogSize", "ChunkSize",
+		"DFSPrio", "HeartbeatEvery", "InodesPerVol", "InoRangePerClient",
+		"Mode", "HyperloopCredits", "HyperloopPost",
+	}
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		got = append(got, f.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("assise.Config fields:\n got %v\nwant %v", got, want)
+	}
 }
 
 func newTestCluster(t *testing.T, cfg Config) (*sim.Env, *Cluster) {

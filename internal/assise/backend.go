@@ -1,7 +1,6 @@
 package assise
 
 import (
-	"fmt"
 	"time"
 
 	"linefs/internal/dfs"
@@ -25,34 +24,15 @@ type backend struct {
 	client *dfs.Client
 }
 
-func newBackend(p *sim.Proc, cl *Cluster, machine, slot int) (*Attachment, error) {
+func newBackend(cl *Cluster, machine, slot int) *Attachment {
 	s := cl.Shared[machine]
-	b := &backend{
-		cl:      cl,
-		machine: machine,
-		slot:    slot,
-		id:      fmt.Sprintf("%s/c%d", cl.Machines[machine].Name, slot),
-		shared:  s,
-	}
-	la := fs.NewLogArea(cl.Machines[machine].PM, cl.logBase(slot), cl.Cfg.LogSize)
-	client := dfs.NewClient(cl.Env, b, dfs.Config{
-		ID:  b.id,
-		Log: la,
-		Vol: cl.Vols[machine],
-		HostCtx: func(hp *sim.Proc) *fs.Ctx {
-			return cl.hostCtx(hp, machine, "dfs")
-		},
-		Syscall: func(hp *sim.Proc) {
-			cl.Machines[machine].HostCPU.Compute(hp, cl.Cfg.Spec.SyscallCost, cl.Cfg.DFSPrio, "dfs")
-		},
-		InoBase:   fs.Ino(16 + slot*cl.Cfg.InoRangePerClient),
-		InoMax:    cl.Cfg.InoRangePerClient,
-		ChunkSize: cl.Cfg.ChunkSize,
-		LeaseTTL:  cl.Cfg.LeaseTTL,
-	})
-	b.client = client
-	b.ss = s.register(slot, client, la)
-	return &Attachment{Client: client, backend: b}, nil
+	cfg := cl.LibFS(machine, slot)
+	cfg.Log = fs.NewLogArea(cl.Machines[machine].PM, cl.LogBase(slot), cl.Cfg.LogSize)
+	cfg.InoBase, cfg.InoMax = cl.InoRange(slot)
+	b := &backend{cl: cl, machine: machine, slot: slot, id: cfg.ID, shared: s}
+	b.client = dfs.NewClient(cl.Env, b, cfg)
+	b.ss = s.register(slot, b.client, cfg.Log)
+	return &Attachment{Client: b.client, backend: b}
 }
 
 // ipc charges the cost of a LibFS<->SharedFS shared-memory call.
@@ -80,7 +60,7 @@ func (b *backend) AcquireLease(p *sim.Proc, ino fs.Ino, mode lease.Mode) (bool, 
 // OpenCheck implements dfs.Backend: a local permission check.
 func (b *backend) OpenCheck(p *sim.Proc, pth string) error {
 	b.ipc(p)
-	ctx := b.cl.hostCtx(p, b.machine, "dfs")
+	ctx := b.cl.HostCtx(p, b.machine, "dfs")
 	_, err := b.cl.Vols[b.machine].Resolve(ctx, pth)
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"linefs/internal/cluster"
 	"linefs/internal/fs"
 	"linefs/internal/lease"
 	"linefs/internal/rdma"
@@ -111,7 +112,7 @@ func newSharedFS(cl *Cluster, machine int) *SharedFS {
 	s := &SharedFS{
 		cl:        cl,
 		machine:   machine,
-		leases:    lease.NewTable(cl.Env, cl.Cfg.LeaseTTL),
+		leases:    lease.NewTable(cl.Env, cluster.LeaseTTL),
 		clients:   make(map[int]*slotState),
 		mirrors:   make(map[int]*mirrorState),
 		replQ:     sim.NewQueue[*rdma.Msg](cl.Env, 0),
@@ -133,7 +134,7 @@ func (s *SharedFS) Start() {
 	// physical ceiling that keeps host-based replication off line rate.
 	s.procs = append(s.procs, env.Go(name+"/sharedfs-repl", s.runRepl))
 	// Background replication pool (BgRepl mode).
-	for i := 0; i < max(1, s.cl.Cfg.BgThreads); i++ {
+	for i := 0; i < bgThreads; i++ {
 		s.procs = append(s.procs, env.Go(name+"/sharedfs-bg", s.runBg))
 	}
 }
@@ -179,28 +180,39 @@ func (s *SharedFS) runDigest(p *sim.Proc, ss *slotState) {
 		for ss.log.Head() == ss.digested {
 			p.Wait(ss.digestKick)
 		}
-		from, to := ss.digested, ss.log.Head()
-		ctx := s.cl.hostCtx(p, s.machine, "dfs")
-		entries, raw, err := ss.log.DecodeRangeScratch(ctx, ss.rawBuf, from, to)
-		ss.rawBuf = raw
-		if err != nil {
+		to := ss.log.Head()
+		if !s.digest(s.cl.HostCtx(p, s.machine, "dfs"), ss.log, &ss.rawBuf, ss.digested, to) {
 			// Corrupt region: stop digesting this client.
 			return
 		}
-		kept, _ := fs.Coalesce(entries)
-		var burn int64
-		cp := func(dst int64, src []byte) {
-			burn += int64(len(src))
-			ctx.Write(dst, src)
-		}
-		if err := s.cl.Vols[s.machine].ApplyAll(ctx, kept, cp); err != nil {
-			return
-		}
-		s.digestBurn(p, burn)
-		s.DigestedBytes += int64(to - from)
 		ss.digested = to
 		s.maybeReclaim(p, ss)
 	}
+}
+
+// digest applies [from, to) of a log — a local client's or a mirror's — to
+// this node's public area: decode, coalesce, apply with CPU stores, and burn
+// the pool's cores for the bytes moved. It reports false if the range does
+// not decode or apply. scratch is the caller's read buffer, reused across
+// rounds (decoded entries borrow it and are dropped before the next round).
+func (s *SharedFS) digest(ctx *fs.Ctx, log *fs.LogArea, scratch *[]byte, from, to uint64) bool {
+	entries, raw, err := log.DecodeRangeScratch(ctx, *scratch, from, to)
+	*scratch = raw
+	if err != nil {
+		return false
+	}
+	kept, _ := fs.Coalesce(entries)
+	var burn int64
+	cp := func(dst int64, src []byte) {
+		burn += int64(len(src))
+		ctx.Write(dst, src)
+	}
+	if err := s.cl.Vols[s.machine].ApplyAll(ctx, kept, cp); err != nil {
+		return false
+	}
+	s.digestBurn(ctx.P, burn)
+	s.DigestedBytes += int64(to - from)
+	return true
 }
 
 // digestBurn charges the digestion data movement across a fan of SharedFS
@@ -264,10 +276,10 @@ func (s *SharedFS) replicateRange(p *sim.Proc, ss *slotState, from, to uint64) e
 	ss.repWin.Acquire(p, 0)
 	defer ss.repWin.Release()
 
-	ctx := s.cl.hostCtx(p, s.machine, "dfs")
+	ctx := s.cl.HostCtx(p, s.machine, "dfs")
 	raw := ss.log.ReadRaw(ctx, from, int(to-from))
 
-	chain := s.cl.chain(s.machine)
+	chain := s.cl.Chain(s.machine)
 	if len(chain) > 1 {
 		if s.cl.Cfg.Mode == Hyperloop {
 			if err := s.replicateHyperloop(p, ss.slot, chain[1:], from, raw); err != nil {
@@ -327,7 +339,7 @@ func (s *SharedFS) runRepl(p *sim.Proc) {
 			s.hostCompute(p, 2*time.Microsecond, "dfs")
 			ms := s.mirror(req.Slot)
 			if req.From == ms.log.Head() {
-				ctx := s.cl.hostCtx(p, s.machine, "dfs")
+				ctx := s.cl.HostCtx(p, s.machine, "dfs")
 				if err := ms.log.AdvanceHead(ctx, req.From, int(req.To-req.From)); err != nil {
 					// Unreachable: From == Head() was just checked, and the
 					// kernel is single-threaded between the check and here.
@@ -373,7 +385,7 @@ func (s *SharedFS) handleRepl(p *sim.Proc, msg *rdma.Msg, req *replMsg) {
 func (s *SharedFS) persistAndForward(p *sim.Proc, ms *mirrorState, st *stashed) {
 	spec := s.cl.Cfg.Spec
 	req, msg := st.req, st.msg
-	ctx := s.cl.hostCtx(p, s.machine, "dfs")
+	ctx := s.cl.HostCtx(p, s.machine, "dfs")
 	// CPU stores into PM: the single-thread Optane store ceiling.
 	s.hostCompute(p, time.Duration(float64(len(req.Payload))/spec.PMStoreBW*float64(time.Second)), "dfs")
 	if err := ms.log.MirrorRaw(ctx, req.From, req.Payload); err != nil {
@@ -408,7 +420,7 @@ func (s *SharedFS) mirror(slot int) *mirrorState {
 	if !ok {
 		ms = &mirrorState{
 			slot:       slot,
-			log:        fs.NewLogArea(s.cl.Machines[s.machine].PM, s.cl.logBase(slot), s.cl.Cfg.LogSize),
+			log:        fs.NewLogArea(s.cl.Machines[s.machine].PM, s.cl.LogBase(slot), s.cl.Cfg.LogSize),
 			digestKick: sim.NewEvent(s.cl.Env),
 			stash:      make(map[uint64]*stashed),
 		}
@@ -437,24 +449,11 @@ func (s *SharedFS) runMirrorDigest(p *sim.Proc, ms *mirrorState) {
 				break
 			}
 		}
-		from, to := ms.digested, ms.log.Head()
-		ctx := s.cl.hostCtx(p, s.machine, "dfs")
-		entries, raw, err := ms.log.DecodeRangeScratch(ctx, ms.rawBuf, from, to)
-		ms.rawBuf = raw
-		if err != nil {
+		to := ms.log.Head()
+		ctx := s.cl.HostCtx(p, s.machine, "dfs")
+		if !s.digest(ctx, ms.log, &ms.rawBuf, ms.digested, to) {
 			return
 		}
-		kept, _ := fs.Coalesce(entries)
-		var burn int64
-		cp := func(dst int64, src []byte) {
-			burn += int64(len(src))
-			ctx.Write(dst, src)
-		}
-		if err := s.cl.Vols[s.machine].ApplyAll(ctx, kept, cp); err != nil {
-			return
-		}
-		s.digestBurn(p, burn)
-		s.DigestedBytes += int64(to - from)
 		ms.digested = to
 		ms.log.Reclaim(ctx, to)
 	}
@@ -469,7 +468,7 @@ func (s *SharedFS) replicateHyperloop(p *sim.Proc, slot int, replicas []int, fro
 	s.hlConsume(p)
 	// Posting the chained WRITE/WAIT verbs is cheap.
 	s.hostCompute(p, 2*time.Microsecond, "dfs")
-	view := fs.NewLogView(s.cl.logBase(slot), s.cl.Cfg.LogSize)
+	view := fs.NewLogView(s.cl.LogBase(slot), s.cl.Cfg.LogSize)
 	for _, mi := range replicas {
 		conn := s.peer(mi)
 		off := 0
@@ -539,30 +538,22 @@ func (s *SharedFS) queueBg(p *sim.Proc, ss *slotState, head uint64) {
 // fsyncSlot replicates everything through head and returns once durable on
 // all replicas.
 func (s *SharedFS) fsyncSlot(p *sim.Proc, ss *slotState, head uint64) error {
-	switch s.cl.Cfg.Mode {
-	case BgRepl:
-		// Queue the remainder and wait for the pipeline to drain to head.
+	if s.cl.Cfg.Mode == BgRepl {
+		// Queue the remainder for the background pool.
 		s.queueBg(p, ss, head)
-		if ss.replicated < head {
-			ev := sim.NewEvent(s.cl.Env)
-			ss.repWaiters = append(ss.repWaiters, repWaiter{off: head, ev: ev})
-			p.Wait(ev)
-		}
-		return nil
-	default:
+	} else if from := ss.repQueued; head > from {
 		// Pessimistic and Hyperloop: replicate in the caller's context.
-		from := ss.repQueued
-		if head > from {
-			ss.repQueued = head
-			if err := s.replicateRange(p, ss, from, head); err != nil {
-				return err
-			}
+		ss.repQueued = head
+		if err := s.replicateRange(p, ss, from, head); err != nil {
+			return err
 		}
-		if ss.replicated < head {
-			ev := sim.NewEvent(s.cl.Env)
-			ss.repWaiters = append(ss.repWaiters, repWaiter{off: head, ev: ev})
-			p.Wait(ev)
-		}
-		return nil
 	}
+	// Either way, ranges queued earlier may still be in flight: wait for
+	// the pipeline to drain to head.
+	if ss.replicated < head {
+		ev := sim.NewEvent(s.cl.Env)
+		ss.repWaiters = append(ss.repWaiters, repWaiter{off: head, ev: ev})
+		p.Wait(ev)
+	}
+	return nil
 }

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"time"
 
+	"linefs/internal/core"
+	"linefs/internal/dfs"
 	"linefs/internal/sim"
+	"linefs/internal/systems"
 	"linefs/internal/workload"
 )
 
@@ -31,14 +34,9 @@ func AblChunkSize(o Options) (*Result, error) {
 		Header: []string{"chunk", "GB/s"},
 	}
 	for _, cs := range []int{256 << 10, 1 << 20, 4 << 20, 8 << 20} {
-		cfg := lineFSConfig(o, 2)
-		cfg.ChunkSize = cs
-		env, cl, err := newLineFS(o, cfg)
-		if err != nil {
-			return nil, err
-		}
-		tput, err := measureWriters(env, 2, fig4PerProc(o), lineFSClients(cl))
-		env.Shutdown()
+		l := o.layout(2)
+		l.ChunkSize = cs
+		tput, err := writeTput(o, systems.LineFS, l, false)
 		if err != nil {
 			return nil, fmt.Errorf("abl-chunk %d: %w", cs, err)
 		}
@@ -53,37 +51,48 @@ func AblChunkSize(o Options) (*Result, error) {
 // coalescing stage on and off.
 func AblCoalesce(o Options) (*Result, error) {
 	run := func(disable bool) (pub, coalesced int64, err error) {
-		cfg := lineFSConfig(o, 1)
-		cfg.DisableCoalesce = disable
-		env, cl, err := newLineFS(o, cfg)
+		sys, err := newLineFS(o, o.layout(1), func(c *core.Config) { c.DisableCoalesce = disable })
 		if err != nil {
 			return 0, 0, err
 		}
-		defer env.Shutdown()
-		g := newGroup(env, 1)
-		env.Go("bench", func(p *sim.Proc) {
-			a, _ := cl.Attach(p, 0)
+		defer sys.Env.Shutdown()
+		err = runClients(sys, "bench", 1, 600*time.Second, func(p *sim.Proc, a *dfs.Client, _ int) error {
 			payload := bytes.Repeat([]byte{0xCC}, 64<<10)
 			for i := 0; i < 200; i++ {
 				name := fmt.Sprintf("/tmp%03d", i)
-				fd, _ := a.Create(p, name)
-				a.WriteAt(p, fd, 0, payload)
+				fd, err := a.Create(p, name)
+				if err != nil {
+					return err
+				}
+				if _, err := a.WriteAt(p, fd, 0, payload); err != nil {
+					return err
+				}
 				a.Close(p, fd)
 				// Half the files are temporary: deleted before publication.
 				if i%2 == 0 {
-					a.Unlink(p, name)
+					if err := a.Unlink(p, name); err != nil {
+						return err
+					}
 				}
 			}
-			a.Mkdir(p, "/keepalive")
-			kfd, _ := a.Create(p, "/keepalive/f")
-			a.Fsync(p, kfd)
+			if err := a.Mkdir(p, "/keepalive"); err != nil {
+				return err
+			}
+			kfd, err := a.Create(p, "/keepalive/f")
+			if err != nil {
+				return err
+			}
+			if err := a.Fsync(p, kfd); err != nil {
+				return err
+			}
 			p.Sleep(2 * time.Second)
-			g.done()
+			return nil
 		})
-		if !g.wait(600 * time.Second) {
-			return 0, 0, fmt.Errorf("abl-coalesce stalled")
+		if err != nil {
+			return 0, 0, fmt.Errorf("abl-coalesce: %w", err)
 		}
-		return cl.NICs[0].PubBytes, cl.NICs[0].CoalescedBytes, nil
+		nic := sys.LineFS.NICs[0]
+		return nic.PubBytes, nic.CoalescedBytes, nil
 	}
 	on, dropped, err := run(false)
 	if err != nil {
@@ -113,25 +122,22 @@ func AblCoalesce(o Options) (*Result, error) {
 // last-hop one-sided write.
 func AblDirectWrite(o Options) (*Result, error) {
 	run := func(disable bool) (time.Duration, error) {
-		cfg := lineFSConfig(o, 1)
-		cfg.DisableDirectWrite = disable
-		env, cl, err := newLineFS(o, cfg)
+		sys, err := newLineFS(o, o.layout(1), func(c *core.Config) { c.DisableDirectWrite = disable })
 		if err != nil {
 			return 0, err
 		}
-		defer env.Shutdown()
+		defer sys.Env.Shutdown()
 		var mean time.Duration
-		g := newGroup(env, 1)
-		env.Go("bench", func(p *sim.Proc) {
-			a, _ := cl.Attach(p, 0)
-			lat, err := workload.LatencyBench(p, a.Client, "/lat", 1500, 16<<10, o.Seed)
-			if err == nil {
-				mean = lat.Mean()
+		err = runClients(sys, "bench", 1, 600*time.Second, func(p *sim.Proc, c *dfs.Client, _ int) error {
+			lat, err := workload.LatencyBench(p, c, "/lat", 1500, 16<<10, o.Seed)
+			if err != nil {
+				return err
 			}
-			g.done()
+			mean = lat.Mean()
+			return nil
 		})
-		if !g.wait(600 * time.Second) {
-			return 0, fmt.Errorf("abl-direct stalled")
+		if err != nil {
+			return 0, fmt.Errorf("abl-direct: %w", err)
 		}
 		return mean, nil
 	}
@@ -161,35 +167,37 @@ func AblDirectWrite(o Options) (*Result, error) {
 // sub-blocks over the NIC cores, against LineFS-NotParallel, where one
 // thread codes the same sub-blocks back to back.
 func AblScaling(o Options) (*Result, error) {
-	run := func(parallel bool) (tput float64, peak int, err error) {
-		cfg := lineFSConfig(o, 1)
-		cfg.Compress = true
-		cfg.Parallel = parallel
-		env, cl, err := newLineFS(o, cfg)
+	run := func(kind systems.Kind) (tput float64, peak int, err error) {
+		sys, err := deploy(o, kind, o.layout(1), false, func(c *core.Config) { c.Compress = true })
 		if err != nil {
 			return 0, 0, err
 		}
-		defer env.Shutdown()
-		g := newGroup(env, 1)
-		env.Go("bench", func(p *sim.Proc) {
-			a, _ := cl.Attach(p, 0)
-			fd, _ := a.Create(p, "/c")
+		defer sys.Env.Shutdown()
+		err = runClients(sys, "bench", 1, 1200*time.Second, func(p *sim.Proc, a *dfs.Client, _ int) error {
+			fd, err := a.Create(p, "/c")
+			if err != nil {
+				return err
+			}
 			buf := bytes.Repeat([]byte("abcd0000"), 8<<10) // 64 KB, compressible
 			total := 48 << 20
 			start := p.Now()
 			for off := 0; off < total; off += len(buf) {
-				a.WriteAt(p, fd, uint64(off), buf)
+				if _, err := a.WriteAt(p, fd, uint64(off), buf); err != nil {
+					return err
+				}
 			}
-			a.Fsync(p, fd)
+			if err := a.Fsync(p, fd); err != nil {
+				return err
+			}
 			if el := time.Duration(p.Now() - start); el > 0 {
 				tput = float64(total) / el.Seconds()
 			}
-			g.done()
+			return nil
 		})
-		if !g.wait(1200 * time.Second) {
-			return 0, 0, fmt.Errorf("abl-scaling (parallel=%v) stalled", parallel)
+		if err != nil {
+			return 0, 0, fmt.Errorf("abl-scaling (%v): %w", kind, err)
 		}
-		return tput, cl.NICs[0].CompressPeakWorkers(), nil
+		return tput, sys.LineFS.NICs[0].CompressPeakWorkers(), nil
 	}
 	res := &Result{
 		Name:   "abl-scaling",
@@ -199,13 +207,13 @@ func AblScaling(o Options) (*Result, error) {
 			"(17 with its entry headers), which the compress stage codes side by side, one chunk at a time"},
 	}
 	for _, c := range []struct {
-		name     string
-		parallel bool
+		name string
+		kind systems.Kind
 	}{
-		{"pipeline (sub-blocks across cores)", true},
-		{"sequential (one wimpy core)", false},
+		{"pipeline (sub-blocks across cores)", systems.LineFS},
+		{"sequential (one wimpy core)", systems.LineFSNotParallel},
 	} {
-		tput, peak, err := run(c.parallel)
+		tput, peak, err := run(c.kind)
 		if err != nil {
 			return nil, err
 		}

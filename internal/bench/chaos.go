@@ -28,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"linefs/internal/cluster"
 	"linefs/internal/core"
 	"linefs/internal/fs"
 	"linefs/internal/rdma"
@@ -149,21 +150,21 @@ func genChaosPlan(seed int64) *chaosPlan {
 	return plan
 }
 
-// chaosClusterConfig is the default configuration on a deliberately small
-// cluster — schedules run by the hundreds — with heartbeats to match the
-// 1.6 s fault window. The survival layers are not configured: they are the
-// protocol, here as in every experiment.
-func chaosClusterConfig(clients int) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.MaxClients = clients
-	cfg.Spec.PMSize = 16 << 20
-	cfg.VolSize = 8 << 20
-	cfg.LogSize = 2 << 20
-	cfg.ChunkSize = 256 << 10
-	cfg.InodesPerVol = 2048
-	cfg.InoRangePerClient = 512
-	cfg.HeartbeatEvery = 200 * time.Millisecond
-	return cfg
+// chaosLayout is a deliberately small testbed — schedules run by the
+// hundreds — with heartbeats to match the 1.6 s fault window. The LineFS on
+// it is the default configuration; the survival layers are not configured:
+// they are the protocol, here as in every experiment.
+func chaosLayout(clients int) cluster.Layout {
+	l := cluster.DefaultLayout()
+	l.MaxClients = clients
+	l.Spec.PMSize = 16 << 20
+	l.VolSize = 8 << 20
+	l.LogSize = 2 << 20
+	l.ChunkSize = 256 << 10
+	l.InodesPerVol = 2048
+	l.InoRangePerClient = 512
+	l.HeartbeatEvery = 200 * time.Millisecond
+	return l
 }
 
 func chaosPath(ci int) string { return fmt.Sprintf("/chaos%d", ci) }
@@ -202,12 +203,12 @@ func runChaosOnce(plan *chaosPlan) (r *chaosRun) {
 	}()
 
 	o := Options{Quick: true, Seed: plan.seed, Trace: &TraceCollector{}}
-	cfg := chaosClusterConfig(len(plan.rounds))
-	env, cl, err := newLineFS(o, cfg)
+	sys, err := newLineFS(o, chaosLayout(len(plan.rounds)), nil)
 	if err != nil {
 		r.violations = append(r.violations, fmt.Sprintf("setup: %v", err))
 		return r
 	}
+	env, cl := sys.Env, sys.LineFS
 	fp := cl.InstallFaultPlane()
 	name := func(i int) string { return cl.Machines[i].Name }
 
@@ -239,7 +240,7 @@ func runChaosOnce(plan *chaosPlan) (r *chaosRun) {
 	}
 	evs = append(evs, tev{chaosHealAt, len(evs), func(p *sim.Proc) {
 		fp.HealAll()
-		for i := 1; i < cfg.Nodes; i++ {
+		for i := 1; i < cl.Cfg.Nodes; i++ {
 			cl.RecoverHost(i)
 		}
 	}})
@@ -360,7 +361,7 @@ func runChaosOnce(plan *chaosPlan) (r *chaosRun) {
 		}
 		expect := make([]byte, want)
 		chaosPattern(expect, ci, 0)
-		for mi := 0; mi < cfg.Nodes; mi++ {
+		for mi := 0; mi < cl.Cfg.Nodes; mi++ {
 			ctx := fs.NoCostCtx(cl.Machines[mi].PM)
 			ino, err := cl.Vols[mi].Resolve(ctx, chaosPath(ci))
 			if err != nil {

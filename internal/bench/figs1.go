@@ -4,56 +4,14 @@ import (
 	"fmt"
 	"time"
 
-	"linefs/internal/assise"
+	"linefs/internal/cluster"
 	"linefs/internal/core"
 	"linefs/internal/dfs"
 	"linefs/internal/node"
 	"linefs/internal/sim"
+	"linefs/internal/systems"
 	"linefs/internal/workload"
 )
-
-// writeScale runs nProcs clients, each sequentially writing perProc bytes
-// in 16 KB IOs with an fsync at the end, and returns the aggregate goodput.
-type tputRunner func(o Options, nProcs int, busy bool) (float64, error)
-
-func lineFSWriteTput(parallel bool) tputRunner {
-	return func(o Options, nProcs int, busy bool) (float64, error) {
-		perProc := fig4PerProc(o)
-		cfg := lineFSConfig(o, nProcs)
-		cfg.Parallel = parallel
-		if busy {
-			cfg.DFSPrio = 1
-		}
-		env, cl, err := newLineFS(o, cfg)
-		if err != nil {
-			return 0, err
-		}
-		if busy {
-			busyReplicas(env, cl.Machines)
-		}
-		defer env.Shutdown()
-		return measureWriters(env, nProcs, perProc, lineFSClients(cl))
-	}
-}
-
-func assiseWriteTput(mode assise.Mode) tputRunner {
-	return func(o Options, nProcs int, busy bool) (float64, error) {
-		perProc := fig4PerProc(o)
-		cfg := assiseConfig(o, nProcs, mode)
-		if busy {
-			cfg.DFSPrio = 1
-		}
-		env, cl, err := newAssise(o, cfg)
-		if err != nil {
-			return 0, err
-		}
-		if busy {
-			busyReplicas(env, cl.Machines)
-		}
-		defer env.Shutdown()
-		return measureWriters(env, nProcs, perProc, assiseClients(cl))
-	}
-}
 
 func fig4PerProc(o Options) int {
 	// The file must wrap the client log several times (the paper writes a
@@ -65,73 +23,33 @@ func fig4PerProc(o Options) int {
 	return 2 << 30 // 4x the 512 MB log
 }
 
-// attacher gives measureWriters one more client process on the primary.
-type attacher func(p *sim.Proc) (*dfs.Client, error)
-
-func lineFSClients(cl *core.Cluster) attacher {
-	return func(p *sim.Proc) (*dfs.Client, error) {
-		a, err := cl.Attach(p, 0)
-		if err != nil {
-			return nil, err
-		}
-		return a.Client, nil
-	}
-}
-
-func assiseClients(cl *assise.Cluster) attacher {
-	return func(p *sim.Proc) (*dfs.Client, error) {
-		a, err := cl.Attach(p, 0)
-		if err != nil {
-			return nil, err
-		}
-		return a.Client, nil
-	}
-}
-
-// measureWriters launches the writers and returns aggregate bytes/sec from
-// common start to the last fsync return.
-func measureWriters(env *sim.Env, nProcs, perProc int, attach attacher) (float64, error) {
-	g := newGroup(env, nProcs)
+// measureWriters runs nProcs clients, each sequentially writing perProc
+// bytes in 16 KB IOs with an fsync at the end, and returns aggregate bytes/sec
+// from common start to the last fsync return.
+func measureWriters(sys *systems.System, nProcs, perProc int) (float64, error) {
 	var end sim.Time
-	failed := false
-	for i := 0; i < nProcs; i++ {
-		idx := i
-		env.Go("bench", func(p *sim.Proc) {
-			defer g.done()
-			c, err := attach(p)
-			if err != nil {
-				failed = true
-				return
+	err := runClients(sys, "bench", nProcs, 1200*time.Second, func(p *sim.Proc, c *dfs.Client, idx int) error {
+		fd, err := c.Create(p, fmt.Sprintf("/w%d", idx))
+		if err != nil {
+			return err
+		}
+		buf := make([]byte, 16<<10)
+		for b := range buf {
+			buf[b] = byte(b * (idx + 3))
+		}
+		for off := 0; off < perProc; off += len(buf) {
+			if _, err := c.WriteAt(p, fd, uint64(off), buf); err != nil {
+				return err
 			}
-			fd, err := c.Create(p, fmt.Sprintf("/w%d", idx))
-			if err != nil {
-				failed = true
-				return
-			}
-			buf := make([]byte, 16<<10)
-			for b := range buf {
-				buf[b] = byte(b * (idx + 3))
-			}
-			for off := 0; off < perProc; off += len(buf) {
-				if _, err := c.WriteAt(p, fd, uint64(off), buf); err != nil {
-					failed = true
-					return
-				}
-			}
-			if err := c.Fsync(p, fd); err != nil {
-				failed = true
-				return
-			}
-			if p.Now() > end {
-				end = p.Now()
-			}
-		})
-	}
-	if !g.wait(1200 * time.Second) {
-		return 0, fmt.Errorf("bench: writers stalled (%d/%d)", g.n, nProcs)
-	}
-	if failed {
-		return 0, fmt.Errorf("bench: a writer failed")
+		}
+		if err := c.Fsync(p, fd); err != nil {
+			return err
+		}
+		end = max(end, p.Now())
+		return nil
+	})
+	if err != nil {
+		return 0, fmt.Errorf("bench: writers: %w", err)
 	}
 	elapsed := time.Duration(end)
 	if elapsed <= 0 {
@@ -140,23 +58,36 @@ func measureWriters(env *sim.Env, nProcs, perProc int, attach attacher) (float64
 	return float64(nProcs*perProc) / elapsed.Seconds(), nil
 }
 
+// writeTput deploys kind on l and measures one writer per client slot.
+func writeTput(o Options, kind systems.Kind, l cluster.Layout, busy bool) (float64, error) {
+	sys, err := deploy(o, kind, l, busy, nil)
+	if err != nil {
+		return 0, err
+	}
+	defer sys.Env.Shutdown()
+	return measureWriters(sys, l.MaxClients, fig4PerProc(o))
+}
+
 // scBytesPerRound makes the co-runner memory-bound: 48 threads streaming
 // this much per 10 ms round demand ~80% of the memory system alone, so DFS
 // data movement on the same path queues them measurably.
 const scBytesPerRound = 5 << 20
 
+// coRun starts streamcluster on all of m's host cores.
+func coRun(env *sim.Env, m *node.Machine, rounds int, roundWork time.Duration) *workload.Streamcluster {
+	sc := workload.NewStreamcluster(m.HostCPU, m.HostCPU.NumCores(), rounds, roundWork, 0)
+	sc.MemLink = m.PM.Link()
+	sc.BytesPerRound = scBytesPerRound
+	sc.Start(env)
+	return sc
+}
+
 // Fig4 reproduces §5.2.1 Figure 4: write throughput scalability for 1-8
 // clients with idle and busy replicas across the five systems.
 func Fig4(o Options) (*Result, error) {
-	systems := []struct {
-		name string
-		run  tputRunner
-	}{
-		{"Assise", assiseWriteTput(assise.Pessimistic)},
-		{"Assise-BgRepl", assiseWriteTput(assise.BgRepl)},
-		{"Assise+Hyperloop", assiseWriteTput(assise.Hyperloop)},
-		{"LineFS-NotParallel", lineFSWriteTput(false)},
-		{"LineFS", lineFSWriteTput(true)},
+	kinds := []systems.Kind{
+		systems.Assise, systems.AssiseBgRepl, systems.AssiseHyperloop,
+		systems.LineFSNotParallel, systems.LineFS,
 	}
 	procsList := []int{1, 2, 4, 8}
 	res := &Result{
@@ -170,19 +101,19 @@ func Fig4(o Options) (*Result, error) {
 		if busy {
 			label = "busy"
 		}
-		for _, s := range systems {
-			row := []string{s.name, label}
+		for _, kind := range kinds {
+			row := []string{kind.String(), label}
 			var series []float64
 			for _, procs := range procsList {
-				tput, err := s.run(o, procs, busy)
+				tput, err := writeTput(o, kind, o.layout(procs), busy)
 				if err != nil {
-					return nil, fmt.Errorf("fig4 %s/%s procs=%d: %w", s.name, label, procs, err)
+					return nil, fmt.Errorf("fig4 %v/%s procs=%d: %w", kind, label, procs, err)
 				}
 				row = append(row, gbps(tput))
 				series = append(series, tput/1e9)
 			}
 			res.Rows = append(res.Rows, row)
-			res.Series[s.name+"/"+label] = series
+			res.Series[kind.String()+"/"+label] = series
 		}
 	}
 	res.Notes = append(res.Notes,
@@ -194,30 +125,35 @@ func Fig4(o Options) (*Result, error) {
 // Fig5 reproduces §5.2.3 Figure 5: per-stage latency of publishing and
 // replicating one 4 MB chunk.
 func Fig5(o Options) (*Result, error) {
-	cfg := lineFSConfig(o, 1)
-	cfg.ChunkSize = 4 << 20
-	env, cl, err := newLineFS(o, cfg)
+	l := o.layout(1)
+	l.ChunkSize = 4 << 20
+	sys, err := newLineFS(o, l, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer env.Shutdown()
-	g := newGroup(env, 1)
-	env.Go("bench", func(p *sim.Proc) {
-		a, _ := cl.Attach(p, 0)
-		fd, _ := a.Create(p, "/chunks")
+	defer sys.Env.Shutdown()
+	err = runClients(sys, "bench", 1, 600*time.Second, func(p *sim.Proc, c *dfs.Client, _ int) error {
+		fd, err := c.Create(p, "/chunks")
+		if err != nil {
+			return err
+		}
 		buf := make([]byte, 64<<10)
 		total := 32 << 20 // 8 chunks through the pipeline
 		for off := 0; off < total; off += len(buf) {
-			a.WriteAt(p, fd, uint64(off), buf)
+			if _, err := c.WriteAt(p, fd, uint64(off), buf); err != nil {
+				return err
+			}
 		}
-		a.Fsync(p, fd)
+		if err := c.Fsync(p, fd); err != nil {
+			return err
+		}
 		p.Sleep(3 * time.Second)
-		g.done()
+		return nil
 	})
-	if !g.wait(600 * time.Second) {
-		return nil, fmt.Errorf("fig5: run stalled")
+	if err != nil {
+		return nil, fmt.Errorf("fig5: %w", err)
 	}
-	st := cl.NICs[0].StageTimes
+	st := sys.LineFS.NICs[0].StageTimes
 	paper := map[string]string{
 		"fetch": "1025", "validate": "65", "publish": "1502", "transfer": "1505", "ack": "7",
 	}
@@ -251,65 +187,44 @@ func Fig6(o Options) (*Result, error) {
 		tput      float64
 	}
 
+	// runSolo measures streamcluster alone on the primary of an idle
+	// cluster, without the dispatch-jitter model.
 	runSolo := func() (time.Duration, error) {
-		env := o.newEnv()
-		cfg := lineFSConfig(o, 1)
-		cl, err := core.NewCluster(env, cfg)
+		sys, err := systems.New(o.newEnv(), systems.LineFS, o.layout(1), nil)
 		if err != nil {
 			return 0, err
 		}
-		cl.Start()
-		defer env.Shutdown()
-		cpu := cl.Machines[0].HostCPU
-		sc := workload.NewStreamcluster(cpu, cpu.NumCores(), rounds, roundWork, 0)
-		sc.MemLink = cl.Machines[0].PM.Link()
-		sc.BytesPerRound = scBytesPerRound
-		sc.Start(env)
-		env.RunUntil(300 * time.Second)
+		sys.Start()
+		defer sys.Env.Shutdown()
+		sc := coRun(sys.Env, sys.Machines[0], rounds, roundWork)
+		sys.Env.RunUntil(300 * time.Second)
 		if !sc.Done.Triggered() {
 			return 0, fmt.Errorf("fig6: solo streamcluster stalled")
 		}
 		return sc.Elapsed, nil
 	}
-
-	// runSystem measures the writers on a started cluster with streamcluster
-	// co-running on every machine.
-	runSystem := func(env *sim.Env, machines []*node.Machine, attach attacher) (outcome, error) {
-		defer env.Shutdown()
-		var scs []*workload.Streamcluster
-		for _, m := range machines {
-			sc := workload.NewStreamcluster(m.HostCPU, m.HostCPU.NumCores(), rounds, roundWork, 0)
-			sc.MemLink = m.PM.Link()
-			sc.BytesPerRound = scBytesPerRound
-			sc.Start(env)
-			scs = append(scs, sc)
+	// runSystem measures two writers with streamcluster co-running on every
+	// machine.
+	runSystem := func(kind systems.Kind) (outcome, error) {
+		sys, err := deploy(o, kind, o.layout(2), false, nil)
+		if err != nil {
+			return outcome{}, err
 		}
-		tput, err := measureWriters(env, 2, perProc, attach)
+		defer sys.Env.Shutdown()
+		var scs []*workload.Streamcluster
+		for _, m := range sys.Machines {
+			scs = append(scs, coRun(sys.Env, m, rounds, roundWork))
+		}
+		tput, err := measureWriters(sys, 2, perProc)
 		if err != nil {
 			return outcome{}, err
 		}
 		// Let the co-runners finish.
-		deadline := time.Duration(env.Now()) + 60*time.Second
-		if !waitEvents(env, deadline, scs[0].Done, scs[1].Done) {
+		deadline := time.Duration(sys.Env.Now()) + 60*time.Second
+		if !waitEvents(sys.Env, deadline, scs[0].Done, scs[1].Done) {
 			return outcome{}, fmt.Errorf("streamcluster stalled")
 		}
 		return outcome{scPrimary: scs[0].Elapsed, scReplica: scs[1].Elapsed, tput: tput}, nil
-	}
-	runLineFS := func() (outcome, error) {
-		env, cl, err := newLineFS(o, lineFSConfig(o, 2))
-		if err != nil {
-			return outcome{}, err
-		}
-		return runSystem(env, cl.Machines, lineFSClients(cl))
-	}
-	runAssise := func(mode assise.Mode) func() (outcome, error) {
-		return func() (outcome, error) {
-			env, cl, err := newAssise(o, assiseConfig(o, 2, mode))
-			if err != nil {
-				return outcome{}, err
-			}
-			return runSystem(env, cl.Machines, assiseClients(cl))
-		}
 	}
 
 	solo, err := runSolo()
@@ -324,20 +239,13 @@ func Fig6(o Options) (*Result, error) {
 			{"streamcluster solo", fmt.Sprintf("%.3f", solo.Seconds()), fmt.Sprintf("%.3f", solo.Seconds()), "-"},
 		},
 	}
-	for _, s := range []struct {
-		name string
-		run  func() (outcome, error)
-	}{
-		{"Assise", runAssise(assise.Pessimistic)},
-		{"Assise-BgRepl", runAssise(assise.BgRepl)},
-		{"LineFS", runLineFS},
-	} {
-		oc, err := s.run()
+	for _, kind := range []systems.Kind{systems.Assise, systems.AssiseBgRepl, systems.LineFS} {
+		oc, err := runSystem(kind)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", s.name, err)
+			return nil, fmt.Errorf("%v: %w", kind, err)
 		}
 		res.Rows = append(res.Rows, []string{
-			s.name,
+			kind.String(),
 			fmt.Sprintf("%.3f", oc.scPrimary.Seconds()),
 			fmt.Sprintf("%.3f", oc.scReplica.Seconds()),
 			mbps(oc.tput),
@@ -366,23 +274,13 @@ func Fig7(o Options) (*Result, error) {
 		Header: []string{"method", "streamcluster (s)", "LineFS MB/s"},
 	}
 	for _, mode := range modes {
-		env := o.newEnv()
-		cfg := lineFSConfig(o, 4)
-		cfg.PubMode = mode
-		cl, err := core.NewCluster(env, cfg)
+		sys, err := newLineFS(o, o.layout(4), func(c *core.Config) { c.PubMode = mode })
 		if err != nil {
 			return nil, err
 		}
-		for i, m := range cl.Machines {
-			m.HostCPU.Jitter = hostJitter(o.Seed + int64(i))
-		}
-		cl.Start()
-		cpu := cl.Machines[0].HostCPU
-		sc := workload.NewStreamcluster(cpu, cpu.NumCores(), rounds, roundWork, 0)
-		sc.MemLink = cl.Machines[0].PM.Link()
-		sc.BytesPerRound = scBytesPerRound
-		sc.Start(env)
-		tput, err := measureWriters(env, 4, perProc, lineFSClients(cl))
+		env := sys.Env
+		sc := coRun(env, sys.Machines[0], rounds, roundWork)
+		tput, err := measureWriters(sys, 4, perProc)
 		if err != nil {
 			return nil, fmt.Errorf("fig7 %v: %w", mode, err)
 		}

@@ -4,54 +4,14 @@ import (
 	"fmt"
 	"time"
 
-	"linefs/internal/assise"
 	"linefs/internal/core"
 	"linefs/internal/dfs"
 	"linefs/internal/kvstore"
 	"linefs/internal/sim"
 	"linefs/internal/stats"
+	"linefs/internal/systems"
 	"linefs/internal/workload"
 )
-
-// clientMaker abstracts which DFS a workload runs on.
-type clientMaker func(p *sim.Proc) (*dfs.Client, error)
-
-// fig8System builds a busy-replica cluster of either system and returns the
-// environment plus a client factory.
-func fig8System(o Options, system string, clients int) (*sim.Env, clientMaker, error) {
-	switch system {
-	case "linefs":
-		cfg := lineFSConfig(o, clients)
-		cfg.DFSPrio = 1
-		env, cl, err := newLineFS(o, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		busyReplicas(env, cl.Machines)
-		return env, func(p *sim.Proc) (*dfs.Client, error) {
-			a, err := cl.Attach(p, 0)
-			if err != nil {
-				return nil, err
-			}
-			return a.Client, nil
-		}, nil
-	default:
-		cfg := assiseConfig(o, clients, assise.BgRepl)
-		cfg.DFSPrio = 1
-		env, cl, err := newAssise(o, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		busyReplicas(env, cl.Machines)
-		return env, func(p *sim.Proc) (*dfs.Client, error) {
-			a, err := cl.Attach(p, 0)
-			if err != nil {
-				return nil, err
-			}
-			return a.Client, nil
-		}, nil
-	}
-}
 
 // Fig8a reproduces §5.3 Figure 8a: LevelDB db_bench average operation
 // latency on LineFS and Assise with busy replicas.
@@ -63,20 +23,14 @@ func Fig8a(o Options) (*Result, error) {
 	ops := []string{"fillseq", "fillrandom", "fillsync", "readseq", "readrandom", "readhot"}
 	type outcome map[string]time.Duration
 
-	runSystem := func(system string) (outcome, error) {
-		env, mk, err := fig8System(o, system, 1)
+	runSystem := func(kind systems.Kind) (outcome, error) {
+		sys, err := deploy(o, kind, o.layout(1), true, nil)
 		if err != nil {
 			return nil, err
 		}
-		defer env.Shutdown()
+		defer sys.Env.Shutdown()
 		out := outcome{}
-		g := newGroup(env, 1)
-		env.Go("dbbench", func(p *sim.Proc) {
-			defer g.done()
-			c, err := mk(p)
-			if err != nil {
-				return
-			}
+		err = runClients(sys, "dbbench", 1, 3600*time.Second, func(p *sim.Proc, c *dfs.Client, _ int) error {
 			cfg := kvstore.DefaultBenchConfig(n)
 			opt := kvstore.DefaultOptions()
 			if o.Quick {
@@ -84,50 +38,57 @@ func Fig8a(o Options) (*Result, error) {
 				// SSTable reads and compactions still happen.
 				opt.MemtableBytes = 256 << 10
 			}
-			// Fill benches use fresh databases, as db_bench does.
-			db1, _ := kvstore.Open(p, c, "/db-seq", opt)
-			if lat, err := kvstore.FillSeq(p, db1, cfg); err == nil {
-				out["fillseq"] = lat.Mean()
-			}
-			db2, _ := kvstore.Open(p, c, "/db-rnd", opt)
-			if lat, err := kvstore.FillRandom(p, db2, cfg); err == nil {
-				out["fillrandom"] = lat.Mean()
-			}
 			syncCfg := cfg
 			syncCfg.N = n / 10 // fillsync is ~100x slower per op; keep runs bounded
-			db3, _ := kvstore.Open(p, c, "/db-sync", opt)
-			if lat, err := kvstore.FillSync(p, db3, syncCfg); err == nil {
-				out["fillsync"] = lat.Mean()
+			// Each database is opened on first use: fill benches get fresh
+			// ones, as db_bench does, and reads run against fillseq's.
+			dbs := map[string]*kvstore.DB{}
+			for _, b := range []struct {
+				op, dir string
+				cfg     kvstore.BenchConfig
+				run     func(*sim.Proc, *kvstore.DB, kvstore.BenchConfig) (*stats.Latency, error)
+			}{
+				{"fillseq", "/db-seq", cfg, kvstore.FillSeq},
+				{"fillrandom", "/db-rnd", cfg, kvstore.FillRandom},
+				{"fillsync", "/db-sync", syncCfg, kvstore.FillSync},
+				{"readseq", "/db-seq", cfg, kvstore.ReadSeq},
+				{"readrandom", "/db-seq", cfg, kvstore.ReadRandom},
+				{"readhot", "/db-seq", cfg, kvstore.ReadHot},
+			} {
+				db := dbs[b.dir]
+				if db == nil {
+					var err error
+					if db, err = kvstore.Open(p, c, b.dir, opt); err != nil {
+						return fmt.Errorf("%s: %w", b.op, err)
+					}
+					dbs[b.dir] = db
+				}
+				lat, err := b.run(p, db, b.cfg)
+				if err != nil {
+					return fmt.Errorf("%s: %w", b.op, err)
+				}
+				out[b.op] = lat.Mean()
 			}
-			// Reads run against the sequentially-filled database.
-			if lat, err := kvstore.ReadSeq(p, db1, cfg); err == nil {
-				out["readseq"] = lat.Mean()
-			}
-			if lat, err := kvstore.ReadRandom(p, db1, cfg); err == nil {
-				out["readrandom"] = lat.Mean()
-			}
-			if lat, err := kvstore.ReadHot(p, db1, cfg); err == nil {
-				out["readhot"] = lat.Mean()
-			}
+			return nil
 		})
-		if !g.wait(3600 * time.Second) {
-			return nil, fmt.Errorf("fig8a: %s stalled", system)
+		if err != nil {
+			return nil, fmt.Errorf("fig8a: %v: %w", kind, err)
 		}
 		return out, nil
 	}
 
-	lf, err := runSystem("linefs")
+	lf, err := runSystem(systems.LineFS)
 	if err != nil {
 		return nil, err
 	}
-	as, err := runSystem("assise")
+	as, err := runSystem(appBaseline)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
 		Name:   "fig8a",
 		Title:  "LevelDB db_bench average latency (us/op), busy replicas",
-		Header: []string{"op", "Assise", "LineFS"},
+		Header: []string{"op", systems.Assise.String(), systems.LineFS.String()},
 	}
 	for _, op := range ops {
 		res.Rows = append(res.Rows, []string{op, us(as[op]), us(lf[op])})
@@ -146,44 +107,39 @@ func Fig8b(o Options) (*Result, error) {
 		files = 10000
 		opsN = 20000
 	}
-	run := func(system string, profile workload.FilebenchProfile) (float64, error) {
-		env, mk, err := fig8System(o, system, 1)
+	run := func(kind systems.Kind, profile workload.FilebenchProfile) (rate float64, err error) {
+		sys, err := deploy(o, kind, o.layout(1), true, nil)
 		if err != nil {
 			return 0, err
 		}
-		defer env.Shutdown()
-		var rate float64
-		g := newGroup(env, 1)
-		env.Go("filebench", func(p *sim.Proc) {
-			defer g.done()
-			c, err := mk(p)
-			if err != nil {
-				return
-			}
+		defer sys.Env.Shutdown()
+		err = runClients(sys, "filebench", 1, 3600*time.Second, func(p *sim.Proc, c *dfs.Client, _ int) error {
 			res, err := workload.Filebench(p, c, workload.FilebenchConfig{
 				Profile: profile, Files: files, Ops: opsN,
 				Dir: "/fb", Seed: o.Seed,
 			}, nil)
-			if err == nil {
-				rate = res.OpsPerSec
+			if err != nil {
+				return err
 			}
+			rate = res.OpsPerSec
+			return nil
 		})
-		if !g.wait(3600 * time.Second) {
-			return 0, fmt.Errorf("fig8b: %s/%v stalled", system, profile)
+		if err != nil {
+			return 0, fmt.Errorf("fig8b: %v/%v: %w", kind, profile, err)
 		}
 		return rate, nil
 	}
 	res := &Result{
 		Name:   "fig8b",
 		Title:  "Filebench throughput (kops/s), busy replicas",
-		Header: []string{"profile", "Assise", "LineFS"},
+		Header: []string{"profile", systems.Assise.String(), systems.LineFS.String()},
 	}
 	for _, prof := range []workload.FilebenchProfile{workload.Fileserver, workload.Varmail} {
-		as, err := run("assise", prof)
+		as, err := run(appBaseline, prof)
 		if err != nil {
 			return nil, err
 		}
-		lf, err := run("linefs", prof)
+		lf, err := run(systems.LineFS, prof)
 		if err != nil {
 			return nil, err
 		}
@@ -211,93 +167,45 @@ func Fig9(o Options) (*Result, error) {
 		netBytes int64
 		series   []float64
 	}
-	run := func(system string, zeroRatio float64, compress bool) (outcome, error) {
-		env := o.newEnv()
-		defer env.Shutdown()
-		var mk clientMaker
-		var netTotal func() int64
-		var fabricSeries *stats.TimeSeries
-		switch system {
-		case "linefs":
-			cfg := lineFSConfig(o, 8)
-			cfg.Compress = compress
-			cl, err := core.NewCluster(env, cfg)
-			if err != nil {
-				return outcome{}, err
-			}
-			fabricSeries = stats.NewTimeSeries(100 * time.Millisecond)
-			cl.Fabric.Series = fabricSeries
-			cl.Start()
-			ip := workload.StartIperf(env, cl.Machines[1].Port, cl.Machines[2].Port, 128<<10)
-			defer ip.Stop()
-			mk = func(p *sim.Proc) (*dfs.Client, error) {
-				a, err := cl.Attach(p, 0)
-				if err != nil {
-					return nil, err
-				}
-				return a.Client, nil
-			}
-			netTotal = func() int64 { return cl.Fabric.Total.Total() - ip.Bytes }
-			var clients []*dfs.Client
-			g := newGroup(env, 1)
-			var oc outcome
-			env.Go("sort", func(p *sim.Proc) {
-				defer g.done()
-				for i := 0; i < 8; i++ {
-					c, err := mk(p)
-					if err != nil {
-						return
-					}
-					clients = append(clients, c)
-				}
-				pre := netTotal()
-				res, err := workload.TencentSort(p, env, clients, cl.Machines[0].HostCPU, sortCfg(records, zeroRatio))
-				if err == nil {
-					oc.elapsed = res.Elapsed
-					oc.netBytes = netTotal() - pre
-				}
-			})
-			if !g.wait(3600 * time.Second) {
-				return outcome{}, fmt.Errorf("fig9: linefs sort stalled")
-			}
-			oc.series = fabricSeries.Rate()
-			return oc, nil
-		default:
-			cfg := assiseConfig(o, 8, assise.BgRepl)
-			cl, err := assise.NewCluster(env, cfg)
-			if err != nil {
-				return outcome{}, err
-			}
-			fabricSeries = stats.NewTimeSeries(100 * time.Millisecond)
-			cl.Fabric.Series = fabricSeries
-			cl.Start()
-			ip := workload.StartIperf(env, cl.Machines[1].Port, cl.Machines[2].Port, 128<<10)
-			defer ip.Stop()
-			var clients []*dfs.Client
-			g := newGroup(env, 1)
-			var oc outcome
-			env.Go("sort", func(p *sim.Proc) {
-				defer g.done()
-				for i := 0; i < 8; i++ {
-					a, err := cl.Attach(p, 0)
-					if err != nil {
-						return
-					}
-					clients = append(clients, a.Client)
-				}
-				pre := cl.Fabric.Total.Total() - ip.Bytes
-				res, err := workload.TencentSort(p, env, clients, cl.Machines[0].HostCPU, sortCfg(records, zeroRatio))
-				if err == nil {
-					oc.elapsed = res.Elapsed
-					oc.netBytes = cl.Fabric.Total.Total() - ip.Bytes - pre
-				}
-			})
-			if !g.wait(3600 * time.Second) {
-				return outcome{}, fmt.Errorf("fig9: assise sort stalled")
-			}
-			oc.series = fabricSeries.Rate()
-			return oc, nil
+	// run sorts on eight clients of one system (LineFS with its compression
+	// stage on), without the dispatch-jitter model, while iperf loads the
+	// link between the two replicas.
+	run := func(kind systems.Kind, zeroRatio float64) (oc outcome, err error) {
+		sys, err := systems.New(o.newEnv(), kind, o.layout(8), func(c *core.Config) { c.Compress = true })
+		if err != nil {
+			return oc, err
 		}
+		env := sys.Env
+		defer env.Shutdown()
+		fabricSeries := stats.NewTimeSeries(100 * time.Millisecond)
+		sys.Fabric.Series = fabricSeries
+		sys.Start()
+		ip := workload.StartIperf(env, sys.Machines[1].Port, sys.Machines[2].Port, 128<<10)
+		defer ip.Stop()
+		netTotal := func() int64 { return sys.Fabric.Total.Total() - ip.Bytes }
+		err = runClients(sys, "sort", 1, 3600*time.Second, func(p *sim.Proc, c *dfs.Client, _ int) error {
+			clients := []*dfs.Client{c}
+			for len(clients) < 8 {
+				c, err := sys.Attach(p, 0)
+				if err != nil {
+					return err
+				}
+				clients = append(clients, c)
+			}
+			pre := netTotal()
+			res, err := workload.TencentSort(p, env, clients, sys.Machines[0].HostCPU, sortCfg(records, zeroRatio))
+			if err != nil {
+				return err
+			}
+			oc.elapsed = res.Elapsed
+			oc.netBytes = netTotal() - pre
+			return nil
+		})
+		if err != nil {
+			return oc, fmt.Errorf("fig9: %v: %w", kind, err)
+		}
+		oc.series = fabricSeries.Rate()
+		return oc, nil
 	}
 
 	res := &Result{
@@ -306,16 +214,16 @@ func Fig9(o Options) (*Result, error) {
 		Header: []string{"config", "runtime (s)", "DFS net bytes (MB)", "vs Assise"},
 		Series: map[string][]float64{},
 	}
-	base, err := run("assise", 0.6, false)
+	base, err := run(appBaseline, 0.6)
 	if err != nil {
 		return nil, err
 	}
 	res.Rows = append(res.Rows, []string{
-		"Assise", fmt.Sprintf("%.2f", base.elapsed.Seconds()),
+		systems.Assise.String(), fmt.Sprintf("%.2f", base.elapsed.Seconds()),
 		fmt.Sprintf("%.0f", float64(base.netBytes)/1e6), "-",
 	})
 	for _, zr := range []float64{0.4, 0.6, 0.8} {
-		oc, err := run("linefs", zr, true)
+		oc, err := run(systems.LineFS, zr)
 		if err != nil {
 			return nil, err
 		}
@@ -341,25 +249,31 @@ func sortCfg(records int, zeroRatio float64) workload.SortConfig {
 // Fig10 reproduces §5.5 Figure 10: Varmail throughput over time on LineFS
 // while replica 1's host crashes at t=8s and recovers at t=16s.
 func Fig10(o Options) (*Result, error) {
-	cfg := lineFSConfig(o, 1)
-	cfg.HeartbeatEvery = 500 * time.Millisecond
-	env, cl, err := newLineFS(o, cfg)
+	l := o.layout(1)
+	l.HeartbeatEvery = 500 * time.Millisecond
+	sys, err := newLineFS(o, l, nil)
 	if err != nil {
 		return nil, err
 	}
+	env, cl := sys.Env, sys.LineFS
+	defer env.Shutdown()
 	series := stats.NewTimeSeries(time.Second)
 	files := 100
 	if !o.Quick {
 		files = 10000
 	}
 
+	var runErr error
 	env.Go("varmail", func(p *sim.Proc) {
-		a, _ := cl.Attach(p, 0)
-		// Run far more ops than fit in 25 s; the timeline is what matters.
-		workload.Filebench(p, a.Client, workload.FilebenchConfig{
-			Profile: workload.Varmail, Files: files, Ops: 100000000,
-			Dir: "/mail", Seed: o.Seed,
-		}, series)
+		c, err := sys.Attach(p, 0)
+		if err == nil {
+			// Run far more ops than fit in 25 s; the timeline is what matters.
+			_, err = workload.Filebench(p, c, workload.FilebenchConfig{
+				Profile: workload.Varmail, Files: files, Ops: 100000000,
+				Dir: "/mail", Seed: o.Seed,
+			}, series)
+		}
+		runErr = err
 	})
 	env.Go("fault", func(p *sim.Proc) {
 		p.Sleep(8 * time.Second)
@@ -368,7 +282,9 @@ func Fig10(o Options) (*Result, error) {
 		cl.RecoverHost(1)
 	})
 	env.RunUntil(25 * time.Second)
-	defer env.Shutdown()
+	if runErr != nil {
+		return nil, fmt.Errorf("fig10: %w", runErr)
+	}
 
 	buckets := series.Buckets()
 	res := &Result{

@@ -15,11 +15,13 @@ import (
 	"sync"
 	"time"
 
-	"linefs/internal/assise"
+	"linefs/internal/cluster"
 	"linefs/internal/core"
+	"linefs/internal/dfs"
 	"linefs/internal/hw"
 	"linefs/internal/node"
 	"linefs/internal/sim"
+	"linefs/internal/systems"
 )
 
 // Options control experiment scale.
@@ -140,8 +142,8 @@ func hostJitter(seed int64) *hw.JitterModel {
 }
 
 // sizes is the one quick/full size table: PM device, public area, per-client
-// log and inode table. LineFS and Assise are always sized alike, so their
-// numbers compare like for like.
+// log and inode table. Every system is sized alike, so their numbers compare
+// like for like.
 func (o Options) sizes() (pm, vol, log int64, inodes int) {
 	if o.Quick {
 		return 1600 << 20, 1280 << 20, 24 << 20, 32768
@@ -149,48 +151,73 @@ func (o Options) sizes() (pm, vol, log int64, inodes int) {
 	return 16 << 30, 12 << 30, 512 << 20, 131072
 }
 
-// lineFSConfig builds the LineFS configuration for a scale.
-func lineFSConfig(o Options, clients int) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.MaxClients = clients
-	cfg.Spec.PMSize, cfg.VolSize, cfg.LogSize, cfg.InodesPerVol = o.sizes()
-	return cfg
+// layout is the testbed at the experiment's scale with clients log slots.
+func (o Options) layout(clients int) cluster.Layout {
+	l := cluster.DefaultLayout()
+	l.MaxClients = clients
+	l.Spec.PMSize, l.VolSize, l.LogSize, l.InodesPerVol = o.sizes()
+	return l
 }
 
-func assiseConfig(o Options, clients int, mode assise.Mode) assise.Config {
-	cfg := assise.DefaultConfig()
-	cfg.Mode = mode
-	cfg.MaxClients = clients
-	cfg.Spec.PMSize, cfg.VolSize, cfg.LogSize, cfg.InodesPerVol = o.sizes()
-	return cfg
-}
-
-// newLineFS builds and starts a LineFS cluster with jitter-modeled hosts.
-func newLineFS(o Options, cfg core.Config) (*sim.Env, *core.Cluster, error) {
-	env := o.newEnv()
-	cl, err := core.NewCluster(env, cfg)
-	if err != nil {
-		return nil, nil, err
+// deploy builds and starts one of the five systems on l with jitter-modeled
+// hosts. busy is the paper's busy-replica setting: the DFS's host-side work
+// runs at raised priority and a co-tenant saturates every replica's cores.
+// lineFSOnly adjusts the rest of a LineFS configuration (see systems.New).
+func deploy(o Options, kind systems.Kind, l cluster.Layout, busy bool, lineFSOnly func(*core.Config)) (*systems.System, error) {
+	if busy {
+		l.DFSPrio = 1
 	}
-	for i, m := range cl.Machines {
+	sys, err := systems.New(o.newEnv(), kind, l, lineFSOnly)
+	if err != nil {
+		return nil, err
+	}
+	for i, m := range sys.Machines {
 		m.HostCPU.Jitter = hostJitter(o.Seed + int64(i))
 	}
-	cl.Start()
-	return env, cl, nil
+	sys.Start()
+	if busy {
+		for _, m := range sys.Machines[1:] {
+			hog(sys.Env, m)
+		}
+	}
+	return sys, nil
 }
 
-// newAssise builds and starts an Assise cluster with jitter-modeled hosts.
-func newAssise(o Options, cfg assise.Config) (*sim.Env, *assise.Cluster, error) {
-	env := o.newEnv()
-	cl, err := assise.NewCluster(env, cfg)
-	if err != nil {
-		return nil, nil, err
+// appBaseline is the Assise that Table 1, Table 2, Fig 8 and Fig 9 run and
+// print under the plain name "Assise": the mode with background replication.
+const appBaseline = systems.AssiseBgRepl
+
+// newLineFS is deploy for the experiments only LineFS runs: idle replicas,
+// the daemon's own counters and fault hooks at sys.LineFS.
+func newLineFS(o Options, l cluster.Layout, lineFSOnly func(*core.Config)) (*systems.System, error) {
+	return deploy(o, systems.LineFS, l, false, lineFSOnly)
+}
+
+// runClients runs body on n client processes, each with a client of its own
+// attached on the primary, and drives the simulation until all have
+// returned. The first error — a failed attach, or what a body returns — ends
+// its worker and is the run's error; so is outliving the virtual deadline
+// (absolute, from simulation start). name is the processes' name, which the
+// sanitizer digest folds in.
+func runClients(sys *systems.System, name string, n int, deadline time.Duration, body func(p *sim.Proc, c *dfs.Client, idx int) error) error {
+	g := newGroup(sys.Env, n)
+	var first error
+	for i := 0; i < n; i++ {
+		sys.Env.Go(name, func(p *sim.Proc) {
+			defer g.done()
+			c, err := sys.Attach(p, 0)
+			if err == nil {
+				err = body(p, c, i)
+			}
+			if err != nil && first == nil {
+				first = err
+			}
+		})
 	}
-	for i, m := range cl.Machines {
-		m.HostCPU.Jitter = hostJitter(o.Seed + int64(i))
+	if !g.wait(deadline) {
+		return fmt.Errorf("stalled: %d of %d clients done", g.n, n)
 	}
-	cl.Start()
-	return env, cl, nil
+	return first
 }
 
 // hog saturates a machine's host cores with an endless CPU-bound co-tenant
@@ -202,16 +229,6 @@ func hog(env *sim.Env, m *node.Machine) {
 				m.HostCPU.Compute(p, time.Millisecond, 0, "app")
 			}
 		})
-	}
-}
-
-// busyReplicas saturates every machine except the primary.
-func busyReplicas(env *sim.Env, machines []*node.Machine) {
-	for i, m := range machines {
-		if i == 0 {
-			continue
-		}
-		hog(env, m)
 	}
 }
 

@@ -87,16 +87,16 @@ var seedRepStats = RepStats{
 // All numbers are simulated time, so they are deterministic across
 // machines.
 func measureRepChain(o Options) (RepStats, error) {
-	cfg := lineFSConfig(o, 1)
-	cfg.ChunkSize = repChunkSize
+	l := o.layout(1)
+	l.ChunkSize = repChunkSize
 	// The full fast path: wire batching plus submission-side doorbell
 	// coalescing, so one dispatch forms several chunks and the sender sees
 	// a real backlog to coalesce.
-	cfg.NotifyChunks = 8
-	env, cl, err := newLineFS(o, cfg)
+	sys, err := newLineFS(o, l, func(c *core.Config) { c.NotifyChunks = 8 })
 	if err != nil {
 		return RepStats{}, err
 	}
+	env, cl := sys.Env, sys.LineFS
 	defer env.Shutdown()
 
 	// Incompressible payload: compression never pays off, so the chain

@@ -23,10 +23,11 @@ func TestClusterResidentBytes(t *testing.T) {
 		wantResident = 113627136
 	)
 	o := DefaultOptions()
-	env, cl, err := newLineFS(o, lineFSConfig(o, 1))
+	cl, err := newLineFS(o, o.layout(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	env := cl.Env
 	defer env.Shutdown()
 	resident := func() (n int64) {
 		for _, m := range cl.Machines {
@@ -37,8 +38,12 @@ func TestClusterResidentBytes(t *testing.T) {
 	format := resident()
 	g := newGroup(env, 1)
 	env.Go("bench", func(p *sim.Proc) {
-		a, _ := cl.Attach(p, 0)
-		if _, err := workload.WriteBench(p, a.Client, "/f", total, 16<<10, o.Seed); err != nil {
+		c, err := cl.Attach(p, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := workload.WriteBench(p, c, "/f", total, 16<<10, o.Seed); err != nil {
 			t.Error(err)
 		}
 		p.Sleep(2 * time.Second) // publication drains

@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"linefs/internal/assise"
 	"linefs/internal/cephsim"
+	"linefs/internal/dfs"
 	"linefs/internal/sim"
 	"linefs/internal/stats"
+	"linefs/internal/systems"
 	"linefs/internal/workload"
 )
 
@@ -37,36 +38,24 @@ func Table1(o Options) (*Result, error) {
 	for _, net := range nets {
 		for _, procs := range procsList {
 			// --- Assise ---
-			acfg := assiseConfig(o, procs, assise.BgRepl)
-			acfg.Spec.NetBW = net.bw
-			env, acl, err := newAssise(o, acfg)
+			l := o.layout(procs)
+			l.Spec.NetBW = net.bw
+			sys, err := deploy(o, appBaseline, l, false, nil)
 			if err != nil {
 				return nil, err
 			}
-			g := newGroup(env, procs)
-			var start, end sim.Time
-			for i := 0; i < procs; i++ {
-				idx := i
-				env.Go("bench", func(p *sim.Proc) {
-					a, err := acl.Attach(p, 0)
-					if err != nil {
-						return
-					}
-					workload.WriteBench(p, a.Client, fmt.Sprintf("/w%d", idx), perProc, 4096, o.Seed+int64(idx))
-					if p.Now() > end {
-						end = p.Now()
-					}
-					g.done()
-				})
-			}
-			ok := g.wait(300 * time.Second)
-			elapsed := time.Duration(end - start)
-			aTputDone := ok
+			var end sim.Time
+			err = runClients(sys, "bench", procs, 300*time.Second, func(p *sim.Proc, c *dfs.Client, idx int) error {
+				_, err := workload.WriteBench(p, c, fmt.Sprintf("/w%d", idx), perProc, 4096, o.Seed+int64(idx))
+				end = max(end, p.Now())
+				return err
+			})
+			elapsed := time.Duration(end)
 			aTput := float64(procs*perProc) / elapsed.Seconds()
-			aCPU := acl.Machines[0].HostCPU.Util.Percent("dfs", elapsed)
-			env.Shutdown()
-			if !aTputDone {
-				return nil, fmt.Errorf("table1: assise run stalled")
+			aCPU := sys.Machines[0].HostCPU.Util.Percent("dfs", elapsed)
+			sys.Env.Shutdown()
+			if err != nil {
+				return nil, fmt.Errorf("table1: %v: %w", sys.Kind, err)
 			}
 
 			// --- Ceph ---
@@ -121,65 +110,41 @@ func Table2(o Options) (*Result, error) {
 	io := 16 << 10
 
 	type out struct{ seq, rnd float64 }
-	measureLineFS := func() (out, error) {
-		cfg := lineFSConfig(o, 1)
-		env, cl, err := newLineFS(o, cfg)
+	measure := func(kind systems.Kind) (r out, err error) {
+		sys, err := deploy(o, kind, o.layout(1), false, nil)
 		if err != nil {
-			return out{}, err
+			return r, err
 		}
-		var r out
-		g := newGroup(env, 1)
-		env.Go("bench", func(p *sim.Proc) {
-			a, _ := cl.Attach(p, 0)
-			workload.WriteBench(p, a.Client, "/r", total, io, o.Seed)
+		defer sys.Env.Shutdown()
+		err = runClients(sys, "bench", 1, 600*time.Second, func(p *sim.Proc, c *dfs.Client, _ int) (err error) {
+			if _, err = workload.WriteBench(p, c, "/r", total, io, o.Seed); err != nil {
+				return err
+			}
 			p.Sleep(2 * time.Second) // publication drains
-			r.seq, _ = workload.ReadBench(p, a.Client, "/r", total, io, false, o.Seed)
-			r.rnd, _ = workload.ReadBench(p, a.Client, "/r", total, io, true, o.Seed)
-			g.done()
+			if r.seq, err = workload.ReadBench(p, c, "/r", total, io, false, o.Seed); err != nil {
+				return err
+			}
+			r.rnd, err = workload.ReadBench(p, c, "/r", total, io, true, o.Seed)
+			return err
 		})
-		ok := g.wait(600 * time.Second)
-		env.Shutdown()
-		if !ok {
-			return out{}, fmt.Errorf("table2: linefs run stalled")
-		}
-		return r, nil
-	}
-	measureAssise := func() (out, error) {
-		cfg := assiseConfig(o, 1, assise.BgRepl)
-		env, cl, err := newAssise(o, cfg)
 		if err != nil {
-			return out{}, err
-		}
-		var r out
-		g := newGroup(env, 1)
-		env.Go("bench", func(p *sim.Proc) {
-			a, _ := cl.Attach(p, 0)
-			workload.WriteBench(p, a.Client, "/r", total, io, o.Seed)
-			p.Sleep(2 * time.Second)
-			r.seq, _ = workload.ReadBench(p, a.Client, "/r", total, io, false, o.Seed)
-			r.rnd, _ = workload.ReadBench(p, a.Client, "/r", total, io, true, o.Seed)
-			g.done()
-		})
-		ok := g.wait(600 * time.Second)
-		env.Shutdown()
-		if !ok {
-			return out{}, fmt.Errorf("table2: assise run stalled")
+			return r, fmt.Errorf("table2: %v: %w", kind, err)
 		}
 		return r, nil
 	}
 
-	lf, err := measureLineFS()
+	lf, err := measure(systems.LineFS)
 	if err != nil {
 		return nil, err
 	}
-	as, err := measureAssise()
+	as, err := measure(appBaseline)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{
 		Name:   "table2",
 		Title:  "read throughput (MB/s)",
-		Header: []string{"pattern", "Assise", "LineFS"},
+		Header: []string{"pattern", systems.Assise.String(), systems.LineFS.String()},
 		Rows: [][]string{
 			{"sequential", mbps(as.seq), mbps(lf.seq)},
 			{"random", mbps(as.rnd), mbps(lf.rnd)},
@@ -197,55 +162,18 @@ func Table3(o Options) (*Result, error) {
 		nOps = 20000
 	}
 
-	runLineFS := func(busy bool) (*stats.Latency, error) {
-		cfg := lineFSConfig(o, 1)
-		if busy {
-			cfg.DFSPrio = 1
-		}
-		env, cl, err := newLineFS(o, cfg)
+	run := func(kind systems.Kind, busy bool) (lat *stats.Latency, err error) {
+		sys, err := deploy(o, kind, o.layout(1), busy, nil)
 		if err != nil {
 			return nil, err
 		}
-		if busy {
-			busyReplicas(env, cl.Machines)
-		}
-		var lat *stats.Latency
-		g := newGroup(env, 1)
-		env.Go("bench", func(p *sim.Proc) {
-			a, _ := cl.Attach(p, 0)
-			lat, _ = workload.LatencyBench(p, a.Client, "/lat", nOps, 16<<10, o.Seed)
-			g.done()
+		defer sys.Env.Shutdown()
+		err = runClients(sys, "bench", 1, 1200*time.Second, func(p *sim.Proc, c *dfs.Client, _ int) (err error) {
+			lat, err = workload.LatencyBench(p, c, "/lat", nOps, 16<<10, o.Seed)
+			return err
 		})
-		ok := g.wait(1200 * time.Second)
-		env.Shutdown()
-		if !ok {
-			return nil, fmt.Errorf("table3: linefs stalled (busy=%v)", busy)
-		}
-		return lat, nil
-	}
-	runAssise := func(mode assise.Mode, busy bool) (*stats.Latency, error) {
-		cfg := assiseConfig(o, 1, mode)
-		if busy {
-			cfg.DFSPrio = 1
-		}
-		env, cl, err := newAssise(o, cfg)
 		if err != nil {
-			return nil, err
-		}
-		if busy {
-			busyReplicas(env, cl.Machines)
-		}
-		var lat *stats.Latency
-		g := newGroup(env, 1)
-		env.Go("bench", func(p *sim.Proc) {
-			a, _ := cl.Attach(p, 0)
-			lat, _ = workload.LatencyBench(p, a.Client, "/lat", nOps, 16<<10, o.Seed)
-			g.done()
-		})
-		ok := g.wait(1200 * time.Second)
-		env.Shutdown()
-		if !ok {
-			return nil, fmt.Errorf("table3: %v stalled (busy=%v)", mode, busy)
+			return nil, fmt.Errorf("table3: %v (busy=%v): %w", kind, busy, err)
 		}
 		return lat, nil
 	}
@@ -255,26 +183,17 @@ func Table3(o Options) (*Result, error) {
 		Title:  "write+fsync latency (us)",
 		Header: []string{"system", "idle avg", "idle p99", "idle p99.9", "busy avg", "busy p99", "busy p99.9"},
 	}
-	type sys struct {
-		name string
-		run  func(busy bool) (*stats.Latency, error)
-	}
-	systems := []sys{
-		{"Assise", func(b bool) (*stats.Latency, error) { return runAssise(assise.Pessimistic, b) }},
-		{"Assise+Hyperloop", func(b bool) (*stats.Latency, error) { return runAssise(assise.Hyperloop, b) }},
-		{"LineFS", runLineFS},
-	}
-	for _, s := range systems {
-		idle, err := s.run(false)
+	for _, kind := range []systems.Kind{systems.Assise, systems.AssiseHyperloop, systems.LineFS} {
+		idle, err := run(kind, false)
 		if err != nil {
 			return nil, err
 		}
-		busy, err := s.run(true)
+		busy, err := run(kind, true)
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, []string{
-			s.name,
+			kind.String(),
 			us(idle.Mean()), us(idle.Percentile(99)), us(idle.Percentile(99.9)),
 			us(busy.Mean()), us(busy.Percentile(99)), us(busy.Percentile(99.9)),
 		})

@@ -3,17 +3,26 @@ package check
 import (
 	"testing"
 
-	"linefs/internal/assise"
+	"linefs/internal/systems"
 )
 
-// Every test builds fresh targets (one Env per case) and package state is
-// written only during init, so the suites can run in parallel.
+// The suite is a matrix, AllCases() x every system of the table: 30 cases on
+// each of the five. Every cell builds a fresh target (one Env per case) and
+// package state is written only during init, so rows run in parallel.
+// Under -short only LineFS's row runs; the other four are cross-checks of
+// the same cases on the baselines and the ablation.
+//
+// The first four tests are the cells that ran before the matrix was
+// complete, under the names tier-1's records know them by;
+// TestSuiteOnEverySystem runs every cell they do not.
 
-func TestGenericSuiteOnLineFS(t *testing.T) {
+func suite(t *testing.T, kind systems.Kind, cases []Case) {
+	if testing.Short() && kind != systems.LineFS {
+		t.Skip("cross-check; LineFS's row covers the cases in -short")
+	}
 	t.Parallel()
-	mk := func() (*Target, error) { return NewLineFSTarget(1) }
-	for _, c := range append(Generic(), genericExtra...) {
-		c := c
+	mk := func() (*Target, error) { return NewTarget(1, kind) }
+	for _, c := range cases {
 		t.Run(c.Name, func(t *testing.T) {
 			if err := RunCase(mk, c); err != nil {
 				t.Fatal(err)
@@ -22,47 +31,22 @@ func TestGenericSuiteOnLineFS(t *testing.T) {
 	}
 }
 
-func TestCrashSuiteOnLineFS(t *testing.T) {
-	t.Parallel()
-	mk := func() (*Target, error) { return NewLineFSTarget(1) }
-	for _, c := range CrashCases() {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			if err := RunCase(mk, c); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
+func generic() []Case { return append(Generic(), genericExtra...) }
 
-func TestGenericSuiteOnAssise(t *testing.T) {
-	if testing.Short() {
-		t.Skip("baseline cross-check; LineFS generic suite covers the cases in -short")
-	}
-	t.Parallel()
-	mk := func() (*Target, error) { return NewAssiseTarget(1, assise.Pessimistic) }
-	for _, c := range append(Generic(), genericExtra...) {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			if err := RunCase(mk, c); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
+func TestGenericSuiteOnLineFS(t *testing.T)    { suite(t, systems.LineFS, generic()) }
+func TestCrashSuiteOnLineFS(t *testing.T)      { suite(t, systems.LineFS, CrashCases()) }
+func TestGenericSuiteOnAssise(t *testing.T)    { suite(t, systems.Assise, generic()) }
+func TestGenericSuiteOnHyperloop(t *testing.T) { suite(t, systems.AssiseHyperloop, generic()) }
 
-func TestGenericSuiteOnHyperloop(t *testing.T) {
-	if testing.Short() {
-		t.Skip("baseline cross-check; LineFS generic suite covers the cases in -short")
-	}
-	t.Parallel()
-	mk := func() (*Target, error) { return NewAssiseTarget(1, assise.Hyperloop) }
-	for _, c := range Generic() {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			if err := RunCase(mk, c); err != nil {
-				t.Fatal(err)
-			}
-		})
+func TestSuiteOnEverySystem(t *testing.T) {
+	for _, kind := range systems.All() {
+		cases := AllCases()
+		switch kind {
+		case systems.LineFS:
+			continue
+		case systems.Assise, systems.AssiseHyperloop:
+			cases = CrashCases()
+		}
+		t.Run(kind.Flag(), func(t *testing.T) { suite(t, kind, cases) })
 	}
 }

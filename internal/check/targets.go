@@ -3,80 +3,41 @@ package check
 import (
 	"fmt"
 
-	"linefs/internal/assise"
-	"linefs/internal/core"
+	"linefs/internal/cluster"
 	"linefs/internal/dfs"
 	"linefs/internal/fs"
 	"linefs/internal/sim"
+	"linefs/internal/systems"
 )
 
-// NewLineFSTarget builds a fresh LineFS cluster target.
+// NewTarget builds a fresh cluster of one of the evaluated systems as a
+// target.
 //
 // Sizes are deliberately small: the check cases are correctness tests that
 // write at most ~16 MB, and every case builds (and tears down) a fresh
 // three-machine cluster, so PM array size directly dominates suite runtime
 // (page-fault and zeroing cost, not simulation work).
-func NewLineFSTarget(seed int64) (*Target, error) {
-	cfg := core.DefaultConfig()
-	cfg.Spec.PMSize = 256 << 20
-	cfg.VolSize = 128 << 20
-	cfg.LogSize = 24 << 20
-	cfg.ChunkSize = 1 << 20
-	cfg.MaxClients = 4
-	cfg.InodesPerVol = 16384
+func NewTarget(seed int64, kind systems.Kind) (*Target, error) {
+	l := cluster.DefaultLayout()
+	l.Spec.PMSize = 256 << 20
+	l.VolSize = 128 << 20
+	l.LogSize = 24 << 20
+	l.ChunkSize = 1 << 20
+	l.MaxClients = 4
+	l.InodesPerVol = 16384
 	env := sim.NewEnv(seed)
-	cl, err := core.NewCluster(env, cfg)
+	sys, err := systems.New(env, kind, l, nil)
 	if err != nil {
 		return nil, err
 	}
-	cl.Start()
+	sys.Start()
 	return &Target{
-		Env: env,
-		Attach: func(p *sim.Proc) (*dfs.Client, error) {
-			a, err := cl.Attach(p, 0)
-			if err != nil {
-				return nil, err
-			}
-			return a.Client, nil
-		},
-		CrashPrimaryPM: func() { cl.Machines[0].PM.Crash() },
+		Env:            env,
+		Attach:         func(p *sim.Proc) (*dfs.Client, error) { return sys.Attach(p, 0) },
+		CrashPrimaryPM: func() { sys.Machines[0].PM.Crash() },
 		ReopenLog: func() (*fs.LogArea, *fs.Ctx, error) {
-			ctx := fs.NoCostCtx(cl.Machines[0].PM)
-			la, err := fs.OpenLogArea(ctx, cfg.VolSize, cfg.LogSize)
-			return la, ctx, err
-		},
-	}, nil
-}
-
-// NewAssiseTarget builds a fresh Assise cluster target.
-func NewAssiseTarget(seed int64, mode assise.Mode) (*Target, error) {
-	cfg := assise.DefaultConfig()
-	cfg.Spec.PMSize = 256 << 20
-	cfg.VolSize = 128 << 20
-	cfg.LogSize = 24 << 20
-	cfg.ChunkSize = 1 << 20
-	cfg.MaxClients = 4
-	cfg.InodesPerVol = 16384
-	cfg.Mode = mode
-	env := sim.NewEnv(seed)
-	cl, err := assise.NewCluster(env, cfg)
-	if err != nil {
-		return nil, err
-	}
-	cl.Start()
-	return &Target{
-		Env: env,
-		Attach: func(p *sim.Proc) (*dfs.Client, error) {
-			a, err := cl.Attach(p, 0)
-			if err != nil {
-				return nil, err
-			}
-			return a.Client, nil
-		},
-		CrashPrimaryPM: func() { cl.Machines[0].PM.Crash() },
-		ReopenLog: func() (*fs.LogArea, *fs.Ctx, error) {
-			ctx := fs.NoCostCtx(cl.Machines[0].PM)
-			la, err := fs.OpenLogArea(ctx, cfg.VolSize, cfg.LogSize)
+			ctx := fs.NoCostCtx(sys.Machines[0].PM)
+			la, err := fs.OpenLogArea(ctx, sys.LogBase(0), l.LogSize)
 			return la, ctx, err
 		},
 	}, nil

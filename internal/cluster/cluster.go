@@ -5,6 +5,11 @@
 // down, bump the cluster epoch, expire its leases (via the listener) and
 // notify the survivors. Recovery bumps the epoch again after a single
 // responsive probe.
+//
+// The package also holds what a deployment is before any DFS runs on it
+// (testbed.go): the Layout both evaluated systems are configured by and the
+// Testbed — machines, formatted volumes, this manager, client log slots —
+// that core.Cluster and assise.Cluster embed under their daemons.
 package cluster
 
 import (

@@ -45,12 +45,8 @@ func (a *Attachment) Detach() { a.backend.close() }
 // newAttachment attaches a client process on machine to NICFS slot.
 func newAttachment(p *sim.Proc, cl *Cluster, machine, slot int) (*Attachment, error) {
 	m := cl.Machines[machine]
-	b := &linefsBackend{
-		cl:      cl,
-		machine: machine,
-		slot:    slot,
-		id:      fmt.Sprintf("%s/c%d", m.Name, slot),
-	}
+	cfg := cl.LibFS(machine, slot)
+	b := &linefsBackend{cl: cl, machine: machine, slot: slot, id: cfg.ID}
 	b.lowConn = rdma.Dial(m.HostPort, m.NICPort, svcLow, true)
 	b.bulkConn = rdma.Dial(m.HostPort, m.NICPort, svcBulk, false)
 
@@ -60,22 +56,12 @@ func newAttachment(p *sim.Proc, cl *Cluster, machine, slot int) (*Attachment, er
 	}
 	resp := v.(*attachResp)
 
-	client := dfs.NewClient(cl.Env, b, dfs.Config{
-		ID:  b.id,
-		Log: cl.NICs[machine].clients[slot].log,
-		Vol: cl.Vols[machine],
-		HostCtx: func(hp *sim.Proc) *fs.Ctx {
-			return cl.hostCtx(hp, machine, "dfs")
-		},
-		Syscall: func(hp *sim.Proc) {
-			m.HostCPU.Compute(hp, cl.Cfg.Spec.SyscallCost, cl.Cfg.DFSPrio, "dfs")
-		},
-		InoBase:      resp.InoBase,
-		InoMax:       resp.InoCount,
-		ChunkSize:    cl.Cfg.ChunkSize,
-		NotifyChunks: cl.Cfg.NotifyChunks,
-		LeaseTTL:     cl.Cfg.LeaseTTL,
-	})
+	// NICFS admitted the client: it owns the log area and hands out the
+	// inode range.
+	cfg.Log = cl.NICs[machine].clients[slot].log
+	cfg.InoBase, cfg.InoMax = resp.InoBase, resp.InoCount
+	cfg.NotifyChunks = cl.Cfg.NotifyChunks
+	client := dfs.NewClient(cl.Env, b, cfg)
 	b.client = client
 
 	b.svcQ = sim.NewQueue[*rdma.Msg](cl.Env, 0)

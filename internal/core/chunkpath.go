@@ -143,7 +143,7 @@ func newClientState(n *NICFS, slot int, id string, la *fs.LogArea) *clientState 
 		xferQ:    sim.NewQueue[*chunk](n.cl.Env, 0),
 		xferBuf:  make(map[uint64]*chunk),
 	}
-	cs.chain = n.cl.chain(n.machine)
+	cs.chain = n.cl.Chain(n.machine)
 	cs.chainNames = make([]string, len(cs.chain))
 	for i, mi := range cs.chain {
 		cs.chainNames[i] = n.cl.Machines[mi].Name

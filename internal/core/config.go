@@ -18,11 +18,7 @@
 // the background with SmartNIC cores, keeping client log order end to end.
 package core
 
-import (
-	"time"
-
-	"linefs/internal/node"
-)
+import "linefs/internal/cluster"
 
 // PubMode selects how the kernel worker publishes chunk data (Figure 7).
 type PubMode uint8
@@ -60,24 +56,10 @@ func (m PubMode) String() string {
 	return "unknown"
 }
 
-// Config parameterizes a LineFS cluster.
+// Config parameterizes a LineFS cluster: the shared testbed layout plus what
+// only NICFS and its kernel worker have.
 type Config struct {
-	Spec  node.Spec
-	Nodes int
-	// Replicas is the chain length beyond the primary (default 2: three
-	// copies, as in the paper's 3-node testbed).
-	Replicas int
-
-	// MaxClients bounds concurrently attached LibFS instances per node;
-	// it sizes the per-client PM log slots.
-	MaxClients int
-	// VolSize is the public PM area per node; LogSize the per-client log
-	// (the paper configures 512 MB logs; experiments here default smaller
-	// to keep simulations light — throughput is steady-state either way).
-	VolSize int64
-	LogSize int64
-	// ChunkSize is the pipeline unit (4 MB in the paper).
-	ChunkSize int
+	cluster.Layout
 
 	// Parallel enables pipeline parallelism; false gives the
 	// LineFS-NotParallel configuration that processes each chunk's stages
@@ -104,42 +86,14 @@ type Config struct {
 
 	// PubMode selects the kernel worker's publication method.
 	PubMode PubMode
-
-	// LeaseTTL is the lease lifetime.
-	LeaseTTL time.Duration
-
-	// DFSPrio is the scheduling priority of host-side DFS work (kernel
-	// worker, LibFS service) relative to applications (0 = equal).
-	DFSPrio int
-
-	// HeartbeatEvery paces the cluster manager and the NICFS->kernel
-	// worker failure detector.
-	HeartbeatEvery time.Duration
-
-	// InodesPerVol sizes each node's inode table; InoRangePerClient is the
-	// private inode number range handed to each LibFS at attach.
-	InodesPerVol      int
-	InoRangePerClient int
 }
 
-// DefaultConfig returns the paper's configuration at simulation-friendly
-// log sizes.
+// DefaultConfig returns the paper's configuration on the default layout.
 func DefaultConfig() Config {
 	return Config{
-		Spec:              node.DefaultSpec(),
-		Nodes:             3,
-		Replicas:          2,
-		MaxClients:        8,
-		VolSize:           1 << 30,
-		LogSize:           64 << 20,
-		ChunkSize:         4 << 20,
-		Parallel:          true,
-		Compress:          false,
-		NotifyChunks:      1,
-		PubMode:           PubDMAIntrBatch,
-		LeaseTTL:          time.Second,
-		HeartbeatEvery:    time.Second,
-		InodesPerVol:      65536,
-		InoRangePerClient: 4096,
+		Layout:       cluster.DefaultLayout(),
+		Parallel:     true,
+		NotifyChunks: 1,
+		PubMode:      PubDMAIntrBatch,
 	}
 }

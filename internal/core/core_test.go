@@ -128,7 +128,7 @@ func TestFsyncDurableAcrossPrimaryHostCrash(t *testing.T) {
 	// the primary's own persisted log.
 	cl.Machines[0].PM.Crash()
 	c := fs.NoCostCtx(cl.Machines[0].PM)
-	la, err := fs.OpenLogArea(c, cl.logBase(0), cl.Cfg.LogSize)
+	la, err := fs.OpenLogArea(c, cl.LogBase(0), cl.Cfg.LogSize)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"linefs/internal/compress"
 	"linefs/internal/fs"
@@ -110,7 +111,11 @@ func (n *NICFS) routeMirror(p *sim.Proc, msg *rdma.Msg) {
 	}
 	ms := n.mirrors[slot]
 	if ms == nil {
-		ms = n.newMirror(slot)
+		// A frame for a slot nobody attached, or whose chain does not pass
+		// here, is dropped and never acknowledged.
+		if ms = n.newMirror(slot); ms == nil {
+			return
+		}
 	}
 	ms.q.Put(p, msg)
 }
@@ -127,33 +132,24 @@ func replSpan(arg any) (slot int, from, to uint64, ok bool) {
 	return 0, 0, 0, false
 }
 
+// newMirror starts slot's mirror on this node, or returns nil when the node
+// is not a replica of the slot's chain (which starts at the machine the
+// slot's client attached on).
 func (n *NICFS) newMirror(slot int) *mirrorState {
 	cl := n.cl
-	// The chain is defined by the slot's primary; find our position. The
-	// primary machine for a slot is recorded by the client that attached;
-	// replicas derive it from chain geometry: the primary is the machine
-	// whose chain contains us. Chains are (primary, primary+1, …) mod N,
-	// so walk candidates.
-	var chain []int
-	pos := 0
-	for cand := 0; cand < cl.Cfg.Nodes; cand++ {
-		ch := cl.chain(cand)
-		for i, mi := range ch {
-			if mi == n.machine && i > 0 && cl.clients[slot] != nil && cl.clients[slot].machine == cand {
-				chain = ch
-				pos = i
-			}
-		}
+	primary, ok := cl.SlotMachine(slot)
+	if !ok {
+		return nil
 	}
-	if chain == nil {
-		// Fall back: assume the immediate predecessor is the primary.
-		chain = cl.chain((n.machine - 1 + cl.Cfg.Nodes) % cl.Cfg.Nodes)
-		pos = 1
+	chain := cl.Chain(primary)
+	pos := slices.Index(chain, n.machine)
+	if pos <= 0 {
+		return nil
 	}
 	ms := &mirrorState{
 		n:        n,
 		slot:     slot,
-		log:      fs.NewLogArea(cl.Machines[n.machine].PM, cl.logBase(slot), cl.Cfg.LogSize),
+		log:      fs.NewLogArea(cl.Machines[n.machine].PM, cl.LogBase(slot), cl.Cfg.LogSize),
 		chainPos: pos,
 		chain:    chain,
 		q:        sim.NewQueue[*rdma.Msg](cl.Env, 0),
@@ -460,7 +456,7 @@ func batchWireLen(rb *replChunkBatch) int {
 func (ms *mirrorState) forwardBatchDirect(p *sim.Proc, next int, rb *replChunkBatch) {
 	n := ms.n
 	cl := n.cl
-	lastLog := fs.NewLogView(cl.logBase(rb.Slot), cl.Cfg.LogSize)
+	lastLog := fs.NewLogView(cl.LogBase(rb.Slot), cl.Cfg.LogSize)
 	conn := n.peer(next, rb.Sync)
 	for i := range rb.Chunks {
 		bc := &rb.Chunks[i]

@@ -8,6 +8,7 @@ import (
 
 	"linefs/internal/compress"
 	"linefs/internal/fs"
+	"linefs/internal/rdma"
 	"linefs/internal/sim"
 )
 
@@ -166,11 +167,56 @@ func TestMirrorFramingGates(t *testing.T) {
 	}
 }
 
+// TestMirrorDropsFrameOffItsChain: a node runs a mirror only for a slot whose
+// chain passes through it as a replica, and the chain starts where the slot's
+// client attached. A well-formed frame for a slot nobody attached, or for an
+// attached slot delivered to its own primary, is dropped whole: no mirror
+// process, no ack, no forward, no byte in the slot's log area — where the
+// seed guessed a chain ("the immediate predecessor is the primary"),
+// persisted the bytes and acknowledged them to a node that never sent them.
+func TestMirrorDropsFrameOffItsChain(t *testing.T) {
+	t.Parallel()
+	raw := wireEntries(1, 8<<10)
+	frame := func(slot int) *rdma.Msg {
+		bc := batchChunk{From: 0, To: uint64(len(raw)), Payload: raw, RawLen: len(raw)}
+		return &rdma.Msg{Op: "repl-batch", Arg: &replChunkBatch{Slot: slot, From: bc.From, To: bc.To, Chunks: []batchChunk{bc}}}
+	}
+	env, cl := newTestCluster(t, testConfig())
+	defer env.Shutdown()
+	run(t, env, 10*time.Second, func(p *sim.Proc) {
+		if _, err := cl.Attach(p, 0); err != nil { // slot 0: chain 0 -> 1 -> 2
+			t.Fatal(err)
+		}
+		cl.NICs[1].routeMirror(p, frame(1)) // slot 1: nobody attached
+		cl.NICs[0].routeMirror(p, frame(0)) // slot 0 at its own primary
+		p.Sleep(50 * time.Millisecond)
+		for i, nic := range cl.NICs {
+			if len(nic.mirrors) != 0 {
+				t.Errorf("node %d started %d mirror(s) for a frame off its chain", i, len(nic.mirrors))
+			}
+			if nic.AckMsgs != 0 || nic.RepMsgs != 0 {
+				t.Errorf("node %d: %d acks received, %d frames forwarded; want none", i, nic.AckMsgs, nic.RepMsgs)
+			}
+		}
+		got := make([]byte, len(raw))
+		fs.NoCostCtx(cl.Machines[1].PM).Read(cl.LogBase(1), got)
+		if !bytes.Equal(got, make([]byte, len(raw))) {
+			t.Error("node 1 persisted bytes into the log area of a slot nobody attached")
+		}
+
+		// The same frame on the slot's chain goes through.
+		cl.NICs[1].routeMirror(p, frame(0))
+		p.Sleep(50 * time.Millisecond)
+		assertMirrorLogHolds(t, cl, 1, raw)
+		assertMirrorLogHolds(t, cl, 2, raw)
+	})
+}
+
 // assertMirrorLogHolds checks that machine mi's PM mirror of slot 0's log
 // starts with exactly want.
 func assertMirrorLogHolds(t *testing.T, cl *Cluster, mi int, want []byte) {
 	t.Helper()
-	la := fs.NewLogArea(cl.Machines[mi].PM, cl.logBase(0), cl.Cfg.LogSize)
+	la := fs.NewLogArea(cl.Machines[mi].PM, cl.LogBase(0), cl.Cfg.LogSize)
 	got := make([]byte, len(want))
 	la.ReadRawInto(fs.NoCostCtx(cl.Machines[mi].PM), 0, got)
 	if !bytes.Equal(got, want) {

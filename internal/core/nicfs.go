@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"linefs/internal/cluster"
 	"linefs/internal/fs"
 	"linefs/internal/lease"
 	"linefs/internal/pipeline"
@@ -121,7 +122,7 @@ func newNICFS(cl *Cluster, machine int) *NICFS {
 		cl:       cl,
 		machine:  machine,
 		vol:      cl.Vols[machine],
-		leases:   lease.NewTable(cl.Env, cl.Cfg.LeaseTTL),
+		leases:   lease.NewTable(cl.Env, cluster.LeaseTTL),
 		lowQ:     sim.NewQueue[*rdma.Msg](cl.Env, 0),
 		bulkQ:    sim.NewQueue[*rdma.Msg](cl.Env, 0),
 		clients:  make(map[int]*clientState),
@@ -319,7 +320,7 @@ func (n *NICFS) runBulk(p *sim.Proc) {
 func (n *NICFS) handleAttach(p *sim.Proc, msg *rdma.Msg) {
 	req := msg.Arg.(*attachReq)
 	cl := n.cl
-	logBase := cl.logBase(req.Slot)
+	logBase := cl.LogBase(req.Slot)
 	// Idempotent for the RPC-retry path: a duplicate attach (the response
 	// was lost, the client retried) must not tear down live per-client
 	// state — re-answer with the same admission instead.
@@ -327,12 +328,8 @@ func (n *NICFS) handleAttach(p *sim.Proc, msg *rdma.Msg) {
 		la := fs.NewLogArea(cl.Machines[n.machine].PM, logBase, cl.Cfg.LogSize)
 		n.clients[req.Slot] = newClientState(n, req.Slot, req.Client, la)
 	}
-	resp := &attachResp{
-		InoBase:  fs.Ino(16 + req.Slot*cl.Cfg.InoRangePerClient),
-		InoCount: cl.Cfg.InoRangePerClient,
-		LogBase:  logBase,
-		LogSize:  cl.Cfg.LogSize,
-	}
+	resp := &attachResp{LogBase: logBase, LogSize: cl.Cfg.LogSize}
+	resp.InoBase, resp.InoCount = cl.InoRange(req.Slot)
 	msg.Respond(p, resp, 64)
 }
 
@@ -414,7 +411,7 @@ func (n *NICFS) runLeasePersister(p *sim.Proc) {
 			n.persistLeaseRecord(p, rec)
 		}
 		// Replicate the batch to chain peers.
-		for _, mi := range n.cl.chain(n.machine)[1:] {
+		for _, mi := range n.cl.Chain(n.machine)[1:] {
 			for i := range batch {
 				n.peer(mi, false).Send(p, "lease-record", &batch[i], 48)
 			}

@@ -11,19 +11,22 @@ import (
 	"linefs/internal/sim"
 )
 
-// TestConfigFieldsPinned lists core.Config's fields exactly. Each field is
-// an option, and each independent option doubles the configurations tests
-// and benchmarks must cover, so adding one is a deliberate diff against this
-// list: the simplicity guide admits a new option only when two callers that
-// exist in the tree (tests and examples do not count) need different values,
-// and asks for a constant, or for a value worked out from a measurement the
-// code already takes, otherwise.
+// TestConfigFieldsPinned lists core.Config's fields exactly: the embedded
+// testbed layout, the eleven names it promotes (shared with assise.Config,
+// which pins them too), then LineFS's own six. Each field is an option, and
+// each independent option doubles the configurations tests and benchmarks
+// must cover, so adding one is a deliberate diff against this list: the
+// simplicity guide admits a new option only when two callers that exist in
+// the tree (tests and examples do not count) need different values, and asks
+// for a constant, or for a value worked out from a measurement the code
+// already takes, otherwise.
 func TestConfigFieldsPinned(t *testing.T) {
 	t.Parallel()
 	want := []string{
+		"Layout",
 		"Spec", "Nodes", "Replicas", "MaxClients", "VolSize", "LogSize", "ChunkSize",
-		"Parallel", "Compress", "NotifyChunks", "DisableCoalesce", "DisableDirectWrite",
-		"PubMode", "LeaseTTL", "DFSPrio", "HeartbeatEvery", "InodesPerVol", "InoRangePerClient",
+		"DFSPrio", "HeartbeatEvery", "InodesPerVol", "InoRangePerClient",
+		"Parallel", "Compress", "NotifyChunks", "DisableCoalesce", "DisableDirectWrite", "PubMode",
 	}
 	var got []string
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {

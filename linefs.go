@@ -25,45 +25,29 @@ import (
 	"fmt"
 	"time"
 
-	"linefs/internal/assise"
+	"linefs/internal/cluster"
 	"linefs/internal/core"
 	"linefs/internal/dfs"
-	"linefs/internal/node"
 	"linefs/internal/sim"
+	"linefs/internal/systems"
 )
 
 // System selects which of the paper's evaluated systems to build.
-type System int
+type System = systems.Kind
 
 // Systems under test (§5.1).
 const (
 	// LineFS is the full system: NICFS pipelines on the SmartNIC.
-	LineFS System = iota
+	LineFS = systems.LineFS
 	// LineFSNotParallel disables pipeline parallelism (the ablation).
-	LineFSNotParallel
+	LineFSNotParallel = systems.LineFSNotParallel
 	// Assise is the baseline in pessimistic mode.
-	Assise
+	Assise = systems.Assise
 	// AssiseBgRepl adds background replication threads.
-	AssiseBgRepl
+	AssiseBgRepl = systems.AssiseBgRepl
 	// AssiseHyperloop offloads replication to the RDMA NIC.
-	AssiseHyperloop
+	AssiseHyperloop = systems.AssiseHyperloop
 )
-
-func (s System) String() string {
-	switch s {
-	case LineFS:
-		return "LineFS"
-	case LineFSNotParallel:
-		return "LineFS-NotParallel"
-	case Assise:
-		return "Assise"
-	case AssiseBgRepl:
-		return "Assise-BgRepl"
-	case AssiseHyperloop:
-		return "Assise+Hyperloop"
-	}
-	return "unknown"
-}
 
 // Proc is a simulation process; every file system call takes the calling
 // process so its time cost lands on the right timeline.
@@ -109,83 +93,30 @@ func Defaults() Options {
 
 // Cluster is a running simulated deployment of one system.
 type Cluster struct {
-	opts Options
-	env  *sim.Env
-
-	lf *core.Cluster
-	as *assise.Cluster
+	sys *systems.System
 }
 
 // New builds and starts a cluster.
 func New(opts Options) (*Cluster, error) {
-	env := sim.NewEnv(opts.Seed)
-	c := &Cluster{opts: opts, env: env}
-	spec := node.DefaultSpec()
-	spec.PMSize = opts.VolSize + int64(opts.MaxClients)*opts.LogSize + (64 << 20)
-
-	switch opts.System {
-	case LineFS, LineFSNotParallel:
-		cfg := core.DefaultConfig()
-		cfg.Spec = spec
-		cfg.Nodes = opts.Nodes
-		cfg.Replicas = opts.Replicas
-		cfg.MaxClients = opts.MaxClients
-		cfg.VolSize = opts.VolSize
-		cfg.LogSize = opts.LogSize
-		cfg.ChunkSize = opts.ChunkSize
-		cfg.Parallel = opts.System == LineFS
-		cfg.Compress = opts.Compression
-		cl, err := core.NewCluster(env, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cl.Start()
-		c.lf = cl
-	default:
-		cfg := assise.DefaultConfig()
-		cfg.Spec = spec
-		cfg.Nodes = opts.Nodes
-		cfg.Replicas = opts.Replicas
-		cfg.MaxClients = opts.MaxClients
-		cfg.VolSize = opts.VolSize
-		cfg.LogSize = opts.LogSize
-		cfg.ChunkSize = opts.ChunkSize
-		switch opts.System {
-		case AssiseBgRepl:
-			cfg.Mode = assise.BgRepl
-		case AssiseHyperloop:
-			cfg.Mode = assise.Hyperloop
-		default:
-			cfg.Mode = assise.Pessimistic
-		}
-		cl, err := assise.NewCluster(env, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cl.Start()
-		c.as = cl
+	l := cluster.DefaultLayout()
+	l.Nodes, l.Replicas, l.MaxClients = opts.Nodes, opts.Replicas, opts.MaxClients
+	l.VolSize, l.LogSize, l.ChunkSize = opts.VolSize, opts.LogSize, opts.ChunkSize
+	l.Spec.PMSize = opts.VolSize + int64(opts.MaxClients)*opts.LogSize + (64 << 20)
+	sys, err := systems.New(sim.NewEnv(opts.Seed), opts.System, l, func(cfg *core.Config) { cfg.Compress = opts.Compression })
+	if err != nil {
+		return nil, err
 	}
-	return c, nil
+	sys.Start()
+	return &Cluster{sys: sys}, nil
 }
 
 // Env exposes the simulation environment for advanced orchestration
 // (spawning co-runner processes, custom fault schedules).
-func (c *Cluster) Env() *sim.Env { return c.env }
+func (c *Cluster) Env() *sim.Env { return c.sys.Env }
 
 // Attach creates a client process handle on the given machine.
 func (c *Cluster) Attach(p *Proc, machine int) (*Client, error) {
-	if c.lf != nil {
-		a, err := c.lf.Attach(p, machine)
-		if err != nil {
-			return nil, err
-		}
-		return a.Client, nil
-	}
-	a, err := c.as.Attach(p, machine)
-	if err != nil {
-		return nil, err
-	}
-	return a.Client, nil
+	return c.sys.Attach(p, machine)
 }
 
 // Run executes fn as an application process and drives the simulation
@@ -198,52 +129,49 @@ func (c *Cluster) RunLimited(fn func(p *Proc), limit time.Duration) bool {
 	if limit <= 0 {
 		limit = time.Hour
 	}
-	pr := c.env.Go("app", func(p *sim.Proc) {
+	pr := c.sys.Env.Go("app", func(p *sim.Proc) {
 		fn(p)
 	})
 	// Run straight to the app's completion event rather than polling the
 	// clock in 50 ms steps; background activity stops burning events the
 	// moment fn returns.
-	c.env.Go("app/wait", func(p *sim.Proc) {
+	c.sys.Env.Go("app/wait", func(p *sim.Proc) {
 		p.WaitTimeout(pr.Done, limit)
-		c.env.Stop()
+		c.sys.Env.Stop()
 	})
-	c.env.Run()
+	c.sys.Env.Run()
 	return pr.Done.Triggered()
 }
 
 // RunFor advances virtual time by d (background activity continues).
-func (c *Cluster) RunFor(d time.Duration) { c.env.RunFor(d) }
+func (c *Cluster) RunFor(d time.Duration) { c.sys.Env.RunFor(d) }
 
 // Now returns the current virtual time.
-func (c *Cluster) Now() time.Duration { return time.Duration(c.env.Now()) }
+func (c *Cluster) Now() time.Duration { return time.Duration(c.sys.Env.Now()) }
 
 // CrashHost fails machine i's host OS (LineFS only keeps serving through
 // its SmartNIC; see §3.5).
 func (c *Cluster) CrashHost(i int) error {
-	if c.lf == nil {
+	if c.sys.LineFS == nil {
 		return fmt.Errorf("linefs: host crash injection is implemented for LineFS clusters")
 	}
-	c.lf.CrashHost(i)
+	c.sys.LineFS.CrashHost(i)
 	return nil
 }
 
 // RecoverHost reboots machine i's host OS.
 func (c *Cluster) RecoverHost(i int) error {
-	if c.lf == nil {
+	if c.sys.LineFS == nil {
 		return fmt.Errorf("linefs: host recovery is implemented for LineFS clusters")
 	}
-	c.lf.RecoverHost(i)
+	c.sys.LineFS.RecoverHost(i)
 	return nil
 }
 
 // Isolated reports whether machine i's NICFS is running in isolated mode
 // (host kernel worker unreachable).
 func (c *Cluster) Isolated(i int) bool {
-	if c.lf == nil {
-		return false
-	}
-	return c.lf.NICs[i].Isolated
+	return c.sys.LineFS != nil && c.sys.LineFS.NICs[i].Isolated
 }
 
 // Stats summarizes cluster-level counters.
@@ -260,19 +188,17 @@ type Stats struct {
 
 // Stats returns current cluster counters.
 func (c *Cluster) Stats() Stats {
-	var s Stats
-	if c.lf != nil {
-		s.NetworkBytes = c.lf.Fabric.Total.Total()
-		for _, n := range c.lf.NICs {
+	s := Stats{NetworkBytes: c.sys.Fabric.Total.Total()}
+	if lf := c.sys.LineFS; lf != nil {
+		for _, n := range lf.NICs {
 			s.PublishedBytes += n.PubBytes
 			s.ReplicatedRawBytes += n.RepBytes
 			s.ReplicatedWireBytes += n.RepWireBytes
 		}
-		return s
-	}
-	s.NetworkBytes = c.as.Fabric.Total.Total()
-	for _, sh := range c.as.Shared {
-		s.PublishedBytes += sh.DigestedBytes
+	} else {
+		for _, sh := range c.sys.Assise.Shared {
+			s.PublishedBytes += sh.DigestedBytes
+		}
 	}
 	return s
 }
