@@ -56,11 +56,14 @@ race:
 	$(GO) test -race -short ./...
 
 # Ten seconds of native fuzzing on each wire decoder that has a target: the
-# replication frame (sub-block table, payload, declared length) and the LZW
-# codec under it. `go test` alone only replays the seed corpora.
+# replication frame (sub-block table, payload, declared length), the LZW
+# codec under it, and the log wire format inside it (one entry, and the
+# ingress gate over a range). `go test` alone only replays the seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatchChunk -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLZWRoundTrip -fuzztime 10s ./internal/compress
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEntryInto -fuzztime 10s ./internal/fs
+	$(GO) test -run '^$$' -fuzz FuzzVerifyWire -fuzztime 10s ./internal/fs
 
 # Runtime determinism gate (DESIGN.md §8): run every experiment twice with
 # the sim-sanitizer enabled and fail on digest or output divergence.

@@ -55,6 +55,22 @@ func fsyncOnce(t *testing.T, p *sim.Proc, cl *Cluster, path string, payload []by
 	return trip
 }
 
+// assertMirrorsEndWith requires the fsynced write to be the last entry of both
+// replicas' mirror logs: durable there by the time the fsync returned.
+func assertMirrorsEndWith(t *testing.T, cl *Cluster, payload []byte) {
+	t.Helper()
+	for _, mi := range []int{1, 2} {
+		ms := cl.NICs[mi].mirrors[0]
+		ents, err := ms.log.DecodeRange(fs.NoCostCtx(cl.Machines[mi].PM), 0, ms.log.Head())
+		if err != nil {
+			t.Fatalf("node %d mirror decode: %v", mi, err)
+		}
+		if last := ents[len(ents)-1]; last.Type != fs.OpWrite || !bytes.Equal(last.Data, payload) {
+			t.Errorf("node %d mirror does not end with the fsynced write", mi)
+		}
+	}
+}
+
 // TestFsyncDoesNotWaitForKernelWorker wedges the primary's kernel worker —
 // its threads are gone, its service still registered, so a copy request
 // queues unanswered until the 50 ms timeout — and requires an fsync to
@@ -72,16 +88,7 @@ func TestFsyncDoesNotWaitForKernelWorker(t *testing.T) {
 		if trip := fsyncOnce(t, p, cl, "/wedged", payload); trip.took >= time.Millisecond || !trip.sync {
 			t.Errorf("fsync behind a wedged kernel worker: %+v, want the sync path in under 1ms", trip)
 		}
-		for _, mi := range []int{1, 2} {
-			ms := cl.NICs[mi].mirrors[0]
-			ents, err := ms.log.DecodeRange(fs.NoCostCtx(cl.Machines[mi].PM), 0, ms.log.Head())
-			if err != nil {
-				t.Fatalf("node %d mirror decode: %v", mi, err)
-			}
-			if last := ents[len(ents)-1]; last.Type != fs.OpWrite || !bytes.Equal(last.Data, payload) {
-				t.Errorf("node %d mirror does not end with the fsynced write", mi)
-			}
-		}
+		assertMirrorsEndWith(t, cl, payload)
 		p.Sleep(100 * time.Millisecond) // past the copy's timeout
 		if !cl.NICs[0].Isolated {
 			t.Error("NICFS not isolated after its copy request timed out")
@@ -91,6 +98,47 @@ func TestFsyncDoesNotWaitForKernelWorker(t *testing.T) {
 			t.Errorf("client log not reclaimed: tail %d, head %d", log.Tail(), log.Head())
 		}
 	})
+}
+
+// TestFsyncDoesNotWaitForReplicaKernelWorkers is the replica-side twin: both
+// replicas' kernel workers are wedged the same way, and the fsync still
+// returns as fast as ever with no RPC timed out behind it — the mirror-log
+// persist goes NIC memory → PM across PCIe and no host thread of a replica is
+// on an fsync's path. With Compress both replicas take handleBatch (there is
+// no last-hop direct write of compressed bytes). The replicas' publication
+// then takes the isolated PCIe route and the mirror rings are reclaimed.
+func TestFsyncDoesNotWaitForReplicaKernelWorkers(t *testing.T) {
+	t.Parallel()
+	for _, compress := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.Compress = compress
+		env, cl := newTestCluster(t, cfg)
+		payload := bytes.Repeat([]byte{0xA5}, 4<<10)
+		run(t, env, 10*time.Second, func(p *sim.Proc) {
+			for _, mi := range []int{1, 2} {
+				for _, kp := range cl.KWs[mi].procs {
+					kp.Kill()
+				}
+			}
+			trip := fsyncOnce(t, p, cl, "/wedged", payload)
+			if trip.took >= time.Millisecond || !trip.sync || cl.Robust.RPCTimeouts != 0 {
+				t.Errorf("compress=%v: fsync behind wedged replica kernel workers: %+v with %d RPC timeouts, want the sync path in under 1ms with none",
+					compress, trip, cl.Robust.RPCTimeouts)
+			}
+			assertMirrorsEndWith(t, cl, payload)
+			p.Sleep(100 * time.Millisecond) // past the publication copies' timeout
+			assertReplicasHold(t, cl, "/wedged", payload)
+			for _, mi := range []int{1, 2} {
+				if !cl.NICs[mi].Isolated {
+					t.Errorf("compress=%v: node %d NICFS not isolated after its copy request timed out", compress, mi)
+				}
+				if log := cl.NICs[mi].mirrors[0].log; log.Tail() != log.Head() {
+					t.Errorf("compress=%v: node %d mirror ring not reclaimed: tail %d, head %d", compress, mi, log.Tail(), log.Head())
+				}
+			}
+		})
+		env.Shutdown()
+	}
 }
 
 // TestFsyncPathCostsWhatTheDoorbellPathCosts sends the same 16 KiB down both
@@ -137,8 +185,11 @@ func TestNotParallelFsyncStaysSequential(t *testing.T) {
 		if !trip.publishedFirst {
 			t.Error("NotParallel fsync sent its chunk before publishing it")
 		}
-		// Measured at 367fb25, the last commit whose parallel fsync ran inline too.
-		if want := 177887 * time.Nanosecond; trip.took != want {
+		// Measured at PR 21, the commit that took the mirror-log persist off the
+		// replicas' kernel workers — NotParallel's replicas persist NIC → PM across
+		// PCIe too. Its own thread's work is what it was at 367fb25, the last
+		// commit whose parallel fsync ran inline as well (177.887 µs there).
+		if want := 171870 * time.Nanosecond; trip.took != want {
 			t.Errorf("NotParallel 16 KiB fsync took %v, want %v", trip.took, want)
 		}
 	})

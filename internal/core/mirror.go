@@ -55,13 +55,13 @@ type pubJob struct {
 	hold *bufHold
 }
 
-// bufHold is the reference count on one pooled mirror buffer. Persist and
-// publication both hand the buffer to the kernel worker; when either copy
-// times out, the worker may still be reading it, so the buffer can return
-// to the pool only when every outstanding reference — including a late
-// kernel-worker response discarded by the abandoned-call path — has been
-// released. A worker that never responds (host crash) keeps its reference
-// forever and the buffer leaks, which is the only safe disposition.
+// bufHold is the reference count on one pooled mirror buffer. Publication
+// hands the buffer to the kernel worker; when that copy times out, the
+// worker may still be reading it, so the buffer can return to the pool only
+// when every outstanding reference — including a late kernel-worker response
+// discarded by the abandoned-call path — has been released. A worker that
+// never responds (host crash) keeps its reference forever and the buffer
+// leaks, which is the only safe disposition.
 type bufHold struct {
 	ms   *mirrorState
 	buf  []byte
@@ -412,18 +412,15 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 		})
 	}
 
-	// Persist the batch into the local PM log mirror. The hold's initial
-	// reference belongs to the publication pipeline and is released by the
-	// publisher once its own kernel-worker handoff resolves.
-	hold := ms.newHold(raw)
-	ms.persistRaw(p, rb.From, raw, hold)
+	// Persist the batch into the local PM log mirror.
+	ms.persistRaw(p, rb.From, raw)
 
 	// One cumulative acknowledgment covers every chunk in the batch.
 	ms.ack(p, rb.To)
 
 	// Publish locally in the background so the replica's public area keeps
 	// up and the mirror ring can be reclaimed.
-	ms.pubQ.Put(p, pubJob{raw: raw, from: rb.From, to: rb.To, hold: hold})
+	ms.pubQ.Put(p, pubJob{raw: raw, from: rb.From, to: rb.To, hold: ms.newHold(raw)})
 }
 
 // ack tells the primary that everything through to is durable here. Acks
@@ -521,25 +518,15 @@ func (ms *mirrorState) handleDirect(p *sim.Proc, rd *replDirect) {
 }
 
 // persistRaw copies chunk bytes from SmartNIC memory into the local host
-// PM log mirror: via the kernel worker's DMA engine normally, or across
-// PCIe directly in isolated mode (the Figure 10 failure path). The hold
-// keeps raw out of the pool while a timed-out kernel worker may still be
-// reading it.
-func (ms *mirrorState) persistRaw(p *sim.Proc, at uint64, raw []byte, hold *bufHold) {
+// PM log mirror across PCIe. No host thread takes part, so the ack that
+// follows — and the fsync behind it — never waits on this replica's host
+// (§5.2.5); the copy is done with raw when it returns.
+func (ms *mirrorState) persistRaw(p *sim.Proc, at uint64, raw []byte) {
 	n := ms.n
-	segs := ms.log.Segments(at, len(raw))
-	var items []copyItem
 	off := 0
-	for _, seg := range segs {
-		items = append(items, copyItem{Dst: seg.PhysOff, Data: raw[off : off+seg.Len]})
+	for _, seg := range ms.log.Segments(at, len(raw)) {
+		n.pmWrite(p, seg.PhysOff, raw[off:off+seg.Len])
 		off += seg.Len
-	}
-	hold.acquire()
-	if !n.publishItems(p, items, hold.discardHook) {
-		// The worker answered (or the PCIe path ran): its reference is done.
-		// On timeout the reference stays with the in-flight copy and the
-		// discard hook releases it if the worker ever responds late.
-		hold.release()
 	}
 	// Advance and persist the mirror header (small PCIe write). A gap here
 	// means chunk arrival order diverged from log order — a chain-protocol
@@ -552,7 +539,7 @@ func (ms *mirrorState) persistRaw(p *sim.Proc, at uint64, raw []byte, hold *bufH
 
 // publishLocal applies a replicated chunk (or batch) to this replica's
 // public area and reclaims the mirror ring. The hold covers the kernel
-// worker's possible retention of raw, exactly as in persistRaw.
+// worker's possible retention of raw.
 func (ms *mirrorState) publishLocal(p *sim.Proc, raw []byte, from, to uint64, hold *bufHold) {
 	n := ms.n
 	if from != ms.pubNext && ms.pubNext != 0 {

@@ -43,7 +43,8 @@ type NICFS struct {
 	kwConn *rdma.Conn
 
 	// Isolated is true while the host kernel worker is unresponsive; NICFS
-	// then publishes across PCIe itself (§3.5).
+	// then makes the publication copies across PCIe itself (§3.5). It
+	// describes publication alone: nothing an fsync waits for uses the worker.
 	Isolated bool
 
 	epoch   uint64
@@ -156,10 +157,15 @@ func (n *NICFS) EpochChanged(p *sim.Proc, epoch uint64) {
 	n.epoch = epoch
 	n.pruneHistory()
 	// Persist the epoch number (a small PM write across PCIe).
+	n.pmWrite(p, epochPMOff, []byte{byte(epoch), byte(epoch >> 8), byte(epoch >> 16), byte(epoch >> 24), 0, 0, 0, 0})
+}
+
+// pmWrite places data at host PM offset dst straight from SmartNIC memory:
+// one PCIe crossing and a persist, no host thread (§3.5).
+func (n *NICFS) pmWrite(p *sim.Proc, dst int64, data []byte) {
 	m := n.cl.Machines[n.machine]
-	buf := []byte{byte(epoch), byte(epoch >> 8), byte(epoch >> 16), byte(epoch >> 24), 0, 0, 0, 0}
-	m.PCIe.Transfer(p, len(buf), 0)
-	m.PM.WritePersist(p, epochPMOff, buf)
+	m.PCIe.Transfer(p, len(data), 0)
+	m.PM.WritePersist(p, dst, data)
 }
 
 // epochPMOff stores the persisted epoch inside the superblock's block
@@ -423,13 +429,13 @@ func (n *NICFS) runLeasePersister(p *sim.Proc) {
 	}
 }
 
-// persistLeaseRecord writes one lease record to the PM lease journal.
+// persistLeaseRecord writes one lease record to the PM lease journal. The
+// journal is modeled by its cost only: the record's bytes are never filled in.
 func (n *NICFS) persistLeaseRecord(p *sim.Proc, rec leaseRecord) {
-	m := n.cl.Machines[n.machine]
-	buf := make([]byte, 48)
-	m.PCIe.Transfer(p, len(buf), 0)
-	m.PM.WritePersist(p, leaseJournalOff, buf)
+	n.pmWrite(p, leaseJournalOff, leaseRecordZero[:])
 }
+
+var leaseRecordZero [48]byte
 
 // leaseJournalOff is a small PM scratch area for the lease journal.
 const leaseJournalOff = 384
@@ -528,9 +534,10 @@ func (n *NICFS) pruneHistory() {
 	}
 }
 
-// publishItems moves payload bytes to public PM via the kernel worker, or
-// directly over PCIe when the host is down. A kernel worker that dies
-// mid-copy is retried through the PCIe path — publication is idempotent.
+// publishItems makes publication's copies, PM to PM on the host and off every
+// ack path: via the kernel worker, or directly over PCIe when the worker is
+// down. A kernel worker that dies mid-copy is retried through the PCIe path —
+// publication is idempotent.
 // Returns true when a timed-out kernel worker may still read the item
 // buffers: the caller must not recycle them until onDiscard fires (the
 // worker's late response was discarded, so it is done with the buffers) —
@@ -547,10 +554,8 @@ func (n *NICFS) publishItems(p *sim.Proc, items []copyItem, onDiscard func(p *si
 		n.Isolated = true
 	}
 	// Isolated operation: NICFS writes across PCIe itself.
-	m := n.cl.Machines[n.machine]
 	for _, it := range items {
-		m.PCIe.Transfer(p, len(it.Data), 0)
-		m.PM.WritePersist(p, it.Dst, it.Data)
+		n.pmWrite(p, it.Dst, it.Data)
 	}
 	return retained
 }

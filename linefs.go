@@ -168,8 +168,8 @@ func (c *Cluster) RecoverHost(i int) error {
 	return nil
 }
 
-// Isolated reports whether machine i's NICFS is running in isolated mode
-// (host kernel worker unreachable).
+// Isolated reports whether machine i's NICFS publishes in isolated mode (host
+// kernel worker unreachable); log persists never use the worker either way.
 func (c *Cluster) Isolated(i int) bool {
 	return c.sys.LineFS != nil && c.sys.LineFS.NICs[i].Isolated
 }
