@@ -106,9 +106,10 @@ repbench:
 
 # CI smoke: same harness, tiny allocation window. Still asserts the pooled
 # replication hot path runs at 0 allocs/op, that the chain workloads
-# complete, and that an fsync which forms its own chunk costs less than the
-# value recorded before it stopped waiting for local publication; the report
-# goes to a scratch file.
+# complete, that an fsync which forms its own chunk costs less than the
+# value recorded before it stopped waiting for local publication, and that a
+# large fsync costs a quarter less than the value recorded before its range
+# went down the chain in pieces; the report goes to a scratch file.
 repbench-smoke:
 	$(GO) run ./cmd/linefs-bench -repbench -repbench-time 25ms -repbench-out /tmp/BENCH_replication_smoke.json
 

@@ -207,6 +207,7 @@ func benchModes(fs *flag.FlagSet) []mode {
 				row("fsync p50 us:               %12.1f (baseline %12.1f)", cur.FsyncP50Micros, base.FsyncP50Micros),
 				row("fsync p99 us:               %12.1f (baseline %12.1f, %.2fx)", cur.FsyncP99Micros, base.FsyncP99Micros, rep.FsyncP99Speedup),
 				row("sync-path fsync p50 us:     %12.1f (baseline %12.1f)", cur.SyncPathFsyncP50Micros, base.SyncPathFsyncP50Micros),
+				row("large fsync p50 us:         %12.1f (baseline %12.1f)", cur.LargeFsyncP50Micros, base.LargeFsyncP50Micros),
 				row("pooled path allocs/op:      %12.3f", rep.PooledAllocsPerOp),
 			}, err
 		}),

@@ -95,6 +95,7 @@ wire messages/chunk: #.# (baseline #.#, #.#x fewer)
 fsync p# us: #.# (baseline #.#)
 fsync p# us: #.# (baseline #.#, #.#x)
 sync-path fsync p# us: #.# (baseline #.#)
+large fsync p# us: #.# (baseline #.#)
 pooled path allocs/op: #.#
 wrote ` + out},
 		{[]string{"-chaos", "-chaos-n", "2"}, `

@@ -85,8 +85,9 @@ func (b *backend) ChunkReady(p *sim.Proc, head uint64, _ []uint64) {
 	ss.kick(b.cl.Env)
 }
 
-// Fsync implements dfs.Backend.
-func (b *backend) Fsync(p *sim.Proc, head uint64) error {
+// Fsync implements dfs.Backend. The range replicates in the calling thread's
+// context, one transfer: there is no pipeline for pieces to overlap in.
+func (b *backend) Fsync(p *sim.Proc, head uint64, _ []uint64) error {
 	b.ipc(p)
 	if err := b.shared.fsyncSlot(p, b.ss, head); err != nil {
 		return err

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -189,6 +190,9 @@ type chaosRun struct {
 	// ackTimes records the simulated time of every successful fsync, for
 	// the availability timeline in reproducer mode.
 	ackTimes []time.Duration
+	// bigResends counts the chain resends made while a round of more than
+	// one write was out: what says a many-piece fsync met the schedule.
+	bigResends int64
 }
 
 // runChaosOnce builds a cluster, plays the plan's fault schedule against its
@@ -203,7 +207,11 @@ func runChaosOnce(plan *chaosPlan) (r *chaosRun) {
 	}()
 
 	o := Options{Quick: true, Seed: plan.seed, Trace: &TraceCollector{}}
-	sys, err := newLineFS(o, chaosLayout(len(plan.rounds)), nil)
+	layout := chaosLayout(len(plan.rounds))
+	for _, sizes := range plan.rounds { // no doorbell inside a round: its fsync carries it whole
+		layout.ChunkSize = max(layout.ChunkSize, 2*slices.Max(sizes))
+	}
+	sys, err := newLineFS(o, layout, nil)
 	if err != nil {
 		r.violations = append(r.violations, fmt.Sprintf("setup: %v", err))
 		return r
@@ -289,13 +297,21 @@ func runChaosOnce(plan *chaosPlan) (r *chaosRun) {
 				if d := plan.gaps[ci][ri]; d > 0 {
 					p.Sleep(d)
 				}
-				chaosPattern(buf[:sz], ci, off)
-				if _, err := a.WriteAt(p, fd, uint64(off), buf[:sz]); err != nil {
-					r.violations = append(r.violations, fmt.Sprintf("write c%d@%d: %v", ci, off, err))
-					return
+				resends := cl.Robust.RepResends
+				for left := sz; left > 0; {
+					n := min(left, len(buf))
+					chaosPattern(buf[:n], ci, off)
+					if _, err := a.WriteAt(p, fd, uint64(off), buf[:n]); err != nil {
+						r.violations = append(r.violations, fmt.Sprintf("write c%d@%d: %v", ci, off, err))
+						return
+					}
+					off, left = off+n, left-n
 				}
-				off += sz
-				if err := a.Fsync(p, fd); err != nil {
+				err := a.Fsync(p, fd)
+				if sz > len(buf) {
+					r.bigResends += cl.Robust.RepResends - resends
+				}
+				if err != nil {
 					continue
 				}
 				acked[ci] = off

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"linefs/internal/core"
+	"linefs/internal/dfs"
 	"linefs/internal/sim"
 )
 
@@ -32,6 +33,9 @@ type RepStats struct {
 	// quarter-chunk write, where the fsync itself forms the chunk.
 	SyncPathFsyncP50Micros float64 `json:"sync_path_fsync_p50_us"`
 	SyncPathFsyncP99Micros float64 `json:"sync_path_fsync_p99_us"`
+	// LargeFsyncP50Micros is the fsync behind 64 writes of 10 KiB on an idle
+	// cluster of the default layout: a range of several dfs.FsyncPiece.
+	LargeFsyncP50Micros float64 `json:"large_fsync_p50_us"`
 }
 
 // RepBenchReport is the BENCH_replication.json schema. The baseline column
@@ -81,59 +85,77 @@ var seedRepStats = RepStats{
 	// publication back to back before the chunk went on the wire.
 	SyncPathFsyncP50Micros: 161.439,
 	SyncPathFsyncP99Micros: 161.439,
+	// Added at PR 22; its baseline is commit a05bf2f, the last whose fsync
+	// sent its whole range down the chain as one chunk.
+	LargeFsyncP50Micros: 962.929,
 }
 
-// measureRepChain runs the fixed workload against a fresh 3-node cluster.
-// All numbers are simulated time, so they are deterministic across
-// machines.
-func measureRepChain(o Options) (RepStats, error) {
+// repClient runs body as the one client of a fresh 3-node cluster of the
+// default layout at chunkSize, on a file it has just created. All numbers
+// are simulated time, so they are deterministic across machines.
+func repClient(o Options, chunkSize int, mutate func(*core.Config), body func(p *sim.Proc, cl *core.Cluster, c *dfs.Client, fd int) error) error {
 	l := o.layout(1)
-	l.ChunkSize = repChunkSize
-	// The full fast path: wire batching plus submission-side doorbell
-	// coalescing, so one dispatch forms several chunks and the sender sees
-	// a real backlog to coalesce.
-	sys, err := newLineFS(o, l, func(c *core.Config) { c.NotifyChunks = 8 })
+	l.ChunkSize = chunkSize
+	sys, err := newLineFS(o, l, mutate)
 	if err != nil {
-		return RepStats{}, err
+		return err
 	}
-	env, cl := sys.Env, sys.LineFS
-	defer env.Shutdown()
+	defer sys.Env.Shutdown()
+	return runClients(sys, "repbench/client", 1, 10*time.Minute, func(p *sim.Proc, c *dfs.Client, _ int) error {
+		fd, err := c.Create(p, "/repbench")
+		if err != nil {
+			return err
+		}
+		return body(p, sys.LineFS, c, fd)
+	})
+}
 
+// fsyncTrain is a train of ops write+fsync round trips, each fsync behind
+// writes appends of payload at *off, timing the fsync: its p50 and p99 in
+// simulated microseconds.
+func fsyncTrain(p *sim.Proc, c *dfs.Client, fd int, off *uint64, payload []byte, writes, ops int) (p50, p99 float64, err error) {
+	lat := make([]time.Duration, 0, ops)
+	for i := 0; i < ops; i++ {
+		for w := 0; w < writes; w++ {
+			if _, err := c.WriteAt(p, fd, *off, payload); err != nil {
+				return 0, 0, err
+			}
+			*off += uint64(len(payload))
+		}
+		s0 := p.Now()
+		if err := c.Fsync(p, fd); err != nil {
+			return 0, 0, err
+		}
+		lat = append(lat, time.Duration(p.Now()-s0))
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	return float64(lat[len(lat)/2]) / 1e3, float64(lat[len(lat)*99/100]) / 1e3, nil
+}
+
+// measureRepChain runs the fixed workload: the streaming phase and the two
+// small trains on one cluster, the large-fsync train on an idle one.
+func measureRepChain(o Options) (st RepStats, err error) {
 	// Incompressible payload: compression never pays off, so the chain
 	// moves raw frames and the wire protocol itself is what is measured.
 	payload := make([]byte, repChunkSize)
 	rand.New(rand.NewSource(11)).Read(payload)
 
-	var st RepStats
-	var runErr error
-	g := newGroup(env, 1)
-	env.Go("repbench/client", func(p *sim.Proc) {
-		defer g.done()
-		fail := func(err error) { runErr = err }
-		a, err := cl.Attach(p, 0)
-		if err != nil {
-			fail(err)
-			return
-		}
-		fd, err := a.Client.Create(p, "/repbench")
-		if err != nil {
-			fail(err)
-			return
-		}
+	// The full fast path: wire batching plus submission-side doorbell
+	// coalescing, so one dispatch forms several chunks and the sender sees
+	// a real backlog to coalesce.
+	err = repClient(o, repChunkSize, func(c *core.Config) { c.NotifyChunks = 8 }, func(p *sim.Proc, cl *core.Cluster, c *dfs.Client, fd int) error {
 		// Streaming phase: one chunk-sized write per chunk paces one
 		// chunk-ready notification each, so the sender sees a genuine
 		// multi-chunk backlog; the closing fsync waits until every chunk
 		// is replicated and acknowledged.
 		start := p.Now()
 		for i := 0; i < repStreamChunks; i++ {
-			if _, err := a.Client.WriteAt(p, fd, uint64(i*repChunkSize), payload); err != nil {
-				fail(err)
-				return
+			if _, err := c.WriteAt(p, fd, uint64(i*repChunkSize), payload); err != nil {
+				return err
 			}
 		}
-		if err := a.Client.Fsync(p, fd); err != nil {
-			fail(err)
-			return
+		if err := c.Fsync(p, fd); err != nil {
+			return err
 		}
 		elapsed := time.Duration(p.Now() - start)
 		chunks := cl.NICs[0].RepChunksSent
@@ -142,57 +164,38 @@ func measureRepChain(o Options) (RepStats, error) {
 			msgs += n.RepMsgs + n.AckMsgs
 		}
 		if chunks == 0 || elapsed <= 0 {
-			fail(fmt.Errorf("repbench: streaming phase replicated nothing (chunks=%d elapsed=%v)", chunks, elapsed))
-			return
+			return fmt.Errorf("repbench: streaming phase replicated nothing (chunks=%d elapsed=%v)", chunks, elapsed)
 		}
 		st.ChunksPerSec = float64(chunks) / elapsed.Seconds()
 		st.WireMsgsPerChunk = float64(msgs) / float64(chunks)
 
-		// Latency phases: trains of write+fsync round trips, timing the
-		// fsync. A chunk-sized write crosses a chunk boundary, so the fsync
-		// rings the deferred doorbell and only waits for that chunk; a
-		// quarter-chunk write leaves the chunk far from full, so the fsync
-		// itself forms the chunk and carries it down the sync path.
+		// Latency phases: trains of write+fsync round trips. A chunk-sized
+		// write crosses a chunk boundary, so the fsync rings the deferred
+		// doorbell and only waits for that chunk; a quarter-chunk write
+		// leaves the chunk far from full, so the fsync itself forms the
+		// chunk and carries it down the sync path.
 		off := uint64(repStreamChunks * repChunkSize)
-		train := func(size int) (p50, p99 float64, err error) {
-			lat := make([]time.Duration, 0, repFsyncOps)
-			for i := 0; i < repFsyncOps; i++ {
-				if _, err := a.Client.WriteAt(p, fd, off, payload[:size]); err != nil {
-					return 0, 0, err
-				}
-				off += uint64(size)
-				s0 := p.Now()
-				if err := a.Client.Fsync(p, fd); err != nil {
-					return 0, 0, err
-				}
-				lat = append(lat, time.Duration(p.Now()-s0))
-			}
-			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-			return float64(lat[len(lat)/2]) / 1e3, float64(lat[len(lat)*99/100]) / 1e3, nil
+		if st.FsyncP50Micros, st.FsyncP99Micros, err = fsyncTrain(p, c, fd, &off, payload, 1, repFsyncOps); err != nil {
+			return err
 		}
-		if st.FsyncP50Micros, st.FsyncP99Micros, err = train(repChunkSize); err != nil {
-			fail(err)
-			return
+		if st.SyncPathFsyncP50Micros, st.SyncPathFsyncP99Micros, err = fsyncTrain(p, c, fd, &off, payload[:repChunkSize/4], 1, repFsyncOps); err != nil {
+			return err
 		}
-		if st.SyncPathFsyncP50Micros, st.SyncPathFsyncP99Micros, err = train(repChunkSize / 4); err != nil {
-			fail(err)
-			return
-		}
-
 		for _, n := range cl.NICs {
 			if n.StaleAcks != 0 {
-				fail(fmt.Errorf("repbench: %d stale acks on a healthy run", n.StaleAcks))
-				return
+				return fmt.Errorf("repbench: %d stale acks on a healthy run", n.StaleAcks)
 			}
 		}
+		return nil
 	})
-	if !g.wait(10 * time.Minute) {
-		return st, fmt.Errorf("repbench: workload did not finish within the simulated deadline")
+	if err != nil {
+		return st, err
 	}
-	if runErr != nil {
-		return st, runErr
-	}
-	return st, nil
+	return st, repClient(o, o.layout(1).ChunkSize, nil, func(p *sim.Proc, _ *core.Cluster, c *dfs.Client, fd int) (err error) {
+		var off uint64
+		st.LargeFsyncP50Micros, _, err = fsyncTrain(p, c, fd, &off, payload[:10<<10], 64, 16)
+		return err
+	})
 }
 
 // MeasureRepBench measures the chain protocol against the recorded seed
@@ -218,6 +221,10 @@ func MeasureRepBench(minTime time.Duration) (RepBenchReport, error) {
 	if cur.SyncPathFsyncP50Micros <= 0 || cur.SyncPathFsyncP50Micros >= base.SyncPathFsyncP50Micros {
 		return rep, fmt.Errorf("repbench: sync-path fsync p50 %.3f us, want below the %.3f us recorded when it still waited for local publication",
 			cur.SyncPathFsyncP50Micros, base.SyncPathFsyncP50Micros)
+	}
+	if cur.LargeFsyncP50Micros <= 0 || cur.LargeFsyncP50Micros > 0.75*base.LargeFsyncP50Micros {
+		return rep, fmt.Errorf("repbench: large fsync p50 %.3f us, want a quarter below the %.3f us recorded when its range went as one chunk",
+			cur.LargeFsyncP50Micros, base.LargeFsyncP50Micros)
 	}
 	rep = RepBenchReport{
 		Baseline:            base,

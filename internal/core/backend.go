@@ -153,14 +153,16 @@ func (b *linefsBackend) ChunkReady(p *sim.Proc, head uint64, marks []uint64) {
 // so its deadline is keyed to progress, not elapsed time: the call stays out
 // while every standstill finds the log's tail moved since the last (reclaim
 // notifications arrive on the service process meanwhile); only a slot that
-// stands still is timed out, counted and asked again.
-func (b *linefsBackend) Fsync(p *sim.Proc, head uint64) error {
+// stands still is timed out, counted and asked again. The cuts are copied (a
+// request outlives a timed-out call), which costs nothing when there are none.
+func (b *linefsBackend) Fsync(p *sim.Proc, head uint64, cuts []uint64) error {
 	tail := b.client.Log().Tail()
 	moved := func() bool {
 		was := tail
 		tail = b.client.Log().Tail()
 		return tail > was
 	}
-	_, err := b.call(p, "fsync", &fsyncReq{Slot: b.slot, Head: head}, 24, standstill, moved)
+	req := &fsyncReq{Slot: b.slot, Head: head, Cuts: append([]uint64(nil), cuts...)}
+	_, err := b.call(p, "fsync", req, 24+8*len(cuts), standstill, moved)
 	return err
 }

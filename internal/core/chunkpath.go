@@ -347,33 +347,27 @@ func growBuf(b []byte, n int) []byte {
 	return b[:n]
 }
 
-// formChunks turns the log range [queued, head) into chunks and submits
-// them to the pipelines. Formation is atomic in simulation (no blocking
-// between reading and advancing queued), so the fsync path and the async
-// path never form overlapping chunks. Returns the last chunk formed.
-func (cs *clientState) formChunks(p *sim.Proc, head uint64, sync bool) *chunk {
-	var last *chunk
-	for cs.queued < head {
-		to := head
-		// chunkReady notifications arrive at ~ChunkSize boundaries, so
-		// [queued, head) is normally a single chunk; fsync may cover
-		// several notifications' worth, which is fine — the range is
-		// entry-aligned at both ends.
-		ck := cs.getChunk(cs.queued, to, sync)
-		cs.queued = to
-		cs.pending = append(cs.pending, ck)
-		cs.compKick.Trigger(nil)
-		cs.compKick = sim.NewEvent(cs.n.cl.Env)
-		last = ck
-		if !sync {
-			if cs.mainPl != nil {
-				cs.mainPl.Submit(p, ck)
-			} else {
-				cs.seqQ.Put(p, ck)
-			}
-		}
+// formChunk turns the log range [queued, head), entry-aligned at both ends,
+// into one chunk — none when head is already queued — and, unless it is the
+// fsync path's, submits it to the pipelines. Formation is atomic in
+// simulation (no blocking between reading and advancing queued), so the
+// fsync path and the async path never form overlapping chunks.
+func (cs *clientState) formChunk(p *sim.Proc, head uint64, sync bool) {
+	if cs.queued >= head {
+		return
 	}
-	return last
+	ck := cs.getChunk(cs.queued, head, sync)
+	cs.queued = head
+	cs.pending = append(cs.pending, ck)
+	cs.compKick.Trigger(nil)
+	cs.compKick = sim.NewEvent(cs.n.cl.Env)
+	switch {
+	case sync: // the fsync handler runs it itself
+	case cs.mainPl != nil:
+		cs.mainPl.Submit(p, ck)
+	default:
+		cs.seqQ.Put(p, ck)
+	}
 }
 
 // stageFetch pulls the chunk's raw log bytes from host PM into SmartNIC
@@ -695,11 +689,12 @@ func (cs *clientState) runSender(p *sim.Proc) {
 
 // pumpSends walks the send cursor over contiguous queued chunks, coalescing
 // them into batches (doorbell batching: one wire message per backlog burst,
-// bounded by sendRun.add). Sync chunks flush immediately; the trailing
-// partial batch flushes when the backlog runs dry, so batching never adds
-// latency — it only amortizes per-message overhead a backlog would pay
-// anyway. Invalid chunks and replica-less configurations pass
-// through without a wire message, keeping the cursor contiguous.
+// bounded by sendRun.add). The open batch flushes in the same pass, without
+// a yield, once the cursor finds nothing queued behind it, so batching never
+// adds latency, to an fsync-path chunk or any other: it only amortizes
+// per-message overhead a backlog would pay anyway. Invalid chunks and
+// replica-less configurations pass through without a wire message, keeping
+// the cursor contiguous.
 func (cs *clientState) pumpSends(p *sim.Proc) {
 	for {
 		ck, ok := cs.xferBuf[cs.sendNext]
@@ -753,14 +748,14 @@ type sendRun struct {
 	bytes int // frame bytes on the wire
 }
 
-// add appends ck and reports whether the run must go on the wire now:
-// fsync-path chunks never wait for company, and a message is bounded both
-// in chunks and in payload bytes. First transmission and retransmission
-// share this one predicate.
+// add appends ck and reports whether the run must go on the wire now: a
+// message is bounded both in chunks and in payload bytes (first transmission
+// and retransmission share this one predicate). An fsync-path chunk takes
+// along what is queued behind it; that it never waits is pumpSends' doing.
 func (r *sendRun) add(ck *chunk) (full bool) {
 	r.cks = append(r.cks, ck)
 	r.bytes += ck.frame().wireLen()
-	return ck.sync || len(r.cks) >= repBatchChunks || r.bytes >= repBatchBytes
+	return len(r.cks) >= repBatchChunks || r.bytes >= repBatchBytes
 }
 
 func (r *sendRun) reset() {
@@ -1000,12 +995,25 @@ func (n *NICFS) handleFsync(p *sim.Proc, msg *rdma.Msg, req *fsyncReq) {
 		return
 	}
 	if req.Head > cs.queued {
-		cs.formChunks(p, req.Head, true)
+		// The range goes as the client's pieces, so that piece k+1's fetch
+		// overlaps piece k's trip down the chain — unless the codec wants it
+		// whole, across the cores under one codecGate hold (pieces would each
+		// take the gate alone), or LineFS-NotParallel's one thread takes it.
+		// A retried request finds Head queued and forms nothing.
+		if cfg := n.cl.Cfg; cfg.Parallel && !cfg.Compress {
+			for _, cut := range req.Cuts {
+				cs.formChunk(p, min(cut, req.Head), true)
+			}
+		}
+		cs.formChunk(p, req.Head, true)
 		// A sync chunk is fetched and validated here, on the handler's own
 		// process, so that it does not queue in mainPl behind the client's
 		// bulk chunks; from the split on it goes the way every chunk goes,
-		// marked sync, which the sender flushes at once on the low-latency
-		// connection. Local publication is not waited for.
+		// marked sync, on the low-latency connection. Local publication is not
+		// waited for. runCompletion pops (and nils) cs.pending's front while
+		// this loop blocks in a fetch, but never a slot at or ahead of the
+		// cursor: completion is in log order, and the sync chunk at the
+		// cursor, piece after piece, has not been sent.
 		for _, ck := range cs.pending {
 			if !ck.sync || ck.started {
 				continue

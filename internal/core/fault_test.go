@@ -208,6 +208,29 @@ func TestPartitionStallsFsyncUntilHeal(t *testing.T) {
 	assertReplicasHold(t, cl, "/part", payload)
 }
 
+// tapNIC puts deliver in front of machine mi's NICFS: every message bound for
+// either of its services passes through it, and is handed on only if it says so.
+func tapNIC(env *sim.Env, cl *Cluster, mi int, deliver func(*rdma.Msg) bool) {
+	for _, tap := range []struct {
+		svc string
+		dst *sim.Queue[*rdma.Msg]
+	}{{svcBulk, cl.NICs[mi].bulkQ}, {svcLow, cl.NICs[mi].lowQ}} {
+		q, dst := sim.NewQueue[*rdma.Msg](env, 0), tap.dst
+		cl.Machines[mi].Port.Register(tap.svc, q)
+		env.Go("tap/"+tap.svc, func(p *sim.Proc) {
+			for {
+				m, ok := q.Get(p)
+				if !ok {
+					return
+				}
+				if deliver(m) {
+					dst.Put(p, m)
+				}
+			}
+		})
+	}
+}
+
 // TestRetransmitObeysBatchBounds blackholes the ack direction under a
 // backlog of small chunks, so the whole window is resent, and taps the
 // primary->mirror link: every data message — first transmission or resend —
@@ -223,24 +246,12 @@ func TestRetransmitObeysBatchBounds(t *testing.T) {
 	fp := cl.InstallFaultPlane()
 
 	var seen []*replChunkBatch
-	tap := func(svc string, dst *sim.Queue[*rdma.Msg]) {
-		q := sim.NewQueue[*rdma.Msg](env, 0)
-		cl.Machines[1].Port.Register(svc, q)
-		env.Go("tap/"+svc, func(p *sim.Proc) {
-			for {
-				m, ok := q.Get(p)
-				if !ok {
-					return
-				}
-				if rb, ok := m.Arg.(*replChunkBatch); ok {
-					seen = append(seen, rb)
-				}
-				dst.Put(p, m)
-			}
-		})
-	}
-	tap(svcBulk, cl.NICs[1].bulkQ)
-	tap(svcLow, cl.NICs[1].lowQ)
+	tapNIC(env, cl, 1, func(m *rdma.Msg) bool {
+		if rb, ok := m.Arg.(*replChunkBatch); ok {
+			seen = append(seen, rb)
+		}
+		return true
+	})
 
 	payload := bytes.Repeat([]byte{0x7B}, 4<<20)
 	run(t, env, 120*time.Second, func(p *sim.Proc) {
@@ -319,6 +330,103 @@ func TestCorruptCopyDraws(t *testing.T) {
 		}
 		if payload[at] != 0x11 {
 			t.Fatalf("%d frames: CorruptCopy mutated the sender's payload", frames)
+		}
+	}
+}
+
+// TestMiddlePieceLostOrCorrupted faults the middle one of a 640 KiB fsync's
+// three pieces, on each hop in turn: its frame vanishes, or arrives with a
+// flipped byte (on the last hop, where the bytes are written one-sided, the
+// note vanishes or the bytes in the mirror log are flipped under it). The
+// third piece arrives behind the hole and must wait there unacknowledged: the
+// fsync stays out with exactly the first piece replicated until the primary's
+// retransmit layer resends, one resend interval later, and then completes
+// with every replica holding the file.
+func TestMiddlePieceLostOrCorrupted(t *testing.T) {
+	t.Parallel()
+	const size = 640 << 10
+	for _, tc := range []struct {
+		name    string
+		hop     int // the machine the faulted frame is bound for
+		corrupt bool
+	}{
+		{"drop on hop 1", 1, false},
+		{"corrupt on hop 1", 1, true},
+		{"drop on hop 2", 2, false},
+		{"corrupt on hop 2", 2, true},
+	} {
+		cfg := testConfig()
+		cfg.ChunkSize = 4 << 20
+		env, cl := newTestCluster(t, cfg)
+		payload := bytes.Repeat([]byte{0xB7}, size)
+		var took time.Duration
+		run(t, env, 10*time.Second, func(p *sim.Proc) {
+			l, _ := cl.Attach(p, 0)
+			fd, _ := l.Create(p, "/pieces")
+			if err := l.Fsync(p, fd); err != nil { // one ack observed: resends run on the floor
+				t.Fatal(err)
+			}
+			p.Sleep(10 * time.Millisecond)
+			cs := cl.NICs[0].clients[0]
+			from := cs.queued // the middle piece is the one that neither starts here nor ends at head
+
+			// Tap the faulted machine's services: the first frame of the
+			// middle piece is the one hit, its resend goes through.
+			hit := false
+			m := cl.Machines[tc.hop]
+			fault := func(msg *rdma.Msg) (deliver bool) {
+				_, mFrom, mTo, ok := replSpan(msg.Arg)
+				if !ok || hit || mFrom == from || mTo == l.Log().Head() {
+					return true
+				}
+				hit = true
+				if !tc.corrupt {
+					return false
+				}
+				if rb, ok := msg.Arg.(*replChunkBatch); ok {
+					msg.Arg = rb.CorruptCopy(rand.New(rand.NewSource(1)))
+				} else {
+					seg := fs.NewLogView(cl.LogBase(0), cfg.LogSize).SegmentsAt(mFrom, 1)[0]
+					var b [1]byte
+					m.PM.ReadNoCost(seg.PhysOff, b[:])
+					b[0] ^= 0xA5
+					m.PM.WriteNoCost(seg.PhysOff, b[:])
+				}
+				return true
+			}
+			tapNIC(env, cl, tc.hop, fault)
+
+			for off := 0; off < size; off += 4 << 10 {
+				if _, err := l.WriteAt(p, fd, uint64(off), payload[off:off+4<<10]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			env.Go("midway", func(cp *sim.Proc) {
+				cp.Sleep(5 * time.Millisecond) // all three pieces have been down the chain, no resend yet
+				if cs.repOff <= from || cs.repOff >= l.Log().Head()-size/2 || cl.Robust.RepResends != 0 {
+					t.Errorf("%s: 5ms in, replicated through %d after %d resends; want the first piece of [%d,%d) alone, unresent",
+						tc.name, cs.repOff, cl.Robust.RepResends, from, l.Log().Head())
+				}
+			})
+			start := p.Now()
+			if err := l.Fsync(p, fd); err != nil {
+				t.Fatalf("%s: fsync: %v", tc.name, err)
+			}
+			took = time.Duration(p.Now() - start)
+			p.Sleep(time.Second)
+			assertReplicasHold(t, cl, "/pieces", payload)
+		})
+		env.Shutdown()
+		if took < 5*time.Millisecond || took > 2*resendFloor+time.Millisecond {
+			t.Errorf("%s: fsync took %v, want one resend interval (%v to %v)", tc.name, took, resendFloor, 2*resendFloor)
+		}
+		wantCRC := int64(0)
+		if tc.corrupt {
+			wantCRC = 1
+		}
+		if cl.Robust.RepResends != 1 || cl.Robust.CRCRejected != wantCRC || cl.Robust.RPCTimeouts != 0 {
+			t.Errorf("%s: %d resends, %d CRC rejections, %d RPC timeouts; want 1, %d, 0",
+				tc.name, cl.Robust.RepResends, cl.Robust.CRCRejected, cl.Robust.RPCTimeouts, wantCRC)
 		}
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"linefs/internal/dfs"
 	"linefs/internal/fs"
+	"linefs/internal/hw"
 	"linefs/internal/sim"
 )
 
@@ -193,4 +195,138 @@ func TestNotParallelFsyncStaysSequential(t *testing.T) {
 			t.Errorf("NotParallel 16 KiB fsync took %v, want %v", trip.took, want)
 		}
 	})
+}
+
+// largeTrip is what one large write+fsync on an idle cluster looked like.
+type largeTrip struct {
+	took time.Duration // the fsync alone
+	cuts []uint64      // where the sync chunks it formed end, the last aside
+	// fetches counts primary-side fetches done by the time the fsync returned;
+	// fetchesAtFirstSent, by the time its first sync chunk had gone on the wire.
+	fetches, fetchesAtFirstSent int64
+}
+
+// largeFsync attaches a client to node 0, lets the create settle, writes size
+// bytes as 4 KiB entries and fsyncs them: through the client, which offers its
+// cuts, or (pieces=false) straight through the backend with none — the
+// one-chunk path, with the system call charged by hand.
+func largeFsync(t *testing.T, cfg Config, size int, pieces bool) (trip largeTrip) {
+	t.Helper()
+	cfg.ChunkSize = 4 << 20 // as DefaultConfig: no doorbell below 4 MiB
+	env, cl := newTestCluster(t, cfg)
+	defer env.Shutdown()
+	run(t, env, 10*time.Second, func(p *sim.Proc) {
+		l, err := cl.Attach(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd, err := l.Create(p, "/large")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(10 * time.Millisecond)
+		payload := bytes.Repeat([]byte{0x3C}, size)
+		for off := 0; off < size; off += 4 << 10 {
+			if _, err := l.WriteAt(p, fd, uint64(off), payload[off:off+4<<10]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cs, fetch := cl.NICs[0].clients[0], cl.NICs[0].StageTimes["fetch"]
+		formed, before := cs.compKick, fetch.N
+		cl.Env.Go("watch", func(wp *sim.Proc) {
+			wp.Wait(formed) // formation is atomic: every piece is in pending by now
+			var first *sim.Event
+			for _, ck := range cs.pending {
+				if ck.sync && first == nil {
+					first = ck.sent
+				}
+				if ck.sync && ck.to < cs.queued {
+					trip.cuts = append(trip.cuts, ck.to)
+				}
+			}
+			wp.Wait(first)
+			trip.fetchesAtFirstSent = fetch.N - before
+		})
+		start := p.Now()
+		if pieces {
+			err = l.Fsync(p, fd)
+		} else {
+			cl.LibFS(0, 0).Syscall(p)
+			err = l.backend.Fsync(p, l.Log().Head(), nil)
+		}
+		if err != nil {
+			t.Fatalf("fsync: %v", err)
+		}
+		trip.took, trip.fetches = time.Duration(p.Now()-start), fetch.N-before
+
+		// The same request again, as a retry after a lost response would send
+		// it: everything through Head is queued, so nothing forms.
+		queued, chunks := cs.queued, cl.NICs[0].RepChunksSent
+		if err := l.backend.Fsync(p, l.Log().Head(), trip.cuts); err != nil {
+			t.Fatalf("retried fsync: %v", err)
+		}
+		if cs.queued != queued || cl.NICs[0].RepChunksSent != chunks {
+			t.Errorf("a retried fsync formed chunks: queued %d -> %d, sent %d -> %d",
+				queued, cs.queued, chunks, cl.NICs[0].RepChunksSent)
+		}
+		p.Sleep(100 * time.Millisecond) // background publication
+		assertReplicasHold(t, cl, "/large", payload)
+	})
+	if cl.Robust.Any() {
+		t.Errorf("%d bytes, pieces=%v: a robustness counter moved on a fault-free run: %+v", size, pieces, cl.Robust)
+	}
+	return trip
+}
+
+// TestLargeFsyncStreams: an fsync range over a piece long goes down the chain
+// as the client's pieces, and the stages that used to run one after the other
+// on the whole range — fetch, both wire hops, both persists — overlap across
+// them. Properties, not numbers: the first piece is on the wire before the
+// last is fetched, 640 KiB (three pieces) return at least a quarter sooner
+// than as one chunk, and no size is slower for being cut. Where the stage
+// behind validation needs the whole range (Compress: one codecGate hold) or
+// there is no stage behind it (LineFS-NotParallel), the cuts are ignored.
+func TestLargeFsyncStreams(t *testing.T) {
+	t.Parallel()
+	if link := hw.NewLink(sim.NewEnv(1), "l", 0, 1e9); dfs.FsyncPiece != subBlockSize || dfs.FsyncPiece != link.MaxSeg {
+		t.Errorf("dfs.FsyncPiece %d, subBlockSize %d, a link's MaxSeg %d: a piece is meant to be one of each",
+			dfs.FsyncPiece, subBlockSize, link.MaxSeg)
+	}
+
+	cut, whole := largeFsync(t, testConfig(), 640<<10, true), largeFsync(t, testConfig(), 640<<10, false)
+	if len(cut.cuts) != 2 || len(whole.cuts) != 0 {
+		t.Fatalf("640 KiB formed sync chunks cut at %v with the client's cuts and %v without; want 2 cuts and none", cut.cuts, whole.cuts)
+	}
+	if cut.fetches != 3 || cut.fetchesAtFirstSent >= cut.fetches {
+		t.Errorf("the first piece went on the wire after %d of %d fetches; want it gone before the last", cut.fetchesAtFirstSent, cut.fetches)
+	}
+	t.Logf("640 KiB fsync: %v in pieces, %v as one chunk", cut.took, whole.took)
+	if cut.took > whole.took*3/4 {
+		t.Errorf("640 KiB fsync: %v in pieces, %v as one chunk; want at least 25%% less", cut.took, whole.took)
+	}
+
+	for _, kib := range []int{4, 200, 300, 320, 420, 1 << 10, 2 << 10, 3992} {
+		cut, whole := largeFsync(t, testConfig(), kib<<10, true), largeFsync(t, testConfig(), kib<<10, false)
+		t.Logf("%d KiB fsync: %v in pieces, %v as one chunk", kib, cut.took, whole.took)
+		if cut.took > whole.took {
+			t.Errorf("%d KiB fsync: %v in pieces (cuts %v), %v as one chunk", kib, cut.took, cut.cuts, whole.took)
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"Compress", func(c *Config) { c.Compress = true }},
+		{"NotParallel", func(c *Config) { c.Parallel = false }},
+	} {
+		cfg := testConfig()
+		tc.set(&cfg)
+		if trip := largeFsync(t, cfg, 640<<10, true); len(trip.cuts) != 0 || trip.fetches != 1 {
+			t.Errorf("%s: 640 KiB fsync formed sync chunks cut at %v, %d fetches; want one chunk", tc.name, trip.cuts, trip.fetches)
+		}
+	}
 }

@@ -61,6 +61,9 @@ type chunkReady struct {
 type fsyncReq struct {
 	Slot int
 	Head uint64
+	// Cuts are entry-aligned boundaries (< Head, oldest first) at which a
+	// pipelined datapath cuts the range the fsync forms into pieces.
+	Cuts []uint64
 }
 
 // touched records a namespace-visible update for the epoch history bitmap.

@@ -33,8 +33,10 @@ type mirrorState struct {
 	pubProc *sim.Proc
 	pubNext uint64
 
-	// fresh marks a mirror created mid-stream (NICFS recovery): it adopts
-	// the first arriving chunk's offset instead of expecting offset zero.
+	// fresh marks a mirror created mid-stream (on a NICFS that has been
+	// through Recover): it adopts the first arriving chunk's offset instead of
+	// expecting offset zero, where a sync frame that overtook the slot's
+	// first bulk chunk must wait for it like any early arrival.
 	fresh bool
 
 	// dec is the decompression dictionary, reused across sub-blocks (every
@@ -154,7 +156,7 @@ func (n *NICFS) newMirror(slot int) *mirrorState {
 		chain:    chain,
 		q:        sim.NewQueue[*rdma.Msg](cl.Env, 0),
 		pubQ:     sim.NewQueue[pubJob](cl.Env, 0),
-		fresh:    true,
+		fresh:    n.recovered,
 	}
 	ms.proc = cl.Env.Go(n.Name()+"/mirror", ms.run)
 	ms.pubProc = cl.Env.Go(n.Name()+"/mirror-pub", ms.runPublisher)

@@ -315,3 +315,49 @@ func FuzzDecodeBatchChunk(f *testing.F) {
 		}
 	})
 }
+
+// TestFirstChunkSurvivesAnOvertakingFsync: on a slot's first use, one bulk
+// chunk goes down the chain with an fsync's tail right behind it. The tail
+// rides the low-latency class and overtakes the chunk on the replica 1 →
+// replica 2 hop, so replica 2's mirror is born on a frame that does not start
+// at offset zero — and has to wait for the one that does. When every new
+// mirror adopted its first frame's offset (a rule for a NICFS re-joining after
+// Recover), the bulk chunk then looked like a duplicate, was re-acked and
+// dropped: the fsync succeeded and the file never existed on node 2.
+func TestFirstChunkSurvivesAnOvertakingFsync(t *testing.T) {
+	t.Parallel()
+	const chunk, wr = 4 << 20, 16 << 10
+	for _, tail := range []int{16 << 10, 256 << 10, 1 << 20} {
+		cfg := testConfig()
+		cfg.ChunkSize = chunk
+		env, cl := newTestCluster(t, cfg)
+		payload := bytes.Repeat([]byte{0xF1}, chunk+tail)
+		run(t, env, 10*time.Second, func(p *sim.Proc) {
+			l, err := cl.Attach(p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fd, err := l.Create(p, "/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off := 0; off < len(payload); off += wr {
+				if _, err := l.WriteAt(p, fd, uint64(off), payload[off:off+wr]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Fsync(p, fd); err != nil {
+				t.Fatalf("tail %d KiB: fsync: %v", tail>>10, err)
+			}
+			head := cl.NICs[0].clients[0].log.Head()
+			for _, mi := range []int{1, 2} {
+				if got := cl.NICs[mi].mirrors[0].log.Head(); got != head {
+					t.Errorf("tail %d KiB: node %d mirror head %d, primary's %d", tail>>10, mi, got, head)
+				}
+			}
+			p.Sleep(time.Second) // background publication
+			assertReplicasHold(t, cl, "/f", payload)
+		})
+		env.Shutdown()
+	}
+}

@@ -72,8 +72,9 @@ type NICFS struct {
 	// NICMem flow control (§4).
 	memFreed *sim.Event
 
-	procs []*sim.Proc
-	down  bool
+	procs     []*sim.Proc
+	down      bool
+	recovered bool // Recover has run: new mirrors join their streams mid-way
 
 	// Metrics.
 	PubBytes       int64
@@ -297,11 +298,11 @@ func (n *NICFS) runBulk(p *sim.Proc) {
 			if cs := n.clients[req.Slot]; cs != nil {
 				// One coalesced doorbell submits every marked chunk plus
 				// the final range under a single dispatch charge; stale
-				// boundaries (<= queued) are no-ops inside formChunks.
+				// boundaries (<= queued) are no-ops inside formChunk.
 				for _, m := range req.Marks {
-					cs.formChunks(p, m, false)
+					cs.formChunk(p, m, false)
 				}
-				cs.formChunks(p, req.Head, false)
+				cs.formChunk(p, req.Head, false)
 			}
 		case "repl-chunk-batch", "repl-direct":
 			n.routeMirror(p, msg)

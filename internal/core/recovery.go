@@ -92,7 +92,7 @@ func (n *NICFS) Recover(p *sim.Proc, peerMachine int) error {
 	// resolve the service by name on every send and pick them up. Dead
 	// mirrors are dropped: fresh ones adopt the live stream position on
 	// first contact and the state they held is re-fetched below.
-	n.down = false
+	n.down, n.recovered = false, true
 	n.lowQ = sim.NewQueue[*rdma.Msg](n.cl.Env, 0)
 	n.bulkQ = sim.NewQueue[*rdma.Msg](n.cl.Env, 0)
 	n.mirrors = make(map[int]*mirrorState)

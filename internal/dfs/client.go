@@ -37,9 +37,19 @@ type Backend interface {
 	// the caller: a backend that retains it past the call must copy.
 	ChunkReady(p *sim.Proc, head uint64, marks []uint64)
 	// Fsync makes everything up to head durable per the system's
-	// guarantees (replicated on all chain members) before returning.
-	Fsync(p *sim.Proc, head uint64) error
+	// guarantees (replicated on all chain members) before returning. cuts
+	// are entry boundaries after the last notification (oldest first, all
+	// < head), FsyncPiece apart: a backend that pipelines replication may
+	// send the range as those pieces. The slice is reused, like marks.
+	Fsync(p *sim.Proc, head uint64, cuts []uint64) error
 }
+
+// FsyncPiece is the most log bytes in one piece of an fsync's range (a
+// single larger entry aside): one hw.Link segment and one codec sub-block,
+// so a piece's fetch, wire hops and persists overlap its neighbours'. Half
+// as much costs more in dispatches than it gains in overlap, twice as much
+// overlaps too little (DESIGN.md §11 has both measured).
+const FsyncPiece = 256 << 10
 
 // Config wires a client to its node's resources.
 type Config struct {
@@ -91,6 +101,12 @@ type Client struct {
 	sinceNotify int64
 	marks       []uint64
 
+	// cuts holds the FsyncPiece boundaries of the log written since the last
+	// doorbell (only the client knows where entries end); pieceFrom is where
+	// the running piece starts.
+	cuts      []uint64
+	pieceFrom uint64
+
 	spaceFreed *sim.Event
 
 	env *sim.Env
@@ -115,6 +131,7 @@ func NewClient(env *sim.Env, backend Backend, cfg Config) *Client {
 		fds:        make(map[int]*fileFD),
 		nextFD:     3,
 		leases:     make(map[fs.Ino]leaseInfo),
+		pieceFrom:  cfg.Log.Head(),
 		spaceFreed: sim.NewEvent(env),
 		env:        env,
 	}
@@ -265,6 +282,10 @@ func (l *Client) append(p *sim.Proc, e *fs.Entry) (uint64, error) {
 	for {
 		at, err := l.log.Append(ctx, e)
 		if err == nil {
+			if at > l.pieceFrom && l.log.Head()-l.pieceFrom > FsyncPiece {
+				l.cuts = append(l.cuts, at)
+				l.pieceFrom = at
+			}
 			l.sinceNotify += int64(e.WireSize())
 			if l.sinceNotify >= int64(l.cfg.ChunkSize) {
 				l.sinceNotify = 0
@@ -296,6 +317,7 @@ func (l *Client) notifyChunkReady(p *sim.Proc) {
 	}
 	l.backend.ChunkReady(p, head, marks)
 	l.marks = l.marks[:0]
+	l.cuts, l.pieceFrom = l.cuts[:0], head
 }
 
 // notifyChunks is the configured doorbell coalescing degree, at least 1.

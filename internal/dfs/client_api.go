@@ -473,7 +473,14 @@ func (l *Client) Fsync(p *sim.Proc, fd int) error {
 		l.notifyChunkReady(p)
 	}
 	l.sinceNotify = 0
-	return l.backend.Fsync(p, l.log.Head())
+	head, cuts := l.log.Head(), l.cuts
+	// A tail under a quarter piece rides with the piece before it: its own
+	// trip down the chain would cost more than overlapping it saves.
+	if n := len(cuts); n > 0 && head-cuts[n-1] < FsyncPiece/4 {
+		cuts = cuts[:n-1]
+	}
+	l.cuts, l.pieceFrom = l.cuts[:0], head
+	return l.backend.Fsync(p, head, cuts)
 }
 
 // Stat reports a file's type and size, merging unpublished state.

@@ -2,6 +2,8 @@ package dfs
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,6 +29,13 @@ type fakeBackend struct {
 	chunks    int
 	marks     []uint64
 	leaseReqs int
+
+	// What the last Fsync was handed: the offset its range began at (the
+	// later of the previous Fsync's head and the last doorbell's), its cuts,
+	// and the log offset every entry of the range ends at.
+	fsyncFrom uint64
+	cuts      []uint64
+	entryEnds []uint64
 }
 
 func (b *fakeBackend) AcquireLease(p *sim.Proc, ino fs.Ino, mode lease.Mode) (bool, error) {
@@ -39,9 +48,10 @@ func (b *fakeBackend) OpenCheck(p *sim.Proc, pth string) error { return nil }
 func (b *fakeBackend) ChunkReady(p *sim.Proc, head uint64, marks []uint64) {
 	b.chunks++
 	b.marks = append(append(b.marks, marks...), head)
+	b.fsyncFrom = head
 }
 
-func (b *fakeBackend) Fsync(p *sim.Proc, head uint64) error {
+func (b *fakeBackend) Fsync(p *sim.Proc, head uint64, cuts []uint64) error {
 	b.fsyncs++
 	ctx := fs.NoCostCtx(b.pm)
 	ents, err := b.log.DecodeRange(ctx, b.published, head)
@@ -50,6 +60,16 @@ func (b *fakeBackend) Fsync(p *sim.Proc, head uint64) error {
 	}
 	if err := b.vol.ApplyAll(ctx, ents, nil); err != nil {
 		return err
+	}
+	b.fsyncFrom = max(b.fsyncFrom, b.published)
+	b.cuts = append(b.cuts[:0], cuts...)
+	b.entryEnds = b.entryEnds[:0]
+	at := b.published
+	for _, e := range ents {
+		at += uint64(e.WireSize())
+		if at > b.fsyncFrom {
+			b.entryEnds = append(b.entryEnds, at)
+		}
 	}
 	b.published = head
 	b.client.OnReclaim(p, head)
@@ -216,6 +236,86 @@ func TestDoorbellCoalescing(t *testing.T) {
 		}
 		if b.chunks != 3 {
 			t.Fatalf("fsync did not flush the deferred doorbell (got %d)", b.chunks)
+		}
+	})
+}
+
+// TestFsyncCuts holds the pieces an fsync offers its backend to their
+// properties, over seeded write sizes: every cut is an entry boundary strictly
+// inside the range the fsync itself covers (after the last doorbell, before
+// head), a piece exceeds FsyncPiece only by being one entry, or by being the
+// last and carrying a tail of under a quarter piece — which is never left on
+// its own — and no piece was cut while its next entry still fitted.
+func TestFsyncCuts(t *testing.T) {
+	t.Parallel()
+	env, b, c := newFake(t)
+	rng := rand.New(rand.NewSource(22))
+	run(t, env, func(p *sim.Proc) {
+		fd, _ := c.Create(p, "/cuts")
+		check := func(name string) {
+			t.Helper()
+			if err := c.Fsync(p, fd); err != nil {
+				t.Fatal(err)
+			}
+			from, fromAt := b.fsyncFrom, -1 // fromAt indexes the entry that ends at from
+			for i, end := range append(b.cuts, b.published) {
+				last := i == len(b.cuts)
+				at, ok := slices.BinarySearch(b.entryEnds, end)
+				if !ok || end <= from || (!last && end >= b.published) {
+					t.Fatalf("%s: cut %d is not an entry boundary inside (%d, %d)", name, end, from, b.published)
+				}
+				entries := at - fromAt
+				switch size := end - from; {
+				case last && len(b.cuts) > 0 && size < FsyncPiece/4:
+					t.Errorf("%s: the last piece is %d bytes, under a quarter piece, and was not merged", name, size)
+				case size > FsyncPiece && entries > 1 && !(last && size-FsyncPiece < FsyncPiece/4):
+					t.Errorf("%s: piece [%d,%d) is %d bytes in %d entries, over FsyncPiece", name, from, end, size, entries)
+				case !last && b.entryEnds[at+1]-from <= FsyncPiece:
+					t.Errorf("%s: piece [%d,%d) was cut with room for its next entry", name, from, end)
+				}
+				from, fromAt = end, at
+			}
+		}
+		writes := func(total, lo, hi int) {
+			for off := 0; off < total; {
+				n := lo + rng.Intn(hi-lo+1)
+				c.WriteAt(p, fd, uint64(off), make([]byte, n))
+				off += n
+			}
+		}
+
+		writes(4<<10, 4<<10, 4<<10)
+		check("one 4 KiB write")
+		if len(b.cuts) != 0 {
+			t.Errorf("a 4 KiB write+fsync carries cuts %v", b.cuts)
+		}
+		writes(300<<10, 4<<10, 4<<10)
+		check("300 KiB")
+		if len(b.cuts) != 0 {
+			t.Errorf("300 KiB of 4 KiB writes: cuts %v, want the 44 KiB tail merged", b.cuts)
+		}
+		writes(330<<10, 4<<10, 4<<10)
+		check("330 KiB")
+		if len(b.cuts) != 1 {
+			t.Errorf("330 KiB of 4 KiB writes: cuts %v, want one", b.cuts)
+		}
+		for i := 0; i < 20; i++ {
+			writes(64<<10+rng.Intn(900<<10), 1, 48<<10)
+			check("seeded sizes")
+		}
+		writes(700<<10, 300<<10, 400<<10)
+		check("entries larger than a piece")
+
+		// A doorbell (1 MiB chunks here) takes everything before it: the cuts
+		// recorded on the way are forgotten, the next piece starts at its head.
+		doorbells := b.chunks
+		writes(1<<20+600<<10, 4<<10, 16<<10)
+		if b.chunks != doorbells+1 {
+			t.Fatalf("%d doorbells for 1.6 MiB, want 1", b.chunks-doorbells)
+		}
+		check("after a doorbell")
+		if rung := b.marks[len(b.marks)-1]; len(b.cuts) == 0 || b.cuts[0] <= rung {
+			t.Errorf("cuts %v after the doorbell at %d: want some, all beyond it", b.cuts, rung)
 		}
 	})
 }
