@@ -57,13 +57,15 @@ race:
 
 # Ten seconds of native fuzzing on each wire decoder that has a target: the
 # replication frame (sub-block table, payload, declared length), the LZW
-# codec under it, and the log wire format inside it (one entry, and the
-# ingress gate over a range). `go test` alone only replays the seed corpora.
+# codec under it, and the log wire format inside it (one entry, the ingress
+# gate over a range, and the range readers over a ring that wraps). `go test`
+# alone only replays the seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatchChunk -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLZWRoundTrip -fuzztime 10s ./internal/compress
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntryInto -fuzztime 10s ./internal/fs
 	$(GO) test -run '^$$' -fuzz FuzzVerifyWire -fuzztime 10s ./internal/fs
+	$(GO) test -run '^$$' -fuzz FuzzVisitRangeWrap -fuzztime 10s ./internal/fs
 
 # Runtime determinism gate (DESIGN.md §8): run every experiment twice with
 # the sim-sanitizer enabled and fail on digest or output divergence.
@@ -84,8 +86,8 @@ bench:
 	$(GO) build -o linefs-bench ./cmd/linefs-bench
 	./linefs-bench -kernelbench
 
-# Regenerate BENCH_dataplane.json (seed vs current LZW / log codec / PM
-# throughput, measured back-to-back per metric).
+# Regenerate BENCH_dataplane.json (current LZW / log codec / PM throughput
+# against the recorded seed column).
 databench:
 	$(GO) build -o linefs-bench ./cmd/linefs-bench
 	./linefs-bench -databench -databench-time 2s

@@ -14,6 +14,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -23,18 +24,27 @@ import (
 )
 
 func main() {
-	cl, err := linefs.New(linefs.Defaults())
-	if err != nil {
+	if err := run(os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+}
+
+// run is the shell: commands from in, one per line, until quit or end of
+// input; everything it prints goes to out. It returns an error only when the
+// cluster cannot be brought up or in cannot be read.
+func run(in io.Reader, out io.Writer) error {
+	opts := linefs.Defaults()
+	cl, err := linefs.New(opts)
+	if err != nil {
+		return err
 	}
 	var client *linefs.Client
 	cl.Run(func(p *linefs.Proc) {
 		client, err = cl.Attach(p, 0)
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	fds := map[string]int{}
 
@@ -43,11 +53,11 @@ func main() {
 		var opErr error
 		ok := cl.Run(func(p *linefs.Proc) { opErr = fn(p) })
 		if !ok {
-			fmt.Println("error: operation did not complete")
+			fmt.Fprintln(out, "error: operation did not complete")
 			return
 		}
 		if opErr != nil {
-			fmt.Println("error:", opErr)
+			fmt.Fprintln(out, "error:", opErr)
 		}
 	}
 	openFD := func(p *linefs.Proc, name string, write bool) (int, error) {
@@ -62,12 +72,12 @@ func main() {
 		return fd, nil
 	}
 
-	fmt.Println("LineFS shell — type 'help' for commands")
-	sc := bufio.NewScanner(os.Stdin)
+	fmt.Fprintln(out, "LineFS shell — type 'help' for commands")
+	sc := bufio.NewScanner(in)
 	for {
-		fmt.Printf("linefs[%.3fs]:/> ", cl.Now().Seconds())
+		fmt.Fprintf(out, "linefs[%.3fs]:/> ", cl.Now().Seconds())
 		if !sc.Scan() {
-			break
+			return sc.Err()
 		}
 		args := strings.Fields(sc.Text())
 		if len(args) == 0 {
@@ -75,7 +85,7 @@ func main() {
 		}
 		switch args[0] {
 		case "help":
-			fmt.Print(`commands:
+			fmt.Fprint(out, `commands:
   ls [dir]              list a directory
   mkdir <path>          create a directory
   create <path>         create a file
@@ -92,7 +102,7 @@ func main() {
   quit
 `)
 		case "quit", "exit":
-			return
+			return nil
 		case "ls":
 			dir := "/"
 			if len(args) > 1 {
@@ -104,19 +114,19 @@ func main() {
 					return err
 				}
 				for _, e := range ents {
-					fmt.Printf("  %s\n", e.Name)
+					fmt.Fprintf(out, "  %s\n", e.Name)
 				}
 				return nil
 			})
 		case "mkdir":
 			if len(args) < 2 {
-				fmt.Println("usage: mkdir <path>")
+				fmt.Fprintln(out, "usage: mkdir <path>")
 				continue
 			}
 			do(func(p *linefs.Proc) error { return client.Mkdir(p, args[1]) })
 		case "create":
 			if len(args) < 2 {
-				fmt.Println("usage: create <path>")
+				fmt.Fprintln(out, "usage: create <path>")
 				continue
 			}
 			do(func(p *linefs.Proc) error {
@@ -128,7 +138,7 @@ func main() {
 			})
 		case "write":
 			if len(args) < 4 {
-				fmt.Println("usage: write <path> <off> <text>")
+				fmt.Fprintln(out, "usage: write <path> <off> <text>")
 				continue
 			}
 			off, _ := strconv.ParseUint(args[2], 10, 64)
@@ -140,17 +150,20 @@ func main() {
 				}
 				n, err := client.WriteAt(p, fd, off, []byte(data))
 				if err == nil {
-					fmt.Printf("  wrote %d bytes\n", n)
+					fmt.Fprintf(out, "  wrote %d bytes\n", n)
 				}
 				return err
 			})
 		case "read":
-			if len(args) < 4 {
-				fmt.Println("usage: read <path> <off> <n>")
+			n := -1
+			if len(args) >= 4 {
+				n, _ = strconv.Atoi(args[3])
+			}
+			if n < 0 {
+				fmt.Fprintln(out, "usage: read <path> <off> <n>")
 				continue
 			}
 			off, _ := strconv.ParseUint(args[2], 10, 64)
-			n, _ := strconv.Atoi(args[3])
 			do(func(p *linefs.Proc) error {
 				fd, err := openFD(p, args[1], false)
 				if err != nil {
@@ -159,13 +172,13 @@ func main() {
 				buf := make([]byte, n)
 				got, err := client.ReadAt(p, fd, off, buf)
 				if err == nil {
-					fmt.Printf("  %q\n", buf[:got])
+					fmt.Fprintf(out, "  %q\n", buf[:got])
 				}
 				return err
 			})
 		case "fsync":
 			if len(args) < 2 {
-				fmt.Println("usage: fsync <path>")
+				fmt.Fprintln(out, "usage: fsync <path>")
 				continue
 			}
 			do(func(p *linefs.Proc) error {
@@ -177,12 +190,12 @@ func main() {
 				if err := client.Fsync(p, fd); err != nil {
 					return err
 				}
-				fmt.Printf("  durable on all replicas in %v\n", (p.Now() - start).Dur())
+				fmt.Fprintf(out, "  durable on all replicas in %v\n", (p.Now() - start).Dur())
 				return nil
 			})
 		case "stat":
 			if len(args) < 2 {
-				fmt.Println("usage: stat <path>")
+				fmt.Fprintln(out, "usage: stat <path>")
 				continue
 			}
 			do(func(p *linefs.Proc) error {
@@ -194,42 +207,39 @@ func main() {
 				if typ == 2 {
 					kind = "dir"
 				}
-				fmt.Printf("  %s: %s, %d bytes\n", args[1], kind, size)
+				fmt.Fprintf(out, "  %s: %s, %d bytes\n", args[1], kind, size)
 				return nil
 			})
 		case "rm":
 			if len(args) < 2 {
-				fmt.Println("usage: rm <path>")
+				fmt.Fprintln(out, "usage: rm <path>")
 				continue
 			}
 			do(func(p *linefs.Proc) error { return client.Unlink(p, args[1]) })
 		case "mv":
 			if len(args) < 3 {
-				fmt.Println("usage: mv <old> <new>")
+				fmt.Fprintln(out, "usage: mv <old> <new>")
 				continue
 			}
 			do(func(p *linefs.Proc) error { return client.Rename(p, args[1], args[2]) })
-		case "crash":
+		case "crash", "recover":
 			if len(args) < 2 {
-				fmt.Println("usage: crash <node>")
+				fmt.Fprintf(out, "usage: %s <node>\n", args[0])
 				continue
 			}
-			i, _ := strconv.Atoi(args[1])
-			if err := cl.CrashHost(i); err != nil {
-				fmt.Println("error:", err)
-			} else {
-				fmt.Printf("  node %d host OS down\n", i)
-			}
-		case "recover":
-			if len(args) < 2 {
-				fmt.Println("usage: recover <node>")
+			i, err := strconv.Atoi(args[1])
+			if err != nil || i < 0 || i >= opts.Nodes {
+				fmt.Fprintf(out, "error: no node %q\n", args[1])
 				continue
 			}
-			i, _ := strconv.Atoi(args[1])
-			if err := cl.RecoverHost(i); err != nil {
-				fmt.Println("error:", err)
+			op, state := cl.CrashHost, "down"
+			if args[0] == "recover" {
+				op, state = cl.RecoverHost, "up"
+			}
+			if err := op(i); err != nil {
+				fmt.Fprintln(out, "error:", err)
 			} else {
-				fmt.Printf("  node %d host OS up\n", i)
+				fmt.Fprintf(out, "  node %d host OS %s\n", i, state)
 			}
 		case "sleep":
 			secs := 1.0
@@ -239,19 +249,19 @@ func main() {
 			cl.RunFor(time.Duration(secs * float64(time.Second)))
 		case "status":
 			s := cl.Stats()
-			fmt.Printf("  virtual time     %v\n", cl.Now())
-			fmt.Printf("  network bytes    %d\n", s.NetworkBytes)
-			fmt.Printf("  published bytes  %d\n", s.PublishedBytes)
-			fmt.Printf("  replicated bytes %d\n", s.ReplicatedRawBytes)
-			for i := 0; i < 3; i++ {
+			fmt.Fprintf(out, "  virtual time     %v\n", cl.Now())
+			fmt.Fprintf(out, "  network bytes    %d\n", s.NetworkBytes)
+			fmt.Fprintf(out, "  published bytes  %d\n", s.PublishedBytes)
+			fmt.Fprintf(out, "  replicated bytes %d\n", s.ReplicatedRawBytes)
+			for i := 0; i < opts.Nodes; i++ {
 				iso := ""
 				if cl.Isolated(i) {
 					iso = " [NICFS isolated: host down]"
 				}
-				fmt.Printf("  node%d%s\n", i, iso)
+				fmt.Fprintf(out, "  node%d%s\n", i, iso)
 			}
 		default:
-			fmt.Printf("unknown command %q (try help)\n", args[0])
+			fmt.Fprintf(out, "unknown command %q (try help)\n", args[0])
 		}
 	}
 }

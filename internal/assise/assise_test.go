@@ -95,7 +95,7 @@ func testWriteFsyncRead(t *testing.T, mode Mode) {
 				t.Fatalf("node %d: no mirror", mi)
 			}
 			c := fs.NoCostCtx(cl.Machines[mi].PM)
-			ents, err := fs.DecodeAll(ms.log.ReadRaw(c, 0, int(ms.log.Head())))
+			ents, _, err := ms.log.DecodeRangeScratch(c, nil, 0, ms.log.Head())
 			if err != nil {
 				t.Fatalf("node %d decode: %v", mi, err)
 			}

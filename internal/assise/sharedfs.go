@@ -277,7 +277,9 @@ func (s *SharedFS) replicateRange(p *sim.Proc, ss *slotState, from, to uint64) e
 	defer ss.repWin.Release()
 
 	ctx := s.cl.HostCtx(p, s.machine, "dfs")
-	raw := ss.log.ReadRaw(ctx, from, int(to-from))
+	// A fresh buffer, not a scratch: the chain borrows it until the last ack.
+	raw := make([]byte, to-from)
+	ss.log.ReadRawInto(ctx, from, raw)
 
 	chain := s.cl.Chain(s.machine)
 	if len(chain) > 1 {
@@ -471,8 +473,8 @@ func (s *SharedFS) replicateHyperloop(p *sim.Proc, slot int, replicas []int, fro
 	view := fs.NewLogView(s.cl.LogBase(slot), s.cl.Cfg.LogSize)
 	for _, mi := range replicas {
 		conn := s.peer(mi)
-		off := 0
-		for _, seg := range view.SegmentsAt(from, len(raw)) {
+		for off := 0; off < len(raw); {
+			seg := view.SegmentAt(from+uint64(off), len(raw)-off)
 			if err := conn.RDMAWrite(p, "pm", seg.PhysOff, raw[off:off+seg.Len]); err != nil {
 				return err
 			}

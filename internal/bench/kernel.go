@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
 	"time"
 
 	"linefs/internal/sim"
@@ -135,10 +133,5 @@ func WriteKernelBench(path string) (KernelStats, error) {
 		SpeedupEventsPerSec: cur.EventsPerSec / KernelBaseline.EventsPerSec,
 		MeasuredAt:          time.Now().UTC().Format(time.RFC3339),
 	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return cur, err
-	}
-	b = append(b, '\n')
-	return cur, os.WriteFile(path, b, 0o644)
+	return cur, writeReport(path, rep)
 }

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"time"
 
@@ -245,10 +243,5 @@ func WriteRepBench(path string, minTime time.Duration) (RepBenchReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return rep, err
-	}
-	b = append(b, '\n')
-	return rep, os.WriteFile(path, b, 0o644)
+	return rep, writeReport(path, rep)
 }

@@ -48,8 +48,8 @@ func TestGoldenBytesVsReference(t *testing.T) {
 			t.Fatalf("corpus[%d] (%d bytes): optimized stream differs from seed stream (%d vs %d bytes)",
 				i, len(src), len(dst), len(want))
 		}
-		if got := Compress(src); !bytes.Equal(got, want) {
-			t.Fatalf("corpus[%d]: Compress wrapper diverged from seed stream", i)
+		if got := compress(src); !bytes.Equal(got, want) {
+			t.Fatalf("corpus[%d]: a fresh Encoder diverged from seed stream", i)
 		}
 		var err error
 		out, err = dec.DecompressInto(out[:0], dst)
@@ -86,7 +86,7 @@ func TestDecoderMatchesReferenceOnGarbage(t *testing.T) {
 			t.Fatalf("%s: decoders disagree on output", label)
 		}
 	}
-	valid := Compress(bytes.Repeat([]byte("hello world "), 4000))
+	valid := compress(bytes.Repeat([]byte("hello world "), 4000))
 	for cut := 0; cut < len(valid); cut += 97 {
 		check(valid[:cut], "truncation")
 	}
@@ -172,7 +172,8 @@ func TestCompressIntoSteadyStateAllocFree(t *testing.T) {
 
 // FuzzLZWRoundTrip fuzzes the optimized codec against itself and against
 // the frozen seed implementation: the compressed stream must be
-// byte-identical to the seed encoder's, and decompression must invert it.
+// byte-identical to the seed encoder's, decompression must invert it, and
+// the two decoders must agree on the input bytes taken as a stream.
 func FuzzLZWRoundTrip(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("a"))
@@ -199,6 +200,13 @@ func FuzzLZWRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(got, src) {
 			t.Fatalf("round trip mismatch: %d in, %d out", len(src), len(got))
+		}
+		// And src taken as a stream: both decoders accept the same inputs
+		// and agree on what they hold.
+		refOut, refErr := ReferenceDecompress(src)
+		got, err = dec.DecompressInto(nil, src)
+		if (refErr == nil) != (err == nil) || (err == nil && !bytes.Equal(got, refOut)) {
+			t.Fatalf("as a stream: seed decoder %d bytes, err=%v; decoder %d bytes, err=%v", len(refOut), refErr, len(got), err)
 		}
 	})
 }
@@ -229,7 +237,7 @@ func BenchmarkDecompressInto(b *testing.B) {
 			src[i] = byte(rng.Intn(256))
 		}
 	}
-	stream := Compress(src)
+	stream := compress(src)
 	dec := NewDecoder()
 	out, err := dec.DecompressInto(nil, stream)
 	if err != nil {

@@ -8,19 +8,15 @@
 // variable-width codes from 9 to 16 bits, MSB-first bit packing, and a
 // dictionary reset when the code space fills.
 //
-// Two API levels share one wire format:
-//
-//   - Compress/Decompress are the convenience forms: one call, fresh output
-//     buffer, fresh dictionary state.
-//   - Encoder.CompressInto/Decoder.DecompressInto are the data-plane forms:
-//     the dictionary lives in flat arrays owned by the Encoder/Decoder and
-//     is reused across calls and across mid-stream dictionary resets, and
-//     output is appended to a caller-provided scratch slice. With a warm
-//     codec and a large-enough scratch, steady-state operation performs no
-//     allocations.
+// There is one codec, Encoder.CompressInto / Decoder.DecompressInto: the
+// dictionary lives in flat arrays owned by the Encoder/Decoder and is reused
+// across calls and across mid-stream dictionary resets, and output is
+// appended to a caller-provided scratch slice. With a warm codec and a
+// large-enough scratch, steady-state operation performs no allocations; a
+// zero Encoder or Decoder is ready to use and sizes itself on first call.
 //
 // The wire format is frozen: CompressInto produces bit-identical output to
-// the seed implementation (see reference.go, which preserves that
+// the seed implementation (see reference_test.go, which preserves that
 // implementation as the oracle for the golden-bytes and fuzz tests).
 package compress
 
@@ -241,14 +237,6 @@ func eofBits(next uint32, bits uint) uint {
 	return bits
 }
 
-// Compress encodes src with LZW. Empty input yields a minimal valid stream.
-// It is a convenience wrapper over Encoder.CompressInto; hot paths hold an
-// Encoder and reuse its dictionary across calls.
-func Compress(src []byte) []byte {
-	var e Encoder
-	return e.CompressInto(make([]byte, 0, len(src)/2+16), src)
-}
-
 // Decoder holds reusable LZW decompression state. Instead of the classic
 // (prefix code, suffix byte) chain that expands one byte at a time, each
 // dictionary entry records the span of the output where its expansion
@@ -398,26 +386,4 @@ func (d *Decoder) DecompressInto(dst, src []byte) ([]byte, error) {
 		prev = code
 		prevStart, prevLen = curStart, len(out)-curStart
 	}
-}
-
-// Decompress decodes an LZW stream produced by Compress. It is a
-// convenience wrapper over Decoder.DecompressInto; hot paths hold a Decoder
-// and reuse its dictionary across calls.
-func Decompress(src []byte) ([]byte, error) {
-	var d Decoder
-	return d.DecompressInto(make([]byte, 0, len(src)*3), src)
-}
-
-// Ratio returns 1 - len(compressed)/len(src): the fraction of bytes saved
-// (0 for incompressible data).
-func Ratio(src []byte) float64 {
-	if len(src) == 0 {
-		return 0
-	}
-	c := Compress(src)
-	r := 1 - float64(len(c))/float64(len(src))
-	if r < 0 {
-		return 0
-	}
-	return r
 }

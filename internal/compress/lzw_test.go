@@ -7,10 +7,29 @@ import (
 	"testing/quick"
 )
 
+// compress, decompress and ratio are the one-call forms the tests want:
+// fresh codec, fresh output buffer.
+func compress(src []byte) []byte {
+	return new(Encoder).CompressInto(nil, src)
+}
+
+func decompress(src []byte) ([]byte, error) {
+	return new(Decoder).DecompressInto(nil, src)
+}
+
+// ratio returns 1 - len(compressed)/len(src): the fraction of bytes saved
+// (0 for incompressible data).
+func ratio(src []byte) float64 {
+	if len(src) == 0 {
+		return 0
+	}
+	return max(0, 1-float64(len(compress(src)))/float64(len(src)))
+}
+
 func roundTrip(t *testing.T, src []byte) {
 	t.Helper()
-	c := Compress(src)
-	d, err := Decompress(c)
+	c := compress(src)
+	d, err := decompress(c)
 	if err != nil {
 		t.Fatalf("decompress: %v (input len %d)", err, len(src))
 	}
@@ -59,8 +78,8 @@ func TestRoundTripDictionaryReset(t *testing.T) {
 func TestRoundTripQuick(t *testing.T) {
 	t.Parallel()
 	f := func(src []byte) bool {
-		c := Compress(src)
-		d, err := Decompress(c)
+		c := compress(src)
+		d, err := decompress(c)
 		return err == nil && bytes.Equal(src, d)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -71,7 +90,7 @@ func TestRoundTripQuick(t *testing.T) {
 func TestCompressesRedundantData(t *testing.T) {
 	t.Parallel()
 	src := bytes.Repeat([]byte("record0000"), 5000)
-	c := Compress(src)
+	c := compress(src)
 	if len(c) >= len(src)/3 {
 		t.Fatalf("redundant data compressed to %d of %d bytes", len(c), len(src))
 	}
@@ -87,29 +106,29 @@ func TestRatioZeroHeavyInput(t *testing.T) {
 			buf[i] = byte(rng.Intn(256))
 		}
 	}
-	if r := Ratio(buf); r < 0.5 {
+	if r := ratio(buf); r < 0.5 {
 		t.Fatalf("ratio = %.2f, want > 0.5 for 80%% zeros", r)
 	}
 	rng.Read(buf)
-	if r := Ratio(buf); r > 0.05 {
+	if r := ratio(buf); r > 0.05 {
 		t.Fatalf("ratio = %.2f for random data, want ~0", r)
 	}
 }
 
 func TestDecompressRejectsGarbage(t *testing.T) {
 	t.Parallel()
-	if _, err := Decompress([]byte{0xff, 0xff, 0xff}); err == nil {
+	if _, err := decompress([]byte{0xff, 0xff, 0xff}); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := Decompress(nil); err == nil {
+	if _, err := decompress(nil); err == nil {
 		t.Fatal("empty stream accepted (missing EOF code)")
 	}
 }
 
 func TestDecompressTruncated(t *testing.T) {
 	t.Parallel()
-	c := Compress(bytes.Repeat([]byte("hello world "), 1000))
-	if _, err := Decompress(c[:len(c)/2]); err == nil {
+	c := compress(bytes.Repeat([]byte("hello world "), 1000))
+	if _, err := decompress(c[:len(c)/2]); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
 }
@@ -125,7 +144,7 @@ func BenchmarkCompress1MB(b *testing.B) {
 	b.SetBytes(1 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compress(buf)
+		compress(buf)
 	}
 }
 

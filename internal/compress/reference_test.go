@@ -3,14 +3,12 @@ package compress
 import "fmt"
 
 // This file preserves the seed (PR 0) LZW implementation verbatim, as the
-// frozen oracle for the optimized codec in lzw.go:
-//
-//   - the golden-bytes and fuzz tests assert Compress produces bit-identical
-//     streams and Decompress accepts/rejects identical inputs, proving the
-//     wire format did not move when the dictionary became flat arrays;
-//   - the -databench harness measures it as the "baseline" column of
-//     BENCH_dataplane.json, so the recorded speedup is re-measured on the
-//     machine at hand rather than trusted from a past run.
+// frozen oracle for the codec in lzw.go: the golden-bytes and fuzz tests
+// assert CompressInto produces bit-identical streams and DecompressInto
+// accepts/rejects identical inputs, proving the wire format did not move
+// when the dictionary became flat arrays. It lives in a _test file so no
+// production package exports a seed implementation; -databench's baseline
+// column is the recorded number (internal/bench/dataplane.go).
 //
 // Do not optimize this file; its slowness is the point.
 

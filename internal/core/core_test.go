@@ -95,7 +95,7 @@ func TestFsyncReplicatesToAllReplicas(t *testing.T) {
 				t.Fatalf("node %d has no mirror for slot 0", mi)
 			}
 			c := fs.NoCostCtx(cl.Machines[mi].PM)
-			ents, err := ms.log.DecodeRange(c, 0, ms.log.Head())
+			ents, _, err := ms.log.DecodeRangeScratch(c, nil, 0, ms.log.Head())
 			if err != nil {
 				t.Fatalf("node %d mirror decode: %v", mi, err)
 			}
@@ -132,7 +132,7 @@ func TestFsyncDurableAcrossPrimaryHostCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ents, err := la.DecodeRange(c, la.Tail(), la.Head())
+	ents, _, err := la.DecodeRangeScratch(c, nil, la.Tail(), la.Head())
 	if err != nil {
 		t.Fatalf("post-crash decode: %v", err)
 	}
@@ -423,7 +423,7 @@ func TestHostCrashIsolatedModeKeepsChainAlive(t *testing.T) {
 	// The crashed-and-recovered replica still mirrors everything.
 	ms := cl.NICs[1].mirrors[0]
 	c := fs.NoCostCtx(cl.Machines[1].PM)
-	ents, err := ms.log.DecodeRange(c, ms.log.Tail(), ms.log.Head())
+	ents, _, err := ms.log.DecodeRangeScratch(c, nil, ms.log.Tail(), ms.log.Head())
 	if err != nil {
 		t.Fatalf("mirror decode after failure window: %v", err)
 	}

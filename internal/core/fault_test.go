@@ -386,7 +386,7 @@ func TestMiddlePieceLostOrCorrupted(t *testing.T) {
 				if rb, ok := msg.Arg.(*replChunkBatch); ok {
 					msg.Arg = rb.CorruptCopy(rand.New(rand.NewSource(1)))
 				} else {
-					seg := fs.NewLogView(cl.LogBase(0), cfg.LogSize).SegmentsAt(mFrom, 1)[0]
+					seg := fs.NewLogView(cl.LogBase(0), cfg.LogSize).SegmentAt(mFrom, 1)
 					var b [1]byte
 					m.PM.ReadNoCost(seg.PhysOff, b[:])
 					b[0] ^= 0xA5

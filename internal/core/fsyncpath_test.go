@@ -63,7 +63,7 @@ func assertMirrorsEndWith(t *testing.T, cl *Cluster, payload []byte) {
 	t.Helper()
 	for _, mi := range []int{1, 2} {
 		ms := cl.NICs[mi].mirrors[0]
-		ents, err := ms.log.DecodeRange(fs.NoCostCtx(cl.Machines[mi].PM), 0, ms.log.Head())
+		ents, _, err := ms.log.DecodeRangeScratch(fs.NoCostCtx(cl.Machines[mi].PM), nil, 0, ms.log.Head())
 		if err != nil {
 			t.Fatalf("node %d mirror decode: %v", mi, err)
 		}

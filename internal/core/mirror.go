@@ -459,8 +459,8 @@ func (ms *mirrorState) forwardBatchDirect(p *sim.Proc, next int, rb *replChunkBa
 	conn := n.peer(next, rb.Sync)
 	for i := range rb.Chunks {
 		bc := &rb.Chunks[i]
-		off := 0
-		for _, seg := range lastLog.SegmentsAt(bc.From, len(bc.Payload)) {
+		for off := 0; off < len(bc.Payload); {
+			seg := lastLog.SegmentAt(bc.From+uint64(off), len(bc.Payload)-off)
 			if err := conn.RDMAWrite(p, "pm", seg.PhysOff, bc.Payload[off:off+seg.Len]); err != nil {
 				// Fall back to the message path; the last replica persists
 				// the full batch from scratch (its head never advanced).
@@ -525,8 +525,8 @@ func (ms *mirrorState) handleDirect(p *sim.Proc, rd *replDirect) {
 // (§5.2.5); the copy is done with raw when it returns.
 func (ms *mirrorState) persistRaw(p *sim.Proc, at uint64, raw []byte) {
 	n := ms.n
-	off := 0
-	for _, seg := range ms.log.Segments(at, len(raw)) {
+	for off := 0; off < len(raw); {
+		seg := ms.log.SegmentAt(at+uint64(off), len(raw)-off)
 		n.pmWrite(p, seg.PhysOff, raw[off:off+seg.Len])
 		off += seg.Len
 	}

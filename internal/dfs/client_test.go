@@ -54,7 +54,7 @@ func (b *fakeBackend) ChunkReady(p *sim.Proc, head uint64, marks []uint64) {
 func (b *fakeBackend) Fsync(p *sim.Proc, head uint64, cuts []uint64) error {
 	b.fsyncs++
 	ctx := fs.NoCostCtx(b.pm)
-	ents, err := b.log.DecodeRange(ctx, b.published, head)
+	ents, _, err := b.log.DecodeRangeScratch(ctx, nil, b.published, head)
 	if err != nil {
 		return err
 	}

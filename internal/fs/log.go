@@ -126,29 +126,27 @@ func growWire(b []byte, n int) []byte {
 	return nb
 }
 
-// Encode serializes the entry with its CRC into a fresh buffer. It is a
-// convenience wrapper over AppendWire; hot paths encode into a reused
-// scratch instead.
-func (e *Entry) Encode() []byte {
-	return e.AppendWire(make([]byte, 0, e.WireSize()))
-}
-
 // Decode errors.
 var (
 	ErrBadMagic = fmt.Errorf("fs: log entry bad magic")
 	ErrBadCRC   = fmt.Errorf("fs: log entry CRC mismatch")
 	ErrShort    = fmt.Errorf("fs: log entry truncated")
+	// ErrNonCanonical rejects an entry whose CRC holds but which sets bytes
+	// the format pins to zero (reserved header bytes, alignment tail).
+	// AppendWire never writes one; a LibFS that is not ours could.
+	ErrNonCanonical = fmt.Errorf("fs: log entry sets reserved bytes")
 )
 
-// DecodeEntryInto parses one entry from buf into e, returning its wire
-// size. The entry's Data borrows buf's storage — no copy — so the caller
-// must not retain e.Data beyond buf's lifetime and must not mutate buf
-// while the entry is live (the scratch-buffer ownership rules are in
-// DESIGN.md §9). For write entries (no names) a steady-state call does not
-// allocate.
+// readEntry is the one reader of the entry wire format. It frames the entry
+// at the head of buf — header present, magic, declared length inside buf,
+// CRC, and every byte AppendWire pins to zero still zero — and returns its
+// wire size; with e non-nil it also fills e, whose Data borrows buf. The
+// decoder (DecodeEntryInto) and the replication ingress gate (VerifyWire)
+// both stand on it, so they accept exactly the same frames: the ones
+// AppendWire writes.
 //
 //linefs:hotpath
-func DecodeEntryInto(e *Entry, buf []byte) (int, error) {
+func readEntry(e *Entry, buf []byte) (int, error) {
 	if len(buf) < entryHdrSize {
 		return 0, ErrShort
 	}
@@ -157,13 +155,28 @@ func DecodeEntryInto(e *Entry, buf []byte) (int, error) {
 	}
 	nameLen := int(binary.LittleEndian.Uint16(buf[18:]))
 	name2Len := int(binary.LittleEndian.Uint16(buf[20:]))
-	dataLen := int(binary.LittleEndian.Uint32(buf[48:]))
-	size := align8(entryHdrSize + nameLen + name2Len + dataLen)
-	if len(buf) < size {
+	// Summed in 64 bits: a declared 4 GiB payload must not wrap a 32-bit int
+	// into a size that fits.
+	declared := int64(entryHdrSize+nameLen+name2Len) + int64(binary.LittleEndian.Uint32(buf[48:]))
+	if (declared+7)&^7 > int64(len(buf)) {
 		return 0, ErrShort
 	}
+	used := int(declared)
+	size := align8(used)
 	if crc32.ChecksumIEEE(buf[8:size]) != binary.LittleEndian.Uint32(buf[4:]) {
 		return 0, ErrBadCRC
+	}
+	if buf[17]|buf[22]|buf[23] != 0 ||
+		binary.LittleEndian.Uint32(buf[36:]) != 0 || binary.LittleEndian.Uint32(buf[52:]) != 0 {
+		return 0, ErrNonCanonical
+	}
+	for _, b := range buf[used:size] {
+		if b != 0 {
+			return 0, ErrNonCanonical
+		}
+	}
+	if e == nil {
+		return size, nil
 	}
 	*e = Entry{
 		Seq:   binary.LittleEndian.Uint64(buf[8:]),
@@ -180,21 +193,40 @@ func DecodeEntryInto(e *Entry, buf []byte) (int, error) {
 	//lint:allow hotalloc names must outlive buf; write entries carry none, so steady state is alloc-free
 	e.Name2 = string(buf[p : p+name2Len])
 	p += name2Len
-	e.Data = buf[p : p+dataLen : p+dataLen]
+	e.Data = buf[p:used:used]
 	return size, nil
 }
 
-// DecodeEntry parses one entry from buf, returning it and its wire size.
-// The entry owns its Data (copied out of buf); callers that can honor the
-// borrow rule use DecodeEntryInto instead.
-func DecodeEntry(buf []byte) (*Entry, int, error) {
-	e := &Entry{}
-	n, err := DecodeEntryInto(e, buf)
-	if err != nil {
-		return nil, 0, err
+// DecodeEntryInto parses one entry from buf into e, returning its wire
+// size. The entry's Data borrows buf's storage — no copy — so the caller
+// must not retain e.Data beyond buf's lifetime and must not mutate buf
+// while the entry is live (the scratch-buffer ownership rules are in
+// DESIGN.md §9). For write entries (no names) a steady-state call does not
+// allocate.
+//
+//linefs:hotpath
+func DecodeEntryInto(e *Entry, buf []byte) (int, error) { return readEntry(e, buf) }
+
+// VerifyWire scans raw as a contiguous sequence of encoded log entries and
+// checks each one's framing without materializing entries. It is the
+// replication ingress integrity gate: a replica must reject a chunk whose
+// payload was corrupted in flight before persisting or acknowledging it, or
+// an fsync-acked range becomes unreadable at publication time.
+//
+// Pure codec work with no simulation cost: the bytes were already paid for
+// by the transfer, and the per-byte scan cost is charged by the caller's
+// validation accounting.
+//
+//linefs:hotpath
+func VerifyWire(raw []byte) error {
+	for off := 0; off < len(raw); {
+		n, err := readEntry(nil, raw[off:])
+		if err != nil {
+			return err
+		}
+		off += n
 	}
-	e.Data = append([]byte(nil), e.Data...)
-	return e, n, nil
+	return nil
 }
 
 // LogArea is a client-private operational log: a ring of entries in a PM
@@ -203,10 +235,8 @@ func DecodeEntry(buf []byte) (*Entry, int, error) {
 // after the entry bytes, giving prefix crash consistency: a crash exposes a
 // clean prefix of appended entries.
 type LogArea struct {
-	pm   *hw.PM
-	base int64
-	size int64
-	cap  int64
+	pm *hw.PM
+	LogView
 
 	head uint64 // next append offset (logical)
 	tail uint64 // oldest unreclaimed offset (logical)
@@ -229,7 +259,7 @@ func NewLogArea(pm *hw.PM, base, size int64) *LogArea {
 	if size <= 2*BlockSize {
 		panic("fs: log area too small")
 	}
-	l := &LogArea{pm: pm, base: base, size: size, cap: size - BlockSize}
+	l := &LogArea{pm: pm, LogView: NewLogView(base, size)}
 	l.writeHeader(NoCostCtx(pm))
 	return l
 }
@@ -237,7 +267,7 @@ func NewLogArea(pm *hw.PM, base, size int64) *LogArea {
 // OpenLogArea mounts an existing log ring (e.g. after a crash), trusting
 // the persisted header, which is updated only after entry bytes persist.
 func OpenLogArea(ctx *Ctx, base, size int64) (*LogArea, error) {
-	l := &LogArea{pm: ctx.PM, base: base, size: size, cap: size - BlockSize}
+	l := &LogArea{pm: ctx.PM, LogView: NewLogView(base, size)}
 	buf := make([]byte, logHdrSize)
 	ctx.Read(base, buf)
 	if binary.LittleEndian.Uint32(buf[0:]) != logMagic {
@@ -276,39 +306,13 @@ func (l *LogArea) Cap() int64 { return l.cap }
 // NextSeq returns the sequence number the next appended entry will get.
 func (l *LogArea) NextSeq() uint64 { return l.seq }
 
-// phys maps a logical offset into the ring's PM address space.
-func (l *LogArea) phys(logical uint64) int64 {
-	return l.base + BlockSize + int64(logical%uint64(l.cap))
-}
-
-// rawWrite stores bytes at a logical offset, splitting across the ring
-// boundary as needed.
+// rawWrite stores bytes at a logical offset.
 func (l *LogArea) rawWrite(c *Ctx, logical uint64, data []byte) {
 	for len(data) > 0 {
-		p := l.phys(logical)
-		room := l.base + l.size - p
-		n := int64(len(data))
-		if n > room {
-			n = room
-		}
-		c.Write(p, data[:n])
-		logical += uint64(n)
-		data = data[n:]
-	}
-}
-
-// rawRead loads bytes from a logical offset, splitting across the boundary.
-func (l *LogArea) rawRead(c *Ctx, logical uint64, dst []byte) {
-	for len(dst) > 0 {
-		p := l.phys(logical)
-		room := l.base + l.size - p
-		n := int64(len(dst))
-		if n > room {
-			n = room
-		}
-		c.Read(p, dst[:n])
-		logical += uint64(n)
-		dst = dst[n:]
+		seg := l.SegmentAt(logical, len(data))
+		c.Write(seg.PhysOff, data[:seg.Len])
+		logical += uint64(seg.Len)
+		data = data[seg.Len:]
 	}
 }
 
@@ -334,17 +338,16 @@ func (l *LogArea) Append(c *Ctx, e *Entry) (uint64, error) {
 	return at, nil
 }
 
-// ReadRaw returns n raw bytes at logical offset from (for chunk transfer).
-func (l *LogArea) ReadRaw(c *Ctx, from uint64, n int) []byte {
-	buf := make([]byte, n)
-	l.rawRead(c, from, buf)
-	return buf
-}
-
-// ReadRawInto reads raw bytes at a logical offset into dst (the fast-read
-// path resolving unpublished data through the block index).
+// ReadRawInto reads the raw bytes at a logical offset into dst: a chunk for
+// transfer, a range to decode, or unpublished data the fast-read path
+// resolves through the block index.
 func (l *LogArea) ReadRawInto(c *Ctx, from uint64, dst []byte) {
-	l.rawRead(c, from, dst)
+	for len(dst) > 0 {
+		seg := l.SegmentAt(from, len(dst))
+		c.Read(seg.PhysOff, dst[:seg.Len])
+		from += uint64(seg.Len)
+		dst = dst[seg.Len:]
+	}
 }
 
 // MirrorRaw appends raw chunk bytes (received from a replication
@@ -366,53 +369,29 @@ type RingSeg struct {
 	Len     int
 }
 
-// Segments maps the logical range [at, at+n) to its physical pieces
-// (at most two: the range may wrap the ring end). Copy engines addressing
-// PM directly (DMA publication, one-sided last-hop writes) use this.
-func (l *LogArea) Segments(at uint64, n int) []RingSeg {
-	var out []RingSeg
-	for n > 0 {
-		p := l.phys(at)
-		room := l.base + l.size - p
-		seg := int64(n)
-		if seg > room {
-			seg = room
-		}
-		out = append(out, RingSeg{PhysOff: p, Len: int(seg)})
-		at += uint64(seg)
-		n -= int(seg)
-	}
-	return out
-}
-
-// LogView computes ring geometry for a log area on a *remote* machine
-// without holding the log itself — the penultimate replica uses it to
-// compute the physical destinations of a one-sided direct write into the
-// last replica's log slot.
+// LogView is the geometry of a log ring at [base, base+size) of a machine's
+// PM: a header block, then cap bytes of entries addressed by logical offset
+// modulo cap. A LogArea holds the view of its own ring; a chain hop builds
+// one of the next replica's ring to aim a one-sided write at it.
 type LogView struct {
 	base, size, cap int64
 }
 
 // NewLogView describes a log ring at [base, base+size).
-func NewLogView(base, size int64) *LogView {
-	return &LogView{base: base, size: size, cap: size - BlockSize}
+func NewLogView(base, size int64) LogView {
+	return LogView{base: base, size: size, cap: size - BlockSize}
 }
 
-// SegmentsAt maps the logical range [at, at+n) to physical pieces.
-func (v *LogView) SegmentsAt(at uint64, n int) []RingSeg {
-	var out []RingSeg
-	for n > 0 {
-		p := v.base + BlockSize + int64(at%uint64(v.cap))
-		room := v.base + v.size - p
-		seg := int64(n)
-		if seg > room {
-			seg = room
-		}
-		out = append(out, RingSeg{PhysOff: p, Len: int(seg)})
-		at += uint64(seg)
-		n -= int(seg)
-	}
-	return out
+// SegmentAt is the ring's one wrap rule: the logical range [at, at+n)
+// begins with the physical piece it returns, which stops at the ring end at
+// the latest; the rest of the range, if any, is found by asking again at
+// at+Len. Every ring read and write, and every copy engine addressing the
+// ring's PM directly (mirror persist, one-sided last-hop writes), walks a
+// range this way — two pieces at most for a range that fits the ring — and
+// the piece comes back by value, so none allocates.
+func (v LogView) SegmentAt(at uint64, n int) RingSeg {
+	start := int64(at % uint64(v.cap))
+	return RingSeg{PhysOff: v.base + BlockSize + start, Len: min(n, int(v.cap-start))}
 }
 
 // AdvanceHead moves the head to cover externally-placed bytes (the data
@@ -427,27 +406,27 @@ func (l *LogArea) AdvanceHead(c *Ctx, at uint64, n int) error {
 	return nil
 }
 
-// DecodeRange parses the entries in [from, to). Corruption yields an error
-// positioned at the failing entry. The entries borrow the freshly read raw
-// buffer (see DecodeAll); the buffer lives as long as the entries do.
-func (l *LogArea) DecodeRange(c *Ctx, from, to uint64) ([]*Entry, error) {
-	raw := l.ReadRaw(c, from, int(to-from))
-	//lint:allow borrowcheck the doc contract: entries borrow the returned-alongside raw buffer
-	return DecodeAll(raw)
-}
-
-// DecodeRangeScratch is DecodeRange with a caller-owned raw buffer: the
-// bytes are read into scratch (grown as needed) and the buffer is returned
-// for reuse. The decoded entries borrow that buffer — drop them before
-// passing it back in.
-func (l *LogArea) DecodeRangeScratch(c *Ctx, scratch []byte, from, to uint64) ([]*Entry, []byte, error) {
+// readScratch reads the raw bytes of [from, to) into scratch, grown as
+// needed. Under the borrow sanitizer the old scratch is poisoned and dropped
+// first, so an entry still borrowing it reads poison.
+func (l *LogArea) readScratch(c *Ctx, scratch []byte, from, to uint64) []byte {
 	scratch = poisonScratch(scratch)
 	n := int(to - from)
 	if cap(scratch) < n {
 		scratch = make([]byte, n)
 	}
 	raw := scratch[:n]
-	l.rawRead(c, from, raw)
+	l.ReadRawInto(c, from, raw)
+	return raw
+}
+
+// DecodeRangeScratch parses the entries in [from, to) out of a caller-owned
+// raw buffer: the bytes are read into scratch (grown as needed) and the
+// buffer is returned for reuse. Corruption yields an error positioned at the
+// failing entry. The decoded entries borrow that buffer (see DecodeAll) —
+// drop them before passing it back in.
+func (l *LogArea) DecodeRangeScratch(c *Ctx, scratch []byte, from, to uint64) ([]*Entry, []byte, error) {
+	raw := l.readScratch(c, scratch, from, to)
 	entries, err := DecodeAll(raw)
 	//lint:allow borrowcheck the doc contract: entries borrow the scratch buffer handed back to the caller
 	return entries, raw, err
@@ -477,15 +456,9 @@ func DecodeAll(raw []byte) ([]*Entry, error) {
 // Data are valid only during fn. Digest-style scans use this to walk a log
 // without per-entry allocation.
 func (l *LogArea) VisitRange(c *Ctx, scratch []byte, from, to uint64, fn func(*Entry) error) ([]byte, error) {
-	scratch = poisonScratch(scratch)
-	n := int(to - from)
-	if cap(scratch) < n {
-		scratch = make([]byte, n)
-	}
-	raw := scratch[:n]
-	l.rawRead(c, from, raw)
+	raw := l.readScratch(c, scratch, from, to)
 	var e Entry
-	for off := 0; off < n; {
+	for off := 0; off < len(raw); {
 		sz, err := DecodeEntryInto(&e, raw[off:])
 		if err != nil {
 			return raw, fmt.Errorf("at byte %d: %w", off, err)

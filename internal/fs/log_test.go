@@ -24,11 +24,12 @@ func TestEntryEncodeDecode(t *testing.T) {
 		Seq: 7, Type: OpRename, Ino: 3, PIno: 1, PIno2: 2,
 		Off: 4096, Name: "old", Name2: "newname", Data: []byte("payload"),
 	}
-	wire := e.Encode()
+	wire := e.AppendWire(nil)
 	if len(wire) != e.WireSize() || len(wire)%8 != 0 {
 		t.Fatalf("wire len = %d, WireSize = %d", len(wire), e.WireSize())
 	}
-	got, n, err := DecodeEntry(wire)
+	got := &Entry{}
+	n, err := DecodeEntryInto(got, wire)
 	if err != nil || n != len(wire) {
 		t.Fatalf("decode: %v, n=%d", err, n)
 	}
@@ -44,8 +45,8 @@ func TestEntryDecodeQuick(t *testing.T) {
 			name = name[:1<<15]
 		}
 		e := &Entry{Seq: seq, Type: OpWrite, Ino: Ino(ino), PIno: Ino(pino), Off: off, Name: name, Data: data}
-		got, _, err := DecodeEntry(e.Encode())
-		if err != nil {
+		got := &Entry{}
+		if _, err := DecodeEntryInto(got, e.AppendWire(nil)); err != nil {
 			return false
 		}
 		if got.Data == nil {
@@ -65,17 +66,18 @@ func TestEntryDecodeQuick(t *testing.T) {
 func TestEntryCRCDetectsCorruption(t *testing.T) {
 	t.Parallel()
 	e := &Entry{Type: OpWrite, Ino: 3, Data: []byte("data")}
-	wire := e.Encode()
+	var got Entry
+	wire := e.AppendWire(nil)
 	wire[entryHdrSize] ^= 0xff
-	if _, _, err := DecodeEntry(wire); err != ErrBadCRC {
+	if _, err := DecodeEntryInto(&got, wire); err != ErrBadCRC {
 		t.Fatalf("err = %v, want ErrBadCRC", err)
 	}
-	if _, _, err := DecodeEntry(wire[:10]); err != ErrShort {
+	if _, err := DecodeEntryInto(&got, wire[:10]); err != ErrShort {
 		t.Fatalf("short err = %v", err)
 	}
-	wire2 := e.Encode()
+	wire2 := e.AppendWire(nil)
 	wire2[0] = 0
-	if _, _, err := DecodeEntry(wire2); err != ErrBadMagic {
+	if _, err := DecodeEntryInto(&got, wire2); err != ErrBadMagic {
 		t.Fatalf("magic err = %v", err)
 	}
 }
@@ -95,7 +97,7 @@ func TestLogAppendDecode(t *testing.T) {
 			t.Fatalf("seq = %d, want %d", e.Seq, i)
 		}
 	}
-	got, err := l.DecodeRange(c, offs[0], l.Head())
+	got, _, err := l.DecodeRangeScratch(c, nil, offs[0], l.Head())
 	if err != nil || len(got) != 10 {
 		t.Fatalf("decode: %d entries, %v", len(got), err)
 	}
@@ -144,7 +146,7 @@ func TestLogRingWraparound(t *testing.T) {
 			}
 			seq++
 		}
-		got, err := l.DecodeRange(c, start, l.Head())
+		got, _, err := l.DecodeRangeScratch(c, nil, start, l.Head())
 		if err != nil || len(got) != 3 {
 			t.Fatalf("round %d: decode %d entries, %v", round, len(got), err)
 		}
@@ -185,7 +187,7 @@ func TestLogCrashRecoveryPrefix(t *testing.T) {
 	if l2.Head() != persistedHead {
 		t.Fatalf("recovered head = %d, want %d", l2.Head(), persistedHead)
 	}
-	ents, err := l2.DecodeRange(c, l2.Tail(), l2.Head())
+	ents, _, err := l2.DecodeRangeScratch(c, nil, l2.Tail(), l2.Head())
 	if err != nil || len(ents) != 5 {
 		t.Fatalf("recovered %d entries, %v", len(ents), err)
 	}
@@ -203,8 +205,8 @@ func TestLogCrashDropsUnpersistedSuffix(t *testing.T) {
 	headBefore := l.Head()
 	// An append whose bytes were written but never persisted: write raw
 	// without the persist barrier, emulating a crash mid-append.
-	torn := (&Entry{Seq: l.seq, Type: OpWrite, Ino: 2, Data: []byte("torn")}).Encode()
-	pm.WriteNoCost(l.phys(l.head), torn)
+	torn := (&Entry{Seq: l.seq, Type: OpWrite, Ino: 2, Data: []byte("torn")}).AppendWire(nil)
+	pm.WriteNoCost(l.SegmentAt(l.head, len(torn)).PhysOff, torn)
 	pm.Crash()
 
 	l2, err := OpenLogArea(c, 0, 1<<19)
@@ -214,7 +216,7 @@ func TestLogCrashDropsUnpersistedSuffix(t *testing.T) {
 	if l2.Head() != headBefore {
 		t.Fatalf("head = %d, want %d (torn append invisible)", l2.Head(), headBefore)
 	}
-	ents, err := l2.DecodeRange(c, l2.Tail(), l2.Head())
+	ents, _, err := l2.DecodeRangeScratch(c, nil, l2.Tail(), l2.Head())
 	if err != nil || len(ents) != 3 {
 		t.Fatalf("prefix = %d entries, %v", len(ents), err)
 	}
@@ -227,11 +229,12 @@ func TestMirrorRaw(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		lp.Append(cp, &Entry{Type: OpWrite, Ino: 1, Off: uint64(i), Data: []byte("chunk-entry")})
 	}
-	raw := lp.ReadRaw(cp, 0, int(lp.Head()))
+	raw := make([]byte, lp.Head())
+	lp.ReadRawInto(cp, 0, raw)
 	if err := lr.MirrorRaw(cr, 0, raw); err != nil {
 		t.Fatal(err)
 	}
-	ents, err := lr.DecodeRange(cr, 0, lr.Head())
+	ents, _, err := lr.DecodeRangeScratch(cr, nil, 0, lr.Head())
 	if err != nil || len(ents) != 4 {
 		t.Fatalf("replica decode: %d, %v", len(ents), err)
 	}
@@ -243,7 +246,7 @@ func TestMirrorRaw(t *testing.T) {
 
 func TestDecodeAllStopsAtGarbage(t *testing.T) {
 	t.Parallel()
-	good := (&Entry{Type: OpWrite, Ino: 1, Data: []byte("ok")}).Encode()
+	good := (&Entry{Type: OpWrite, Ino: 1, Data: []byte("ok")}).AppendWire(nil)
 	garbage := bytes.Repeat([]byte{0xEE}, 64)
 	ents, err := DecodeAll(append(append([]byte{}, good...), garbage...))
 	if err == nil {

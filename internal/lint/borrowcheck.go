@@ -14,7 +14,7 @@ import (
 // taint pass. Taint is born at:
 //
 //   - fs.DecodeEntryInto(&e, buf): e (its Data aliases buf)
-//   - fs.DecodeAll / LogArea.DecodeRange / LogArea.DecodeRangeScratch:
+//   - fs.DecodeAll / LogArea.DecodeRangeScratch:
 //     the returned []*Entry
 //   - LogArea.VisitRange: the *Entry handed to the callback literal
 //
@@ -372,7 +372,7 @@ func (bc *borrowChecker) resultTaints(call *ast.CallExpr, taint map[types.Object
 	pkg := funcPkgPath(fn)
 	if strings.HasSuffix(pkg, fsPkgSuffix) {
 		switch fn.Name() {
-		case "DecodeAll", "DecodeRange":
+		case "DecodeAll":
 			return []taintKind{taintEntries}
 		case "DecodeRangeScratch":
 			// Result 0 borrows; result 1 is the caller's own scratch.

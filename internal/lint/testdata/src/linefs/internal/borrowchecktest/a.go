@@ -38,7 +38,7 @@ func storeGlobal(raw []byte) {
 }
 
 func returned(la *fs.LogArea, ctx *fs.Ctx) ([]*fs.Entry, error) {
-	entries, err := la.DecodeRange(ctx, 0, 0)
+	entries, _, err := la.DecodeRangeScratch(ctx, nil, 0, 0)
 	return entries, err // want `borrowed entries \(entries\) returned`
 }
 

@@ -2,12 +2,6 @@
 // tests.
 package compress
 
-// Compress compresses src.
-func Compress(src []byte) []byte { return nil }
-
-// Decompress expands src.
-func Decompress(src []byte) ([]byte, error) { return nil, nil }
-
 // Encoder is the stub reusable compressor.
 type Encoder struct{}
 

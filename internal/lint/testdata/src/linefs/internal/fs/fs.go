@@ -13,9 +13,6 @@ type Entry struct {
 	Data []byte
 }
 
-// Encode serializes the entry.
-func (e *Entry) Encode() []byte { return nil }
-
 // AppendWire serializes the entry onto dst and returns the grown buffer.
 //
 //linefs:hotpath
@@ -33,9 +30,6 @@ func (l *LogArea) MirrorRaw(c *Ctx, at uint64, data []byte) error { return nil }
 // AdvanceHead covers externally-placed bytes.
 func (l *LogArea) AdvanceHead(c *Ctx, at uint64, n int) error { return nil }
 
-// DecodeRange parses entries in a range.
-func (l *LogArea) DecodeRange(c *Ctx, from, to uint64) ([]*Entry, error) { return nil, nil }
-
 // DecodeRangeScratch parses entries in a range into a reusable buffer.
 func (l *LogArea) DecodeRangeScratch(c *Ctx, scratch []byte, from, to uint64) ([]*Entry, []byte, error) {
 	return nil, nil, nil
@@ -51,9 +45,6 @@ func (l *LogArea) Tail() uint64 { return 0 }
 
 // Head returns the next append offset.
 func (l *LogArea) Head() uint64 { return 0 }
-
-// DecodeEntry parses one entry.
-func DecodeEntry(buf []byte) (*Entry, int, error) { return nil, 0, nil }
 
 // DecodeEntryInto parses one entry into e, borrowing from buf.
 //

@@ -8,8 +8,6 @@ import (
 
 func bad(la *fs.LogArea, ctx *fs.Ctx, e *fs.Entry, raw []byte) {
 	la.Append(ctx, e)                // want `result of LogArea\.Append dropped`
-	fs.DecodeEntry(raw)              // want `result of fs\.DecodeEntry dropped`
-	compress.Decompress(raw)         // want `result of compress\.Decompress dropped`
 	_, _ = fs.DecodeAll(raw)         // want `error from fs\.DecodeAll assigned to _`
 	_ = la.AdvanceHead(ctx, 0, 0)    // want `error from LogArea\.AdvanceHead assigned to _`
 	_ = la.MirrorRaw(ctx, 0, raw)    // want `error from LogArea\.MirrorRaw assigned to _`
@@ -27,7 +25,7 @@ func badScratch(la *fs.LogArea, ctx *fs.Ctx, e *fs.Entry, d *compress.Decoder, r
 	_, _ = la.VisitRange(ctx, nil, 0, 0, nil)       // want `error from LogArea\.VisitRange assigned to _`
 }
 
-func good(la *fs.LogArea, ctx *fs.Ctx, e *fs.Entry, raw []byte) error {
+func good(la *fs.LogArea, ctx *fs.Ctx, e *fs.Entry, d *compress.Decoder, raw []byte) error {
 	if _, err := la.Append(ctx, e); err != nil {
 		return err
 	}
@@ -39,7 +37,7 @@ func good(la *fs.LogArea, ctx *fs.Ctx, e *fs.Entry, raw []byte) error {
 	if err := la.AdvanceHead(ctx, 0, 0); err != nil {
 		return err
 	}
-	out, err := compress.Decompress(raw)
+	out, err := d.DecompressInto(nil, raw)
 	_ = out
 	return err
 }

@@ -24,10 +24,8 @@ var WireCheck = &Analyzer{
 // logic.
 var wireFuncs = map[string]map[string]bool{
 	"internal/fs": {
-		"DecodeEntry":        true,
 		"DecodeEntryInto":    true,
 		"DecodeAll":          true,
-		"DecodeRange":        true,
 		"DecodeRangeScratch": true,
 		"VisitRange":         true,
 		"Append":             true,
@@ -39,7 +37,6 @@ var wireFuncs = map[string]map[string]bool{
 		"VerifyWire": true,
 	},
 	"internal/compress": {
-		"Decompress":     true,
 		"DecompressInto": true,
 	},
 	"internal/core": {
