@@ -111,7 +111,8 @@ repbench:
 # complete, that an fsync which forms its own chunk costs less than the
 # value recorded before it stopped waiting for local publication, and that a
 # large fsync costs a quarter less than the value recorded before its range
-# went down the chain in pieces; the report goes to a scratch file.
+# went down the chain in pieces; prints the fan-in row (2 and 4 clients'
+# small fsyncs per second) beside them. The report goes to a scratch file.
 repbench-smoke:
 	$(GO) run ./cmd/linefs-bench -repbench -repbench-time 25ms -repbench-out /tmp/BENCH_replication_smoke.json
 

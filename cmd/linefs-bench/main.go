@@ -208,6 +208,7 @@ func benchModes(fs *flag.FlagSet) []mode {
 				row("fsync p99 us:               %12.1f (baseline %12.1f, %.2fx)", cur.FsyncP99Micros, base.FsyncP99Micros, rep.FsyncP99Speedup),
 				row("sync-path fsync p50 us:     %12.1f (baseline %12.1f)", cur.SyncPathFsyncP50Micros, base.SyncPathFsyncP50Micros),
 				row("large fsync p50 us:         %12.1f (baseline %12.1f)", cur.LargeFsyncP50Micros, base.LargeFsyncP50Micros),
+				row("fan-in fsyncs/sec, 2 | 4 clients: %8.0f | %.0f (baseline %.0f | %.0f)", cur.FanInFsyncOpsPerSec[0], cur.FanInFsyncOpsPerSec[1], base.FanInFsyncOpsPerSec[0], base.FanInFsyncOpsPerSec[1]),
 				row("pooled path allocs/op:      %12.3f", rep.PooledAllocsPerOp),
 			}, err
 		}),

@@ -96,6 +96,7 @@ fsync p# us: #.# (baseline #.#)
 fsync p# us: #.# (baseline #.#, #.#x)
 sync-path fsync p# us: #.# (baseline #.#)
 large fsync p# us: #.# (baseline #.#)
+fan-in fsyncs/sec, # | # clients: # | # (baseline # | #)
 pooled path allocs/op: #.#
 wrote ` + out},
 		{[]string{"-chaos", "-chaos-n", "2"}, `

@@ -34,6 +34,9 @@ type RepStats struct {
 	// LargeFsyncP50Micros is the fsync behind 64 writes of 10 KiB on an idle
 	// cluster of the default layout: a range of several dfs.FsyncPiece.
 	LargeFsyncP50Micros float64 `json:"large_fsync_p50_us"`
+	// FanInFsyncOpsPerSec is 2 and 4 clients of one primary, each doing 4 KiB
+	// write+fsync rounds on its own file: the sum of their fsyncs per second.
+	FanInFsyncOpsPerSec [2]float64 `json:"fanin_fsync_ops_per_s"`
 }
 
 // RepBenchReport is the BENCH_replication.json schema. The baseline column
@@ -86,21 +89,24 @@ var seedRepStats = RepStats{
 	// Added at PR 22; its baseline is commit a05bf2f, the last whose fsync
 	// sent its whole range down the chain as one chunk.
 	LargeFsyncP50Micros: 962.929,
+	// Added at PR 24; its baseline is commit 805d25a, the last whose
+	// low-latency class was one poller for every connection.
+	FanInFsyncOpsPerSec: [2]float64{10534.459727062356, 11120.111713189719},
 }
 
-// repClient runs body as the one client of a fresh 3-node cluster of the
+// repClient runs body as each of the clients of a fresh 3-node cluster of the
 // default layout at chunkSize, on a file it has just created. All numbers
 // are simulated time, so they are deterministic across machines.
-func repClient(o Options, chunkSize int, mutate func(*core.Config), body func(p *sim.Proc, cl *core.Cluster, c *dfs.Client, fd int) error) error {
-	l := o.layout(1)
+func repClient(o Options, clients, chunkSize int, mutate func(*core.Config), body func(p *sim.Proc, cl *core.Cluster, c *dfs.Client, fd int) error) error {
+	l := o.layout(clients)
 	l.ChunkSize = chunkSize
 	sys, err := newLineFS(o, l, mutate)
 	if err != nil {
 		return err
 	}
 	defer sys.Env.Shutdown()
-	return runClients(sys, "repbench/client", 1, 10*time.Minute, func(p *sim.Proc, c *dfs.Client, _ int) error {
-		fd, err := c.Create(p, "/repbench")
+	return runClients(sys, "repbench/client", clients, 10*time.Minute, func(p *sim.Proc, c *dfs.Client, i int) error {
+		fd, err := c.Create(p, fmt.Sprintf("/repbench%d", i))
 		if err != nil {
 			return err
 		}
@@ -131,7 +137,8 @@ func fsyncTrain(p *sim.Proc, c *dfs.Client, fd int, off *uint64, payload []byte,
 }
 
 // measureRepChain runs the fixed workload: the streaming phase and the two
-// small trains on one cluster, the large-fsync train on an idle one.
+// small trains on one cluster, the fan-in trains and the large-fsync train
+// each on an idle one.
 func measureRepChain(o Options) (st RepStats, err error) {
 	// Incompressible payload: compression never pays off, so the chain
 	// moves raw frames and the wire protocol itself is what is measured.
@@ -141,7 +148,7 @@ func measureRepChain(o Options) (st RepStats, err error) {
 	// The full fast path: wire batching plus submission-side doorbell
 	// coalescing, so one dispatch forms several chunks and the sender sees
 	// a real backlog to coalesce.
-	err = repClient(o, repChunkSize, func(c *core.Config) { c.NotifyChunks = 8 }, func(p *sim.Proc, cl *core.Cluster, c *dfs.Client, fd int) error {
+	err = repClient(o, 1, repChunkSize, func(c *core.Config) { c.NotifyChunks = 8 }, func(p *sim.Proc, cl *core.Cluster, c *dfs.Client, fd int) error {
 		// Streaming phase: one chunk-sized write per chunk paces one
 		// chunk-ready notification each, so the sender sees a genuine
 		// multi-chunk backlog; the closing fsync waits until every chunk
@@ -189,7 +196,17 @@ func measureRepChain(o Options) (st RepStats, err error) {
 	if err != nil {
 		return st, err
 	}
-	return st, repClient(o, o.layout(1).ChunkSize, nil, func(p *sim.Proc, _ *core.Cluster, c *dfs.Client, fd int) (err error) {
+	for i, clients := range [...]int{2, 4} {
+		if err := repClient(o, clients, o.layout(1).ChunkSize, nil, func(p *sim.Proc, _ *core.Cluster, c *dfs.Client, fd int) (err error) {
+			off, start := uint64(0), p.Now()
+			_, _, err = fsyncTrain(p, c, fd, &off, payload[:4<<10], 1, repFsyncOps)
+			st.FanInFsyncOpsPerSec[i] += repFsyncOps / time.Duration(p.Now()-start).Seconds()
+			return err
+		}); err != nil {
+			return st, err
+		}
+	}
+	return st, repClient(o, 1, o.layout(1).ChunkSize, nil, func(p *sim.Proc, _ *core.Cluster, c *dfs.Client, fd int) (err error) {
 		var off uint64
 		st.LargeFsyncP50Micros, _, err = fsyncTrain(p, c, fd, &off, payload[:10<<10], 64, 16)
 		return err

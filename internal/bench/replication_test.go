@@ -13,8 +13,10 @@ import (
 // messages per chunk without regressing fsync latency beyond noise, an fsync
 // that forms its own chunk must cost less than it did while it still waited
 // for local publication, a large fsync at least a quarter less than it did as
-// one chunk, and the pooled hot path must not allocate. The
-// simulated columns are deterministic, so both must reproduce the committed
+// one chunk, four clients' small fsyncs must complete at twice the rate they
+// did behind one low-latency poller and at 1.8 times two clients' rate, and
+// the pooled hot path must not allocate. The simulated columns are
+// deterministic, so both must reproduce the committed
 // BENCH_replication.json exactly: the baseline because it is frozen, the
 // current column because nothing may move it unannounced.
 //
@@ -41,6 +43,10 @@ func TestRepBenchAcceptance(t *testing.T) {
 	// be too.
 	if cur, base := rep.Current.SyncPathFsyncP99Micros, rep.Baseline.SyncPathFsyncP99Micros; cur >= base {
 		t.Errorf("sync-path fsync p99 = %.3f us, want below the recorded %.3f us", cur, base)
+	}
+	if cur, base := rep.Current.FanInFsyncOpsPerSec, rep.Baseline.FanInFsyncOpsPerSec; cur[1] < 2*base[1] || cur[1] < 1.8*cur[0] {
+		t.Errorf("fan-in fsyncs/sec = %.0f | %.0f at 2 | 4 clients (recorded %.0f | %.0f), want the 4-client rate twice the recorded one and 1.8x the 2-client one",
+			cur[0], cur[1], base[0], base[1])
 	}
 	if rep.PooledAllocsPerOp >= 1 {
 		t.Errorf("pooled hot path allocates %.1f allocs/op, want 0", rep.PooledAllocsPerOp)

@@ -209,24 +209,33 @@ func TestPartitionStallsFsyncUntilHeal(t *testing.T) {
 }
 
 // tapNIC puts deliver in front of machine mi's NICFS: every message bound for
-// either of its services passes through it, and is handed on only if it says so.
+// either of its services passes through it, and is handed on — to the queue
+// NICFS would have named for its connection — only if it says so.
 func tapNIC(env *sim.Env, cl *Cluster, mi int, deliver func(*rdma.Msg) bool) {
+	n := cl.NICs[mi]
 	for _, tap := range []struct {
 		svc string
-		dst *sim.Queue[*rdma.Msg]
-	}{{svcBulk, cl.NICs[mi].bulkQ}, {svcLow, cl.NICs[mi].lowQ}} {
-		q, dst := sim.NewQueue[*rdma.Msg](env, 0), tap.dst
-		cl.Machines[mi].Port.Register(tap.svc, q)
-		env.Go("tap/"+tap.svc, func(p *sim.Proc) {
-			for {
-				m, ok := q.Get(p)
-				if !ok {
-					return
-				}
-				if deliver(m) {
-					dst.Put(p, m)
-				}
+		dst func(*rdma.Conn) *sim.Queue[*rdma.Msg]
+	}{{svcBulk, func(*rdma.Conn) *sim.Queue[*rdma.Msg] { return n.bulkQ }}, {svcLow, n.lane}} {
+		tap, taps := tap, map[*rdma.Conn]*sim.Queue[*rdma.Msg]{}
+		cl.Machines[mi].Port.RegisterPerConn(tap.svc, func(c *rdma.Conn) *sim.Queue[*rdma.Msg] {
+			if q := taps[c]; q != nil {
+				return q
 			}
+			q := sim.NewQueue[*rdma.Msg](env, 0)
+			taps[c] = q
+			env.Go("tap/"+tap.svc, func(p *sim.Proc) {
+				for {
+					m, ok := q.Get(p)
+					if !ok {
+						return
+					}
+					if deliver(m) {
+						tap.dst(c).Put(p, m)
+					}
+				}
+			})
+			return q
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"linefs/internal/cluster"
 	"linefs/internal/fs"
+	"linefs/internal/hw"
 	"linefs/internal/lease"
 	"linefs/internal/pipeline"
 	"linefs/internal/rdma"
@@ -27,8 +28,12 @@ type NICFS struct {
 	vol    *fs.Vol
 	leases *lease.Table
 
-	lowQ  *sim.Queue[*rdma.Msg]
-	bulkQ *sim.Queue[*rdma.Msg]
+	// The low-latency class's lanes (DESIGN.md §13): each connection's queue,
+	// the reserved core (nil while a lane runs on it), their turn at the leases.
+	lanes     map[*rdma.Conn]*sim.Queue[*rdma.Msg]
+	lowCore   *hw.PinnedCore
+	leaseGate *sim.Resource
+	bulkQ     *sim.Queue[*rdma.Msg]
 
 	// clients is primary-side per-client state; mirrors is replica-side
 	// state for logs replicated from remote primaries.
@@ -125,7 +130,6 @@ func newNICFS(cl *Cluster, machine int) *NICFS {
 		machine:  machine,
 		vol:      cl.Vols[machine],
 		leases:   lease.NewTable(cl.Env, cluster.LeaseTTL),
-		lowQ:     sim.NewQueue[*rdma.Msg](cl.Env, 0),
 		bulkQ:    sim.NewQueue[*rdma.Msg](cl.Env, 0),
 		clients:  make(map[int]*clientState),
 		mirrors:  make(map[int]*mirrorState),
@@ -144,6 +148,7 @@ func newNICFS(cl *Cluster, machine int) *NICFS {
 	n.leaseKick = sim.NewEvent(cl.Env)
 	n.memFreed = sim.NewEvent(cl.Env)
 	n.codecGate = sim.NewResource(cl.Env, 1)
+	n.leaseGate = sim.NewResource(cl.Env, 1)
 	return n
 }
 
@@ -199,21 +204,21 @@ func (n *NICFS) clientSlots() []int {
 // PeerUp implements cluster.Member.
 func (n *NICFS) PeerUp(p *sim.Proc, name string) {}
 
-// Start registers services and launches the NICFS processes.
+// Start registers services and launches the NICFS processes; the low-latency
+// class's (§3.3.2) are lanes, each started by its connection's first message.
 func (n *NICFS) Start() {
+	const bulkWorkers = 4
 	m := n.cl.Machines[n.machine]
-	m.Port.Register(svcLow, n.lowQ)
+	n.lanes = make(map[*rdma.Conn]*sim.Queue[*rdma.Msg])
+	m.Port.RegisterPerConn(svcLow, n.lane)
 	m.Port.Register(svcBulk, n.bulkQ)
-	m.NICPort.Register(svcLow, n.lowQ)
+	m.NICPort.RegisterPerConn(svcLow, n.lane)
 	m.NICPort.Register(svcBulk, n.bulkQ)
 	n.kwConn = rdma.Dial(m.NICPort, m.HostPort, kworkerService, true)
 
 	env := n.cl.Env
-	// One dedicated busy-polling thread pinned to a SmartNIC core serves
-	// the low-latency connection class (§3.3.2).
-	n.procs = append(n.procs, env.Go(n.Name()+"/nicfs-low", n.runLowLat))
-	// A worker pool serves the high-throughput class.
-	for i := 0; i < 4; i++ {
+	n.procs = append(n.procs, env.Go(n.Name()+"/nicfs-low", n.holdLowCore))
+	for i := 0; i < bulkWorkers; i++ {
 		n.procs = append(n.procs, env.Go(n.Name()+"/nicfs-bulk", n.runBulk))
 	}
 	n.procs = append(n.procs, env.Go(n.Name()+"/nicfs-detector", n.runDetector))
@@ -241,20 +246,47 @@ func (n *NICFS) nicCompute(p *sim.Proc, work time.Duration) {
 	n.cl.Machines[n.machine].NICCPU.Compute(p, work, 0, "nicfs")
 }
 
-// runLowLat is the pinned low-latency poller. Cheap operations are served
-// inline; fsync spawns a handler so one slow sync cannot head-of-line
-// block lease traffic.
-func (n *NICFS) runLowLat(p *sim.Proc) {
-	m := n.cl.Machines[n.machine]
-	core := m.NICCPU.Pin(p, 10)
+// holdLowCore keeps one core out of the shared pool for the lanes until NICFS
+// goes down: small operations do not wait out a bulk stage's time slice.
+func (n *NICFS) holdLowCore(p *sim.Proc) {
+	core := n.cl.Machines[n.machine].NICCPU.Pin(p, 10)
 	defer core.Unpin()
-	spec := n.cl.Cfg.Spec
+	n.lowCore = core
+	p.Wait(sim.NewEvent(p.Env()))
+}
+
+// lane names connection c's queue to rdma, starting its lane if it has none.
+func (n *NICFS) lane(c *rdma.Conn) *sim.Queue[*rdma.Msg] {
+	q := n.lanes[c]
+	if q == nil {
+		q = sim.NewQueue[*rdma.Msg](n.cl.Env, 0)
+		n.lanes[c] = q
+		n.procs = append(n.procs, n.cl.Env.Go(n.Name()+"/nicfs-low", func(p *sim.Proc) { n.runLane(p, q) }))
+	}
+	return q
+}
+
+// runLane serves one low-latency connection in arrival order — a queue pair's
+// guarantee, and what keeps a replica's cumulative acks in order — beside the
+// other connections' lanes, dispatching on the reserved core if no lane is on
+// it and else on the pool, ahead of bulk work. Cheap operations are served
+// inline; fsync spawns a handler so one slow sync cannot head-of-line block
+// lease traffic. What Crash finds queued is left to the callers' deadlines.
+func (n *NICFS) runLane(p *sim.Proc, q *sim.Queue[*rdma.Msg]) {
+	defer q.Close()
+	cpu, cost := n.cl.Machines[n.machine].NICCPU, n.cl.Cfg.Spec.NICRPCCost
 	for {
-		msg, ok := n.lowQ.Get(p)
+		msg, ok := q.Get(p)
 		if !ok {
 			return
 		}
-		core.Run(p, spec.NICRPCCost, "nicfs")
+		if core := n.lowCore; core != nil {
+			n.lowCore = nil
+			core.Run(p, cost, "nicfs")
+			n.lowCore = core
+		} else {
+			cpu.Compute(p, cost, 10, "nicfs")
+		}
 		switch msg.Op {
 		case "attach":
 			n.handleAttach(p, msg)
@@ -366,6 +398,10 @@ func (n *NICFS) handleOpen(p *sim.Proc, msg *rdma.Msg) {
 func (n *NICFS) handleLeaseAcquire(p *sim.Proc, msg *rdma.Msg) {
 	req := msg.Arg.(*leaseReq)
 	n.nicCompute(p, n.cl.Cfg.Spec.LeaseCheckCost)
+	// One lane at a time from decision to reply: the revocation notice yields,
+	// and the holder's refresh let in there leaves two clients sure they hold it.
+	n.leaseGate.Acquire(p, 0)
+	defer n.leaseGate.Release()
 	ok, conflicts := n.leases.Acquire(req.Ino, req.Client, req.Mode)
 	if !ok {
 		// Revoke the conflicting holders: notify them to drop their cached
@@ -576,13 +612,13 @@ func (n *NICFS) Crash() {
 		p.Kill()
 	}
 	n.procs = nil
+	n.lowCore = nil
 	for _, cs := range n.clients {
 		cs.kill()
 	}
 	for _, ms := range n.mirrors {
 		ms.kill()
 	}
-	n.lowQ.Close()
 	n.bulkQ.Close()
 }
 

@@ -86,14 +86,13 @@ func (n *NICFS) handleFetchFile(p *sim.Proc, msg *rdma.Msg) {
 func (n *NICFS) Recover(p *sim.Proc, peerMachine int) error {
 	m := n.cl.Machines[n.machine]
 
-	// Re-register services and restart processes. The service queues were
-	// closed by Crash and a closed queue drops every Put, so fresh ones
-	// must back the re-registered services — peers' cached connections
-	// resolve the service by name on every send and pick them up. Dead
-	// mirrors are dropped: fresh ones adopt the live stream position on
-	// first contact and the state they held is re-fetched below.
+	// Re-register services and restart processes. Crash closed the bulk queue
+	// and every lane's, and a closed queue drops every Put, so a fresh one
+	// backs the bulk service and Start begins with no lanes — peers' cached
+	// connections resolve the service by name on every send and pick them
+	// up. Dead mirrors are dropped: fresh ones adopt the live stream position
+	// on first contact and the state they held is re-fetched below.
 	n.down, n.recovered = false, true
-	n.lowQ = sim.NewQueue[*rdma.Msg](n.cl.Env, 0)
 	n.bulkQ = sim.NewQueue[*rdma.Msg](n.cl.Env, 0)
 	n.mirrors = make(map[int]*mirrorState)
 	n.Start()

@@ -62,7 +62,7 @@ type NIC struct {
 	QPCacheSize int
 	QPPenalty   time.Duration // extra latency per QP beyond the cache size
 
-	services map[string]*sim.Queue[*Msg]
+	services map[string]func(*Conn) *sim.Queue[*Msg]
 	regions  map[string]Region
 }
 
@@ -78,7 +78,7 @@ func (f *Fabric) NewNIC(name string, bytesPerSec float64) *NIC {
 		MsgOverhead: 96,
 		QPCacheSize: 64,
 		QPPenalty:   200 * time.Nanosecond,
-		services:    make(map[string]*sim.Queue[*Msg]),
+		services:    make(map[string]func(*Conn) *sim.Queue[*Msg]),
 		regions:     make(map[string]Region),
 	}
 	f.ports[name] = n
@@ -96,7 +96,13 @@ func (f *Fabric) Lookup(name string) *NIC {
 
 // Register exposes a service queue for two-sided messages.
 func (n *NIC) Register(service string, q *sim.Queue[*Msg]) {
-	n.services[service] = q
+	n.RegisterPerConn(service, func(*Conn) *sim.Queue[*Msg] { return q })
+}
+
+// RegisterPerConn exposes a service that takes each queue pair's messages, in
+// the order sent, on the queue queueOf names for it at every post.
+func (n *NIC) RegisterPerConn(service string, queueOf func(*Conn) *sim.Queue[*Msg]) {
+	n.services[service] = queueOf
 }
 
 // Unregister removes a service (e.g. when its node crashes).
@@ -220,10 +226,11 @@ var ErrUnreachable = fmt.Errorf("rdma: service unreachable")
 // plane may have dropped, deferred, or duplicated it.
 func (c *Conn) post(p *sim.Proc, op string, arg any, size int, wantReply bool) (*Msg, error) {
 	c.sendCost(p, size)
-	q, ok := c.Remote.services[c.Service]
+	queueOf, ok := c.Remote.services[c.Service]
 	if !ok {
 		return nil, ErrUnreachable
 	}
+	q := queueOf(c)
 	m := &Msg{Op: op, From: c.Local, Arg: arg, Size: size, conn: c}
 	if wantReply {
 		m.reply = sim.NewEvent(p.Env())

@@ -250,3 +250,44 @@ func TestFabricByteAccounting(t *testing.T) {
 		t.Fatalf("fabric bytes = %d, want >= 1000", f.Total.Total())
 	}
 }
+
+// TestRegisterPerConnDelivers: a per-connection service is asked for the
+// queue at every post, with the connection the message travels on, so each
+// queue pair's messages land on its own queue in the order sent — and a
+// service that is gone is unreachable whatever queues it once named.
+func TestRegisterPerConnDelivers(t *testing.T) {
+	t.Parallel()
+	e := sim.NewEnv(1)
+	_, a, b := testFabric(e)
+	queues := map[*Conn]*sim.Queue[*Msg]{}
+	b.RegisterPerConn("svc", func(c *Conn) *sim.Queue[*Msg] {
+		if queues[c] == nil {
+			queues[c] = sim.NewQueue[*Msg](e, 0)
+		}
+		return queues[c]
+	})
+	c1, c2 := Dial(a, b, "svc", true), Dial(a, b, "svc", true)
+	e.Go("client", func(p *sim.Proc) {
+		for i, c := range []*Conn{c1, c2, c1, c1, c2} {
+			if err := c.Send(p, "n", i, 8); err != nil {
+				t.Error(err)
+			}
+		}
+		b.Unregister("svc")
+		if err := c1.Send(p, "n", 5, 8); err != ErrUnreachable {
+			t.Errorf("send to an unregistered per-connection service: %v", err)
+		}
+	})
+	e.Run()
+	for c, want := range map[*Conn][]int{c1: {0, 2, 3}, c2: {1, 4}} {
+		q := queues[c]
+		if q == nil || q.Len() != len(want) {
+			t.Fatalf("a connection's queue holds %v, want %d messages", q, len(want))
+		}
+		for _, w := range want {
+			if m, _ := q.TryGet(); m.Arg.(int) != w {
+				t.Errorf("got message %v, want %d: one queue pair's order was not kept", m.Arg, w)
+			}
+		}
+	}
+}
