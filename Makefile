@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build bench-module lint lint-fix-list loc test-short test race fuzz-smoke selfcheck test-full bench kernelbench databench databench-smoke repbench repbench-smoke chaos chaos-smoke clean
+.PHONY: ci vet build bench-module lint lint-fix-list loc test-short test race fuzz-smoke selfcheck test-full bench kernelbench databench databench-smoke repbench repbench-smoke chaos clean
 
-ci: vet build bench-module lint test race fuzz-smoke selfcheck databench-smoke repbench-smoke chaos-smoke
+ci: vet build bench-module lint test race fuzz-smoke selfcheck databench-smoke repbench-smoke chaos
 
 vet:
 	$(GO) vet ./...
@@ -116,19 +116,16 @@ repbench:
 repbench-smoke:
 	$(GO) run ./cmd/linefs-bench -repbench -repbench-time 25ms -repbench-out /tmp/BENCH_replication_smoke.json
 
-# Seeded fault-schedule explorer (DESIGN.md §12): 200 generated schedules
-# of drops, duplicates, corruption, delays, partitions, and host crashes
-# against a full cluster, each run twice; fails on any invariant violation
-# (acked durability, replica convergence, clean drain, digest
-# reproducibility) and prints a -chaos-seed reproducer.
+# Seeded fault-schedule explorer (DESIGN.md §12): a fault-free control
+# schedule (no robustness counter may move — what checks that the
+# configuration under chaos and the fault-free one are one), then 200
+# generated schedules of drops, duplicates, corruption, delays, partitions,
+# and host crashes against a full cluster, each run twice; fails on any
+# invariant violation (acked durability, replica convergence, clean drain,
+# digest reproducibility) and prints a -chaos-seed reproducer. CI runs all
+# 200: about 7 s, so the pass rate the docs quote is the gate's own number.
 chaos:
 	$(GO) run ./cmd/linefs-bench -chaos
-
-# CI smoke: same harness and invariants, 25 schedules — after the control
-# schedule (no faults: no robustness counter may move), which is what checks
-# that the configuration under chaos and the fault-free one are one.
-chaos-smoke:
-	$(GO) run ./cmd/linefs-bench -chaos -chaos-n 25
 
 clean:
 	rm -f linefs-bench

@@ -59,22 +59,19 @@ type Config struct {
 	cluster.Layout
 
 	Mode Mode
-
-	// HyperloopCredits is the number of operations served per WQE re-post;
-	// HyperloopPost the host work to re-post a chain.
-	HyperloopCredits int
-	HyperloopPost    time.Duration
 }
 
 // DefaultConfig mirrors the paper's Assise setup on the default layout.
 func DefaultConfig() Config {
-	return Config{
-		Layout:           cluster.DefaultLayout(),
-		Mode:             Pessimistic,
-		HyperloopCredits: 1000,
-		HyperloopPost:    4 * time.Millisecond,
-	}
+	return Config{Layout: cluster.DefaultLayout(), Mode: Pessimistic}
 }
+
+// Assise+Hyperloop's WQE window: hyperloopCredits operations are served per
+// re-post, and hyperloopPost is the host work to re-post a chain.
+const (
+	hyperloopCredits = 1000
+	hyperloopPost    = 4 * time.Millisecond
+)
 
 // bgThreads is the background replication pool of each SharedFS (BgRepl
 // mode; the paper uses 3).

@@ -23,14 +23,14 @@ func testConfig(mode Mode) Config {
 }
 
 // TestConfigFieldsPinned is core's test of the same name for the baseline:
-// the embedded layout, its eleven promoted names, then SharedFS's own three.
+// the embedded layout, its eleven promoted names, then SharedFS's own one.
 // A new field is a new option and a deliberate diff against this list.
 func TestConfigFieldsPinned(t *testing.T) {
 	want := []string{
 		"Layout",
 		"Spec", "Nodes", "Replicas", "MaxClients", "VolSize", "LogSize", "ChunkSize",
 		"DFSPrio", "HeartbeatEvery", "InodesPerVol", "InoRangePerClient",
-		"Mode", "HyperloopCredits", "HyperloopPost",
+		"Mode",
 	}
 	var got []string
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
@@ -205,26 +205,33 @@ func TestHyperloopReplicaContent(t *testing.T) {
 	})
 }
 
+// TestHyperloopCreditsRefill starts the primary's WQE window three credits
+// from empty and fsyncs twenty times, one credit each: the fourth fsync finds
+// the window dry and pays the host's re-post, and the fresh window serves the
+// remaining seventeen without another.
 func TestHyperloopCreditsRefill(t *testing.T) {
 	t.Parallel()
-	cfg := testConfig(Hyperloop)
-	cfg.HyperloopCredits = 3
-	cfg.HyperloopPost = time.Millisecond
-	env, cl := newTestCluster(t, cfg)
+	env, cl := newTestCluster(t, testConfig(Hyperloop))
+	cl.Shared[0].hlCredits = 3
+	var reposts []int
 	run(t, env, 300*time.Second, func(p *sim.Proc) {
 		l, _ := cl.Attach(p, 0)
 		fd, _ := l.Create(p, "/c")
 		buf := make([]byte, 16<<10)
-		// Far more syncs than credits: forces repeated re-posting.
 		for i := 0; i < 20; i++ {
 			l.WriteAt(p, fd, uint64(i*len(buf)), buf)
+			start := p.Now()
 			if err := l.Fsync(p, fd); err != nil {
 				t.Fatal(err)
 			}
+			if time.Duration(p.Now()-start) >= hyperloopPost {
+				reposts = append(reposts, i)
+			}
 		}
 	})
-	if cl.Shared[0].hlCredits < 0 {
-		t.Fatal("credit accounting went negative")
+	if got := cl.Shared[0].hlCredits; len(reposts) != 1 || reposts[0] != 3 || got != hyperloopCredits-17 {
+		t.Errorf("re-posted at fsyncs %v with %d credits left; want once, at fsync 3, with %d left",
+			reposts, got, hyperloopCredits-17)
 	}
 }
 

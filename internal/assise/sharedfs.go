@@ -117,7 +117,7 @@ func newSharedFS(cl *Cluster, machine int) *SharedFS {
 		mirrors:   make(map[int]*mirrorState),
 		replQ:     sim.NewQueue[*rdma.Msg](cl.Env, 0),
 		bgQ:       sim.NewQueue[bgJob](cl.Env, 0),
-		hlCredits: cl.Cfg.HyperloopCredits,
+		hlCredits: hyperloopCredits,
 		peerConns: make(map[int]*rdma.Conn),
 	}
 	s.hlWait = sim.NewEvent(cl.Env)
@@ -500,8 +500,8 @@ func (s *SharedFS) hlConsume(p *sim.Proc) {
 		if s.hlRefillCh == nil {
 			// This process performs the re-post itself.
 			s.hlRefillCh = sim.NewEvent(s.cl.Env)
-			s.hostCompute(p, s.cl.Cfg.HyperloopPost, "dfs")
-			s.hlCredits = s.cl.Cfg.HyperloopCredits
+			s.hostCompute(p, hyperloopPost, "dfs")
+			s.hlCredits = hyperloopCredits
 			ev := s.hlRefillCh
 			s.hlRefillCh = nil
 			ev.Trigger(nil)

@@ -97,10 +97,10 @@ var seedRepStats = RepStats{
 // repClient runs body as each of the clients of a fresh 3-node cluster of the
 // default layout at chunkSize, on a file it has just created. All numbers
 // are simulated time, so they are deterministic across machines.
-func repClient(o Options, clients, chunkSize int, mutate func(*core.Config), body func(p *sim.Proc, cl *core.Cluster, c *dfs.Client, fd int) error) error {
+func repClient(o Options, clients, chunkSize int, body func(p *sim.Proc, cl *core.Cluster, c *dfs.Client, fd int) error) error {
 	l := o.layout(clients)
 	l.ChunkSize = chunkSize
-	sys, err := newLineFS(o, l, mutate)
+	sys, err := newLineFS(o, l, nil)
 	if err != nil {
 		return err
 	}
@@ -138,17 +138,19 @@ func fsyncTrain(p *sim.Proc, c *dfs.Client, fd int, off *uint64, payload []byte,
 
 // measureRepChain runs the fixed workload: the streaming phase and the two
 // small trains on one cluster, the fan-in trains and the large-fsync train
-// each on an idle one.
+// each on an idle one. Every cluster is DefaultConfig's, only the chunk size
+// differs.
 func measureRepChain(o Options) (st RepStats, err error) {
 	// Incompressible payload: compression never pays off, so the chain
 	// moves raw frames and the wire protocol itself is what is measured.
 	payload := make([]byte, repChunkSize)
 	rand.New(rand.NewSource(11)).Read(payload)
 
-	// The full fast path: wire batching plus submission-side doorbell
-	// coalescing, so one dispatch forms several chunks and the sender sees
-	// a real backlog to coalesce.
-	err = repClient(o, 1, repChunkSize, func(c *core.Config) { c.NotifyChunks = 8 }, func(p *sim.Proc, cl *core.Cluster, c *dfs.Client, fd int) error {
+	// The default configuration, as every experiment runs it: at 16 KiB
+	// chunks a doorbell carries as many boundaries as one chain message
+	// carries chunks (doorbellChunks: 16), so one dispatch forms that many
+	// chunks and the sender sees a real backlog to coalesce.
+	err = repClient(o, 1, repChunkSize, func(p *sim.Proc, cl *core.Cluster, c *dfs.Client, fd int) error {
 		// Streaming phase: one chunk-sized write per chunk paces one
 		// chunk-ready notification each, so the sender sees a genuine
 		// multi-chunk backlog; the closing fsync waits until every chunk
@@ -197,7 +199,7 @@ func measureRepChain(o Options) (st RepStats, err error) {
 		return st, err
 	}
 	for i, clients := range [...]int{2, 4} {
-		if err := repClient(o, clients, o.layout(1).ChunkSize, nil, func(p *sim.Proc, _ *core.Cluster, c *dfs.Client, fd int) (err error) {
+		if err := repClient(o, clients, o.layout(1).ChunkSize, func(p *sim.Proc, _ *core.Cluster, c *dfs.Client, fd int) (err error) {
 			off, start := uint64(0), p.Now()
 			_, _, err = fsyncTrain(p, c, fd, &off, payload[:4<<10], 1, repFsyncOps)
 			st.FanInFsyncOpsPerSec[i] += repFsyncOps / time.Duration(p.Now()-start).Seconds()
@@ -206,7 +208,7 @@ func measureRepChain(o Options) (st RepStats, err error) {
 			return st, err
 		}
 	}
-	return st, repClient(o, 1, o.layout(1).ChunkSize, nil, func(p *sim.Proc, _ *core.Cluster, c *dfs.Client, fd int) (err error) {
+	return st, repClient(o, 1, o.layout(1).ChunkSize, func(p *sim.Proc, _ *core.Cluster, c *dfs.Client, fd int) (err error) {
 		var off uint64
 		st.LargeFsyncP50Micros, _, err = fsyncTrain(p, c, fd, &off, payload[:10<<10], 64, 16)
 		return err

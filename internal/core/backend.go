@@ -60,7 +60,7 @@ func newAttachment(p *sim.Proc, cl *Cluster, machine, slot int) (*Attachment, er
 	// inode range.
 	cfg.Log = cl.NICs[machine].clients[slot].log
 	cfg.InoBase, cfg.InoMax = resp.InoBase, resp.InoCount
-	cfg.NotifyChunks = cl.Cfg.NotifyChunks
+	cfg.NotifyChunks = doorbellChunks(cfg.ChunkSize)
 	client := dfs.NewClient(cl.Env, b, cfg)
 	b.client = client
 
@@ -111,7 +111,7 @@ func (b *linefsBackend) close() {
 func (b *linefsBackend) call(p *sim.Proc, op string, arg any, size int, d time.Duration, alive func() bool) (any, error) {
 	const maxAttempts = 12
 	for attempt := 1; ; attempt++ {
-		v, err, replied := b.lowConn.CallTimeout(p, op, arg, size, d, alive, nil)
+		v, err, replied := b.lowConn.CallTimeout(p, op, arg, size, d, alive)
 		if replied {
 			return v, err
 		}

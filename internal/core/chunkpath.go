@@ -486,29 +486,35 @@ func (cs *clientState) stageSplit(p *sim.Proc, ck *chunk) bool {
 // stageCompress LZW-codes the chunk, sub-block by sub-block, and keeps the
 // result if it pays off (§3.3.2). The bytes are produced here, in index
 // order, before the worker first yields, so the payload does not depend on
-// the schedule; the time they cost is then spread over the SmartNIC's cores
-// (codeAcrossCores), because one wimpy core codes a 4 MiB chunk in 70 ms.
+// the schedule; the time they cost is then charged by codeTime. It is also
+// LineFS-NotParallel's compress step, from runInline.
 func (cs *clientState) stageCompress(p *sim.Proc, ck *chunk) bool {
 	ck.zipAll(&cs.enc)
-	cs.n.codeAcrossCores(p, len(ck.raw), cs.n.cl.Cfg.Spec.CompressBW)
+	cs.n.codeTime(p, len(ck.raw), cs.n.cl.Cfg.Spec.CompressBW)
 	return true
 }
 
-// codeAcrossCores charges the LZW time of one chunk of rawLen bytes, at bw
-// bytes per second of a full-speed core, to the SmartNIC's cores: one
-// helper process per sub-block, all started together, and the caller
-// resumes when the last has finished (so a chunk takes one sub-block's
-// time, or its whole time divided by the cores when it has more sub-blocks
-// than there are cores — never a number of rounds that jumps with the
-// sub-block count). The NIC codes one chunk at a time, first come first
-// served across its clients and mirrors (codecGate): finishing chunks one
-// after the other hands each to the next hop sooner than time-slicing the
-// cores between several, and it keeps the clients' chunks apart on the
-// chain instead of letting them collide at every hop.
+// codeTime charges the LZW time of one chunk of rawLen bytes, at bw bytes
+// per second of a full-speed core, at either end of the chain. Under
+// LineFS-NotParallel the caller's one thread codes it. Otherwise it goes to
+// the SmartNIC's cores, because one wimpy core codes a 4 MiB chunk in 70 ms:
+// one helper process per sub-block, all started together, and the caller
+// resumes when the last has finished (so a chunk takes one sub-block's time,
+// or its whole time divided by the cores when it has more sub-blocks than
+// there are cores — never a number of rounds that jumps with the sub-block
+// count). The NIC codes one chunk at a time, first
+// come first served across its clients and mirrors (codecGate): finishing
+// chunks one after the other hands each to the next hop sooner than
+// time-slicing the cores between several, and it keeps the clients' chunks
+// apart on the chain instead of letting them collide at every hop.
 //
 // The helpers die with the caller: when a NICFS crash kills it mid-chunk,
 // its unwinding kills them and frees the gate.
-func (n *NICFS) codeAcrossCores(p *sim.Proc, rawLen int, bw float64) {
+func (n *NICFS) codeTime(p *sim.Proc, rawLen int, bw float64) {
+	if !n.cl.Cfg.Parallel {
+		n.nicCompute(p, codecCost(rawLen, bw))
+		return
+	}
 	env := n.cl.Env
 	n.codecGate.Acquire(p, 0)
 	helpers := make([]*sim.Proc, subBlocks(rawLen))
@@ -547,13 +553,6 @@ func (n *NICFS) CompressPeakWorkers() int {
 		return 1
 	}
 	return n.codecPeak
-}
-
-// compressInline is the compress stage on one thread (LineFS-NotParallel):
-// the same sub-blocks, coded back to back.
-func (cs *clientState) compressInline(p *sim.Proc, ck *chunk) {
-	ck.zipAll(&cs.enc)
-	cs.n.nicCompute(p, codecCost(len(ck.raw), cs.n.cl.Cfg.Spec.CompressBW))
 }
 
 // zipAll codes every sub-block of ck in turn and seals it.
@@ -652,7 +651,7 @@ func (cs *clientState) publishChunk(p *sim.Proc, ck *chunk) {
 	if len(items) == 0 {
 		return
 	}
-	if n.publishItems(p, items, nil) {
+	if n.publishItems(p, items) {
 		// The timed-out kernel worker may still read these item buffers,
 		// which alias ck.raw: leak the chunk instead of recycling it.
 		ck.retained = true
@@ -741,6 +740,15 @@ const (
 	repBatchChunks = 16
 	repBatchBytes  = 1 << 20
 )
+
+// doorbellChunks is how many chunk boundaries a LibFS client gathers before
+// it rings one chunk-ready doorbell carrying all of them: as many chunks of
+// chunkSize as one chain message carries. Past that the doorbell only delays
+// chunks the sender cannot batch anyway; at 1 MiB chunks and above it is 1,
+// a doorbell per chunk.
+func doorbellChunks(chunkSize int) int {
+	return max(1, min(repBatchChunks, repBatchBytes/chunkSize))
+}
 
 // sendRun accumulates contiguous chunks bound for one wire message.
 type sendRun struct {
@@ -934,8 +942,8 @@ func (cs *clientState) runCompletion(p *sim.Proc) {
 		t1 := p.Now()
 		p.Wait(ck.replicated)
 		p.Wait(ck.sent)
-		cs.n.stageAdd("wait-pub", time.Duration(t1-t0))
-		cs.n.stageAdd("wait-rep", time.Duration(p.Now()-t1))
+		cs.n.StageTimes["wait-pub"].add(time.Duration(t1 - t0))
+		cs.n.StageTimes["wait-rep"].add(time.Duration(p.Now() - t1))
 		cs.pending[0] = nil
 		cs.pending = cs.pending[1:]
 		if ck.memHeld > 0 {
@@ -978,7 +986,7 @@ func (cs *clientState) runInline(p *sim.Proc, ck *chunk) bool {
 		return false
 	}
 	if cs.n.cl.Cfg.Compress {
-		cs.compressInline(p, ck)
+		cs.stageCompress(p, ck)
 	}
 	cs.stagePublish(p, ck)
 	cs.xferQ.Put(p, ck)

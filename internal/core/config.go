@@ -69,14 +69,6 @@ type Config struct {
 	// Compress enables the replication compression stage.
 	Compress bool
 
-	// NotifyChunks is the submission-side doorbell coalescing degree: the
-	// LibFS client accumulates this many entry-aligned chunk boundaries
-	// before ringing one chunk-ready doorbell carrying all of them, so a
-	// single NICFS dispatch forms that many chunks. Values <= 1 ring per
-	// chunk boundary (the seed behavior). Deferral is bounded: fsync
-	// flushes pending boundaries onto the doorbell first.
-	NotifyChunks int
-
 	// DisableCoalesce turns off the semantic-compression stage (ablation).
 	DisableCoalesce bool
 	// DisableDirectWrite turns off the §3.3.2 last-hop one-sided write
@@ -91,9 +83,8 @@ type Config struct {
 // DefaultConfig returns the paper's configuration on the default layout.
 func DefaultConfig() Config {
 	return Config{
-		Layout:       cluster.DefaultLayout(),
-		Parallel:     true,
-		NotifyChunks: 1,
-		PubMode:      PubDMAIntrBatch,
+		Layout:   cluster.DefaultLayout(),
+		Parallel: true,
+		PubMode:  PubDMAIntrBatch,
 	}
 }

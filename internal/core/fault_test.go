@@ -209,16 +209,21 @@ func TestPartitionStallsFsyncUntilHeal(t *testing.T) {
 }
 
 // tapNIC puts deliver in front of machine mi's NICFS: every message bound for
-// either of its services passes through it, and is handed on — to the queue
-// NICFS would have named for its connection — only if it says so.
+// either of its services, from a peer or from its own host, passes through
+// it, and is handed on — to the queue NICFS would have named for its
+// connection — only if it says so.
 func tapNIC(env *sim.Env, cl *Cluster, mi int, deliver func(*rdma.Msg) bool) {
-	n := cl.NICs[mi]
+	n, m := cl.NICs[mi], cl.Machines[mi]
 	for _, tap := range []struct {
-		svc string
-		dst func(*rdma.Conn) *sim.Queue[*rdma.Msg]
-	}{{svcBulk, func(*rdma.Conn) *sim.Queue[*rdma.Msg] { return n.bulkQ }}, {svcLow, n.lane}} {
+		port *rdma.NIC
+		svc  string
+		dst  func(*rdma.Conn) *sim.Queue[*rdma.Msg]
+	}{
+		{m.Port, svcBulk, func(*rdma.Conn) *sim.Queue[*rdma.Msg] { return n.bulkQ }}, {m.Port, svcLow, n.lane},
+		{m.NICPort, svcBulk, func(*rdma.Conn) *sim.Queue[*rdma.Msg] { return n.bulkQ }}, {m.NICPort, svcLow, n.lane},
+	} {
 		tap, taps := tap, map[*rdma.Conn]*sim.Queue[*rdma.Msg]{}
-		cl.Machines[mi].Port.RegisterPerConn(tap.svc, func(c *rdma.Conn) *sim.Queue[*rdma.Msg] {
+		tap.port.RegisterPerConn(tap.svc, func(c *rdma.Conn) *sim.Queue[*rdma.Msg] {
 			if q := taps[c]; q != nil {
 				return q
 			}
@@ -303,6 +308,81 @@ func TestRetransmitObeysBatchBounds(t *testing.T) {
 		t.Error("no resent message carried more than one chunk; the bound was never at stake")
 	}
 	assertReplicasHold(t, cl, "/cap", payload)
+}
+
+// TestCoalescedDoorbellUnderFaults is the fault schedule the chaos harness
+// never plays — it raises the chunk size past every round, so none of its
+// doorbells carries marks. At 128 KiB chunks a doorbell carries eight
+// boundaries; 2 MiB streams in 16 KiB writes while the primary's frames to
+// the first replica are dropped and duplicated, then the link heals and the
+// fsync returns. Every chunk a coalesced doorbell formed must be resent until
+// acknowledged, with no control RPC timing out, the replicas must hold the
+// bytes, and once healed the chain must be back to acks that all advance.
+func TestCoalescedDoorbellUnderFaults(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	cfg.ChunkSize = 128 << 10
+	env, cl := newTestCluster(t, cfg)
+	fp := cl.InstallFaultPlane()
+	doorbells := 0
+	tapNIC(env, cl, 0, func(m *rdma.Msg) bool {
+		if m.Op == "chunk-ready" {
+			doorbells++
+		}
+		return true
+	})
+	payload := make([]byte, 2<<20)
+	rand.New(rand.NewSource(5)).Read(payload)
+	var stale int64
+	run(t, env, 120*time.Second, func(p *sim.Proc) {
+		l, _ := cl.Attach(p, 0)
+		fd, _ := l.Create(p, "/doorbell")
+		if err := l.Fsync(p, fd); err != nil { // one ack observed: resends run on the floor
+			t.Fatal(err)
+		}
+		fp.SetRule("node0", "node1", rdma.FaultRule{Drop: 0.3, Dup: 0.3})
+		env.Go("heal", func(hp *sim.Proc) {
+			hp.Sleep(100 * time.Millisecond)
+			fp.ClearRules()
+		})
+		for off := 0; off < len(payload); off += 16 << 10 {
+			if _, err := l.WriteAt(p, fd, uint64(off), payload[off:off+16<<10]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatalf("fsync across a dropping, duplicating link: %v", err)
+		}
+		p.Sleep(time.Second)
+		// Healed and drained: another doorbell's worth must be acked cleanly.
+		stale = cl.Robust.StaleAcks
+		more := payload[:256<<10]
+		for off := 0; off < len(more); off += 16 << 10 {
+			if _, err := l.WriteAt(p, fd, uint64(len(payload)+off), more[off:off+16<<10]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(time.Second)
+		payload = append(payload, more...)
+	})
+	t.Logf("%d doorbells, %d chunks; %s", doorbells, cl.NICs[0].RepChunksSent, cl.Robust.Summary())
+	if chunks := cl.NICs[0].RepChunksSent; int64(doorbells) >= chunks {
+		t.Errorf("%d doorbells for %d chunks: want fewer doorbells than chunks", doorbells, chunks)
+	}
+	if cl.Robust.FramesDropped == 0 || cl.Robust.FramesDuplicated == 0 || cl.Robust.RepResends == 0 {
+		t.Errorf("dropped %d, duplicated %d, resent %d: want the faults met and repaired",
+			cl.Robust.FramesDropped, cl.Robust.FramesDuplicated, cl.Robust.RepResends)
+	}
+	if cl.Robust.RPCTimeouts != 0 {
+		t.Errorf("%d control RPCs timed out", cl.Robust.RPCTimeouts)
+	}
+	if cl.Robust.StaleAcks != stale {
+		t.Errorf("%d stale acks after the heal", cl.Robust.StaleAcks-stale)
+	}
+	assertReplicasHold(t, cl, "/doorbell", payload)
 }
 
 // TestCorruptCopyDraws pins what the fault plane's corruption costs in RNG

@@ -143,6 +143,69 @@ func TestFsyncDoesNotWaitForReplicaKernelWorkers(t *testing.T) {
 	}
 }
 
+// TestLateKernelWorkerCopyRetainsBuffers makes every kernel worker slow, not
+// dead: it holds each copy 60 ms, past publishItems' 50 ms deadline, then
+// makes it and answers. NICFS has meanwhile published across PCIe itself and
+// the late answers are discarded; the buffers those copies read — the
+// primary's chunk, each mirror's pooled buffer — must not have gone back to
+// their pools, where the next chunk would overwrite what a late copy reads.
+func TestLateKernelWorkerCopyRetainsBuffers(t *testing.T) {
+	t.Parallel()
+	env, cl := newTestCluster(t, testConfig())
+	defer env.Shutdown()
+	payload := bytes.Repeat([]byte{0x6B}, 64<<10)
+	run(t, env, 10*time.Second, func(p *sim.Proc) {
+		l, _ := cl.Attach(p, 0)
+		fd, _ := l.Create(p, "/late")
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(10 * time.Millisecond)
+		cs, mirrors := cl.NICs[0].clients[0], []*mirrorState{cl.NICs[1].mirrors[0], cl.NICs[2].mirrors[0]}
+		if len(cs.freeCk) != 1 || len(mirrors[0].bufs) != 1 || len(mirrors[1].bufs) != 1 {
+			t.Fatalf("pools after the create: %d chunks, %d and %d mirror buffers; want one each",
+				len(cs.freeCk), len(mirrors[0].bufs), len(mirrors[1].bufs))
+		}
+		for _, kw := range cl.KWs {
+			for _, kp := range kw.procs {
+				kp.Kill()
+			}
+			env.Go("slow-kworker", func(kp *sim.Proc) {
+				for {
+					msg, ok := kw.q.Get(kp)
+					if !ok {
+						return
+					}
+					if req, ok := msg.Arg.(*copyReq); ok {
+						kp.Sleep(60 * time.Millisecond)
+						kw.serveCopy(kp, req)
+					}
+					msg.Respond(kp, true, 8)
+				}
+			})
+		}
+		if _, err := l.WriteAt(p, fd, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(100 * time.Millisecond) // past the late answers
+		if got := cl.Robust.RepliesDiscarded; got != 3 {
+			t.Errorf("%d late copy answers discarded, want one per node", got)
+		}
+		if len(cs.freeCk) != 0 {
+			t.Error("the primary recycled a chunk a timed-out copy read")
+		}
+		for i, ms := range mirrors {
+			if len(ms.bufs) != 0 {
+				t.Errorf("node %d's mirror recycled a buffer a timed-out copy read", i+1)
+			}
+		}
+		assertReplicasHold(t, cl, "/late", payload)
+	})
+}
+
 // TestFsyncPathCostsWhatTheDoorbellPathCosts sends the same 16 KiB down both
 // roads to the chain: an fsync that forms the chunk itself (the chunk size is
 // far larger), and a doorbell-formed chunk the fsync only waits for (the
@@ -156,7 +219,7 @@ func TestFsyncPathCostsWhatTheDoorbellPathCosts(t *testing.T) {
 	for i, doorbell := range []bool{false, true} {
 		cfg := testConfig()
 		if doorbell {
-			cfg.ChunkSize, cfg.NotifyChunks = len(payload), 8
+			cfg.ChunkSize = len(payload)
 		}
 		env, cl := newTestCluster(t, cfg)
 		run(t, env, 10*time.Second, func(p *sim.Proc) {

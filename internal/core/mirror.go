@@ -53,38 +53,7 @@ type mirrorState struct {
 type pubJob struct {
 	raw      []byte
 	from, to uint64
-	// hold owns raw's return to the mirror pool.
-	hold *bufHold
 }
-
-// bufHold is the reference count on one pooled mirror buffer. Publication
-// hands the buffer to the kernel worker; when that copy times out, the
-// worker may still be reading it, so the buffer can return to the pool only
-// when every outstanding reference — including a late kernel-worker response
-// discarded by the abandoned-call path — has been released. A worker that
-// never responds (host crash) keeps its reference forever and the buffer
-// leaks, which is the only safe disposition.
-type bufHold struct {
-	ms   *mirrorState
-	buf  []byte
-	refs int
-}
-
-func (ms *mirrorState) newHold(buf []byte) *bufHold {
-	return &bufHold{ms: ms, buf: buf, refs: 1}
-}
-
-func (h *bufHold) acquire() { h.refs++ }
-
-func (h *bufHold) release() {
-	h.refs--
-	if h.refs == 0 {
-		h.ms.putBuf(h.buf)
-	}
-}
-
-// discardHook adapts release to the rdma abandonment callback.
-func (h *bufHold) discardHook(p *sim.Proc) { h.release() }
 
 // getBuf pops a pooled length-n buffer (or makes one).
 func (ms *mirrorState) getBuf(n int) []byte {
@@ -173,17 +142,17 @@ func (ms *mirrorState) kill() {
 
 // runPublisher applies replicated chunks to the replica's public area in
 // the background (Figure 3 keeps publication off the chain critical path)
-// and recycles their buffers.
+// and recycles their buffers — except one a timed-out kernel-worker copy may
+// still read, which is never recycled (the primary's rule for its chunks).
 func (ms *mirrorState) runPublisher(p *sim.Proc) {
 	for {
 		job, ok := ms.pubQ.Get(p)
 		if !ok {
 			return
 		}
-		ms.publishLocal(p, job.raw, job.from, job.to, job.hold)
-		// Drop the pipeline's own reference; the buffer pools once every
-		// outstanding kernel-worker handoff has resolved too.
-		job.hold.release()
+		if !ms.publishLocal(p, job.raw, job.from, job.to) {
+			ms.putBuf(job.raw)
+		}
 	}
 }
 
@@ -374,15 +343,9 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 		}
 		if len(bc.SubLens) > 0 {
 			allRaw = false
-			// Decompression on the wimpy cores (reads are cheaper than the
-			// compression side; charge at 2x the compression bandwidth):
-			// spread over the cores like the primary's compression, or on
-			// this one thread under LineFS-NotParallel.
-			if cl.Cfg.Parallel {
-				n.codeAcrossCores(p, bc.RawLen, 2*cl.Cfg.Spec.CompressBW)
-			} else {
-				n.nicCompute(p, codecCost(bc.RawLen, 2*cl.Cfg.Spec.CompressBW))
-			}
+			// Decompression on the wimpy cores, charged like the primary's
+			// compression (reads are cheaper: at 2x the compression bandwidth).
+			n.codeTime(p, bc.RawLen, 2*cl.Cfg.Spec.CompressBW)
 		}
 		off += bc.RawLen
 	}
@@ -422,7 +385,7 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 
 	// Publish locally in the background so the replica's public area keeps
 	// up and the mirror ring can be reclaimed.
-	ms.pubQ.Put(p, pubJob{raw: raw, from: rb.From, to: rb.To, hold: ms.newHold(raw)})
+	ms.pubQ.Put(p, pubJob{raw: raw, from: rb.From, to: rb.To})
 }
 
 // ack tells the primary that everything through to is durable here. Acks
@@ -516,7 +479,7 @@ func (ms *mirrorState) handleDirect(p *sim.Proc, rd *replDirect) {
 	// across PCIe into a pooled buffer.
 	fctx := &fs.Ctx{P: p, PM: m.PM, ExtraRead: []*hw.Link{m.Fetch}}
 	ms.log.ReadRawInto(fctx, rd.From, raw)
-	ms.pubQ.Put(p, pubJob{raw: raw, from: rd.From, to: rd.To, hold: ms.newHold(raw)})
+	ms.pubQ.Put(p, pubJob{raw: raw, from: rd.From, to: rd.To})
 }
 
 // persistRaw copies chunk bytes from SmartNIC memory into the local host
@@ -540,30 +503,28 @@ func (ms *mirrorState) persistRaw(p *sim.Proc, at uint64, raw []byte) {
 }
 
 // publishLocal applies a replicated chunk (or batch) to this replica's
-// public area and reclaims the mirror ring. The hold covers the kernel
-// worker's possible retention of raw.
-func (ms *mirrorState) publishLocal(p *sim.Proc, raw []byte, from, to uint64, hold *bufHold) {
+// public area and reclaims the mirror ring. It reports whether a timed-out
+// kernel worker may still read raw (see publishItems).
+func (ms *mirrorState) publishLocal(p *sim.Proc, raw []byte, from, to uint64) (retained bool) {
 	n := ms.n
 	if from != ms.pubNext && ms.pubNext != 0 {
 		// Gap (shouldn't happen: arrival order is log order); skip rather
 		// than corrupt.
-		return
+		return false
 	}
 	entries, err := fs.DecodeAll(raw)
 	if err != nil {
-		return
+		return false
 	}
 	n.nicCompute(p, validateCost(len(raw), n.cl.Cfg.Spec.ValidatePerMiB))
 	ctx := n.cl.nicCtx(p, n.machine, "nicfs")
 	var items []copyItem
 	cp := func(dst int64, src []byte) { items = append(items, copyItem{Dst: dst, Data: src}) }
 	if err := n.vol.ApplyAll(ctx, entries, cp); err == nil {
-		hold.acquire()
-		if !n.publishItems(p, items, hold.discardHook) {
-			hold.release()
-		}
+		retained = n.publishItems(p, items)
 		n.PubBytes += int64(len(raw))
 	}
 	ms.pubNext = to
 	ms.log.Reclaim(ctx, to)
+	return retained
 }

@@ -63,7 +63,7 @@ type NICFS struct {
 	plBudget *pipeline.Budget
 
 	// codecGate admits one chunk at a time to LZW coding across the cores
-	// (codeAcrossCores); codecPeak is the most helpers one chunk has had.
+	// (codeTime); codecPeak is the most helpers one chunk has had.
 	codecGate *sim.Resource
 	codecPeak int
 
@@ -106,16 +106,6 @@ type timeAvg struct {
 
 func (t *timeAvg) add(d time.Duration) { t.Total += d; t.N++ }
 
-// stageAdd accumulates into a named stage timer, creating it on demand.
-func (n *NICFS) stageAdd(name string, d time.Duration) {
-	ta, ok := n.StageTimes[name]
-	if !ok {
-		ta = &timeAvg{}
-		n.StageTimes[name] = ta
-	}
-	ta.add(d)
-}
-
 // Mean returns the average accumulated duration.
 func (t *timeAvg) Mean() time.Duration {
 	if t.N == 0 {
@@ -140,6 +130,7 @@ func newNICFS(cl *Cluster, machine int) *NICFS {
 		plBudget: pipeline.NewBudget(2 * cl.Cfg.Spec.NICCores),
 		StageTimes: map[string]*timeAvg{
 			"fetch": {}, "validate": {}, "publish": {}, "transfer": {}, "ack": {},
+			"wait-pub": {}, "wait-rep": {},
 		},
 	}
 	n.leases.Journal = n.leaseJournal
@@ -490,7 +481,7 @@ func (n *NICFS) runDetector(p *sim.Proc) {
 	misses := 0
 	for {
 		p.Sleep(interval)
-		_, err, replied := n.kwConn.CallTimeout(p, "probe", nil, 8, interval/2, nil, nil)
+		_, err, replied := n.kwConn.CallTimeout(p, "probe", nil, 8, interval/2, nil)
 		if replied && err == nil {
 			misses = 0
 			n.Isolated = false
@@ -575,15 +566,13 @@ func (n *NICFS) pruneHistory() {
 // ack path: via the kernel worker, or directly over PCIe when the worker is
 // down. A kernel worker that dies mid-copy is retried through the PCIe path —
 // publication is idempotent.
-// Returns true when a timed-out kernel worker may still read the item
-// buffers: the caller must not recycle them until onDiscard fires (the
-// worker's late response was discarded, so it is done with the buffers) —
-// and must leak them if it never does.
-func (n *NICFS) publishItems(p *sim.Proc, items []copyItem, onDiscard func(p *sim.Proc)) bool {
+// It returns true when a timed-out kernel worker may still read the item
+// buffers, late or never: the caller must then never recycle them.
+func (n *NICFS) publishItems(p *sim.Proc, items []copyItem) bool {
 	retained := false
 	if !n.Isolated {
 		_, err, replied := n.kwConn.CallTimeout(p, "copy", &copyReq{Items: items},
-			64*len(items), 50*time.Millisecond, nil, onDiscard)
+			64*len(items), 50*time.Millisecond, nil)
 		if replied && err == nil {
 			return false
 		}

@@ -59,6 +59,23 @@ func TestBatchingCoalescesWireMessages(t *testing.T) {
 	assertNoStaleAcks(t, cl)
 }
 
+// TestDoorbellChunks pins the doorbell degree to the chain's message bounds:
+// as many chunks as one replChunkBatch carries, by count or by bytes.
+func TestDoorbellChunks(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct{ chunkSize, want int }{
+		{16 << 10, 16}, // the count bound
+		{128 << 10, 8}, // the byte bound from here on
+		{256 << 10, 4},
+		{1 << 20, 1},
+		{4 << 20, 1}, // the paper's chunks: a doorbell per chunk
+	} {
+		if got := doorbellChunks(c.chunkSize); got != c.want {
+			t.Errorf("doorbellChunks(%d KiB) = %d, want %d", c.chunkSize>>10, got, c.want)
+		}
+	}
+}
+
 // TestCumulativeAckCoversBatch checks the watermark protocol end to end on
 // the happy path: every data message a replica receives is answered by
 // exactly one cumulative ack, and none of them is stale at the primary.

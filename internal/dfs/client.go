@@ -63,10 +63,10 @@ type Config struct {
 	InoMax  int
 	// ChunkSize paces ChunkReady notifications.
 	ChunkSize int
-	// NotifyChunks is the submission-side doorbell coalescing degree: the
-	// client accumulates this many entry-aligned chunk boundaries before
-	// ringing one ChunkReady doorbell carrying all of them. Values <= 1
-	// ring per chunk boundary (the uncoalesced path).
+	// NotifyChunks is the submission-side doorbell coalescing degree, which
+	// the daemon fills in: the client accumulates this many entry-aligned
+	// chunk boundaries before ringing one ChunkReady doorbell carrying all of
+	// them. Values <= 1 ring per chunk boundary.
 	NotifyChunks int
 	LeaseTTL     time.Duration
 }

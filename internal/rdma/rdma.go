@@ -145,10 +145,8 @@ type Msg struct {
 	reply *sim.Event
 	// abandoned marks a call whose sender timed out and moved on: a late
 	// Respond/RespondErr is discarded instead of triggering into the stale
-	// event, and onDiscard (if any) releases resources the sender lent the
-	// handler for the call's duration.
+	// event.
 	abandoned bool
-	onDiscard func(p *sim.Proc)
 }
 
 // Reply carries an RPC response value.
@@ -259,7 +257,7 @@ func (c *Conn) Send(p *sim.Proc, op string, arg any, size int) error {
 // requests without a deadline hang, exactly as on real hardware; paths that
 // may face faults use CallTimeout.
 func (c *Conn) Call(p *sim.Proc, op string, arg any, size int) (any, error) {
-	v, err, _ := c.CallTimeout(p, op, arg, size, 0, nil, nil)
+	v, err, _ := c.CallTimeout(p, op, arg, size, 0, nil)
 	return v, err
 }
 
@@ -270,12 +268,10 @@ func (c *Conn) Call(p *sim.Proc, op string, arg any, size int) (any, error) {
 // runs out, that the caller sees the handler getting somewhere by other
 // means: the same call then waits another d. A timed-out call is abandoned:
 // if the handler later responds anyway, the late response is discarded
-// instead of triggering into the caller that moved on, and onDiscard (if
-// non-nil) runs once, in the responder's process context — the moment
-// resources the caller lent the handler for the call's duration (e.g. pooled
-// buffers a kernel worker was still reading) are known free. If the handler
-// never responds, onDiscard never runs.
-func (c *Conn) CallTimeout(p *sim.Proc, op string, arg any, size int, d time.Duration, alive func() bool, onDiscard func(p *sim.Proc)) (any, error, bool) {
+// instead of triggering into the caller that moved on. What the caller lent
+// the handler for the call's duration it must therefore treat as lent for
+// good.
+func (c *Conn) CallTimeout(p *sim.Proc, op string, arg any, size int, d time.Duration, alive func() bool) (any, error, bool) {
 	m, err := c.post(p, op, arg, size, true)
 	if err != nil {
 		return nil, err, true
@@ -290,7 +286,6 @@ func (c *Conn) CallTimeout(p *sim.Proc, op string, arg any, size int, d time.Dur
 	}
 	if !replied {
 		m.abandoned = true
-		m.onDiscard = onDiscard
 		c.Local.Fab.Robust.RPCTimeouts++
 		return nil, nil, false
 	}
@@ -313,24 +308,11 @@ func (m *Msg) respond(p *sim.Proc, rep Reply, size int) {
 		return
 	}
 	m.conn.returnCost(p, size)
-	if m.discardLate(p) {
+	if m.abandoned {
+		m.conn.Local.Fab.Robust.RepliesDiscarded++
 		return
 	}
 	m.reply.Trigger(rep)
-}
-
-// discardLate drops a response to an abandoned call, running the caller's
-// discard hook exactly once.
-func (m *Msg) discardLate(p *sim.Proc) bool {
-	if !m.abandoned {
-		return false
-	}
-	m.conn.Local.Fab.Robust.RepliesDiscarded++
-	if fn := m.onDiscard; fn != nil {
-		m.onDiscard = nil
-		fn(p)
-	}
-	return true
 }
 
 // NeedsReply reports whether the sender is waiting on a response.
