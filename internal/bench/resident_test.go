@@ -60,3 +60,74 @@ func TestClusterResidentBytes(t *testing.T) {
 		t.Errorf("resident bytes: %d after format, %d after the workload; pinned %d and %d", format, got, wantFormat, wantResident)
 	}
 }
+
+// TestChurnResidentBytes is the same gate under deletes: on the quick-scale
+// cluster one client runs 2000 rounds of create, 16 KiB write, fsync and
+// unlink, so every node publishes 31 MiB of file data and frees all of it.
+// What stays live on each device is the used part of the client's log ring
+// (primary) or its mirror (replicas); freed blocks must hand their pages
+// back, so residency beyond the format stays within 1.25x of that. Pinned
+// exactly per device.
+func TestChurnResidentBytes(t *testing.T) {
+	t.Parallel()
+	const rounds = 2000
+	want := [...]int64{29458432, 29458432, 29458432}
+	o := DefaultOptions()
+	l := o.layout(1)
+	cl, err := newLineFS(o, l, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := cl.Env
+	defer env.Shutdown()
+	format := make([]int64, len(cl.Machines))
+	for i, m := range cl.Machines {
+		format[i] = m.PM.ResidentBytes()
+	}
+	var logged int64
+	g := newGroup(env, 1)
+	env.Go("bench", func(p *sim.Proc) {
+		defer g.done()
+		c, err := cl.Attach(p, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		data := make([]byte, 16<<10)
+		for i := 0; i < rounds; i++ {
+			data[0] = byte(i)
+			fd, err := c.Create(p, "/f")
+			if err == nil {
+				_, err = c.WriteAt(p, fd, 0, data)
+			}
+			if err == nil {
+				err = c.Fsync(p, fd)
+			}
+			if err == nil {
+				err = c.Close(p, fd)
+			}
+			if err == nil {
+				err = c.Unlink(p, "/f")
+			}
+			if err != nil {
+				t.Errorf("round %d: %v", i, err)
+				return
+			}
+		}
+		p.Sleep(2 * time.Second) // publication drains
+		logged = min(int64(c.Log().Head()), l.LogSize)
+	})
+	if !g.wait(600 * time.Second) {
+		t.Fatal("run stalled")
+	}
+	for i, m := range cl.Machines {
+		got := m.PM.ResidentBytes()
+		if got-format[i] > logged*5/4 {
+			t.Errorf("node %d: %d bytes resident beyond the format's %d for a %d-byte log and no live data: more than 1.25x",
+				i, got-format[i], format[i], logged)
+		}
+		if got != want[i] {
+			t.Errorf("node %d: %d bytes resident, pinned %d", i, got, want[i])
+		}
+	}
+}

@@ -144,22 +144,15 @@ func (v *Vol) Truncate(c *Ctx, ino Ino, size uint64) error {
 	if err != nil {
 		return err
 	}
+	var freed []Extent
 	if size == 0 && in.ExtHead != 0 {
-		blk := in.ExtHead
-		for blk != 0 {
-			hdr, ents := v.readExtBlock(c, blk)
-			for _, e := range ents {
-				v.freeRange(c, e.BlkNo, uint64(e.Count))
-			}
-			next := hdr.Next
-			v.freeRange(c, blk, 1)
-			blk = next
-		}
+		freed = v.freeChain(c, in.ExtHead)
 		in.ExtHead, in.ExtTail = 0, 0
 		v.cacheExtentsDrop(ino)
 	}
 	in.Size = size
 	v.writeInode(c, &in)
+	v.discard(freed)
 	return nil
 }
 

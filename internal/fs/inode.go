@@ -73,20 +73,38 @@ func (v *Vol) FreeInode(c *Ctx, ino Ino) error {
 	if err != nil {
 		return err
 	}
-	// Free all mapped data blocks and the extent blocks themselves.
-	blk := in.ExtHead
+	freed := v.freeChain(c, in.ExtHead)
+	in = Inode{Ino: ino, Type: TypeFree}
+	v.writeInode(c, &in)
+	v.discard(freed)
+	v.cacheExtentsDrop(ino)
+	v.cacheDirDrop(ino)
+	return nil
+}
+
+// freeChain returns to the allocator every data block an extent chain maps
+// and the chain's own blocks, and lists the runs in v.freed.
+func (v *Vol) freeChain(c *Ctx, blk uint64) []Extent {
+	v.freed = v.freed[:0]
 	for blk != 0 {
 		hdr, ents := v.readExtBlock(c, blk)
 		for _, e := range ents {
 			v.freeRange(c, e.BlkNo, uint64(e.Count))
+			v.freed = append(v.freed, e)
 		}
-		next := hdr.Next
 		v.freeRange(c, blk, 1)
-		blk = next
+		v.freed = append(v.freed, Extent{BlkNo: blk, Count: 1})
+		blk = hdr.Next
 	}
-	in = Inode{Ino: ino, Type: TypeFree}
-	v.writeInode(c, &in)
-	v.cacheExtentsDrop(ino)
-	v.cacheDirDrop(ino)
-	return nil
+	return v.freed
+}
+
+// discard hands freed block runs back to the device: they read zero when
+// reallocated and stop costing host memory. It must follow the durable
+// inode write that stops referencing them, so a crash before that write
+// finds the blocks still mapped with their bytes intact.
+func (v *Vol) discard(runs []Extent) {
+	for _, e := range runs {
+		v.pm.Discard(v.blockOff(e.BlkNo), int64(e.Count)*BlockSize)
+	}
 }

@@ -47,7 +47,8 @@ type Vol struct {
 	// bitmap mirrors the on-PM allocation bitmap for fast scanning; all
 	// modifications write through.
 	bitmap  []byte
-	nextHit uint64 // next-fit pointer for contiguous allocation
+	nextHit uint64   // next-fit pointer for contiguous allocation
+	freed   []Extent // scratch: the block runs the last free released
 
 	// cache holds the DRAM index mirrors (§4).
 	cache *volCache

@@ -21,7 +21,7 @@ import (
 // write and an absent page reads as zeros. A page is in one of three
 // states:
 //
-//	absent  cur == 0            never written: reads zeros, durably zeros
+//	absent  cur == 0            unwritten or discarded: reads zeros, durably
 //	clean   cur > 0, img == 0   every byte of the cur slot is durable
 //	dirty   cur > 0, img != 0   cur is the read view; img is the durable
 //	                            image (a slot, or imgZero for all zeros)
@@ -324,19 +324,7 @@ func (pm *PM) Persist(p *sim.Proc, off, n int64) {
 //linefs:hotpath
 func (pm *PM) PersistNoCost(off, n int64) {
 	lo, hi := off, off+n
-	kept := pm.spare[:0]
-	for _, s := range pm.dirty {
-		if s.end <= lo || s.off >= hi {
-			kept = append(kept, s)
-			continue
-		}
-		if s.off < lo {
-			kept = append(kept, pmSpan{off: s.off, end: lo})
-		}
-		if hi < s.end {
-			kept = append(kept, pmSpan{off: hi, end: s.end})
-		}
-	}
+	kept := pm.dirtyOutside(lo, hi)
 	// Both lists are sorted, so k only moves forward: kept[k] is the first
 	// span ending past the start of the page under consideration.
 	k := 0
@@ -362,6 +350,54 @@ func (pm *PM) PersistNoCost(off, n int64) {
 	}
 	pm.spare = pm.dirty[:0]
 	pm.dirty = kept
+}
+
+// dirtyOutside returns the dirty spans with [lo, hi) cut out, built in the
+// spare list; the caller swaps it in as pm.dirty.
+func (pm *PM) dirtyOutside(lo, hi int64) []pmSpan {
+	kept := pm.spare[:0]
+	for _, s := range pm.dirty {
+		if s.end <= lo || s.off >= hi {
+			kept = append(kept, s)
+			continue
+		}
+		if s.off < lo {
+			kept = append(kept, pmSpan{off: s.off, end: lo})
+		}
+		if hi < s.end {
+			kept = append(kept, pmSpan{off: hi, end: s.end})
+		}
+	}
+	return kept
+}
+
+// Discard makes every whole page in [off, off+n) absent, dirty or not: it
+// reads zeros, also after a Crash, and its slots go back to the free list.
+// Partial edge pages are untouched. It charges no time: real PM keeps dead
+// bytes for free, only the host memory behind them is released. Callers
+// discard only ranges nothing durable references any more.
+//
+//linefs:hotpath
+func (pm *PM) Discard(off, n int64) {
+	pm.check(off, int(n))
+	lo := (off + pageSize - 1) &^ (pageSize - 1)
+	hi := (off + n) &^ (pageSize - 1)
+	if lo >= hi {
+		return
+	}
+	kept := pm.dirtyOutside(lo, hi)
+	pm.spare = pm.dirty[:0]
+	pm.dirty = kept
+	for p := lo >> pageShift; p < hi>>pageShift; p++ {
+		pg := &pm.dir[p]
+		if pg.cur != 0 {
+			pm.free = append(pm.free, pg.cur)
+		}
+		if pg.img > 0 {
+			pm.free = append(pm.free, pg.img)
+		}
+		*pg = pmPage{}
+	}
 }
 
 // persistInto copies bytes [lo, hi) of a page that stays dirty from the

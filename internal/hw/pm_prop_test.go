@@ -27,6 +27,15 @@ func (m *pmModel) persist(off, n int64)        { copy(m.durable[off:off+n], m.vo
 func (m *pmModel) persistAll()                 { copy(m.durable, m.volatile) }
 func (m *pmModel) crash()                      { copy(m.volatile, m.durable) }
 
+// discard zeroes, in both views, the whole pages inside [off, off+n).
+func (m *pmModel) discard(off, n int64) {
+	lo := (off + pageSize - 1) / pageSize * pageSize
+	hi := (off + n) / pageSize * pageSize
+	for i := lo; i < hi; i++ {
+		m.volatile[i], m.durable[i] = 0, 0
+	}
+}
+
 // pmPair applies every operation to the device and to the model and
 // compares the two views.
 type pmPair struct {
@@ -37,6 +46,15 @@ type pmPair struct {
 	where string
 }
 
+func newPMPair(t *testing.T, size int64) *pmPair {
+	return &pmPair{
+		t:     t,
+		pm:    NewPM(sim.NewEnv(1), "pm", PMConfig{Size: size, Bandwidth: 1e9}),
+		model: newPMModel(size),
+		got:   make([]byte, size),
+	}
+}
+
 func (pp *pmPair) write(off int64, src []byte) {
 	pp.pm.WriteNoCost(off, src)
 	pp.model.write(off, src)
@@ -45,6 +63,11 @@ func (pp *pmPair) write(off int64, src []byte) {
 func (pp *pmPair) persist(off, n int64) {
 	pp.pm.PersistNoCost(off, n)
 	pp.model.persist(off, n)
+}
+
+func (pp *pmPair) discard(off, n int64) {
+	pp.pm.Discard(off, n)
+	pp.model.discard(off, n)
 }
 
 // persistAll fences both; afterwards no page may still hold an image.
@@ -89,19 +112,14 @@ func (pp *pmPair) crash() {
 // every crash. Each seed starts with a script that walks the page-state
 // transitions one by one, then runs a random mix of writes of up to five
 // pages (offsets and lengths biased to page boundaries, so whole-page
-// covers are common), persists that split pages, full fences and crashes.
-// The device is not a whole number of pages.
+// covers are common), persists that split pages, full fences, crashes and
+// discards with ragged edges. The device is not a whole number of pages.
 func TestPMMatchesModel(t *testing.T) {
 	t.Parallel()
 	const size = 16*pageSize + 1234
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		pp := &pmPair{
-			t:     t,
-			pm:    NewPM(sim.NewEnv(1), "pm", PMConfig{Size: size, Bandwidth: 1e9}),
-			model: newPMModel(size),
-			got:   make([]byte, size),
-		}
+		pp := newPMPair(t, size)
 		buf := make([]byte, 5*pageSize)
 		fill := func(n int) []byte { rng.Read(buf[:n]); return buf[:n] }
 
@@ -144,7 +162,7 @@ func TestPMMatchesModel(t *testing.T) {
 
 		for op := 0; op < 600; op++ {
 			pp.where = fmt.Sprintf("seed %d op %d", seed, op)
-			switch rng.Intn(10) {
+			switch rng.Intn(11) {
 			case 0, 1, 2, 3, 4: // write
 				n := 1 + rng.Intn(len(buf))
 				if rng.Intn(2) == 0 {
@@ -166,6 +184,9 @@ func TestPMMatchesModel(t *testing.T) {
 			case 9: // read a window
 				n := 1 + rng.Intn(size/4)
 				pp.checkRead(int64(rng.Intn(size-n+1)), int64(n))
+			case 10: // discard, whole pages inside ragged edges
+				n := 1 + rng.Intn(4*pageSize)
+				pp.discard(int64(rng.Intn(size-n+1)), int64(n))
 			}
 		}
 		pp.where = fmt.Sprintf("seed %d end", seed)
@@ -210,6 +231,56 @@ func TestPMFreshDeviceIsFree(t *testing.T) {
 	if !bytes.Equal(buf[:3], []byte{0, 1, 0}) || pm.ResidentBytes() != pageSize {
 		t.Fatalf("after persist and crash: read %v, %d bytes resident", buf[:3], pm.ResidentBytes())
 	}
+}
+
+// TestPMDiscard walks Discard over every page state at once. The range
+// [100, 5 pages + 100) has a partial page at each edge and four whole pages
+// inside: page 1 dirty over an all-zero image, page 2 absent, page 3 clean,
+// page 4 dirty over a slot image, with dirty spans crossing both edges.
+// The whole pages read zero and free their slots; the edges keep their bytes
+// and their dirty spans; a crash leaves the whole pages zero; the next
+// writes reuse the freed slots without carving new ones.
+func TestPMDiscard(t *testing.T) {
+	t.Parallel()
+	const size = 8 * pageSize
+	pp := newPMPair(t, size)
+	rng := rand.New(rand.NewSource(1))
+	fill := func(n int) []byte { b := make([]byte, n); rng.Read(b); return b }
+	pp.where = "discard"
+	pp.write(0, fill(pageSize))
+	pp.write(3*pageSize, fill(3*pageSize))
+	pp.persistAll()
+	pp.write(pageSize-50, fill(100))  // page 0 over a slot, page 1 over imgZero
+	pp.write(5*pageSize-30, fill(60)) // pages 4 and 5 over slots
+	resident, freed := pp.pm.ResidentBytes(), len(pp.pm.free)
+	pp.discard(100, 5*pageSize)
+	pp.checkRead(0, size)
+	for p := 1; p <= 4; p++ {
+		if pg := pp.pm.dir[p]; pg != (pmPage{}) {
+			t.Fatalf("page %d is %+v after a discard, want absent", p, pg)
+		}
+	}
+	// Page 1's cur, page 3's cur, page 4's cur and image.
+	if got := len(pp.pm.free) - freed; got != 4 {
+		t.Fatalf("discard freed %d slots, want 4", got)
+	}
+	if got := pp.pm.PendingBytes(); got != 50+30 {
+		t.Fatalf("%d bytes pending after a discard, want the 80 outside it", got)
+	}
+	pp.crash()
+	pp.where = "reuse after discard"
+	pp.write(2*pageSize, fill(pageSize)) // a whole page: takes a freed slot
+	pp.write(3*pageSize+7, fill(9))      // a partial one: stale slot bytes cleared
+	pp.checkRead(0, size)
+	pp.persistAll()
+	pp.crash()
+	if pp.pm.ResidentBytes() != resident {
+		t.Fatalf("writes after a discard grew residency from %d to %d bytes", resident, pp.pm.ResidentBytes())
+	}
+	pp.where = "discard without a whole page"
+	pp.write(6*pageSize-10, fill(20))
+	pp.discard(6*pageSize-20, pageSize+10)
+	pp.checkRead(0, size)
 }
 
 // TestPMWriteNoCostAllocFree is the 0 allocs/op gate for the PM write hot
@@ -262,6 +333,35 @@ func TestPMOverwriteAllocFree(t *testing.T) {
 	}
 	if pm.ResidentBytes() != resident {
 		t.Errorf("overwrite steady state grew residency from %d to %d bytes", resident, pm.ResidentBytes())
+	}
+}
+
+// TestPMDiscardAllocFree is the same gate on the free path: a block is
+// written, persisted, partly rewritten and discarded, over and over. Once
+// the free list has held every slot, Discard moves slot numbers only, and
+// the next block's writes take the slots the last one gave back.
+func TestPMDiscardAllocFree(t *testing.T) {
+	pm := NewPM(sim.NewEnv(1), "pm", PMConfig{Size: 1 << 20, Bandwidth: 1e9})
+	blk := make([]byte, 16<<10)
+	n := int64(len(blk))
+	for off := int64(0); off < pm.Size(); off += n {
+		pm.WriteNoCost(off, blk)
+	}
+	pm.Discard(0, pm.Size())
+	pm.WriteNoCost(0, blk)
+	resident := pm.ResidentBytes()
+	off := int64(0)
+	if a := testing.AllocsPerRun(200, func() {
+		pm.WriteNoCost(off, blk)
+		pm.PersistNoCost(off, n)
+		pm.WriteNoCost(off+100, blk[:200])
+		pm.Discard(off, n)
+		off = (off + n) % pm.Size()
+	}); a != 0 {
+		t.Errorf("write+discard steady state: %v allocs/op, want 0", a)
+	}
+	if pm.ResidentBytes() != resident {
+		t.Errorf("write+discard steady state grew residency from %d to %d bytes", resident, pm.ResidentBytes())
 	}
 }
 
