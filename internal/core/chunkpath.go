@@ -615,8 +615,8 @@ func (cs *clientState) stagePublish(p *sim.Proc, ck *chunk) bool {
 
 // publishChunk applies one chunk's entries: metadata updates run on the
 // SmartNIC (indexes cached in NIC DRAM, writes across PCIe); data movement
-// is delegated to the host kernel worker's DMA engine, or performed across
-// PCIe directly in isolated mode (§3.3.1, §3.5).
+// goes by publishItems' rule: the host kernel worker's DMA engine, or across
+// PCIe directly for a small batch and in isolated mode (§3.3.1, §3.5).
 func (cs *clientState) publishChunk(p *sim.Proc, ck *chunk) {
 	n := cs.n
 	start := p.Now()
@@ -643,14 +643,7 @@ func (cs *clientState) publishChunk(p *sim.Proc, ck *chunk) {
 		cs.advanceRep(p, ck)
 		return
 	}
-	var total int
-	for _, it := range items {
-		total += len(it.Data)
-	}
-	n.PubBytes += int64(total)
-	if len(items) == 0 {
-		return
-	}
+	n.PubBytes += int64(copyBytes(items))
 	if n.publishItems(p, items) {
 		// The timed-out kernel worker may still read these item buffers,
 		// which alias ck.raw: leak the chunk instead of recycling it.

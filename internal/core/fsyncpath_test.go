@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -73,6 +75,10 @@ func assertMirrorsEndWith(t *testing.T, cl *Cluster, payload []byte) {
 	}
 }
 
+// workerBatch is a publication batch above the PCIe crossover, which the
+// kernel worker copies while it is up.
+const workerBatch = 64 << 10
+
 // TestFsyncDoesNotWaitForKernelWorker wedges the primary's kernel worker —
 // its threads are gone, its service still registered, so a copy request
 // queues unanswered until the 50 ms timeout — and requires an fsync to
@@ -82,7 +88,7 @@ func TestFsyncDoesNotWaitForKernelWorker(t *testing.T) {
 	t.Parallel()
 	env, cl := newTestCluster(t, testConfig())
 	defer env.Shutdown()
-	payload := bytes.Repeat([]byte{0x5A}, 4<<10)
+	payload := bytes.Repeat([]byte{0x5A}, workerBatch)
 	run(t, env, 10*time.Second, func(p *sim.Proc) {
 		for _, kp := range cl.KWs[0].procs {
 			kp.Kill()
@@ -104,18 +110,24 @@ func TestFsyncDoesNotWaitForKernelWorker(t *testing.T) {
 
 // TestFsyncDoesNotWaitForReplicaKernelWorkers is the replica-side twin: both
 // replicas' kernel workers are wedged the same way, and the fsync still
-// returns as fast as ever with no RPC timed out behind it — the mirror-log
-// persist goes NIC memory → PM across PCIe and no host thread of a replica is
-// on an fsync's path. With Compress both replicas take handleBatch (there is
-// no last-hop direct write of compressed bytes). The replicas' publication
-// then takes the isolated PCIe route and the mirror rings are reclaimed.
+// returns exactly as fast as beside serving ones, with no RPC timed out behind
+// it — the mirror-log persist goes NIC memory → PM across PCIe and no host
+// thread of a replica is on an fsync's path. With Compress both replicas take
+// handleBatch (there is no last-hop direct write of compressed bytes). The
+// replicas' publication then takes the isolated PCIe route and the mirror
+// rings are reclaimed.
 func TestFsyncDoesNotWaitForReplicaKernelWorkers(t *testing.T) {
 	t.Parallel()
+	payload := bytes.Repeat([]byte{0xA5}, workerBatch)
 	for _, compress := range []bool{false, true} {
 		cfg := testConfig()
 		cfg.Compress = compress
 		env, cl := newTestCluster(t, cfg)
-		payload := bytes.Repeat([]byte{0xA5}, 4<<10)
+		var serving time.Duration
+		run(t, env, 10*time.Second, func(p *sim.Proc) { serving = fsyncOnce(t, p, cl, "/serving", payload).took })
+		env.Shutdown()
+
+		env, cl = newTestCluster(t, cfg)
 		run(t, env, 10*time.Second, func(p *sim.Proc) {
 			for _, mi := range []int{1, 2} {
 				for _, kp := range cl.KWs[mi].procs {
@@ -123,9 +135,9 @@ func TestFsyncDoesNotWaitForReplicaKernelWorkers(t *testing.T) {
 				}
 			}
 			trip := fsyncOnce(t, p, cl, "/wedged", payload)
-			if trip.took >= time.Millisecond || !trip.sync || cl.Robust.RPCTimeouts != 0 {
-				t.Errorf("compress=%v: fsync behind wedged replica kernel workers: %+v with %d RPC timeouts, want the sync path in under 1ms with none",
-					compress, trip, cl.Robust.RPCTimeouts)
+			if trip.took != serving || !trip.sync || cl.Robust.RPCTimeouts != 0 {
+				t.Errorf("compress=%v: fsync behind wedged replica kernel workers: %+v with %d RPC timeouts, want the sync path in %v with none",
+					compress, trip, cl.Robust.RPCTimeouts, serving)
 			}
 			assertMirrorsEndWith(t, cl, payload)
 			p.Sleep(100 * time.Millisecond) // past the publication copies' timeout
@@ -143,17 +155,38 @@ func TestFsyncDoesNotWaitForReplicaKernelWorkers(t *testing.T) {
 	}
 }
 
-// TestLateKernelWorkerCopyRetainsBuffers makes every kernel worker slow, not
-// dead: it holds each copy 60 ms, past publishItems' 50 ms deadline, then
-// makes it and answers. NICFS has meanwhile published across PCIe itself and
-// the late answers are discarded; the buffers those copies read — the
-// primary's chunk, each mirror's pooled buffer — must not have gone back to
-// their pools, where the next chunk would overwrite what a late copy reads.
+// slowKWorkers makes every kernel worker slow, not dead: it holds each copy
+// request 60 ms, past publishItems' 50 ms deadline, then serves it.
+func slowKWorkers(env *sim.Env, cl *Cluster) {
+	for _, kw := range cl.KWs {
+		for _, kp := range kw.procs {
+			kp.Kill()
+		}
+		env.Go("slow-kworker", func(kp *sim.Proc) {
+			for {
+				msg, ok := kw.q.Get(kp)
+				if !ok {
+					return
+				}
+				if msg.Op == "copy" {
+					kp.Sleep(60 * time.Millisecond)
+				}
+				kw.serve(kp, msg)
+			}
+		})
+	}
+}
+
+// TestLateKernelWorkerCopyRetainsBuffers runs on slow kernel workers. NICFS
+// has published across PCIe itself by the time they answer, and the late
+// answers are discarded; the buffers those copies may read — the primary's
+// chunk, each mirror's pooled buffer — must not have gone back to their
+// pools, where the next chunk would overwrite what a late copy reads.
 func TestLateKernelWorkerCopyRetainsBuffers(t *testing.T) {
 	t.Parallel()
 	env, cl := newTestCluster(t, testConfig())
 	defer env.Shutdown()
-	payload := bytes.Repeat([]byte{0x6B}, 64<<10)
+	payload := bytes.Repeat([]byte{0x6B}, workerBatch)
 	run(t, env, 10*time.Second, func(p *sim.Proc) {
 		l, _ := cl.Attach(p, 0)
 		fd, _ := l.Create(p, "/late")
@@ -166,24 +199,7 @@ func TestLateKernelWorkerCopyRetainsBuffers(t *testing.T) {
 			t.Fatalf("pools after the create: %d chunks, %d and %d mirror buffers; want one each",
 				len(cs.freeCk), len(mirrors[0].bufs), len(mirrors[1].bufs))
 		}
-		for _, kw := range cl.KWs {
-			for _, kp := range kw.procs {
-				kp.Kill()
-			}
-			env.Go("slow-kworker", func(kp *sim.Proc) {
-				for {
-					msg, ok := kw.q.Get(kp)
-					if !ok {
-						return
-					}
-					if req, ok := msg.Arg.(*copyReq); ok {
-						kp.Sleep(60 * time.Millisecond)
-						kw.serveCopy(kp, req)
-					}
-					msg.Respond(kp, true, 8)
-				}
-			})
-		}
+		slowKWorkers(env, cl)
 		if _, err := l.WriteAt(p, fd, 0, payload); err != nil {
 			t.Fatal(err)
 		}
@@ -204,6 +220,122 @@ func TestLateKernelWorkerCopyRetainsBuffers(t *testing.T) {
 		}
 		assertReplicasHold(t, cl, "/late", payload)
 	})
+}
+
+// TestLateKernelWorkerCopyNeverLandsOverNewer writes one offset twice on slow
+// kernel workers, fsyncing each version. The first version's copies time out
+// and NICFS publishes both versions across PCIe itself; the late copies must
+// not land over the newer bytes afterwards, for by then the logs that held
+// them are reclaimed and nothing would repair the file.
+func TestLateKernelWorkerCopyNeverLandsOverNewer(t *testing.T) {
+	t.Parallel()
+	env, cl := newTestCluster(t, testConfig())
+	defer env.Shutdown()
+	older, newer := bytes.Repeat([]byte{0x11}, workerBatch), bytes.Repeat([]byte{0x22}, workerBatch)
+	run(t, env, 10*time.Second, func(p *sim.Proc) {
+		l, _ := cl.Attach(p, 0)
+		fd, _ := l.Create(p, "/twice")
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(10 * time.Millisecond)
+		slowKWorkers(env, cl)
+		for _, payload := range [][]byte{older, newer} {
+			if _, err := l.WriteAt(p, fd, 0, payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Fsync(p, fd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Sleep(300 * time.Millisecond) // past the late copies
+		for mi, n := range cl.NICs {
+			if !n.Isolated {
+				t.Errorf("node %d NICFS not isolated after its copy request timed out", mi)
+			}
+		}
+		assertReplicasHold(t, cl, "/twice", newer)
+	})
+}
+
+// TestSmallPublicationsSkipTheHost: a publication batch under the PCIe
+// crossover — every 4 KiB fsync's — goes NIC memory → PM with no host thread
+// on any node; one byte above it, the kernel worker copies it.
+func TestSmallPublicationsSkipTheHost(t *testing.T) {
+	t.Parallel()
+	env, cl := newTestCluster(t, testConfig())
+	defer env.Shutdown()
+	crossover := cl.NICs[0].pcieCrossover()
+	if want := int(math.Round((kwIssueCost + kwCompletionCost).Seconds() * cl.Cfg.Spec.PCIeBW)); crossover != want || crossover != 27000 {
+		t.Errorf("crossover %d bytes, want the worker's %v × PCIe's %.0f B/s = %d (27000 at the default spec)",
+			crossover, kwIssueCost+kwCompletionCost, cl.Cfg.Spec.PCIeBW, want)
+	}
+	batches := func() (b [3]int64) {
+		for mi, kw := range cl.KWs {
+			b[mi] = kw.Batches
+		}
+		return b
+	}
+	run(t, env, 10*time.Second, func(p *sim.Proc) {
+		l, _ := cl.Attach(p, 0)
+		fd, _ := l.Create(p, "/small")
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatal(err)
+		}
+		before := batches()
+		payload := make([]byte, 200*4<<10)
+		for i := range payload {
+			payload[i] = byte(i / (4 << 10))
+		}
+		for off := 0; off < len(payload); off += 4 << 10 {
+			if _, err := l.WriteAt(p, fd, uint64(off), payload[off:off+4<<10]); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Fsync(p, fd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Sleep(20 * time.Millisecond) // background publication; the first probe is at 500 ms
+		if got := batches(); got != before {
+			t.Errorf("200 fsyncs of 4 KiB took kernel-worker batches %v → %v, want none", before, got)
+		}
+		for _, mi := range []int{1, 2} {
+			if busy := cl.Machines[mi].HostCPU.Util.TotalBusy(); busy != 0 {
+				t.Errorf("node %d's host was busy %v, want 0", mi, busy)
+			}
+		}
+		assertReplicasHold(t, cl, "/small", payload)
+
+		for _, size := range []int{crossover, crossover + 1} {
+			path := fmt.Sprintf("/at-%d", size)
+			fd, _ := l.Create(p, path)
+			if err := l.Fsync(p, fd); err != nil {
+				t.Fatal(err)
+			}
+			before := batches()
+			data := bytes.Repeat([]byte{0x7E}, size)
+			if _, err := l.WriteAt(p, fd, 0, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Fsync(p, fd); err != nil {
+				t.Fatal(err)
+			}
+			p.Sleep(20 * time.Millisecond)
+			want := before
+			if size > crossover {
+				for mi := range want {
+					want[mi]++
+				}
+			}
+			if got := batches(); got != want {
+				t.Errorf("a %d-byte batch took kernel-worker batches %v → %v, want %v", size, before, got, want)
+			}
+			assertReplicasHold(t, cl, path, data)
+		}
+	})
+	if cl.Robust.Any() {
+		t.Errorf("a robustness counter moved: %s", cl.Robust.Summary())
+	}
 }
 
 // TestFsyncPathCostsWhatTheDoorbellPathCosts sends the same 16 KiB down both
@@ -250,11 +382,11 @@ func TestNotParallelFsyncStaysSequential(t *testing.T) {
 		if !trip.publishedFirst {
 			t.Error("NotParallel fsync sent its chunk before publishing it")
 		}
-		// Measured at PR 21, the commit that took the mirror-log persist off the
-		// replicas' kernel workers — NotParallel's replicas persist NIC → PM across
-		// PCIe too. Its own thread's work is what it was at 367fb25, the last
-		// commit whose parallel fsync ran inline as well (177.887 µs there).
-		if want := 171870 * time.Nanosecond; trip.took != want {
+		// 177.887 µs while the parallel fsync also ran inline (367fb25); 171.870
+		// once the replicas persisted their mirror logs NIC → PM across PCIe;
+		// 156.771 since a 16 KiB batch publishes across PCIe too, so the fsync
+		// no longer waits out a kernel-worker round trip.
+		if want := 156771 * time.Nanosecond; trip.took != want {
 			t.Errorf("NotParallel 16 KiB fsync took %v, want %v", trip.took, want)
 		}
 	})

@@ -68,31 +68,44 @@ func (kw *KWorker) Restart() {
 }
 
 func (kw *KWorker) run(p *sim.Proc) {
-	cl := kw.cl
-	m := cl.Machines[kw.machine]
-	cpu := m.HostCPU
-	prio := cl.Cfg.DFSPrio
 	for {
 		msg, ok := kw.q.Get(p)
 		if !ok {
 			return
 		}
-		switch msg.Op {
-		case "probe":
-			// Liveness probe from NICFS: negligible work.
-			cpu.Compute(p, 200*time.Nanosecond, prio, "dfs")
-			msg.Respond(p, true, 8)
-
-		case "copy":
-			req := msg.Arg.(*copyReq)
-			kw.serveCopy(p, req)
-			msg.Respond(p, true, 8)
-
-		default:
-			msg.RespondErr(p, rdma.ErrUnreachable)
-		}
+		kw.serve(p, msg)
 	}
 }
+
+// serve answers one request.
+func (kw *KWorker) serve(p *sim.Proc, msg *rdma.Msg) {
+	switch msg.Op {
+	case "probe":
+		// Liveness probe from NICFS: negligible work.
+		kw.cl.Machines[kw.machine].HostCPU.Compute(p, 200*time.Nanosecond, kw.cl.Cfg.DFSPrio, "dfs")
+		msg.Respond(p, true, 8)
+
+	case "copy":
+		// A batch whose caller gave up is dropped before it is issued: NICFS
+		// has published it across PCIe itself and may since have published
+		// newer bytes over it (DESIGN.md §12).
+		if !msg.Abandoned() {
+			kw.serveCopy(p, msg.Arg.(*copyReq))
+		}
+		msg.Respond(p, true, 8)
+
+	default:
+		msg.RespondErr(p, rdma.ErrUnreachable)
+	}
+}
+
+// The host-core time one batch costs in the default mode (interrupt +
+// batch): issuing the DMA, and taking its completion interrupt. NICFS
+// weighs their sum against PCIe (pcieCrossover).
+const (
+	kwIssueCost      = 2 * time.Microsecond
+	kwCompletionCost = time.Microsecond
+)
 
 // serveCopy publishes a batch according to the configured mode. The data
 // bytes are materialized into PM here — publication completes when the
@@ -105,10 +118,7 @@ func (kw *KWorker) serveCopy(p *sim.Proc, req *copyReq) {
 	prio := cl.Cfg.DFSPrio
 	mode := cl.Cfg.PubMode
 
-	var total int
-	for _, it := range req.Items {
-		total += len(it.Data)
-	}
+	total := copyBytes(req.Items)
 	kw.Batches++
 	kw.CopiedBytes += int64(total)
 
@@ -158,9 +168,9 @@ func (kw *KWorker) serveCopy(p *sim.Proc, req *copyReq) {
 	default: // PubDMAIntrBatch
 		// Issue the batch, sleep until the completion interrupt: only the
 		// small issue/completion handling burns CPU.
-		cpu.Compute(p, 2*time.Microsecond, prio, "dfs")
+		cpu.Compute(p, kwIssueCost, prio, "dfs")
 		m.DMA.CopyIntr(p, total)
-		cpu.Compute(p, time.Microsecond, prio, "dfs")
+		cpu.Compute(p, kwCompletionCost, prio, "dfs")
 		place()
 		return
 	}

@@ -48,8 +48,9 @@ type NICFS struct {
 	kwConn *rdma.Conn
 
 	// Isolated is true while the host kernel worker is unresponsive; NICFS
-	// then makes the publication copies across PCIe itself (§3.5). It
-	// describes publication alone: nothing an fsync waits for uses the worker.
+	// then makes every publication copy across PCIe itself (§3.5), not only
+	// the small batches it always does (publishItems). It describes
+	// publication alone: nothing an fsync waits for uses the worker.
 	Isolated bool
 
 	epoch   uint64
@@ -562,15 +563,17 @@ func (n *NICFS) pruneHistory() {
 	}
 }
 
-// publishItems makes publication's copies, PM to PM on the host and off every
-// ack path: via the kernel worker, or directly over PCIe when the worker is
-// down. A kernel worker that dies mid-copy is retried through the PCIe path —
+// publishItems makes publication's copies, off every ack path. One rule picks
+// the engine (DESIGN.md §11): a batch that crosses PCIe in no more time than
+// the kernel worker's host costs, or any batch while the worker is down, goes
+// NIC memory → PM across PCIe; a larger one is the worker's, PM to PM by
+// DMA. A kernel worker that dies mid-copy is retried through the PCIe path —
 // publication is idempotent.
 // It returns true when a timed-out kernel worker may still read the item
 // buffers, late or never: the caller must then never recycle them.
 func (n *NICFS) publishItems(p *sim.Proc, items []copyItem) bool {
 	retained := false
-	if !n.Isolated {
+	if !n.Isolated && copyBytes(items) > n.pcieCrossover() {
 		_, err, replied := n.kwConn.CallTimeout(p, "copy", &copyReq{Items: items},
 			64*len(items), 50*time.Millisecond, nil)
 		if replied && err == nil {
@@ -579,11 +582,44 @@ func (n *NICFS) publishItems(p *sim.Proc, items []copyItem) bool {
 		retained = !replied
 		n.Isolated = true
 	}
-	// Isolated operation: NICFS writes across PCIe itself.
-	for _, it := range items {
-		n.pmWrite(p, it.Dst, it.Data)
+	// One PCIe write per run of items adjacent both in PM and in the buffer.
+	for i := 0; i < len(items); {
+		dst, data := items[i].Dst, items[i].Data
+		for i++; i < len(items) && items[i].Dst == dst+int64(len(data)); i++ {
+			next, ok := extendInto(data, items[i].Data)
+			if !ok {
+				break
+			}
+			data = next
+		}
+		n.pmWrite(p, dst, data)
 	}
 	return retained
+}
+
+// pcieCrossover is the largest batch whose bytes cross PCIe in no more time
+// than the kernel worker takes from a host core to copy it (27 000 bytes at
+// 9 GB/s).
+func (n *NICFS) pcieCrossover() int {
+	return int(float64(kwIssueCost+kwCompletionCost) * n.cl.Cfg.Spec.PCIeBW / float64(time.Second))
+}
+
+// copyBytes is the payload of a publication batch.
+func copyBytes(items []copyItem) int {
+	total := 0
+	for _, it := range items {
+		total += len(it.Data)
+	}
+	return total
+}
+
+// extendInto returns a grown by b when b starts where a ends in memory.
+func extendInto(a, b []byte) ([]byte, bool) {
+	n := len(a)
+	if len(b) == 0 || cap(a)-n < len(b) || &a[:n+1][n] != &b[0] {
+		return nil, false
+	}
+	return a[:n+len(b)], true
 }
 
 // Crash takes the NICFS down (SmartNIC failure injection for tests).

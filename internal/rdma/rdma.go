@@ -318,6 +318,9 @@ func (m *Msg) respond(p *sim.Proc, rep Reply, size int) {
 // NeedsReply reports whether the sender is waiting on a response.
 func (m *Msg) NeedsReply() bool { return m.reply != nil }
 
+// Abandoned reports whether the sender timed out on this call and moved on.
+func (m *Msg) Abandoned() bool { return m.abandoned }
+
 // RDMARead fetches len(dst) bytes from the named remote region at off using
 // a one-sided READ: no remote CPU involvement. The caller pays the request
 // round trip, the remote region's memory cost, and the data serialization
