@@ -142,7 +142,7 @@ func TestDigestionPublishesAndReclaims(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, _ := cl.Vols[0].Stat(ctx, ino)
+		in, _ := cl.Vols[0].ReadInode(ctx, ino)
 		if in.Size != uint64(total) {
 			t.Fatalf("published size = %d, want %d", in.Size, total)
 		}

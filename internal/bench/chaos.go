@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -207,11 +206,7 @@ func runChaosOnce(plan *chaosPlan) (r *chaosRun) {
 	}()
 
 	o := Options{Quick: true, Seed: plan.seed, Trace: &TraceCollector{}}
-	layout := chaosLayout(len(plan.rounds))
-	for _, sizes := range plan.rounds { // no doorbell inside a round: its fsync carries it whole
-		layout.ChunkSize = max(layout.ChunkSize, 2*slices.Max(sizes))
-	}
-	sys, err := newLineFS(o, layout, nil)
+	sys, err := newLineFS(o, chaosLayout(len(plan.rounds)), nil)
 	if err != nil {
 		r.violations = append(r.violations, fmt.Sprintf("setup: %v", err))
 		return r

@@ -1,10 +1,11 @@
 // Package cluster implements the ZooKeeper-like cluster manager LineFS
-// relies on for DFS membership, failure detection, epoch management and
-// root lease arbitration (§3.4–3.6). The manager heartbeats every member
-// once per second; DownAfter consecutive missed heartbeats mark the member
-// down, bump the cluster epoch, expire its leases (via the listener) and
-// notify the survivors. Recovery bumps the epoch again after a single
-// responsive probe.
+// relies on for DFS membership, failure detection and epoch management
+// (§3.6). The manager heartbeats every member once per second; DownAfter
+// consecutive missed heartbeats mark the member down, bump the cluster
+// epoch, expire its leases (via the listener) and notify the survivors.
+// Recovery bumps the epoch again after a single responsive probe. Leases
+// are not arbitrated here: each primary's NICFS grants those of its own
+// clients (lease.Table).
 //
 // The package also holds what a deployment is before any DFS runs on it
 // (testbed.go): the Layout both evaluated systems are configured by and the
@@ -68,10 +69,6 @@ type Manager struct {
 	missed  map[string]int
 	epoch   uint64
 
-	// rootLease maps a namespace root to the NICFS delegated to arbitrate
-	// it (the paper's root-lease delegation).
-	rootLease map[string]string
-
 	// History records all membership events for inspection.
 	History []Event
 
@@ -87,7 +84,6 @@ func NewManager(env *sim.Env, interval time.Duration) *Manager {
 		DownAfter: 3,
 		alive:     make(map[string]bool),
 		missed:    make(map[string]int),
-		rootLease: make(map[string]string),
 	}
 }
 
@@ -97,30 +93,10 @@ func (m *Manager) Epoch() uint64 { return m.epoch }
 // Alive reports whether node is currently considered alive.
 func (m *Manager) Alive(node string) bool { return m.alive[node] }
 
-// AliveMembers returns the live members.
-func (m *Manager) AliveMembers() []Member {
-	var out []Member
-	for _, mb := range m.members {
-		if m.alive[mb.Name()] {
-			out = append(out, mb)
-		}
-	}
-	return out
-}
-
 // Join registers a member as alive.
 func (m *Manager) Join(mb Member) {
 	m.members = append(m.members, mb)
 	m.alive[mb.Name()] = true
-}
-
-// DelegateRoot assigns lease arbitration for a namespace root to a node.
-func (m *Manager) DelegateRoot(root, node string) { m.rootLease[root] = node }
-
-// RootDelegate returns the arbitrating node for a namespace root.
-func (m *Manager) RootDelegate(root string) (string, bool) {
-	n, ok := m.rootLease[root]
-	return n, ok
 }
 
 // Start launches the heartbeat process.
@@ -129,14 +105,6 @@ func (m *Manager) Start() {
 		return
 	}
 	m.proc = m.env.Go("cluster-manager", m.run)
-}
-
-// Stop terminates the heartbeat process.
-func (m *Manager) Stop() {
-	if m.proc != nil {
-		m.proc.Kill()
-		m.proc = nil
-	}
 }
 
 func (m *Manager) run(p *sim.Proc) {
@@ -174,21 +142,6 @@ func (m *Manager) transition(p *sim.Proc, mb Member, up bool) {
 		typ = EventUp
 	}
 	m.History = append(m.History, Event{Type: typ, Node: name, Epoch: m.epoch, At: m.env.Now()})
-
-	// Re-delegate root leases held by a failed node to a live member.
-	if !up {
-		for root, holder := range m.rootLease {
-			if holder != name {
-				continue
-			}
-			for _, cand := range m.members {
-				if m.alive[cand.Name()] {
-					m.rootLease[root] = cand.Name()
-					break
-				}
-			}
-		}
-	}
 
 	for _, peer := range m.members {
 		if !m.alive[peer.Name()] && peer.Name() != name {

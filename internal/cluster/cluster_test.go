@@ -66,6 +66,10 @@ func TestFailureDetectionAndRecovery(t *testing.T) {
 	}
 }
 
+// TestRootLeaseFailover pins what a survivor learns when a member fails:
+// the failed member is declared down at its third missed probe, the epoch
+// moves to 1, and the survivor is told both — which is what lets its NICFS
+// expire the failed node's leases and reshape its chains.
 func TestRootLeaseFailover(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
@@ -74,7 +78,6 @@ func TestRootLeaseFailover(t *testing.T) {
 	b := &fakeMember{name: "b", up: true}
 	m.Join(a)
 	m.Join(b)
-	m.DelegateRoot("/", "a")
 	m.Start()
 
 	e.Go("fault", func(p *sim.Proc) {
@@ -83,9 +86,12 @@ func TestRootLeaseFailover(t *testing.T) {
 	})
 	e.RunUntil(6 * time.Second)
 
-	holder, ok := m.RootDelegate("/")
-	if !ok || holder != "b" {
-		t.Fatalf("root delegate = %q after failure, want b", holder)
+	want := Event{Type: EventDown, Node: "a", Epoch: 1, At: sim.Time(4 * time.Second)}
+	if len(m.History) != 1 || m.History[0] != want {
+		t.Fatalf("history = %v, want [%v]", m.History, want)
+	}
+	if len(b.downs) != 1 || b.downs[0] != "a" || len(b.epochs) != 1 || b.epochs[0] != 1 {
+		t.Fatalf("survivor saw downs=%v epochs=%v, want [a] [1]", b.downs, b.epochs)
 	}
 }
 
@@ -105,6 +111,9 @@ func TestNoEventsWhenHealthy(t *testing.T) {
 	}
 }
 
+// TestAliveMembers pins that Alive follows a down/up transition: a member
+// stays alive through its first two missed probes, is down from the third,
+// and is alive again at its first responsive probe.
 func TestAliveMembers(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
@@ -114,12 +123,18 @@ func TestAliveMembers(t *testing.T) {
 	m.Join(a)
 	m.Join(b)
 	m.Start()
-	// Three consecutive misses (the DownAfter default) before b is declared
-	// down.
-	e.RunUntil(4 * time.Second)
-	alive := m.AliveMembers()
-	if len(alive) != 1 || alive[0].Name() != "a" {
-		t.Fatalf("alive = %d members", len(alive))
+	e.RunUntil(2500 * time.Millisecond)
+	if !m.Alive("b") {
+		t.Fatal("b down after two missed probes, want alive (DownAfter is 3)")
+	}
+	e.RunUntil(3500 * time.Millisecond)
+	if !m.Alive("a") || m.Alive("b") {
+		t.Fatalf("after three missed probes alive a=%v b=%v, want true false", m.Alive("a"), m.Alive("b"))
+	}
+	b.up = true
+	e.RunUntil(4500 * time.Millisecond)
+	if !m.Alive("b") {
+		t.Fatal("b not alive after a responsive probe")
 	}
 }
 

@@ -72,36 +72,7 @@ func (w *bitWriter) flush() {
 	}
 }
 
-type bitReader struct {
-	in   []byte
-	pos  int
-	cur  uint64
-	nbit uint
-}
-
 var errTruncated = errors.New("compress: truncated input")
-
-func (r *bitReader) read(bits uint) (uint32, error) {
-	if r.nbit < bits {
-		// Refill four bytes at a time while the accumulator has room.
-		for r.nbit <= 32 && r.pos+4 <= len(r.in) {
-			b := r.in[r.pos : r.pos+4 : r.pos+4]
-			r.cur = r.cur<<32 | uint64(b[0])<<24 | uint64(b[1])<<16 | uint64(b[2])<<8 | uint64(b[3])
-			r.pos += 4
-			r.nbit += 32
-		}
-		for r.nbit < bits {
-			if r.pos >= len(r.in) {
-				return 0, errTruncated
-			}
-			r.cur = r.cur<<8 | uint64(r.in[r.pos])
-			r.pos++
-			r.nbit += 8
-		}
-	}
-	r.nbit -= bits
-	return uint32(r.cur>>r.nbit) & (1<<bits - 1), nil
-}
 
 // Encoder holds reusable LZW compression state: the dictionary as a flat,
 // generation-stamped hash table mapping (prefix code, next byte) pairs to

@@ -13,8 +13,8 @@ import "fmt"
 // Do not optimize this file; its slowness is the point.
 
 // refBitReader is the seed bit reader: byte-at-a-time refill into a 32-bit
-// accumulator. (lzw.go's bitReader has since grown a word-sized refill, so
-// the baseline keeps its own copy.)
+// accumulator. (lzw.go's decoder has since inlined a word-sized refill, so
+// the baseline keeps its own reader.)
 type refBitReader struct {
 	in   []byte
 	pos  int

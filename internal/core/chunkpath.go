@@ -157,7 +157,7 @@ func newClientState(n *NICFS, slot int, id string, la *fs.LogArea) *clientState 
 		// flow-control watermarks in the fetch stage (§4). Worker growth
 		// draws from the NICFS-wide budget shared across every client's
 		// pipelines (the SmartNIC's cores are one pool).
-		plCfg := pipeline.Config{QueueCap: 1 << 20, ScaleThreshold: 5, Budget: n.plBudget}
+		plCfg := pipeline.Config{QueueCap: 1 << 20, Budget: n.plBudget}
 		cs.mainPl = pipeline.New(env, id+"/main", plCfg,
 			pipeline.Stage[*chunk]{Name: "fetch", MinWorkers: 1, MaxWorkers: 2, Work: cs.stageFetch},
 			pipeline.Stage[*chunk]{Name: "validate", MinWorkers: 1, MaxWorkers: 4, Work: cs.stageValidate},

@@ -38,9 +38,8 @@ func NewCluster(env *sim.Env, cfg Config) (*Cluster, error) {
 		// Machine-local RPC timeouts (NICFS <-> kernel worker) count too.
 		m.Local.Robust = &cl.Robust
 		// Expose the whole PM over the network for direct last-hop log
-		// writes, and over the machine-local fabric for NICFS access.
-		m.Port.RegisterRegion("pm", &rdma.PMRegion{PM: m.PM, Base: 0, Len: cfg.Spec.PMSize, Extra: []*hw.Link{m.PCIe}, Persist: true})
-		m.HostPort.RegisterRegion("pm", &rdma.PMRegion{PM: m.PM, Base: 0, Len: cfg.Spec.PMSize, Persist: true})
+		// writes.
+		m.Port.RegisterRegion("pm", &rdma.PMRegion{PM: m.PM, Base: 0, Extra: []*hw.Link{m.PCIe}, Persist: true})
 	}
 	// Timed-out and late-discarded RPCs on the cluster fabric count into the
 	// cluster's robustness summary even without a fault plane.
@@ -79,7 +78,6 @@ func (cl *Cluster) Start() {
 		n.Start()
 		cl.Mgr.Join(n)
 	}
-	cl.Mgr.DelegateRoot("/", cl.NICs[0].Name())
 	cl.Mgr.Start()
 }
 

@@ -21,7 +21,7 @@ func assertReplicasHold(t *testing.T, cl *Cluster, path string, want []byte) {
 		if err != nil {
 			t.Fatalf("node %d: %v", mi, err)
 		}
-		in, err := cl.Vols[mi].Stat(ctx, ino)
+		in, err := cl.Vols[mi].ReadInode(ctx, ino)
 		if err != nil {
 			t.Fatalf("node %d stat: %v", mi, err)
 		}

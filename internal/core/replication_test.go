@@ -255,7 +255,7 @@ func TestReplicaFailureMidBatchReleasesFsync(t *testing.T) {
 		if err != nil {
 			t.Fatalf("node %d: %v", mi, err)
 		}
-		in, err := cl.Vols[mi].Stat(ctx, ino)
+		in, err := cl.Vols[mi].ReadInode(ctx, ino)
 		if err != nil {
 			t.Fatalf("node %d stat: %v", mi, err)
 		}

@@ -43,11 +43,6 @@ func (v *Vol) AllocRange(c *Ctx, want int) (uint64, int, error) {
 	return 0, 0, ErrNoSpace
 }
 
-// FreeBlocks returns a range to the allocator.
-func (v *Vol) FreeBlocks(c *Ctx, start, count uint64) {
-	v.freeRange(c, start, count)
-}
-
 func (v *Vol) freeRange(c *Ctx, start, count uint64) {
 	v.markRange(c, start, count, false)
 }

@@ -126,7 +126,7 @@ func applyBatch(t *testing.T, entries []*Entry) ([]byte, error) {
 		}
 	}
 	for _, de := range ents {
-		in, err := v.Stat(c, de.Ino)
+		in, err := v.ReadInode(c, de.Ino)
 		if err != nil {
 			t.Fatal(err)
 		}

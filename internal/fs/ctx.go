@@ -81,12 +81,3 @@ func (c *Ctx) Compute(work time.Duration) {
 	}
 	c.CPU.Compute(c.P, work, c.Prio, c.Tag)
 }
-
-// Sleep advances the actor's time (fixed-latency steps not tied to a
-// device).
-func (c *Ctx) Sleep(d time.Duration) {
-	if c.NoCost || c.P == nil || d <= 0 {
-		return
-	}
-	c.P.Sleep(d)
-}

@@ -14,12 +14,11 @@ type Extent struct {
 }
 
 const (
-	extHdrSize     = 16
-	extEntrySize   = 24
-	extPerBlock    = (BlockSize - extHdrSize) / extEntrySize
-	extLookupCost  = 150 * time.Nanosecond // per extent-block scan
-	extInsertCost  = 200 * time.Nanosecond
-	extDecodeBatch = 64
+	extHdrSize    = 16
+	extEntrySize  = 24
+	extPerBlock   = (BlockSize - extHdrSize) / extEntrySize
+	extLookupCost = 150 * time.Nanosecond // per extent-block scan
+	extInsertCost = 200 * time.Nanosecond
 )
 
 type extHdr struct {

@@ -156,9 +156,6 @@ func (v *Vol) Truncate(c *Ctx, ino Ino, size uint64) error {
 	return nil
 }
 
-// Stat returns the inode metadata for a published file.
-func (v *Vol) Stat(c *Ctx, ino Ino) (Inode, error) { return v.ReadInode(c, ino) }
-
 // CreateInode installs a fresh inode record of the given type. Re-creation
 // of an identical live inode is idempotent.
 func (v *Vol) CreateInode(c *Ctx, ino Ino, typ FileType) error {

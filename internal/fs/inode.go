@@ -58,11 +58,6 @@ func (v *Vol) ReadInode(c *Ctx, ino Ino) (Inode, error) {
 	return in, nil
 }
 
-// WriteInode stores an inode to PM.
-func (v *Vol) WriteInode(c *Ctx, in *Inode) {
-	v.writeInode(c, in)
-}
-
 func (v *Vol) writeInode(c *Ctx, in *Inode) {
 	c.Write(v.inodeOff(in.Ino), in.encode())
 }

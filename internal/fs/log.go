@@ -303,9 +303,6 @@ func (l *LogArea) Free() int64 { return l.cap - l.Used() }
 // Cap returns the ring capacity.
 func (l *LogArea) Cap() int64 { return l.cap }
 
-// NextSeq returns the sequence number the next appended entry will get.
-func (l *LogArea) NextSeq() uint64 { return l.seq }
-
 // rawWrite stores bytes at a logical offset.
 func (l *LogArea) rawWrite(c *Ctx, logical uint64, data []byte) {
 	for len(data) > 0 {
@@ -374,12 +371,12 @@ type RingSeg struct {
 // modulo cap. A LogArea holds the view of its own ring; a chain hop builds
 // one of the next replica's ring to aim a one-sided write at it.
 type LogView struct {
-	base, size, cap int64
+	base, cap int64
 }
 
 // NewLogView describes a log ring at [base, base+size).
 func NewLogView(base, size int64) LogView {
-	return LogView{base: base, size: size, cap: size - BlockSize}
+	return LogView{base: base, cap: size - BlockSize}
 }
 
 // SegmentAt is the ring's one wrap rule: the logical range [at, at+n)
@@ -489,9 +486,3 @@ func (l *LogArea) Reclaim(c *Ctx, upto uint64) {
 	l.tail = upto
 	l.writeHeader(c)
 }
-
-// Base returns the PM offset of the log window (for RDMA registration).
-func (l *LogArea) Base() int64 { return l.base }
-
-// Size returns the log window size including its header block.
-func (l *LogArea) Size() int64 { return l.size }

@@ -180,10 +180,6 @@ func (v *Vol) blockOff(blk uint64) int64 {
 	return v.base + v.sb.DataOff + int64(blk)*BlockSize
 }
 
-// BlockOff exposes the PM offset of a data block (for copier engines that
-// address the device directly, e.g. DMA publication).
-func (v *Vol) BlockOff(blk uint64) int64 { return v.blockOff(blk) }
-
 func (v *Vol) inodeOff(ino Ino) int64 {
 	if uint32(ino) >= v.sb.NInodes {
 		panic(fmt.Sprintf("fs: inode %d out of range (%d)", ino, v.sb.NInodes))

@@ -70,9 +70,9 @@ func TestAllocContiguity(t *testing.T) {
 		t.Fatalf("next-fit: first at %d, second at %d", a, b)
 	}
 	free := v.FreeCount()
-	v.FreeBlocks(c, a, 16)
+	v.freeRange(c, a, 16)
 	if v.FreeCount() != free+16 {
-		t.Error("free count mismatch after FreeBlocks")
+		t.Error("free count mismatch after freeRange")
 	}
 }
 
@@ -96,7 +96,7 @@ func TestInodeRoundTrip(t *testing.T) {
 	t.Parallel()
 	_, v, c := newTestVol(t)
 	in := Inode{Ino: 7, Type: TypeFile, Nlink: 1, Size: 12345, ExtHead: 3, ExtTail: 9, Mtime: 42}
-	v.WriteInode(c, &in)
+	v.writeInode(c, &in)
 	got, err := v.ReadInode(c, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestExtentAppendMergeLookup(t *testing.T) {
 	t.Parallel()
 	_, v, c := newTestVol(t)
 	in := Inode{Ino: 5, Type: TypeFile, Nlink: 1}
-	v.WriteInode(c, &in)
+	v.writeInode(c, &in)
 	if err := v.ExtentAppend(c, &in, Extent{FileBlk: 0, BlkNo: 100, Count: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestExtentChainGrowth(t *testing.T) {
 	t.Parallel()
 	_, v, c := newTestVol(t)
 	in := Inode{Ino: 5, Type: TypeFile, Nlink: 1}
-	v.WriteInode(c, &in)
+	v.writeInode(c, &in)
 	// Force > extPerBlock distinct entries (no merging: stride 2).
 	for i := 0; i < extPerBlock+10; i++ {
 		err := v.ExtentAppend(c, &in, Extent{FileBlk: uint64(i * 2), BlkNo: uint64(1000 + i*2), Count: 1})
@@ -173,7 +173,7 @@ func TestLookupRangeRunsAndHoles(t *testing.T) {
 	t.Parallel()
 	_, v, c := newTestVol(t)
 	in := Inode{Ino: 5, Type: TypeFile, Nlink: 1}
-	v.WriteInode(c, &in)
+	v.writeInode(c, &in)
 	v.ExtentAppend(c, &in, Extent{FileBlk: 2, BlkNo: 200, Count: 3})
 	v.ExtentAppend(c, &in, Extent{FileBlk: 8, BlkNo: 300, Count: 2})
 	runs := v.LookupRange(c, &in, 0, 12)

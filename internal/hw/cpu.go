@@ -129,8 +129,8 @@ func (c *CPU) Compute(p *sim.Proc, work time.Duration, prio int, tag string) {
 }
 
 // Pin dedicates one core to the calling process (e.g. a busy-polling RDMA
-// thread) until Unpin. Busy time is charged continuously via the returned
-// handle's Spin.
+// thread) until Unpin. Work on it is charged through the returned handle's
+// Run.
 func (c *CPU) Pin(p *sim.Proc, prio int) *PinnedCore {
 	c.Cores.Acquire(p, prio)
 	return &PinnedCore{cpu: c}
@@ -140,12 +140,6 @@ func (c *CPU) Pin(p *sim.Proc, prio int) *PinnedCore {
 type PinnedCore struct {
 	cpu      *CPU
 	released bool
-}
-
-// Spin advances time while burning the pinned core (busy polling).
-func (pc *PinnedCore) Spin(p *sim.Proc, d time.Duration, tag string) {
-	p.Sleep(d)
-	pc.cpu.Util.Add(tag, d)
 }
 
 // Run executes work on the pinned core without rescheduling.

@@ -31,16 +31,6 @@ type DMAConfig struct {
 	IntrLat     time.Duration
 }
 
-// DefaultDMAConfig mirrors an I/OAT engine copying between PM regions.
-func DefaultDMAConfig() DMAConfig {
-	return DMAConfig{
-		Channels:    8,
-		SetupLat:    2 * time.Microsecond,
-		BytesPerSec: 2.8e9,
-		IntrLat:     6 * time.Microsecond,
-	}
-}
-
 // NewDMA creates a DMA engine. pmLink may be nil.
 func NewDMA(env *sim.Env, cfg DMAConfig, pmLink *Link) *DMA {
 	return &DMA{
@@ -51,11 +41,6 @@ func NewDMA(env *sim.Env, cfg DMAConfig, pmLink *Link) *DMA {
 		IntrLat:     cfg.IntrLat,
 		pmLink:      pmLink,
 	}
-}
-
-// CopyTime returns the raw engine time to copy n bytes on one channel.
-func (d *DMA) CopyTime(n int) time.Duration {
-	return d.SetupLat + time.Duration(float64(n)/d.BytesPerSec*float64(time.Second))
 }
 
 // Copy performs a DMA copy of n bytes and blocks p until the data is placed

@@ -88,7 +88,7 @@ func TestPinnedCore(t *testing.T) {
 	c := NewCPU(e, "nic", 2, 1.0)
 	e.Go("poller", func(p *sim.Proc) {
 		pc := c.Pin(p, 5)
-		pc.Spin(p, time.Millisecond, "poll")
+		pc.Run(p, time.Millisecond, "poll")
 		pc.Unpin()
 	})
 	e.Run()
@@ -267,7 +267,7 @@ func TestDMACopyTime(t *testing.T) {
 func TestMemAccounting(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
-	m := NewMem(e, "nicmem", 1000, 0, 1e9)
+	m := NewMem(e, "nicmem", 1000)
 	if !m.Alloc(700) {
 		t.Fatal("alloc 700 failed")
 	}

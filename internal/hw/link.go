@@ -69,13 +69,6 @@ func (l *Link) Transfer(p *sim.Proc, n int, prio int) {
 	}
 }
 
-// TransferAsync accounts and serializes n bytes without the caller waiting
-// for propagation; used by posted writes where the initiator continues
-// after the data leaves its buffer.
-func (l *Link) TransferAsync(p *sim.Proc, n int, prio int) {
-	l.serialize(p, n, prio)
-}
-
 func (l *Link) serialize(p *sim.Proc, n, prio int) {
 	l.account(n)
 	remaining := n

@@ -2,35 +2,27 @@ package hw
 
 import (
 	"fmt"
-	"time"
 
 	"linefs/internal/sim"
 )
 
 // Mem models a volatile memory pool with capacity accounting — the
 // SmartNIC's 16 GB DRAM, whose exhaustion drives NICFS replication flow
-// control — and an access cost (BlueField DRAM is measurably slower than
-// host memory).
+// control.
 type Mem struct {
 	Env  *sim.Env
 	Name string
 
 	size int64
 	used int64
-
-	Lat  time.Duration
-	link *Link
 }
 
-// NewMem creates a memory pool of the given size with the given access
-// latency and bandwidth.
-func NewMem(env *sim.Env, name string, size int64, lat time.Duration, bytesPerSec float64) *Mem {
+// NewMem creates a memory pool of the given size.
+func NewMem(env *sim.Env, name string, size int64) *Mem {
 	return &Mem{
 		Env:  env,
 		Name: name,
 		size: size,
-		Lat:  lat,
-		link: NewLink(env, name+"/bw", 0, bytesPerSec),
 	}
 }
 
@@ -63,10 +55,4 @@ func (m *Mem) Free(n int64) {
 	if m.used < 0 {
 		panic(fmt.Sprintf("hw: mem %s freed more than allocated", m.Name))
 	}
-}
-
-// Access charges the cost of moving n bytes to or from this memory.
-func (m *Mem) Access(p *sim.Proc, n int) {
-	p.Sleep(m.Lat)
-	m.link.Transfer(p, n, 0)
 }

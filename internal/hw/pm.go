@@ -410,8 +410,8 @@ func (pm *PM) persistInto(pg *pmPage, lo, hi int) {
 	copy(pm.slot(pg.img)[lo:hi], pm.slot(pg.cur)[lo:])
 }
 
-// PersistAll flushes every pending write (a full fence; used at clean
-// shutdown and in setup code).
+// PersistAll flushes every pending write at no virtual cost: a full fence
+// tests use to make a device wholly durable before a crash.
 func (pm *PM) PersistAll() {
 	pm.PersistNoCost(0, pm.size)
 }

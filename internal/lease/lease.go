@@ -61,9 +61,6 @@ func NewTable(env *sim.Env, ttl time.Duration) *Table {
 	return &Table{env: env, ttl: ttl, leases: make(map[fs.Ino]*state)}
 }
 
-// TTL returns the lease lifetime.
-func (t *Table) TTL() time.Duration { return t.ttl }
-
 func (t *Table) get(ino fs.Ino) *state {
 	s, ok := t.leases[ino]
 	if !ok {
@@ -164,7 +161,7 @@ func (t *Table) Release(ino fs.Ino, holder string) {
 func (t *Table) Revoke(ino fs.Ino, holder string) { t.Release(ino, holder) }
 
 // sortedInos returns the table's inodes in increasing order, so bulk
-// operations journal and export in a deterministic sequence.
+// operations journal in a deterministic sequence.
 func (t *Table) sortedInos() []fs.Ino {
 	inos := make([]fs.Ino, 0, len(t.leases))
 	for ino := range t.leases {
@@ -195,43 +192,4 @@ func (t *Table) ExpireHolder(holder string) int {
 		}
 	}
 	return n
-}
-
-// Snapshot exports all live grants (for lease-state replication) in
-// deterministic order: by inode, writer first, then readers sorted by
-// holder.
-func (t *Table) Snapshot() []Record {
-	var out []Record
-	for _, ino := range t.sortedInos() {
-		s := t.leases[ino]
-		t.gc(s)
-		if s.writer != "" {
-			out = append(out, Record{Ino: ino, Holder: s.writer, Mode: Write, Expiry: s.writerExp})
-		}
-		readers := make([]string, 0, len(s.readers))
-		for r := range s.readers {
-			if r == s.writer {
-				continue
-			}
-			readers = append(readers, r)
-		}
-		sort.Strings(readers)
-		for _, r := range readers {
-			out = append(out, Record{Ino: ino, Holder: r, Mode: Read, Expiry: s.readers[r]})
-		}
-	}
-	return out
-}
-
-// Restore installs grants from a snapshot (fail-over to a replica NICFS).
-func (t *Table) Restore(recs []Record) {
-	for _, r := range recs {
-		s := t.get(r.Ino)
-		switch r.Mode {
-		case Write:
-			s.writer, s.writerExp = r.Holder, r.Expiry
-		case Read:
-			s.readers[r.Holder] = r.Expiry
-		}
-	}
 }

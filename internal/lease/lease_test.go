@@ -119,23 +119,43 @@ func TestExpireHolder(t *testing.T) {
 	e.Run()
 }
 
+// TestSnapshotRestore pins the lease state a table exports: the journal
+// carries every grant as a full record (inode, holder, mode, expiry) and
+// every dropped write lease as a release, in inode order for a bulk expiry,
+// which is what NICFS persists and replicates.
 func TestSnapshotRestore(t *testing.T) {
 	t.Parallel()
 	e, tb := newTable(time.Second)
+	type entry struct {
+		rec      Record
+		released bool
+	}
+	var got []entry
+	tb.Journal = func(rec Record, released bool) { got = append(got, entry{rec, released}) }
 	e.Go("t", func(p *sim.Proc) {
-		tb.Acquire(5, "a", Write)
+		p.Sleep(time.Millisecond)
+		tb.Acquire(7, "a", Write)
 		tb.Acquire(6, "b", Read)
-		snap := tb.Snapshot()
-		if len(snap) != 2 {
-			t.Fatalf("snapshot = %d records", len(snap))
-		}
-		tb2 := NewTable(p.Env(), time.Second)
-		tb2.Restore(snap)
-		if !tb2.Holds(5, "a", Write) || !tb2.Holds(6, "b", Read) {
-			t.Error("restore incomplete")
-		}
+		tb.Acquire(5, "a", Write)
+		tb.ExpireHolder("a")
 	})
 	e.Run()
+	exp := sim.Time(time.Second + time.Millisecond)
+	want := []entry{
+		{Record{Ino: 7, Holder: "a", Mode: Write, Expiry: exp}, false},
+		{Record{Ino: 6, Holder: "b", Mode: Read, Expiry: exp}, false},
+		{Record{Ino: 5, Holder: "a", Mode: Write, Expiry: exp}, false},
+		{Record{Ino: 5, Holder: "a"}, true},
+		{Record{Ino: 7, Holder: "a"}, true},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("journal = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("journal = %v, want %v", got, want)
+		}
+	}
 }
 
 func TestJournalHook(t *testing.T) {

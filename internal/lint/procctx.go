@@ -83,7 +83,7 @@ func checkProcBody(pass *Pass, body *ast.BlockStmt) {
 			}
 		case *ast.SelectStmt:
 			pass.Reportf(n.Pos(),
-				"select inside a sim-process callback; use Proc.WaitAny over sim.Events")
+				"select inside a sim-process callback; wait on a sim.Event with Proc.Wait or Proc.WaitTimeout")
 			return false
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {

@@ -34,8 +34,6 @@ type Spec struct {
 
 	// SmartNIC DRAM.
 	NICMemSize int64
-	NICMemLat  time.Duration
-	NICMemBW   float64
 
 	// PCIe path between SmartNIC and host PM. PCIeBW is the raw link
 	// (Gen3 x16-class); FetchBW is the effective bandwidth of the NIC's
@@ -85,8 +83,6 @@ func DefaultSpec() Spec {
 		},
 
 		NICMemSize: 16 << 30,
-		NICMemLat:  150 * time.Nanosecond,
-		NICMemBW:   10e9,
 
 		PCIeLat: 900 * time.Nanosecond,
 		PCIeBW:  9e9,
@@ -161,7 +157,7 @@ func NewMachine(env *sim.Env, fabric *rdma.Fabric, name string, spec Spec) *Mach
 		HostCPU: hw.NewCPU(env, name+"/host", spec.HostCores, spec.HostSpeed),
 		PM:      hw.NewPM(env, name+"/pm", hw.PMConfig{Size: spec.PMSize, ReadLat: spec.PM.ReadLat, WriteLat: spec.PM.WriteLat, Bandwidth: spec.PM.Bandwidth}),
 		NICCPU:  hw.NewCPU(env, name+"/nic", spec.NICCores, spec.NICSpeed),
-		NICMem:  hw.NewMem(env, name+"/nicmem", spec.NICMemSize, spec.NICMemLat, spec.NICMemBW),
+		NICMem:  hw.NewMem(env, name+"/nicmem", spec.NICMemSize),
 		PCIe:    newPCIeLink(env, name, spec),
 		Fetch:   hw.NewLink(env, name+"/fetch", spec.PCIeLat, spec.FetchBW),
 		Port:    fabric.NewNIC(name, spec.NetBW),

@@ -75,24 +75,22 @@ func (b *Budget) release() {
 	}
 }
 
+// scaleThreshold is the wait-queue depth beyond which an enqueue grows the
+// stage: the paper's "five entries".
+const scaleThreshold = 5
+
 // Config tunes pipeline behaviour.
 type Config struct {
 	// QueueCap bounds each inter-stage queue (backpressure); 0 = 8.
 	QueueCap int
-	// ScaleThreshold is the queue depth that triggers growing a stage.
-	ScaleThreshold int
 	// Budget, when non-nil, caps total workers across every pipeline that
 	// shares it; nil means unlimited.
 	Budget *Budget
 }
 
-// DefaultConfig mirrors the paper's description: scale a stage when its
-// wait queue grows beyond 5 entries.
+// DefaultConfig bounds each inter-stage queue at 8 entries, with no budget.
 func DefaultConfig() Config {
-	return Config{
-		QueueCap:       8,
-		ScaleThreshold: 5,
-	}
+	return Config{QueueCap: 8}
 }
 
 type seqItem[T any] struct {
@@ -111,14 +109,12 @@ type stageState[T any] struct {
 	nextSeq uint64
 	// reorder holds items that arrived ahead of nextSeq (InOrder).
 	reorder map[uint64]seqItem[T]
-	busy    int
 }
 
 // Pipeline runs items through its stages on dedicated worker processes.
 type Pipeline[T any] struct {
 	env    *sim.Env
 	name   string
-	cfg    Config
 	budget *Budget
 	stages []*stageState[T]
 
@@ -138,10 +134,7 @@ func New[T any](env *sim.Env, name string, cfg Config, stages ...Stage[T]) *Pipe
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = 8
 	}
-	if cfg.ScaleThreshold == 0 {
-		cfg.ScaleThreshold = 5
-	}
-	pl := &Pipeline[T]{env: env, name: name, cfg: cfg, budget: cfg.Budget, idle: sim.NewEvent(env)}
+	pl := &Pipeline[T]{env: env, name: name, budget: cfg.Budget, idle: sim.NewEvent(env)}
 	pl.idle.Trigger(nil)
 	for _, s := range stages {
 		if s.MinWorkers == 0 {
@@ -218,12 +211,8 @@ func (pl *Pipeline[T]) runWorker(p *sim.Proc, si int) {
 }
 
 func (pl *Pipeline[T]) process(p *sim.Proc, st *stageState[T], si int, it seqItem[T]) {
-	if !it.dropped {
-		st.busy++
-		if !st.spec.Work(p, it.item) {
-			it.dropped = true
-		}
-		st.busy--
+	if !it.dropped && !st.spec.Work(p, it.item) {
+		it.dropped = true
 	}
 	pl.forward(p, si, it)
 }
@@ -234,7 +223,7 @@ func (pl *Pipeline[T]) process(p *sim.Proc, st *stageState[T], si int, it seqIte
 // is bounded by the enqueue itself, not by a sampling interval.
 func (pl *Pipeline[T]) enqueue(p *sim.Proc, si int, it seqItem[T]) {
 	st := pl.stages[si]
-	if st.in.Len()+1 > pl.cfg.ScaleThreshold && st.workers < st.spec.MaxWorkers && pl.budget.tryAcquire() {
+	if st.in.Len()+1 > scaleThreshold && st.workers < st.spec.MaxWorkers && pl.budget.tryAcquire() {
 		pl.addWorker(si)
 		pl.Scaled++
 	}
@@ -272,12 +261,6 @@ func (pl *Pipeline[T]) Drain(p *sim.Proc) {
 		p.Wait(pl.idle)
 	}
 }
-
-// Inflight returns the number of items submitted but not yet finished.
-func (pl *Pipeline[T]) Inflight() int { return pl.inflight }
-
-// QueueDepth returns the current input queue length of stage si.
-func (pl *Pipeline[T]) QueueDepth(si int) int { return pl.stages[si].in.Len() }
 
 // Workers returns the worker count of stage si.
 func (pl *Pipeline[T]) Workers(si int) int { return pl.stages[si].workers }

@@ -71,7 +71,7 @@ func TestInOrderCommit(t *testing.T) {
 	// first); stage b is in-order and must still see submission order.
 	e := sim.NewEnv(1)
 	var order []int
-	pl := New(e, "p", Config{QueueCap: 16, ScaleThreshold: 100},
+	pl := New(e, "p", Config{QueueCap: 16},
 		Stage[item]{Name: "a", MinWorkers: 4, MaxWorkers: 4, Work: func(p *sim.Proc, it item) bool {
 			p.Sleep(time.Duration(10-it.id) * time.Millisecond)
 			return true
@@ -157,7 +157,7 @@ func TestInOrderDropStillAdvances(t *testing.T) {
 func TestDynamicScaling(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
-	cfg := Config{QueueCap: 64, ScaleThreshold: 5}
+	cfg := Config{QueueCap: 64}
 	var pl *Pipeline[item]
 	peak := 0
 	pl = New(e, "p", cfg,
@@ -188,7 +188,7 @@ func TestDynamicScaling(t *testing.T) {
 func TestThreadBudgetCapsScaling(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
-	cfg := Config{QueueCap: 64, ScaleThreshold: 2, Budget: NewBudget(2)}
+	cfg := Config{QueueCap: 64, Budget: NewBudget(2)}
 	var pl *Pipeline[item]
 	peak := 0
 	pl = New(e, "p", cfg,

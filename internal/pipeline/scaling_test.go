@@ -14,7 +14,7 @@ import (
 func TestScaleUpBoundedByEnqueue(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
-	pl := New(e, "p", Config{QueueCap: 64, ScaleThreshold: 3},
+	pl := New(e, "p", Config{QueueCap: 64},
 		Stage[item]{Name: "slow", MinWorkers: 1, MaxWorkers: 4, Work: func(p *sim.Proc, it item) bool {
 			p.Sleep(time.Millisecond)
 			return true
@@ -23,7 +23,9 @@ func TestScaleUpBoundedByEnqueue(t *testing.T) {
 	var atSubmit int
 	e.Go("sub", func(p *sim.Proc) {
 		start := p.Now()
-		for i := 0; i < 8; i++ {
+		// The first item goes straight to the parked worker; the next twelve
+		// take the queue to 12, past the five-entry threshold.
+		for i := 0; i < 13; i++ {
 			pl.Submit(p, item{i})
 		}
 		if p.Now() != start {
@@ -47,7 +49,7 @@ func TestScaleUpBoundedByEnqueue(t *testing.T) {
 func TestScaleDownAfterDrain(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
-	pl := New(e, "p", Config{QueueCap: 64, ScaleThreshold: 2},
+	pl := New(e, "p", Config{QueueCap: 64},
 		Stage[item]{Name: "slow", MinWorkers: 1, MaxWorkers: 8, Work: func(p *sim.Proc, it item) bool {
 			p.Sleep(time.Millisecond)
 			return true
@@ -79,7 +81,7 @@ func TestSharedBudgetContention(t *testing.T) {
 	e := sim.NewEnv(1)
 	budget := NewBudget(3)
 	mk := func(name string) *Pipeline[item] {
-		return New(e, name, Config{QueueCap: 64, ScaleThreshold: 2, Budget: budget},
+		return New(e, name, Config{QueueCap: 64, Budget: budget},
 			Stage[item]{Name: "slow", MinWorkers: 1, MaxWorkers: 8, Work: func(p *sim.Proc, it item) bool {
 				if u := budget.Used(); u > 3 {
 					t.Errorf("budget used = %d, cap 3", u)
@@ -121,7 +123,7 @@ func TestInOrderCommitAcrossWorkerCountChange(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
 	var order []int
-	pl := New(e, "p", Config{QueueCap: 64, ScaleThreshold: 2},
+	pl := New(e, "p", Config{QueueCap: 64},
 		Stage[item]{Name: "work", MinWorkers: 1, MaxWorkers: 6, Work: func(p *sim.Proc, it item) bool {
 			// Variable latency so parallel workers complete out of order.
 			p.Sleep(time.Duration(1+it.id%5) * time.Millisecond)

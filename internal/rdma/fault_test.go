@@ -169,7 +169,7 @@ func TestPartitionCutsBothPathsAndHeals(t *testing.T) {
 	e, f, fp, rs, q := testLink(4)
 	a, b := f.Lookup("a"), f.Lookup("b")
 	pm := hw.NewPM(e, "pm", hw.PMConfig{Size: 1 << 20, Bandwidth: 1e12})
-	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0, Len: 1 << 20})
+	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0})
 	var got []*Msg
 	e.Go("server", func(p *sim.Proc) {
 		for {
@@ -189,16 +189,16 @@ func TestPartitionCutsBothPathsAndHeals(t *testing.T) {
 		if err := c.Send(p, "cut", nil, 8); err != nil {
 			t.Errorf("partitioned send surfaced error %v; must be silent loss", err)
 		}
-		if err := c.RDMARead(p, "r", 0, make([]byte, 64)); err != ErrUnreachable {
-			t.Errorf("partitioned RDMARead: %v, want ErrUnreachable", err)
+		if err := c.RDMAWrite(p, "r", 0, make([]byte, 64)); err != ErrUnreachable {
+			t.Errorf("partitioned RDMAWrite: %v, want ErrUnreachable", err)
 		}
 		fp.Heal("a", "b")
 		fp.Heal("a", "b") // second heal of a healthy link must not count
 		if err := c.Send(p, "healed", nil, 8); err != nil {
 			t.Errorf("post-heal send: %v", err)
 		}
-		if err := c.RDMARead(p, "r", 0, make([]byte, 64)); err != nil {
-			t.Errorf("post-heal RDMARead: %v", err)
+		if err := c.RDMAWrite(p, "r", 0, make([]byte, 64)); err != nil {
+			t.Errorf("post-heal RDMAWrite: %v", err)
 		}
 		p.Sleep(time.Millisecond)
 		q.Close()

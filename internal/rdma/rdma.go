@@ -1,6 +1,6 @@
 // Package rdma models an RDMA-over-converged-Ethernet fabric: NIC ports
-// with finite bandwidth, verbs-style one-sided READ/WRITE into registered
-// memory regions, and two-sided send/receive RPC onto service queues.
+// with finite bandwidth, verbs-style one-sided WRITE into registered PM
+// regions, and two-sided send/receive RPC onto service queues.
 //
 // All transfer time is charged to the calling simulation process — exactly
 // the thread that posts and waits for the verb in the real system. Each
@@ -63,7 +63,7 @@ type NIC struct {
 	QPPenalty   time.Duration // extra latency per QP beyond the cache size
 
 	services map[string]func(*Conn) *sim.Queue[*Msg]
-	regions  map[string]Region
+	regions  map[string]*PMRegion
 }
 
 // NewNIC registers a port on the fabric with the given egress bandwidth.
@@ -79,7 +79,7 @@ func (f *Fabric) NewNIC(name string, bytesPerSec float64) *NIC {
 		QPCacheSize: 64,
 		QPPenalty:   200 * time.Nanosecond,
 		services:    make(map[string]func(*Conn) *sim.Queue[*Msg]),
-		regions:     make(map[string]Region),
+		regions:     make(map[string]*PMRegion),
 	}
 	f.ports[name] = n
 	return n
@@ -110,18 +110,9 @@ func (n *NIC) Unregister(service string) {
 	delete(n.services, service)
 }
 
-// RegisterRegion exposes a memory region for one-sided access.
-func (n *NIC) RegisterRegion(name string, r Region) {
+// RegisterRegion exposes a PM region for one-sided writes.
+func (n *NIC) RegisterRegion(name string, r *PMRegion) {
 	n.regions[name] = r
-}
-
-// Region is registered memory that remote one-sided verbs can access.
-// Implementations charge the cost of reaching the backing memory (NIC DRAM,
-// or host PM across PCIe).
-type Region interface {
-	ReadAt(p *sim.Proc, off int64, dst []byte)
-	WriteAt(p *sim.Proc, off int64, src []byte)
-	Size() int64
 }
 
 // extraLat returns the per-message latency penalty from QP cache pressure.
@@ -321,37 +312,8 @@ func (m *Msg) NeedsReply() bool { return m.reply != nil }
 // Abandoned reports whether the sender timed out on this call and moved on.
 func (m *Msg) Abandoned() bool { return m.abandoned }
 
-// RDMARead fetches len(dst) bytes from the named remote region at off using
-// a one-sided READ: no remote CPU involvement. The caller pays the request
-// round trip, the remote region's memory cost, and the data serialization
-// on the remote's egress.
-func (c *Conn) RDMARead(p *sim.Proc, region string, off int64, dst []byte) error {
-	r, ok := c.Remote.regions[region]
-	if !ok {
-		return ErrUnreachable
-	}
-	var corrupt bool
-	if fp := c.Local.Fab.Faults; fp != nil {
-		err, cr := fp.injectOneSided(p, c)
-		if err != nil {
-			return err
-		}
-		corrupt = cr
-	}
-	// Request descriptor out.
-	c.sendCost(p, 16)
-	// Remote NIC pulls from the region (possibly across PCIe) …
-	r.ReadAt(p, off, dst)
-	// … and streams it back.
-	c.returnCost(p, len(dst))
-	if corrupt {
-		c.Local.Fab.Faults.CorruptBytes(dst)
-	}
-	return nil
-}
-
 // RDMAWrite places src into the named remote region at off using a
-// one-sided WRITE, again without remote CPU involvement.
+// one-sided WRITE: no remote CPU involvement.
 func (c *Conn) RDMAWrite(p *sim.Proc, region string, off int64, src []byte) error {
 	r, ok := c.Remote.regions[region]
 	if !ok {
@@ -377,27 +339,19 @@ func (c *Conn) RDMAWrite(p *sim.Proc, region string, off int64, src []byte) erro
 	return nil
 }
 
-// PMRegion exposes a window of a PM device, optionally behind extra links
-// (PCIe when the accessor is a SmartNIC reaching host PM).
+// PMRegion exposes a PM device from Base on, optionally behind extra links
+// (PCIe when the accessor is a SmartNIC reaching host PM). Writing into it
+// charges the cost of reaching the PM.
 type PMRegion struct {
 	PM    *hw.PM
 	Base  int64
-	Len   int64
 	Extra []*hw.Link
 	// Persist makes one-sided writes durable immediately (RDMA into PM with
 	// DDIO disabled / flush-on-write), which chain replication relies on.
 	Persist bool
 }
 
-// ReadAt implements Region.
-func (r *PMRegion) ReadAt(p *sim.Proc, off int64, dst []byte) {
-	for _, l := range r.Extra {
-		l.Transfer(p, len(dst), 0)
-	}
-	r.PM.Read(p, r.Base+off, dst)
-}
-
-// WriteAt implements Region.
+// WriteAt places src at off, paying each extra link and then the PM.
 func (r *PMRegion) WriteAt(p *sim.Proc, off int64, src []byte) {
 	for _, l := range r.Extra {
 		l.Transfer(p, len(src), 0)
@@ -408,27 +362,3 @@ func (r *PMRegion) WriteAt(p *sim.Proc, off int64, src []byte) {
 		r.PM.Write(p, r.Base+off, src)
 	}
 }
-
-// Size implements Region.
-func (r *PMRegion) Size() int64 { return r.Len }
-
-// MemRegion exposes a volatile buffer (SmartNIC DRAM) with its memory cost.
-type MemRegion struct {
-	Mem  *hw.Mem
-	Data []byte
-}
-
-// ReadAt implements Region.
-func (r *MemRegion) ReadAt(p *sim.Proc, off int64, dst []byte) {
-	r.Mem.Access(p, len(dst))
-	copy(dst, r.Data[off:])
-}
-
-// WriteAt implements Region.
-func (r *MemRegion) WriteAt(p *sim.Proc, off int64, src []byte) {
-	r.Mem.Access(p, len(src))
-	copy(r.Data[off:], src)
-}
-
-// Size implements Region.
-func (r *MemRegion) Size() int64 { return int64(len(r.Data)) }

@@ -79,7 +79,7 @@ func TestLowLatPriorityBeatsBulkQueueing(t *testing.T) {
 	a := f.NewNIC("a", 1e9) // 1 GB/s: 4 MB takes 4 ms
 	b := f.NewNIC("b", 1e9)
 	pm := hw.NewPM(e, "pm", hw.PMConfig{Size: 32 << 20, Bandwidth: 1e12})
-	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0, Len: 16 << 20})
+	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0})
 	bulk := Dial(a, b, "", false)
 	low := Dial(a, b, "", true)
 	var lowDone sim.Time

@@ -137,16 +137,14 @@ func TestRDMAWriteReadPMRegion(t *testing.T) {
 	e := sim.NewEnv(1)
 	_, a, b := testFabric(e)
 	pm := hw.NewPM(e, "pm", hw.DefaultPMConfig(1<<20))
-	b.RegisterRegion("log", &PMRegion{PM: pm, Base: 4096, Len: 1 << 16, Persist: true})
+	b.RegisterRegion("log", &PMRegion{PM: pm, Base: 4096, Persist: true})
 	e.Go("client", func(p *sim.Proc) {
 		c := Dial(a, b, "", false)
 		if err := c.RDMAWrite(p, "log", 100, []byte("chunkdata")); err != nil {
 			t.Fatal(err)
 		}
 		dst := make([]byte, 9)
-		if err := c.RDMARead(p, "log", 100, dst); err != nil {
-			t.Fatal(err)
-		}
+		pm.Read(p, 4096+100, dst)
 		if string(dst) != "chunkdata" {
 			t.Errorf("read back %q", dst)
 		}
@@ -166,7 +164,7 @@ func TestRDMAWriteChargesWireTime(t *testing.T) {
 	e := sim.NewEnv(1)
 	_, a, b := testFabric(e) // 1 GB/s
 	pm := hw.NewPM(e, "pm", hw.PMConfig{Size: 1 << 20, Bandwidth: 100e9})
-	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0, Len: 1 << 20})
+	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0})
 	var took sim.Time
 	e.Go("client", func(p *sim.Proc) {
 		c := Dial(a, b, "", false)
@@ -185,7 +183,7 @@ func TestSharedEgressSaturation(t *testing.T) {
 	e := sim.NewEnv(1)
 	_, a, b := testFabric(e) // 1 GB/s egress on a
 	pm := hw.NewPM(e, "pm", hw.PMConfig{Size: 8 << 20, Bandwidth: 100e9})
-	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0, Len: 8 << 20})
+	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0})
 	var last sim.Time
 	for i := 0; i < 4; i++ {
 		e.Go("tx", func(p *sim.Proc) {
@@ -216,7 +214,7 @@ func TestQPCachePenalty(t *testing.T) {
 		conns[i] = Dial(a, b, "", false)
 	}
 	pm := hw.NewPM(e, "pm", hw.PMConfig{Size: 1 << 12, Bandwidth: 1e12})
-	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0, Len: 1 << 12})
+	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0})
 	var took sim.Time
 	e.Go("c", func(p *sim.Proc) {
 		conns[0].RDMAWrite(p, "r", 0, make([]byte, 8))
@@ -240,7 +238,7 @@ func TestFabricByteAccounting(t *testing.T) {
 	e := sim.NewEnv(1)
 	f, a, b := testFabric(e)
 	pm := hw.NewPM(e, "pm", hw.PMConfig{Size: 1 << 16, Bandwidth: 1e12})
-	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0, Len: 1 << 16})
+	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0})
 	e.Go("c", func(p *sim.Proc) {
 		c := Dial(a, b, "", false)
 		c.RDMAWrite(p, "r", 0, make([]byte, 1000))

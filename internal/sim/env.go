@@ -16,7 +16,7 @@
 //
 //   - Events are typed records ({t, seq, kind, proc, gen}), not closures, so
 //     Sleep/wake, resource grants, and event triggers schedule without
-//     allocating. Env.Schedule keeps a closure escape hatch (kind evClosure).
+//     allocating.
 //   - The event queue is a hand-specialized 4-ary heap of records by value:
 //     no container/heap interface boxing, shallower than a binary heap.
 //   - The event loop migrates: when a process blocks, its own goroutine
@@ -43,13 +43,12 @@ func (t Time) Dur() time.Duration { return time.Duration(t) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Event kinds. Wakes and starts carry their target in typed fields so the
-// steady-state scheduling path never allocates; only the generic Schedule
-// escape hatch carries a closure.
+// Event kinds. Both carry their target in typed fields, so scheduling never
+// allocates. traceEvent folds the kind into the digest, so the values are
+// fixed: renumbering them would move every digest.
 const (
-	evClosure = iota // run fn inline on the loop goroutine
-	evWake           // resume proc p if still blocked with generation gen
-	evStart          // launch p's goroutine and hand control to it
+	evWake  = 1 // resume proc p if still blocked with generation gen
+	evStart = 2 // launch p's goroutine and hand control to it
 )
 
 // item is a scheduled action in the event queue, stored by value.
@@ -57,8 +56,7 @@ type item struct {
 	t    Time
 	seq  uint64 // tie-breaker: FIFO among equal timestamps
 	gen  uint64 // evWake: the wake generation armed by the blocker
-	p    *Proc  // evWake, evStart
-	fn   func() // evClosure
+	p    *Proc
 	kind uint8
 }
 
@@ -95,7 +93,7 @@ func (q *eventQueue) pop() item {
 	top := a[0]
 	n := len(a) - 1
 	a[0] = a[n]
-	a[n] = item{} // drop fn/proc references for GC
+	a[n] = item{} // drop the proc reference for GC
 	q.a = a[:n]
 	a = q.a
 
@@ -163,16 +161,6 @@ func (e *Env) Now() Time { return e.now }
 // Rand returns the environment's deterministic random source.
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
-// Schedule runs fn at now+d. d must be non-negative. This is the closure
-// escape hatch; kernel-internal wake-ups use typed records instead.
-func (e *Env) Schedule(d time.Duration, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative schedule delay %v", d))
-	}
-	e.seq++
-	e.eq.push(item{t: e.now + Time(d), seq: e.seq, kind: evClosure, fn: fn})
-}
-
 // wakeAt schedules process p, currently blocked with generation gen, to be
 // resumed at time t. Stale generations (the process has since been woken by
 // someone else) are ignored, which makes racing wake-ups — timeouts versus
@@ -237,8 +225,6 @@ func (e *Env) loop(self *Proc) *Proc {
 			e.traceEvent(&it)
 		}
 		switch it.kind {
-		case evClosure:
-			it.fn()
 		case evWake:
 			p := it.p
 			if p.terminated || p.gen != it.gen || !p.blocked {

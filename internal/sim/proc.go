@@ -24,10 +24,8 @@ type Proc struct {
 	gen     uint64
 	blocked bool
 
-	terminated    bool
-	killed        bool
-	interrupt     bool // set by Interrupt; consumed by interruptible waits
-	interruptible bool // true while blocked in an interruptible wait
+	terminated bool
+	killed     bool
 
 	// rw is the process's resource-wait record. A process queues on at most
 	// one Resource at a time, so embedding the record makes contended
@@ -139,14 +137,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.block()
 }
 
-// Yield reschedules the process at the current time, letting other runnable
-// events at this timestamp execute first.
-func (p *Proc) Yield() {
-	gen := p.arm()
-	p.env.wakeAt(p.env.now, p, gen)
-	p.block()
-}
-
 // Kill terminates the process the next time it would run. Killing an
 // already-terminated process is a no-op. A process cannot kill itself;
 // return from its function instead.
@@ -162,42 +152,6 @@ func (p *Proc) Kill() {
 	}
 	// If the process is currently runnable (e.g. it is the caller's peer
 	// mid-dispatch) the kill flag is checked at its next block().
-}
-
-// Interrupt wakes the process out of an interruptible wait (SleepI). If the
-// process is not blocked in an interruptible wait — including when it is
-// queued on a Resource or Queue — the interrupt is recorded and consumed by
-// its next interruptible wait.
-func (p *Proc) Interrupt() {
-	if p.terminated {
-		return
-	}
-	p.interrupt = true
-	if p.blocked && p.interruptible {
-		p.env.wakeAt(p.env.now, p, p.gen)
-	}
-}
-
-// SleepI is an interruptible sleep. It returns true if the full duration
-// elapsed and false if the sleep was cut short by Interrupt.
-func (p *Proc) SleepI(d time.Duration) bool {
-	if p.interrupt {
-		p.interrupt = false
-		return false
-	}
-	if d == 0 {
-		return true
-	}
-	gen := p.arm()
-	p.interruptible = true
-	p.env.wakeAt(p.env.now+Time(d), p, gen)
-	p.block()
-	p.interruptible = false
-	if p.interrupt {
-		p.interrupt = false
-		return false
-	}
-	return true
 }
 
 // Wait blocks until ev triggers and returns its value. If ev has already
@@ -229,25 +183,4 @@ func (p *Proc) WaitTimeout(ev *Event, d time.Duration) (val any, ok bool) {
 		return ev.val, true
 	}
 	return nil, false
-}
-
-// WaitAny blocks until one of the events triggers; it returns the index of
-// the first event (in argument order) found triggered, and its value.
-func (p *Proc) WaitAny(evs ...*Event) (int, any) {
-	for i, ev := range evs {
-		if ev.done {
-			return i, ev.val
-		}
-	}
-	gen := p.arm()
-	for _, ev := range evs {
-		ev.addWaiter(p, gen)
-	}
-	p.block()
-	for i, ev := range evs {
-		if ev.done {
-			return i, ev.val
-		}
-	}
-	panic("sim: WaitAny woke with no event triggered")
 }

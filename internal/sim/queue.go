@@ -37,9 +37,6 @@ func NewQueue[T any](e *Env, capacity int) *Queue[T] {
 // Len returns the number of buffered items.
 func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
-
 // newWaiter returns a zeroed wait record, reusing a recycled one if
 // available.
 func (q *Queue[T]) newWaiter() *qwaiter[T] {
@@ -131,24 +128,6 @@ func (q *Queue[T]) Put(p *Proc, v T) bool {
 	ok := w.handed && !w.aborted
 	q.recycle(w)
 	return ok
-}
-
-// TryPut appends v without blocking; it reports success.
-func (q *Queue[T]) TryPut(v T) bool {
-	if q.closed {
-		return false
-	}
-	if g := q.popLiveGetter(); g != nil {
-		g.val = v
-		g.handed = true
-		q.env.wakeAt(q.env.now, g.p, g.gen)
-		return true
-	}
-	if q.limit == 0 || q.Len() < q.limit {
-		q.pushItem(v)
-		return true
-	}
-	return false
 }
 
 // Get removes and returns the oldest item, blocking while the queue is

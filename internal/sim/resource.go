@@ -14,9 +14,6 @@ type Resource struct {
 	inUse int
 	q     rwaiterHeap
 	seq   uint64
-
-	// waitPeak tracks the maximum queue length observed (for monitoring).
-	waitPeak int
 }
 
 // rwaiter is a resource-wait record. One is embedded in every Proc (a
@@ -106,10 +103,6 @@ func (r *Resource) Cap() int { return r.cap }
 // InUse returns the number of currently-held units.
 func (r *Resource) InUse() int { return r.inUse }
 
-// Waiters returns the number of queued waiters (possibly including dead
-// entries awaiting cleanup).
-func (r *Resource) Waiters() int { return r.q.Len() }
-
 // MaxWaiterPrio returns the highest priority among live waiters; ok is
 // false if no live waiter is queued.
 func (r *Resource) MaxWaiterPrio() (prio int, ok bool) {
@@ -143,9 +136,6 @@ func (r *Resource) Acquire(p *Proc, prio int) {
 	w := &p.rw
 	*w = rwaiter{p: p, r: r, gen: p.arm(), prio: prio, seq: r.seq}
 	r.q.push(w)
-	if r.q.Len() > r.waitPeak {
-		r.waitPeak = r.q.Len()
-	}
 	r.grantNext()
 	p.block() // on kill-unwind, block() releases the grant via w
 	w.r = nil // normal return: the caller now owns the unit

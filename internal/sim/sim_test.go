@@ -134,22 +134,28 @@ func TestWaitTimeout(t *testing.T) {
 	}
 }
 
+// TestWaitAny pins that a trigger wakes its own event's waiters and no
+// other: with one waiter on each of two events, triggering b hands b's value
+// to b's waiter and leaves a's blocked.
 func TestWaitAny(t *testing.T) {
 	t.Parallel()
 	e := NewEnv(1)
 	a, b := NewEvent(e), NewEvent(e)
-	var idx int
-	e.Go("w", func(p *Proc) {
-		idx, _ = p.WaitAny(a, b)
-	})
+	var gotA, gotB any
+	e.Go("wa", func(p *Proc) { gotA = p.Wait(a) })
+	e.Go("wb", func(p *Proc) { gotB = p.Wait(b) })
 	e.Go("t", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		b.Trigger(nil)
+		b.Trigger("b")
 	})
 	e.Run()
-	if idx != 1 {
-		t.Fatalf("WaitAny index = %d, want 1", idx)
+	if gotB != "b" || gotA != nil {
+		t.Fatalf("waiters got a=%v b=%v, want a=<nil> b=b", gotA, gotB)
 	}
+	if e.Live() != 1 {
+		t.Fatalf("live = %d, want 1 (a's waiter still blocked)", e.Live())
+	}
+	e.Shutdown()
 }
 
 func TestResourceMutualExclusion(t *testing.T) {
@@ -411,12 +417,7 @@ func TestQueueTryOps(t *testing.T) {
 		if _, ok := q.TryGet(); ok {
 			t.Error("TryGet on empty queue succeeded")
 		}
-		if !q.TryPut(7) {
-			t.Error("TryPut on empty bounded queue failed")
-		}
-		if q.TryPut(8) {
-			t.Error("TryPut on full queue succeeded")
-		}
+		q.Put(p, 7)
 		if v, ok := q.TryGet(); !ok || v != 7 {
 			t.Errorf("TryGet = %v,%v", v, ok)
 		}
@@ -424,49 +425,61 @@ func TestQueueTryOps(t *testing.T) {
 	e.Run()
 }
 
+// TestInterruptCutsSleepShort pins that a kill cuts a sleep short: the
+// sleeper unwinds at the kill, runs its deferred code there, and never
+// reaches the code after the sleep.
 func TestInterruptCutsSleepShort(t *testing.T) {
 	t.Parallel()
 	e := NewEnv(1)
-	var full bool
-	var at Time
-	var sleeper *Proc
-	sleeper = e.Go("s", func(p *Proc) {
-		full = p.SleepI(10 * time.Millisecond)
-		at = p.Now()
+	var unwound Time = -1
+	after := false
+	sleeper := e.Go("s", func(p *Proc) {
+		defer func() { unwound = p.Now() }()
+		p.Sleep(10 * time.Millisecond)
+		after = true
 	})
-	e.Go("i", func(p *Proc) {
+	e.Go("k", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		sleeper.Interrupt()
+		sleeper.Kill()
 	})
 	e.Run()
-	if full {
-		t.Error("SleepI reported full sleep despite interrupt")
+	if after {
+		t.Error("killed sleeper ran past its sleep")
 	}
-	if at != Time(time.Millisecond) {
-		t.Fatalf("woke at %v, want 1ms", at)
+	if unwound != Time(time.Millisecond) {
+		t.Fatalf("unwound at %v, want 1ms", unwound)
+	}
+	if !sleeper.Done.Triggered() {
+		t.Fatal("Done never triggered for the killed sleeper")
 	}
 }
 
+// TestInterruptDoesNotWakeResourceWait pins that a stale wake-up does not
+// disturb a resource wait: the waiter's WaitTimeout is met by its event, so
+// its timer is still queued when it goes on to wait for the held resource,
+// and that timer must not wake it before the holder releases.
 func TestInterruptDoesNotWakeResourceWait(t *testing.T) {
 	t.Parallel()
 	e := NewEnv(1)
 	r := NewResource(e, 1)
+	ev := NewEvent(e)
 	var acquiredAt Time
 	e.Go("holder", func(p *Proc) {
 		r.Acquire(p, 0)
 		p.Sleep(5 * time.Millisecond)
 		r.Release()
 	})
-	var waiter *Proc
-	waiter = e.Go("waiter", func(p *Proc) {
-		p.Sleep(time.Microsecond)
-		r.Acquire(p, 0)
+	e.Go("waiter", func(p *Proc) {
+		if _, ok := p.WaitTimeout(ev, time.Millisecond); !ok {
+			t.Error("WaitTimeout timed out before its event")
+		}
+		r.Acquire(p, 0) // the 1ms timer is stale from here on
 		acquiredAt = p.Now()
 		r.Release()
 	})
-	e.Go("i", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		waiter.Interrupt() // must not disturb the resource wait
+	e.Go("t", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		ev.Trigger(nil)
 	})
 	e.Run()
 	if acquiredAt != Time(5*time.Millisecond) {
@@ -571,19 +584,24 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestYieldOrdering pins FIFO wake order at one timestamp: sleepers due at
+// the same instant wake in the order they slept, and a process spawned at
+// that instant starts after the wake-ups already queued for it.
 func TestYieldOrdering(t *testing.T) {
 	t.Parallel()
 	e := NewEnv(1)
 	var order []string
 	e.Go("a", func(p *Proc) {
-		p.Yield()
+		p.Sleep(time.Microsecond)
 		order = append(order, "a")
+		e.Go("c", func(p *Proc) { order = append(order, "c") })
 	})
 	e.Go("b", func(p *Proc) {
+		p.Sleep(time.Microsecond)
 		order = append(order, "b")
 	})
 	e.Run()
-	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
-		t.Fatalf("order = %v, want [b a]", order)
+	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
+		t.Fatalf("order = %v, want [a b c]", order)
 	}
 }

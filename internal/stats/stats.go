@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -72,15 +71,6 @@ func (l *Latency) Min() time.Duration {
 	return l.samples[0]
 }
 
-// Summary formats avg/p99/p99.9 in microseconds, matching the paper's
-// latency tables.
-func (l *Latency) Summary() string {
-	return fmt.Sprintf("avg=%.0fus p99=%.0fus p99.9=%.0fus",
-		float64(l.Mean())/1e3,
-		float64(l.Percentile(99))/1e3,
-		float64(l.Percentile(99.9))/1e3)
-}
-
 // Counter accumulates a monotonically growing quantity (bytes, ops).
 type Counter struct {
 	total int64
@@ -91,20 +81,6 @@ func (c *Counter) Add(n int64) { c.total += n }
 
 // Total returns the accumulated value.
 func (c *Counter) Total() int64 { return c.total }
-
-// Rate returns total/elapsed in units per second.
-func (c *Counter) Rate(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.total) / elapsed.Seconds()
-}
-
-// MBps returns the counter interpreted as bytes over elapsed, in MB/s
-// (decimal megabytes, as the paper reports).
-func (c *Counter) MBps(elapsed time.Duration) float64 {
-	return c.Rate(elapsed) / 1e6
-}
 
 // TimeSeries buckets a quantity into fixed-width windows of virtual time,
 // e.g. network bytes per second for Figure 9/10-style plots.
@@ -141,15 +117,6 @@ func (ts *TimeSeries) Rate() []float64 {
 		out[i] = v / sec
 	}
 	return out
-}
-
-// Total returns the sum over all buckets.
-func (ts *TimeSeries) Total() float64 {
-	var sum float64
-	for _, v := range ts.buckets {
-		sum += v
-	}
-	return sum
 }
 
 // Utilization accumulates busy time per tag against a set of workers
