@@ -14,13 +14,13 @@ import (
 
 // Ablations are experiments beyond the paper's figures that isolate the
 // design choices DESIGN.md calls out: the 4 MB chunk size, the coalescing
-// stage, the last-hop direct write, and the dynamic pipeline scaling.
+// stage, the last-hop direct write, and compression across the NIC cores.
 func Ablations() []Experiment {
 	return []Experiment{
 		{"abl-chunk", "Ablation: pipeline chunk size vs write throughput", AblChunkSize},
 		{"abl-coalesce", "Ablation: coalescing stage vs published bytes", AblCoalesce},
 		{"abl-direct", "Ablation: last-hop direct write vs fsync latency", AblDirectWrite},
-		{"abl-scaling", "Ablation: dynamic stage scaling under compression", AblScaling},
+		{"abl-scaling", "Ablation: compression across the NIC cores vs one thread", AblScaling},
 	}
 }
 

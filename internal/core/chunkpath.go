@@ -110,9 +110,10 @@ type clientState struct {
 	fault error
 
 	// enc is the compression-stage LZW dictionary, reused across
-	// sub-blocks (every call starts a fresh dictionary). A chunk is coded
-	// without yielding to the scheduler, so one encoder is safe even with
-	// several compress-stage workers.
+	// sub-blocks (every call starts a fresh dictionary). The compress stage
+	// has one worker, which codes a chunk without yielding to the
+	// scheduler; codec parallelism is codeTime's sub-block helpers, which
+	// only charge time.
 	enc compress.Encoder
 
 	mainPl *pipeline.Pipeline[*chunk]
@@ -154,25 +155,21 @@ func newClientState(n *NICFS, slot int, id string, la *fs.LogArea) *clientState 
 	if cfg.Parallel {
 		// The ingress queue must never block the NICFS bulk workers (they
 		// also drain replication acks); backpressure comes from the NICMem
-		// flow-control watermarks in the fetch stage (§4). Worker growth
-		// draws from the NICFS-wide budget shared across every client's
-		// pipelines (the SmartNIC's cores are one pool).
-		plCfg := pipeline.Config{QueueCap: 1 << 20, Budget: n.plBudget}
+		// flow-control watermarks in the fetch stage (§4).
+		plCfg := pipeline.Config{QueueCap: 1 << 20}
 		cs.mainPl = pipeline.New(env, id+"/main", plCfg,
-			pipeline.Stage[*chunk]{Name: "fetch", MinWorkers: 1, MaxWorkers: 2, Work: cs.stageFetch},
-			pipeline.Stage[*chunk]{Name: "validate", MinWorkers: 1, MaxWorkers: 4, Work: cs.stageValidate},
-			pipeline.Stage[*chunk]{Name: "split", InOrder: true, Work: cs.stageSplit},
+			pipeline.Stage[*chunk]{Name: "fetch", Work: cs.stageFetch},
+			pipeline.Stage[*chunk]{Name: "validate", Work: cs.stageValidate},
+			pipeline.Stage[*chunk]{Name: "split", Work: cs.stageSplit},
 		)
 		repStages := []pipeline.Stage[*chunk]{}
 		if cfg.Compress {
-			repStages = append(repStages, pipeline.Stage[*chunk]{
-				Name: "compress", MinWorkers: 1, MaxWorkers: cfg.Spec.NICCores, Work: cs.stageCompress,
-			})
+			repStages = append(repStages, pipeline.Stage[*chunk]{Name: "compress", Work: cs.stageCompress})
 		}
 		repStages = append(repStages, pipeline.Stage[*chunk]{Name: "transfer", Work: cs.stageTransfer})
 		cs.repPl = pipeline.New(env, id+"/rep", plCfg, repStages...)
 		cs.pubPl = pipeline.New(env, id+"/pub", plCfg,
-			pipeline.Stage[*chunk]{Name: "publish", InOrder: true, Work: cs.stagePublish},
+			pipeline.Stage[*chunk]{Name: "publish", Work: cs.stagePublish},
 		)
 	} else {
 		cs.seqQ = sim.NewQueue[*chunk](env, 0)

@@ -9,7 +9,6 @@ import (
 	"linefs/internal/fs"
 	"linefs/internal/hw"
 	"linefs/internal/lease"
-	"linefs/internal/pipeline"
 	"linefs/internal/rdma"
 	"linefs/internal/sim"
 )
@@ -58,10 +57,6 @@ type NICFS struct {
 	// histSeen dedups pure data-write records per epoch so history stays
 	// bounded by the touched working set, not the write count.
 	histSeen map[uint64]map[touched]struct{}
-
-	// plBudget caps pipeline worker growth across every client's pipelines:
-	// the SmartNIC's wimpy cores are one shared pool.
-	plBudget *pipeline.Budget
 
 	// codecGate admits one chunk at a time to LZW coding across the cores
 	// (codeTime); codecPeak is the most helpers one chunk has had.
@@ -128,7 +123,6 @@ func newNICFS(cl *Cluster, machine int) *NICFS {
 		peerLow:  make(map[int]*rdma.Conn),
 		history:  make(map[uint64][]touched),
 		histSeen: make(map[uint64]map[touched]struct{}),
-		plBudget: pipeline.NewBudget(2 * cl.Cfg.Spec.NICCores),
 		StageTimes: map[string]*timeAvg{
 			"fetch": {}, "validate": {}, "publish": {}, "transfer": {}, "ack": {},
 			"wait-pub": {}, "wait-rep": {},

@@ -38,7 +38,6 @@ func TestTestOnlyAPIPinned(t *testing.T) {
 		"fs.Vol.ExtentCount", "fs.Vol.FreeCount", "fs.Vol.NBlocks", "fs.Vol.NInodes", "fs.Mount",
 		"hw.Mem.Size", "hw.Mem.Used",
 		"hw.PM.PendingBytes", "hw.PM.PersistAll", "hw.PM.ResidentBytes",
-		"pipeline.Budget.Used", "pipeline.Pipeline.Workers",
 		"rdma.Fabric.Lookup", "rdma.FaultPlane.Partitioned",
 		"sim.Env.Live", "sim.Event.Value", "sim.Proc.Name", "sim.Resource.TryAcquire",
 		"stats.Latency.Max", "stats.Latency.Min", "stats.Utilization.Busy", "stats.Utilization.Tags",

@@ -30,7 +30,7 @@ func TestItemsFlowThroughStages(t *testing.T) {
 			pl.Submit(p, item{i})
 		}
 		pl.Drain(p)
-		pl.Close()
+		pl.Kill()
 	})
 	e.RunUntil(10 * time.Second)
 	if len(got) != 10 {
@@ -54,7 +54,7 @@ func TestPipelineOverlapsStages(t *testing.T) {
 		}
 		pl.Drain(p)
 		done = p.Now()
-		pl.Close()
+		pl.Kill()
 	})
 	e.RunUntil(10 * time.Second)
 	if done > sim.Time(12*time.Millisecond) {
@@ -67,16 +67,16 @@ func TestPipelineOverlapsStages(t *testing.T) {
 
 func TestInOrderCommit(t *testing.T) {
 	t.Parallel()
-	// Stage a is parallel with variable latency (later items finish
-	// first); stage b is in-order and must still see submission order.
+	// Stage a's work shrinks with the item id (later items are quicker);
+	// stage b must still see submission order.
 	e := sim.NewEnv(1)
 	var order []int
 	pl := New(e, "p", Config{QueueCap: 16},
-		Stage[item]{Name: "a", MinWorkers: 4, MaxWorkers: 4, Work: func(p *sim.Proc, it item) bool {
+		Stage[item]{Name: "a", Work: func(p *sim.Proc, it item) bool {
 			p.Sleep(time.Duration(10-it.id) * time.Millisecond)
 			return true
 		}},
-		Stage[item]{Name: "b", InOrder: true, Work: func(p *sim.Proc, it item) bool {
+		Stage[item]{Name: "b", Work: func(p *sim.Proc, it item) bool {
 			order = append(order, it.id)
 			return true
 		}},
@@ -86,7 +86,7 @@ func TestInOrderCommit(t *testing.T) {
 			pl.Submit(p, item{i})
 		}
 		pl.Drain(p)
-		pl.Close()
+		pl.Kill()
 	})
 	e.RunUntil(10 * time.Second)
 	if len(order) != 4 {
@@ -115,7 +115,7 @@ func TestDropFiltersItem(t *testing.T) {
 			pl.Submit(p, item{i})
 		}
 		pl.Drain(p)
-		pl.Close()
+		pl.Kill()
 	})
 	e.RunUntil(10 * time.Second)
 	if len(got) != 3 {
@@ -125,7 +125,7 @@ func TestDropFiltersItem(t *testing.T) {
 
 func TestInOrderDropStillAdvances(t *testing.T) {
 	t.Parallel()
-	// A dropped item in an in-order stage must not stall later items.
+	// A dropped item leaves the pipeline; the items behind it go on.
 	e := sim.NewEnv(1)
 	var got []int
 	pl := New(e, "p", DefaultConfig(),
@@ -140,7 +140,7 @@ func TestInOrderDropStillAdvances(t *testing.T) {
 			pl.Submit(p, item{i})
 		}
 		pl.Drain(p)
-		pl.Close()
+		pl.Kill()
 	})
 	e.RunUntil(10 * time.Second)
 	want := []int{0, 2, 3}
@@ -154,62 +154,64 @@ func TestInOrderDropStillAdvances(t *testing.T) {
 	}
 }
 
+// TestDynamicScaling pins that a stage never runs two items at once,
+// however deep its queue: 64 items of 1 ms behind one stage take 64 ms.
 func TestDynamicScaling(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
-	cfg := Config{QueueCap: 64}
-	var pl *Pipeline[item]
-	peak := 0
-	pl = New(e, "p", cfg,
-		Stage[item]{Name: "slow", MinWorkers: 1, MaxWorkers: 8, Work: func(p *sim.Proc, it item) bool {
-			if w := pl.Workers(0); w > peak {
-				peak = w
-			}
+	busy, peak := 0, 0
+	pl := New(e, "p", Config{QueueCap: 64},
+		Stage[item]{Name: "slow", Work: func(p *sim.Proc, it item) bool {
+			busy++
+			peak = max(peak, busy)
 			p.Sleep(time.Millisecond)
+			busy--
 			return true
 		}},
 	)
+	var done sim.Time
 	e.Go("sub", func(p *sim.Proc) {
 		for i := 0; i < 64; i++ {
 			pl.Submit(p, item{i})
 		}
 		pl.Drain(p)
-		pl.Close()
+		done = p.Now()
+		pl.Kill()
 	})
 	e.RunUntil(10 * time.Second)
-	if peak <= 1 {
-		t.Fatal("bottleneck stage never scaled")
+	if peak != 1 {
+		t.Fatalf("stage ran %d items at once, want 1", peak)
 	}
-	if pl.Scaled == 0 {
-		t.Fatal("no scaling events recorded")
+	if done != sim.Time(64*time.Millisecond) {
+		t.Fatalf("64 items took %v, want 64ms", done)
 	}
 }
 
+// TestThreadBudgetCapsScaling pins that a pipeline runs one process per
+// stage, however deep its queues grow.
 func TestThreadBudgetCapsScaling(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
-	cfg := Config{QueueCap: 64, Budget: NewBudget(2)}
-	var pl *Pipeline[item]
 	peak := 0
-	pl = New(e, "p", cfg,
-		Stage[item]{Name: "slow", MinWorkers: 1, MaxWorkers: 8, Work: func(p *sim.Proc, it item) bool {
-			if w := pl.Workers(0); w > peak {
-				peak = w
-			}
-			p.Sleep(time.Millisecond)
-			return true
-		}},
+	work := func(p *sim.Proc, it item) bool {
+		peak = max(peak, e.Live())
+		p.Sleep(time.Millisecond)
+		return true
+	}
+	pl := New(e, "p", Config{QueueCap: 64},
+		Stage[item]{Name: "a", Work: work},
+		Stage[item]{Name: "b", Work: work},
 	)
 	e.Go("sub", func(p *sim.Proc) {
 		for i := 0; i < 32; i++ {
 			pl.Submit(p, item{i})
 		}
 		pl.Drain(p)
-		pl.Close()
+		pl.Kill()
 	})
 	e.RunUntil(10 * time.Second)
-	if peak > 2 {
-		t.Fatalf("peak workers = %d exceeds budget", peak)
+	if peak != 3 {
+		t.Fatalf("peak live processes = %d, want 3 (two stages + submitter)", peak)
 	}
 }
 

@@ -1,14 +1,17 @@
 package sim
 
 // Queue is a bounded FIFO connecting processes, analogous to a Go channel
-// in virtual time. A capacity of 0 means unbounded. Closed queues reject
-// puts and let getters drain remaining items, after which Get reports !ok.
+// in virtual time. A capacity of 0 means unbounded; a negative one is not
+// supported. Closed queues reject puts and let getters drain remaining
+// items, after which Get reports !ok.
 //
 // Fast paths: Put with buffer space (or a waiting getter) and Get with a
-// buffered item (or a waiting putter) complete inline without blocking, and
-// the wake-ups they schedule are typed records. Wait records are recycled
-// through a per-queue free list, so steady-state producer/consumer traffic
-// does not allocate.
+// buffered item complete inline without blocking, and the wake-ups they
+// schedule are typed records. Get never takes a value from a blocked putter
+// directly: a putter blocks only on a full buffer, and every pop refills the
+// buffer from a live waiting putter (admitPutter), so an empty buffer has no
+// live putter behind it. Wait records are recycled through a per-queue free
+// list, so steady-state producer/consumer traffic does not allocate.
 type Queue[T any] struct {
 	env    *Env
 	limit  int
@@ -139,11 +142,6 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 			q.admitPutter()
 			return v, true
 		}
-		if pu := q.popLivePutter(); pu != nil {
-			pu.handed = true
-			q.env.wakeAt(q.env.now, pu.p, pu.gen)
-			return pu.val, true
-		}
 		if q.closed {
 			var zero T
 			return zero, false
@@ -173,11 +171,6 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 		v = q.popItem()
 		q.admitPutter()
 		return v, true
-	}
-	if pu := q.popLivePutter(); pu != nil {
-		pu.handed = true
-		q.env.wakeAt(q.env.now, pu.p, pu.gen)
-		return pu.val, true
 	}
 	var zero T
 	return zero, false

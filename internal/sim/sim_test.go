@@ -605,3 +605,111 @@ func TestYieldOrdering(t *testing.T) {
 		t.Fatalf("order = %v, want [a b c]", order)
 	}
 }
+
+// TestQueueManyBlockedPutters is a seeded property test of a bounded queue
+// under contention: three producers against two consumers that mix Get and
+// TryGet, at capacities 1–4, with one producer killed while blocked in Put
+// and a Close once the producers are done. Each consumer sees each
+// producer's values in order; every accepted value is delivered exactly
+// once; the killed producer's pending value at most once; and nothing comes
+// out after the drain.
+func TestQueueManyBlockedPutters(t *testing.T) {
+	t.Parallel()
+	const producers, perProducer = 3, 40
+	for seed := int64(1); seed <= 40; seed++ {
+		capacity := 1 + int(seed%4)
+		e := NewEnv(seed)
+		rng := e.Rand()
+		q := NewQueue[int](e, capacity)
+		accepted := make(map[int]bool)
+		pending := make([]int, producers) // value inside Put, or -1
+		delivered := make(map[int]int)
+		var procs []*Proc
+		for i := 0; i < producers; i++ {
+			pending[i] = -1
+			procs = append(procs, e.Go("prod", func(p *Proc) {
+				for k := 0; k < perProducer; k++ {
+					v := i*perProducer + k
+					pending[i] = v
+					if q.Put(p, v) {
+						accepted[v] = true
+					}
+					pending[i] = -1
+					p.Sleep(time.Duration(rng.Intn(2)) * time.Microsecond)
+				}
+			}))
+		}
+		victim := procs[producers-1]
+		killed := false
+		e.Go("killer", func(p *Proc) {
+			// A producer is seen inside Put only while blocked there: an
+			// unblocked Put returns without yielding.
+			for pending[producers-1] < 0 && !victim.terminated {
+				p.Sleep(time.Microsecond)
+			}
+			if !victim.terminated {
+				victim.Kill()
+				killed = true
+			}
+		})
+		e.Go("closer", func(p *Proc) {
+			for _, pr := range procs {
+				p.Wait(pr.Done)
+			}
+			q.Close()
+			if q.Put(p, -1) {
+				t.Errorf("seed %d: put on a closed queue succeeded", seed)
+			}
+		})
+		for c := 0; c < 2; c++ {
+			e.Go("cons", func(p *Proc) {
+				last := []int{-1, -1, -1}
+				take := func(v int) {
+					delivered[v]++
+					if pr := v / perProducer; v%perProducer <= last[pr] {
+						t.Errorf("seed %d: producer %d's %d after %d", seed, pr, v%perProducer, last[pr])
+					} else {
+						last[pr] = v % perProducer
+					}
+				}
+				for {
+					p.Sleep(time.Duration(rng.Intn(4)) * time.Microsecond)
+					if rng.Intn(2) == 0 {
+						if v, ok := q.TryGet(); ok {
+							take(v)
+						}
+						continue
+					}
+					v, ok := q.Get(p)
+					if !ok {
+						break
+					}
+					take(v)
+				}
+				if _, ok := q.Get(p); ok {
+					t.Errorf("seed %d: Get delivered after the drain", seed)
+				}
+				if _, ok := q.TryGet(); ok {
+					t.Errorf("seed %d: TryGet delivered after the drain", seed)
+				}
+			})
+		}
+		e.Run()
+		if !killed {
+			t.Fatalf("seed %d: the victim was never blocked in Put", seed)
+		}
+		for v := range accepted {
+			if delivered[v] != 1 {
+				t.Errorf("seed %d: accepted value %d delivered %d times", seed, v, delivered[v])
+			}
+		}
+		for v, n := range delivered {
+			if !accepted[v] && (v != pending[producers-1] || n != 1) {
+				t.Errorf("seed %d: value %d delivered %d times, accepted %v", seed, v, n, accepted[v])
+			}
+		}
+		if q.Len() != 0 || e.Live() != 0 {
+			t.Errorf("seed %d: %d buffered, %d live after the run", seed, q.Len(), e.Live())
+		}
+	}
+}
