@@ -97,6 +97,7 @@ fsync p# us: #.# (baseline #.#, #.#x)
 sync-path fsync p# us: #.# (baseline #.#)
 large fsync p# us: #.# (baseline #.#)
 fan-in fsyncs/sec, # | # clients: # | # (baseline # | #)
+sync beside bulk fsync p# us: #.# (baseline #.#)
 pooled path allocs/op: #.#
 wrote ` + out},
 		{[]string{"-chaos", "-chaos-n", "2"}, `

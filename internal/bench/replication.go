@@ -37,6 +37,9 @@ type RepStats struct {
 	// FanInFsyncOpsPerSec is 2 and 4 clients of one primary, each doing 4 KiB
 	// write+fsync rounds on its own file: the sum of their fsyncs per second.
 	FanInFsyncOpsPerSec [2]float64 `json:"fanin_fsync_ops_per_s"`
+	// SyncBesideBulkFsyncP99Micros is a 4 KiB write+fsync tail while another
+	// client of the primary streams: the low-latency class beside bulk bytes.
+	SyncBesideBulkFsyncP99Micros float64 `json:"sync_beside_bulk_fsync_p99_us"`
 }
 
 // RepBenchReport is the BENCH_replication.json schema. The baseline column
@@ -92,12 +95,15 @@ var seedRepStats = RepStats{
 	// Added at PR 24; its baseline is commit 805d25a, the last whose
 	// low-latency class was one poller for every connection.
 	FanInFsyncOpsPerSec: [2]float64{10534.459727062356, 11120.111713189719},
+	// Its baseline is commit 9c23dfa, the last whose links let a low-latency
+	// transfer jump the queue but not the bulk segment in service.
+	SyncBesideBulkFsyncP99Micros: 388.311,
 }
 
-// repClient runs body as each of the clients of a fresh 3-node cluster of the
+// repClient runs body as each client i of a fresh 3-node cluster of the
 // default layout at chunkSize, on a file it has just created. All numbers
 // are simulated time, so they are deterministic across machines.
-func repClient(o Options, clients, chunkSize int, body func(p *sim.Proc, cl *core.Cluster, c *dfs.Client, fd int) error) error {
+func repClient(o Options, clients, chunkSize int, body func(p *sim.Proc, cl *core.Cluster, c *dfs.Client, fd, i int) error) error {
 	l := o.layout(clients)
 	l.ChunkSize = chunkSize
 	sys, err := newLineFS(o, l, nil)
@@ -110,7 +116,7 @@ func repClient(o Options, clients, chunkSize int, body func(p *sim.Proc, cl *cor
 		if err != nil {
 			return err
 		}
-		return body(p, sys.LineFS, c, fd)
+		return body(p, sys.LineFS, c, fd, i)
 	})
 }
 
@@ -137,9 +143,9 @@ func fsyncTrain(p *sim.Proc, c *dfs.Client, fd int, off *uint64, payload []byte,
 }
 
 // measureRepChain runs the fixed workload: the streaming phase and the two
-// small trains on one cluster, the fan-in trains and the large-fsync train
-// each on an idle one. Every cluster is DefaultConfig's, only the chunk size
-// differs.
+// small trains on one cluster, the fan-in trains, the beside-bulk train and
+// the large-fsync train each on a cluster of their own. Every cluster is
+// DefaultConfig's, only the chunk size differs.
 func measureRepChain(o Options) (st RepStats, err error) {
 	// Incompressible payload: compression never pays off, so the chain
 	// moves raw frames and the wire protocol itself is what is measured.
@@ -150,7 +156,7 @@ func measureRepChain(o Options) (st RepStats, err error) {
 	// chunks a doorbell carries as many boundaries as one chain message
 	// carries chunks (doorbellChunks: 16), so one dispatch forms that many
 	// chunks and the sender sees a real backlog to coalesce.
-	err = repClient(o, 1, repChunkSize, func(p *sim.Proc, cl *core.Cluster, c *dfs.Client, fd int) error {
+	err = repClient(o, 1, repChunkSize, func(p *sim.Proc, cl *core.Cluster, c *dfs.Client, fd, _ int) error {
 		// Streaming phase: one chunk-sized write per chunk paces one
 		// chunk-ready notification each, so the sender sees a genuine
 		// multi-chunk backlog; the closing fsync waits until every chunk
@@ -199,7 +205,7 @@ func measureRepChain(o Options) (st RepStats, err error) {
 		return st, err
 	}
 	for i, clients := range [...]int{2, 4} {
-		if err := repClient(o, clients, o.layout(1).ChunkSize, func(p *sim.Proc, _ *core.Cluster, c *dfs.Client, fd int) (err error) {
+		if err := repClient(o, clients, o.layout(1).ChunkSize, func(p *sim.Proc, _ *core.Cluster, c *dfs.Client, fd, _ int) (err error) {
 			off, start := uint64(0), p.Now()
 			_, _, err = fsyncTrain(p, c, fd, &off, payload[:4<<10], 1, repFsyncOps)
 			st.FanInFsyncOpsPerSec[i] += repFsyncOps / time.Duration(p.Now()-start).Seconds()
@@ -208,7 +214,24 @@ func measureRepChain(o Options) (st RepStats, err error) {
 			return st, err
 		}
 	}
-	return st, repClient(o, 1, o.layout(1).ChunkSize, func(p *sim.Proc, _ *core.Cluster, c *dfs.Client, fd int) (err error) {
+	bulkDone := false
+	if err := repClient(o, 2, o.layout(1).ChunkSize, func(p *sim.Proc, _ *core.Cluster, c *dfs.Client, fd, i int) (err error) {
+		var off uint64
+		if i == 0 {
+			defer func() { bulkDone = true }()
+			_, st.SyncBesideBulkFsyncP99Micros, err = fsyncTrain(p, c, fd, &off, payload[:4<<10], 1, repFsyncOps)
+			return err
+		}
+		for ; !bulkDone; off = (off + repChunkSize) % (8 << 20) { // an 8 MiB ring
+			if _, err := c.WriteAt(p, fd, off, payload); err != nil {
+				return err
+			}
+		}
+		return c.Fsync(p, fd)
+	}); err != nil {
+		return st, err
+	}
+	return st, repClient(o, 1, o.layout(1).ChunkSize, func(p *sim.Proc, _ *core.Cluster, c *dfs.Client, fd, _ int) (err error) {
 		var off uint64
 		st.LargeFsyncP50Micros, _, err = fsyncTrain(p, c, fd, &off, payload[:10<<10], 64, 16)
 		return err

@@ -14,11 +14,13 @@ import (
 // that forms its own chunk must cost less than it did while it still waited
 // for local publication, a large fsync at least a quarter less than it did as
 // one chunk, four clients' small fsyncs must complete at twice the rate they
-// did behind one low-latency poller and at 1.8 times two clients' rate, and
-// the pooled hot path must not allocate. The simulated columns are
-// deterministic, so both must reproduce the committed
-// BENCH_replication.json exactly: the baseline because it is frozen, the
-// current column because nothing may move it unannounced.
+// did behind one low-latency poller and at 1.8 times two clients' rate, a
+// small fsync's tail beside a streaming client must be at most half what it
+// was while the class waited out bulk link segments, and the pooled hot path
+// must not allocate. The simulated columns are deterministic, so both must
+// reproduce the committed BENCH_replication.json exactly: the baseline
+// because it is frozen, the current column because nothing may move it
+// unannounced.
 //
 // Not parallel: the allocation gate reads process-wide MemStats, so a
 // sibling test allocating inside the window would be charged to the hot
@@ -47,6 +49,9 @@ func TestRepBenchAcceptance(t *testing.T) {
 	if cur, base := rep.Current.FanInFsyncOpsPerSec, rep.Baseline.FanInFsyncOpsPerSec; cur[1] < 2*base[1] || cur[1] < 1.8*cur[0] {
 		t.Errorf("fan-in fsyncs/sec = %.0f | %.0f at 2 | 4 clients (recorded %.0f | %.0f), want the 4-client rate twice the recorded one and 1.8x the 2-client one",
 			cur[0], cur[1], base[0], base[1])
+	}
+	if cur, base := rep.Current.SyncBesideBulkFsyncP99Micros, rep.Baseline.SyncBesideBulkFsyncP99Micros; cur <= 0 || cur > base/2 {
+		t.Errorf("sync beside bulk fsync p99 = %.3f us, want at most half the recorded %.3f us", cur, base)
 	}
 	if rep.PooledAllocsPerOp >= 1 {
 		t.Errorf("pooled hot path allocates %.1f allocs/op, want 0", rep.PooledAllocsPerOp)

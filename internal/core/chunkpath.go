@@ -379,8 +379,9 @@ func (cs *clientState) stageFetch(p *sim.Proc, ck *chunk) bool {
 
 	m := n.cl.Machines[n.machine]
 	// One-sided read through the NIC switch: the NIC's read engine is the
-	// bottleneck; PM reads and the NIC DRAM placement stream behind it.
-	m.Fetch.Transfer(p, int(size), 0)
+	// bottleneck; PM reads and the NIC DRAM placement stream behind it. An
+	// fsync's chunk preempts bulk fetches on it.
+	m.Fetch.Transfer(p, int(size), rdma.ClassPrio(ck.sync))
 	ck.raw = growBuf(ck.raw, int(size))
 	cs.log.ReadRawInto(fs.NoCostCtx(m.PM), ck.from, ck.raw)
 	n.StageTimes["fetch"].add(time.Duration(p.Now() - start))

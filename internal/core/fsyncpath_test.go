@@ -10,6 +10,7 @@ import (
 	"linefs/internal/dfs"
 	"linefs/internal/fs"
 	"linefs/internal/hw"
+	"linefs/internal/rdma"
 	"linefs/internal/sim"
 )
 
@@ -486,9 +487,24 @@ func largeFsync(t *testing.T, cfg Config, size int, pieces bool) (trip largeTrip
 // there is no stage behind it (LineFS-NotParallel), the cuts are ignored.
 func TestLargeFsyncStreams(t *testing.T) {
 	t.Parallel()
-	if link := hw.NewLink(sim.NewEnv(1), "l", 0, 1e9); dfs.FsyncPiece != subBlockSize || dfs.FsyncPiece != link.MaxSeg {
-		t.Errorf("dfs.FsyncPiece %d, subBlockSize %d, a link's MaxSeg %d: a piece is meant to be one of each",
-			dfs.FsyncPiece, subBlockSize, link.MaxSeg)
+	// A piece is one codec sub-block. It is one uninterrupted transfer on each
+	// link because of its class, not its size: the fsync path's priority
+	// preempts the bulk segment in service, whatever MaxSeg is.
+	if dfs.FsyncPiece != subBlockSize {
+		t.Errorf("dfs.FsyncPiece %d, subBlockSize %d: a piece is meant to be one sub-block", dfs.FsyncPiece, subBlockSize)
+	}
+	env := sim.NewEnv(1)
+	link := hw.NewLink(env, "l", 0, 1e9)
+	var pieceDone sim.Time
+	env.Go("bulk", func(p *sim.Proc) { link.Transfer(p, 4<<20, rdma.ClassPrio(false)) })
+	env.Go("piece", func(p *sim.Proc) {
+		p.Sleep(time.Microsecond)
+		link.Transfer(p, dfs.FsyncPiece, rdma.ClassPrio(true))
+		pieceDone = p.Now()
+	})
+	env.Run()
+	if want := sim.Time(time.Microsecond + link.SerializeTime(dfs.FsyncPiece)); pieceDone != want {
+		t.Errorf("a piece beside bulk on a link returned at %v, want %v: its arrival plus its own serialization", pieceDone, want)
 	}
 
 	cut, whole := largeFsync(t, testConfig(), 640<<10, true), largeFsync(t, testConfig(), 640<<10, false)

@@ -378,7 +378,7 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 	}
 
 	// Persist the batch into the local PM log mirror.
-	ms.persistRaw(p, rb.From, raw)
+	ms.persistRaw(p, rb.From, raw, rdma.ClassPrio(rb.Sync))
 
 	// One cumulative acknowledgment covers every chunk in the batch.
 	ms.ack(p, rb.To)
@@ -483,14 +483,14 @@ func (ms *mirrorState) handleDirect(p *sim.Proc, rd *replDirect) {
 }
 
 // persistRaw copies chunk bytes from SmartNIC memory into the local host
-// PM log mirror across PCIe. No host thread takes part, so the ack that
-// follows — and the fsync behind it — never waits on this replica's host
-// (§5.2.5); the copy is done with raw when it returns.
-func (ms *mirrorState) persistRaw(p *sim.Proc, at uint64, raw []byte) {
+// PM log mirror across PCIe at prio. No host thread takes part, so the ack
+// that follows — and the fsync behind it — never waits on this replica's
+// host (§5.2.5); the copy is done with raw when it returns.
+func (ms *mirrorState) persistRaw(p *sim.Proc, at uint64, raw []byte, prio int) {
 	n := ms.n
 	for off := 0; off < len(raw); {
 		seg := ms.log.SegmentAt(at+uint64(off), len(raw)-off)
-		n.pmWrite(p, seg.PhysOff, raw[off:off+seg.Len])
+		n.pmWrite(p, seg.PhysOff, raw[off:off+seg.Len], prio)
 		off += seg.Len
 	}
 	// Advance and persist the mirror header (small PCIe write). A gap here

@@ -149,14 +149,14 @@ func (n *NICFS) EpochChanged(p *sim.Proc, epoch uint64) {
 	n.epoch = epoch
 	n.pruneHistory()
 	// Persist the epoch number (a small PM write across PCIe).
-	n.pmWrite(p, epochPMOff, []byte{byte(epoch), byte(epoch >> 8), byte(epoch >> 16), byte(epoch >> 24), 0, 0, 0, 0})
+	n.pmWrite(p, epochPMOff, []byte{byte(epoch), byte(epoch >> 8), byte(epoch >> 16), byte(epoch >> 24), 0, 0, 0, 0}, 0)
 }
 
 // pmWrite places data at host PM offset dst straight from SmartNIC memory:
-// one PCIe crossing and a persist, no host thread (§3.5).
-func (n *NICFS) pmWrite(p *sim.Proc, dst int64, data []byte) {
+// one PCIe crossing at prio and a persist, no host thread (§3.5).
+func (n *NICFS) pmWrite(p *sim.Proc, dst int64, data []byte, prio int) {
 	m := n.cl.Machines[n.machine]
-	m.PCIe.Transfer(p, len(data), 0)
+	m.PCIe.Transfer(p, len(data), prio)
 	m.PM.WritePersist(p, dst, data)
 }
 
@@ -455,7 +455,7 @@ func (n *NICFS) runLeasePersister(p *sim.Proc) {
 // persistLeaseRecord writes one lease record to the PM lease journal. The
 // journal is modeled by its cost only: the record's bytes are never filled in.
 func (n *NICFS) persistLeaseRecord(p *sim.Proc, rec leaseRecord) {
-	n.pmWrite(p, leaseJournalOff, leaseRecordZero[:])
+	n.pmWrite(p, leaseJournalOff, leaseRecordZero[:], 0)
 }
 
 var leaseRecordZero [48]byte
@@ -586,7 +586,7 @@ func (n *NICFS) publishItems(p *sim.Proc, items []copyItem) bool {
 			}
 			data = next
 		}
-		n.pmWrite(p, dst, data)
+		n.pmWrite(p, dst, data, 0)
 	}
 	return retained
 }

@@ -9,9 +9,13 @@ import (
 
 // Link models an interconnect segment — a PCIe path, a NIC port, a memory
 // channel — with store-and-forward serialization at a fixed bandwidth plus
-// propagation latency. Concurrent transfers share the bandwidth by queueing
-// on the link's channel resource; propagation latency does not occupy the
-// channel.
+// propagation latency, which does not occupy the link.
+//
+// Priorities arbitrate per packet, as RoCE traffic classes and PCIe virtual
+// channels do: a segment above the priority in service is served at once, and
+// the segment it preempts is stretched by exactly its serialization, so the
+// link never serves more than BytesPerSec. One priority queues FIFO in MaxSeg
+// grants.
 type Link struct {
 	Env  *sim.Env
 	Name string
@@ -20,10 +24,10 @@ type Link struct {
 	// BytesPerSec is the serialization bandwidth.
 	BytesPerSec float64
 	// MaxSeg bounds a single serialization grant so huge transfers do not
-	// starve small ones (0 = unbounded).
+	// starve small ones of their priority.
 	MaxSeg int
 
-	ch *sim.Resource
+	classes []*linkClass // one per priority carried so far
 
 	// Bytes counts all bytes transferred; Series optionally buckets them
 	// over time for bandwidth plots.
@@ -31,26 +35,17 @@ type Link struct {
 	Series *stats.TimeSeries
 }
 
-// NewLink creates a link with one serialization channel.
-func NewLink(env *sim.Env, name string, lat time.Duration, bytesPerSec float64) *Link {
-	return NewLanedLink(env, name, lat, bytesPerSec, 1)
+// linkClass is one priority's FIFO channel and the end of its segment in
+// service (0: none).
+type linkClass struct {
+	prio int
+	ch   *sim.Resource
+	end  sim.Time
 }
 
-// NewLanedLink creates a link whose bandwidth is split across lanes
-// channels (interleaved PM DIMMs, multi-lane PCIe): small transfers are not
-// serialized behind large ones on a different lane.
-func NewLanedLink(env *sim.Env, name string, lat time.Duration, bytesPerSec float64, lanes int) *Link {
-	if lanes < 1 {
-		lanes = 1
-	}
-	return &Link{
-		Env:         env,
-		Name:        name,
-		Lat:         lat,
-		BytesPerSec: bytesPerSec / float64(lanes),
-		MaxSeg:      256 << 10,
-		ch:          sim.NewResource(env, lanes),
-	}
+// NewLink creates an idle link with 256 KiB grants.
+func NewLink(env *sim.Env, name string, lat time.Duration, bytesPerSec float64) *Link {
+	return &Link{Env: env, Name: name, Lat: lat, BytesPerSec: bytesPerSec, MaxSeg: 256 << 10}
 }
 
 // SerializeTime returns the time to push n bytes through the link at full
@@ -59,36 +54,53 @@ func (l *Link) SerializeTime(n int) time.Duration {
 	return time.Duration(float64(n) / l.BytesPerSec * float64(time.Second))
 }
 
-// Transfer moves n bytes across the link, blocking for serialization under
-// contention and then for propagation latency. prio orders waiters. A
-// process killed mid-transfer releases the channel as it unwinds.
+// Transfer moves n bytes across the link at priority prio, blocking for
+// serialization under contention and then for propagation latency. A sender
+// killed mid-transfer frees the link at once, but a segment it had preempted
+// keeps its stretch: the killed segment's unsent rest stays reserved.
 func (l *Link) Transfer(p *sim.Proc, n int, prio int) {
-	l.serialize(p, n, prio)
+	l.Bytes.Add(int64(n))
+	if l.Series != nil {
+		l.Series.Add(time.Duration(l.Env.Now()), float64(n))
+	}
+	c := l.class(prio)
+	for ; n > 0; n -= l.MaxSeg {
+		l.segment(p, c, l.SerializeTime(min(n, l.MaxSeg)))
+	}
 	if l.Lat > 0 {
 		p.Sleep(l.Lat)
 	}
 }
 
-func (l *Link) serialize(p *sim.Proc, n, prio int) {
-	l.account(n)
-	remaining := n
-	for remaining > 0 {
-		seg := remaining
-		if l.MaxSeg > 0 && seg > l.MaxSeg {
-			seg = l.MaxSeg
+func (l *Link) class(prio int) *linkClass {
+	for _, c := range l.classes {
+		if c.prio == prio {
+			return c
 		}
-		func() {
-			l.ch.Acquire(p, prio)
-			defer l.ch.Release()
-			p.Sleep(l.SerializeTime(seg))
-		}()
-		remaining -= seg
 	}
+	c := &linkClass{prio: prio, ch: sim.NewResource(l.Env, 1)}
+	l.classes = append(l.classes, c)
+	return c
 }
 
-func (l *Link) account(n int) {
-	l.Bytes.Add(int64(n))
-	if l.Series != nil {
-		l.Series.Add(time.Duration(l.Env.Now()), float64(n))
+// segment serves one grant of d on c: after every higher-priority segment in
+// service, stretching every lower one by d, whose sender wakes at its old end
+// and sleeps the difference.
+func (l *Link) segment(p *sim.Proc, c *linkClass, d time.Duration) {
+	c.ch.Acquire(p, c.prio)
+	defer func() { c.end = 0; c.ch.Release() }()
+	now := p.Now()
+	start := now
+	for _, o := range l.classes {
+		switch {
+		case o.end <= now:
+		case o.prio > c.prio:
+			start = max(start, o.end)
+		default:
+			o.end += sim.Time(d)
+		}
+	}
+	for c.end = start + sim.Time(d); c.end > p.Now(); {
+		p.Sleep(time.Duration(c.end - p.Now()))
 	}
 }

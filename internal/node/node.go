@@ -158,7 +158,7 @@ func NewMachine(env *sim.Env, fabric *rdma.Fabric, name string, spec Spec) *Mach
 		PM:      hw.NewPM(env, name+"/pm", hw.PMConfig{Size: spec.PMSize, ReadLat: spec.PM.ReadLat, WriteLat: spec.PM.WriteLat, Bandwidth: spec.PM.Bandwidth}),
 		NICCPU:  hw.NewCPU(env, name+"/nic", spec.NICCores, spec.NICSpeed),
 		NICMem:  hw.NewMem(env, name+"/nicmem", spec.NICMemSize),
-		PCIe:    newPCIeLink(env, name, spec),
+		PCIe:    hw.NewLink(env, name+"/pcie", spec.PCIeLat, spec.PCIeBW),
 		Fetch:   hw.NewLink(env, name+"/fetch", spec.PCIeLat, spec.FetchBW),
 		Port:    fabric.NewNIC(name, spec.NetBW),
 		HostUp:  true,
@@ -168,11 +168,6 @@ func NewMachine(env *sim.Env, fabric *rdma.Fabric, name string, spec Spec) *Mach
 	m.NICPort = m.Local.NewNIC(name+".nic", spec.PCIeBW)
 	m.DMA = hw.NewDMA(env, spec.DMA, m.PM.Link())
 	return m
-}
-
-// newPCIeLink models the host<->SmartNIC path.
-func newPCIeLink(env *sim.Env, name string, spec Spec) *hw.Link {
-	return hw.NewLink(env, name+"/pcie", spec.PCIeLat, spec.PCIeBW)
 }
 
 // NewFabric creates the cluster network fabric for a set of machines.

@@ -159,17 +159,22 @@ type Conn struct {
 	closed bool
 }
 
+// ClassPrio is a QP class's link priority: on every hw.Link it shares with
+// bulk traffic, the low-latency class preempts the bulk segment in service.
+func ClassPrio(lowLat bool) int {
+	if lowLat {
+		return 8
+	}
+	return 0
+}
+
 // Dial opens a queue pair from local to the named service on remote.
 // Low-latency connections carry link priority: their (small) messages are
 // not serialized behind bulk transfers at saturated ports.
 func Dial(local, remote *NIC, service string, lowLat bool) *Conn {
 	local.QPs++
 	remote.QPs++
-	prio := 0
-	if lowLat {
-		prio = 8
-	}
-	return &Conn{Local: local, Remote: remote, Service: service, LowLat: lowLat, Prio: prio}
+	return &Conn{Local: local, Remote: remote, Service: service, LowLat: lowLat, Prio: ClassPrio(lowLat)}
 }
 
 // Close releases the queue pair.
@@ -335,7 +340,7 @@ func (c *Conn) RDMAWrite(p *sim.Proc, region string, off int64, src []byte) erro
 		}
 	}
 	c.sendCost(p, len(src))
-	r.WriteAt(p, off, src)
+	r.WriteAt(p, off, src, c.Prio)
 	return nil
 }
 
@@ -351,10 +356,10 @@ type PMRegion struct {
 	Persist bool
 }
 
-// WriteAt places src at off, paying each extra link and then the PM.
-func (r *PMRegion) WriteAt(p *sim.Proc, off int64, src []byte) {
+// WriteAt places src at off, paying each extra link at prio and then the PM.
+func (r *PMRegion) WriteAt(p *sim.Proc, off int64, src []byte, prio int) {
 	for _, l := range r.Extra {
-		l.Transfer(p, len(src), 0)
+		l.Transfer(p, len(src), prio)
 	}
 	if r.Persist {
 		r.PM.WritePersist(p, r.Base+off, src)

@@ -70,8 +70,9 @@ func TestCallTimeoutWhenHandlerDies(t *testing.T) {
 }
 
 // TestLowLatPriorityBeatsBulkQueueing verifies the QP-class link priority:
-// a small low-latency message is not serialized behind a bulk transfer
-// backlog.
+// a small low-latency message is neither serialized behind a bulk transfer
+// backlog nor behind the bulk segment in service. It finishes at its arrival
+// plus its own serialization, exactly.
 func TestLowLatPriorityBeatsBulkQueueing(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
@@ -88,15 +89,15 @@ func TestLowLatPriorityBeatsBulkQueueing(t *testing.T) {
 			bulk.RDMAWrite(p, "r", 0, make([]byte, 4<<20))
 		})
 	}
+	const arrive = 100 * time.Microsecond // bulk queued, a 256 KiB segment in service
 	e.Go("low", func(p *sim.Proc) {
-		p.Sleep(100 * time.Microsecond) // bulk already queued
+		p.Sleep(arrive)
 		low.RDMAWrite(p, "r", 1<<20, make([]byte, 256))
 		lowDone = p.Now()
 	})
 	e.Run()
-	// 16 MB of bulk at 1 GB/s = 16 ms; the prioritized small write must
-	// finish far earlier (bounded by the in-flight segment).
-	if lowDone > sim.Time(2*time.Millisecond) {
-		t.Fatalf("low-latency write finished at %v; priority ineffective", lowDone)
+	// The PM at 1 TB/s adds no whole nanosecond to 256 bytes.
+	if want := sim.Time(arrive + a.TX.SerializeTime(256+a.MsgOverhead)); lowDone != want {
+		t.Fatalf("low-latency write finished at %v, want %v: its arrival plus its own serialization", lowDone, want)
 	}
 }
