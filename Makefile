@@ -45,11 +45,12 @@ loc:
 # Does any harness run this? Builds linefs-bench, linefs-check and the
 # benchmark with count-mode coverage of every linefs package into a temporary
 # directory (never the checkout), runs every experiment, the ablations,
-# chaos, the repbench/databench smokes, linefs-check on the five systems and
-# the six benchmark workloads for a second each, merges the counters, and
+# chaos and one chaos reproducer, a selfcheck of fig5, the kernel bench, the
+# repbench/databench smokes, linefs-check on the five systems and the six
+# benchmark workloads for a second each, merges the counters, and
 # prints the functions no run reached (internal/lint aside: only its tests
 # drive it). The merged count profile stays in the printed directory for
-# per-block questions. Not part of `ci`: 3.5 minutes on a 2-core, 7 GB
+# per-block questions. Not part of `ci`: 5 minutes on a 2-core, 7 GB
 # machine, and 4.1 GB in its largest process (-exp all, for fig4).
 prodcover:
 	@set -e; d=$$(mktemp -d); mkdir $$d/cov; \
@@ -61,6 +62,9 @@ prodcover:
 	$$d/linefs-bench -exp all -j 1 >/dev/null; \
 	$$d/linefs-bench -exp ablations -j 1 >/dev/null; \
 	$$d/linefs-bench -chaos >/dev/null; \
+	$$d/linefs-bench -chaos -chaos-seed 1 >/dev/null; \
+	$$d/linefs-bench -selfcheck -exp fig5 -j 1 >/dev/null; \
+	$$d/linefs-bench -kernelbench -kernelbench-out $$d/kernel.json >/dev/null; \
 	$$d/linefs-bench -repbench -repbench-time 25ms -repbench-out $$d/rep.json >/dev/null; \
 	$$d/linefs-bench -databench -databench-time 25ms -databench-out $$d/data.json >/dev/null; \
 	for s in linefs linefs-np assise assise-bg assise-hl; do $$d/linefs-check -system $$s >/dev/null; done; \

@@ -98,7 +98,7 @@ func NewCluster(env *sim.Env, cfg Config) (*Cluster, error) {
 	for _, m := range cl.Machines {
 		// Remote log slots are written with one-sided RDMA into host PM
 		// (Assise's replication path and Hyperloop's NIC-driven writes).
-		m.Port.RegisterRegion("pm", &rdma.PMRegion{PM: m.PM, Base: 0, Persist: true})
+		m.Port.RegisterRegion("pm", &rdma.PMRegion{PM: m.PM, Base: 0})
 	}
 	return cl, nil
 }

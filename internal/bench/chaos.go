@@ -186,9 +186,9 @@ type chaosRun struct {
 	violations []string
 	robust     stats.Robustness
 	acked      int64
-	// ackTimes records the simulated time of every successful fsync, for
-	// the availability timeline in reproducer mode.
-	ackTimes []time.Duration
+	// acks counts successful fsyncs per ackBucket of simulated time, for the
+	// availability timeline in reproducer mode.
+	acks *stats.TimeSeries
 	// bigResends counts the chain resends made while a round of more than
 	// one write was out: what says a many-piece fsync met the schedule.
 	bigResends int64
@@ -198,7 +198,7 @@ type chaosRun struct {
 // workload, heals, and checks durability, convergence, and drain. The
 // determinism invariant is checked by the caller across two of these runs.
 func runChaosOnce(plan *chaosPlan) (r *chaosRun) {
-	r = &chaosRun{}
+	r = &chaosRun{acks: stats.NewTimeSeries(ackBucket)}
 	defer func() {
 		if v := recover(); v != nil {
 			r.violations = append(r.violations, fmt.Sprintf("panic: %v", v))
@@ -310,7 +310,7 @@ func runChaosOnce(plan *chaosPlan) (r *chaosRun) {
 					continue
 				}
 				acked[ci] = off
-				r.ackTimes = append(r.ackTimes, time.Duration(p.Now()))
+				r.acks.Add(time.Duration(p.Now()), 1)
 			}
 		})
 	}
@@ -419,24 +419,22 @@ func runChaosOnce(plan *chaosPlan) (r *chaosRun) {
 	return r
 }
 
+// ackBucket is the availability timeline's resolution.
+const ackBucket = 100 * time.Millisecond
+
 // printAckTimeline renders the availability timeline of one run: fsync
-// acknowledgments bucketed per 100 ms of simulated time, in the style of
-// the paper's Figure 10 — a stall shows up as an empty bucket during the
-// fault window, recovery as the post-heal burst.
-func printAckTimeline(w io.Writer, seed int64, acks []time.Duration) {
-	if len(acks) == 0 {
+// acknowledgments per ackBucket of simulated time, in the style of the
+// paper's Figure 10 — a stall shows up as an empty bucket during the fault
+// window, recovery as the post-heal burst.
+func printAckTimeline(w io.Writer, seed int64, acks *stats.TimeSeries) {
+	if len(acks.Buckets()) == 0 {
 		return
 	}
-	const bucket = 100 * time.Millisecond
-	last := acks[len(acks)-1] / bucket
-	counts := make([]int, last+1)
-	for _, t := range acks {
-		counts[t/bucket]++
-	}
-	fmt.Fprintf(w, "chaos seed %d availability (fsync acks per %s):\n", seed, bucket)
-	for i, c := range counts {
+	fmt.Fprintf(w, "chaos seed %d availability (fsync acks per %s):\n", seed, acks.Width)
+	for i, v := range acks.Buckets() {
+		c := int(v)
 		fmt.Fprintf(w, "  %4.1fs %-8s %d\n",
-			(time.Duration(i) * bucket).Seconds(), strings.Repeat("#", c), c)
+			(time.Duration(i) * acks.Width).Seconds(), strings.Repeat("#", c), c)
 	}
 }
 
@@ -504,7 +502,7 @@ func Chaos(opts Options, n int, only int64, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stdout, "chaos seed %d: reproduce with: linefs-bench -chaos -chaos-seed %d\n", seed, seed)
 		} else if only >= 0 {
-			printAckTimeline(stdout, seed, r1.ackTimes)
+			printAckTimeline(stdout, seed, r1.acks)
 			fmt.Fprintf(stdout, "chaos seed %d ok: %d acked bytes, digest %016x over %d events\n",
 				seed, r1.acked, uint64(r1.digest), r1.events)
 		}

@@ -34,8 +34,6 @@ type chunk struct {
 	zipLens []uint32
 	subLens []uint32
 
-	memHeld int64
-
 	// sync marks fsync-path chunks (transferred on the low-latency class);
 	// started guards against double-processing when fsyncs overlap.
 	sync    bool
@@ -153,9 +151,10 @@ func newClientState(n *NICFS, slot int, id string, la *fs.LogArea) *clientState 
 	env := n.cl.Env
 	cfg := n.cl.Cfg
 	if cfg.Parallel {
-		// The ingress queue must never block the NICFS bulk workers (they
-		// also drain replication acks); backpressure comes from the NICMem
-		// flow-control watermarks in the fetch stage (§4).
+		// The ingress queue must never block the lane that submits to it.
+		// What the pipelines hold is bounded by the client log instead: a
+		// chunk's bytes stay unreclaimed from formation to completion, and
+		// LibFS appends no more than LogSize of them (DESIGN.md §11).
 		plCfg := pipeline.Config{QueueCap: 1 << 20}
 		cs.mainPl = pipeline.New(env, id+"/main", plCfg,
 			pipeline.Stage[*chunk]{Name: "fetch", Work: cs.stageFetch},
@@ -368,15 +367,11 @@ func (cs *clientState) formChunk(p *sim.Proc, head uint64, sync bool) {
 }
 
 // stageFetch pulls the chunk's raw log bytes from host PM into SmartNIC
-// memory across PCIe (one-sided read through the NIC switch), under the
-// memory flow-control watermarks.
+// memory across PCIe (one-sided read through the NIC switch).
 func (cs *clientState) stageFetch(p *sim.Proc, ck *chunk) bool {
 	n := cs.n
 	start := p.Now()
 	size := int64(ck.to - ck.from)
-	n.memReserve(p, size)
-	ck.memHeld = size
-
 	m := n.cl.Machines[n.machine]
 	// One-sided read through the NIC switch: the NIC's read engine is the
 	// bottleneck; PM reads and the NIC DRAM placement stream behind it. An
@@ -937,10 +932,6 @@ func (cs *clientState) runCompletion(p *sim.Proc) {
 		cs.n.StageTimes["wait-rep"].add(time.Duration(p.Now() - t1))
 		cs.pending[0] = nil
 		cs.pending = cs.pending[1:]
-		if ck.memHeld > 0 {
-			cs.n.memRelease(ck.memHeld)
-			ck.memHeld = 0
-		}
 		if ck.valid && ck.to > cs.ackSent {
 			cs.ackSent = ck.to
 			// The SmartNIC-to-host acknowledgment is Figure 2's ACK stage.

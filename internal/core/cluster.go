@@ -39,7 +39,7 @@ func NewCluster(env *sim.Env, cfg Config) (*Cluster, error) {
 		m.Local.Robust = &cl.Robust
 		// Expose the whole PM over the network for direct last-hop log
 		// writes.
-		m.Port.RegisterRegion("pm", &rdma.PMRegion{PM: m.PM, Base: 0, Extra: []*hw.Link{m.PCIe}, Persist: true})
+		m.Port.RegisterRegion("pm", &rdma.PMRegion{PM: m.PM, Base: 0, Extra: []*hw.Link{m.PCIe}})
 	}
 	// Timed-out and late-discarded RPCs on the cluster fabric count into the
 	// cluster's robustness summary even without a fault plane.

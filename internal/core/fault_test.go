@@ -214,34 +214,29 @@ func TestPartitionStallsFsyncUntilHeal(t *testing.T) {
 // connection — only if it says so.
 func tapNIC(env *sim.Env, cl *Cluster, mi int, deliver func(*rdma.Msg) bool) {
 	n, m := cl.NICs[mi], cl.Machines[mi]
-	for _, tap := range []struct {
-		port *rdma.NIC
-		svc  string
-		dst  func(*rdma.Conn) *sim.Queue[*rdma.Msg]
-	}{
-		{m.Port, svcBulk, func(*rdma.Conn) *sim.Queue[*rdma.Msg] { return n.bulkQ }}, {m.Port, svcLow, n.lane},
-		{m.NICPort, svcBulk, func(*rdma.Conn) *sim.Queue[*rdma.Msg] { return n.bulkQ }}, {m.NICPort, svcLow, n.lane},
-	} {
-		tap, taps := tap, map[*rdma.Conn]*sim.Queue[*rdma.Msg]{}
-		tap.port.RegisterPerConn(tap.svc, func(c *rdma.Conn) *sim.Queue[*rdma.Msg] {
-			if q := taps[c]; q != nil {
-				return q
-			}
-			q := sim.NewQueue[*rdma.Msg](env, 0)
-			taps[c] = q
-			env.Go("tap/"+tap.svc, func(p *sim.Proc) {
-				for {
-					m, ok := q.Get(p)
-					if !ok {
-						return
-					}
-					if deliver(m) {
-						tap.dst(c).Put(p, m)
-					}
-				}
-			})
+	taps := map[*rdma.Conn]*sim.Queue[*rdma.Msg]{}
+	tap := func(c *rdma.Conn) *sim.Queue[*rdma.Msg] {
+		if q := taps[c]; q != nil {
 			return q
+		}
+		q := sim.NewQueue[*rdma.Msg](env, 0)
+		taps[c] = q
+		env.Go("tap/"+c.Service, func(p *sim.Proc) {
+			for {
+				m, ok := q.Get(p)
+				if !ok {
+					return
+				}
+				if deliver(m) {
+					n.lane(c).Put(p, m)
+				}
+			}
 		})
+		return q
+	}
+	for _, port := range []*rdma.NIC{m.Port, m.NICPort} {
+		port.RegisterPerConn(svcBulk, tap)
+		port.RegisterPerConn(svcLow, tap)
 	}
 }
 

@@ -89,7 +89,9 @@ func TestLowLatClassScalesWithConnections(t *testing.T) {
 }
 
 // TestPerConnectionOrderKept holds the one order the protocol does assume:
-// a queue pair's. Two cumulative acks one replica sends one after the other
+// a queue pair's, on connections of either class.
+//
+// Low-latency: two cumulative acks one replica sends one after the other
 // must be applied in that order even when dispatching them message by
 // message would not: the first finds the reserved core taken by another
 // connection's message and every pool core inside a long time slice, the
@@ -97,48 +99,78 @@ func TestLowLatClassScalesWithConnections(t *testing.T) {
 // the first would arrive below the watermark and be counted stale. (The
 // fault-free half — two clients, no stale ack, no robustness counter — is
 // asserted by every fanInFsyncP50 run above.)
+//
+// Bulk: two lease records one peer sends back to back are handled one after
+// the other, so the second reaches the journal a dispatch after the first. A
+// pool of workers on one queue would handle them side by side and persist
+// both within one dispatch of their arrival.
 func TestPerConnectionOrderKept(t *testing.T) {
 	t.Parallel()
-	env, cl := newTestCluster(t, testConfig())
-	defer env.Shutdown()
-	n, cpu := cl.NICs[0], cl.Machines[0].NICCPU
-	run(t, env, 10*time.Second, func(p *sim.Proc) {
-		a, err := cl.Attach(p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs := n.clients[a.backend.slot]
+	t.Run("low-latency", func(t *testing.T) {
+		env, cl := newTestCluster(t, testConfig())
+		defer env.Shutdown()
+		n, cpu := cl.NICs[0], cl.Machines[0].NICCPU
+		run(t, env, 10*time.Second, func(p *sim.Proc) {
+			a, err := cl.Attach(p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs := n.clients[a.backend.slot]
 
-		// Bulk work holds all fifteen pool cores in 10 ms slices.
-		cpu.Slice = 10 * time.Millisecond
-		for i := 1; i < cpu.NumCores(); i++ {
-			env.Go("hog", func(hp *sim.Proc) { cpu.Compute(hp, time.Second, 0, "hog") })
-		}
-		p.Sleep(time.Millisecond)
-		if got := cpu.Cores.InUse(); got != cpu.NumCores() {
-			t.Fatalf("%d of %d cores busy, want the pool hogged and the reserve held", got, cpu.NumCores())
-		}
+			// Bulk work holds all fifteen pool cores in 10 ms slices.
+			cpu.Slice = 10 * time.Millisecond
+			for i := 1; i < cpu.NumCores(); i++ {
+				env.Go("hog", func(hp *sim.Proc) { cpu.Compute(hp, time.Second, 0, "hog") })
+			}
+			p.Sleep(time.Millisecond)
+			if got := cpu.Cores.InUse(); got != cpu.NumCores() {
+				t.Fatalf("%d of %d cores busy, want the pool hogged and the reserve held", got, cpu.NumCores())
+			}
 
-		// Another connection's message takes the reserved core for 30 us.
-		other := rdma.Dial(cl.Machines[2].Port, cl.Machines[0].Port, svcLow, true)
-		_ = other.Send(p, "lease-release", &leaseReq{Client: "nobody", Ino: 999}, 24)
-		acks := cl.NICs[1].peer(0, true)
-		_ = acks.Send(p, "repl-ack", &replAck{Slot: cs.slot, Node: "node1", To: 100}, 24)
-		if n.lowCore != nil {
-			t.Fatal("the reserved core is free: the first ack did not have to go to the pool")
-		}
-		p.Sleep(50 * time.Microsecond)
-		_ = acks.Send(p, "repl-ack", &replAck{Slot: cs.slot, Node: "node1", To: 200}, 24)
-		if n.lowCore == nil || cs.ackWater[1] != 0 {
-			t.Fatalf("second ack arrived with reserved core free=%v, watermark %d: want a free core and the first ack still waiting",
-				n.lowCore != nil, cs.ackWater[1])
-		}
-		p.Sleep(50 * time.Millisecond)
-		if cs.ackWater[1] != 200 || n.AckMsgs != 2 {
-			t.Errorf("watermark %d after %d acks, want 200 after 2", cs.ackWater[1], n.AckMsgs)
-		}
+			// Another connection's message takes the reserved core for 30 us;
+			// its op is one no lane serves.
+			other := rdma.Dial(cl.Machines[2].Port, cl.Machines[0].Port, svcLow, true)
+			_ = other.Send(p, "no-such-op", nil, 24)
+			acks := cl.NICs[1].peer(0, true)
+			_ = acks.Send(p, "repl-ack", &replAck{Slot: cs.slot, Node: "node1", To: 100}, 24)
+			if n.lowCore != nil {
+				t.Fatal("the reserved core is free: the first ack did not have to go to the pool")
+			}
+			p.Sleep(50 * time.Microsecond)
+			_ = acks.Send(p, "repl-ack", &replAck{Slot: cs.slot, Node: "node1", To: 200}, 24)
+			if n.lowCore == nil || cs.ackWater[1] != 0 {
+				t.Fatalf("second ack arrived with reserved core free=%v, watermark %d: want a free core and the first ack still waiting",
+					n.lowCore != nil, cs.ackWater[1])
+			}
+			p.Sleep(50 * time.Millisecond)
+			if cs.ackWater[1] != 200 || n.AckMsgs != 2 {
+				t.Errorf("watermark %d after %d acks, want 200 after 2", cs.ackWater[1], n.AckMsgs)
+			}
+		})
+		assertNoStaleAcks(t, cl)
 	})
-	assertNoStaleAcks(t, cl)
+	t.Run("bulk", func(t *testing.T) {
+		env, cl := newTestCluster(t, testConfig())
+		defer env.Shutdown()
+		pcie := cl.Machines[0].PCIe
+		dispatch := cl.Machines[0].NICCPU.Scale(cl.Cfg.Spec.NICRPCCost)
+		run(t, env, time.Second, func(p *sim.Proc) {
+			p.Sleep(time.Millisecond) // past start-up's PM writes
+			base := pcie.Bytes.Total()
+			records := cl.NICs[1].peer(0, false)
+			for i := 0; i < 2; i++ {
+				_ = records.Send(p, "lease-record", &leaseRecord{}, len(leaseRecordZero))
+			}
+			p.Sleep(dispatch * 3 / 2)
+			if got := pcie.Bytes.Total() - base; got != int64(len(leaseRecordZero)) {
+				t.Errorf("%d journal bytes written 1.5 dispatches after two records, want the first record's %d alone", got, len(leaseRecordZero))
+			}
+			p.Sleep(dispatch)
+			if got := pcie.Bytes.Total() - base; got != 2*int64(len(leaseRecordZero)) {
+				t.Errorf("%d journal bytes written 2.5 dispatches after two records, want both records'", got)
+			}
+		})
+	})
 }
 
 // TestReservedCoreStaysReserved pins what the lanes did not take: the

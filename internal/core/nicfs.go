@@ -27,12 +27,12 @@ type NICFS struct {
 	vol    *fs.Vol
 	leases *lease.Table
 
-	// The low-latency class's lanes (DESIGN.md §13): each connection's queue,
-	// the reserved core (nil while a lane runs on it), their turn at the leases.
+	// Each connection's lane (DESIGN.md §13), the low-latency class's
+	// reserved core (nil while a lane runs on it), and the lanes' turn at the
+	// leases.
 	lanes     map[*rdma.Conn]*sim.Queue[*rdma.Msg]
 	lowCore   *hw.PinnedCore
 	leaseGate *sim.Resource
-	bulkQ     *sim.Queue[*rdma.Msg]
 
 	// clients is primary-side per-client state; mirrors is replica-side
 	// state for logs replicated from remote primaries.
@@ -69,9 +69,6 @@ type NICFS struct {
 	leaseQueue   []leaseRecord
 	leaseDrained *sim.Event
 	leaseKick    *sim.Event
-
-	// NICMem flow control (§4).
-	memFreed *sim.Event
 
 	procs     []*sim.Proc
 	down      bool
@@ -116,7 +113,6 @@ func newNICFS(cl *Cluster, machine int) *NICFS {
 		machine:  machine,
 		vol:      cl.Vols[machine],
 		leases:   lease.NewTable(cl.Env, cluster.LeaseTTL),
-		bulkQ:    sim.NewQueue[*rdma.Msg](cl.Env, 0),
 		clients:  make(map[int]*clientState),
 		mirrors:  make(map[int]*mirrorState),
 		peerBulk: make(map[int]*rdma.Conn),
@@ -132,7 +128,6 @@ func newNICFS(cl *Cluster, machine int) *NICFS {
 	n.leaseDrained = sim.NewEvent(cl.Env)
 	n.leaseDrained.Trigger(nil)
 	n.leaseKick = sim.NewEvent(cl.Env)
-	n.memFreed = sim.NewEvent(cl.Env)
 	n.codecGate = sim.NewResource(cl.Env, 1)
 	n.leaseGate = sim.NewResource(cl.Env, 1)
 	return n
@@ -190,23 +185,20 @@ func (n *NICFS) clientSlots() []int {
 // PeerUp implements cluster.Member.
 func (n *NICFS) PeerUp(p *sim.Proc, name string) {}
 
-// Start registers services and launches the NICFS processes; the low-latency
-// class's (§3.3.2) are lanes, each started by its connection's first message.
+// Start registers services and launches the NICFS processes. Every
+// connection, of either class (§3.3.2), is served by a lane of its own, which
+// its first message starts.
 func (n *NICFS) Start() {
-	const bulkWorkers = 4
 	m := n.cl.Machines[n.machine]
 	n.lanes = make(map[*rdma.Conn]*sim.Queue[*rdma.Msg])
-	m.Port.RegisterPerConn(svcLow, n.lane)
-	m.Port.Register(svcBulk, n.bulkQ)
-	m.NICPort.RegisterPerConn(svcLow, n.lane)
-	m.NICPort.Register(svcBulk, n.bulkQ)
+	for _, port := range []*rdma.NIC{m.Port, m.NICPort} {
+		port.RegisterPerConn(svcLow, n.lane)
+		port.RegisterPerConn(svcBulk, n.lane)
+	}
 	n.kwConn = rdma.Dial(m.NICPort, m.HostPort, kworkerService, true)
 
 	env := n.cl.Env
 	n.procs = append(n.procs, env.Go(n.Name()+"/nicfs-low", n.holdLowCore))
-	for i := 0; i < bulkWorkers; i++ {
-		n.procs = append(n.procs, env.Go(n.Name()+"/nicfs-bulk", n.runBulk))
-	}
 	n.procs = append(n.procs, env.Go(n.Name()+"/nicfs-detector", n.runDetector))
 	n.procs = append(n.procs, env.Go(n.Name()+"/nicfs-leases", n.runLeasePersister))
 }
@@ -247,31 +239,39 @@ func (n *NICFS) lane(c *rdma.Conn) *sim.Queue[*rdma.Msg] {
 	if q == nil {
 		q = sim.NewQueue[*rdma.Msg](n.cl.Env, 0)
 		n.lanes[c] = q
-		n.procs = append(n.procs, n.cl.Env.Go(n.Name()+"/nicfs-low", func(p *sim.Proc) { n.runLane(p, q) }))
+		name := n.Name() + "/nicfs-bulk"
+		if c.LowLat {
+			name = n.Name() + "/nicfs-low"
+		}
+		n.procs = append(n.procs, n.cl.Env.Go(name, func(p *sim.Proc) { n.runLane(p, c.LowLat, q) }))
 	}
 	return q
 }
 
-// runLane serves one low-latency connection in arrival order — a queue pair's
-// guarantee, and what keeps a replica's cumulative acks in order — beside the
-// other connections' lanes, dispatching on the reserved core if no lane is on
-// it and else on the pool, ahead of bulk work. Cheap operations are served
-// inline; fsync spawns a handler so one slow sync cannot head-of-line block
+// runLane serves one connection in arrival order — a queue pair's guarantee,
+// and what keeps a replica's cumulative acks in order — beside the other
+// connections' lanes. A low-latency lane dispatches on the reserved core if no
+// lane is on it and else on the pool, ahead of bulk work; a bulk lane
+// dispatches on the pool at bulk priority. Every operation is served inline
+// but fsync, which spawns a handler so one slow sync cannot head-of-line block
 // lease traffic. What Crash finds queued is left to the callers' deadlines.
-func (n *NICFS) runLane(p *sim.Proc, q *sim.Queue[*rdma.Msg]) {
+func (n *NICFS) runLane(p *sim.Proc, lowLat bool, q *sim.Queue[*rdma.Msg]) {
 	defer q.Close()
-	cpu, cost := n.cl.Machines[n.machine].NICCPU, n.cl.Cfg.Spec.NICRPCCost
+	cpu, cost, prio := n.cl.Machines[n.machine].NICCPU, n.cl.Cfg.Spec.NICRPCCost, 0
+	if lowLat {
+		prio = 10
+	}
 	for {
 		msg, ok := q.Get(p)
 		if !ok {
 			return
 		}
-		if core := n.lowCore; core != nil {
+		if core := n.lowCore; lowLat && core != nil {
 			n.lowCore = nil
 			core.Run(p, cost, "nicfs")
 			n.lowCore = core
 		} else {
-			cpu.Compute(p, cost, 10, "nicfs")
+			cpu.Compute(p, cost, prio, "nicfs")
 		}
 		switch msg.Op {
 		case "attach":
@@ -280,37 +280,11 @@ func (n *NICFS) runLane(p *sim.Proc, q *sim.Queue[*rdma.Msg]) {
 			n.handleOpen(p, msg)
 		case "lease-acquire":
 			n.handleLeaseAcquire(p, msg)
-		case "lease-release":
-			req := msg.Arg.(*leaseReq)
-			n.leases.Release(req.Ino, req.Client)
-			msg.Respond(p, true, 8)
 		case "fsync":
 			req := msg.Arg.(*fsyncReq)
 			n.cl.Env.Go(n.Name()+"/fsync", func(hp *sim.Proc) {
 				n.handleFsync(hp, msg, req)
 			})
-		case "repl-chunk-batch", "repl-direct":
-			// Sync-path replication arrives on the low-latency class.
-			n.routeMirror(p, msg)
-		case "repl-ack":
-			// Sync-path acknowledgments also ride the low-latency class.
-			n.handleReplAck(p, msg.Arg.(*replAck))
-		default:
-			msg.RespondErr(p, fmt.Errorf("nicfs: unknown low-lat op %q", msg.Op))
-		}
-	}
-}
-
-// runBulk serves the high-throughput connection class.
-func (n *NICFS) runBulk(p *sim.Proc) {
-	spec := n.cl.Cfg.Spec
-	for {
-		msg, ok := n.bulkQ.Get(p)
-		if !ok {
-			return
-		}
-		n.nicCompute(p, spec.NICRPCCost)
-		switch msg.Op {
 		case "chunk-ready":
 			req := msg.Arg.(*chunkReady)
 			if cs := n.clients[req.Slot]; cs != nil {
@@ -323,6 +297,7 @@ func (n *NICFS) runBulk(p *sim.Proc) {
 				cs.formChunk(p, req.Head, false)
 			}
 		case "repl-chunk-batch", "repl-direct":
+			// Chain traffic rides the class of the chunks it carries.
 			n.routeMirror(p, msg)
 		case "repl-ack":
 			n.handleReplAck(p, msg.Arg.(*replAck))
@@ -335,7 +310,7 @@ func (n *NICFS) runBulk(p *sim.Proc) {
 		case "fetch-file":
 			n.handleFetchFile(p, msg)
 		default:
-			msg.RespondErr(p, fmt.Errorf("nicfs: unknown bulk op %q", msg.Op))
+			msg.RespondErr(p, fmt.Errorf("nicfs: unknown op %q", msg.Op))
 		}
 	}
 }
@@ -637,36 +612,5 @@ func (n *NICFS) Crash() {
 	}
 	for _, ms := range n.mirrors {
 		ms.kill()
-	}
-	n.bulkQ.Close()
-}
-
-// NICMem flow-control watermarks (§4): replication pauses above the high
-// and resumes below the low utilization of SmartNIC memory.
-const (
-	memHighWatermark = 0.7
-	memLowWatermark  = 0.3
-)
-
-// memReserve blocks until SmartNIC memory can hold n more bytes under the
-// high watermark; memRelease frees and wakes waiters once utilization
-// drops below the low watermark (§4 replication flow control).
-func (n *NICFS) memReserve(p *sim.Proc, bytes int64) {
-	mem := n.cl.Machines[n.machine].NICMem
-	for {
-		if mem.Utilization() <= memHighWatermark && mem.Alloc(bytes) {
-			return
-		}
-		ev := n.memFreed
-		p.Wait(ev)
-	}
-}
-
-func (n *NICFS) memRelease(bytes int64) {
-	mem := n.cl.Machines[n.machine].NICMem
-	mem.Free(bytes)
-	if mem.Utilization() < memLowWatermark {
-		n.memFreed.Trigger(nil)
-		n.memFreed = sim.NewEvent(n.cl.Env)
 	}
 }

@@ -1,8 +1,7 @@
 // Package hw models the hardware substrates LineFS runs on: host and
 // SmartNIC CPUs (contended cores with priority time-slicing), persistent
 // memory with crash semantics, PCIe and network links with latency and
-// shared bandwidth, an I/OAT-style DMA engine, and SmartNIC DRAM capacity
-// accounting.
+// shared bandwidth, and an I/OAT-style DMA engine.
 //
 // All cost charging happens in virtual time on the calling simulation
 // process; data movement operates on real bytes so file-system logic above

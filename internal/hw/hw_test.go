@@ -263,22 +263,3 @@ func TestDMACopyTime(t *testing.T) {
 		t.Fatalf("interrupt copy took %v", intr)
 	}
 }
-
-func TestMemAccounting(t *testing.T) {
-	t.Parallel()
-	e := sim.NewEnv(1)
-	m := NewMem(e, "nicmem", 1000)
-	if !m.Alloc(700) {
-		t.Fatal("alloc 700 failed")
-	}
-	if m.Alloc(400) {
-		t.Fatal("alloc beyond capacity succeeded")
-	}
-	if m.Utilization() != 0.7 {
-		t.Fatalf("utilization = %v", m.Utilization())
-	}
-	m.Free(700)
-	if m.Used() != 0 {
-		t.Fatalf("used = %d", m.Used())
-	}
-}

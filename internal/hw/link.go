@@ -29,10 +29,8 @@ type Link struct {
 
 	classes []*linkClass // one per priority carried so far
 
-	// Bytes counts all bytes transferred; Series optionally buckets them
-	// over time for bandwidth plots.
-	Bytes  stats.Counter
-	Series *stats.TimeSeries
+	// Bytes counts all bytes transferred.
+	Bytes stats.Counter
 }
 
 // linkClass is one priority's FIFO channel and the end of its segment in
@@ -60,9 +58,6 @@ func (l *Link) SerializeTime(n int) time.Duration {
 // keeps its stretch: the killed segment's unsent rest stays reserved.
 func (l *Link) Transfer(p *sim.Proc, n int, prio int) {
 	l.Bytes.Add(int64(n))
-	if l.Series != nil {
-		l.Series.Add(time.Duration(l.Env.Now()), float64(n))
-	}
 	c := l.class(prio)
 	for ; n > 0; n -= l.MaxSeg {
 		l.segment(p, c, l.SerializeTime(min(n, l.MaxSeg)))

@@ -36,7 +36,6 @@ func TestTestOnlyAPIPinned(t *testing.T) {
 		// Observers: tests read them to check state.
 		"cluster.Manager.Epoch",
 		"fs.Vol.ExtentCount", "fs.Vol.FreeCount", "fs.Vol.NBlocks", "fs.Vol.NInodes", "fs.Mount",
-		"hw.Mem.Size", "hw.Mem.Used",
 		"hw.PM.PendingBytes", "hw.PM.PersistAll", "hw.PM.ResidentBytes",
 		"rdma.Fabric.Lookup", "rdma.FaultPlane.Partitioned",
 		"sim.Env.Live", "sim.Event.Value", "sim.Proc.Name", "sim.Resource.TryAcquire",

@@ -1,6 +1,6 @@
 // Package node composes the hardware of one testbed machine — host CPU,
-// persistent memory, PCIe, I/OAT DMA engine, SmartNIC (wimpy cores + DRAM)
-// and the network port — and defines the calibrated cost-model constants
+// persistent memory, PCIe, I/OAT DMA engine, SmartNIC cores and the
+// network port — and defines the calibrated cost-model constants
 // used across LineFS and the baselines. The values mirror the paper's
 // testbed (§5.1): dual-socket 48-core Xeon hosts at 2.2 GHz, 6x Optane
 // DIMMs, Mellanox BlueField SmartNICs (16x A72 at 800 MHz, 16 GB DRAM),
@@ -31,9 +31,6 @@ type Spec struct {
 	// PM device.
 	PMSize int64
 	PM     hw.PMConfig
-
-	// SmartNIC DRAM.
-	NICMemSize int64
 
 	// PCIe path between SmartNIC and host PM. PCIeBW is the raw link
 	// (Gen3 x16-class); FetchBW is the effective bandwidth of the NIC's
@@ -82,8 +79,6 @@ func DefaultSpec() Spec {
 			Bandwidth: 24e9,
 		},
 
-		NICMemSize: 16 << 30,
-
 		PCIeLat: 900 * time.Nanosecond,
 		PCIeBW:  9e9,
 		FetchBW: 4.2e9,
@@ -124,7 +119,6 @@ type Machine struct {
 	DMA     *hw.DMA
 
 	NICCPU *hw.CPU
-	NICMem *hw.Mem
 
 	// PCIe is the host<->SmartNIC interconnect, charged on every SmartNIC
 	// access to host PM; Fetch is the NIC's one-sided read engine over it
@@ -157,7 +151,6 @@ func NewMachine(env *sim.Env, fabric *rdma.Fabric, name string, spec Spec) *Mach
 		HostCPU: hw.NewCPU(env, name+"/host", spec.HostCores, spec.HostSpeed),
 		PM:      hw.NewPM(env, name+"/pm", hw.PMConfig{Size: spec.PMSize, ReadLat: spec.PM.ReadLat, WriteLat: spec.PM.WriteLat, Bandwidth: spec.PM.Bandwidth}),
 		NICCPU:  hw.NewCPU(env, name+"/nic", spec.NICCores, spec.NICSpeed),
-		NICMem:  hw.NewMem(env, name+"/nicmem", spec.NICMemSize),
 		PCIe:    hw.NewLink(env, name+"/pcie", spec.PCIeLat, spec.PCIeBW),
 		Fetch:   hw.NewLink(env, name+"/fetch", spec.PCIeLat, spec.FetchBW),
 		Port:    fabric.NewNIC(name, spec.NetBW),

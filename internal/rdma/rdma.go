@@ -150,8 +150,8 @@ type Reply struct {
 type Conn struct {
 	Local, Remote *NIC
 	Service       string
-	// LowLat marks the latency-critical QP class (dedicated polling on the
-	// serving side); it does not change wire cost, only queue routing.
+	// LowLat marks the latency-critical QP class (the serving side dispatches
+	// its messages ahead of bulk work); it does not change wire cost.
 	LowLat bool
 	// Prio orders this connection's traffic on shared links.
 	Prio int
@@ -346,14 +346,13 @@ func (c *Conn) RDMAWrite(p *sim.Proc, region string, off int64, src []byte) erro
 
 // PMRegion exposes a PM device from Base on, optionally behind extra links
 // (PCIe when the accessor is a SmartNIC reaching host PM). Writing into it
-// charges the cost of reaching the PM.
+// charges the cost of reaching the PM, and the write is durable at once (RDMA
+// into PM with DDIO disabled / flush-on-write), which chain replication
+// relies on.
 type PMRegion struct {
 	PM    *hw.PM
 	Base  int64
 	Extra []*hw.Link
-	// Persist makes one-sided writes durable immediately (RDMA into PM with
-	// DDIO disabled / flush-on-write), which chain replication relies on.
-	Persist bool
 }
 
 // WriteAt places src at off, paying each extra link at prio and then the PM.
@@ -361,9 +360,5 @@ func (r *PMRegion) WriteAt(p *sim.Proc, off int64, src []byte, prio int) {
 	for _, l := range r.Extra {
 		l.Transfer(p, len(src), prio)
 	}
-	if r.Persist {
-		r.PM.WritePersist(p, r.Base+off, src)
-	} else {
-		r.PM.Write(p, r.Base+off, src)
-	}
+	r.PM.WritePersist(p, r.Base+off, src)
 }

@@ -137,7 +137,7 @@ func TestRDMAWriteReadPMRegion(t *testing.T) {
 	e := sim.NewEnv(1)
 	_, a, b := testFabric(e)
 	pm := hw.NewPM(e, "pm", hw.DefaultPMConfig(1<<20))
-	b.RegisterRegion("log", &PMRegion{PM: pm, Base: 4096, Persist: true})
+	b.RegisterRegion("log", &PMRegion{PM: pm, Base: 4096})
 	e.Go("client", func(p *sim.Proc) {
 		c := Dial(a, b, "", false)
 		if err := c.RDMAWrite(p, "log", 100, []byte("chunkdata")); err != nil {
@@ -150,7 +150,7 @@ func TestRDMAWriteReadPMRegion(t *testing.T) {
 		}
 	})
 	e.Run()
-	// Persist=true: data survives a crash.
+	// A one-sided write is durable: it survives a crash.
 	pm.Crash()
 	buf := make([]byte, 9)
 	pm.ReadNoCost(4096+100, buf)

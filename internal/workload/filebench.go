@@ -51,8 +51,6 @@ type FilebenchResult struct {
 	Elapsed time.Duration
 	// OpsPerSec is the composite operation rate (the figure 8b metric).
 	OpsPerSec float64
-	// Series, if sampling was requested, buckets completed ops per window.
-	Series *stats.TimeSeries
 }
 
 // Filebench runs a profile over the client. If series is non-nil each
@@ -215,7 +213,7 @@ func Filebench(p *sim.Proc, c *dfs.Client, cfg FilebenchConfig, series *stats.Ti
 		}
 	}
 	elapsed := time.Duration(p.Now() - start)
-	res := &FilebenchResult{Ops: done, Elapsed: elapsed, Series: series}
+	res := &FilebenchResult{Ops: done, Elapsed: elapsed}
 	if elapsed > 0 {
 		res.OpsPerSec = float64(done) / elapsed.Seconds()
 	}
