@@ -48,8 +48,12 @@ loc:
 # chaos and one chaos reproducer, a selfcheck of fig5, the kernel bench, the
 # repbench/databench smokes, linefs-check on the five systems and the six
 # benchmark workloads for a second each, merges the counters, and
-# prints the functions no run reached (internal/lint aside: only its tests
-# drive it). The merged count profile stays in the printed directory for
+# writes the functions no run reached (internal/lint aside: only its tests
+# drive it) to unreached.txt, as file:function. It diffs that list against
+# the committed UNREACHED.txt, one function and its owner a line (a ROADMAP
+# item number, observer, tool, or fig8a -full): it prints what is new or
+# gone, and fails on a new function, which has no owner yet, or a line
+# without one. The merged count profile stays in the printed directory for
 # per-block questions. Not part of `ci`: 5 minutes on a 2-core, 7 GB
 # machine, and 4.1 GB in its largest process (-exp all, for fig4).
 prodcover:
@@ -71,8 +75,13 @@ prodcover:
 	$$d/benchmark -seed 1 -seconds 1 >/dev/null; \
 	$(GO) tool covdata textfmt -i=$$d/cov -o=$$d/all.out; \
 	grep -v '^linefs/benchmark/' $$d/all.out >$$d/count.out; \
-	$(GO) tool cover -func=$$d/count.out | awk '$$NF == "0.0%" && $$1 !~ /^linefs\/internal\/lint\//'; \
-	echo "prodcover: count profile in $$d/count.out"
+	$(GO) tool cover -func=$$d/count.out | awk '$$NF == "0.0%" && $$1 !~ /^linefs\/internal\/lint\// { \
+		sub(/^linefs\//, "", $$1); sub(/:[0-9]+:$$/, "", $$1); print $$1 ":" $$2 }' >$$d/unreached.txt; \
+	echo "prodcover: count profile in $$d/count.out, $$(wc -l <$$d/unreached.txt) unreached in $$d/unreached.txt"; \
+	awk 'FILENAME == ARGV[1] { owned[$$1] = 1; names[++k] = $$1; if (NF < 2) { print "prodcover: no owner: " $$1; bad = 1 }; next } \
+		{ now[$$1] = 1; if (!($$1 in owned)) { print "prodcover: new: " $$1; bad = 1 } } \
+		END { for (i = 1; i <= k; i++) if (!(names[i] in now)) print "prodcover: gone: " names[i]; exit bad }' \
+		UNREACHED.txt $$d/unreached.txt
 
 # Fast development loop: skips the TencentSort workload, the baseline
 # cross-check suites and the lint self-run. Not the gate: `ci` runs `test`,

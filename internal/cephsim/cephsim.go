@@ -118,7 +118,6 @@ func (cl *Cluster) serve(p *sim.Proc, idx int, m *node.Machine, msg *rdma.Msg) {
 		fwd := &writeReq{Bytes: req.Bytes, Hop: req.Hop + 1}
 		conn := rdma.Dial(m.Port, cl.Servers[next].Port, "osd", false)
 		_, _ = conn.Call(p, "write", fwd, req.Bytes)
-		conn.Close()
 	}
 	msg.Respond(p, true, 8)
 }

@@ -47,8 +47,8 @@ func newAttachment(p *sim.Proc, cl *Cluster, machine, slot int) (*Attachment, er
 	m := cl.Machines[machine]
 	cfg := cl.LibFS(machine, slot)
 	b := &linefsBackend{cl: cl, machine: machine, slot: slot, id: cfg.ID}
-	b.lowConn = rdma.Dial(m.HostPort, m.NICPort, svcLow, true)
-	b.bulkConn = rdma.Dial(m.HostPort, m.NICPort, svcBulk, false)
+	b.lowConn = rdma.Dial(m.HostPort, m.NICPort, svcNICFS, true)
+	b.bulkConn = rdma.Dial(m.HostPort, m.NICPort, svcNICFS, false)
 
 	v, err := b.call(p, "attach", &attachReq{Client: b.id, Slot: slot}, 64, rpcDeadline, nil)
 	if err != nil {

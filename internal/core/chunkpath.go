@@ -34,10 +34,8 @@ type chunk struct {
 	zipLens []uint32
 	subLens []uint32
 
-	// sync marks fsync-path chunks (transferred on the low-latency class);
-	// started guards against double-processing when fsyncs overlap.
-	sync    bool
-	started bool
+	// sync marks fsync-path chunks (transferred on the low-latency class).
+	sync bool
 
 	sent       *sim.Event
 	published  *sim.Event
@@ -114,12 +112,12 @@ type clientState struct {
 	// only charge time.
 	enc compress.Encoder
 
+	// mainPl is fetch → validate, whose worker splits a chunk that passes to
+	// pubPl and to repPl (compress, under Compress) or xferQ. Under
+	// LineFS-NotParallel it is one stage doing all of it; the others are nil.
 	mainPl *pipeline.Pipeline[*chunk]
 	repPl  *pipeline.Pipeline[*chunk]
 	pubPl  *pipeline.Pipeline[*chunk]
-
-	// seqPl is the LineFS-NotParallel path: one worker does every stage.
-	seqQ *sim.Queue[*chunk]
 
 	clientConn *rdma.Conn // NICFS -> LibFS service (reclaim, revoke)
 
@@ -150,29 +148,23 @@ func newClientState(n *NICFS, slot int, id string, la *fs.LogArea) *clientState 
 	cs.ackWater = make([]uint64, len(cs.chain))
 	env := n.cl.Env
 	cfg := n.cl.Cfg
-	if cfg.Parallel {
-		// The ingress queue must never block the lane that submits to it.
-		// What the pipelines hold is bounded by the client log instead: a
-		// chunk's bytes stay unreclaimed from formation to completion, and
-		// LibFS appends no more than LogSize of them (DESIGN.md §11).
-		plCfg := pipeline.Config{QueueCap: 1 << 20}
-		cs.mainPl = pipeline.New(env, id+"/main", plCfg,
-			pipeline.Stage[*chunk]{Name: "fetch", Work: cs.stageFetch},
-			pipeline.Stage[*chunk]{Name: "validate", Work: cs.stageValidate},
-			pipeline.Stage[*chunk]{Name: "split", Work: cs.stageSplit},
-		)
-		repStages := []pipeline.Stage[*chunk]{}
-		if cfg.Compress {
-			repStages = append(repStages, pipeline.Stage[*chunk]{Name: "compress", Work: cs.stageCompress})
-		}
-		repStages = append(repStages, pipeline.Stage[*chunk]{Name: "transfer", Work: cs.stageTransfer})
-		cs.repPl = pipeline.New(env, id+"/rep", plCfg, repStages...)
-		cs.pubPl = pipeline.New(env, id+"/pub", plCfg,
-			pipeline.Stage[*chunk]{Name: "publish", Work: cs.stagePublish},
-		)
+	// The queues are unbounded, so the lane that submits never blocks. What
+	// the pipelines hold is bounded by the client log instead: a chunk's
+	// bytes stay unreclaimed from formation to completion, and LibFS appends
+	// no more than LogSize of them (DESIGN.md §11).
+	if !cfg.Parallel {
+		cs.mainPl = pipeline.New(env, id, pipeline.Config{},
+			pipeline.Stage[*chunk]{Name: "seq", Work: cs.stageSeq})
 	} else {
-		cs.seqQ = sim.NewQueue[*chunk](env, 0)
-		cs.procs = append(cs.procs, env.Go(id+"/seq", cs.runSequential))
+		cs.mainPl = pipeline.New(env, id+"/main", pipeline.Config{},
+			pipeline.Stage[*chunk]{Name: "fetch", Work: cs.stageFetch},
+			pipeline.Stage[*chunk]{Name: "validate", Work: cs.validateSplit})
+		if cfg.Compress {
+			cs.repPl = pipeline.New(env, id+"/rep", pipeline.Config{},
+				pipeline.Stage[*chunk]{Name: "compress", Work: cs.compressSend})
+		}
+		cs.pubPl = pipeline.New(env, id+"/pub", pipeline.Config{},
+			pipeline.Stage[*chunk]{Name: "publish", Work: cs.stagePublish})
 	}
 	cs.procs = append(cs.procs, env.Go(id+"/sender", cs.runSender))
 	cs.procs = append(cs.procs, env.Go(id+"/completion", cs.runCompletion))
@@ -273,13 +265,10 @@ func (cs *clientState) resendPending(p *sim.Proc) {
 }
 
 func (cs *clientState) kill() {
-	if cs.mainPl != nil {
-		cs.mainPl.Kill()
-		cs.repPl.Kill()
-		cs.pubPl.Kill()
-	}
-	if cs.seqQ != nil {
-		cs.seqQ.Close()
+	for _, pl := range []*pipeline.Pipeline[*chunk]{cs.mainPl, cs.repPl, cs.pubPl} {
+		if pl != nil {
+			pl.Kill()
+		}
 	}
 	cs.xferQ.Close()
 	for _, p := range cs.procs {
@@ -344,26 +333,23 @@ func growBuf(b []byte, n int) []byte {
 }
 
 // formChunk turns the log range [queued, head), entry-aligned at both ends,
-// into one chunk — none when head is already queued — and, unless it is the
-// fsync path's, submits it to the pipelines. Formation is atomic in
-// simulation (no blocking between reading and advancing queued), so the
+// into one chunk and returns it — nil when head is already queued — and,
+// unless it is the fsync path's, submits it to mainPl. Formation is atomic
+// in simulation (no blocking between reading and advancing queued), so the
 // fsync path and the async path never form overlapping chunks.
-func (cs *clientState) formChunk(p *sim.Proc, head uint64, sync bool) {
+func (cs *clientState) formChunk(p *sim.Proc, head uint64, sync bool) *chunk {
 	if cs.queued >= head {
-		return
+		return nil
 	}
 	ck := cs.getChunk(cs.queued, head, sync)
 	cs.queued = head
 	cs.pending = append(cs.pending, ck)
 	cs.compKick.Trigger(nil)
 	cs.compKick = sim.NewEvent(cs.n.cl.Env)
-	switch {
-	case sync: // the fsync handler runs it itself
-	case cs.mainPl != nil:
+	if !sync { // the fsync handler runs its own
 		cs.mainPl.Submit(p, ck)
-	default:
-		cs.seqQ.Put(p, ck)
 	}
+	return ck
 }
 
 // stageFetch pulls the chunk's raw log bytes from host PM into SmartNIC
@@ -465,15 +451,35 @@ func appendTouched(dst []touched, entries []*fs.Entry) []touched {
 	return dst
 }
 
-// stageSplit hands the validated chunk to both the publishing and the
-// replication pipelines (they share the fetch and validation work, §3.3).
-// It is mainPl's last stage and the fsync handler's hand-off for its sync
-// chunk, which may therefore arrive ahead of its predecessors: pubBuf and
-// xferBuf put it back in log order.
-func (cs *clientState) stageSplit(p *sim.Proc, ck *chunk) bool {
+// validateSplit is mainPl's validate stage and the fsync handler's for its
+// sync chunks: a chunk that passes goes on by stageSplit, and leaves mainPl
+// either way.
+func (cs *clientState) validateSplit(p *sim.Proc, ck *chunk) bool {
+	if cs.stageValidate(p, ck) {
+		cs.stageSplit(p, ck)
+	}
+	return false
+}
+
+// stageSplit hands the validated chunk to both publication and replication
+// (they share the fetch and validation work, §3.3): to pubPl, and to repPl
+// to be compressed or straight to the sender. A sync chunk the fsync handler
+// splits may arrive ahead of its predecessors: pubBuf and xferBuf put it
+// back in log order.
+func (cs *clientState) stageSplit(p *sim.Proc, ck *chunk) {
 	cs.pubPl.Submit(p, ck)
-	cs.repPl.Submit(p, ck)
-	return false // split consumes the item in the main pipeline
+	if cs.repPl != nil {
+		cs.repPl.Submit(p, ck)
+	} else {
+		cs.xferQ.Put(p, ck)
+	}
+}
+
+// compressSend is repPl's one stage: compress, then hand to the sender.
+func (cs *clientState) compressSend(p *sim.Proc, ck *chunk) bool {
+	cs.stageCompress(p, ck)
+	cs.xferQ.Put(p, ck)
+	return false
 }
 
 // stageCompress LZW-codes the chunk, sub-block by sub-block, and keeps the
@@ -481,10 +487,9 @@ func (cs *clientState) stageSplit(p *sim.Proc, ck *chunk) bool {
 // order, before the worker first yields, so the payload does not depend on
 // the schedule; the time they cost is then charged by codeTime. It is also
 // LineFS-NotParallel's compress step, from runInline.
-func (cs *clientState) stageCompress(p *sim.Proc, ck *chunk) bool {
+func (cs *clientState) stageCompress(p *sim.Proc, ck *chunk) {
 	ck.zipAll(&cs.enc)
 	cs.n.codeTime(p, len(ck.raw), cs.n.cl.Cfg.Spec.CompressBW)
-	return true
 }
 
 // codeTime charges the LZW time of one chunk of rawLen bytes, at bw bytes
@@ -642,13 +647,6 @@ func (cs *clientState) publishChunk(p *sim.Proc, ck *chunk) {
 		// which alias ck.raw: leak the chunk instead of recycling it.
 		ck.retained = true
 	}
-}
-
-// stageTransfer hands the chunk to the sender, which restores log order and
-// batches the chain transfer.
-func (cs *clientState) stageTransfer(p *sim.Proc, ck *chunk) bool {
-	cs.xferQ.Put(p, ck)
-	return false
 }
 
 // runSender is the per-client chain transmit loop: it drains every chunk
@@ -943,19 +941,14 @@ func (cs *clientState) runCompletion(p *sim.Proc) {
 	}
 }
 
-// runSequential is the LineFS-NotParallel datapath: one SmartNIC thread
-// executes fetch, validation, publication and replication for each chunk
-// back to back, with no overlap.
-func (cs *clientState) runSequential(p *sim.Proc) {
-	for {
-		ck, ok := cs.seqQ.Get(p)
-		if !ok {
-			return
-		}
-		if cs.runInline(p, ck) {
-			cs.waitReplicated(p, ck.to)
-		}
+// stageSeq is the LineFS-NotParallel datapath, mainPl's one stage: one
+// SmartNIC thread executes fetch, validation, publication and replication
+// for each chunk back to back, with no overlap.
+func (cs *clientState) stageSeq(p *sim.Proc, ck *chunk) bool {
+	if cs.runInline(p, ck) {
+		cs.waitReplicated(p, ck.to)
 	}
+	return false
 }
 
 // runInline is LineFS-NotParallel's one thread: it executes every stage of
@@ -984,36 +977,30 @@ func (n *NICFS) handleFsync(p *sim.Proc, msg *rdma.Msg, req *fsyncReq) {
 		msg.RespondErr(p, fmt.Errorf("nicfs: fsync for unknown slot %d", req.Slot))
 		return
 	}
-	if req.Head > cs.queued {
-		// The range goes as the client's pieces, so that piece k+1's fetch
-		// overlaps piece k's trip down the chain — unless the codec wants it
-		// whole, across the cores under one codecGate hold (pieces would each
-		// take the gate alone), or LineFS-NotParallel's one thread takes it.
-		// A retried request finds Head queued and forms nothing.
-		if cfg := n.cl.Cfg; cfg.Parallel && !cfg.Compress {
-			for _, cut := range req.Cuts {
-				cs.formChunk(p, min(cut, req.Head), true)
-			}
+	// The range goes as the client's pieces, so that piece k+1's fetch
+	// overlaps piece k's trip down the chain — unless the codec wants it
+	// whole, across the cores under one codecGate hold (pieces would each
+	// take the gate alone), or LineFS-NotParallel's one thread takes it. A
+	// retried request finds Head queued, forms nothing (nil) and waits.
+	var formed []*chunk
+	if cfg := n.cl.Cfg; cfg.Parallel && !cfg.Compress {
+		for _, cut := range req.Cuts {
+			formed = append(formed, cs.formChunk(p, min(cut, req.Head), true))
 		}
-		cs.formChunk(p, req.Head, true)
-		// A sync chunk is fetched and validated here, on the handler's own
-		// process, so that it does not queue in mainPl behind the client's
-		// bulk chunks; from the split on it goes the way every chunk goes,
-		// marked sync, on the low-latency connection. Local publication is not
-		// waited for. runCompletion pops (and nils) cs.pending's front while
-		// this loop blocks in a fetch, but never a slot at or ahead of the
-		// cursor: completion is in log order, and the sync chunk at the
-		// cursor, piece after piece, has not been sent.
-		for _, ck := range cs.pending {
-			if !ck.sync || ck.started {
-				continue
-			}
-			ck.started = true
-			if cs.mainPl == nil {
-				cs.runInline(p, ck)
-			} else if cs.stageFetch(p, ck) && cs.stageValidate(p, ck) {
-				cs.stageSplit(p, ck)
-			}
+	}
+	formed = append(formed, cs.formChunk(p, req.Head, true))
+	// A sync chunk is fetched and validated here, on the handler's own
+	// process, so that it does not queue in mainPl behind the client's bulk
+	// chunks; from the split on it goes the way every chunk goes, marked
+	// sync, on the low-latency connection. Local publication is not waited
+	// for.
+	for _, ck := range formed {
+		switch {
+		case ck == nil: // already queued
+		case cs.pubPl == nil:
+			cs.runInline(p, ck)
+		case cs.stageFetch(p, ck):
+			cs.validateSplit(p, ck)
 		}
 	}
 	cs.waitReplicated(p, req.Head)

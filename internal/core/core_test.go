@@ -343,6 +343,38 @@ func TestSequentialModeWorks(t *testing.T) {
 	})
 }
 
+// TestAttachStartsWorkingProcesses: attaching a client starts one NICFS
+// process per stage that works on its chunks, and none that only moves a
+// chunk from one queue to the next. Counted as the Env.Live delta, net of
+// the client's service process and the lanes its attach call started.
+func TestAttachStartsWorkingProcesses(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name               string
+		parallel, compress bool
+		want               int
+	}{
+		{"Parallel", true, false, 6},         // fetch, validate, publish, sender, completion, retransmit
+		{"Parallel+Compress", true, true, 7}, // and compress
+		{"NotParallel", false, false, 4},     // seq, sender, completion, retransmit
+	} {
+		cfg := testConfig()
+		cfg.Parallel, cfg.Compress = tc.parallel, tc.compress
+		env, cl := newTestCluster(t, cfg)
+		n := cl.NICs[0]
+		run(t, env, time.Second, func(p *sim.Proc) {
+			live, lanes := env.Live(), len(n.lanes)
+			if _, err := cl.Attach(p, 0); err != nil {
+				t.Fatal(err)
+			}
+			if got := env.Live() - live - (len(n.lanes) - lanes) - 1; got != tc.want {
+				t.Errorf("%s: attaching a client started %d chunk-path processes, want %d", tc.name, got, tc.want)
+			}
+		})
+		env.Shutdown()
+	}
+}
+
 func TestCompressionModePreservesData(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()

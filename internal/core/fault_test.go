@@ -234,10 +234,8 @@ func tapNIC(env *sim.Env, cl *Cluster, mi int, deliver func(*rdma.Msg) bool) {
 		})
 		return q
 	}
-	for _, port := range []*rdma.NIC{m.Port, m.NICPort} {
-		port.RegisterPerConn(svcBulk, tap)
-		port.RegisterPerConn(svcLow, tap)
-	}
+	m.Port.RegisterPerConn(svcNICFS, tap)
+	m.NICPort.RegisterPerConn(svcNICFS, tap)
 }
 
 // TestRetransmitObeysBatchBounds blackholes the ack direction under a

@@ -129,7 +129,7 @@ func TestPerConnectionOrderKept(t *testing.T) {
 
 			// Another connection's message takes the reserved core for 30 us;
 			// its op is one no lane serves.
-			other := rdma.Dial(cl.Machines[2].Port, cl.Machines[0].Port, svcLow, true)
+			other := rdma.Dial(cl.Machines[2].Port, cl.Machines[0].Port, svcNICFS, true)
 			_ = other.Send(p, "no-such-op", nil, 24)
 			acks := cl.NICs[1].peer(0, true)
 			_ = acks.Send(p, "repl-ack", &replAck{Slot: cs.slot, Node: "node1", To: 100}, 24)

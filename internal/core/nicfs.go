@@ -13,11 +13,9 @@ import (
 	"linefs/internal/sim"
 )
 
-// Service names on a machine's network and local ports.
-const (
-	svcLow  = "nicfs.low"  // latency-critical: fsync, leases, open, attach
-	svcBulk = "nicfs.bulk" // data-intensive: chunks, acks, recovery
-)
+// svcNICFS is NICFS's service on a machine's network and local ports. Both
+// connection classes dial it; a lane reads the class from Conn.LowLat.
+const svcNICFS = "nicfs"
 
 // NICFS is the SmartNIC-resident file system service of one node (§3.3).
 type NICFS struct {
@@ -39,9 +37,9 @@ type NICFS struct {
 	clients map[int]*clientState
 	mirrors map[int]*mirrorState
 
-	// peer connections over the cluster fabric, by machine index.
-	peerBulk map[int]*rdma.Conn
-	peerLow  map[int]*rdma.Conn
+	// peers are connections over the cluster fabric, by machine index and
+	// class (its rdma.ClassPrio).
+	peers map[[2]int]*rdma.Conn
 
 	// kwConn reaches the host kernel worker over the machine-local fabric.
 	kwConn *rdma.Conn
@@ -115,8 +113,7 @@ func newNICFS(cl *Cluster, machine int) *NICFS {
 		leases:   lease.NewTable(cl.Env, cluster.LeaseTTL),
 		clients:  make(map[int]*clientState),
 		mirrors:  make(map[int]*mirrorState),
-		peerBulk: make(map[int]*rdma.Conn),
-		peerLow:  make(map[int]*rdma.Conn),
+		peers:    make(map[[2]int]*rdma.Conn),
 		history:  make(map[uint64][]touched),
 		histSeen: make(map[uint64]map[touched]struct{}),
 		StageTimes: map[string]*timeAvg{
@@ -191,10 +188,8 @@ func (n *NICFS) PeerUp(p *sim.Proc, name string) {}
 func (n *NICFS) Start() {
 	m := n.cl.Machines[n.machine]
 	n.lanes = make(map[*rdma.Conn]*sim.Queue[*rdma.Msg])
-	for _, port := range []*rdma.NIC{m.Port, m.NICPort} {
-		port.RegisterPerConn(svcLow, n.lane)
-		port.RegisterPerConn(svcBulk, n.lane)
-	}
+	m.Port.RegisterPerConn(svcNICFS, n.lane)
+	m.NICPort.RegisterPerConn(svcNICFS, n.lane)
 	n.kwConn = rdma.Dial(m.NICPort, m.HostPort, kworkerService, true)
 
 	env := n.cl.Env
@@ -203,19 +198,15 @@ func (n *NICFS) Start() {
 	n.procs = append(n.procs, env.Go(n.Name()+"/nicfs-leases", n.runLeasePersister))
 }
 
-// peer returns (dialing lazily) the bulk connection to machine i's NICFS.
+// peer returns (dialing lazily) the connection of class low to machine i's
+// NICFS.
 func (n *NICFS) peer(i int, low bool) *rdma.Conn {
-	cache := n.peerBulk
-	svc := svcBulk
-	if low {
-		cache = n.peerLow
-		svc = svcLow
+	k := [2]int{i, rdma.ClassPrio(low)}
+	c := n.peers[k]
+	if c == nil {
+		c = rdma.Dial(n.cl.Machines[n.machine].Port, n.cl.Machines[i].Port, svcNICFS, low)
+		n.peers[k] = c
 	}
-	if c, ok := cache[i]; ok {
-		return c
-	}
-	c := rdma.Dial(n.cl.Machines[n.machine].Port, n.cl.Machines[i].Port, svc, low)
-	cache[i] = c
 	return c
 }
 
@@ -598,10 +589,8 @@ func (n *NICFS) Crash() {
 	}
 	n.down = true
 	m := n.cl.Machines[n.machine]
-	m.Port.Unregister(svcLow)
-	m.Port.Unregister(svcBulk)
-	m.NICPort.Unregister(svcLow)
-	m.NICPort.Unregister(svcBulk)
+	m.Port.Unregister(svcNICFS)
+	m.NICPort.Unregister(svcNICFS)
 	for _, p := range n.procs {
 		p.Kill()
 	}

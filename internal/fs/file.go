@@ -144,15 +144,15 @@ func (v *Vol) Truncate(c *Ctx, ino Ino, size uint64) error {
 	if err != nil {
 		return err
 	}
-	var freed []Extent
+	var runs []Extent
 	if size == 0 && in.ExtHead != 0 {
-		freed = v.freeChain(c, in.ExtHead)
+		runs = v.chainRuns(c, in.ExtHead)
 		in.ExtHead, in.ExtTail = 0, 0
 		v.cacheExtentsDrop(ino)
 	}
 	in.Size = size
 	v.writeInode(c, &in)
-	v.discard(freed)
+	v.release(c, runs)
 	return nil
 }
 

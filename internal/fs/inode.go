@@ -68,38 +68,36 @@ func (v *Vol) FreeInode(c *Ctx, ino Ino) error {
 	if err != nil {
 		return err
 	}
-	freed := v.freeChain(c, in.ExtHead)
+	runs := v.chainRuns(c, in.ExtHead)
 	in = Inode{Ino: ino, Type: TypeFree}
 	v.writeInode(c, &in)
-	v.discard(freed)
+	v.release(c, runs)
 	v.cacheExtentsDrop(ino)
 	v.cacheDirDrop(ino)
 	return nil
 }
 
-// freeChain returns to the allocator every data block an extent chain maps
-// and the chain's own blocks, and lists the runs in v.freed.
-func (v *Vol) freeChain(c *Ctx, blk uint64) []Extent {
+// chainRuns lists in v.freed every data block run an extent chain maps and
+// the chain's own blocks, without freeing any.
+func (v *Vol) chainRuns(c *Ctx, blk uint64) []Extent {
 	v.freed = v.freed[:0]
 	for blk != 0 {
 		hdr, ents := v.readExtBlock(c, blk)
-		for _, e := range ents {
-			v.freeRange(c, e.BlkNo, uint64(e.Count))
-			v.freed = append(v.freed, e)
-		}
-		v.freeRange(c, blk, 1)
+		v.freed = append(v.freed, ents...)
 		v.freed = append(v.freed, Extent{BlkNo: blk, Count: 1})
 		blk = hdr.Next
 	}
 	return v.freed
 }
 
-// discard hands freed block runs back to the device: they read zero when
-// reallocated and stop costing host memory. It must follow the durable
-// inode write that stops referencing them, so a crash before that write
-// finds the blocks still mapped with their bytes intact.
-func (v *Vol) discard(runs []Extent) {
+// release returns runs to the allocator and the device (they read zero when
+// reallocated and stop costing host memory), after the durable inode write
+// that stops referencing them: a crash before it loses no bytes, one after
+// it leaks the runs not yet released, and neither frees a block twice
+// (DESIGN.md §9).
+func (v *Vol) release(c *Ctx, runs []Extent) {
 	for _, e := range runs {
+		v.freeRange(c, e.BlkNo, uint64(e.Count))
 		v.pm.Discard(v.blockOff(e.BlkNo), int64(e.Count)*BlockSize)
 	}
 }

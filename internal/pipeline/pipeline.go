@@ -29,7 +29,8 @@ type Stage[T any] struct {
 
 // Config tunes pipeline behaviour.
 type Config struct {
-	// QueueCap bounds each inter-stage queue (backpressure); 0 = 8.
+	// QueueCap bounds each inter-stage queue (backpressure); 0, as in
+	// sim.Queue, is unbounded.
 	QueueCap int
 }
 
@@ -53,9 +54,6 @@ type Pipeline[T any] struct {
 
 // New builds and starts a pipeline.
 func New[T any](env *sim.Env, name string, cfg Config, stages ...Stage[T]) *Pipeline[T] {
-	if cfg.QueueCap == 0 {
-		cfg.QueueCap = 8
-	}
 	pl := &Pipeline[T]{env: env, stages: stages, idle: sim.NewEvent(env)}
 	pl.idle.Trigger(nil)
 	for si, s := range stages {

@@ -53,18 +53,12 @@ type NIC struct {
 	TX *hw.Link
 	RX stats.Counter
 
-	// MsgOverhead is charged per message on the wire (headers, CRC).
-	MsgOverhead int
-
-	// QPs tracks open queue pairs; beyond QPCacheSize the NIC's connection
-	// cache thrashes and per-message latency grows.
-	QPs         int
-	QPCacheSize int
-	QPPenalty   time.Duration // extra latency per QP beyond the cache size
-
 	services map[string]func(*Conn) *sim.Queue[*Msg]
 	regions  map[string]*PMRegion
 }
+
+// msgOverhead is charged per message on the wire (headers, CRC).
+const msgOverhead = 96
 
 // NewNIC registers a port on the fabric with the given egress bandwidth.
 func (f *Fabric) NewNIC(name string, bytesPerSec float64) *NIC {
@@ -72,14 +66,11 @@ func (f *Fabric) NewNIC(name string, bytesPerSec float64) *NIC {
 		panic(fmt.Sprintf("rdma: duplicate NIC %q", name))
 	}
 	n := &NIC{
-		Fab:         f,
-		Name:        name,
-		TX:          hw.NewLink(f.Env, name+"/tx", 0, bytesPerSec),
-		MsgOverhead: 96,
-		QPCacheSize: 64,
-		QPPenalty:   200 * time.Nanosecond,
-		services:    make(map[string]func(*Conn) *sim.Queue[*Msg]),
-		regions:     make(map[string]*PMRegion),
+		Fab:      f,
+		Name:     name,
+		TX:       hw.NewLink(f.Env, name+"/tx", 0, bytesPerSec),
+		services: make(map[string]func(*Conn) *sim.Queue[*Msg]),
+		regions:  make(map[string]*PMRegion),
 	}
 	f.ports[name] = n
 	return n
@@ -115,15 +106,6 @@ func (n *NIC) RegisterRegion(name string, r *PMRegion) {
 	n.regions[name] = r
 }
 
-// extraLat returns the per-message latency penalty from QP cache pressure.
-func (n *NIC) extraLat() time.Duration {
-	over := n.QPs - n.QPCacheSize
-	if over <= 0 {
-		return 0
-	}
-	return time.Duration(over) * n.QPPenalty
-}
-
 // Msg is a two-sided message delivered to a service queue.
 type Msg struct {
 	Op   string
@@ -155,8 +137,6 @@ type Conn struct {
 	LowLat bool
 	// Prio orders this connection's traffic on shared links.
 	Prio int
-
-	closed bool
 }
 
 // ClassPrio is a QP class's link priority: on every hw.Link it shares with
@@ -170,44 +150,32 @@ func ClassPrio(lowLat bool) int {
 
 // Dial opens a queue pair from local to the named service on remote.
 // Low-latency connections carry link priority: their (small) messages are
-// not serialized behind bulk transfers at saturated ports.
+// not serialized behind bulk transfers at saturated ports. A queue pair costs
+// nothing to hold: no NIC connection cache is modeled (EXPERIMENTS.md
+// deviation 10).
 func Dial(local, remote *NIC, service string, lowLat bool) *Conn {
-	local.QPs++
-	remote.QPs++
 	return &Conn{Local: local, Remote: remote, Service: service, LowLat: lowLat, Prio: ClassPrio(lowLat)}
 }
 
-// Close releases the queue pair.
-func (c *Conn) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	c.Local.QPs--
-	c.Remote.QPs--
-}
-
 // hop charges one direction of the wire to p: egress serialization at from
-// of the payload plus per-message overhead, switch propagation plus lat,
-// ingress accounting at to.
-func (c *Conn) hop(p *sim.Proc, from, to *NIC, size int, lat time.Duration) {
-	w := size + c.Local.MsgOverhead
+// of the payload plus per-message overhead, switch propagation, ingress
+// accounting at to.
+func (c *Conn) hop(p *sim.Proc, from, to *NIC, size int) {
+	w := size + msgOverhead
 	from.TX.Transfer(p, w, c.Prio)
 	from.Fab.Total.Add(int64(w))
 	if s := from.Fab.Series; s != nil {
 		s.Add(time.Duration(p.Env().Now()), float64(w))
 	}
-	p.Sleep(from.Fab.SwitchLat + lat)
+	p.Sleep(from.Fab.SwitchLat)
 	to.RX.Add(int64(w))
 }
 
-// sendCost charges the request path, QP-cache penalties included.
-func (c *Conn) sendCost(p *sim.Proc, size int) {
-	c.hop(p, c.Local, c.Remote, size, c.Local.extraLat()+c.Remote.extraLat())
-}
+// sendCost charges the request path.
+func (c *Conn) sendCost(p *sim.Proc, size int) { c.hop(p, c.Local, c.Remote, size) }
 
 // returnCost charges the response path back to the caller.
-func (c *Conn) returnCost(p *sim.Proc, size int) { c.hop(p, c.Remote, c.Local, size, 0) }
+func (c *Conn) returnCost(p *sim.Proc, size int) { c.hop(p, c.Remote, c.Local, size) }
 
 // ErrUnreachable is returned when the remote service is not registered
 // (node down or not yet started).

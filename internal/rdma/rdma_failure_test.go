@@ -97,7 +97,7 @@ func TestLowLatPriorityBeatsBulkQueueing(t *testing.T) {
 	})
 	e.Run()
 	// The PM at 1 TB/s adds no whole nanosecond to 256 bytes.
-	if want := sim.Time(arrive + a.TX.SerializeTime(256+a.MsgOverhead)); lowDone != want {
+	if want := sim.Time(arrive + a.TX.SerializeTime(256+msgOverhead)); lowDone != want {
 		t.Fatalf("low-latency write finished at %v, want %v: its arrival plus its own serialization", lowDone, want)
 	}
 }

@@ -201,35 +201,33 @@ func TestSharedEgressSaturation(t *testing.T) {
 	}
 }
 
+// TestQPCachePenalty pins that no NIC connection cache is modeled: an 8-byte
+// RDMA write over one of five open queue pairs costs exactly what it costs
+// with one open.
 func TestQPCachePenalty(t *testing.T) {
 	t.Parallel()
-	e := sim.NewEnv(1)
-	f := NewFabric(e, 0)
-	a := f.NewNIC("a", 1e12)
-	b := f.NewNIC("b", 1e12)
-	a.QPCacheSize, b.QPCacheSize = 1, 1
-	a.QPPenalty, b.QPPenalty = time.Microsecond, time.Microsecond
-	conns := make([]*Conn, 5)
-	for i := range conns {
-		conns[i] = Dial(a, b, "", false)
+	took := func(open int) sim.Time {
+		e := sim.NewEnv(1)
+		f := NewFabric(e, time.Microsecond)
+		a := f.NewNIC("a", 1e9)
+		b := f.NewNIC("b", 1e9)
+		conns := make([]*Conn, open)
+		for i := range conns {
+			conns[i] = Dial(a, b, "", false)
+		}
+		pm := hw.NewPM(e, "pm", hw.PMConfig{Size: 1 << 12, Bandwidth: 1e9})
+		b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0})
+		var end sim.Time
+		e.Go("c", func(p *sim.Proc) {
+			conns[0].RDMAWrite(p, "r", 0, make([]byte, 8))
+			end = p.Now()
+		})
+		e.Run()
+		return end
 	}
-	pm := hw.NewPM(e, "pm", hw.PMConfig{Size: 1 << 12, Bandwidth: 1e12})
-	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0})
-	var took sim.Time
-	e.Go("c", func(p *sim.Proc) {
-		conns[0].RDMAWrite(p, "r", 0, make([]byte, 8))
-		took = p.Now()
-	})
-	e.Run()
-	// 4 QPs over cache size on each side → ≥8us extra latency.
-	if took < sim.Time(8*time.Microsecond) {
-		t.Fatalf("with thrashed QP cache write took %v, want ≥8us", took)
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	if a.QPs != 0 || b.QPs != 0 {
-		t.Fatalf("QP leak: a=%d b=%d", a.QPs, b.QPs)
+	one, five := took(1), took(5)
+	if one == 0 || five != one {
+		t.Fatalf("8-byte write took %v over one of five open queue pairs, %v with one open: want equal and nonzero", five, one)
 	}
 }
 
