@@ -187,8 +187,8 @@ func BenchmarkFig9(b *testing.B) {
 	res := runExperiment(b, "fig9")
 	b.ReportMetric(cell(b, res, 0, 2), "assise-net-MB")
 	b.ReportMetric(cell(b, res, 3, 2), "linefs80-net-MB")
-	b.ReportMetric(cell(b, res, 0, 1), "assise-runtime-s")
-	b.ReportMetric(cell(b, res, 3, 1), "linefs80-runtime-s")
+	b.ReportMetric(cell(b, res, 0, 1), "assise-runtime-ms")
+	b.ReportMetric(cell(b, res, 3, 1), "linefs80-runtime-ms")
 }
 
 func BenchmarkFig10(b *testing.B) {

@@ -212,7 +212,7 @@ func Fig9(o Options) (*Result, error) {
 	res := &Result{
 		Name:   "fig9",
 		Title:  "Tencent Sort: runtime and DFS network consumption",
-		Header: []string{"config", "runtime (s)", "DFS net bytes (MB)", "vs Assise"},
+		Header: []string{"config", "runtime (ms)", "DFS net bytes (MB)", "vs Assise"},
 		Series: map[string][]float64{},
 	}
 	base, err := run(appBaseline, 0.6)
@@ -220,7 +220,7 @@ func Fig9(o Options) (*Result, error) {
 		return nil, err
 	}
 	res.Rows = append(res.Rows, []string{
-		systems.Assise.String(), fmt.Sprintf("%.2f", base.elapsed.Seconds()),
+		systems.Assise.String(), fmt.Sprintf("%.1f", float64(base.elapsed)/1e6),
 		fmt.Sprintf("%.0f", float64(base.netBytes)/1e6), "-",
 	})
 	for _, zr := range []float64{0.4, 0.6, 0.8} {
@@ -231,7 +231,7 @@ func Fig9(o Options) (*Result, error) {
 		change := 100 * (float64(oc.netBytes)/float64(base.netBytes) - 1)
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("LineFS-%.0f%%", zr*100),
-			fmt.Sprintf("%.2f", oc.elapsed.Seconds()),
+			fmt.Sprintf("%.1f", float64(oc.elapsed)/1e6),
 			fmt.Sprintf("%.0f", float64(oc.netBytes)/1e6),
 			fmt.Sprintf("%+.0f%%", change),
 		})

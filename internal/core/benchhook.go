@@ -13,11 +13,11 @@ import (
 // (payload staging into a pooled chunk buffer), appendTouched (namespace
 // history records into the pooled touched slice), zipSubBlock (sub-block
 // coding into the chunk-owned compression buffer and length table, through
-// the inline compress path), and decodeBatchChunk (mirror-side batch frame
-// decode into a pooled receive buffer). The repbench drives the
-// closure under a MemStats window to assert that the //linefs:hotpath
-// annotations hold at runtime: zero allocations per op once every buffer
-// is warm.
+// the inline compress path, sealed with its frame sum), and decodeBatchChunk
+// (mirror-side batch frame decode into a pooled receive buffer). The
+// repbench drives the closure under a MemStats window to assert that the
+// //linefs:hotpath annotations hold at runtime: zero allocations per op once
+// every buffer is warm.
 func ReplHotLoop() (func(), error) {
 	// A chunk's worth of wire-encoded write entries — the byte stream the
 	// pipeline fetches and compresses and the mirror decodes.

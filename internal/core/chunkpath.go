@@ -28,11 +28,12 @@ type chunk struct {
 	// The compression stage codes raw one sub-block at a time, in index
 	// order: cbuf collects the LZW streams back to back and zipLens their
 	// lengths (both pooled). Sealing the chunk makes subLens zipLens (and
-	// cbuf the wire payload) if that saves wire bytes, and leaves it nil
-	// (the chunk travels raw) if not.
+	// cbuf the wire payload, sum its frameSum) if that saves wire bytes, and
+	// leaves it nil (the chunk travels raw) if not.
 	cbuf    []byte
 	zipLens []uint32
 	subLens []uint32
+	sum     uint32
 
 	// sync marks fsync-path chunks (transferred on the low-latency class).
 	sync bool
@@ -562,10 +563,10 @@ func (ck *chunk) zipAll(enc *compress.Encoder) {
 }
 
 // seal decides, once every sub-block is coded, whether the chunk travels
-// compressed: only if streams plus table are smaller than the raw bytes.
+// compressed (if that frame is smaller than the raw bytes), and sums it.
 func (ck *chunk) seal() {
-	if len(ck.cbuf)+subLenBytes*len(ck.zipLens) < len(ck.raw) {
-		ck.subLens = ck.zipLens
+	if (batchChunk{Payload: ck.cbuf, SubLens: ck.zipLens}).wireLen() < len(ck.raw) {
+		ck.subLens, ck.sum = ck.zipLens, frameSum(ck.zipLens, ck.cbuf)
 	}
 }
 
@@ -702,15 +703,15 @@ func (cs *clientState) pumpSends(p *sim.Proc) {
 }
 
 // frame is ck as it goes on the wire: the raw bytes, or the sealed
-// sub-block streams and their table. Payload, table and touched records are
-// lent, not copied.
+// sub-block streams, their table and sum. Payload, table and touched
+// records are lent, not copied.
 func (ck *chunk) frame() batchChunk {
 	payload := ck.raw
 	if len(ck.subLens) > 0 {
 		payload = ck.cbuf
 	}
 	return batchChunk{
-		From: ck.from, To: ck.to, Payload: payload, SubLens: ck.subLens,
+		From: ck.from, To: ck.to, Payload: payload, SubLens: ck.subLens, Sum: ck.sum,
 		RawLen: len(ck.raw), Touched: ck.touched,
 	}
 }

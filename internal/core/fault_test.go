@@ -114,11 +114,9 @@ func TestCorruptedFrameRejectedEndToEnd(t *testing.T) {
 
 // TestCorruptedCompressedFrameRepaired is the same corrupting link under
 // Compress: the flipped byte now lands inside one sub-block's LZW stream,
-// so the frame dies in that sub-block's decode (a stream that no longer
-// parses, or comes out the wrong length) or, if the stream still decodes,
-// at the CRC gate over the decoded bytes. Either way nothing of it may be
-// persisted, forwarded or acknowledged while the link corrupts, and the
-// retransmit layer repairs every chunk once it heals.
+// and the frame dies at its Sum, before the mirror relays or decodes it.
+// Nothing of it may be persisted, forwarded or acknowledged while the link
+// corrupts, and the retransmit layer repairs every chunk once it heals.
 func TestCorruptedCompressedFrameRepaired(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
@@ -150,6 +148,9 @@ func TestCorruptedCompressedFrameRepaired(t *testing.T) {
 			if cl.NICs[1].RepMsgs != fwdBefore {
 				t.Error("a corrupted frame was forwarded down-chain")
 			}
+			if cl.Robust.CRCRejected == 0 {
+				t.Error("no corrupted frame was counted at its sum")
+			}
 			fp.ClearRules()
 		})
 		if _, err := l.WriteAt(p, fd, 0, payload); err != nil {
@@ -164,6 +165,100 @@ func TestCorruptedCompressedFrameRepaired(t *testing.T) {
 		t.Error("primary never retransmitted the rejected frames")
 	}
 	assertReplicasHold(t, cl, "/zipcrc", payload)
+}
+
+// TestCrashKillsMirrorForwards crashes replica 1 while its forward of a raw
+// batch is on the wire, by the message path and by the last-hop direct
+// write. The forward dies with its NICFS: replica 2 never receives that
+// batch, so it persists and acknowledges nothing, and the fsync stays parked
+// (the chain after the resweep does not hold the bytes). A forward that
+// outlived its node finished the relay from a dead SmartNIC, and the fsync
+// completed on it.
+func TestCrashKillsMirrorForwards(t *testing.T) {
+	t.Parallel()
+	for _, direct := range []bool{true, false} {
+		cfg := testConfig()
+		cfg.ChunkSize = 4 << 20
+		cfg.HeartbeatEvery = 200 * time.Millisecond
+		cfg.DisableDirectWrite = !direct
+		env, cl := newTestCluster(t, cfg)
+		crashed, fsyncDone := false, false
+		env.Go("app", func(p *sim.Proc) {
+			l, _ := cl.Attach(p, 0)
+			fd, _ := l.Create(p, "/fwd")
+			// One 4 MiB bulk chunk: a range the fsync cuts into pieces would
+			// send a later piece to the dead replica, whose send error
+			// completes the range in degraded mode.
+			l.WriteAt(p, fd, 0, bytes.Repeat([]byte{0x3C}, 4<<20))
+			l.Fsync(p, fd)
+			fsyncDone = true
+		})
+		env.Go("crasher", func(p *sim.Proc) {
+			for ; !crashed; p.Sleep(5 * time.Microsecond) {
+				ms := cl.NICs[1].mirrors[0]
+				if ms != nil && len(ms.fwds) > 0 && !ms.fwds[len(ms.fwds)-1].Done.Triggered() {
+					cl.NICs[1].Crash()
+					crashed = true
+				}
+			}
+		})
+		env.RunUntil(20 * time.Second)
+		if !crashed {
+			t.Fatalf("direct=%v: never caught a forward on the wire", direct)
+		}
+		if ms := cl.NICs[2].mirrors[0]; ms != nil && ms.log.Head() != 0 {
+			t.Errorf("direct=%v: replica 2 persisted through %d from a dead replica's forward", direct, ms.log.Head())
+		}
+		if fsyncDone {
+			t.Errorf("direct=%v: fsync completed though replica 2 never got the batch", direct)
+		}
+		env.Shutdown()
+	}
+}
+
+// TestCrashStopsFsyncHandler crashes the primary's NICFS while its fsync
+// handler codes the sync chunk inline (LineFS-NotParallel under Compress,
+// tens of milliseconds of one core's time). The handler dies with its NICFS:
+// the dead SmartNIC computes nothing further, and the client's fsync fails.
+func TestCrashStopsFsyncHandler(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	cfg.ChunkSize = 4 << 20
+	cfg.Compress, cfg.Parallel = true, false
+	env, cl := newTestCluster(t, cfg)
+	defer env.Shutdown()
+	nic := cl.Machines[0].NICCPU
+	var busyAfterCrash time.Duration
+	crashed, fsyncDone := false, false
+	var fsyncErr error
+	env.Go("app", func(p *sim.Proc) {
+		l, _ := cl.Attach(p, 0)
+		fd, _ := l.Create(p, "/handler")
+		l.WriteAt(p, fd, 0, logOf(sortRecords(rand.New(rand.NewSource(4)), 0.6), 1<<20)[:1<<20])
+		fsyncErr = l.Fsync(p, fd)
+		fsyncDone = true
+	})
+	env.Go("crasher", func(p *sim.Proc) {
+		for ; !crashed; p.Sleep(50 * time.Microsecond) {
+			if cs := cl.NICs[0].clients[0]; cs != nil && len(cs.pending) > 0 && cs.pending[0].sync && cs.pending[0].valid {
+				p.Sleep(time.Millisecond) // into the inline compress
+				cl.NICs[0].Crash()
+				crashed = true
+			}
+		}
+		p.Sleep(time.Millisecond)
+		busyAfterCrash = nic.Util.TotalBusy()
+	})
+	env.RunUntil(20 * time.Second)
+	if !crashed {
+		t.Fatal("never caught the fsync handler's chunk")
+	}
+	if busy := nic.Util.TotalBusy(); busy != busyAfterCrash {
+		t.Errorf("dead SmartNIC computed for another %v", busy-busyAfterCrash)
+	}
+	if !fsyncDone || fsyncErr == nil {
+		t.Errorf("fsync done=%v err=%v; want an error from the dead NICFS", fsyncDone, fsyncErr)
+	}
 }
 
 // TestPartitionStallsFsyncUntilHeal cuts the primary off its first mirror

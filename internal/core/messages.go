@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"hash/crc32"
 	"math/rand"
 
 	"linefs/internal/fs"
@@ -93,8 +94,8 @@ func subBlockSpan(rawLen, i int) (lo, hi int) {
 	return i * subBlockSize, min((i+1)*subBlockSize, rawLen)
 }
 
-// subLenBytes is the wire size of one SubLens entry.
-const subLenBytes = 4
+// subLenBytes is the wire size of one SubLens entry, sumBytes of Sum.
+const subLenBytes, sumBytes = 4, 4
 
 // batchChunk is one chunk's framing inside a replChunkBatch.
 type batchChunk struct {
@@ -103,19 +104,48 @@ type batchChunk struct {
 	// it is the chunk's sub-blocks back to back, each an LZW stream of its
 	// own, and SubLens[i] is the compressed length of sub-block i: one entry
 	// per subBlockSize raw bytes, so a chunk no larger than a sub-block has
-	// one. The table is what lets a mirror decode sub-blocks independently.
+	// one. The table lets a mirror decode sub-blocks independently, and Sum
+	// (frameSum, compressed only) relay the frame before it decodes it.
 	Payload []byte
 	SubLens []uint32
+	Sum     uint32
 	RawLen  int
 	Touched []touched
 }
 
-// wireLen is the frame's size on the wire: payload plus sub-block table.
-func (bc batchChunk) wireLen() int { return len(bc.Payload) + subLenBytes*len(bc.SubLens) }
+// wireLen is the frame's size on the wire: payload, and table and Sum when compressed.
+func (bc batchChunk) wireLen() int {
+	return len(bc.Payload) + subLenBytes*len(bc.SubLens) + sumBytes*min(len(bc.SubLens), 1)
+}
 
-// errBatchFrame rejects a replication frame whose payload, sub-block table
-// and declared raw length do not agree.
-var errBatchFrame = errors.New("core: replication frame length mismatch")
+// errBatchFrame rejects a replication frame whose payload, sub-block table,
+// Sum and declared raw length do not agree.
+var errBatchFrame = errors.New("core: malformed replication frame")
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// frameSum is the CRC-32C of a sub-block table, entries little-endian, then
+// the payload; the table goes byte by byte, as a buffer would escape.
+//
+//linefs:hotpath
+func frameSum(lens []uint32, payload []byte) uint32 {
+	crc := ^uint32(0)
+	for _, l := range lens {
+		for range subLenBytes {
+			crc, l = castagnoli[byte(crc)^byte(l)]^(crc>>8), l>>8
+		}
+	}
+	return crc32.Update(^crc, castagnoli, payload)
+}
+
+// checkSum rejects a compressed frame damaged in flight; a raw frame's
+// check is VerifyWire.
+func (bc *batchChunk) checkSum() error {
+	if len(bc.SubLens) > 0 && frameSum(bc.SubLens, bc.Payload) != bc.Sum {
+		return errBatchFrame
+	}
+	return nil
+}
 
 // checkTable verifies a frame's lengths before anything is decoded: a raw
 // payload is exactly RawLen bytes; a compressed one has one non-empty
@@ -161,13 +191,11 @@ type replChunkBatch struct {
 }
 
 // CorruptCopy implements rdma.Corrupter: the fault plane's in-flight
-// bit-flip. Payload buffers are pooled on the primary and shared with
-// down-chain forwards, so the flip lands on a deep copy of one member
-// frame's payload only; the other frames are shared untouched and framing
-// fields stay intact, which models a payload bit error the CRC gate must
-// catch (a mangled header is caught by the framing checks instead). A
-// one-frame message draws no frame index: the fault schedule of a seed
-// depends on the draw sequence, and there is nothing to choose.
+// bit-flip, on a deep copy of one member frame's payload (payloads are
+// pooled on the primary and shared with down-chain forwards). Framing and
+// Sum stay intact: a payload bit error the mirror's entry CRCs or Sum must
+// catch. A one-frame message draws no frame index: the fault schedule of a
+// seed depends on the draw sequence, and there is nothing to choose.
 func (rb *replChunkBatch) CorruptCopy(rng *rand.Rand) any {
 	out := *rb
 	if len(rb.Chunks) == 0 {

@@ -27,6 +27,7 @@ type mirrorState struct {
 
 	q    *sim.Queue[*rdma.Msg]
 	proc *sim.Proc
+	fwds []*sim.Proc // forwards, which die with the mirror (kill)
 
 	// pubQ decouples local publication from the chain critical path.
 	pubQ    *sim.Queue[pubJob]
@@ -138,6 +139,9 @@ func (ms *mirrorState) kill() {
 	ms.pubQ.Close()
 	ms.proc.Kill()
 	ms.pubProc.Kill()
+	for _, f := range ms.fwds {
+		f.Kill()
+	}
 }
 
 // runPublisher applies replicated chunks to the replica's public area in
@@ -232,7 +236,7 @@ func (ms *mirrorState) dedup(p *sim.Proc, msg *rdma.Msg, to uint64) *rdma.Msg {
 	rb, isBatch := msg.Arg.(*replChunkBatch)
 	if isBatch && ms.chainPos != len(ms.chain)-1 {
 		next := ms.chain[ms.chainPos+1]
-		n.cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) { ms.forward(fp, next, rb) })
+		ms.fwds = append(slices.DeleteFunc(ms.fwds, finished), n.cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) { ms.forward(fp, next, rb) }))
 	}
 	if to <= head || !isBatch {
 		// A direct note straddling the head would mean the primary re-chunked
@@ -257,9 +261,11 @@ func (ms *mirrorState) dedup(p *sim.Proc, msg *rdma.Msg, to uint64) *rdma.Msg {
 }
 
 // decodeBatchChunk places one batch frame's raw bytes into dst, which the
-// caller sizes (and capacity-pins) to the declared raw length: a corrupt
-// compressed frame cannot scribble outside its slot of the batch buffer.
-// Sub-blocks decode back to back, in index order.
+// caller sizes and capacity-pins to the declared raw length. Sub-blocks
+// decode back to back, in index order, each into its span with the capacity
+// pinned too, and must come out exactly full: a decode that grows past its
+// span reallocs away from the batch buffer and is rejected, so a corrupt
+// frame cannot scribble outside its slot.
 //
 //linefs:hotpath
 func decodeBatchChunk(dec *compress.Decoder, dst []byte, bc *batchChunk) error {
@@ -273,40 +279,43 @@ func decodeBatchChunk(dec *compress.Decoder, dst []byte, bc *batchChunk) error {
 	at := 0
 	for i, l := range bc.SubLens {
 		lo, hi := subBlockSpan(bc.RawLen, i)
-		if err := unzipSubBlock(dec, dst[lo:hi:hi], bc.Payload[at:at+int(l)]); err != nil {
+		//lint:allow scratchflow over-long decode reallocs only on the rejected path
+		out, err := dec.DecompressInto(dst[lo:lo:hi], bc.Payload[at:at+int(l)])
+		if err != nil {
 			return err
+		}
+		if len(out) != hi-lo {
+			return errBatchFrame
 		}
 		at += int(l)
 	}
 	return nil
 }
 
-// unzipSubBlock decodes one sub-block's LZW stream into dst, which must
-// come out exactly full.
-//
-//linefs:hotpath
-func unzipSubBlock(dec *compress.Decoder, dst, src []byte) error {
-	// dst's capacity is pinned to its length, so a decode that tries to grow
-	// past it reallocs away from the batch buffer — and can only do so by
-	// exceeding the sub-block's raw length, which the check below rejects. A
-	// correct decode lands fully inside dst; the grow (if any) is a failure
-	// path.
-	//lint:allow scratchflow over-long decode reallocs only on the rejected path
-	out, err := dec.DecompressInto(dst[:0], src)
-	if err != nil {
-		return err
+// settle places frame bc in its slot of a batch buffer (decodeBatchChunk)
+// and CRC-scans it, counting a CRC failure; a compressed frame is then
+// charged its decode time on the wimpy cores, like the primary's
+// compression (reads are cheaper: at 2x the compression bandwidth).
+func (ms *mirrorState) settle(p *sim.Proc, bc *batchChunk, slot []byte) bool {
+	if err := decodeBatchChunk(&ms.dec, slot, bc); err != nil {
+		return false
 	}
-	if len(out) != len(dst) {
-		return errBatchFrame
+	if err := fs.VerifyWire(slot); err != nil {
+		ms.n.cl.Robust.CRCRejected++
+		return false
 	}
-	return nil
+	if len(bc.SubLens) > 0 {
+		ms.n.codeTime(p, bc.RawLen, 2*ms.n.cl.Cfg.Spec.CompressBW)
+	}
+	return true
 }
 
 // handleBatch is steps 4–7 of Figure 3 for one replChunkBatch, in one pass:
-// every frame decodes into one contiguous mirror buffer, the batch forwards
-// to the next hop (in parallel with the local copy), one persist covers the
-// batch range in the local PM log mirror, one cumulative ack reports To,
-// and one background publication job applies all entries.
+// the frames are checked, the batch forwards to the next hop, every frame
+// lands in one contiguous mirror buffer (decoded there, if compressed, while
+// the next hop works), one persist covers the batch range in the local PM
+// log mirror, one cumulative ack reports To, and one background publication
+// job applies all entries.
 func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 	n := ms.n
 	cl := n.cl
@@ -325,38 +334,28 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 		return
 	}
 	raw := ms.getBuf(int(rb.To - rb.From))
-	off := 0
+	slot := func(bc *batchChunk) []byte { return raw[bc.From-rb.From : bc.To-rb.From : bc.To-rb.From] }
+	// Integrity gate: a frame damaged in flight is never forwarded, persisted
+	// or acknowledged — the primary resends it. A raw frame is settled now, a
+	// compressed frame's Sum checked (the NIC's hardware CRC, at no virtual
+	// time); only a sender makes one that passes and fails to settle later.
 	allRaw := true
 	for i := range rb.Chunks {
 		bc := &rb.Chunks[i]
-		if err := decodeBatchChunk(&ms.dec, raw[off:off+bc.RawLen:off+bc.RawLen], bc); err != nil {
-			ms.putBuf(raw)
-			return // corrupt transfer: never acknowledged
-		}
-		// Integrity gate: a frame corrupted in flight must be rejected before it
-		// is forwarded, persisted, or acknowledged — the primary's retransmit
-		// layer resends it; an ack here would mark garbage durable.
-		if err := fs.VerifyWire(raw[off : off+bc.RawLen]); err != nil {
-			n.cl.Robust.CRCRejected++
+		allRaw = allRaw && len(bc.SubLens) == 0
+		if err := bc.checkSum(); err != nil {
+			cl.Robust.CRCRejected++
 			ms.putBuf(raw)
 			return
 		}
-		if len(bc.SubLens) > 0 {
-			allRaw = false
-			// Decompression on the wimpy cores, charged like the primary's
-			// compression (reads are cheaper: at 2x the compression bandwidth).
-			n.codeTime(p, bc.RawLen, 2*cl.Cfg.Spec.CompressBW)
+		if len(bc.SubLens) == 0 && !ms.settle(p, bc, slot(bc)) {
+			ms.putBuf(raw)
+			return
 		}
-		off += bc.RawLen
 	}
 
-	// Merge namespace history for epoch recovery.
-	for i := range rb.Chunks {
-		n.recordHistory(rb.Epoch, rb.Chunks[i].Touched)
-	}
-
-	// Forward down the chain asynchronously: the next hop's work overlaps
-	// both our local persist and later batches' forwards (steps 4 and 5 of
+	// Forward down the chain asynchronously: the next hop's work overlaps our
+	// decode, our persist and later batches' forwards (steps 4 and 5 of
 	// Figure 3 pipeline across chunks). Ordering needs no serialization —
 	// one-sided writes are offset-addressed and every mirror reorders
 	// message arrivals by log offset. The forward carries the message's
@@ -366,15 +365,22 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 	// point), which forgoes the last-hop direct write: raw bytes cannot be
 	// placed one-sided without a decompression stop at the last NICFS.
 	if ms.chainPos != len(ms.chain)-1 {
-		next := ms.chain[ms.chainPos+1]
-		nextIsLast := ms.chainPos+1 == len(ms.chain)-1 && !cl.Cfg.DisableDirectWrite && allRaw
-		cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) {
-			if nextIsLast {
-				ms.forwardBatchDirect(fp, next, rb)
-			} else {
-				ms.forward(fp, next, rb)
-			}
-		})
+		next, fwd := ms.chain[ms.chainPos+1], ms.forward
+		if ms.chainPos+1 == len(ms.chain)-1 && !cl.Cfg.DisableDirectWrite && allRaw {
+			fwd = ms.forwardBatchDirect
+		}
+		ms.fwds = append(slices.DeleteFunc(ms.fwds, finished), cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) { fwd(fp, next, rb) }))
+	}
+	for i := range rb.Chunks {
+		if bc := &rb.Chunks[i]; len(bc.SubLens) > 0 && !ms.settle(p, bc, slot(bc)) {
+			ms.putBuf(raw)
+			return
+		}
+	}
+
+	// Merge namespace history for epoch recovery.
+	for i := range rb.Chunks {
+		n.recordHistory(rb.Epoch, rb.Chunks[i].Touched)
 	}
 
 	// Persist the batch into the local PM log mirror.

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -33,10 +35,14 @@ func zipFrame(raw []byte) (payload []byte, lens []uint32) {
 }
 
 // TestMirrorFramingGates feeds the mirror's one data-frame handler every
-// way a replChunkBatch can be malformed. Each must be rejected whole: no
-// ack to the primary, nothing forwarded, the mirror head unmoved, and the
-// receive buffer back in the pool. A well-formed frame built from the same
-// parts then goes through, so the rejections are the gates' doing. The
+// way a replChunkBatch can be malformed. A frame whose framing is wrong, or
+// that was damaged in flight (its entry CRCs or its Sum say so), must be
+// rejected whole: no ack to the primary, nothing forwarded, the mirror head
+// unmoved, and the receive buffer back in the pool. A compressed frame that
+// passes its Sum and fails to decode, or decodes to bad entries, can only
+// have been made so by its sender: it is forwarded first, then rejected the
+// same way here and at the next hop. A well-formed frame built from the
+// same parts then goes through, so the rejections are the gates' doing. The
 // frames span two sub-blocks, and the cases run on both datapaths: decode
 // time spent on the mirror thread alone, and spread over the NIC's cores.
 func TestMirrorFramingGates(t *testing.T) {
@@ -59,14 +65,23 @@ func TestMirrorFramingGates(t *testing.T) {
 	miscutLens[1] = uint32(len(miscut)) - miscutLens[0]
 
 	one := func(bc batchChunk) *replChunkBatch {
+		if len(bc.SubLens) > 0 {
+			bc.Sum = frameSum(bc.SubLens, bc.Payload) // as the sender sealed it
+		}
 		return &replChunkBatch{From: bc.From, To: bc.To, Chunks: []batchChunk{bc}}
 	}
 	good := batchChunk{From: 0, To: n, Payload: raw, RawLen: len(raw)}
 	goodZip := batchChunk{From: 0, To: n, Payload: zipped, SubLens: lens, RawLen: len(raw)}
+	inFlight := one(goodZip)
+	inFlight.Chunks[0].Payload = append([]byte(nil), zipped...)
+	inFlight.Chunks[0].Payload[len(zipped)/2] ^= 0xA5
 	cases := []struct {
 		name   string
 		rb     *replChunkBatch
 		crcBad bool
+		// senderMade frames pass every check a relay makes before it
+		// forwards.
+		senderMade bool
 	}{
 		{name: "empty frame list", rb: &replChunkBatch{}},
 		{name: "From gap between frames", rb: &replChunkBatch{From: 0, To: 2 * n, Chunks: []batchChunk{
@@ -79,10 +94,10 @@ func TestMirrorFramingGates(t *testing.T) {
 		{name: "raw payload shorter than RawLen", rb: one(batchChunk{
 			From: 0, To: n, Payload: raw[:len(raw)-8], RawLen: len(raw),
 		})},
-		{name: "compressed frame decodes long", rb: one(batchChunk{
+		{name: "compressed frame decodes long", senderMade: true, rb: one(batchChunk{
 			From: 0, To: n - 8, Payload: zipped, SubLens: lens, RawLen: len(raw) - 8,
 		})},
-		{name: "compressed frame decodes short", rb: one(batchChunk{
+		{name: "compressed frame decodes short", senderMade: true, rb: one(batchChunk{
 			From: 0, To: n + 8, Payload: zipped, SubLens: lens, RawLen: len(raw) + 8,
 		})},
 		{name: "table sums past the payload", rb: one(batchChunk{
@@ -100,15 +115,16 @@ func TestMirrorFramingGates(t *testing.T) {
 		{name: "zero-length table entry", rb: one(batchChunk{
 			From: 0, To: n, Payload: zipped, SubLens: []uint32{uint32(len(zipped)), 0}, RawLen: len(raw),
 		})},
-		{name: "sub-blocks cut in the wrong place", rb: one(batchChunk{
+		{name: "sub-blocks cut in the wrong place", senderMade: true, rb: one(batchChunk{
 			From: 0, To: n, Payload: miscut, SubLens: miscutLens, RawLen: len(raw),
 		})},
 		{name: "CRC-bad raw frame", crcBad: true, rb: one(batchChunk{
 			From: 0, To: n, Payload: flipped, RawLen: len(raw),
 		})},
-		{name: "CRC-bad compressed frame", crcBad: true, rb: one(batchChunk{
+		{name: "CRC-bad compressed frame with a good sum", crcBad: true, senderMade: true, rb: one(batchChunk{
 			From: 0, To: n, Payload: zipFlipped, SubLens: lensFlipped, RawLen: len(raw),
 		})},
+		{name: "payload flipped in flight", crcBad: true, rb: inFlight},
 	}
 
 	// Both ways a mirror spends a well-formed frame's decode time: on its own
@@ -133,23 +149,37 @@ func TestMirrorFramingGates(t *testing.T) {
 				return total
 			}
 			for _, tc := range cases {
-				rejectedBefore := cl.Robust.CRCRejected
+				rejectedBefore, fwdBefore := cl.Robust.CRCRejected, mirror.RepMsgs
 				ms.handleBatch(p, tc.rb)
 				p.Sleep(time.Millisecond) // an ack or forward, if any, lands well within this
 				if got := acks(); got != 0 {
 					t.Errorf("%s: %d acks reached the primary, want none", tc.name, got)
 				}
-				if mirror.RepMsgs != 0 {
-					t.Errorf("%s: frame was forwarded down-chain", tc.name)
+				wantFwd := int64(0)
+				if tc.senderMade {
+					wantFwd = 1
 				}
-				if head := ms.log.Head(); head != 0 {
-					t.Errorf("%s: mirror head moved to %d", tc.name, head)
+				if got := mirror.RepMsgs - fwdBefore; got != wantFwd {
+					t.Errorf("%s: forwarded %d times down-chain, want %d", tc.name, got, wantFwd)
+				}
+				for mi := 1; mi <= 2; mi++ {
+					if m := cl.NICs[mi].mirrors[0]; m != nil && m.log.Head() != 0 {
+						t.Errorf("%s: node %d mirror head moved to %d", tc.name, mi, m.log.Head())
+					}
 				}
 				if len(ms.bufs) != 1 {
 					t.Errorf("%s: %d buffers pooled, want the one lent back", tc.name, len(ms.bufs))
 				}
-				if got := cl.Robust.CRCRejected - rejectedBefore; (got == 1) != tc.crcBad {
-					t.Errorf("%s: CRCRejected moved by %d, crcBad=%v", tc.name, got, tc.crcBad)
+				// A sender-made CRC-bad frame is rejected at both hops.
+				want := int64(0)
+				if tc.crcBad {
+					want = 1
+					if tc.senderMade {
+						want = 2
+					}
+				}
+				if got := cl.Robust.CRCRejected - rejectedBefore; got != want {
+					t.Errorf("%s: CRCRejected moved by %d, want %d", tc.name, got, want)
 				}
 			}
 			ms.handleBatch(p, one(goodZip))
@@ -164,6 +194,75 @@ func TestMirrorFramingGates(t *testing.T) {
 			assertMirrorLogHolds(t, cl, 2, raw)
 		})
 		env.Shutdown()
+	}
+}
+
+// TestRelayBeforeDecode: one 2 MiB compressed fsync down an idle chain.
+// Replica 1 relays the frame once its Sum checks out, so replica 2 holds it
+// while replica 1's cores are still decoding it, and the two decodes overlap
+// instead of running back to back. Back to back, replica 2 would get the
+// frame only when replica 1's decode returned, and everything it does from
+// there to the client's ack would start that much later: the fsync would be
+// longer by the span from the frame reaching replica 1 to its decode
+// returning, which must be at least one sub-block decode on a NIC core.
+func TestRelayBeforeDecode(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	cfg.Compress, cfg.ChunkSize = true, 4<<20
+	env, cl := newTestCluster(t, cfg)
+	defer env.Shutdown()
+	var arrived [3]sim.Time
+	decoding := false // replica 1 mid-decode when replica 2 got the frame
+	for _, mi := range []int{1, 2} {
+		tapNIC(env, cl, mi, func(m *rdma.Msg) bool {
+			if _, ok := m.Arg.(*replChunkBatch); ok && arrived[mi] == 0 {
+				arrived[mi] = env.Now()
+				decoding = mi == 2 && cl.NICs[1].codecGate.InUse() > 0
+			}
+			return true
+		})
+	}
+	// Replica 1's decode is the only user of its codec gate: it returned, to
+	// within one poll, when the gate comes free.
+	var decoded sim.Time
+	env.Go("watch", func(p *sim.Proc) {
+		gate, busy := cl.NICs[1].codecGate, false
+		for ; decoded == 0 && p.Now() < sim.Time(time.Second); p.Sleep(time.Microsecond) {
+			if gate.InUse() > 0 {
+				busy = true
+			} else if busy {
+				decoded = p.Now()
+			}
+		}
+	})
+	payload := logOf(sortRecords(rand.New(rand.NewSource(7)), 0.6), 2<<20)[:2<<20]
+	run(t, env, 10*time.Second, func(p *sim.Proc) {
+		l, err := cl.Attach(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd, _ := l.Create(p, "/relay")
+		if _, err := l.WriteAt(p, fd, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if cl.NICs[0].RepWireBytes >= cl.NICs[0].RepBytes {
+		t.Fatal("the chunk travelled raw; the test wants a compressed frame")
+	}
+	if arrived[1] == 0 || arrived[2] == 0 || decoded == 0 {
+		t.Fatalf("frame arrivals %v, replica 1 decoded at %v", arrived[1:], decoded)
+	}
+	if !decoding || arrived[2] >= decoded {
+		t.Errorf("replica 2 got the frame at %v, replica 1's decode returned at %v", arrived[2], decoded)
+	}
+	subDecode := cl.Machines[1].NICCPU.Scale(codecCost(subBlockSize, 2*cfg.Spec.CompressBW))
+	t.Logf("frame at replica 1 %v, at replica 2 %v; replica 1 decoded at %v; a sub-block decode is %v",
+		arrived[1], arrived[2], decoded, subDecode)
+	if saved := time.Duration(decoded - arrived[1]); saved < subDecode {
+		t.Errorf("overlap saves %v of the fsync, want at least one sub-block decode (%v)", saved, subDecode)
 	}
 }
 
@@ -241,34 +340,38 @@ func tableBytes(lens []uint32) []byte {
 	return b
 }
 
-// FuzzDecodeBatchChunk drives the mirror's frame decoder with arbitrary
-// payloads, declared lengths and sub-block tables. It must never panic,
-// never write outside the capacity-pinned slot the caller carved out of the
-// batch buffer, and accept a frame only when the table fits payload and
-// declared length and the slot then holds exactly the bytes the reference
-// decoder gets from each sub-block. The seeds (here and in testdata) are
-// each way a table can be wrong, at one, two and three sub-blocks.
+// FuzzDecodeBatchChunk drives the mirror's frame checks — Sum, then decode —
+// with arbitrary payloads, declared lengths and sub-block tables. A
+// compressed frame's Sum is the reference CRC-32C of its table and payload
+// XOR sumXor: checkSum must pass it exactly when sumXor is 0. The decoder
+// must never panic, never write outside the capacity-pinned slot the caller
+// carved out of the batch buffer, and accept a frame only when the table
+// fits payload and declared length and the slot then holds exactly the
+// bytes the reference decoder gets from each sub-block. The seeds (here and
+// in testdata) are each way a table can be wrong, at one, two and three
+// sub-blocks, and a sum or table entry flipped after sealing.
 func FuzzDecodeBatchChunk(f *testing.F) {
 	raw := wireEntries(1, 2<<10)
 	zipped, lens := zipFrame(raw)
-	f.Add(raw, len(raw), []byte{})
-	f.Add(raw, len(raw)-8, []byte{})
-	f.Add(zipped, len(raw), tableBytes(lens))
-	f.Add(zipped, len(raw)-8, tableBytes(lens))
-	f.Add(zipped, len(raw)+8, tableBytes(lens))
-	f.Add(zipped[:len(zipped)/2], len(raw), tableBytes([]uint32{uint32(len(zipped) / 2)}))
-	f.Add(raw, len(raw), tableBytes([]uint32{uint32(len(raw))})) // raw bytes mislabelled as compressed
+	f.Add(raw, len(raw), []byte{}, uint32(0))
+	f.Add(raw, len(raw)-8, []byte{}, uint32(0))
+	f.Add(zipped, len(raw), tableBytes(lens), uint32(0))
+	f.Add(zipped, len(raw)-8, tableBytes(lens), uint32(0))
+	f.Add(zipped, len(raw)+8, tableBytes(lens), uint32(0))
+	f.Add(zipped[:len(zipped)/2], len(raw), tableBytes([]uint32{uint32(len(zipped) / 2)}), uint32(0))
+	f.Add(raw, len(raw), tableBytes([]uint32{uint32(len(raw))}), uint32(0)) // raw bytes mislabelled as compressed
 	big := wireEntries(1, subBlockSize+(4<<10))
 	bigZip, bigLens := zipFrame(big)
-	f.Add(bigZip, len(big), tableBytes(bigLens))
-	f.Add(bigZip, len(big), tableBytes([]uint32{uint32(len(bigZip))}))                 // too few entries
-	f.Add(bigZip, len(big), tableBytes([]uint32{bigLens[0], bigLens[1] - 1, 1}))       // too many
-	f.Add(bigZip, len(big), tableBytes([]uint32{uint32(len(bigZip)), 0}))              // zero-length entry
-	f.Add(bigZip, len(big), tableBytes([]uint32{bigLens[0] + 1, bigLens[1] - 1}))      // cut mid-stream
-	f.Add(bigZip[:len(bigZip)-1], len(big), tableBytes(bigLens))                       // sum != payload
-	f.Add(bigZip, len(big), tableBytes([]uint32{bigLens[0], ^uint32(0) - bigLens[0]})) // sum wraps
+	f.Add(bigZip, len(big), tableBytes(bigLens), uint32(0))
+	f.Add(bigZip, len(big), tableBytes([]uint32{uint32(len(bigZip))}), uint32(0))                 // too few entries
+	f.Add(bigZip, len(big), tableBytes([]uint32{bigLens[0], bigLens[1] - 1, 1}), uint32(0))       // too many
+	f.Add(bigZip, len(big), tableBytes([]uint32{uint32(len(bigZip)), 0}), uint32(0))              // zero-length entry
+	f.Add(bigZip, len(big), tableBytes([]uint32{bigLens[0] + 1, bigLens[1] - 1}), uint32(0))      // cut mid-stream
+	f.Add(bigZip[:len(bigZip)-1], len(big), tableBytes(bigLens), uint32(0))                       // sum != payload
+	f.Add(bigZip, len(big), tableBytes([]uint32{bigLens[0], ^uint32(0) - bigLens[0]}), uint32(0)) // sum wraps
 	dec := compress.NewDecoder()
-	f.Fuzz(func(t *testing.T, payload []byte, rawLen int, table []byte) {
+	ref := crc32.MakeTable(crc32.Castagnoli)
+	f.Fuzz(func(t *testing.T, payload []byte, rawLen int, table []byte, sumXor uint32) {
 		if rawLen < 0 || rawLen > 2*subBlockSize+(1<<12) {
 			t.Skip("declared length outside the sizes worth a buffer")
 		}
@@ -276,7 +379,17 @@ func FuzzDecodeBatchChunk(f *testing.F) {
 		buf := bytes.Repeat([]byte{0xEE}, guard+rawLen+guard)
 		slot := buf[guard : guard+rawLen : guard+rawLen]
 		bc := &batchChunk{Payload: payload, SubLens: fuzzTable(table), RawLen: rawLen}
-		err := decodeBatchChunk(dec, slot, bc)
+		if len(bc.SubLens) > 0 {
+			sealed := append(table[:subLenBytes*len(bc.SubLens):subLenBytes*len(bc.SubLens)], payload...)
+			bc.Sum = crc32.Checksum(sealed, ref) ^ sumXor
+		}
+		err := bc.checkSum()
+		if (err == nil) != (len(bc.SubLens) == 0 || sumXor == 0) {
+			t.Fatalf("checkSum = %v with the sum off by %#x", err, sumXor)
+		}
+		if err == nil {
+			err = decodeBatchChunk(dec, slot, bc)
+		}
 		for i := 0; i < guard; i++ {
 			if buf[i] != 0xEE || buf[guard+rawLen+i] != 0xEE {
 				t.Fatalf("decode wrote outside its slot (guard byte %d)", i)

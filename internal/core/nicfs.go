@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -273,9 +274,9 @@ func (n *NICFS) runLane(p *sim.Proc, lowLat bool, q *sim.Queue[*rdma.Msg]) {
 			n.handleLeaseAcquire(p, msg)
 		case "fsync":
 			req := msg.Arg.(*fsyncReq)
-			n.cl.Env.Go(n.Name()+"/fsync", func(hp *sim.Proc) {
+			n.procs = append(slices.DeleteFunc(n.procs, finished), n.cl.Env.Go(n.Name()+"/fsync", func(hp *sim.Proc) {
 				n.handleFsync(hp, msg, req)
-			})
+			}))
 		case "chunk-ready":
 			req := msg.Arg.(*chunkReady)
 			if cs := n.clients[req.Slot]; cs != nil {
@@ -581,6 +582,9 @@ func extendInto(a, b []byte) ([]byte, bool) {
 	}
 	return a[:n+len(b)], true
 }
+
+// finished is what a list of processes to kill drops before it grows.
+func finished(p *sim.Proc) bool { return p.Done.Triggered() }
 
 // Crash takes the NICFS down (SmartNIC failure injection for tests).
 func (n *NICFS) Crash() {

@@ -40,12 +40,12 @@ var wireFuncs = map[string]map[string]bool{
 		"DecompressInto": true,
 	},
 	"internal/core": {
-		// Replication frame decode, whole or one sub-block at a time, and the
-		// table check before it: a frame that fails any of them must never
-		// be persisted or acknowledged.
+		// Replication frame decode and the table and sum checks before it: a
+		// frame that fails any of them must never be persisted or
+		// acknowledged, nor forwarded if it fails before the relay.
 		"decodeBatchChunk": true,
-		"unzipSubBlock":    true,
 		"checkTable":       true,
+		"checkSum":         true,
 	},
 }
 
