@@ -86,7 +86,8 @@ func (b *backend) ChunkReady(p *sim.Proc, head uint64, _ []uint64) {
 }
 
 // Fsync implements dfs.Backend. The range replicates in the calling thread's
-// context, one transfer: there is no pipeline for pieces to overlap in.
+// context, one transfer: there is no pipeline for pieces to overlap in, so
+// the client is given no FsyncPiece and the cuts are always nil.
 func (b *backend) Fsync(p *sim.Proc, head uint64, _ []uint64) error {
 	b.ipc(p)
 	if err := b.shared.fsyncSlot(p, b.ss, head); err != nil {

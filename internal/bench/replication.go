@@ -32,7 +32,7 @@ type RepStats struct {
 	SyncPathFsyncP50Micros float64 `json:"sync_path_fsync_p50_us"`
 	SyncPathFsyncP99Micros float64 `json:"sync_path_fsync_p99_us"`
 	// LargeFsyncP50Micros is the fsync behind 64 writes of 10 KiB on an idle
-	// cluster of the default layout: a range of several dfs.FsyncPiece.
+	// cluster of the default layout: a range of several fsync pieces.
 	LargeFsyncP50Micros float64 `json:"large_fsync_p50_us"`
 	// FanInFsyncOpsPerSec is 2 and 4 clients of one primary, each doing 4 KiB
 	// write+fsync rounds on its own file: the sum of their fsyncs per second.
@@ -262,8 +262,8 @@ func MeasureRepBench(minTime time.Duration) (RepBenchReport, error) {
 		return rep, fmt.Errorf("repbench: sync-path fsync p50 %.3f us, want below the %.3f us recorded when it still waited for local publication",
 			cur.SyncPathFsyncP50Micros, base.SyncPathFsyncP50Micros)
 	}
-	if cur.LargeFsyncP50Micros <= 0 || cur.LargeFsyncP50Micros > 0.75*base.LargeFsyncP50Micros {
-		return rep, fmt.Errorf("repbench: large fsync p50 %.3f us, want a quarter below the %.3f us recorded when its range went as one chunk",
+	if cur.LargeFsyncP50Micros <= 0 || cur.LargeFsyncP50Micros > 0.55*base.LargeFsyncP50Micros {
+		return rep, fmt.Errorf("repbench: large fsync p50 %.3f us, want at least 45%% below the %.3f us recorded when its range went as one chunk",
 			cur.LargeFsyncP50Micros, base.LargeFsyncP50Micros)
 	}
 	rep = RepBenchReport{

@@ -61,6 +61,7 @@ func newAttachment(p *sim.Proc, cl *Cluster, machine, slot int) (*Attachment, er
 	cfg.Log = cl.NICs[machine].clients[slot].log
 	cfg.InoBase, cfg.InoMax = resp.InoBase, resp.InoCount
 	cfg.NotifyChunks = doorbellChunks(cfg.ChunkSize)
+	cfg.FsyncPiece = cl.fsyncPiece
 	client := dfs.NewClient(cl.Env, b, cfg)
 	b.client = client
 

@@ -97,6 +97,9 @@ type clientState struct {
 
 	// freeCk is the chunk freelist fed by runCompletion.
 	freeCk []*chunk
+	// pubItems is publishChunk's copy list, reused unless a timed-out kernel
+	// worker may still read it.
+	pubItems []copyItem
 
 	// repWait tracks procs waiting for replication to reach an offset.
 	repWait []repWaiter
@@ -627,7 +630,7 @@ func (cs *clientState) publishChunk(p *sim.Proc, ck *chunk) {
 		return
 	}
 	ctx := n.cl.nicCtx(p, n.machine, "nicfs")
-	var items []copyItem
+	items := cs.pubItems[:0]
 	cp := func(dst int64, src []byte) {
 		items = append(items, copyItem{Dst: dst, Data: src})
 	}
@@ -645,9 +648,14 @@ func (cs *clientState) publishChunk(p *sim.Proc, ck *chunk) {
 	n.PubBytes += int64(copyBytes(items))
 	if n.publishItems(p, items) {
 		// The timed-out kernel worker may still read these item buffers,
-		// which alias ck.raw: leak the chunk instead of recycling it.
+		// which alias ck.raw, and the list itself: leak both instead of
+		// recycling them.
 		ck.retained = true
+		cs.pubItems = nil
+		return
 	}
+	clear(items)
+	cs.pubItems = items
 }
 
 // runSender is the per-client chain transmit loop: it drains every chunk
@@ -733,6 +741,23 @@ const (
 // a doorbell per chunk.
 func doorbellChunks(chunkSize int) int {
 	return max(1, min(repBatchChunks, repBatchBytes/chunkSize))
+}
+
+// fsyncPieceOf is the most log bytes in one piece of a large fsync's range:
+// what the wire carries in the time one NIC core takes to dispatch a
+// message (NICRPCCost; 82 500 bytes at the default spec). Every hop pays
+// that dispatch per message, a pipeline stage of its own beside the wire, and
+// a piece that balances the two keeps both busy (DESIGN.md §11). It is 0 —
+// the range goes whole — where the stage behind validation needs the whole
+// range (Compress: one codecGate hold) or there is no stage behind it
+// (LineFS-NotParallel).
+func fsyncPieceOf(cfg Config) int {
+	if !cfg.Parallel || cfg.Compress {
+		return 0
+	}
+	s := cfg.Spec
+	dispatch := time.Duration(float64(s.NICRPCCost) / s.NICSpeed) // as hw.CPU.Scale charges it
+	return int(float64(dispatch) * s.NetBW / float64(time.Second))
 }
 
 // sendRun accumulates contiguous chunks bound for one wire message.
@@ -978,16 +1003,13 @@ func (n *NICFS) handleFsync(p *sim.Proc, msg *rdma.Msg, req *fsyncReq) {
 		msg.RespondErr(p, fmt.Errorf("nicfs: fsync for unknown slot %d", req.Slot))
 		return
 	}
-	// The range goes as the client's pieces, so that piece k+1's fetch
-	// overlaps piece k's trip down the chain — unless the codec wants it
-	// whole, across the cores under one codecGate hold (pieces would each
-	// take the gate alone), or LineFS-NotParallel's one thread takes it. A
-	// retried request finds Head queued, forms nothing (nil) and waits.
+	// The range goes as the client's pieces (none where it must go whole,
+	// fsyncPieceOf), so that piece k+1's fetch overlaps piece k's trip down
+	// the chain. A retried request finds Head queued, forms nothing (nil)
+	// and waits.
 	var formed []*chunk
-	if cfg := n.cl.Cfg; cfg.Parallel && !cfg.Compress {
-		for _, cut := range req.Cuts {
-			formed = append(formed, cs.formChunk(p, min(cut, req.Head), true))
-		}
+	for _, cut := range req.Cuts {
+		formed = append(formed, cs.formChunk(p, min(cut, req.Head), true))
 	}
 	formed = append(formed, cs.formChunk(p, req.Head, true))
 	// A sync chunk is fetched and validated here, on the handler's own

@@ -24,6 +24,10 @@ type Cluster struct {
 	Robust stats.Robustness
 
 	clients []*Attachment // by slot
+
+	// fsyncPiece is every client's dfs.Config.FsyncPiece, derived once from
+	// the spec and the datapath (fsyncPieceOf).
+	fsyncPiece int
 }
 
 // NewCluster builds and formats a LineFS cluster. Call Start before
@@ -33,7 +37,7 @@ func NewCluster(env *sim.Env, cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := &Cluster{Testbed: tb, Cfg: cfg, clients: make([]*Attachment, cfg.MaxClients)}
+	cl := &Cluster{Testbed: tb, Cfg: cfg, clients: make([]*Attachment, cfg.MaxClients), fsyncPiece: fsyncPieceOf(cfg)}
 	for _, m := range cl.Machines {
 		// Machine-local RPC timeouts (NICFS <-> kernel worker) count too.
 		m.Local.Robust = &cl.Robust

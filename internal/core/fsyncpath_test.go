@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"linefs/internal/dfs"
 	"linefs/internal/fs"
 	"linefs/internal/hw"
 	"linefs/internal/rdma"
@@ -181,8 +180,9 @@ func slowKWorkers(env *sim.Env, cl *Cluster) {
 // TestLateKernelWorkerCopyRetainsBuffers runs on slow kernel workers. NICFS
 // has published across PCIe itself by the time they answer, and the late
 // answers are discarded; the buffers those copies may read — the primary's
-// chunk, each mirror's pooled buffer — must not have gone back to their
-// pools, where the next chunk would overwrite what a late copy reads.
+// chunk, each mirror's pooled buffer, and each node's copy list — must not
+// have gone back to their pools, where the next chunk would overwrite what a
+// late copy reads.
 func TestLateKernelWorkerCopyRetainsBuffers(t *testing.T) {
 	t.Parallel()
 	env, cl := newTestCluster(t, testConfig())
@@ -191,14 +191,20 @@ func TestLateKernelWorkerCopyRetainsBuffers(t *testing.T) {
 	run(t, env, 10*time.Second, func(p *sim.Proc) {
 		l, _ := cl.Attach(p, 0)
 		fd, _ := l.Create(p, "/late")
+		if _, err := l.WriteAt(p, fd, 0, payload[:4<<10]); err != nil {
+			t.Fatal(err)
+		}
 		if err := l.Fsync(p, fd); err != nil {
 			t.Fatal(err)
 		}
 		p.Sleep(10 * time.Millisecond)
 		cs, mirrors := cl.NICs[0].clients[0], []*mirrorState{cl.NICs[1].mirrors[0], cl.NICs[2].mirrors[0]}
 		if len(cs.freeCk) != 1 || len(mirrors[0].bufs) != 1 || len(mirrors[1].bufs) != 1 {
-			t.Fatalf("pools after the create: %d chunks, %d and %d mirror buffers; want one each",
+			t.Fatalf("pools after the first fsync: %d chunks, %d and %d mirror buffers; want one each",
 				len(cs.freeCk), len(mirrors[0].bufs), len(mirrors[1].bufs))
+		}
+		if cs.pubItems == nil || mirrors[0].pubItems == nil || mirrors[1].pubItems == nil {
+			t.Fatal("a publication left no copy list to reuse")
 		}
 		slowKWorkers(env, cl)
 		if _, err := l.WriteAt(p, fd, 0, payload); err != nil {
@@ -211,12 +217,12 @@ func TestLateKernelWorkerCopyRetainsBuffers(t *testing.T) {
 		if got := cl.Robust.RepliesDiscarded; got != 3 {
 			t.Errorf("%d late copy answers discarded, want one per node", got)
 		}
-		if len(cs.freeCk) != 0 {
-			t.Error("the primary recycled a chunk a timed-out copy read")
+		if len(cs.freeCk) != 0 || cs.pubItems != nil {
+			t.Error("the primary recycled a chunk or a copy list a timed-out copy read")
 		}
 		for i, ms := range mirrors {
-			if len(ms.bufs) != 0 {
-				t.Errorf("node %d's mirror recycled a buffer a timed-out copy read", i+1)
+			if len(ms.bufs) != 0 || ms.pubItems != nil {
+				t.Errorf("node %d's mirror recycled a buffer or a copy list a timed-out copy read", i+1)
 			}
 		}
 		assertReplicasHold(t, cl, "/late", payload)
@@ -403,14 +409,14 @@ type largeTrip struct {
 }
 
 // largeFsync attaches a client to node 0, lets the create settle, writes size
-// bytes as 4 KiB entries and fsyncs them: through the client, which offers its
-// cuts, or (pieces=false) straight through the backend with none — the
-// one-chunk path, with the system call charged by hand.
-func largeFsync(t *testing.T, cfg Config, size int, pieces bool) (trip largeTrip) {
+// bytes as 4 KiB entries and fsyncs them, the client cutting the range at
+// scale times the cluster's own fsync piece (0: the range goes whole).
+func largeFsync(t *testing.T, cfg Config, size int, scale float64) (trip largeTrip) {
 	t.Helper()
 	cfg.ChunkSize = 4 << 20 // as DefaultConfig: no doorbell below 4 MiB
 	env, cl := newTestCluster(t, cfg)
 	defer env.Shutdown()
+	cl.fsyncPiece = int(scale * float64(cl.fsyncPiece))
 	run(t, env, 10*time.Second, func(p *sim.Proc) {
 		l, err := cl.Attach(p, 0)
 		if err != nil {
@@ -447,13 +453,7 @@ func largeFsync(t *testing.T, cfg Config, size int, pieces bool) (trip largeTrip
 			trip.fetchesAtFirstSent = fetch.N - before
 		})
 		start := p.Now()
-		if pieces {
-			err = l.Fsync(p, fd)
-		} else {
-			cl.LibFS(0, 0).Syscall(p)
-			err = l.backend.Fsync(p, l.Log().Head(), nil)
-		}
-		if err != nil {
+		if err := l.Fsync(p, fd); err != nil {
 			t.Fatalf("fsync: %v", err)
 		}
 		trip.took, trip.fetches = time.Duration(p.Now()-start), fetch.N-before
@@ -472,7 +472,7 @@ func largeFsync(t *testing.T, cfg Config, size int, pieces bool) (trip largeTrip
 		assertReplicasHold(t, cl, "/large", payload)
 	})
 	if cl.Robust.Any() {
-		t.Errorf("%d bytes, pieces=%v: a robustness counter moved on a fault-free run: %+v", size, pieces, cl.Robust)
+		t.Errorf("%d bytes, piece ×%v: a robustness counter moved on a fault-free run: %+v", size, scale, cl.Robust)
 	}
 	return trip
 }
@@ -481,46 +481,51 @@ func largeFsync(t *testing.T, cfg Config, size int, pieces bool) (trip largeTrip
 // as the client's pieces, and the stages that used to run one after the other
 // on the whole range — fetch, both wire hops, both persists — overlap across
 // them. Properties, not numbers: the first piece is on the wire before the
-// last is fetched, 640 KiB (three pieces) return at least a quarter sooner
-// than as one chunk, and no size is slower for being cut. Where the stage
-// behind validation needs the whole range (Compress: one codecGate hold) or
-// there is no stage behind it (LineFS-NotParallel), the cuts are ignored.
+// last is fetched, 640 KiB (nine pieces) return at least 35 % sooner than as
+// one chunk, and no size is slower for being cut. Where the stage behind
+// validation needs the whole range (Compress: one codecGate hold) or there is
+// no stage behind it (LineFS-NotParallel), the daemon asks for no pieces.
 func TestLargeFsyncStreams(t *testing.T) {
 	t.Parallel()
-	// A piece is one codec sub-block. It is one uninterrupted transfer on each
-	// link because of its class, not its size: the fsync path's priority
-	// preempts the bulk segment in service, whatever MaxSeg is.
-	if dfs.FsyncPiece != subBlockSize {
-		t.Errorf("dfs.FsyncPiece %d, subBlockSize %d: a piece is meant to be one sub-block", dfs.FsyncPiece, subBlockSize)
-	}
+	// A piece is what the wire carries while a NIC core dispatches one
+	// message. It is one uninterrupted transfer on each link because of its
+	// class, not its size: the fsync path's priority preempts the bulk
+	// segment in service, whatever MaxSeg is.
+	cfg := testConfig()
 	env := sim.NewEnv(1)
+	piece := fsyncPieceOf(cfg)
+	dispatch := hw.NewCPU(env, "nic", 1, cfg.Spec.NICSpeed).Scale(cfg.Spec.NICRPCCost)
+	if want := int(math.Round(dispatch.Seconds() * cfg.Spec.NetBW)); piece != want || piece != 82500 {
+		t.Errorf("fsync piece %d bytes, want one %v dispatch × the wire's %.0f B/s = %d (82500 at the default spec)",
+			piece, dispatch, cfg.Spec.NetBW, want)
+	}
 	link := hw.NewLink(env, "l", 0, 1e9)
 	var pieceDone sim.Time
 	env.Go("bulk", func(p *sim.Proc) { link.Transfer(p, 4<<20, rdma.ClassPrio(false)) })
 	env.Go("piece", func(p *sim.Proc) {
 		p.Sleep(time.Microsecond)
-		link.Transfer(p, dfs.FsyncPiece, rdma.ClassPrio(true))
+		link.Transfer(p, piece, rdma.ClassPrio(true))
 		pieceDone = p.Now()
 	})
 	env.Run()
-	if want := sim.Time(time.Microsecond + link.SerializeTime(dfs.FsyncPiece)); pieceDone != want {
+	if want := sim.Time(time.Microsecond + link.SerializeTime(piece)); pieceDone != want {
 		t.Errorf("a piece beside bulk on a link returned at %v, want %v: its arrival plus its own serialization", pieceDone, want)
 	}
 
-	cut, whole := largeFsync(t, testConfig(), 640<<10, true), largeFsync(t, testConfig(), 640<<10, false)
-	if len(cut.cuts) != 2 || len(whole.cuts) != 0 {
-		t.Fatalf("640 KiB formed sync chunks cut at %v with the client's cuts and %v without; want 2 cuts and none", cut.cuts, whole.cuts)
+	cut, whole := largeFsync(t, cfg, 640<<10, 1), largeFsync(t, cfg, 640<<10, 0)
+	if len(cut.cuts) != 8 || len(whole.cuts) != 0 {
+		t.Fatalf("640 KiB formed sync chunks cut at %v with the client's cuts and %v without; want 8 cuts and none", cut.cuts, whole.cuts)
 	}
-	if cut.fetches != 3 || cut.fetchesAtFirstSent >= cut.fetches {
+	if cut.fetches != 9 || cut.fetchesAtFirstSent >= cut.fetches {
 		t.Errorf("the first piece went on the wire after %d of %d fetches; want it gone before the last", cut.fetchesAtFirstSent, cut.fetches)
 	}
 	t.Logf("640 KiB fsync: %v in pieces, %v as one chunk", cut.took, whole.took)
-	if cut.took > whole.took*3/4 {
-		t.Errorf("640 KiB fsync: %v in pieces, %v as one chunk; want at least 25%% less", cut.took, whole.took)
+	if cut.took > whole.took*65/100 {
+		t.Errorf("640 KiB fsync: %v in pieces, %v as one chunk; want at least 35%% less", cut.took, whole.took)
 	}
 
-	for _, kib := range []int{4, 200, 300, 320, 420, 1 << 10, 2 << 10, 3992} {
-		cut, whole := largeFsync(t, testConfig(), kib<<10, true), largeFsync(t, testConfig(), kib<<10, false)
+	for _, kib := range []int{4, 84, 100, 104, 200, 300, 420, 1 << 10, 2 << 10, 3992} {
+		cut, whole := largeFsync(t, cfg, kib<<10, 1), largeFsync(t, cfg, kib<<10, 0)
 		t.Logf("%d KiB fsync: %v in pieces, %v as one chunk", kib, cut.took, whole.took)
 		if cut.took > whole.took {
 			t.Errorf("%d KiB fsync: %v in pieces (cuts %v), %v as one chunk", kib, cut.took, cut.cuts, whole.took)
@@ -536,8 +541,26 @@ func TestLargeFsyncStreams(t *testing.T) {
 	} {
 		cfg := testConfig()
 		tc.set(&cfg)
-		if trip := largeFsync(t, cfg, 640<<10, true); len(trip.cuts) != 0 || trip.fetches != 1 {
-			t.Errorf("%s: 640 KiB fsync formed sync chunks cut at %v, %d fetches; want one chunk", tc.name, trip.cuts, trip.fetches)
+		if trip := largeFsync(t, cfg, 640<<10, 1); fsyncPieceOf(cfg) != 0 || len(trip.cuts) != 0 || trip.fetches != 1 {
+			t.Errorf("%s: piece %d, 640 KiB fsync formed sync chunks cut at %v, %d fetches; want one chunk",
+				tc.name, fsyncPieceOf(cfg), trip.cuts, trip.fetches)
+		}
+	}
+}
+
+// TestFsyncPieceIsTheBalance: the derived piece balances a piece's wire time
+// against the dispatch every hop pays per message, so the 640 KiB fsync is no
+// slower at it than at half of it (the hops' dispatches become the
+// bottleneck) or at twice it (the first piece's fetch and the last piece's
+// relay overlap nothing).
+func TestFsyncPieceIsTheBalance(t *testing.T) {
+	t.Parallel()
+	at := largeFsync(t, testConfig(), 640<<10, 1).took
+	for _, scale := range []float64{0.5, 2} {
+		other := largeFsync(t, testConfig(), 640<<10, scale).took
+		t.Logf("640 KiB fsync: %v at the piece, %v at ×%v", at, other, scale)
+		if at > other {
+			t.Errorf("640 KiB fsync: %v at the derived piece, %v at ×%v of it", at, other, scale)
 		}
 	}
 }

@@ -49,6 +49,9 @@ type mirrorState struct {
 	// aliased — the primary recycles its chunk buffers as soon as the chain
 	// acks, which can be before this replica's background publication runs.
 	bufs [][]byte
+	// pubItems is publishLocal's copy list, reused unless a timed-out kernel
+	// worker may still read it.
+	pubItems []copyItem
 }
 
 type pubJob struct {
@@ -524,11 +527,17 @@ func (ms *mirrorState) publishLocal(p *sim.Proc, raw []byte, from, to uint64) (r
 	}
 	n.nicCompute(p, validateCost(len(raw), n.cl.Cfg.Spec.ValidatePerMiB))
 	ctx := n.cl.nicCtx(p, n.machine, "nicfs")
-	var items []copyItem
+	items := ms.pubItems[:0]
 	cp := func(dst int64, src []byte) { items = append(items, copyItem{Dst: dst, Data: src}) }
 	if err := n.vol.ApplyAll(ctx, entries, cp); err == nil {
 		retained = n.publishItems(p, items)
 		n.PubBytes += int64(len(raw))
+	}
+	if retained {
+		ms.pubItems = nil // a late kernel-worker copy may still read the list
+	} else {
+		clear(items)
+		ms.pubItems = items
 	}
 	ms.pubNext = to
 	ms.log.Reclaim(ctx, to)

@@ -39,17 +39,11 @@ type Backend interface {
 	// Fsync makes everything up to head durable per the system's
 	// guarantees (replicated on all chain members) before returning. cuts
 	// are entry boundaries after the last notification (oldest first, all
-	// < head), FsyncPiece apart: a backend that pipelines replication may
-	// send the range as those pieces. The slice is reused, like marks.
+	// < head), Config.FsyncPiece apart, and nil when that is 0: a backend
+	// that pipelines replication may send the range as those pieces. The
+	// slice is reused, like marks.
 	Fsync(p *sim.Proc, head uint64, cuts []uint64) error
 }
-
-// FsyncPiece is the most log bytes in one piece of an fsync's range (a
-// single larger entry aside): one hw.Link segment and one codec sub-block,
-// so a piece's fetch, wire hops and persists overlap its neighbours'. Half
-// as much costs more in dispatches than it gains in overlap, twice as much
-// overlaps too little (DESIGN.md §11 has both measured).
-const FsyncPiece = 256 << 10
 
 // Config wires a client to its node's resources.
 type Config struct {
@@ -68,7 +62,13 @@ type Config struct {
 	// chunk boundaries before ringing one ChunkReady doorbell carrying all of
 	// them. Values <= 1 ring per chunk boundary.
 	NotifyChunks int
-	LeaseTTL     time.Duration
+	// FsyncPiece is the most log bytes in one piece of an fsync's range (a
+	// single larger entry aside), which the daemon fills in too: the client
+	// cuts the range it hands Backend.Fsync at entry boundaries this far
+	// apart, so that a piece's fetch, wire hops and persists overlap its
+	// neighbours'. 0 takes the range whole: no cuts are recorded.
+	FsyncPiece int
+	LeaseTTL   time.Duration
 }
 
 // Client is one application process's file system handle.
@@ -101,9 +101,9 @@ type Client struct {
 	sinceNotify int64
 	marks       []uint64
 
-	// cuts holds the FsyncPiece boundaries of the log written since the last
-	// doorbell (only the client knows where entries end); pieceFrom is where
-	// the running piece starts.
+	// cuts holds the Config.FsyncPiece boundaries of the log written since
+	// the last doorbell (only the client knows where entries end); pieceFrom
+	// is where the running piece starts.
 	cuts      []uint64
 	pieceFrom uint64
 
@@ -282,7 +282,7 @@ func (l *Client) append(p *sim.Proc, e *fs.Entry) (uint64, error) {
 	for {
 		at, err := l.log.Append(ctx, e)
 		if err == nil {
-			if at > l.pieceFrom && l.log.Head()-l.pieceFrom > FsyncPiece {
+			if piece := uint64(l.cfg.FsyncPiece); piece > 0 && at > l.pieceFrom && l.log.Head()-l.pieceFrom > piece {
 				l.cuts = append(l.cuts, at)
 				l.pieceFrom = at
 			}

@@ -476,7 +476,7 @@ func (l *Client) Fsync(p *sim.Proc, fd int) error {
 	head, cuts := l.log.Head(), l.cuts
 	// A tail under a quarter piece rides with the piece before it: its own
 	// trip down the chain would cost more than overlapping it saves.
-	if n := len(cuts); n > 0 && head-cuts[n-1] < FsyncPiece/4 {
+	if n := len(cuts); n > 0 && head-cuts[n-1] < uint64(l.cfg.FsyncPiece/4) {
 		cuts = cuts[:n-1]
 	}
 	l.cuts, l.pieceFrom = l.cuts[:0], head

@@ -35,6 +35,7 @@ type fakeBackend struct {
 	// and the log offset every entry of the range ends at.
 	fsyncFrom uint64
 	cuts      []uint64
+	cutsNil   bool
 	entryEnds []uint64
 }
 
@@ -62,7 +63,7 @@ func (b *fakeBackend) Fsync(p *sim.Proc, head uint64, cuts []uint64) error {
 		return err
 	}
 	b.fsyncFrom = max(b.fsyncFrom, b.published)
-	b.cuts = append(b.cuts[:0], cuts...)
+	b.cuts, b.cutsNil = append(b.cuts[:0], cuts...), cuts == nil
 	b.entryEnds = b.entryEnds[:0]
 	at := b.published
 	for _, e := range ents {
@@ -241,81 +242,109 @@ func TestDoorbellCoalescing(t *testing.T) {
 }
 
 // TestFsyncCuts holds the pieces an fsync offers its backend to their
-// properties, over seeded write sizes: every cut is an entry boundary strictly
-// inside the range the fsync itself covers (after the last doorbell, before
-// head), a piece exceeds FsyncPiece only by being one entry, or by being the
-// last and carrying a tail of under a quarter piece — which is never left on
-// its own — and no piece was cut while its next entry still fitted.
+// properties, over seeded write sizes and two configured pieces: every cut is
+// an entry boundary strictly inside the range the fsync itself covers (after
+// the last doorbell, before head), a piece exceeds the piece size only by
+// being one entry, or by being the last and carrying a tail of under a
+// quarter piece — which is never left on its own — and no piece was cut while
+// its next entry still fitted.
 func TestFsyncCuts(t *testing.T) {
 	t.Parallel()
+	for _, piece := range []int{82500, 256 << 10} {
+		env, b, c := newFake(t, func(cfg *Config) { cfg.FsyncPiece = piece })
+		rng := rand.New(rand.NewSource(22))
+		lim := uint64(piece)
+		run(t, env, func(p *sim.Proc) {
+			fd, _ := c.Create(p, "/cuts")
+			check := func(name string) {
+				t.Helper()
+				if err := c.Fsync(p, fd); err != nil {
+					t.Fatal(err)
+				}
+				from, fromAt := b.fsyncFrom, -1 // fromAt indexes the entry that ends at from
+				for i, end := range append(b.cuts, b.published) {
+					last := i == len(b.cuts)
+					at, ok := slices.BinarySearch(b.entryEnds, end)
+					if !ok || end <= from || (!last && end >= b.published) {
+						t.Fatalf("piece %d, %s: cut %d is not an entry boundary inside (%d, %d)", piece, name, end, from, b.published)
+					}
+					entries := at - fromAt
+					switch size := end - from; {
+					case last && len(b.cuts) > 0 && size < lim/4:
+						t.Errorf("piece %d, %s: the last piece is %d bytes, under a quarter piece, and was not merged", piece, name, size)
+					case size > lim && entries > 1 && !(last && size-lim < lim/4):
+						t.Errorf("piece %d, %s: piece [%d,%d) is %d bytes in %d entries, over the piece", piece, name, from, end, size, entries)
+					case !last && b.entryEnds[at+1]-from <= lim:
+						t.Errorf("piece %d, %s: piece [%d,%d) was cut with room for its next entry", piece, name, from, end)
+					}
+					from, fromAt = end, at
+				}
+			}
+			writes := func(total, lo, hi int) {
+				for off := 0; off < total; {
+					n := lo + rng.Intn(hi-lo+1)
+					c.WriteAt(p, fd, uint64(off), make([]byte, n))
+					off += n
+				}
+			}
+
+			writes(4<<10, 4<<10, 4<<10)
+			check("one 4 KiB write")
+			if len(b.cuts) != 0 {
+				t.Errorf("piece %d: a 4 KiB write+fsync carries cuts %v", piece, b.cuts)
+			}
+			writes(piece+piece/8, 4<<10, 4<<10)
+			check("an eighth over a piece")
+			if len(b.cuts) != 0 {
+				t.Errorf("piece %d: %d bytes of 4 KiB writes: cuts %v, want the tail merged", piece, piece+piece/8, b.cuts)
+			}
+			writes(piece+piece/2, 4<<10, 4<<10)
+			check("half over a piece")
+			if len(b.cuts) != 1 {
+				t.Errorf("piece %d: %d bytes of 4 KiB writes: cuts %v, want one", piece, piece+piece/2, b.cuts)
+			}
+			for i := 0; i < 20; i++ {
+				writes(64<<10+rng.Intn(900<<10), 1, 48<<10)
+				check("seeded sizes")
+			}
+			writes(700<<10, piece+piece/8, piece+piece/2)
+			check("entries larger than a piece")
+
+			// A doorbell (1 MiB chunks here) takes everything before it: the cuts
+			// recorded on the way are forgotten, the next piece starts at its head.
+			doorbells := b.chunks
+			writes(1<<20+600<<10, 4<<10, 16<<10)
+			if b.chunks != doorbells+1 {
+				t.Fatalf("piece %d: %d doorbells for 1.6 MiB, want 1", piece, b.chunks-doorbells)
+			}
+			check("after a doorbell")
+			if rung := b.marks[len(b.marks)-1]; len(b.cuts) == 0 || b.cuts[0] <= rung {
+				t.Errorf("piece %d: cuts %v after the doorbell at %d: want some, all beyond it", piece, b.cuts, rung)
+			}
+		})
+	}
+}
+
+// TestFsyncWholeWithoutPiece: a backend that asks for no pieces (FsyncPiece
+// 0, as Assise's) gets no cut bookkeeping and a nil cuts slice, however long
+// the range.
+func TestFsyncWholeWithoutPiece(t *testing.T) {
+	t.Parallel()
 	env, b, c := newFake(t)
-	rng := rand.New(rand.NewSource(22))
 	run(t, env, func(p *sim.Proc) {
-		fd, _ := c.Create(p, "/cuts")
-		check := func(name string) {
-			t.Helper()
-			if err := c.Fsync(p, fd); err != nil {
-				t.Fatal(err)
-			}
-			from, fromAt := b.fsyncFrom, -1 // fromAt indexes the entry that ends at from
-			for i, end := range append(b.cuts, b.published) {
-				last := i == len(b.cuts)
-				at, ok := slices.BinarySearch(b.entryEnds, end)
-				if !ok || end <= from || (!last && end >= b.published) {
-					t.Fatalf("%s: cut %d is not an entry boundary inside (%d, %d)", name, end, from, b.published)
-				}
-				entries := at - fromAt
-				switch size := end - from; {
-				case last && len(b.cuts) > 0 && size < FsyncPiece/4:
-					t.Errorf("%s: the last piece is %d bytes, under a quarter piece, and was not merged", name, size)
-				case size > FsyncPiece && entries > 1 && !(last && size-FsyncPiece < FsyncPiece/4):
-					t.Errorf("%s: piece [%d,%d) is %d bytes in %d entries, over FsyncPiece", name, from, end, size, entries)
-				case !last && b.entryEnds[at+1]-from <= FsyncPiece:
-					t.Errorf("%s: piece [%d,%d) was cut with room for its next entry", name, from, end)
-				}
-				from, fromAt = end, at
-			}
+		fd, _ := c.Create(p, "/whole")
+		for off := 0; off < 900<<10; off += 4 << 10 {
+			c.WriteAt(p, fd, uint64(off), make([]byte, 4<<10))
 		}
-		writes := func(total, lo, hi int) {
-			for off := 0; off < total; {
-				n := lo + rng.Intn(hi-lo+1)
-				c.WriteAt(p, fd, uint64(off), make([]byte, n))
-				off += n
-			}
+		if c.cuts != nil {
+			t.Errorf("the client recorded cuts %v with no piece configured", c.cuts)
 		}
-
-		writes(4<<10, 4<<10, 4<<10)
-		check("one 4 KiB write")
-		if len(b.cuts) != 0 {
-			t.Errorf("a 4 KiB write+fsync carries cuts %v", b.cuts)
+		if err := c.Fsync(p, fd); err != nil {
+			t.Fatal(err)
 		}
-		writes(300<<10, 4<<10, 4<<10)
-		check("300 KiB")
-		if len(b.cuts) != 0 {
-			t.Errorf("300 KiB of 4 KiB writes: cuts %v, want the 44 KiB tail merged", b.cuts)
-		}
-		writes(330<<10, 4<<10, 4<<10)
-		check("330 KiB")
-		if len(b.cuts) != 1 {
-			t.Errorf("330 KiB of 4 KiB writes: cuts %v, want one", b.cuts)
-		}
-		for i := 0; i < 20; i++ {
-			writes(64<<10+rng.Intn(900<<10), 1, 48<<10)
-			check("seeded sizes")
-		}
-		writes(700<<10, 300<<10, 400<<10)
-		check("entries larger than a piece")
-
-		// A doorbell (1 MiB chunks here) takes everything before it: the cuts
-		// recorded on the way are forgotten, the next piece starts at its head.
-		doorbells := b.chunks
-		writes(1<<20+600<<10, 4<<10, 16<<10)
-		if b.chunks != doorbells+1 {
-			t.Fatalf("%d doorbells for 1.6 MiB, want 1", b.chunks-doorbells)
-		}
-		check("after a doorbell")
-		if rung := b.marks[len(b.marks)-1]; len(b.cuts) == 0 || b.cuts[0] <= rung {
-			t.Errorf("cuts %v after the doorbell at %d: want some, all beyond it", b.cuts, rung)
+		if !b.cutsNil || b.published != c.Log().Head() {
+			t.Errorf("900 KiB fsync handed the backend cuts %v (nil: %v) up to %d, want nil up to %d",
+				b.cuts, b.cutsNil, b.published, c.Log().Head())
 		}
 	})
 }
