@@ -9,17 +9,15 @@ import (
 	"linefs/internal/dfs"
 	"linefs/internal/sim"
 	"linefs/internal/systems"
-	"linefs/internal/workload"
 )
 
 // Ablations are experiments beyond the paper's figures that isolate the
 // design choices DESIGN.md calls out: the 4 MB chunk size, the coalescing
-// stage, the last-hop direct write, and compression across the NIC cores.
+// stage, and compression across the NIC cores.
 func Ablations() []Experiment {
 	return []Experiment{
 		{"abl-chunk", "Ablation: pipeline chunk size vs write throughput", AblChunkSize},
 		{"abl-coalesce", "Ablation: coalescing stage vs published bytes", AblCoalesce},
-		{"abl-direct", "Ablation: last-hop direct write vs fsync latency", AblDirectWrite},
 		{"abl-scaling", "Ablation: compression across the NIC cores vs one thread", AblScaling},
 	}
 }
@@ -116,49 +114,6 @@ func AblCoalesce(o Options) (*Result, error) {
 			100*(1-float64(on)/float64(off))))
 	}
 	return res, nil
-}
-
-// AblDirectWrite compares fsync latency with and without the §3.3.2
-// last-hop one-sided write.
-func AblDirectWrite(o Options) (*Result, error) {
-	run := func(disable bool) (time.Duration, error) {
-		sys, err := newLineFS(o, o.layout(1), func(c *core.Config) { c.DisableDirectWrite = disable })
-		if err != nil {
-			return 0, err
-		}
-		defer sys.Env.Shutdown()
-		var mean time.Duration
-		err = runClients(sys, "bench", 1, 600*time.Second, func(p *sim.Proc, c *dfs.Client, _ int) error {
-			lat, err := workload.LatencyBench(p, c, "/lat", 1500, 16<<10, o.Seed)
-			if err != nil {
-				return err
-			}
-			mean = lat.Mean()
-			return nil
-		})
-		if err != nil {
-			return 0, fmt.Errorf("abl-direct: %w", err)
-		}
-		return mean, nil
-	}
-	withDirect, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	without, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Name:   "abl-direct",
-		Title:  "write+fsync mean latency: last-hop direct write on/off",
-		Header: []string{"config", "mean (us)"},
-		Rows: [][]string{
-			{"direct write (paper)", us(withDirect)},
-			{"via NICFS memory", us(without)},
-		},
-		Notes: []string{"the direct write removes one SmartNIC memory copy from the last hop"},
-	}, nil
 }
 
 // AblScaling puts a compression-heavy load on the replication pipeline —

@@ -41,9 +41,6 @@ func NewCluster(env *sim.Env, cfg Config) (*Cluster, error) {
 	for _, m := range cl.Machines {
 		// Machine-local RPC timeouts (NICFS <-> kernel worker) count too.
 		m.Local.Robust = &cl.Robust
-		// Expose the whole PM over the network for direct last-hop log
-		// writes.
-		m.Port.RegisterRegion("pm", &rdma.PMRegion{PM: m.PM, Base: 0, Extra: []*hw.Link{m.PCIe}})
 	}
 	// Timed-out and late-discarded RPCs on the cluster fabric count into the
 	// cluster's robustness summary even without a fault plane.

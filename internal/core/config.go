@@ -71,10 +71,6 @@ type Config struct {
 
 	// DisableCoalesce turns off the semantic-compression stage (ablation).
 	DisableCoalesce bool
-	// DisableDirectWrite turns off the §3.3.2 last-hop one-sided write
-	// optimization (ablation): the penultimate replica forwards through
-	// the last replica's NICFS memory instead.
-	DisableDirectWrite bool
 
 	// PubMode selects the kernel worker's publication method.
 	PubMode PubMode

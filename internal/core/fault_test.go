@@ -103,7 +103,7 @@ func TestCorruptedFrameRejectedEndToEnd(t *testing.T) {
 		}
 		p.Sleep(2 * time.Second)
 	})
-	if cl.Robust.FramesCorrupted == 0 && cl.Robust.OneSidedFaults == 0 {
+	if cl.Robust.FramesCorrupted == 0 {
 		t.Error("corruption rule never engaged")
 	}
 	if cl.Robust.CRCRejected == 0 {
@@ -168,51 +168,47 @@ func TestCorruptedCompressedFrameRepaired(t *testing.T) {
 }
 
 // TestCrashKillsMirrorForwards crashes replica 1 while its forward of a raw
-// batch is on the wire, by the message path and by the last-hop direct
-// write. The forward dies with its NICFS: replica 2 never receives that
-// batch, so it persists and acknowledges nothing, and the fsync stays parked
-// (the chain after the resweep does not hold the bytes). A forward that
-// outlived its node finished the relay from a dead SmartNIC, and the fsync
-// completed on it.
+// batch is on the wire. The forward dies with its NICFS: replica 2 never
+// receives that batch, so it persists and acknowledges nothing, and the fsync
+// stays parked (the chain after the resweep does not hold the bytes). A
+// forward that outlived its node finished the relay from a dead SmartNIC,
+// and the fsync completed on it.
 func TestCrashKillsMirrorForwards(t *testing.T) {
 	t.Parallel()
-	for _, direct := range []bool{true, false} {
-		cfg := testConfig()
-		cfg.ChunkSize = 4 << 20
-		cfg.HeartbeatEvery = 200 * time.Millisecond
-		cfg.DisableDirectWrite = !direct
-		env, cl := newTestCluster(t, cfg)
-		crashed, fsyncDone := false, false
-		env.Go("app", func(p *sim.Proc) {
-			l, _ := cl.Attach(p, 0)
-			fd, _ := l.Create(p, "/fwd")
-			// One 4 MiB bulk chunk: a range the fsync cuts into pieces would
-			// send a later piece to the dead replica, whose send error
-			// completes the range in degraded mode.
-			l.WriteAt(p, fd, 0, bytes.Repeat([]byte{0x3C}, 4<<20))
-			l.Fsync(p, fd)
-			fsyncDone = true
-		})
-		env.Go("crasher", func(p *sim.Proc) {
-			for ; !crashed; p.Sleep(5 * time.Microsecond) {
-				ms := cl.NICs[1].mirrors[0]
-				if ms != nil && len(ms.fwds) > 0 && !ms.fwds[len(ms.fwds)-1].Done.Triggered() {
-					cl.NICs[1].Crash()
-					crashed = true
-				}
+	cfg := testConfig()
+	cfg.ChunkSize = 4 << 20
+	cfg.HeartbeatEvery = 200 * time.Millisecond
+	env, cl := newTestCluster(t, cfg)
+	defer env.Shutdown()
+	crashed, fsyncDone := false, false
+	env.Go("app", func(p *sim.Proc) {
+		l, _ := cl.Attach(p, 0)
+		fd, _ := l.Create(p, "/fwd")
+		// One 4 MiB bulk chunk: a range the fsync cuts into pieces would
+		// send a later piece to the dead replica, whose send error
+		// completes the range in degraded mode.
+		l.WriteAt(p, fd, 0, bytes.Repeat([]byte{0x3C}, 4<<20))
+		l.Fsync(p, fd)
+		fsyncDone = true
+	})
+	env.Go("crasher", func(p *sim.Proc) {
+		for ; !crashed; p.Sleep(5 * time.Microsecond) {
+			ms := cl.NICs[1].mirrors[0]
+			if ms != nil && len(ms.fwds) > 0 && !ms.fwds[len(ms.fwds)-1].Done.Triggered() {
+				cl.NICs[1].Crash()
+				crashed = true
 			}
-		})
-		env.RunUntil(20 * time.Second)
-		if !crashed {
-			t.Fatalf("direct=%v: never caught a forward on the wire", direct)
 		}
-		if ms := cl.NICs[2].mirrors[0]; ms != nil && ms.log.Head() != 0 {
-			t.Errorf("direct=%v: replica 2 persisted through %d from a dead replica's forward", direct, ms.log.Head())
-		}
-		if fsyncDone {
-			t.Errorf("direct=%v: fsync completed though replica 2 never got the batch", direct)
-		}
-		env.Shutdown()
+	})
+	env.RunUntil(20 * time.Second)
+	if !crashed {
+		t.Fatal("never caught a forward on the wire")
+	}
+	if ms := cl.NICs[2].mirrors[0]; ms != nil && ms.log.Head() != 0 {
+		t.Errorf("replica 2 persisted through %d from a dead replica's forward", ms.log.Head())
+	}
+	if fsyncDone {
+		t.Error("fsync completed though replica 2 never got the batch")
 	}
 }
 
@@ -550,25 +546,16 @@ func TestMiddlePieceLostOrCorrupted(t *testing.T) {
 			// Tap the faulted machine's services: the first frame of the
 			// middle piece is the one hit, its resend goes through.
 			hit := false
-			m := cl.Machines[tc.hop]
 			fault := func(msg *rdma.Msg) (deliver bool) {
-				_, mFrom, mTo, ok := replSpan(msg.Arg)
-				if !ok || hit || mFrom == from || mTo == l.Log().Head() {
+				rb, ok := msg.Arg.(*replChunkBatch)
+				if !ok || hit || rb.From == from || rb.To == l.Log().Head() {
 					return true
 				}
 				hit = true
 				if !tc.corrupt {
 					return false
 				}
-				if rb, ok := msg.Arg.(*replChunkBatch); ok {
-					msg.Arg = rb.CorruptCopy(rand.New(rand.NewSource(1)))
-				} else {
-					seg := fs.NewLogView(cl.LogBase(0), cfg.LogSize).SegmentAt(mFrom, 1)
-					var b [1]byte
-					m.PM.ReadNoCost(seg.PhysOff, b[:])
-					b[0] ^= 0xA5
-					m.PM.WriteNoCost(seg.PhysOff, b[:])
-				}
+				msg.Arg = rb.CorruptCopy(rand.New(rand.NewSource(1)))
 				return true
 			}
 			tapNIC(env, cl, tc.hop, fault)

@@ -214,15 +214,6 @@ func (rb *replChunkBatch) CorruptCopy(rng *rand.Rand) any {
 	return &out
 }
 
-// replDirect notifies the last replica that chunk bytes were already
-// RDMA-written into its host PM log slot (the §3.3.2 step-6 optimization).
-type replDirect struct {
-	Slot     int
-	From, To uint64
-	Touched  []touched
-	Epoch    uint64
-}
-
 // replAck reports that node Node has persisted every chunk through To: a
 // cumulative watermark, not a per-chunk receipt. One ack per batch advances
 // the primary's per-replica watermark; anything at or below it is already

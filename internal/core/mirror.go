@@ -6,7 +6,6 @@ import (
 
 	"linefs/internal/compress"
 	"linefs/internal/fs"
-	"linefs/internal/hw"
 	"linefs/internal/rdma"
 	"linefs/internal/sim"
 )
@@ -25,7 +24,7 @@ type mirrorState struct {
 	chainPos int
 	chain    []int
 
-	q    *sim.Queue[*rdma.Msg]
+	q    *sim.Queue[*replChunkBatch]
 	proc *sim.Proc
 	fwds []*sim.Proc // forwards, which die with the mirror (kill)
 
@@ -80,31 +79,19 @@ func (ms *mirrorState) putBuf(b []byte) {
 // routeMirror dispatches replication traffic to the slot's mirror process,
 // creating it on first contact.
 func (n *NICFS) routeMirror(p *sim.Proc, msg *rdma.Msg) {
-	slot, _, _, ok := replSpan(msg.Arg)
+	rb, ok := msg.Arg.(*replChunkBatch)
 	if !ok {
 		return
 	}
-	ms := n.mirrors[slot]
+	ms := n.mirrors[rb.Slot]
 	if ms == nil {
 		// A frame for a slot nobody attached, or whose chain does not pass
 		// here, is dropped and never acknowledged.
-		if ms = n.newMirror(slot); ms == nil {
+		if ms = n.newMirror(rb.Slot); ms == nil {
 			return
 		}
 	}
-	ms.q.Put(p, msg)
-}
-
-// replSpan extracts the slot and log range a chain message covers: all the
-// mirror needs to route and order it, whichever of the two kinds it is.
-func replSpan(arg any) (slot int, from, to uint64, ok bool) {
-	switch arg := arg.(type) {
-	case *replChunkBatch:
-		return arg.Slot, arg.From, arg.To, true
-	case *replDirect:
-		return arg.Slot, arg.From, arg.To, true
-	}
-	return 0, 0, 0, false
+	ms.q.Put(p, rb)
 }
 
 // newMirror starts slot's mirror on this node, or returns nil when the node
@@ -127,7 +114,7 @@ func (n *NICFS) newMirror(slot int) *mirrorState {
 		log:      fs.NewLogArea(cl.Machines[n.machine].PM, cl.LogBase(slot), cl.Cfg.LogSize),
 		chainPos: pos,
 		chain:    chain,
-		q:        sim.NewQueue[*rdma.Msg](cl.Env, 0),
+		q:        sim.NewQueue[*replChunkBatch](cl.Env, 0),
 		pubQ:     sim.NewQueue[pubJob](cl.Env, 0),
 		fresh:    n.recovered,
 	}
@@ -169,28 +156,24 @@ func (ms *mirrorState) runPublisher(p *sim.Proc) {
 // the two service queues — so arrivals are reordered by log offset before
 // processing.
 func (ms *mirrorState) run(p *sim.Proc) {
-	pending := make(map[uint64]*rdma.Msg)
+	pending := make(map[uint64]*replChunkBatch)
 	for {
-		msg, ok := ms.q.Get(p)
+		rb, ok := ms.q.Get(p)
 		if !ok {
 			return
-		}
-		_, from, to, ok := replSpan(msg.Arg)
-		if !ok {
-			continue
 		}
 		if ms.fresh {
 			// A recovered replica's mirror starts at the stream's current
 			// position: earlier log content was invalidated and the state
 			// it carried was recovered from a peer (§3.6).
-			if from > ms.log.Head() {
+			if rb.From > ms.log.Head() {
 				ctx := ms.n.cl.nicCtx(p, ms.n.machine, "nicfs")
-				ms.log.ResetTo(ctx, from)
-				ms.pubNext = from
+				ms.log.ResetTo(ctx, rb.From)
+				ms.pubNext = rb.From
 			}
 			ms.fresh = false
 		}
-		if from < ms.log.Head() {
+		if rb.From < ms.log.Head() {
 			// Duplicate delivery: a retransmitted (or fault-plane-duplicated)
 			// frame whose range we already persisted — chunk boundaries are
 			// stable, so an overlapping From means the covered prefix is
@@ -198,34 +181,27 @@ func (ms *mirrorState) run(p *sim.Proc) {
 			// original ack may be the thing that got lost) and drop the
 			// duplicate; a batch whose tail extends past our head is trimmed
 			// to its fresh frames instead.
-			msg = ms.dedup(p, msg, to)
-			if msg == nil {
+			if rb = ms.dedup(p, rb); rb == nil {
 				continue
 			}
-			from = ms.log.Head()
 		}
-		pending[from] = msg
+		pending[rb.From] = rb
 		for {
 			next, ok := pending[ms.log.Head()]
 			if !ok {
 				break
 			}
 			delete(pending, ms.log.Head())
-			switch arg := next.Arg.(type) {
-			case *replChunkBatch:
-				ms.handleBatch(p, arg)
-			case *replDirect:
-				ms.handleDirect(p, arg)
-			}
+			ms.handleBatch(p, next)
 		}
 	}
 }
 
-// dedup handles a replication frame whose From lies below the mirror head:
+// dedup handles a replication batch whose From lies below the mirror head:
 // it re-acks the cumulative watermark, counts the duplicate, and returns
-// either nil (fully covered — drop) or a trimmed copy of a batch whose tail
-// carries fresh frames starting exactly at the head.
-func (ms *mirrorState) dedup(p *sim.Proc, msg *rdma.Msg, to uint64) *rdma.Msg {
+// either nil (fully covered — drop) or a trimmed copy whose frames start
+// exactly at the head.
+func (ms *mirrorState) dedup(p *sim.Proc, rb *replChunkBatch) *replChunkBatch {
 	n := ms.n
 	head := ms.log.Head()
 	n.cl.Robust.DupDelivered++
@@ -234,17 +210,12 @@ func (ms *mirrorState) dedup(p *sim.Proc, msg *rdma.Msg, to uint64) *rdma.Msg {
 	// retransmit that produced the duplicate may exist because a down-chain
 	// hop never got it (our original forward was the lost frame). Each hop
 	// dedups independently, so the repair propagates exactly as far as
-	// needed. replDirect only ever targets the last hop, so only data frames
-	// re-forward.
-	rb, isBatch := msg.Arg.(*replChunkBatch)
-	if isBatch && ms.chainPos != len(ms.chain)-1 {
+	// needed.
+	if ms.chainPos != len(ms.chain)-1 {
 		next := ms.chain[ms.chainPos+1]
 		ms.fwds = append(slices.DeleteFunc(ms.fwds, finished), n.cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) { ms.forward(fp, next, rb) }))
 	}
-	if to <= head || !isBatch {
-		// A direct note straddling the head would mean the primary re-chunked
-		// acknowledged bytes — chunk boundaries are stable, so this cannot
-		// happen; drop rather than corrupt.
+	if rb.To <= head {
 		return nil
 	}
 	trimmed := *rb
@@ -259,8 +230,7 @@ func (ms *mirrorState) dedup(p *sim.Proc, msg *rdma.Msg, to uint64) *rdma.Msg {
 		return nil
 	}
 	trimmed.From = head
-	msg.Arg = &trimmed
-	return msg
+	return &trimmed
 }
 
 // decodeBatchChunk places one batch frame's raw bytes into dst, which the
@@ -342,10 +312,8 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 	// or acknowledged — the primary resends it. A raw frame is settled now, a
 	// compressed frame's Sum checked (the NIC's hardware CRC, at no virtual
 	// time); only a sender makes one that passes and fails to settle later.
-	allRaw := true
 	for i := range rb.Chunks {
 		bc := &rb.Chunks[i]
-		allRaw = allRaw && len(bc.SubLens) == 0
 		if err := bc.checkSum(); err != nil {
 			cl.Robust.CRCRejected++
 			ms.putBuf(raw)
@@ -360,19 +328,14 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 	// Forward down the chain asynchronously: the next hop's work overlaps our
 	// decode, our persist and later batches' forwards (steps 4 and 5 of
 	// Figure 3 pipeline across chunks). Ordering needs no serialization —
-	// one-sided writes are offset-addressed and every mirror reorders
-	// message arrivals by log offset. The forward carries the message's
-	// original payloads (primary-owned until the whole chain acks, so safe
-	// down-chain — unlike our pooled copy); compressed chunks stay
+	// every mirror reorders arrivals by log offset. The forward carries the
+	// message's original payloads (primary-owned until the whole chain acks,
+	// so safe down-chain — unlike our pooled copy); compressed chunks stay
 	// compressed on the wire for every hop (the bandwidth saving is the
-	// point), which forgoes the last-hop direct write: raw bytes cannot be
-	// placed one-sided without a decompression stop at the last NICFS.
+	// point).
 	if ms.chainPos != len(ms.chain)-1 {
-		next, fwd := ms.chain[ms.chainPos+1], ms.forward
-		if ms.chainPos+1 == len(ms.chain)-1 && !cl.Cfg.DisableDirectWrite && allRaw {
-			fwd = ms.forwardBatchDirect
-		}
-		ms.fwds = append(slices.DeleteFunc(ms.fwds, finished), cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) { fwd(fp, next, rb) }))
+		next := ms.chain[ms.chainPos+1]
+		ms.fwds = append(slices.DeleteFunc(ms.fwds, finished), cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) { ms.forward(fp, next, rb) }))
 	}
 	for i := range rb.Chunks {
 		if bc := &rb.Chunks[i]; len(bc.SubLens) > 0 && !ms.settle(p, bc, slot(bc)) {
@@ -417,78 +380,6 @@ func batchWireLen(rb *replChunkBatch) int {
 		total += rb.Chunks[i].wireLen()
 	}
 	return total
-}
-
-// forwardBatchDirect implements the §3.3.2 step-6 optimization: the
-// penultimate replica writes every chunk's payload straight into the last
-// replica's host PM log with one-sided RDMA WRITEs, then sends one small
-// notification covering the whole batch range — saving a SmartNIC memory
-// copy on the last hop.
-func (ms *mirrorState) forwardBatchDirect(p *sim.Proc, next int, rb *replChunkBatch) {
-	n := ms.n
-	cl := n.cl
-	lastLog := fs.NewLogView(cl.LogBase(rb.Slot), cl.Cfg.LogSize)
-	conn := n.peer(next, rb.Sync)
-	for i := range rb.Chunks {
-		bc := &rb.Chunks[i]
-		for off := 0; off < len(bc.Payload); {
-			seg := lastLog.SegmentAt(bc.From+uint64(off), len(bc.Payload)-off)
-			if err := conn.RDMAWrite(p, "pm", seg.PhysOff, bc.Payload[off:off+seg.Len]); err != nil {
-				// Fall back to the message path; the last replica persists
-				// the full batch from scratch (its head never advanced).
-				ms.forward(p, next, rb)
-				return
-			}
-			off += seg.Len
-		}
-	}
-	var touchedAll []touched
-	for i := range rb.Chunks {
-		touchedAll = append(touchedAll, rb.Chunks[i].Touched...)
-	}
-	note := &replDirect{
-		Slot: rb.Slot, From: rb.From, To: rb.To, Touched: touchedAll, Epoch: rb.Epoch,
-	}
-	// The notification follows the one-sided data on the low-latency
-	// class: it must not queue behind other bulk transfers.
-	n.RepMsgs++
-	_ = n.peer(next, true).Send(p, "repl-direct", note, 64)
-}
-
-// handleDirect is the last replica's handling of a direct-written chunk or
-// batch: the bytes are already in its PM log; advance the mirror head, send
-// the cumulative ack, and publish.
-func (ms *mirrorState) handleDirect(p *sim.Proc, rd *replDirect) {
-	n := ms.n
-	cl := n.cl
-	m := cl.Machines[n.machine]
-	size := int(rd.To - rd.From)
-
-	// Integrity gate before the head advances: the one-sided write already
-	// landed in our PM log slot, but a payload corrupted in flight must not
-	// be acknowledged or made visible. The pre-read is cost-free (the costed
-	// PCIe fetch below still pays for the bytes publication actually uses).
-	raw := ms.getBuf(size)
-	ms.log.ReadRawInto(fs.NoCostCtx(m.PM), rd.From, raw)
-	if err := fs.VerifyWire(raw); err != nil {
-		n.cl.Robust.CRCRejected++
-		ms.putBuf(raw)
-		return // never advanced, never acknowledged
-	}
-
-	n.recordHistory(rd.Epoch, rd.Touched)
-	ctx := cl.nicCtx(p, n.machine, "nicfs")
-	if err := ms.log.AdvanceHead(ctx, rd.From, size); err != nil {
-		ms.putBuf(raw)
-		return
-	}
-	ms.ack(p, rd.To)
-
-	// Publication needs the entries: fetch them from our own host PM log
-	// across PCIe into a pooled buffer.
-	fctx := &fs.Ctx{P: p, PM: m.PM, ExtraRead: []*hw.Link{m.Fetch}}
-	ms.log.ReadRawInto(fctx, rd.From, raw)
-	ms.pubQ.Put(p, pubJob{raw: raw, from: rd.From, to: rd.To})
 }
 
 // persistRaw copies chunk bytes from SmartNIC memory into the local host

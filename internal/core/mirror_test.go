@@ -266,6 +266,44 @@ func TestRelayBeforeDecode(t *testing.T) {
 	}
 }
 
+// TestReplicasFetchNothing: every replica, the last one included, takes its
+// bytes as a chain message into SmartNIC memory, persists them across PCIe
+// and publishes from that same buffer. Over a 4 MiB write and fsync neither
+// replica's fetch engine moves a byte; a last hop that placed the chunk
+// one-sided in host PM would re-read all of it across its fetch link to
+// publish it.
+func TestReplicasFetchNothing(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	cfg.ChunkSize = 4 << 20
+	env, cl := newTestCluster(t, cfg)
+	defer env.Shutdown()
+	payload := bytes.Repeat([]byte{0x5E}, 4<<20)
+	run(t, env, 10*time.Second, func(p *sim.Proc) {
+		l, err := cl.Attach(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd, _ := l.Create(p, "/nofetch")
+		if _, err := l.WriteAt(p, fd, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(time.Second) // background publication settles
+	})
+	assertReplicasHold(t, cl, "/nofetch", payload)
+	if got := cl.Machines[0].Fetch.Bytes.Total(); got < int64(len(payload)) {
+		t.Errorf("primary fetched %d bytes, want at least the %d written", got, len(payload))
+	}
+	for _, mi := range []int{1, 2} {
+		if got := cl.Machines[mi].Fetch.Bytes.Total(); got != 0 {
+			t.Errorf("replica %d fetched %d bytes across PCIe, want 0", mi, got)
+		}
+	}
+}
+
 // TestMirrorDropsFrameOffItsChain: a node runs a mirror only for a slot whose
 // chain passes through it as a replica, and the chain starts where the slot's
 // client attached. A well-formed frame for a slot nobody attached, or for an

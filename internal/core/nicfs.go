@@ -78,8 +78,8 @@ type NICFS struct {
 	RepBytes       int64
 	RepWireBytes   int64
 	CoalescedBytes int64
-	// RepMsgs counts replication data messages sent by this node (chunk,
-	// batch, and direct-write notes); RepChunksSent counts chunks entering
+	// RepMsgs counts replication data messages this node sends, its forwards
+	// included; RepChunksSent counts chunks entering
 	// the chain here as primary; AckMsgs counts ack messages received;
 	// StaleAcks counts acks that named an unknown slot or node or did not
 	// advance a watermark.
@@ -288,7 +288,7 @@ func (n *NICFS) runLane(p *sim.Proc, lowLat bool, q *sim.Queue[*rdma.Msg]) {
 				}
 				cs.formChunk(p, req.Head, false)
 			}
-		case "repl-chunk-batch", "repl-direct":
+		case "repl-chunk-batch":
 			// Chain traffic rides the class of the chunks it carries.
 			n.routeMirror(p, msg)
 		case "repl-ack":

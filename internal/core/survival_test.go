@@ -13,7 +13,7 @@ import (
 
 // TestConfigFieldsPinned lists core.Config's fields exactly: the embedded
 // testbed layout, the eleven names it promotes (shared with assise.Config,
-// which pins them too), then LineFS's own five. Each field is an option, and
+// which pins them too), then LineFS's own four. Each field is an option, and
 // each independent option doubles the configurations tests and benchmarks
 // must cover, so adding one is a deliberate diff against this list: the
 // simplicity guide admits a new option only when two callers that exist in
@@ -26,7 +26,7 @@ func TestConfigFieldsPinned(t *testing.T) {
 		"Layout",
 		"Spec", "Nodes", "Replicas", "MaxClients", "VolSize", "LogSize", "ChunkSize",
 		"DFSPrio", "HeartbeatEvery", "InodesPerVol", "InoRangePerClient",
-		"Parallel", "Compress", "DisableCoalesce", "DisableDirectWrite", "PubMode",
+		"Parallel", "Compress", "DisableCoalesce", "PubMode",
 	}
 	var got []string
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {

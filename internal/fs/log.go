@@ -383,7 +383,7 @@ func NewLogView(base, size int64) LogView {
 // begins with the physical piece it returns, which stops at the ring end at
 // the latest; the rest of the range, if any, is found by asking again at
 // at+Len. Every ring read and write, and every copy engine addressing the
-// ring's PM directly (mirror persist, one-sided last-hop writes), walks a
+// ring's PM directly (mirror persist, Hyperloop's one-sided writes), walks a
 // range this way — two pieces at most for a range that fits the ring — and
 // the piece comes back by value, so none allocates.
 func (v LogView) SegmentAt(at uint64, n int) RingSeg {

@@ -308,25 +308,19 @@ func (c *Conn) RDMAWrite(p *sim.Proc, region string, off int64, src []byte) erro
 		}
 	}
 	c.sendCost(p, len(src))
-	r.WriteAt(p, off, src, c.Prio)
+	r.WriteAt(p, off, src)
 	return nil
 }
 
-// PMRegion exposes a PM device from Base on, optionally behind extra links
-// (PCIe when the accessor is a SmartNIC reaching host PM). Writing into it
-// charges the cost of reaching the PM, and the write is durable at once (RDMA
-// into PM with DDIO disabled / flush-on-write), which chain replication
-// relies on.
+// PMRegion exposes a PM device from Base on. Writing into it charges the
+// PM's cost, and the write is durable at once (RDMA into PM with DDIO
+// disabled / flush-on-write), which chain replication relies on.
 type PMRegion struct {
-	PM    *hw.PM
-	Base  int64
-	Extra []*hw.Link
+	PM   *hw.PM
+	Base int64
 }
 
-// WriteAt places src at off, paying each extra link at prio and then the PM.
-func (r *PMRegion) WriteAt(p *sim.Proc, off int64, src []byte, prio int) {
-	for _, l := range r.Extra {
-		l.Transfer(p, len(src), prio)
-	}
+// WriteAt places src at off.
+func (r *PMRegion) WriteAt(p *sim.Proc, off int64, src []byte) {
 	r.PM.WritePersist(p, r.Base+off, src)
 }
