@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build bench-module lint lint-fix-list loc prodcover test-short test race fuzz-smoke selfcheck test-full bench kernelbench databench databench-smoke repbench repbench-smoke chaos clean
+.PHONY: ci vet build bench-module lint lint-fix-list loc prodcover test-short test race fuzz-smoke explore selfcheck test-full bench kernelbench databench databench-smoke repbench repbench-smoke chaos clean
 
 ci: vet build bench-module lint test race fuzz-smoke selfcheck databench-smoke repbench-smoke chaos
 
@@ -35,7 +35,7 @@ lint:
 lint-fix-list:
 	$(GO) run ./cmd/linefs-lint -allows ./...
 
-# The size ROADMAP tracks (item 3, "Recent"): non-test Go lines of internal/
+# The size ROADMAP tracks ("Open items", "Recent"): non-test Go lines of internal/
 # and cmd/, and the public facade. Every simplicity PR reports these two
 # numbers, counted this way.
 loc:
@@ -99,14 +99,24 @@ race:
 # Ten seconds of native fuzzing on each wire decoder that has a target: the
 # replication frame (sub-block table, payload, declared length), the LZW
 # codec under it, and the log wire format inside it (one entry, the ingress
-# gate over a range, and the range readers over a ring that wraps). `go test`
-# alone only replays the seed corpora.
+# gate over a range, and the range readers over a ring that wraps); and on the
+# chain protocol's two machines, driven by arbitrary event sequences
+# (FuzzChainProto). `go test` alone only replays the seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatchChunk -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzChainProto -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLZWRoundTrip -fuzztime 10s ./internal/compress
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntryInto -fuzztime 10s ./internal/fs
 	$(GO) test -run '^$$' -fuzz FuzzVerifyWire -fuzztime 10s ./internal/fs
 	$(GO) test -run '^$$' -fuzz FuzzVisitRangeWrap -fuzztime 10s ./internal/fs
+
+# The chain protocol's explorer (DESIGN.md §12 "Survival layers") past the
+# one fault per interleaving tier-1 walks: two faults over up to three frames
+# (every class assignment; four frames in the two fsync shapes), then three
+# over up to two. About two minutes on a 2-core machine; not part of `ci`.
+explore:
+	$(GO) test -count=1 -run '^TestChainExplore$$' -v ./internal/core -args -chainproto.k=2 -chainproto.n=3
+	$(GO) test -count=1 -run '^TestChainExplore$$' -v ./internal/core -args -chainproto.k=3 -chainproto.n=2
 
 # Runtime determinism gate (DESIGN.md §8): run every experiment twice with
 # the sim-sanitizer enabled and fail on digest or output divergence.

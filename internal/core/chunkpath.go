@@ -41,7 +41,6 @@ type chunk struct {
 	sent       *sim.Event
 	published  *sim.Event
 	replicated *sim.Event
-	sentAt     sim.Time // set by transmit
 	valid      bool
 	// retained marks buffers possibly still referenced by a timed-out
 	// kernel-worker copy; such a chunk is leaked instead of recycled.
@@ -56,11 +55,9 @@ type clientState struct {
 	id   string
 	log  *fs.LogArea
 
-	// queued is the log offset up to which chunks have been formed;
-	// pubNext the offset publication has applied through; repOff the
-	// offset fully acknowledged by all replicas.
+	// queued is the log offset up to which chunks have been formed; repOff
+	// the offset fully acknowledged by all replicas.
 	queued  uint64
-	pubNext uint64
 	repOff  uint64
 	ackSent uint64
 
@@ -69,31 +66,16 @@ type clientState struct {
 	pending  []*chunk
 	compKick *sim.Event
 
-	// pubBuf reorders chunks arriving at the publish stage (the fsync path
-	// can inject chunks around the async pipeline).
-	pubBuf map[uint64]*chunk
+	// pubs puts chunks arriving at the publish stage back in log order (the
+	// fsync path can inject chunks around the async pipeline).
+	pubs inOrder[*chunk]
 
-	// The sender serializes chain transfers: stages enqueue finished chunks
-	// on xferQ in any order, xferBuf reorders them by log offset, and the
-	// sendNext cursor walks them contiguously, coalescing backlog into
-	// replChunkBatch messages (bounded by repBatchChunks/repBatchBytes).
-	xferQ    *sim.Queue[*chunk]
-	xferBuf  map[uint64]*chunk
-	sendNext uint64
-	batch    sendRun
-
-	// Chain geometry is static per slot; cache it so the ack path does not
-	// allocate. ackWater[i] is the cumulative watermark acknowledged by
-	// chain position i (replicas only, position 0 is this primary);
-	// repPending is the ordered deque of sent-but-unreplicated chunks the
-	// watermark advances over.
-	chain      []int
-	chainNames []string
-	ackWater   []uint64
-	repPending []*chunk
-	// ackTook is the chain's last send-to-ack time, for a chunk of ackedBytes.
-	ackTook    time.Duration
-	ackedBytes int64
+	// Stages enqueue finished chunks on xferQ in any order; the sender
+	// process hands them to snd, the slot's chain window, and executes what
+	// it decides. chain is the slot's static chain of machines.
+	xferQ *sim.Queue[*chunk]
+	snd   *chainSender[*chunk]
+	chain []int
 
 	// freeCk is the chunk freelist fed by runCompletion.
 	freeCk []*chunk
@@ -140,16 +122,13 @@ func newClientState(n *NICFS, slot int, id string, la *fs.LogArea) *clientState 
 		id:       id,
 		log:      la,
 		compKick: sim.NewEvent(n.cl.Env),
-		pubBuf:   make(map[uint64]*chunk),
 		xferQ:    sim.NewQueue[*chunk](n.cl.Env, 0),
-		xferBuf:  make(map[uint64]*chunk),
+		chain:    n.cl.Chain(n.machine),
 	}
-	cs.chain = n.cl.Chain(n.machine)
-	cs.chainNames = make([]string, len(cs.chain))
-	for i, mi := range cs.chain {
-		cs.chainNames[i] = n.cl.Machines[mi].Name
+	cs.snd = &chainSender[*chunk]{water: make([]uint64, len(cs.chain)), dead: make([]bool, len(cs.chain))}
+	for i, mi := range cs.chain[1:] {
+		cs.snd.dead[i+1] = !n.cl.Mgr.Alive(n.cl.Machines[mi].Name)
 	}
-	cs.ackWater = make([]uint64, len(cs.chain))
 	env := n.cl.Env
 	cfg := n.cl.Cfg
 	// The queues are unbounded, so the lane that submits never blocks. What
@@ -183,50 +162,17 @@ const (
 	standstill  = time.Second           // no progress for a default heartbeat, where nothing observed says otherwise
 )
 
-// resendEvery is how long the oldest pending chunk may wait for its ack with
-// owed bytes in flight: four times what the chain last took over a chunk of
-// ackedBytes, and no less than resendFloor. With more in flight than was
-// timed it is scaled up by size — an overestimate whenever part of the time
-// is per message, so a 4 KiB fsync's round trip errs on the long side for
-// the 4 MiB chunk behind it — but to no more than standstill, which is what
-// the unobserved gets, and every chunk before the first ack.
-func resendEvery(owed, ackedBytes int64, ackTook time.Duration) time.Duration {
-	if ackedBytes == 0 {
-		return standstill
-	}
-	every := 4 * ackTook
-	if owed > ackedBytes {
-		every = min(standstill, every*time.Duration(owed)/time.Duration(ackedBytes))
-	}
-	return max(resendFloor, every)
-}
-
-// runRetransmit is the replication retry layer: when the pending window has
-// waited at the same cumulative-ack watermark for resendEvery since it was
-// first seen there, the un-replicated chunks are resent down the chain.
-// Resends are idempotent — a mirror that already persisted a range re-acks
-// its watermark and drops the duplicate (re-forwarding it, in case the lost
-// frame was a mid-chain hop's forward) — and the interval backs off
-// exponentially while no progress is made, so a long partition does not
-// flood the fabric. Chunk buffers stay alive until replication completes,
-// so resending reuses them without copies.
+// runRetransmit is the replication retry layer: every resendFloor it shows
+// the window's timer the time, and resends the window when the timer says
+// so (chainSender.tick). Chunk buffers stay alive until replication
+// completes, so resending reuses them without copies.
 func (cs *clientState) runRetransmit(p *sim.Proc) {
-	var stuckAt uint64 // where the window was last seen waiting,
-	var since sim.Time // and since when: zero while nothing is owed
-	backoff := time.Duration(1)
 	for {
 		p.Sleep(resendFloor)
-		water, any := cs.aliveWater()
-		switch now := p.Now(); {
-		case len(cs.repPending) == 0 || !any:
-			// No live replica: advanceAcked already completes chunks against
-			// the reconfigured (empty) chain; nothing to resend to.
-			since = 0
-		case since == 0 || water != stuckAt:
-			stuckAt, since, backoff = water, now, 1
-		case time.Duration(now-since) >= backoff*resendEvery(cs.n.inFlight(), cs.ackedBytes, cs.ackTook):
-			cs.resendPending(p)
-			since, backoff = now, min(2*backoff, 8)
+		run := cs.snd.tick(time.Duration(p.Now()), cs.n.inFlight())
+		for ; len(run) > 0; run = cs.snd.resend(run[len(run)-1].to) {
+			_ = cs.transmit(p, run)
+			cs.n.cl.Robust.RepResends++
 		}
 	}
 }
@@ -235,37 +181,9 @@ func (cs *clientState) runRetransmit(p *sim.Proc) {
 // this NIC's clients: they share its wire and the replicas' cores.
 func (n *NICFS) inFlight() (bytes int64) {
 	for _, cs := range n.clients {
-		for _, ck := range cs.repPending {
-			bytes += int64(len(ck.raw))
-		}
+		bytes += cs.snd.owed
 	}
 	return bytes
-}
-
-// resendPending re-ships every un-replicated pending chunk, coalescing
-// contiguous runs into messages bounded exactly like the first transmission.
-// Each message's run is gathered without yielding; transmit blocks, and acks
-// arriving meanwhile pop (and nil out) the deque's front, so no index into
-// repPending survives a send — only the log-offset cursor does.
-func (cs *clientState) resendPending(p *sim.Proc) {
-	var run sendRun
-	for next := uint64(0); ; run.reset() {
-		for _, ck := range cs.repPending {
-			fresh := ck.from >= next && !ck.replicated.Triggered()
-			if k := len(run.cks); k > 0 && (!fresh || run.cks[k-1].to != ck.from) {
-				break
-			}
-			if fresh && run.add(ck) {
-				break
-			}
-		}
-		if len(run.cks) == 0 {
-			return
-		}
-		next = run.cks[len(run.cks)-1].to
-		_ = cs.transmit(p, &run, 0)
-		cs.n.cl.Robust.RepResends++
-	}
 }
 
 func (cs *clientState) kill() {
@@ -468,7 +386,7 @@ func (cs *clientState) validateSplit(p *sim.Proc, ck *chunk) bool {
 // stageSplit hands the validated chunk to both publication and replication
 // (they share the fetch and validation work, §3.3): to pubPl, and to repPl
 // to be compressed or straight to the sender. A sync chunk the fsync handler
-// splits may arrive ahead of its predecessors: pubBuf and xferBuf put it
+// splits may arrive ahead of its predecessors: pubs and the window put it
 // back in log order.
 func (cs *clientState) stageSplit(p *sim.Proc, ck *chunk) {
 	cs.pubPl.Submit(p, ck)
@@ -603,16 +521,12 @@ func codecCost(n int, bw float64) time.Duration {
 // stagePublish applies chunks to the public area in log order, buffering
 // out-of-order arrivals (the fsync path can inject chunks directly).
 func (cs *clientState) stagePublish(p *sim.Proc, ck *chunk) bool {
-	cs.pubBuf[ck.from] = ck
-	for {
-		next, ok := cs.pubBuf[cs.pubNext]
-		if !ok {
-			return false
-		}
-		delete(cs.pubBuf, cs.pubNext)
+	cs.pubs.put(ck.from, ck)
+	for next, ok := cs.pubs.take(); ok; next, ok = cs.pubs.take() {
 		cs.publishChunk(p, next)
-		cs.pubNext = next.to
+		cs.pubs.next = next.to
 	}
+	return false
 }
 
 // publishChunk applies one chunk's entries: metadata updates run on the
@@ -636,13 +550,12 @@ func (cs *clientState) publishChunk(p *sim.Proc, ck *chunk) {
 	}
 	if err := n.vol.ApplyAll(ctx, ck.entries, cp); err != nil {
 		// Publication cannot proceed (e.g. the public area is out of
-		// space). Record the fault and unblock waiters; the client sees an
-		// error on its next fsync.
+		// space). Record the fault; the client sees an error on its next
+		// fsync, once the chain has the chunk.
 		ck.valid = false
 		if cs.fault == nil {
 			cs.fault = err
 		}
-		cs.advanceRep(p, ck)
 		return
 	}
 	n.PubBytes += int64(copyBytes(items))
@@ -658,54 +571,26 @@ func (cs *clientState) publishChunk(p *sim.Proc, ck *chunk) {
 	cs.pubItems = items
 }
 
-// runSender is the per-client chain transmit loop: it drains every chunk
-// already queued (so a backlog coalesces), reorders by log offset, and
-// pumps contiguous chunks onto the wire in batches.
+// runSender is the per-client chain transmit loop: it hands the window
+// every chunk already queued (so a backlog coalesces into one message,
+// doorbell batching) and executes its pump: a run to send, or a chunk that
+// never goes on the wire (invalid, or no replica) to complete here.
 func (cs *clientState) runSender(p *sim.Proc) {
 	for {
 		ck, ok := cs.xferQ.Get(p)
 		if !ok {
 			return
 		}
-		cs.xferBuf[ck.from] = ck
-		for {
-			more, ok := cs.xferQ.TryGet()
-			if !ok {
-				break
+		for ; ok; ck, ok = cs.xferQ.TryGet() {
+			cs.snd.queue(ck, ck.from, ck.to, len(ck.raw), ck.frame().wireLen(), ck.valid)
+		}
+		for a := cs.snd.pump(); a.op != opIdle; a = cs.snd.pump() {
+			if a.op == opSend {
+				cs.flushBatch(p)
+			} else {
+				a.h.sent.Trigger(nil)
+				cs.advanceRep(a.h)
 			}
-			cs.xferBuf[more.from] = more
-		}
-		cs.pumpSends(p)
-	}
-}
-
-// pumpSends walks the send cursor over contiguous queued chunks, coalescing
-// them into batches (doorbell batching: one wire message per backlog burst,
-// bounded by sendRun.add). The open batch flushes in the same pass, without
-// a yield, once the cursor finds nothing queued behind it, so batching never
-// adds latency, to an fsync-path chunk or any other: it only amortizes
-// per-message overhead a backlog would pay anyway. Invalid chunks and
-// replica-less configurations pass through without a wire message, keeping
-// the cursor contiguous.
-func (cs *clientState) pumpSends(p *sim.Proc) {
-	for {
-		ck, ok := cs.xferBuf[cs.sendNext]
-		if !ok {
-			cs.flushBatch(p)
-			return
-		}
-		delete(cs.xferBuf, cs.sendNext)
-		cs.sendNext = ck.to
-		if !ck.valid || len(cs.chain) == 1 {
-			// Flush first so chain order is preserved, then complete the
-			// chunk locally: it never goes on the wire.
-			cs.flushBatch(p)
-			ck.sent.Trigger(nil)
-			cs.advanceRep(p, ck)
-			continue
-		}
-		if cs.batch.add(ck) {
-			cs.flushBatch(p)
 		}
 	}
 }
@@ -760,142 +645,58 @@ func fsyncPieceOf(cfg Config) int {
 	return int(float64(dispatch) * s.NetBW / float64(time.Second))
 }
 
-// sendRun accumulates contiguous chunks bound for one wire message.
-type sendRun struct {
-	cks   []*chunk
-	bytes int // frame bytes on the wire
-}
-
-// add appends ck and reports whether the run must go on the wire now: a
-// message is bounded both in chunks and in payload bytes (first transmission
-// and retransmission share this one predicate). An fsync-path chunk takes
-// along what is queued behind it; that it never waits is pumpSends' doing.
-func (r *sendRun) add(ck *chunk) (full bool) {
-	r.cks = append(r.cks, ck)
-	r.bytes += ck.frame().wireLen()
-	return len(r.cks) >= repBatchChunks || r.bytes >= repBatchBytes
-}
-
-func (r *sendRun) reset() {
-	clear(r.cks)
-	r.cks = r.cks[:0]
-	r.bytes = 0
-}
-
 // transmit frames run as one replChunkBatch and posts it to the first
 // replica; a batch of one is still a batch. Payloads and touched records
 // are lent, not copied: chunk buffers stay alive until replication
 // completes, which is also what lets a retransmission frame them again.
-// Each chunk is stamped sentAt: now for a first transmission, zero for a
-// resend, whose ack says nothing about how long the chain takes.
-func (cs *clientState) transmit(p *sim.Proc, run *sendRun, sentAt sim.Time) error {
+func (cs *clientState) transmit(p *sim.Proc, run []span[*chunk]) error {
 	n := cs.n
 	msg := &replChunkBatch{
-		Slot: cs.slot, Epoch: n.epoch, From: run.cks[0].from, To: run.cks[len(run.cks)-1].to,
-		Chunks: make([]batchChunk, len(run.cks)),
+		Slot: cs.slot, Epoch: n.epoch, From: run[0].from, To: run[len(run)-1].to,
+		Chunks: make([]batchChunk, len(run)),
 	}
-	for i, ck := range run.cks {
-		msg.Sync = msg.Sync || ck.sync
-		msg.Chunks[i] = ck.frame()
-		ck.sentAt = sentAt
+	for i := range run {
+		msg.Sync = msg.Sync || run[i].h.sync
+		msg.Chunks[i] = run[i].h.frame()
 	}
-	err := n.peer(cs.chain[1], msg.Sync).Send(p, "repl-chunk-batch", msg, run.bytes)
+	err := n.peer(cs.chain[1], msg.Sync).Send(p, "repl-chunk-batch", msg, wireOf(run))
 	n.RepMsgs++
 	return err
 }
 
-// flushBatch ships the open batch down the chain as one wire message.
+// flushBatch ships the window's open run down the chain as one wire message.
 func (cs *clientState) flushBatch(p *sim.Proc) {
-	if len(cs.batch.cks) == 0 {
-		return
-	}
 	n := cs.n
 	start := p.Now()
-	for _, ck := range cs.batch.cks {
-		n.RepBytes += int64(len(ck.raw))
+	run := cs.snd.run
+	for i := range run {
+		n.RepBytes += int64(run[i].raw)
 	}
-	n.RepWireBytes += int64(cs.batch.bytes)
-	err := cs.transmit(p, &cs.batch, start)
-	n.RepChunksSent += int64(len(cs.batch.cks))
-	for _, ck := range cs.batch.cks {
-		ck.sent.Trigger(nil)
-		cs.repPending = append(cs.repPending, ck)
+	n.RepWireBytes += int64(wireOf(run))
+	err := cs.transmit(p, run)
+	n.RepChunksSent += int64(len(run))
+	for i := range run {
+		run[i].h.sent.Trigger(nil)
 	}
-	if err != nil {
-		// Next hop unreachable: account the chunks as replicated so the
-		// client is not blocked forever (degraded durability, as when a
-		// chain is cut; the cluster manager repairs membership).
-		for _, ck := range cs.batch.cks {
-			cs.advanceRep(p, ck)
-		}
-	}
-	cs.batch.reset()
+	cs.release(cs.snd.sent(err == nil, time.Duration(start)))
 	n.StageTimes["transfer"].add(time.Duration(p.Now() - start))
 }
 
-// ackChunk processes a replica's cumulative acknowledgment: advance that
-// replica's watermark and complete every pending chunk covered by the
-// minimum watermark across live replicas. An ack that names an unknown node
-// or does not advance its watermark is stale (e.g. a late duplicate after a
-// membership resweep) and is counted, not applied.
-func (cs *clientState) ackChunk(p *sim.Proc, ack *replAck) {
-	pos := -1
-	for i := 1; i < len(cs.chainNames); i++ {
-		if cs.chainNames[i] == ack.Node {
-			pos = i
-			break
+// pos is the named machine's position in the slot's chain, or -1.
+func (cs *clientState) pos(name string) int {
+	for i, mi := range cs.chain {
+		if cs.n.cl.Machines[mi].Name == name {
+			return i
 		}
 	}
-	if pos < 0 || ack.To <= cs.ackWater[pos] {
-		cs.n.StaleAcks++
-		cs.n.cl.Robust.StaleAcks++
-		return
-	}
-	cs.ackWater[pos] = ack.To
-	if ck := cs.advanceAcked(p); ck != nil && ck.sentAt != 0 {
-		cs.ackTook, cs.ackedBytes = time.Duration(p.Now()-ck.sentAt), int64(len(ck.raw))
-	}
+	return -1
 }
 
-// aliveWater returns the minimum acknowledged watermark across replicas the
-// cluster manager currently believes alive (a failed NICFS must not block
-// durability acknowledgments — the manager has already reconfigured leases
-// and membership around it); any=false means no replica is alive.
-func (cs *clientState) aliveWater() (water uint64, any bool) {
-	cl := cs.n.cl
-	water = ^uint64(0)
-	for i := 1; i < len(cs.chain); i++ {
-		if !cl.Mgr.Alive(cs.chainNames[i]) {
-			continue
-		}
-		any = true
-		if cs.ackWater[i] < water {
-			water = cs.ackWater[i]
-		}
+// release completes the chunks the window released.
+func (cs *clientState) release(acts []chainAct[*chunk]) {
+	for _, a := range acts {
+		cs.advanceRep(a.h)
 	}
-	return water, any
-}
-
-// advanceAcked completes pending chunks from the front of the deque up to
-// the minimum live-replica watermark: O(1) per completed chunk, no scan of
-// the un-acked tail. It returns the oldest chunk it completed, if any.
-func (cs *clientState) advanceAcked(p *sim.Proc) (first *chunk) {
-	water, any := cs.aliveWater()
-	for len(cs.repPending) > 0 {
-		ck := cs.repPending[0]
-		if !ck.replicated.Triggered() {
-			if any && ck.to > water {
-				break
-			}
-			cs.advanceRep(p, ck)
-			if first == nil {
-				first = ck
-			}
-		}
-		cs.repPending[0] = nil
-		cs.repPending = cs.repPending[1:]
-	}
-	return first
 }
 
 // failChunk rejects a chunk: the fault is recorded for the client and the
@@ -912,7 +713,7 @@ func (cs *clientState) failChunk(p *sim.Proc, ck *chunk, err error) {
 }
 
 // advanceRep marks a chunk fully replicated and wakes fsync waiters.
-func (cs *clientState) advanceRep(p *sim.Proc, ck *chunk) {
+func (cs *clientState) advanceRep(ck *chunk) {
 	ck.replicated.Trigger(nil)
 	if ck.to > cs.repOff {
 		cs.repOff = ck.to

@@ -138,13 +138,13 @@ func TestPerConnectionOrderKept(t *testing.T) {
 			}
 			p.Sleep(50 * time.Microsecond)
 			_ = acks.Send(p, "repl-ack", &replAck{Slot: cs.slot, Node: "node1", To: 200}, 24)
-			if n.lowCore == nil || cs.ackWater[1] != 0 {
+			if n.lowCore == nil || cs.snd.water[1] != 0 {
 				t.Fatalf("second ack arrived with reserved core free=%v, watermark %d: want a free core and the first ack still waiting",
-					n.lowCore != nil, cs.ackWater[1])
+					n.lowCore != nil, cs.snd.water[1])
 			}
 			p.Sleep(50 * time.Millisecond)
-			if cs.ackWater[1] != 200 || n.AckMsgs != 2 {
-				t.Errorf("watermark %d after %d acks, want 200 after 2", cs.ackWater[1], n.AckMsgs)
+			if cs.snd.water[1] != 200 || n.AckMsgs != 2 {
+				t.Errorf("watermark %d after %d acks, want 200 after 2", cs.snd.water[1], n.AckMsgs)
 			}
 		})
 		assertNoStaleAcks(t, cl)

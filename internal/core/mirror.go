@@ -25,19 +25,13 @@ type mirrorState struct {
 	chain    []int
 
 	q    *sim.Queue[*replChunkBatch]
+	rcv  chainReceiver[*replChunkBatch]
 	proc *sim.Proc
 	fwds []*sim.Proc // forwards, which die with the mirror (kill)
 
 	// pubQ decouples local publication from the chain critical path.
 	pubQ    *sim.Queue[pubJob]
 	pubProc *sim.Proc
-	pubNext uint64
-
-	// fresh marks a mirror created mid-stream (on a NICFS that has been
-	// through Recover): it adopts the first arriving chunk's offset instead of
-	// expecting offset zero, where a sync frame that overtook the slot's
-	// first bulk chunk must wait for it like any early arrival.
-	fresh bool
 
 	// dec is the decompression dictionary, reused across sub-blocks (every
 	// call starts a fresh dictionary).
@@ -54,8 +48,8 @@ type mirrorState struct {
 }
 
 type pubJob struct {
-	raw      []byte
-	from, to uint64
+	raw []byte
+	to  uint64
 }
 
 // getBuf pops a pooled length-n buffer (or makes one).
@@ -116,7 +110,10 @@ func (n *NICFS) newMirror(slot int) *mirrorState {
 		chain:    chain,
 		q:        sim.NewQueue[*replChunkBatch](cl.Env, 0),
 		pubQ:     sim.NewQueue[pubJob](cl.Env, 0),
-		fresh:    n.recovered,
+		// A mirror created mid-stream, on a NICFS that has been through
+		// Recover, adopts its first frame's offset; elsewhere a sync frame
+		// that overtook the slot's first bulk chunk waits for it.
+		rcv: chainReceiver[*replChunkBatch]{tail: pos == len(chain)-1, fresh: n.recovered},
 	}
 	ms.proc = cl.Env.Go(n.Name()+"/mirror", ms.run)
 	ms.pubProc = cl.Env.Go(n.Name()+"/mirror-pub", ms.runPublisher)
@@ -144,93 +141,48 @@ func (ms *mirrorState) runPublisher(p *sim.Proc) {
 		if !ok {
 			return
 		}
-		if !ms.publishLocal(p, job.raw, job.from, job.to) {
+		if !ms.publishLocal(p, job.raw, job.to) {
 			ms.putBuf(job.raw)
 		}
 	}
 }
 
-// run processes the mirror's replication traffic in log order. The primary
-// serializes transfers per client, but sync-path chunks ride the
-// low-latency connection class and can overtake bulk-class chunks between
-// the two service queues — so arrivals are reordered by log offset before
-// processing.
+// run executes the receiver's decisions for the mirror's replication
+// traffic. The primary serializes transfers per client, but sync-path
+// chunks ride the low-latency connection class and can overtake bulk-class
+// chunks between the two service queues, so the receiver puts arrivals back
+// in log order.
 func (ms *mirrorState) run(p *sim.Proc) {
-	pending := make(map[uint64]*replChunkBatch)
 	for {
 		rb, ok := ms.q.Get(p)
 		if !ok {
 			return
 		}
-		if ms.fresh {
-			// A recovered replica's mirror starts at the stream's current
-			// position: earlier log content was invalidated and the state
-			// it carried was recovered from a peer (§3.6).
-			if rb.From > ms.log.Head() {
-				ctx := ms.n.cl.nicCtx(p, ms.n.machine, "nicfs")
-				ms.log.ResetTo(ctx, rb.From)
-				ms.pubNext = rb.From
-			}
-			ms.fresh = false
-		}
-		if rb.From < ms.log.Head() {
-			// Duplicate delivery: a retransmitted (or fault-plane-duplicated)
-			// frame whose range we already persisted — chunk boundaries are
-			// stable, so an overlapping From means the covered prefix is
-			// already durable here. Re-ack the cumulative watermark (the
-			// original ack may be the thing that got lost) and drop the
-			// duplicate; a batch whose tail extends past our head is trimmed
-			// to its fresh frames instead.
-			if rb = ms.dedup(p, rb); rb == nil {
-				continue
+		for _, a := range ms.rcv.arrive(rb, rb.From, rb.To) {
+			switch a.op {
+			case opAdopt:
+				// A recovered replica's mirror starts at the stream's current
+				// position: earlier log content was invalidated and the state
+				// it carried was recovered from a peer (§3.6).
+				ms.log.ResetTo(ms.n.cl.nicCtx(p, ms.n.machine, "nicfs"), a.from)
+			case opReAck:
+				ms.n.cl.Robust.DupDelivered++
+				ms.ack(p, a.to)
+			case opForward:
+				ms.relay(rb)
 			}
 		}
-		pending[rb.From] = rb
-		for {
-			next, ok := pending[ms.log.Head()]
-			if !ok {
-				break
-			}
-			delete(pending, ms.log.Head())
-			ms.handleBatch(p, next)
+		for sp, ok := ms.rcv.next(); ok; sp, ok = ms.rcv.next() {
+			ms.handleBatch(p, sp.h, sp.from)
 		}
 	}
 }
 
-// dedup handles a replication batch whose From lies below the mirror head:
-// it re-acks the cumulative watermark, counts the duplicate, and returns
-// either nil (fully covered — drop) or a trimmed copy whose frames start
-// exactly at the head.
-func (ms *mirrorState) dedup(p *sim.Proc, rb *replChunkBatch) *replChunkBatch {
-	n := ms.n
-	head := ms.log.Head()
-	n.cl.Robust.DupDelivered++
-	ms.ack(p, head)
-	// Re-forward the duplicate down-chain: this hop has the range, but the
-	// retransmit that produced the duplicate may exist because a down-chain
-	// hop never got it (our original forward was the lost frame). Each hop
-	// dedups independently, so the repair propagates exactly as far as
-	// needed.
-	if ms.chainPos != len(ms.chain)-1 {
-		next := ms.chain[ms.chainPos+1]
-		ms.fwds = append(slices.DeleteFunc(ms.fwds, finished), n.cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) { ms.forward(fp, next, rb) }))
-	}
-	if rb.To <= head {
-		return nil
-	}
-	trimmed := *rb
-	trimmed.Chunks = nil
-	for i := range rb.Chunks {
-		if rb.Chunks[i].To <= head {
-			continue
-		}
-		trimmed.Chunks = append(trimmed.Chunks, rb.Chunks[i])
-	}
-	if len(trimmed.Chunks) == 0 || trimmed.Chunks[0].From != head {
-		return nil
-	}
-	trimmed.From = head
-	return &trimmed
+// relay forwards rb down the chain on a process of its own, which dies with
+// the mirror.
+func (ms *mirrorState) relay(rb *replChunkBatch) {
+	n, next := ms.n, ms.chain[ms.chainPos+1]
+	ms.fwds = append(slices.DeleteFunc(ms.fwds, finished), n.cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) { ms.forward(fp, next, rb) }))
 }
 
 // decodeBatchChunk places one batch frame's raw bytes into dst, which the
@@ -283,15 +235,25 @@ func (ms *mirrorState) settle(p *sim.Proc, bc *batchChunk, slot []byte) bool {
 	return true
 }
 
-// handleBatch is steps 4–7 of Figure 3 for one replChunkBatch, in one pass:
-// the frames are checked, the batch forwards to the next hop, every frame
-// lands in one contiguous mirror buffer (decoded there, if compressed, while
-// the next hop works), one persist covers the batch range in the local PM
-// log mirror, one cumulative ack reports To, and one background publication
-// job applies all entries.
-func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
+// handleBatch is steps 4–7 of Figure 3 for one replChunkBatch's frames
+// from from on (a duplicate's frames below the head are skipped by index),
+// in one pass: the frames are checked, they forward to the next hop, every
+// frame lands in one contiguous mirror buffer (decoded there, if
+// compressed, while the next hop works), one persist covers the range in
+// the local PM log mirror, one cumulative ack reports To, and one
+// background publication job applies all entries.
+func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch, from uint64) {
 	n := ms.n
 	cl := n.cl
+	if from > rb.From {
+		k := 0
+		for k < len(rb.Chunks) && rb.Chunks[k].To <= from {
+			k++
+		}
+		cut := *rb
+		cut.From, cut.Chunks = from, rb.Chunks[k:]
+		rb = &cut
+	}
 	// Framing first, before any buffer is taken: frames tile [From, To)
 	// exactly, each declares the raw length of its own range, and its
 	// sub-block table (if any) matches its payload.
@@ -333,9 +295,8 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 	// so safe down-chain — unlike our pooled copy); compressed chunks stay
 	// compressed on the wire for every hop (the bandwidth saving is the
 	// point).
-	if ms.chainPos != len(ms.chain)-1 {
-		next := ms.chain[ms.chainPos+1]
-		ms.fwds = append(slices.DeleteFunc(ms.fwds, finished), cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) { ms.forward(fp, next, rb) }))
+	if !ms.rcv.tail {
+		ms.relay(rb)
 	}
 	for i := range rb.Chunks {
 		if bc := &rb.Chunks[i]; len(bc.SubLens) > 0 && !ms.settle(p, bc, slot(bc)) {
@@ -353,11 +314,11 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch) {
 	ms.persistRaw(p, rb.From, raw, rdma.ClassPrio(rb.Sync))
 
 	// One cumulative acknowledgment covers every chunk in the batch.
-	ms.ack(p, rb.To)
+	ms.ack(p, ms.rcv.persisted(rb.To).to)
 
 	// Publish locally in the background so the replica's public area keeps
 	// up and the mirror ring can be reclaimed.
-	ms.pubQ.Put(p, pubJob{raw: raw, from: rb.From, to: rb.To})
+	ms.pubQ.Put(p, pubJob{raw: raw, to: rb.To})
 }
 
 // ack tells the primary that everything through to is durable here. Acks
@@ -405,13 +366,8 @@ func (ms *mirrorState) persistRaw(p *sim.Proc, at uint64, raw []byte, prio int) 
 // publishLocal applies a replicated chunk (or batch) to this replica's
 // public area and reclaims the mirror ring. It reports whether a timed-out
 // kernel worker may still read raw (see publishItems).
-func (ms *mirrorState) publishLocal(p *sim.Proc, raw []byte, from, to uint64) (retained bool) {
+func (ms *mirrorState) publishLocal(p *sim.Proc, raw []byte, to uint64) (retained bool) {
 	n := ms.n
-	if from != ms.pubNext && ms.pubNext != 0 {
-		// Gap (shouldn't happen: arrival order is log order); skip rather
-		// than corrupt.
-		return false
-	}
 	entries, err := fs.DecodeAll(raw)
 	if err != nil {
 		return false
@@ -430,7 +386,6 @@ func (ms *mirrorState) publishLocal(p *sim.Proc, raw []byte, from, to uint64) (r
 		clear(items)
 		ms.pubItems = items
 	}
-	ms.pubNext = to
 	ms.log.Reclaim(ctx, to)
 	return retained
 }

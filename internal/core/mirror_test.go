@@ -150,7 +150,7 @@ func TestMirrorFramingGates(t *testing.T) {
 			}
 			for _, tc := range cases {
 				rejectedBefore, fwdBefore := cl.Robust.CRCRejected, mirror.RepMsgs
-				ms.handleBatch(p, tc.rb)
+				ms.handleBatch(p, tc.rb, tc.rb.From)
 				p.Sleep(time.Millisecond) // an ack or forward, if any, lands well within this
 				if got := acks(); got != 0 {
 					t.Errorf("%s: %d acks reached the primary, want none", tc.name, got)
@@ -182,7 +182,7 @@ func TestMirrorFramingGates(t *testing.T) {
 					t.Errorf("%s: CRCRejected moved by %d, want %d", tc.name, got, want)
 				}
 			}
-			ms.handleBatch(p, one(goodZip))
+			ms.handleBatch(p, one(goodZip), 0)
 			p.Sleep(50 * time.Millisecond)
 			if head := ms.log.Head(); head != n {
 				t.Errorf("well-formed frame: mirror head = %d, want %d", head, n)

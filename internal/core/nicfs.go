@@ -161,27 +161,24 @@ const epochPMOff = 256
 func (n *NICFS) PeerDown(p *sim.Proc, name string) {
 	// Leases arbitrated by this node for clients of the failed node expire.
 	n.leases.ExpireHolder(name)
-	// Chunks waiting on the dead replica's acks complete against the
-	// reconfigured chain. Slots are visited in order: resweeps emit
-	// completion events, so the sweep sequence must be deterministic.
-	for _, slot := range n.clientSlots() {
-		n.clients[slot].advanceAcked(p)
+	// Chunks waiting on the dead replica's acks complete against the live
+	// replicas' watermarks.
+	n.member(name, false)
+}
+
+// member tells every slot's window whether name is alive. Slots are visited
+// in order: releases emit completion events, so the sequence must be
+// deterministic.
+func (n *NICFS) member(name string, alive bool) {
+	for slot := range n.cl.Cfg.MaxClients {
+		if cs := n.clients[slot]; cs != nil {
+			cs.release(cs.snd.member(cs.pos(name), alive))
+		}
 	}
 }
 
-// clientSlots returns the attached client slots in increasing order, for
-// deterministic iteration over the clients map.
-func (n *NICFS) clientSlots() []int {
-	slots := make([]int, 0, len(n.clients))
-	for slot := range n.clients {
-		slots = append(slots, slot)
-	}
-	sort.Ints(slots)
-	return slots
-}
-
-// PeerUp implements cluster.Member.
-func (n *NICFS) PeerUp(p *sim.Proc, name string) {}
+// PeerUp implements cluster.Member: the replica's watermark counts again.
+func (n *NICFS) PeerUp(p *sim.Proc, name string) { n.member(name, true) }
 
 // Start registers services and launches the NICFS processes. Every
 // connection, of either class (§3.3.2), is served by a lane of its own, which
@@ -374,8 +371,8 @@ func (n *NICFS) handleLeaseAcquire(p *sim.Proc, msg *rdma.Msg) {
 // sendRevoke notifies a LibFS holder to drop its cached lease. Slot order
 // keeps the holder lookup deterministic even if ids were ever duplicated.
 func (n *NICFS) sendRevoke(p *sim.Proc, holder string, ino fs.Ino) {
-	for _, slot := range n.clientSlots() {
-		if cs := n.clients[slot]; cs.id == holder {
+	for slot := range n.cl.Cfg.MaxClients {
+		if cs := n.clients[slot]; cs != nil && cs.id == holder {
 			cs.notifyClient(p, "revoke", &revokeMsg{Ino: ino}, 16)
 			return
 		}
@@ -456,16 +453,20 @@ func (n *NICFS) runDetector(p *sim.Proc) {
 	}
 }
 
-// handleReplAck advances a replica's cumulative watermark on the primary.
+// handleReplAck hands the slot's window a replica's cumulative watermark.
+// An ack that names an unknown slot or node, or does not advance its
+// watermark, is stale (e.g. a late duplicate after a membership resweep)
+// and is counted, not applied.
 func (n *NICFS) handleReplAck(p *sim.Proc, ack *replAck) {
 	n.AckMsgs++
-	cs := n.clients[ack.Slot]
-	if cs == nil {
-		n.StaleAcks++
-		n.cl.Robust.StaleAcks++
-		return
+	if cs := n.clients[ack.Slot]; cs != nil {
+		if rel, stale := cs.snd.ack(cs.pos(ack.Node), ack.To, time.Duration(p.Now())); !stale {
+			cs.release(rel)
+			return
+		}
 	}
-	cs.ackChunk(p, ack)
+	n.StaleAcks++
+	n.cl.Robust.StaleAcks++
 }
 
 // recordHistory merges namespace-history records into the epoch's list.

@@ -105,8 +105,8 @@ func TestCumulativeAckCoversBatch(t *testing.T) {
 	assertNoStaleAcks(t, cl)
 	// The fsync path must have left nothing pending.
 	cs := n0.clients[0]
-	if len(cs.repPending) != 0 {
-		t.Fatalf("%d chunks still pending replication after fsync", len(cs.repPending))
+	if len(cs.snd.win) != 0 {
+		t.Fatalf("%d chunks still pending replication after fsync", len(cs.snd.win))
 	}
 }
 
@@ -222,8 +222,8 @@ func TestReplicaFailureMidBatchReleasesFsync(t *testing.T) {
 		// The fsync returned, so the resweep released the waiter; nothing
 		// may remain pending on the primary.
 		cs := cl.NICs[0].clients[0]
-		if len(cs.repPending) != 0 {
-			t.Fatalf("%d chunks pending after resweep released fsync", len(cs.repPending))
+		if len(cs.snd.win) != 0 {
+			t.Fatalf("%d chunks pending after resweep released fsync", len(cs.snd.win))
 		}
 		if cl.Mgr.Alive("node2") {
 			t.Fatal("fsync completed before the manager detected the failure")
@@ -268,4 +268,72 @@ func TestReplicaFailureMidBatchReleasesFsync(t *testing.T) {
 			t.Fatalf("node %d content mismatch after recovery (n=%d err=%v)", mi, n, err)
 		}
 	}
+}
+
+// TestUnreachableHopLeavesNoWindow crashes the first replica's NICFS and
+// writes on before the manager notices: every run the primary sends finds no
+// service, so it is released at once (degraded durability). Such a run never
+// went on the wire, so it must not enter the retransmit window: there it was
+// recycled by the completion process while the window still held it, and
+// its bytes counted as in flight for every slot's resend interval.
+func TestUnreachableHopLeavesNoWindow(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	cfg.ChunkSize = 64 << 10
+	env, cl := newTestCluster(t, cfg)
+	defer env.Shutdown()
+	buf := bytes.Repeat([]byte{0x5A}, 16<<10)
+	run(t, env, 2*time.Second, func(p *sim.Proc) {
+		l, _ := cl.Attach(p, 0)
+		fd, _ := l.Create(p, "/cut")
+		cl.NICs[1].Crash()
+		for i := 0; i < 2000; i++ {
+			if _, err := l.WriteAt(p, fd, uint64(i*len(buf)), buf); err != nil {
+				t.Fatal(err)
+			}
+			if i%16 == 15 {
+				if err := l.Fsync(p, fd); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	if !cl.Mgr.Alive("node1") {
+		t.Fatal("node1 declared down: the scenario needs the cut unnoticed")
+	}
+	n0 := cl.NICs[0]
+	if cs := n0.clients[0]; len(cs.snd.win) != 0 || n0.inFlight() != 0 {
+		t.Fatalf("window holds %d chunks and %d bytes in flight, with nothing on the wire", len(cs.snd.win), n0.inFlight())
+	}
+}
+
+// TestRejectedChunkFaultsLaterFsyncs corrupts a logged entry before its fsync,
+// so validation rejects its chunk (failChunk), which never goes down the
+// chain. A later fsync must return the fault at once: its chunk went on the
+// wire after the hole and waited there, every mirror stuck at the rejected
+// chunk's start, until the client gave up on it.
+func TestRejectedChunkFaultsLaterFsyncs(t *testing.T) {
+	t.Parallel()
+	env, cl := newTestCluster(t, testConfig())
+	defer env.Shutdown()
+	block := bytes.Repeat([]byte{0x7E}, 4<<10)
+	run(t, env, 60*time.Second, func(p *sim.Proc) {
+		l, _ := cl.Attach(p, 0)
+		fd, _ := l.Create(p, "/hole")
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatal(err)
+		}
+		l.WriteAt(p, fd, 0, block)
+		seg := l.Log().SegmentAt(l.Log().Head()-64, 1) // in the entry's data
+		fs.NoCostCtx(cl.Machines[0].PM).Write(seg.PhysOff, []byte{0x81})
+		if err := l.Fsync(p, fd); err == nil {
+			t.Fatal("fsync of a corrupt entry succeeded")
+		}
+		l.WriteAt(p, fd, uint64(len(block)), block)
+		start := p.Now()
+		err := l.Fsync(p, fd)
+		if took := time.Duration(p.Now() - start); err == nil || took > 10*time.Millisecond {
+			t.Fatalf("fsync after the rejected chunk: %v after %v, want the fault at once", err, took)
+		}
+	})
 }
