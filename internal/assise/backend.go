@@ -16,7 +16,6 @@ import (
 type backend struct {
 	cl      *Cluster
 	machine int
-	slot    int
 	id      string
 
 	shared *SharedFS
@@ -29,7 +28,7 @@ func newBackend(cl *Cluster, machine, slot int) *Attachment {
 	cfg := cl.LibFS(machine, slot)
 	cfg.Log = fs.NewLogArea(cl.Machines[machine].PM, cl.LogBase(slot), cl.Cfg.LogSize)
 	cfg.InoBase, cfg.InoMax = cl.InoRange(slot)
-	b := &backend{cl: cl, machine: machine, slot: slot, id: cfg.ID, shared: s}
+	b := &backend{cl: cl, machine: machine, id: cfg.ID, shared: s}
 	b.client = dfs.NewClient(cl.Env, b, cfg)
 	b.ss = s.register(slot, b.client, cfg.Log)
 	return &Attachment{Client: b.client, backend: b}

@@ -34,7 +34,6 @@ type SharedFS struct {
 	// Hyperloop WQE credits: operations remaining before the host must
 	// re-post the chained WQEs.
 	hlCredits  int
-	hlWait     *sim.Event
 	hlRefillCh *sim.Event
 
 	peerConns map[int]*rdma.Conn
@@ -83,7 +82,6 @@ type attachedClient interface {
 
 // mirrorState is replica-side per-slot state.
 type mirrorState struct {
-	slot       int
 	log        *fs.LogArea
 	digested   uint64
 	digestKick *sim.Event
@@ -120,7 +118,6 @@ func newSharedFS(cl *Cluster, machine int) *SharedFS {
 		hlCredits: hyperloopCredits,
 		peerConns: make(map[int]*rdma.Conn),
 	}
-	s.hlWait = sim.NewEvent(cl.Env)
 	cl.Machines[machine].Port.Register(svcRepl, s.replQ)
 	return s
 }
@@ -421,7 +418,6 @@ func (s *SharedFS) mirror(slot int) *mirrorState {
 	ms, ok := s.mirrors[slot]
 	if !ok {
 		ms = &mirrorState{
-			slot:       slot,
 			log:        fs.NewLogArea(s.cl.Machines[s.machine].PM, s.cl.LogBase(slot), s.cl.Cfg.LogSize),
 			digestKick: sim.NewEvent(s.cl.Env),
 			stash:      make(map[uint64]*stashed),

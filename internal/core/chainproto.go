@@ -16,7 +16,7 @@ const (
 	opIdle    chainOp = iota
 	opSend            // put the sender's open run on the wire
 	opRelease         // h is on every live replica, or never goes on the wire: complete it
-	opAdopt           // start the mirror's stream at from
+	opAdopt           // move the mirror's head up to from: the sender released below it
 	opReAck           // a duplicate arrived: ack through to again
 	opForward         // relay the duplicate h down the chain
 	opAck             // everything through to is persisted here
@@ -272,30 +272,37 @@ func (s *chainSender[H]) resend(next uint64) []span[H] {
 	return s.rerun
 }
 
+// settled is the lowest offset the window has not released, as a frame of
+// run carries it: the window's front, or run's start with nothing in flight.
+func (s *chainSender[H]) settled(run []span[H]) uint64 {
+	if len(s.win) > 0 {
+		return s.win[0].from
+	}
+	return run[0].from
+}
+
 // chainReceiver is a replica's side of one slot's chain: frames arrive in
 // any order (a sync frame overtakes bulk ones between the two classes'
 // connections) and are persisted in log order from the head, held.next.
 type chainReceiver[H any] struct {
 	held inOrder[span[H]]
 	tail bool // the chain's last replica: nothing to relay
-	// fresh is a mirror born after Recover: it adopts its first frame's
-	// offset as its start (DESIGN.md §12 "Where a mirror's stream starts").
-	fresh bool
-	out   []chainAct[H]
+	out  []chainAct[H]
 }
 
-// arrive takes frame h over [from, to). A frame that starts below the head
-// is a duplicate: the head is re-acked (the first ack may be what was lost)
-// and the frame relayed (the lost frame may be this hop's forward), then it
-// is dropped, or cut to its part past the head. The rest waits its turn.
-func (r *chainReceiver[H]) arrive(h H, from, to uint64) []chainAct[H] {
+// arrive takes frame h over [from, to), sent when the window had released
+// everything below settled; a head below settled moves up to it. A frame
+// that starts below the head is a duplicate: the head is re-acked (the first
+// ack may be what was lost) and the frame relayed (the lost frame may be
+// this hop's forward), then it is dropped, or cut to its part past the head.
+// The rest waits its turn.
+func (r *chainReceiver[H]) arrive(h H, from, to, settled uint64) []chainAct[H] {
 	r.out = r.out[:0]
-	head := r.held.next
-	if r.fresh && from > head {
-		head, r.held.next = from, from
-		r.out = append(r.out, chainAct[H]{op: opAdopt, from: from})
+	if settled > r.held.next {
+		r.moveTo(settled)
+		r.out = append(r.out, chainAct[H]{op: opAdopt, from: settled})
 	}
-	r.fresh = false
+	head := r.held.next
 	if from < head {
 		r.out = append(r.out, chainAct[H]{op: opReAck, to: head})
 		if !r.tail {
@@ -308,6 +315,25 @@ func (r *chainReceiver[H]) arrive(h H, from, to uint64) []chainAct[H] {
 	}
 	r.held.put(from, span[H]{h: h, from: from, to: to})
 	return r.out
+}
+
+// moveTo moves the head up to at. What is held below it is dropped, but the
+// part past at of the first held frame that reaches past it.
+func (r *chainReceiver[H]) moveTo(at uint64) {
+	r.held.next = at
+	var cut span[H]
+	for from, sp := range r.held.held {
+		if from < at {
+			delete(r.held.held, from)
+			if sp.to > at && (cut.to == 0 || from < cut.from) {
+				cut = sp
+			}
+		}
+	}
+	if _, ok := r.held.held[at]; !ok && cut.to > at {
+		cut.from = at
+		r.held.put(at, cut)
+	}
 }
 
 // next is the frame that starts at the head, for the shell to gate, relay

@@ -22,14 +22,13 @@ import (
 // order) and a replica's NICFS restart, pruning by state hash. After every
 // step it checks that
 //  1. a frame released to the client is on both replicas;
-//  2. each mirror log is the primary's log over [base, head): a replica only
-//     persists the frame at its head, and never a corrupt one (base is 0, or
-//     where a restarted mirror adopted);
+//  2. a replica only persists the frame at its head, and never a corrupt
+//     one; its head moves up to a frame's settled offset, never down;
 //  3. no replica acks a frame it does not hold;
 //  4. from the state, fault-free delivery and the timer release every frame.
 // A replica holds what it persisted; a restart keeps that (PM outlives the
 // NICFS) and adds what the other replica holds (Recover re-copies from a
-// peer).
+// peer), and its new mirror's head is 0.
 
 // Connections, and the model's steps (op, arg): each fuzz input is a
 // sequence of them too.
@@ -59,17 +58,18 @@ const (
 var exOpNames = [exOps]string{"arrive", "pump", "deliver", "tick", "drop", "dup", "corrupt", "delay", "restart"}
 var exConnNames = [nConns]string{"P→1 bulk", "P→1 sync", "1→2 bulk", "1→2 sync", "1→P ack", "2→P ack"}
 
-// A data message is from | to<<3 | bad<<6 | sync<<7; an ack is its offset.
-func exMsg(from, to uint64, sync bool) int {
-	m := int(from | to<<3)
+// A data message is from | to<<3 | bad<<6 | sync<<7 | settled<<8; an ack
+// is its offset.
+func exMsg(from, to, settled uint64, sync bool) int {
+	m := int(from | to<<3 | settled<<8)
 	if sync {
 		m |= 1 << 7
 	}
 	return m
 }
 
-func exSpan(m int) (from, to uint64, bad, sync bool) {
-	return uint64(m & 7), uint64(m >> 3 & 7), m&(1<<6) != 0, m&(1<<7) != 0
+func exSpan(m int) (from, to, settled uint64, bad, sync bool) {
+	return uint64(m & 7), uint64(m >> 3 & 7), uint64(m >> 8 & 7), m&(1<<6) != 0, m&(1<<7) != 0
 }
 
 func exBits(from, to uint64) uint8 { return uint8(1<<to - 1<<from) }
@@ -94,7 +94,7 @@ type exState struct {
 
 	arrived, released uint8
 	held              [3]uint8  // frames each replica holds
-	base, head        [3]uint64 // each mirror log's range
+	head              [3]uint64 // each mirror log's head
 	faults, restarts  int
 	viol              string
 }
@@ -170,15 +170,12 @@ func (s *exState) key(b []byte) []byte {
 	}
 	for r := 1; r <= 2; r++ {
 		held(s.rcv[r].held)
-		b = append(b, byte(s.base[r]), byte(s.head[r]), s.held[r])
-		if s.rcv[r].fresh {
-			b = append(b, 2)
-		}
+		b = append(b, byte(s.head[r]), s.held[r])
 	}
 	for _, c := range s.conn {
 		b = append(b, 0xF0)
 		for _, m := range c {
-			b = append(b, byte(m))
+			b = append(b, byte(m), byte(m>>8))
 		}
 	}
 	return append(b, s.arrived, s.released, byte(s.faults), byte(s.restarts))
@@ -253,10 +250,10 @@ func (s *exState) apply(op, arg int) bool {
 		if arg != 1 && arg != 2 {
 			return false
 		}
-		s.rcv[arg] = &chainReceiver[int]{tail: arg == 2, fresh: true}
+		s.rcv[arg] = &chainReceiver[int]{tail: arg == 2}
 		s.conn[2*arg-2], s.conn[2*arg-1] = nil, nil // crash closes its lanes
 		s.held[arg] |= s.held[3-arg]
-		s.base[arg], s.head[arg] = 0, 0
+		s.head[arg] = 0
 		s.restarts++
 	default:
 		return false
@@ -299,7 +296,7 @@ func (s *exState) send(run []span[int]) {
 			s.viol = fmt.Sprintf("invalid frame %d goes on the wire", sp.h)
 		}
 	}
-	s.post(cP1Bulk, exMsg(run[0].from, run[len(run)-1].to, sync))
+	s.post(cP1Bulk, exMsg(run[0].from, run[len(run)-1].to, s.snd.settled(run), sync))
 }
 
 func (s *exState) post(c, m int) {
@@ -320,11 +317,14 @@ func (s *exState) deliver(c, m int) {
 		return
 	}
 	r := 1 + c/2
-	from, to, _, _ := exSpan(m)
-	for _, a := range s.rcv[r].arrive(m, from, to) {
+	from, to, settled, _, _ := exSpan(m)
+	for _, a := range s.rcv[r].arrive(m, from, to, settled) {
 		switch a.op {
 		case opAdopt:
-			s.base[r], s.head[r] = a.from, a.from
+			if a.from <= s.head[r] {
+				s.viol = fmt.Sprintf("replica %d moves its head from %d to %d", r, s.head[r], a.from)
+			}
+			s.head[r] = a.from
 		case opReAck:
 			s.ack(r, a.to)
 		case opForward:
@@ -332,12 +332,12 @@ func (s *exState) deliver(c, m int) {
 		}
 	}
 	for sp, ok := s.rcv[r].next(); ok; sp, ok = s.rcv[r].next() {
-		_, to, bad, sync := exSpan(sp.h)
+		_, to, settled, bad, sync := exSpan(sp.h)
 		if bad {
 			continue // the integrity gate: never relayed, persisted or acked
 		}
 		if r == 1 {
-			s.post(c12Bulk, exMsg(sp.from, to, sync))
+			s.post(c12Bulk, exMsg(sp.from, to, settled, sync))
 		}
 		if sp.from != s.head[r] {
 			s.viol = fmt.Sprintf("replica %d persists [%d,%d) past a gap at %d", r, sp.from, to, s.head[r])
@@ -446,14 +446,6 @@ func (v exViolation) String() string {
 	return b.String()
 }
 
-// exKinds name the invariants a violation can break, by a word of its text.
-var exKinds = [][2]string{{"never", "stall"}, {"released", "release of an unheld frame"},
-	{"gap", "persist past a gap"}, {"acked", "ack of an unpersisted frame"}}
-
-func (v exViolation) kind() int {
-	return slices.IndexFunc(exKinds, func(k [2]string) bool { return strings.Contains(v.what, k[0]) })
-}
-
 func exStepName(st [2]int) string {
 	switch st[0] {
 	case exArrive:
@@ -468,16 +460,12 @@ func exStepName(st [2]int) string {
 	return exOpNames[st[0]]
 }
 
-// replay runs trace from the start, skipping steps that do not apply and,
-// with noRestart, the restarts, and returns the violation it ends in, the
-// drain's included.
-func replay(cf exConf, trace [][2]int, noRestart bool) string {
+// replay runs trace from the start, skipping steps that do not apply, and
+// returns the violation it ends in, the drain's included.
+func replay(cf exConf, trace [][2]int) string {
 	s := newExState(cf)
 	for _, st := range trace {
-		if st[0] != exRestart || !noRestart {
-			s.apply(st[0], st[1])
-		}
-		if s.viol != "" {
+		if s.apply(st[0], st[1]); s.viol != "" {
 			return s.viol
 		}
 	}
@@ -556,10 +544,7 @@ var (
 // TestChainExplore walks 1–n frames under every assignment of frames to the
 // two classes, then n+1 frames all bulk and with a sync tail, and three
 // frames of which the middle one fails validation, with up to k faults, one
-// of which may be a replica's restart. A violation the trace without its
-// restart does not reproduce is item 9 (i)'s: a mirror born after Recover
-// takes its stream's start from the first frame it sees (TestChainExplore9i
-// pins one). Any other is a protocol bug.
+// of which may be a replica's restart. Any violation is a protocol bug.
 func TestChainExplore(t *testing.T) {
 	t.Parallel()
 	k, maxN := *exploreK, *exploreN
@@ -575,85 +560,51 @@ func TestChainExplore(t *testing.T) {
 	if n := maxN + 1; n <= 4 {
 		confs = append(confs, exConf{n, 0, 0}, exConf{n, 1 << (n - 1), 0})
 	}
-	start, states := time.Now(), 0
-	var shortest [4]exViolation
-	var count [4]int
+	start, states, viols := time.Now(), 0, 0
 	for _, cf := range confs {
-		st, viols := explore(cf, k, 1)
+		st, vs := explore(cf, k, 1)
 		states += st
-		for _, v := range viols {
-			if why := replay(v.exConf, v.trace, true); why != "" {
-				t.Fatalf("violation without a restart (%s):\n%s", why, v)
-			}
-			count[v.kind()]++
-			if old := &shortest[v.kind()]; old.trace == nil || len(v.trace) < len(old.trace) {
-				*old = v
-			}
+		viols += len(vs)
+		if len(vs) > 0 {
+			t.Errorf("%d violations, the first:\n%s", len(vs), vs[0])
 		}
 	}
-	t.Logf("k=%d, %d models up to %d frames: %d states explored in %.2fs", k, len(confs), min(maxN+1, 4), states, time.Since(start).Seconds())
-	for i, v := range shortest {
-		if v.trace != nil {
-			t.Logf("item 9 (i): %d violations by %s, the shortest:\n%s", count[i], exKinds[i][1], v)
-		}
-	}
+	t.Logf("k=%d, %d models up to %d frames: %d states explored, %d violations, in %.2fs", k, len(confs), min(maxN+1, 4), states, viols, time.Since(start).Seconds())
 }
 
-// TestChainExplore9i pins ROADMAP item 9 (i): a mirror born fresh after
-// Recover adopts an overtaking sync frame's offset and acks a range it never
-// persisted. It prints the shortest counterexample. Item 9's position
-// handshake removes the adoption; this test then wants no violation.
+// TestChainExplore9i is ROADMAP item 9 (i)'s model: two frames, the second
+// sync, and one fault, which may be a restart. A mirror that restarts while
+// the first, bulk frame is on its way to it sees the sync frame first; it
+// must wait for the resent bulk frame, not ack the sync frame's end.
 func TestChainExplore9i(t *testing.T) {
 	t.Parallel()
-	v := explore9i()
-	if v.trace == nil {
-		t.Fatal("no violation: the fresh-mirror hazard is gone; flip this test to want none")
+	states, viols := explore(exConf{2, 0b10, 0}, 1, 1)
+	for _, v := range viols {
+		t.Errorf("violation:\n%s", v)
 	}
-	t.Logf("shortest counterexample, %d steps:\n%s", len(v.trace), v)
-	if !strings.Contains(v.what, "acked through") {
-		t.Fatalf("the shortest violation is not the fresh mirror's unpersisted ack:\n%s", v)
-	}
-	if why := replay(v.exConf, v.trace, true); why != "" {
-		t.Fatalf("without its restart the trace still breaks (%s)", why)
-	}
+	t.Logf("%d states, %d violations", states, len(viols))
 }
 
-// explore9i is the shortest violation over two frames, the second sync, with
-// one fault: a restart.
-func explore9i() exViolation {
-	if _, viols := explore(exConf{2, 0b10, 0}, 1, 1); len(viols) > 0 {
-		return viols[0]
-	}
-	return exViolation{}
-}
-
-// FuzzChainProto runs arbitrary step sequences, every fault but the restart
-// allowed as often as the input asks, against the four invariants. An input
-// is the frame count, the class mask and the invalid mask, then (op, arg)
-// pairs. The seed is TestChainExplore9i's counterexample with its restart
-// left out, which breaks nothing.
+// FuzzChainProto runs arbitrary step sequences, every fault allowed as often
+// as the input asks, against the four invariants. An input is the frame
+// count, the class mask and the invalid mask, then (op, arg) pairs. The seeds
+// are the two shortest traces a mirror that took its start from its first
+// frame broke: a restarted replica 1 acking an overtaking sync frame's end,
+// and a restarted replica 2 starting below the stream at a late duplicate.
 func FuzzChainProto(f *testing.F) {
-	if v := explore9i(); v.trace != nil {
-		in := []byte{byte(v.n - 1), v.sync, v.invalid}
-		for _, st := range v.trace {
-			if st[0] != exRestart {
-				in = append(in, byte(st[0]), byte(st[1]))
-			}
-		}
-		f.Add(in)
-	}
+	f.Add([]byte{1, 0b10, 0, exArrive, 0, exRestart, 1, exArrive, 1, exDeliver, cP1Sync})
+	f.Add([]byte{2, 0b10, 0, exArrive, 0, exArrive, 1, exDeliver, cP1Sync, exTick, 0, exTick, 0,
+		exDeliver, cP1Sync, exDeliver, c12Sync, exRestart, 2})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 3 {
 			return
 		}
 		var trace [][2]int
 		for i := 3; i+1 < len(in) && len(trace) < 256; i += 2 {
-			if op := int(in[i]) % exOps; op != exRestart {
-				trace = append(trace, [2]int{op, int(in[i+1])})
-			}
+			trace = append(trace, [2]int{int(in[i]) % exOps, int(in[i+1])})
 		}
 		cf := exConf{1 + int(in[0])%4, in[1], in[2]}
-		if why := replay(cf, trace, true); why != "" {
+		if why := replay(cf, trace); why != "" {
 			t.Fatalf("violation (%s):\n%s", why, exViolation{cf, trace, why})
 		}
 	})

@@ -18,7 +18,6 @@ import (
 // touched buffers keep their capacity across reuse so the steady-state hot
 // path allocates nothing.
 type chunk struct {
-	cs       *clientState
 	from, to uint64
 
 	raw     []byte // pooled: grown once, reused across chunks
@@ -45,7 +44,6 @@ type chunk struct {
 	// retained marks buffers possibly still referenced by a timed-out
 	// kernel-worker copy; such a chunk is leaked instead of recycled.
 	retained bool
-	dropped  int64 // bytes removed by coalescing
 }
 
 // clientState is the primary-side NICFS state for one LibFS client.
@@ -225,7 +223,7 @@ func (cs *clientState) getChunk(from, to uint64, sync bool) *chunk {
 	env := cs.n.cl.Env
 	// Everything resets except the pooled buffers.
 	*ck = chunk{
-		cs: cs, from: from, to: to, sync: sync,
+		from: from, to: to, sync: sync,
 		raw: ck.raw[:0], cbuf: ck.cbuf[:0], zipLens: ck.zipLens[:0], touched: ck.touched[:0],
 		sent: sim.NewEvent(env), published: sim.NewEvent(env), replicated: sim.NewEvent(env),
 	}
@@ -340,7 +338,6 @@ func (cs *clientState) stageValidate(p *sim.Proc, ck *chunk) bool {
 	}
 	//lint:allow borrowcheck ck.entries borrows ck.raw, which the chunk keeps alive through publish
 	ck.entries = kept
-	ck.dropped = dropped
 	n.CoalescedBytes += dropped
 	ck.valid = true
 	ck.touched = appendTouched(ck.touched[:0], kept)
@@ -653,7 +650,7 @@ func (cs *clientState) transmit(p *sim.Proc, run []span[*chunk]) error {
 	n := cs.n
 	msg := &replChunkBatch{
 		Slot: cs.slot, Epoch: n.epoch, From: run[0].from, To: run[len(run)-1].to,
-		Chunks: make([]batchChunk, len(run)),
+		Settled: cs.snd.settled(run), Chunks: make([]batchChunk, len(run)),
 	}
 	for i := range run {
 		msg.Sync = msg.Sync || run[i].h.sync

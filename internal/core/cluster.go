@@ -97,8 +97,9 @@ func (cl *Cluster) Attach(p *sim.Proc, machine int) (*Attachment, error) {
 	return l, nil
 }
 
-// nicCtx builds an fs.Ctx for a SmartNIC actor on machine i: metadata
-// reads hit the NIC DRAM cache, writes cross PCIe to host PM.
+// nicCtx builds an fs.Ctx for a SmartNIC actor on machine i: writes cross
+// PCIe to host PM, and reads are charged as host PM reads at priority 0, not
+// as hits in a NIC DRAM cache (which of the two is right: ROADMAP 5(b)).
 func (cl *Cluster) nicCtx(p *sim.Proc, i int, tag string) *fs.Ctx {
 	m := cl.Machines[i]
 	return &fs.Ctx{

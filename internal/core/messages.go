@@ -184,6 +184,9 @@ type replChunkBatch struct {
 	Slot     int
 	Epoch    uint64
 	From, To uint64
+	// Settled is chainSender.settled: a mirror's head below it moves up to
+	// it. It rides in the header rdma charges every message.
+	Settled uint64
 	// Sync is set when any member chunk is fsync-path (the batch then rides
 	// the low-latency class).
 	Sync   bool

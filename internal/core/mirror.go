@@ -110,10 +110,7 @@ func (n *NICFS) newMirror(slot int) *mirrorState {
 		chain:    chain,
 		q:        sim.NewQueue[*replChunkBatch](cl.Env, 0),
 		pubQ:     sim.NewQueue[pubJob](cl.Env, 0),
-		// A mirror created mid-stream, on a NICFS that has been through
-		// Recover, adopts its first frame's offset; elsewhere a sync frame
-		// that overtook the slot's first bulk chunk waits for it.
-		rcv: chainReceiver[*replChunkBatch]{tail: pos == len(chain)-1, fresh: n.recovered},
+		rcv:      chainReceiver[*replChunkBatch]{tail: pos == len(chain)-1},
 	}
 	ms.proc = cl.Env.Go(n.Name()+"/mirror", ms.run)
 	ms.pubProc = cl.Env.Go(n.Name()+"/mirror-pub", ms.runPublisher)
@@ -158,12 +155,9 @@ func (ms *mirrorState) run(p *sim.Proc) {
 		if !ok {
 			return
 		}
-		for _, a := range ms.rcv.arrive(rb, rb.From, rb.To) {
+		for _, a := range ms.rcv.arrive(rb, rb.From, rb.To, rb.Settled) {
 			switch a.op {
-			case opAdopt:
-				// A recovered replica's mirror starts at the stream's current
-				// position: earlier log content was invalidated and the state
-				// it carried was recovered from a peer (§3.6).
+			case opAdopt: // released without this mirror: it was down, or behind one that was
 				ms.log.ResetTo(ms.n.cl.nicCtx(p, ms.n.machine, "nicfs"), a.from)
 			case opReAck:
 				ms.n.cl.Robust.DupDelivered++

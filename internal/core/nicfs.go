@@ -69,9 +69,8 @@ type NICFS struct {
 	leaseDrained *sim.Event
 	leaseKick    *sim.Event
 
-	procs     []*sim.Proc
-	down      bool
-	recovered bool // Recover has run: new mirrors join their streams mid-way
+	procs []*sim.Proc
+	down  bool
 
 	// Metrics.
 	PubBytes       int64
@@ -323,8 +322,8 @@ func (n *NICFS) handleAttach(p *sim.Proc, msg *rdma.Msg) {
 }
 
 // handleOpen performs the permission check and path resolution LibFS
-// requests on every open (§3.6). Indexes are cached in SmartNIC DRAM, so
-// reads here do not cross PCIe.
+// requests on every open (§3.6). Its index reads are charged as host PM
+// reads (nicCtx); the paper caches indexes in SmartNIC DRAM (ROADMAP 5(b)).
 func (n *NICFS) handleOpen(p *sim.Proc, msg *rdma.Msg) {
 	req := msg.Arg.(*openReq)
 	ctx := n.cl.nicCtx(p, n.machine, "nicfs")

@@ -80,19 +80,16 @@ func (n *NICFS) handleFetchFile(p *sim.Proc, msg *rdma.Msg) {
 
 // Recover re-synchronizes this NICFS with the cluster after it restarts
 // (§3.6): read the persisted epoch, pull the history bitmap from a live
-// peer, fetch every inode touched since, and reapply it locally. Local
-// update logs touching recovered inodes are invalidated (their mirrors are
-// reset by the chain when traffic resumes).
+// peer, fetch every inode touched since, and reapply it locally.
 func (n *NICFS) Recover(p *sim.Proc, peerMachine int) error {
 	m := n.cl.Machines[n.machine]
 
 	// Re-register services and restart processes. Crash closed every lane's
 	// queue, and a closed queue drops every Put, so Start begins with no
 	// lanes — peers' cached connections resolve the service by name on every
-	// send and get fresh ones. Dead mirrors are dropped: fresh ones adopt the
-	// live stream position on first contact and the state they held is
-	// re-fetched below.
-	n.down, n.recovered = false, true
+	// send and get fresh ones. Dead mirrors are dropped; a new one starts
+	// where its first frame says the sender's window stands.
+	n.down = false
 	n.mirrors = make(map[int]*mirrorState)
 	n.Start()
 

@@ -95,3 +95,117 @@ func TestEpochPersistence(t *testing.T) {
 		t.Fatal("epoch 0 persisted; expected bumped epoch to survive")
 	}
 }
+
+// TestRecoveredMirrorAcksOnlyWhatItHolds crashes replica 1's NICFS while the
+// slot's bulk batch sits in its mirror unpersisted, and recovers it at once;
+// the fsync's sync frame is then the first to reach the new mirror. The
+// sender's window still holds the bulk batch, so the mirror waits for it to
+// be resent: every range replica 1 acks is in its mirror log, byte for byte
+// the primary's. A mirror that took its start from its first frame acked
+// the sync frame's end holding nothing below it.
+func TestRecoveredMirrorAcksOnlyWhatItHolds(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	cfg.ChunkSize = 4 << 20
+	cfg.HeartbeatEvery = 10 * time.Second // the manager never sees the outage
+	env, cl := newTestCluster(t, cfg)
+	defer env.Shutdown()
+	recovered := sim.NewEvent(env)
+	env.Go("crasher", func(p *sim.Proc) {
+		for cl.NICs[1].mirrors[0] == nil {
+			p.Sleep(5 * time.Microsecond)
+		}
+		if head := cl.NICs[1].mirrors[0].log.Head(); head != 0 {
+			t.Errorf("the bulk batch persisted through %d before the crash", head)
+		}
+		cl.NICs[1].Crash()
+		if err := cl.NICs[1].Recover(p, 2); err != nil {
+			t.Errorf("recover: %v", err)
+		}
+		recovered.Trigger(nil)
+	})
+	run(t, env, 20*time.Second, func(p *sim.Proc) {
+		l, _ := cl.Attach(p, 0)
+		fd, _ := l.Create(p, "/r")
+		const wr = 16 << 10
+		for off := 0; off < 4<<20; off += wr {
+			l.WriteAt(p, fd, uint64(off), bytes.Repeat([]byte{0x5A}, wr))
+		}
+		p.Wait(recovered)
+		l.WriteAt(p, fd, 4<<20, bytes.Repeat([]byte{0xA5}, wr))
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatalf("fsync: %v", err)
+		}
+	})
+	cs := cl.NICs[0].clients[0]
+	acked := cs.snd.water[1]
+	if acked != cs.log.Head() {
+		t.Fatalf("replica 1 acked through %d of the primary's %d", acked, cs.log.Head())
+	}
+	want := make([]byte, acked)
+	cs.log.ReadRawInto(fs.NoCostCtx(cl.Machines[0].PM), 0, want)
+	got := make([]byte, acked)
+	cl.NICs[1].mirrors[0].log.ReadRawInto(fs.NoCostCtx(cl.Machines[1].PM), 0, got)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("replica 1 acked through %d; its mirror log differs from the primary's at byte %d", acked, i)
+		}
+	}
+}
+
+// TestRejoinedReplicaResumesTheChain crashes replica 1's NICFS, writes and
+// fsyncs through the outage (the primary releases the range without any
+// replica: its next hop is unreachable), and recovers replica 1. Replica 2
+// missed that range too; the next frame says the sender released it, so
+// replica 2's mirror moves past it and the next fsync returns within
+// rejoinDeadline, well under the second a resend would take. A mirror that
+// waited for the missed range held the fsync for good.
+func TestRejoinedReplicaResumesTheChain(t *testing.T) {
+	t.Parallel()
+	const rejoinDeadline = 50 * time.Millisecond
+	cfg := testConfig()
+	cfg.HeartbeatEvery = 200 * time.Millisecond
+	env, cl := newTestCluster(t, cfg)
+	defer env.Shutdown()
+	run(t, env, 30*time.Second, func(p *sim.Proc) {
+		l, _ := cl.Attach(p, 0)
+		fd, _ := l.Create(p, "/j")
+		write := func(p *sim.Proc, i int) error {
+			l.WriteAt(p, fd, uint64(i)<<16, bytes.Repeat([]byte{byte(i + 1)}, 64<<10))
+			return l.Fsync(p, fd)
+		}
+		if err := write(p, 0); err != nil {
+			t.Fatalf("fsync: %v", err)
+		}
+		p.Sleep(time.Second)
+		cl.NICs[1].Crash()
+		if err := write(p, 1); err != nil {
+			t.Fatalf("fsync during the outage: %v", err)
+		}
+		p.Sleep(time.Second)
+		if err := cl.NICs[1].Recover(p, 2); err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		p.Sleep(time.Second)
+		var took time.Duration
+		env.Go("rejoin", func(fp *sim.Proc) {
+			start := fp.Now()
+			if err := write(fp, 2); err != nil {
+				t.Errorf("fsync after the rejoin: %v", err)
+			}
+			took = time.Duration(fp.Now() - start)
+		})
+		p.Sleep(rejoinDeadline)
+		head := cl.NICs[0].clients[0].log.Head()
+		if took == 0 {
+			t.Fatalf("fsync after the rejoin still waits after %v: replica 2's mirror at %d, the primary's log at %d",
+				rejoinDeadline, cl.NICs[2].mirrors[0].log.Head(), head)
+		}
+		t.Logf("fsync after the rejoin: %v", took)
+		for _, mi := range []int{1, 2} {
+			if got := cl.NICs[mi].mirrors[0].log.Head(); got != head {
+				t.Errorf("node %d mirror head %d, the primary's %d", mi, got, head)
+			}
+		}
+	})
+}

@@ -154,7 +154,6 @@ type logPiece struct {
 	payloadOff uint64 // logical log offset of the piece's first byte
 	blkOff     uint32 // offset within the file block
 	ln         uint32
-	seq        uint64
 }
 
 type leaseInfo struct {

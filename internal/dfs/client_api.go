@@ -344,7 +344,6 @@ func (l *Client) indexWrite(ino fs.Ino, entryOff, off uint64, data []byte) {
 			payloadOff: payloadBase + (lo - off),
 			blkOff:     uint32(lo - blkStart),
 			ln:         uint32(hi - lo),
-			seq:        entryOff, // log offsets are monotonic: usable as order
 		})
 	}
 }

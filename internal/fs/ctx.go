@@ -24,11 +24,9 @@ import (
 type Ctx struct {
 	P  *sim.Proc
 	PM *hw.PM
-	// ExtraRead/ExtraWrite are links crossed on each read/write access
-	// (e.g. PCIe from SmartNIC to host PM). They differ for NICFS, which
-	// caches inodes and indexes in SmartNIC DRAM — reads are local, writes
-	// write through across PCIe.
-	ExtraRead  []*hw.Link
+	// ExtraWrite are links crossed on each write (e.g. PCIe from SmartNIC to
+	// host PM). Reads cross none: a NICFS metadata read is charged as a host
+	// PM read (ROADMAP 5(b)).
 	ExtraWrite []*hw.Link
 	// CPU, when set, is charged for Compute work.
 	CPU  *hw.CPU
@@ -49,9 +47,6 @@ func (c *Ctx) Read(off int64, dst []byte) {
 	if c.NoCost || c.P == nil {
 		c.PM.ReadNoCost(off, dst)
 		return
-	}
-	for _, l := range c.ExtraRead {
-		l.Transfer(c.P, len(dst), c.Prio)
 	}
 	c.PM.Read(c.P, off, dst)
 }

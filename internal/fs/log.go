@@ -235,7 +235,6 @@ func VerifyWire(raw []byte) error {
 // after the entry bytes, giving prefix crash consistency: a crash exposes a
 // clean prefix of appended entries.
 type LogArea struct {
-	pm *hw.PM
 	LogView
 
 	head uint64 // next append offset (logical)
@@ -259,7 +258,7 @@ func NewLogArea(pm *hw.PM, base, size int64) *LogArea {
 	if size <= 2*BlockSize {
 		panic("fs: log area too small")
 	}
-	l := &LogArea{pm: pm, LogView: NewLogView(base, size)}
+	l := &LogArea{LogView: NewLogView(base, size)}
 	l.writeHeader(NoCostCtx(pm))
 	return l
 }
@@ -267,7 +266,7 @@ func NewLogArea(pm *hw.PM, base, size int64) *LogArea {
 // OpenLogArea mounts an existing log ring (e.g. after a crash), trusting
 // the persisted header, which is updated only after entry bytes persist.
 func OpenLogArea(ctx *Ctx, base, size int64) (*LogArea, error) {
-	l := &LogArea{pm: ctx.PM, LogView: NewLogView(base, size)}
+	l := &LogArea{LogView: NewLogView(base, size)}
 	buf := make([]byte, logHdrSize)
 	ctx.Read(base, buf)
 	if binary.LittleEndian.Uint32(buf[0:]) != logMagic {
@@ -355,9 +354,7 @@ func (l *LogArea) MirrorRaw(c *Ctx, at uint64, data []byte) error {
 		return fmt.Errorf("fs: mirror gap: at=%d head=%d", at, l.head)
 	}
 	l.rawWrite(c, at, data)
-	l.head += uint64(len(data))
-	l.writeHeader(c)
-	return nil
+	return l.AdvanceHead(c, at, len(data))
 }
 
 // RingSeg is a physically-contiguous piece of a logical log range.
@@ -468,13 +465,12 @@ func (l *LogArea) VisitRange(c *Ctx, scratch []byte, from, to uint64, fn func(*E
 	return raw, nil
 }
 
-// ResetTo repositions an (invalidated) mirror log at a new logical offset:
-// everything before at is abandoned. Used when a recovered replica rejoins
-// the chain mid-stream (§3.6: local update logs touching recovered inodes
-// are invalidated).
+// ResetTo moves a mirror log's head up to at, abandoning the range below it
+// (§3.6: a recovered replica re-fetches its state from a peer). The tail
+// stays for a queued publication of what the log holds to Reclaim; the first
+// Reclaim past at frees the abandoned range with it.
 func (l *LogArea) ResetTo(c *Ctx, at uint64) {
 	l.head = at
-	l.tail = at
 	l.writeHeader(c)
 }
 

@@ -55,7 +55,6 @@ type table struct {
 	path  string
 	fd    int
 	index []indexEnt // sorted by key
-	size  uint64
 }
 
 type indexEnt struct {
@@ -215,7 +214,6 @@ func (db *DB) flush(p *sim.Proc) error {
 	if err := flushPending(); err != nil {
 		return err
 	}
-	t.size = off
 	if err := db.fsc.Fsync(p, fd); err != nil {
 		return err
 	}
@@ -288,7 +286,6 @@ func (db *DB) compact(p *sim.Proc) error {
 			return err
 		}
 	}
-	out.size = off
 	if err := db.fsc.Fsync(p, fd); err != nil {
 		return err
 	}
