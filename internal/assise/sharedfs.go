@@ -54,11 +54,6 @@ type slotState struct {
 	replicated uint64
 	repQueued  uint64
 
-	// repWin bounds in-flight replication chunks per slot; replicas
-	// reorder arrivals by log offset, so several chunks can pipeline
-	// through the chain concurrently.
-	repWin *sim.Resource
-
 	digestKick *sim.Event
 	repWaiters []repWaiter
 
@@ -156,7 +151,6 @@ func (s *SharedFS) register(slot int, client attachedClient, log *fs.LogArea) *s
 		slot:       slot,
 		client:     client,
 		log:        log,
-		repWin:     sim.NewResource(s.cl.Env, 4),
 		digestKick: sim.NewEvent(s.cl.Env),
 	}
 	s.clients[slot] = ss
@@ -269,10 +263,6 @@ func (s *SharedFS) replicateRange(p *sim.Proc, ss *slotState, from, to uint64) e
 	if from >= to {
 		return nil
 	}
-	// Bound in-flight chunks per slot; the chain pipelines the rest.
-	ss.repWin.Acquire(p, 0)
-	defer ss.repWin.Release()
-
 	ctx := s.cl.HostCtx(p, s.machine, "dfs")
 	// A fresh buffer, not a scratch: the chain borrows it until the last ack.
 	raw := make([]byte, to-from)

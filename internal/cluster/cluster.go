@@ -1,6 +1,6 @@
 // Package cluster implements the ZooKeeper-like cluster manager LineFS
 // relies on for DFS membership, failure detection and epoch management
-// (§3.6). The manager heartbeats every member once per second; DownAfter
+// (§3.6). The manager heartbeats every member once per second; downAfter
 // consecutive missed heartbeats mark the member down, bump the cluster
 // epoch, expire its leases (via the listener) and notify the survivors.
 // Recovery bumps the epoch again after a single responsive probe. Leases
@@ -51,18 +51,18 @@ type Event struct {
 	At    sim.Time
 }
 
+// downAfter is the failure-detection hysteresis: a live member is declared
+// down only after this many consecutive missed probes. A single delayed
+// probe — a GC pause, a saturated link — then costs nothing, where the
+// one-miss detector bumped the epoch, expired leases, and reshaped every
+// replication chain. Recovery is immediate: one responsive probe brings a
+// down member back.
+const downAfter = 3
+
 // Manager is the cluster coordinator.
 type Manager struct {
 	env      *sim.Env
 	interval time.Duration
-
-	// DownAfter is the failure-detection hysteresis: a live member is
-	// declared down only after this many consecutive missed probes
-	// (default 3). A single delayed probe — a GC pause, a saturated link —
-	// then costs nothing, where the one-miss detector bumped the epoch,
-	// expired leases, and reshaped every replication chain. Recovery is
-	// immediate: one responsive probe brings a down member back.
-	DownAfter int
 
 	members []Member
 	alive   map[string]bool
@@ -79,11 +79,10 @@ type Manager struct {
 // paper's deployment uses one second).
 func NewManager(env *sim.Env, interval time.Duration) *Manager {
 	return &Manager{
-		env:       env,
-		interval:  interval,
-		DownAfter: 3,
-		alive:     make(map[string]bool),
-		missed:    make(map[string]int),
+		env:      env,
+		interval: interval,
+		alive:    make(map[string]bool),
+		missed:   make(map[string]int),
 	}
 }
 
@@ -116,7 +115,7 @@ func (m *Manager) run(p *sim.Proc) {
 			switch {
 			case m.alive[name] && !responsive:
 				m.missed[name]++
-				if m.missed[name] >= m.DownAfter {
+				if m.missed[name] >= downAfter {
 					m.missed[name] = 0
 					m.transition(p, mb, false)
 				}

@@ -125,7 +125,7 @@ func TestAliveMembers(t *testing.T) {
 	m.Start()
 	e.RunUntil(2500 * time.Millisecond)
 	if !m.Alive("b") {
-		t.Fatal("b down after two missed probes, want alive (DownAfter is 3)")
+		t.Fatal("b down after two missed probes, want alive (downAfter is 3)")
 	}
 	e.RunUntil(3500 * time.Millisecond)
 	if !m.Alive("a") || m.Alive("b") {

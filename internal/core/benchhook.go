@@ -10,8 +10,7 @@ import (
 
 // ReplHotLoop builds warmed state for the pooled replication hot path and
 // returns a closure that runs one steady-state iteration over it: growBuf
-// (payload staging into a pooled chunk buffer), appendTouched (namespace
-// history records into the pooled touched slice), zipSubBlock (sub-block
+// (payload staging into a pooled chunk buffer), zipSubBlock (sub-block
 // coding into the chunk-owned compression buffer and length table, through
 // the inline compress path, sealed with its frame sum), and decodeBatchChunk
 // (mirror-side batch frame decode into a pooled receive buffer). The
@@ -27,10 +26,6 @@ func ReplHotLoop() (func(), error) {
 		e := fs.Entry{Seq: seq, Type: fs.OpWrite, Ino: 3, Off: uint64(len(raw)), Data: rec}
 		raw = e.AppendWire(raw)
 	}
-	entries, err := fs.DecodeAll(raw)
-	if err != nil {
-		return nil, fmt.Errorf("repl hot loop: corpus decode: %w", err)
-	}
 	enc := compress.NewEncoder()
 	sent := &chunk{to: uint64(len(raw)), raw: raw}
 	sent.zipAll(enc)
@@ -42,13 +37,10 @@ func ReplHotLoop() (func(), error) {
 	// One pooled incarnation of each buffer, reused every iteration — the
 	// steady state runCompletion's recycling produces.
 	stage := make([]byte, 0, len(raw))
-	var hist []touched
 	ck := &chunk{raw: raw}
 	dst := make([]byte, len(raw))
 	return func() {
 		stage = growBuf(stage, len(raw))
-		//lint:allow borrowcheck the closure also captures raw, the borrow's backing buffer, so entries can never outlive it
-		hist = appendTouched(hist[:0], entries)
 		ck.cbuf, ck.zipLens = ck.cbuf[:0], ck.zipLens[:0]
 		ck.zipAll(enc)
 		if err := decodeBatchChunk(dec, dst[:len(raw):len(raw)], &bc); err != nil {

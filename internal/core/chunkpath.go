@@ -14,15 +14,14 @@ import (
 
 // chunk is the pipeline unit: a contiguous, entry-aligned range of one
 // client's log (§3.1 "LineFS chunk"). Chunks recycle through a per-client
-// freelist once fully published and replicated: the raw, compression, and
-// touched buffers keep their capacity across reuse so the steady-state hot
-// path allocates nothing.
+// freelist once fully published and replicated: the raw and compression
+// buffers keep their capacity across reuse so the steady-state hot path
+// allocates nothing.
 type chunk struct {
 	from, to uint64
 
 	raw     []byte // pooled: grown once, reused across chunks
 	entries []*fs.Entry
-	touched []touched // pooled
 
 	// The compression stage codes raw one sub-block at a time, in index
 	// order: cbuf collects the LZW streams back to back and zipLens their
@@ -224,7 +223,7 @@ func (cs *clientState) getChunk(from, to uint64, sync bool) *chunk {
 	// Everything resets except the pooled buffers.
 	*ck = chunk{
 		from: from, to: to, sync: sync,
-		raw: ck.raw[:0], cbuf: ck.cbuf[:0], zipLens: ck.zipLens[:0], touched: ck.touched[:0],
+		raw: ck.raw[:0], cbuf: ck.cbuf[:0], zipLens: ck.zipLens[:0],
 		sent: sim.NewEvent(env), published: sim.NewEvent(env), replicated: sim.NewEvent(env),
 	}
 	return ck
@@ -290,8 +289,8 @@ func (cs *clientState) stageFetch(p *sim.Proc, ck *chunk) bool {
 }
 
 // stageValidate decodes the chunk, verifies CRCs and sequence continuity,
-// checks lease ownership for every update, coalesces superseded entries,
-// and records namespace history for the current epoch (§3.3.1, §3.4).
+// checks lease ownership for every update, and coalesces superseded entries
+// (§3.3.1, §3.4).
 func (cs *clientState) stageValidate(p *sim.Proc, ck *chunk) bool {
 	n := cs.n
 	start := p.Now()
@@ -340,34 +339,8 @@ func (cs *clientState) stageValidate(p *sim.Proc, ck *chunk) bool {
 	ck.entries = kept
 	n.CoalescedBytes += dropped
 	ck.valid = true
-	ck.touched = appendTouched(ck.touched[:0], kept)
-	n.recordHistory(n.epoch, ck.touched)
 	n.StageTimes["validate"].add(time.Duration(p.Now() - start))
 	return true
-}
-
-// appendTouched appends one namespace-history record per entry to dst,
-// reusing dst's capacity (the chunk's pooled touched slice).
-//
-//linefs:hotpath
-func appendTouched(dst []touched, entries []*fs.Entry) []touched {
-	for _, e := range entries {
-		switch e.Type {
-		case fs.OpCreate, fs.OpMkdir:
-			typ := fs.TypeFile
-			if e.Type == fs.OpMkdir {
-				typ = fs.TypeDir
-			}
-			dst = append(dst, touched{Ino: e.Ino, PIno: e.PIno, Name: e.Name, Type: typ})
-		case fs.OpUnlink, fs.OpRmdir:
-			dst = append(dst, touched{Ino: e.Ino, PIno: e.PIno, Name: e.Name, Gone: true})
-		case fs.OpRename:
-			dst = append(dst, touched{Ino: e.Ino, PIno: e.PIno2, Name: e.Name2})
-		case fs.OpWrite, fs.OpTruncate:
-			dst = append(dst, touched{Ino: e.Ino})
-		}
-	}
-	return dst
 }
 
 // validateSplit is mainPl's validate stage and the fsync handler's for its
@@ -555,6 +528,7 @@ func (cs *clientState) publishChunk(p *sim.Proc, ck *chunk) {
 		}
 		return
 	}
+	n.recordHistory(n.epoch, ck.entries)
 	n.PubBytes += int64(copyBytes(items))
 	if n.publishItems(p, items) {
 		// The timed-out kernel worker may still read these item buffers,
@@ -593,8 +567,8 @@ func (cs *clientState) runSender(p *sim.Proc) {
 }
 
 // frame is ck as it goes on the wire: the raw bytes, or the sealed
-// sub-block streams, their table and sum. Payload, table and touched
-// records are lent, not copied.
+// sub-block streams, their table and sum. Payload and table are lent, not
+// copied.
 func (ck *chunk) frame() batchChunk {
 	payload := ck.raw
 	if len(ck.subLens) > 0 {
@@ -602,7 +576,7 @@ func (ck *chunk) frame() batchChunk {
 	}
 	return batchChunk{
 		From: ck.from, To: ck.to, Payload: payload, SubLens: ck.subLens, Sum: ck.sum,
-		RawLen: len(ck.raw), Touched: ck.touched,
+		RawLen: len(ck.raw),
 	}
 }
 
@@ -643,13 +617,13 @@ func fsyncPieceOf(cfg Config) int {
 }
 
 // transmit frames run as one replChunkBatch and posts it to the first
-// replica; a batch of one is still a batch. Payloads and touched records
-// are lent, not copied: chunk buffers stay alive until replication
-// completes, which is also what lets a retransmission frame them again.
+// replica; a batch of one is still a batch. Payloads are lent, not copied:
+// chunk buffers stay alive until replication completes, which is also what
+// lets a retransmission frame them again.
 func (cs *clientState) transmit(p *sim.Proc, run []span[*chunk]) error {
 	n := cs.n
 	msg := &replChunkBatch{
-		Slot: cs.slot, Epoch: n.epoch, From: run[0].from, To: run[len(run)-1].to,
+		Slot: cs.slot, From: run[0].from, To: run[len(run)-1].to,
 		Settled: cs.snd.settled(run), Chunks: make([]batchChunk, len(run)),
 	}
 	for i := range run {

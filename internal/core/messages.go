@@ -67,15 +67,6 @@ type fsyncReq struct {
 	Cuts []uint64
 }
 
-// touched records a namespace-visible update for the epoch history bitmap.
-type touched struct {
-	Ino  fs.Ino
-	PIno fs.Ino
-	Name string
-	Type fs.FileType
-	Gone bool // unlinked
-}
-
 // subBlockSize is the unit of LZW work on the chain: a chunk that travels
 // compressed is coded as independent sub-blocks of this many raw bytes (the
 // last one shorter), so that both ends can spread one chunk's codec time
@@ -110,7 +101,6 @@ type batchChunk struct {
 	SubLens []uint32
 	Sum     uint32
 	RawLen  int
-	Touched []touched
 }
 
 // wireLen is the frame's size on the wire: payload, and table and Sum when compressed.
@@ -182,7 +172,6 @@ func (bc *batchChunk) checkTable() error {
 // the previous ended, and the last ends at To.
 type replChunkBatch struct {
 	Slot     int
-	Epoch    uint64
 	From, To uint64
 	// Settled is chainSender.settled: a mirror's head below it moves up to
 	// it. It rides in the header rdma charges every message.
@@ -255,24 +244,29 @@ type leaseRecord struct {
 	Released bool
 }
 
-// historyReq asks a peer for namespace history since an epoch (recovery).
+// historyReq asks a peer for the inodes its publication changed since an
+// epoch (recovery).
 type historyReq struct {
 	Since uint64
 }
 
+// historyResp is the peer's current epoch and the union of its history sets
+// since Since, ascending.
 type historyResp struct {
-	Epoch   uint64
-	Touched []touched
+	Epoch uint64
+	Inos  []fs.Ino
 }
 
-// fetchFileReq pulls a published file's content from a peer (recovery).
+// fetchFileReq pulls one published inode from a peer (recovery).
 type fetchFileReq struct {
 	Ino fs.Ino
 }
 
+// fetchFileResp is the inode as the peer holds it: a file's bytes or a
+// directory's entries; Exists is false for a free inode.
 type fetchFileResp struct {
-	Exists bool
-	Type   fs.FileType
-	Size   uint64
-	Data   []byte
+	Exists  bool
+	Type    fs.FileType
+	Data    []byte
+	Entries []fs.DirEnt
 }

@@ -299,11 +299,6 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch, from uint64)
 		}
 	}
 
-	// Merge namespace history for epoch recovery.
-	for i := range rb.Chunks {
-		n.recordHistory(rb.Epoch, rb.Chunks[i].Touched)
-	}
-
 	// Persist the batch into the local PM log mirror.
 	ms.persistRaw(p, rb.From, raw, rdma.ClassPrio(rb.Sync))
 
@@ -371,6 +366,7 @@ func (ms *mirrorState) publishLocal(p *sim.Proc, raw []byte, to uint64) (retaine
 	items := ms.pubItems[:0]
 	cp := func(dst int64, src []byte) { items = append(items, copyItem{Dst: dst, Data: src}) }
 	if err := n.vol.ApplyAll(ctx, entries, cp); err == nil {
+		n.recordHistory(n.epoch, entries)
 		retained = n.publishItems(p, items)
 		n.PubBytes += int64(len(raw))
 	}

@@ -51,11 +51,10 @@ type NICFS struct {
 	// publication alone: nothing an fsync waits for uses the worker.
 	Isolated bool
 
+	// epoch is the cluster epoch; history is §3.6's bitmap: for each epoch,
+	// the inodes this node's publication changed (recordHistory).
 	epoch   uint64
-	history map[uint64][]touched
-	// histSeen dedups pure data-write records per epoch so history stays
-	// bounded by the touched working set, not the write count.
-	histSeen map[uint64]map[touched]struct{}
+	history map[uint64]map[fs.Ino]struct{}
 
 	// codecGate admits one chunk at a time to LZW coding across the cores
 	// (codeTime); codecPeak is the most helpers one chunk has had.
@@ -107,15 +106,14 @@ func (t *timeAvg) Mean() time.Duration {
 
 func newNICFS(cl *Cluster, machine int) *NICFS {
 	n := &NICFS{
-		cl:       cl,
-		machine:  machine,
-		vol:      cl.Vols[machine],
-		leases:   lease.NewTable(cl.Env, cluster.LeaseTTL),
-		clients:  make(map[int]*clientState),
-		mirrors:  make(map[int]*mirrorState),
-		peers:    make(map[[2]int]*rdma.Conn),
-		history:  make(map[uint64][]touched),
-		histSeen: make(map[uint64]map[touched]struct{}),
+		cl:      cl,
+		machine: machine,
+		vol:     cl.Vols[machine],
+		leases:  lease.NewTable(cl.Env, cluster.LeaseTTL),
+		clients: make(map[int]*clientState),
+		mirrors: make(map[int]*mirrorState),
+		peers:   make(map[[2]int]*rdma.Conn),
+		history: make(map[uint64]map[fs.Ino]struct{}),
 		StageTimes: map[string]*timeAvg{
 			"fetch": {}, "validate": {}, "publish": {}, "transfer": {}, "ack": {},
 			"wait-pub": {}, "wait-rep": {},
@@ -468,32 +466,26 @@ func (n *NICFS) handleReplAck(p *sim.Proc, ack *replAck) {
 	n.cl.Robust.StaleAcks++
 }
 
-// recordHistory merges namespace-history records into the epoch's list.
-// Pure data-write records (no name, not a deletion) are idempotent for
-// recovery — one per (epoch, inode) suffices — so they dedup through
-// histSeen and the list is bounded by the touched working set. Namespace
-// records keep their order and multiplicity: recovery resolves an inode by
-// its newest record, so a create after an unlink must stay behind it.
-func (n *NICFS) recordHistory(epoch uint64, ts []touched) {
-	if len(ts) == 0 {
-		return
+// recordHistory adds to epoch's set every inode that applying entries
+// changed: each entry's inode, and the directories a namespace operation
+// edits. It runs where publication has applied them, so the set names what
+// fetch-file serves. It charges no time.
+func (n *NICFS) recordHistory(epoch uint64, entries []*fs.Entry) {
+	set := n.history[epoch]
+	if set == nil {
+		set = make(map[fs.Ino]struct{})
+		n.history[epoch] = set
 	}
-	seen := n.histSeen[epoch]
-	if seen == nil {
-		seen = make(map[touched]struct{})
-		n.histSeen[epoch] = seen
-	}
-	h := n.history[epoch]
-	for _, t := range ts {
-		if t.Name == "" && !t.Gone {
-			if _, dup := seen[t]; dup {
-				continue
-			}
-			seen[t] = struct{}{}
+	for _, e := range entries {
+		set[e.Ino] = struct{}{}
+		switch e.Type {
+		case fs.OpCreate, fs.OpMkdir, fs.OpUnlink, fs.OpRmdir:
+			set[e.PIno] = struct{}{}
+		case fs.OpRename:
+			set[e.PIno] = struct{}{}
+			set[e.PIno2] = struct{}{}
 		}
-		h = append(h, t)
 	}
-	n.history[epoch] = h
 }
 
 // pruneHistory drops epochs no recovering peer can still ask for. A node
@@ -520,7 +512,6 @@ func (n *NICFS) pruneHistory() {
 	sort.Slice(old, func(i, j int) bool { return old[i] < old[j] })
 	for _, e := range old {
 		delete(n.history, e)
-		delete(n.histSeen, e)
 	}
 }
 

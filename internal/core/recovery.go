@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 
 	"linefs/internal/fs"
 	"linefs/internal/rdma"
@@ -10,7 +11,7 @@ import (
 
 // This file implements the §3.5/§3.6 availability machinery above the
 // failure detector: host crash orchestration, and epoch-based NICFS
-// recovery using the replicated history bitmap.
+// recovery from a peer's history bitmap.
 
 // CrashHost fails machine i's host OS: the kernel worker and all LibFS
 // client processes die, unpersisted PM state is lost. The SmartNIC keeps
@@ -40,47 +41,51 @@ func (cl *Cluster) RecoverHost(i int) {
 	cl.KWs[i].Restart()
 }
 
-// handleHistory serves a recovering peer the namespace history recorded
-// since the given epoch (the replicated history bitmap of §3.6).
+// handleHistory serves a recovering peer §3.6's history bitmap: the union
+// of the inode sets this node recorded since the given epoch, ascending.
 func (n *NICFS) handleHistory(p *sim.Proc, msg *rdma.Msg) {
 	req := msg.Arg.(*historyReq)
-	var out []touched
-	var epochs []uint64
-	for ep := range n.history {
+	var inos []fs.Ino
+	for ep, set := range n.history {
 		if ep >= req.Since {
-			epochs = append(epochs, ep)
+			for ino := range set {
+				inos = append(inos, ino)
+			}
 		}
 	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	for _, ep := range epochs {
-		out = append(out, n.history[ep]...)
-	}
-	msg.Respond(p, &historyResp{Epoch: n.epoch, Touched: out}, 32+len(out)*24)
+	slices.Sort(inos)
+	inos = slices.Compact(inos)
+	msg.Respond(p, &historyResp{Epoch: n.epoch, Inos: inos}, 32+4*len(inos))
 }
 
-// handleFetchFile serves a recovering peer one published file's content.
+// handleFetchFile serves a recovering peer one published inode: a file's
+// bytes or a directory's entries.
 func (n *NICFS) handleFetchFile(p *sim.Proc, msg *rdma.Msg) {
 	req := msg.Arg.(*fetchFileReq)
 	ctx := n.cl.nicCtx(p, n.machine, "nicfs")
 	in, err := n.vol.ReadInode(ctx, req.Ino)
 	if err != nil {
-		msg.Respond(p, &fetchFileResp{Exists: false}, 16)
+		msg.Respond(p, &fetchFileResp{}, 16)
 		return
 	}
-	resp := &fetchFileResp{Exists: true, Type: in.Type, Size: in.Size}
-	if in.Type == fs.TypeFile && in.Size > 0 {
+	resp := &fetchFileResp{Exists: true, Type: in.Type}
+	switch {
+	case in.Type == fs.TypeDir:
+		resp.Entries, err = n.vol.DirList(ctx, req.Ino)
+	case in.Size > 0:
 		resp.Data = make([]byte, in.Size)
-		if _, err := n.vol.ReadFile(ctx, req.Ino, 0, resp.Data); err != nil {
-			msg.RespondErr(p, err)
-			return
-		}
+		_, err = n.vol.ReadFile(ctx, req.Ino, 0, resp.Data)
 	}
-	msg.Respond(p, resp, 32+len(resp.Data))
+	if err != nil {
+		msg.RespondErr(p, err)
+		return
+	}
+	msg.Respond(p, resp, 32+len(resp.Data)+fs.DirEntSize*len(resp.Entries))
 }
 
 // Recover re-synchronizes this NICFS with the cluster after it restarts
 // (§3.6): read the persisted epoch, pull the history bitmap from a live
-// peer, fetch every inode touched since, and reapply it locally.
+// peer, and make every inode it names what the peer holds.
 func (n *NICFS) Recover(p *sim.Proc, peerMachine int) error {
 	m := n.cl.Machines[n.machine]
 
@@ -118,75 +123,68 @@ func (n *NICFS) Recover(p *sim.Proc, peerMachine int) error {
 	n.epoch = hist.Epoch
 
 	ctx := n.cl.nicCtx(p, n.machine, "nicfs")
-	// Deduplicate inodes, newest record last so deletions win.
-	type nsRec struct {
-		t    touched
-		gone bool
-	}
-	latest := make(map[fs.Ino]nsRec)
-	var order []fs.Ino
-	for _, t := range hist.Touched {
-		if _, ok := latest[t.Ino]; !ok {
-			order = append(order, t.Ino)
-		}
-		rec := latest[t.Ino]
-		rec.gone = t.Gone
-		if t.Name != "" || t.Gone {
-			rec.t = t
-		} else if rec.t.Ino == 0 {
-			rec.t = t
-		}
-		latest[t.Ino] = rec
-	}
-
-	for _, ino := range order {
-		rec := latest[ino]
-		if rec.gone {
-			// Deleted while we were down: drop any local version.
-			if ent := n.findLocalName(ctx, ino); ent != "" {
-				_ = n.vol.ApplyEntry(ctx, &fs.Entry{Type: fs.OpUnlink, Ino: ino, PIno: rec.t.PIno, Name: ent}, nil)
-			}
-			continue
-		}
+	for _, ino := range hist.Inos {
 		fv, err := peer.Call(p, "fetch-file", &fetchFileReq{Ino: ino}, 16)
+		if err == nil {
+			err = n.copyInode(ctx, ino, fv.(*fetchFileResp))
+		}
 		if err != nil {
-			return err
-		}
-		ff := fv.(*fetchFileResp)
-		if !ff.Exists {
-			continue
-		}
-		if rec.t.Name != "" && rec.t.PIno != 0 {
-			typ := ff.Type
-			ce := &fs.Entry{Type: fs.OpCreate, Ino: ino, PIno: rec.t.PIno, Name: rec.t.Name}
-			if typ == fs.TypeDir {
-				ce.Type = fs.OpMkdir
-			}
-			_ = n.vol.ApplyEntry(ctx, ce, nil)
-		} else if err := n.vol.CreateInode(ctx, ino, ff.Type); err != nil {
-			continue
-		}
-		if ff.Type == fs.TypeFile {
-			_ = n.vol.Truncate(ctx, ino, 0)
-			if len(ff.Data) > 0 {
-				_ = n.vol.PublishWrite(ctx, ino, 0, ff.Data, nil)
-			}
+			return fmt.Errorf("core: recover inode %d: %w", ino, err)
 		}
 	}
 	return nil
 }
 
-// findLocalName locates the directory entry for an inode (recovery of
-// deletions); empty if absent.
-func (n *NICFS) findLocalName(ctx *fs.Ctx, ino fs.Ino) string {
-	ents, err := n.vol.DirList(ctx, fs.RootIno)
-	if err != nil {
-		return ""
+// copyInode makes inode ino here what the peer holds, ff.
+func (n *NICFS) copyInode(ctx *fs.Ctx, ino fs.Ino, ff *fetchFileResp) error {
+	if err := n.placeInode(ctx, ino, ff); err != nil || !ff.Exists || ff.Type == fs.TypeDir {
+		return err
 	}
-	for _, e := range ents {
-		if e.Ino == ino {
-			return e.Name
+	if err := n.vol.Truncate(ctx, ino, 0); err != nil || len(ff.Data) == 0 {
+		return err
+	}
+	return n.vol.PublishWrite(ctx, ino, 0, ff.Data, nil)
+}
+
+// placeInode, under the volume lock, frees ino if the peer has none or it
+// has another type here, creates it with the peer's type, and replaces a
+// directory's entries with the peer's.
+func (n *NICFS) placeInode(ctx *fs.Ctx, ino fs.Ino, ff *fetchFileResp) error {
+	v := n.vol
+	v.Lock(ctx.P, ctx.Prio)
+	defer v.Unlock(ctx.P)
+	if in, err := v.ReadInode(ctx, ino); err == nil && (!ff.Exists || in.Type != ff.Type) {
+		if err := v.FreeInode(ctx, ino); err != nil {
+			return err
 		}
 	}
-	return ""
+	if !ff.Exists {
+		return nil
+	}
+	if err := v.CreateInode(ctx, ino, ff.Type); err != nil || ff.Type != fs.TypeDir {
+		return err
+	}
+	have, err := v.DirList(ctx, ino)
+	if err != nil {
+		return err
+	}
+	add := make(map[fs.DirEnt]bool, len(ff.Entries))
+	for _, e := range ff.Entries {
+		add[e] = true
+	}
+	for _, e := range have {
+		if add[e] {
+			delete(add, e) // already here
+		} else if err := v.DirRemove(ctx, ino, e.Name); err != nil {
+			return err
+		}
+	}
+	for _, e := range ff.Entries {
+		if add[e] {
+			if err := v.DirAdd(ctx, ino, e); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

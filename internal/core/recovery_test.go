@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 	"time"
 
@@ -74,6 +75,132 @@ func TestNICFSCrashRecovery(t *testing.T) {
 	if _, err := cl.Vols[2].Resolve(ctx, "/pre"); err != nil {
 		t.Fatalf("pre-existing file lost in recovery: %v", err)
 	}
+}
+
+// TestRecoverCopiesWhatThePeerHolds crashes node 2's NICFS, and while it is
+// down the client unlinks a file in a subdirectory, renames a file, removes
+// an empty directory, creates a file in a new subdirectory, and unlinks a
+// file whose recycled inode number then comes back as a directory. After
+// node 2 recovers from node 1, every listing and every file's bytes on node
+// 2 are node 1's.
+func TestRecoverCopiesWhatThePeerHolds(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	cfg.HeartbeatEvery = 200 * time.Millisecond
+	env, cl := newTestCluster(t, cfg)
+	fill := func(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
+	const outage = 48 << 10
+	var victim fs.Ino
+	run(t, env, 120*time.Second, func(p *sim.Proc) {
+		l, _ := cl.Attach(p, 0)
+		must := func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		create := func(path string, data []byte) int {
+			fd, err := l.Create(p, path)
+			must(err)
+			_, err = l.WriteAt(p, fd, 0, data)
+			must(err)
+			return fd
+		}
+		must(l.Mkdir(p, "/d"))
+		must(l.Mkdir(p, "/empty"))
+		create("/d/gone", fill(0x11, 20<<10))
+		create("/old", fill(0x22, 40<<10))
+		must(l.Fsync(p, create("/victim", fill(0x33, 8<<10))))
+		p.Sleep(time.Second) // publish everywhere
+		victim, _ = cl.Vols[1].Resolve(fs.NoCostCtx(cl.Machines[1].PM), "/victim")
+
+		cl.NICs[2].Crash()
+		p.Sleep(time.Second)
+		if cl.Mgr.Alive("node2") {
+			t.Fatal("manager still believes node2 is alive")
+		}
+		must(l.Unlink(p, "/d/gone"))
+		must(l.Rename(p, "/old", "/new"))
+		must(l.Rmdir(p, "/empty"))
+		must(l.Mkdir(p, "/sub"))
+		fd := create("/sub/f", fill(0x44, outage))
+		must(l.Unlink(p, "/victim"))
+		must(l.Mkdir(p, "/reborn"))
+		must(l.Fsync(p, fd))
+		p.Sleep(time.Second)
+
+		if err := cl.NICs[2].Recover(p, 1); err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		p.Sleep(time.Second)
+	})
+	ctx1, ctx2 := fs.NoCostCtx(cl.Machines[1].PM), fs.NoCostCtx(cl.Machines[2].PM)
+	if reborn, _ := cl.Vols[1].Resolve(ctx1, "/reborn"); reborn != victim {
+		t.Fatalf("/reborn is inode %d, /victim was %d: the number was not recycled", reborn, victim)
+	}
+	want, got := treeOf(t, cl.Vols[1], ctx1), treeOf(t, cl.Vols[2], ctx2)
+	for path, w := range want {
+		if g, ok := got[path]; !ok {
+			t.Errorf("node 2 lacks %s", path)
+		} else if g != w {
+			t.Errorf("node 2's %s differs from node 1's (%d vs %d bytes)", path, len(g), len(w))
+		}
+	}
+	for path := range got {
+		if _, ok := want[path]; !ok {
+			t.Errorf("node 2 still has %s", path)
+		}
+	}
+
+	// What Recover fetched: every inode node 1's history names (all of it is
+	// at or after the epoch node 2 asked from), whole.
+	names := make(map[fs.Ino]struct{})
+	for _, set := range cl.NICs[1].history {
+		maps.Copy(names, set)
+	}
+	var fetched, ents int
+	for ino := range names {
+		in, err := cl.Vols[1].ReadInode(ctx1, ino)
+		if err == nil && in.Type == fs.TypeDir {
+			dir, _ := cl.Vols[1].DirList(ctx1, ino)
+			ents += len(dir)
+		} else if err == nil {
+			fetched += int(in.Size)
+		}
+	}
+	t.Logf("Recover fetched %d inodes: %d file bytes and %d directory entries; the outage wrote %d file bytes",
+		len(names), fetched, ents, outage)
+}
+
+// treeOf maps every path under / on vol to "dir" or its file's bytes.
+func treeOf(t *testing.T, vol *fs.Vol, ctx *fs.Ctx) map[string]string {
+	out := make(map[string]string)
+	var walk func(dir fs.Ino, prefix string)
+	walk = func(dir fs.Ino, prefix string) {
+		ents, err := vol.DirList(ctx, dir)
+		if err != nil {
+			t.Fatalf("list %s/: %v", prefix, err)
+		}
+		for _, e := range ents {
+			path := prefix + "/" + e.Name
+			in, err := vol.ReadInode(ctx, e.Ino)
+			if err != nil || in.Type != e.Type {
+				t.Errorf("%s names inode %d (%v), type %d: %+v", path, e.Ino, err, e.Type, in)
+				continue
+			}
+			if in.Type == fs.TypeDir {
+				out[path] = "dir"
+				walk(e.Ino, path)
+				continue
+			}
+			data := make([]byte, in.Size)
+			if _, err := vol.ReadFile(ctx, e.Ino, 0, data); err != nil {
+				t.Fatalf("read %s: %v", path, err)
+			}
+			out[path] = string(data)
+		}
+	}
+	walk(fs.RootIno, "")
+	return out
 }
 
 // TestEpochPersistence checks that epoch changes reach PM so a restarting

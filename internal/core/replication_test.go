@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 	"time"
 
@@ -110,11 +111,9 @@ func TestCumulativeAckCoversBatch(t *testing.T) {
 	}
 }
 
-// TestHistoryBoundedUnderWriteStream regression-tests the unbounded
-// NICFS.history growth: a long stream of writes to one file used to append
-// one record per log entry per chunk forever. Data-write records are
-// idempotent for recovery, so per epoch the history must stay bounded by
-// the touched working set (files + namespace ops), not the write count.
+// TestHistoryBoundedUnderWriteStream checks that a long stream of writes to
+// one file leaves each epoch's history set bounded by what changed, not by
+// the write count: the file and the root directory its create edited.
 func TestHistoryBoundedUnderWriteStream(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
@@ -138,15 +137,16 @@ func TestHistoryBoundedUnderWriteStream(t *testing.T) {
 		l.Fsync(p, fd)
 		p.Sleep(2 * time.Second)
 	})
+	ino, err := cl.Vols[0].Resolve(fs.NoCostCtx(cl.Machines[0].PM), "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[fs.Ino]struct{}{fs.RootIno: {}, ino: {}}
 	for mi, n := range cl.NICs {
-		total := 0
-		for _, ts := range n.history {
-			total += len(ts)
-		}
-		// One create plus one data-write record per (epoch, inode): a few
-		// records, not one per 32 KiB write.
-		if total > 16 {
-			t.Errorf("node %d history holds %d records after %d writes to one file", mi, total, writes)
+		for ep, set := range n.history {
+			if !maps.Equal(set, want) {
+				t.Errorf("node %d epoch %d history %v after %d writes to one file, want %v", mi, ep, set, writes, want)
+			}
 		}
 	}
 	assertNoStaleAcks(t, cl)
@@ -185,11 +185,6 @@ func TestHistoryPrunedAcrossEpochs(t *testing.T) {
 	for e := range n0.history {
 		if e < epoch-2 {
 			t.Errorf("epoch %d history survived pruning (current epoch %d)", e, epoch)
-		}
-	}
-	for e := range n0.histSeen {
-		if e < epoch-2 {
-			t.Errorf("epoch %d dedup index survived pruning (current epoch %d)", e, epoch)
 		}
 	}
 }
