@@ -158,8 +158,8 @@ func AblScaling(o Options) (*Result, error) {
 		Name:   "abl-scaling",
 		Title:  "compression-stage throughput: pipeline across the NIC cores vs single thread",
 		Header: []string{"config", "MB/s", "peak compress threads"},
-		Notes: []string{"a SmartNIC core LZW-codes at 60 MB/s (200 MB/s reference core x 0.30); a 4 MB chunk is 16 sub-blocks " +
-			"(17 with its entry headers), which the compress stage codes side by side, one chunk at a time"},
+		Notes: []string{"a SmartNIC core LZW-codes at 60 MB/s (200 MB/s reference core x 0.30); a chunk is cut into one sub-block " +
+			"per NIC core (16), which the compress stage codes side by side, one chunk at a time"},
 	}
 	for _, c := range []struct {
 		name string

@@ -28,7 +28,7 @@ func ReplHotLoop() (func(), error) {
 	}
 	enc := compress.NewEncoder()
 	sent := &chunk{to: uint64(len(raw)), raw: raw}
-	sent.zipAll(enc)
+	sent.zipAll(enc, maxSubBlocks(len(raw)))
 	if sent.subLens == nil {
 		return nil, fmt.Errorf("repl hot loop: corpus did not compress (%d >= %d)", len(sent.cbuf), len(raw))
 	}
@@ -42,7 +42,7 @@ func ReplHotLoop() (func(), error) {
 	return func() {
 		stage = growBuf(stage, len(raw))
 		ck.cbuf, ck.zipLens = ck.cbuf[:0], ck.zipLens[:0]
-		ck.zipAll(enc)
+		ck.zipAll(enc, len(sent.zipLens))
 		if err := decodeBatchChunk(dec, dst[:len(raw):len(raw)], &bc); err != nil {
 			panic(err)
 		}

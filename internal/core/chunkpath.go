@@ -380,19 +380,20 @@ func (cs *clientState) compressSend(p *sim.Proc, ck *chunk) bool {
 // the schedule; the time they cost is then charged by codeTime. It is also
 // LineFS-NotParallel's compress step, from runInline.
 func (cs *clientState) stageCompress(p *sim.Proc, ck *chunk) {
-	ck.zipAll(&cs.enc)
-	cs.n.codeTime(p, len(ck.raw), cs.n.cl.Cfg.Spec.CompressBW)
+	spec := cs.n.cl.Cfg.Spec
+	ck.zipAll(&cs.enc, subBlocksFor(len(ck.raw), spec.NICCores))
+	cs.n.codeTime(p, len(ck.raw), len(ck.zipLens), spec.CompressBW)
 }
 
-// codeTime charges the LZW time of one chunk of rawLen bytes, at bw bytes
-// per second of a full-speed core, at either end of the chain. Under
-// LineFS-NotParallel the caller's one thread codes it. Otherwise it goes to
-// the SmartNIC's cores, because one wimpy core codes a 4 MiB chunk in 70 ms:
-// one helper process per sub-block, all started together, and the caller
-// resumes when the last has finished (so a chunk takes one sub-block's time,
-// or its whole time divided by the cores when it has more sub-blocks than
-// there are cores — never a number of rounds that jumps with the sub-block
-// count). The NIC codes one chunk at a time, first
+// codeTime charges the LZW time of one chunk of rawLen bytes cut into k
+// sub-blocks, at bw bytes per second of a full-speed core, at either end of
+// the chain. Under LineFS-NotParallel the caller's one thread codes it.
+// Otherwise it goes to the SmartNIC's cores, because one wimpy core codes a
+// 4 MiB chunk in 70 ms: one helper process per sub-block, all started
+// together, and the caller resumes when the last has finished. A sender cuts
+// one sub-block per core (subBlocksFor), so a chunk of 1 MiB or more takes
+// its whole time divided by the cores it gets, and a smaller one at most one
+// 64 KiB sub-block's time. The NIC codes one chunk at a time, first
 // come first served across its clients and mirrors (codecGate): finishing
 // chunks one after the other hands each to the next hop sooner than
 // time-slicing the cores between several, and it keeps the clients' chunks
@@ -400,14 +401,14 @@ func (cs *clientState) stageCompress(p *sim.Proc, ck *chunk) {
 //
 // The helpers die with the caller: when a NICFS crash kills it mid-chunk,
 // its unwinding kills them and frees the gate.
-func (n *NICFS) codeTime(p *sim.Proc, rawLen int, bw float64) {
+func (n *NICFS) codeTime(p *sim.Proc, rawLen, k int, bw float64) {
 	if !n.cl.Cfg.Parallel {
 		n.nicCompute(p, codecCost(rawLen, bw))
 		return
 	}
 	env := n.cl.Env
 	n.codecGate.Acquire(p, 0)
-	helpers := make([]*sim.Proc, subBlocks(rawLen))
+	helpers := make([]*sim.Proc, k)
 	defer func() {
 		for _, h := range helpers {
 			h.Kill()
@@ -418,7 +419,7 @@ func (n *NICFS) codeTime(p *sim.Proc, rawLen int, bw float64) {
 	left := len(helpers)
 	done := sim.NewEvent(env)
 	for i := range helpers {
-		lo, hi := subBlockSpan(rawLen, i)
+		lo, hi := subBlockSpan(rawLen, k, i)
 		helpers[i] = env.Go(n.Name()+"/codec", func(hp *sim.Proc) {
 			n.nicCompute(hp, codecCost(hi-lo, bw))
 			if left--; left == 0 {
@@ -445,10 +446,10 @@ func (n *NICFS) CompressPeakWorkers() int {
 	return n.codecPeak
 }
 
-// zipAll codes every sub-block of ck in turn and seals it.
-func (ck *chunk) zipAll(enc *compress.Encoder) {
-	for i := 0; i < subBlocks(len(ck.raw)); i++ {
-		ck.cbuf, ck.zipLens = zipSubBlock(enc, ck.cbuf, ck.zipLens, ck.raw, i)
+// zipAll codes ck as k sub-blocks, in turn, and seals it.
+func (ck *chunk) zipAll(enc *compress.Encoder, k int) {
+	for i := range k {
+		ck.cbuf, ck.zipLens = zipSubBlock(enc, ck.cbuf, ck.zipLens, ck.raw, k, i)
 	}
 	ck.seal()
 }
@@ -461,18 +462,18 @@ func (ck *chunk) seal() {
 	}
 }
 
-// zipSubBlock LZW-codes sub-block i of raw onto the end of dst and records
-// the stream's length in lens. dst and lens are the chunk's pooled
-// compression buffers: the output is retained through replication, so each
-// chunk owns its own, reused across pool incarnations. Pure codec work; the
-// caller charges the virtual-time cost.
+// zipSubBlock LZW-codes sub-block i of raw, cut into k, onto the end of dst
+// and records the stream's length in lens. dst and lens are the chunk's
+// pooled compression buffers: the output is retained through replication, so
+// each chunk owns its own, reused across pool incarnations. Pure codec work;
+// the caller charges the virtual-time cost.
 //
 //linefs:hotpath
-func zipSubBlock(enc *compress.Encoder, dst []byte, lens []uint32, raw []byte, i int) ([]byte, []uint32) {
+func zipSubBlock(enc *compress.Encoder, dst []byte, lens []uint32, raw []byte, k, i int) ([]byte, []uint32) {
 	if len(lens) != i {
 		panic("core: sub-blocks coded out of index order")
 	}
-	lo, hi := subBlockSpan(len(raw), i)
+	lo, hi := subBlockSpan(len(raw), k, i)
 	at := len(dst)
 	dst = enc.CompressInto(dst, raw[lo:hi])
 	lens = append(lens, uint32(len(dst)-at))

@@ -176,9 +176,9 @@ func TestPerConnectionOrderKept(t *testing.T) {
 // TestReservedCoreStaysReserved pins what the lanes did not take: the
 // low-latency class still keeps exactly one SmartNIC core out of the pool —
 // with lanes started and idle, fifteen are grantable to priority-0 work, as
-// with the poller — and the codec still spreads a chunk over as many helpers
-// as before (5: a 1 MiB chunk of 16 KiB writes, entry headers included, is
-// five 256 KiB sub-blocks — what the parent commit reports for the same run).
+// with the poller — and the codec still spreads a chunk over one helper per
+// core (16: a 1 MiB chunk of 16 KiB writes, entry headers included, is cut
+// into one sub-block per SmartNIC core, the reserved one counted).
 func TestReservedCoreStaysReserved(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
@@ -213,8 +213,8 @@ func TestReservedCoreStaysReserved(t *testing.T) {
 	if done != 2 {
 		t.Fatalf("%d of 2 writers finished", done)
 	}
-	if peak := cl.NICs[0].CompressPeakWorkers(); peak != 5 {
-		t.Errorf("CompressPeakWorkers = %d, want 5 as at the parent commit", peak)
+	if peak := cl.NICs[0].CompressPeakWorkers(); peak != cfg.Spec.NICCores {
+		t.Errorf("CompressPeakWorkers = %d, want one per core (%d)", peak, cfg.Spec.NICCores)
 	}
 	cores := cl.Machines[0].NICCPU.Cores
 	if cores.InUse() != 1 {

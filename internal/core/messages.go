@@ -67,22 +67,28 @@ type fsyncReq struct {
 	Cuts []uint64
 }
 
-// subBlockSize is the unit of LZW work on the chain: a chunk that travels
-// compressed is coded as independent sub-blocks of this many raw bytes (the
-// last one shorter), so that both ends can spread one chunk's codec time
-// over the SmartNIC's cores. 256 KiB is about one LZW dictionary lifetime on
-// log data, so cutting there costs 0.0-0.8 % in wire bytes; at 128 KiB every
-// cut throws away half a dictionary and the cost is up to 7 % (DESIGN.md
-// §11 has the measured table, TestSubBlockingCostsUnderOnePercent pins it).
-const subBlockSize = 256 << 10
+// subBlockFloor is the smallest unit of LZW work on the chain. A chunk that
+// travels compressed is coded as independent sub-blocks, so that both ends
+// can spread its codec time over the SmartNIC's cores: one sub-block per core
+// (subBlocksFor), but no more than one per 64 KiB. Each cut throws away an
+// LZW dictionary; a 4 MiB chunk cut 16 ways costs 0.0-0.8 % in wire bytes,
+// and only a chunk under 1 MiB is cut as fine as the floor (DESIGN.md §11 has
+// the measured table, TestSubBlockingCostsUnderOnePercent pins it).
+const subBlockFloor = 64 << 10
 
-// subBlocks returns how many sub-blocks cover rawLen bytes.
-func subBlocks(rawLen int) int { return (rawLen + subBlockSize - 1) / subBlockSize }
+// maxSubBlocks is the most sub-blocks a rawLen-byte chunk may be cut into:
+// one per subBlockFloor raw bytes.
+func maxSubBlocks(rawLen int) int { return (rawLen + subBlockFloor - 1) / subBlockFloor }
+
+// subBlocksFor is how many sub-blocks a sender cuts a rawLen-byte chunk into
+// on a SmartNIC of cores cores.
+func subBlocksFor(rawLen, cores int) int { return min(cores, maxSubBlocks(rawLen)) }
 
 // subBlockSpan returns the raw byte range of sub-block i of a rawLen-byte
-// chunk.
-func subBlockSpan(rawLen, i int) (lo, hi int) {
-	return i * subBlockSize, min((i+1)*subBlockSize, rawLen)
+// chunk cut into k: k sub-blocks of ⌈rawLen/k⌉ bytes, the last one shorter.
+func subBlockSpan(rawLen, k, i int) (lo, hi int) {
+	size := (rawLen + k - 1) / k
+	return min(i*size, rawLen), min((i+1)*size, rawLen)
 }
 
 // subLenBytes is the wire size of one SubLens entry, sumBytes of Sum.
@@ -93,10 +99,11 @@ type batchChunk struct {
 	From, To uint64 // log logical offsets covered
 	// Payload is the chunk's raw log bytes when SubLens is empty. Otherwise
 	// it is the chunk's sub-blocks back to back, each an LZW stream of its
-	// own, and SubLens[i] is the compressed length of sub-block i: one entry
-	// per subBlockSize raw bytes, so a chunk no larger than a sub-block has
-	// one. The table lets a mirror decode sub-blocks independently, and Sum
-	// (frameSum, compressed only) relay the frame before it decodes it.
+	// own, and SubLens[i] is the compressed length of sub-block i. The
+	// sender chooses the count; the spans follow from it and RawLen
+	// (subBlockSpan), so the frame describes itself. The table lets a mirror
+	// decode sub-blocks independently, and Sum (frameSum, compressed only)
+	// relay the frame before it decodes it.
 	Payload []byte
 	SubLens []uint32
 	Sum     uint32
@@ -138,8 +145,11 @@ func (bc *batchChunk) checkSum() error {
 }
 
 // checkTable verifies a frame's lengths before anything is decoded: a raw
-// payload is exactly RawLen bytes; a compressed one has one non-empty
-// sub-block per subBlockSize raw bytes and the table sums to the payload.
+// payload is exactly RawLen bytes; a compressed one has at least one and at
+// most maxSubBlocks(RawLen) non-empty sub-blocks, and the table sums to the
+// payload. The bound caps the helpers a table can ask a mirror for, and it
+// leaves no span empty: the last one is empty only if (k-1)² ≥ RawLen,
+// which k ≤ ⌈RawLen/64 KiB⌉ rules out below 4 GiB of raw bytes.
 func (bc *batchChunk) checkTable() error {
 	if len(bc.SubLens) == 0 {
 		if len(bc.Payload) != bc.RawLen {
@@ -147,7 +157,7 @@ func (bc *batchChunk) checkTable() error {
 		}
 		return nil
 	}
-	if bc.RawLen < 0 || len(bc.SubLens) != subBlocks(bc.RawLen) {
+	if bc.RawLen < 0 || len(bc.SubLens) > maxSubBlocks(bc.RawLen) {
 		return errBatchFrame
 	}
 	sum := 0

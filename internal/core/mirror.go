@@ -197,7 +197,7 @@ func decodeBatchChunk(dec *compress.Decoder, dst []byte, bc *batchChunk) error {
 	}
 	at := 0
 	for i, l := range bc.SubLens {
-		lo, hi := subBlockSpan(bc.RawLen, i)
+		lo, hi := subBlockSpan(bc.RawLen, len(bc.SubLens), i)
 		//lint:allow scratchflow over-long decode reallocs only on the rejected path
 		out, err := dec.DecompressInto(dst[lo:lo:hi], bc.Payload[at:at+int(l)])
 		if err != nil {
@@ -224,7 +224,7 @@ func (ms *mirrorState) settle(p *sim.Proc, bc *batchChunk, slot []byte) bool {
 		return false
 	}
 	if len(bc.SubLens) > 0 {
-		ms.n.codeTime(p, bc.RawLen, 2*ms.n.cl.Cfg.Spec.CompressBW)
+		ms.n.codeTime(p, bc.RawLen, len(bc.SubLens), 2*ms.n.cl.Cfg.Spec.CompressBW)
 	}
 	return true
 }

@@ -26,11 +26,11 @@ func wireEntries(firstSeq uint64, size int) []byte {
 	return raw
 }
 
-// zipFrame codes raw the way the compress stage does: one LZW stream per
-// sub-block, back to back, and the table of their lengths.
-func zipFrame(raw []byte) (payload []byte, lens []uint32) {
+// zipFrame codes raw the way the compress stage does, cut into k: one LZW
+// stream per sub-block, back to back, and the table of their lengths.
+func zipFrame(raw []byte, k int) (payload []byte, lens []uint32) {
 	ck := &chunk{raw: raw}
-	ck.zipAll(compress.NewEncoder())
+	ck.zipAll(compress.NewEncoder(), k)
 	return ck.cbuf, ck.zipLens
 }
 
@@ -42,27 +42,45 @@ func zipFrame(raw []byte) (payload []byte, lens []uint32) {
 // passes its Sum and fails to decode, or decodes to bad entries, can only
 // have been made so by its sender: it is forwarded first, then rejected the
 // same way here and at the next hop. A well-formed frame built from the
-// same parts then goes through, so the rejections are the gates' doing. The
-// frames span two sub-blocks, and the cases run on both datapaths: decode
-// time spent on the mirror thread alone, and spread over the NIC's cores.
+// same parts then goes through, so the rejections are the gates' doing: the
+// same raw bytes, cut into sixteen sub-blocks (one per core) and into one,
+// since the sender chooses the count. The cases run on both datapaths:
+// decode time spent on the mirror thread alone, and spread over the NIC's
+// cores.
 func TestMirrorFramingGates(t *testing.T) {
 	t.Parallel()
-	raw := wireEntries(1, subBlockSize+(8<<10))
+	raw := wireEntries(1, 1<<20+(8<<10))
 	n := uint64(len(raw))
-	zipped, lens := zipFrame(raw)
-	if len(lens) != 2 || len(zipped) >= len(raw) {
-		t.Fatalf("corpus: %d sub-blocks, %d -> %d bytes; want 2 and a saving", len(lens), len(raw), len(zipped))
+	zipped, lens := zipFrame(raw, 16)
+	zipped1, lens1 := zipFrame(raw, 1)
+	if maxSubBlocks(len(raw)) != 17 || len(lens) != 16 || len(zipped) >= len(raw) || len(zipped1) >= len(raw) {
+		t.Fatalf("corpus: %d of at most %d sub-blocks, %d -> %d bytes (%d whole); want 16 of 17 and a saving",
+			len(lens), maxSubBlocks(len(raw)), len(raw), len(zipped), len(zipped1))
 	}
 	flipped := append([]byte(nil), raw...)
 	flipped[len(flipped)/2] ^= 0xA5
-	zipFlipped, lensFlipped := zipFrame(flipped)
+	zipFlipped, lensFlipped := zipFrame(flipped, 16)
 	// The right bytes cut in the wrong place: table count, table sum and
-	// total decoded length all check out, but sub-block 0 comes out 8 bytes
-	// short and sub-block 1 8 bytes long.
-	miscut := compress.NewEncoder().CompressInto(nil, raw[:subBlockSize-8])
+	// total decoded length all check out, but of two sub-blocks the first
+	// comes out 8 bytes short and the second 8 bytes long.
+	half, _ := subBlockSpan(len(raw), 2, 1)
+	miscut := compress.NewEncoder().CompressInto(nil, raw[:half-8])
 	miscutLens := []uint32{uint32(len(miscut)), 0}
-	miscut = append(miscut, compress.NewEncoder().CompressInto(nil, raw[subBlockSize-8:])...)
+	miscut = append(miscut, compress.NewEncoder().CompressInto(nil, raw[half-8:])...)
 	miscutLens[1] = uint32(len(miscut)) - miscutLens[0]
+	// Sixteen streams, their table cut k ways: the last entry split off into
+	// ones, or all of them folded into one.
+	entries := func(k int) []uint32 {
+		if k == 1 {
+			return []uint32{uint32(len(zipped))}
+		}
+		tab := append([]uint32(nil), lens...)
+		for len(tab) < k {
+			tab[15]--
+			tab = append(tab, 1)
+		}
+		return tab
+	}
 
 	one := func(bc batchChunk) *replChunkBatch {
 		if len(bc.SubLens) > 0 {
@@ -72,6 +90,7 @@ func TestMirrorFramingGates(t *testing.T) {
 	}
 	good := batchChunk{From: 0, To: n, Payload: raw, RawLen: len(raw)}
 	goodZip := batchChunk{From: 0, To: n, Payload: zipped, SubLens: lens, RawLen: len(raw)}
+	goodZip1 := batchChunk{From: n, To: 2 * n, Payload: zipped1, SubLens: lens1, RawLen: len(raw)}
 	inFlight := one(goodZip)
 	inFlight.Chunks[0].Payload = append([]byte(nil), zipped...)
 	inFlight.Chunks[0].Payload[len(zipped)/2] ^= 0xA5
@@ -106,11 +125,17 @@ func TestMirrorFramingGates(t *testing.T) {
 		{name: "table sums short of the payload", rb: one(batchChunk{
 			From: 0, To: n, Payload: append(zipped[:len(zipped):len(zipped)], 0), SubLens: lens, RawLen: len(raw),
 		})},
-		{name: "one table entry for two sub-blocks", rb: one(batchChunk{
-			From: 0, To: n, Payload: zipped, SubLens: []uint32{uint32(len(zipped))}, RawLen: len(raw),
+		{name: "compressed payload with no table (k = 0)", rb: one(batchChunk{
+			From: 0, To: n, Payload: zipped, RawLen: len(raw),
 		})},
-		{name: "three table entries for two sub-blocks", rb: one(batchChunk{
-			From: 0, To: n, Payload: zipped, SubLens: []uint32{lens[0], lens[1] - 1, 1}, RawLen: len(raw),
+		{name: "k = 18 above ⌈RawLen / 64 KiB⌉ = 17", rb: one(batchChunk{
+			From: 0, To: n, Payload: zipped, SubLens: entries(18), RawLen: len(raw),
+		})},
+		{name: "one table entry for sixteen streams", senderMade: true, rb: one(batchChunk{
+			From: 0, To: n, Payload: zipped, SubLens: entries(1), RawLen: len(raw),
+		})},
+		{name: "seventeen table entries for sixteen streams", senderMade: true, rb: one(batchChunk{
+			From: 0, To: n, Payload: zipped, SubLens: entries(17), RawLen: len(raw),
 		})},
 		{name: "zero-length table entry", rb: one(batchChunk{
 			From: 0, To: n, Payload: zipped, SubLens: []uint32{uint32(len(zipped)), 0}, RawLen: len(raw),
@@ -182,16 +207,18 @@ func TestMirrorFramingGates(t *testing.T) {
 					t.Errorf("%s: CRCRejected moved by %d, want %d", tc.name, got, want)
 				}
 			}
-			ms.handleBatch(p, one(goodZip), 0)
-			p.Sleep(50 * time.Millisecond)
-			if head := ms.log.Head(); head != n {
-				t.Errorf("well-formed frame: mirror head = %d, want %d", head, n)
+			for i, bc := range []batchChunk{goodZip, goodZip1} {
+				ms.handleBatch(p, one(bc), bc.From)
+				p.Sleep(50 * time.Millisecond)
+				if head := ms.log.Head(); head != bc.To {
+					t.Errorf("well-formed %d-entry frame: mirror head = %d, want %d", len(bc.SubLens), head, bc.To)
+				}
+				if got := acks(); got != int64(2*(i+1)) {
+					t.Errorf("well-formed %d-entry frame: %d acks in all, want one per replica per frame", len(bc.SubLens), got)
+				}
 			}
-			if got := acks(); got != 2 {
-				t.Errorf("well-formed frame: %d acks, want one per replica", got)
-			}
-			assertMirrorLogHolds(t, cl, 1, raw)
-			assertMirrorLogHolds(t, cl, 2, raw)
+			assertMirrorLogHolds(t, cl, 1, append(raw[:n:n], raw...))
+			assertMirrorLogHolds(t, cl, 2, append(raw[:n:n], raw...))
 		})
 		env.Shutdown()
 	}
@@ -212,11 +239,15 @@ func TestRelayBeforeDecode(t *testing.T) {
 	env, cl := newTestCluster(t, cfg)
 	defer env.Shutdown()
 	var arrived [3]sim.Time
-	decoding := false // replica 1 mid-decode when replica 2 got the frame
+	var frame batchChunk // as replica 1 got it
+	decoding := false    // replica 1 mid-decode when replica 2 got the frame
 	for _, mi := range []int{1, 2} {
 		tapNIC(env, cl, mi, func(m *rdma.Msg) bool {
-			if _, ok := m.Arg.(*replChunkBatch); ok && arrived[mi] == 0 {
+			if rb, ok := m.Arg.(*replChunkBatch); ok && arrived[mi] == 0 {
 				arrived[mi] = env.Now()
+				if mi == 1 {
+					frame = rb.Chunks[len(rb.Chunks)-1]
+				}
 				decoding = mi == 2 && cl.NICs[1].codecGate.InUse() > 0
 			}
 			return true
@@ -258,9 +289,10 @@ func TestRelayBeforeDecode(t *testing.T) {
 	if !decoding || arrived[2] >= decoded {
 		t.Errorf("replica 2 got the frame at %v, replica 1's decode returned at %v", arrived[2], decoded)
 	}
-	subDecode := cl.Machines[1].NICCPU.Scale(codecCost(subBlockSize, 2*cfg.Spec.CompressBW))
-	t.Logf("frame at replica 1 %v, at replica 2 %v; replica 1 decoded at %v; a sub-block decode is %v",
-		arrived[1], arrived[2], decoded, subDecode)
+	lo, hi := subBlockSpan(frame.RawLen, len(frame.SubLens), 0)
+	subDecode := cl.Machines[1].NICCPU.Scale(codecCost(hi-lo, 2*cfg.Spec.CompressBW))
+	t.Logf("frame at replica 1 %v, at replica 2 %v; replica 1 decoded at %v; a sub-block decode (1 of %d) is %v",
+		arrived[1], arrived[2], decoded, len(frame.SubLens), subDecode)
 	if saved := time.Duration(decoded - arrived[1]); saved < subDecode {
 		t.Errorf("overlap saves %v of the fsync, want at least one sub-block decode (%v)", saved, subDecode)
 	}
@@ -386,11 +418,12 @@ func tableBytes(lens []uint32) []byte {
 // carved out of the batch buffer, and accept a frame only when the table
 // fits payload and declared length and the slot then holds exactly the
 // bytes the reference decoder gets from each sub-block. The seeds (here and
-// in testdata) are each way a table can be wrong, at one, two and three
-// sub-blocks, and a sum or table entry flipped after sealing.
+// in testdata) are each way a table can be wrong, at one to four
+// sub-blocks and past the count's bound, and a sum or table entry flipped
+// after sealing.
 func FuzzDecodeBatchChunk(f *testing.F) {
 	raw := wireEntries(1, 2<<10)
-	zipped, lens := zipFrame(raw)
+	zipped, lens := zipFrame(raw, 1)
 	f.Add(raw, len(raw), []byte{}, uint32(0))
 	f.Add(raw, len(raw)-8, []byte{}, uint32(0))
 	f.Add(zipped, len(raw), tableBytes(lens), uint32(0))
@@ -398,19 +431,20 @@ func FuzzDecodeBatchChunk(f *testing.F) {
 	f.Add(zipped, len(raw)+8, tableBytes(lens), uint32(0))
 	f.Add(zipped[:len(zipped)/2], len(raw), tableBytes([]uint32{uint32(len(zipped) / 2)}), uint32(0))
 	f.Add(raw, len(raw), tableBytes([]uint32{uint32(len(raw))}), uint32(0)) // raw bytes mislabelled as compressed
-	big := wireEntries(1, subBlockSize+(4<<10))
-	bigZip, bigLens := zipFrame(big)
+	// At most 5 sub-blocks; cut four ways, as a 4-core sender would.
+	big := wireEntries(1, 4*subBlockFloor+(4<<10))
+	bigZip, bigLens := zipFrame(big, 4)
 	f.Add(bigZip, len(big), tableBytes(bigLens), uint32(0))
-	f.Add(bigZip, len(big), tableBytes([]uint32{uint32(len(bigZip))}), uint32(0))                 // too few entries
-	f.Add(bigZip, len(big), tableBytes([]uint32{bigLens[0], bigLens[1] - 1, 1}), uint32(0))       // too many
-	f.Add(bigZip, len(big), tableBytes([]uint32{uint32(len(bigZip)), 0}), uint32(0))              // zero-length entry
-	f.Add(bigZip, len(big), tableBytes([]uint32{bigLens[0] + 1, bigLens[1] - 1}), uint32(0))      // cut mid-stream
-	f.Add(bigZip[:len(bigZip)-1], len(big), tableBytes(bigLens), uint32(0))                       // sum != payload
-	f.Add(bigZip, len(big), tableBytes([]uint32{bigLens[0], ^uint32(0) - bigLens[0]}), uint32(0)) // sum wraps
+	f.Add(bigZip, len(big), tableBytes([]uint32{uint32(len(bigZip))}), uint32(0))                                    // one entry over four streams
+	f.Add(bigZip, len(big), tableBytes(append(bigLens[:3:3], bigLens[3]-2, 1, 1)), uint32(0))                        // too many: 6 > 5
+	f.Add(bigZip, len(big), tableBytes([]uint32{uint32(len(bigZip)), 0}), uint32(0))                                 // zero-length entry
+	f.Add(bigZip, len(big), tableBytes([]uint32{bigLens[0] + 1, bigLens[1] - 1, bigLens[2], bigLens[3]}), uint32(0)) // cut mid-stream
+	f.Add(bigZip[:len(bigZip)-1], len(big), tableBytes(bigLens), uint32(0))                                          // sum != payload
+	f.Add(bigZip, len(big), tableBytes([]uint32{bigLens[0], ^uint32(0) - bigLens[0]}), uint32(0))                    // sum wraps
 	dec := compress.NewDecoder()
 	ref := crc32.MakeTable(crc32.Castagnoli)
 	f.Fuzz(func(t *testing.T, payload []byte, rawLen int, table []byte, sumXor uint32) {
-		if rawLen < 0 || rawLen > 2*subBlockSize+(1<<12) {
+		if rawLen < 0 || rawLen > 8*subBlockFloor+(1<<12) {
 			t.Skip("declared length outside the sizes worth a buffer")
 		}
 		const guard = 64
@@ -438,7 +472,7 @@ func FuzzDecodeBatchChunk(f *testing.F) {
 		}
 		want := payload
 		if len(bc.SubLens) > 0 {
-			if len(bc.SubLens) != subBlocks(rawLen) {
+			if len(bc.SubLens) > maxSubBlocks(rawLen) {
 				t.Fatalf("accepted %d table entries for %d raw bytes", len(bc.SubLens), rawLen)
 			}
 			want = nil
@@ -454,7 +488,7 @@ func FuzzDecodeBatchChunk(f *testing.F) {
 				if err != nil {
 					t.Fatalf("accepted a sub-block a cold decoder rejects: %v", err)
 				}
-				if lo, hi := subBlockSpan(rawLen, i); len(sub) != hi-lo {
+				if lo, hi := subBlockSpan(rawLen, len(bc.SubLens), i); len(sub) != hi-lo {
 					t.Fatalf("accepted sub-block %d of %d bytes, want %d", i, len(sub), hi-lo)
 				}
 				want = append(want, sub...)

@@ -8,6 +8,7 @@ import (
 
 	"linefs/internal/compress"
 	"linefs/internal/fs"
+	"linefs/internal/rdma"
 	"linefs/internal/sim"
 )
 
@@ -71,7 +72,8 @@ func poolBlocks(rng *rand.Rand) func([]byte) {
 }
 
 // TestSubBlockRoundTrip is the frame's round-trip property at the lengths
-// where the sub-block count steps: what zipAll and frame put on the wire,
+// where the sub-block count steps (64 KiB, and 1 MiB where a 16-core sender
+// stops adding sub-blocks): what zipAll and frame put on the wire,
 // decodeBatchChunk turns back into the same bytes, and input that LZW
 // cannot shrink travels raw, lent rather than copied.
 func TestSubBlockRoundTrip(t *testing.T) {
@@ -81,7 +83,8 @@ func TestSubBlockRoundTrip(t *testing.T) {
 	rng.Read(noise)
 	text := logOf(sortRecords(rng, 0.6), 4<<20+7)
 	enc, dec := compress.NewEncoder(), compress.NewDecoder()
-	for _, n := range []int{0, 1, subBlockSize - 1, subBlockSize, subBlockSize + 1, 4<<20 + 7} {
+	const cores = 16
+	for _, n := range []int{0, 1, subBlockFloor - 1, subBlockFloor, subBlockFloor + 1, 1<<20 - 1, 1 << 20, 1<<20 + 1, 4<<20 + 7} {
 		for _, src := range []struct {
 			name string
 			data []byte
@@ -89,7 +92,7 @@ func TestSubBlockRoundTrip(t *testing.T) {
 		}{{"compressible", text, n > 64}, {"incompressible", noise, false}} {
 			raw := src.data[:n]
 			ck := &chunk{to: uint64(n), raw: raw}
-			ck.zipAll(enc)
+			ck.zipAll(enc, subBlocksFor(n, cores))
 			bc := ck.frame()
 			if err := bc.checkTable(); err != nil {
 				t.Fatalf("%s/%d: own frame fails its table check: %v", src.name, n, err)
@@ -100,8 +103,8 @@ func TestSubBlockRoundTrip(t *testing.T) {
 					t.Errorf("%s/%d: want the raw bytes lent as payload, got %d table entries, %d payload bytes",
 						src.name, n, len(bc.SubLens), len(bc.Payload))
 				}
-			case len(bc.SubLens) != subBlocks(n) || bc.wireLen() >= n:
-				t.Errorf("%s/%d: %d table entries (want %d), %d wire bytes", src.name, n, len(bc.SubLens), subBlocks(n), bc.wireLen())
+			case len(bc.SubLens) != subBlocksFor(n, cores) || bc.wireLen() >= n:
+				t.Errorf("%s/%d: %d table entries (want %d), %d wire bytes", src.name, n, len(bc.SubLens), subBlocksFor(n, cores), bc.wireLen())
 			}
 			got := make([]byte, n)
 			if err := decodeBatchChunk(dec, got, &bc); err != nil {
@@ -114,12 +117,13 @@ func TestSubBlockRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSubBlockingCostsUnderOnePercent re-measures the number subBlockSize
-// rests on: coding a 4 MiB chunk as independent 256 KiB sub-blocks (table
-// included) must cost under 1 % more wire bytes than coding it whole, on
-// the payloads fig9 and the whole-system benchmark replicate. With -v the
-// log lines are DESIGN.md §11's table; 128 KiB is there to show the cliff
-// the constant stays clear of.
+// TestSubBlockingCostsUnderOnePercent re-measures what cutting one
+// sub-block per core rests on: coding a 4 MiB chunk as 16 independent
+// sub-blocks (table included) must cost under 1 % more wire bytes than
+// coding it whole, on the payloads fig9 and the whole-system benchmark
+// replicate. With -v the log lines are DESIGN.md §11's table: fixed cuts
+// down to the 64 KiB floor, and a 2 MiB fsync tail cut 16 ways, which is
+// what a chunk under 4 MiB pays.
 func TestSubBlockingCostsUnderOnePercent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("single-threaded codec arithmetic: 10+ s under the race detector and nothing for it to find")
@@ -146,18 +150,22 @@ func TestSubBlockingCostsUnderOnePercent(t *testing.T) {
 			{"benchmark zipwrite", poolBlocks(rng)},
 		} {
 			raw := logOf(in.body, 4<<20)
-			whole := cut(raw, len(raw)) - subLenBytes
-			ck := &chunk{raw: raw}
-			ck.zipAll(enc)
-			wire := ck.frame().wireLen()
-			cost := func(wire int) float64 { return 100 * (float64(wire)/float64(whole) - 1) }
-			if c := cost(wire); c > 1 {
-				t.Errorf("seed %d %s: sub-blocking costs %+.2f%% wire bytes, want <= 1%%", seed, in.name, c)
+			sixteen := func(raw []byte) (whole, wire int) {
+				ck := &chunk{raw: raw}
+				ck.zipAll(enc, subBlocksFor(len(raw), 16))
+				return cut(raw, len(raw)) - subLenBytes, ck.frame().wireLen()
+			}
+			whole, wire := sixteen(raw)
+			cost := func(wire, whole int) float64 { return 100 * (float64(wire)/float64(whole) - 1) }
+			if c := cost(wire, whole); c > 1 {
+				t.Errorf("seed %d %s: 16 sub-blocks cost %+.2f%% wire bytes, want <= 1%%", seed, in.name, c)
 			}
 			if testing.Verbose() { // the other columns of the table
-				t.Logf("seed %d %-18s whole %7d B (%.3f of raw)  512K %+.2f%%  256K %+.2f%%  128K %+.2f%%  64K %+.2f%%",
+				tailWhole, tailWire := sixteen(raw[:2<<20])
+				t.Logf("seed %d %-18s whole %7d B (%.3f of raw)  512K %+.2f%%  256K %+.2f%%  /16 %+.2f%%  128K %+.2f%%  64K %+.2f%%  2M tail /16 %+.2f%%",
 					seed, in.name, whole, float64(whole)/float64(len(raw)),
-					cost(cut(raw, 512<<10)), cost(wire), cost(cut(raw, 128<<10)), cost(cut(raw, 64<<10)))
+					cost(cut(raw, 512<<10), whole), cost(cut(raw, 256<<10), whole), cost(wire, whole),
+					cost(cut(raw, 128<<10), whole), cost(cut(raw, 64<<10), whole), cost(tailWire, tailWhole))
 			}
 		}
 	}
@@ -213,8 +221,9 @@ func TestCrashMidSubBlocks(t *testing.T) {
 				case !zip:
 					oc.crashed = victim == 0 || ck.sent.Triggered()
 				case cl.NICs[victim].codecGate.InUse() > 0:
-					// A sub-block takes 4.4 ms to code and 2.2 ms to decode:
-					// a millisecond in, every helper is mid-way.
+					// The chunk's 16 sub-blocks share 15 cores for 4.7 ms of
+					// coding and 2.4 ms of decoding: a millisecond in, every
+					// helper is mid-way.
 					coding += step
 					oc.crashed = coding >= time.Millisecond
 				}
@@ -246,5 +255,80 @@ func TestCrashMidSubBlocks(t *testing.T) {
 	}
 	if oc := crashMidChunk(1, true); !oc.fsyncDone || oc.fsyncErr {
 		t.Errorf("mid-chain crash mid-decode: fsync %+v, want it released without an error", oc)
+	}
+}
+
+// TestFsyncTailCodesOnEveryCore: a compressed fsync's tail is a chunk under
+// 4 MiB, and it still holds the codec gate for no longer than its codec time
+// spread over every core the pool grants (all but the one the low-latency
+// class keeps), at the primary and at each replica. Its sender cuts it into
+// one sub-block per core; cut into fixed 256 KiB sub-blocks, this 2 MiB tail
+// was 9 of them, and each hold was one sub-block's whole time (4.4 ms coding,
+// 2.2 ms decoding) on 9 of 15 cores.
+func TestFsyncTailCodesOnEveryCore(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig()
+	cfg.Compress, cfg.ChunkSize = true, 4<<20 // 2 MiB of writes rings no doorbell
+	env, cl := newTestCluster(t, cfg)
+	defer env.Shutdown()
+	var frame batchChunk // the sync chunk, as replica 1 gets it
+	tapNIC(env, cl, 1, func(m *rdma.Msg) bool {
+		if rb, ok := m.Arg.(*replChunkBatch); ok {
+			frame = rb.Chunks[len(rb.Chunks)-1]
+		}
+		return true
+	})
+	// The tail is the only chunk any codec gate serves: a node's longest
+	// hold is its codec time for it.
+	var hold [3]time.Duration
+	done := false
+	for i, n := range cl.NICs {
+		env.Go("watch", func(p *sim.Proc) {
+			var since sim.Time
+			busy := false
+			for ; !done; p.Sleep(time.Microsecond) {
+				switch now := n.codecGate.InUse() > 0; {
+				case now && !busy:
+					since, busy = p.Now(), true
+				case !now && busy:
+					hold[i], busy = max(hold[i], time.Duration(p.Now()-since)), false
+				}
+			}
+		})
+	}
+	buf := make([]byte, 2<<20)
+	sortRecords(rand.New(rand.NewSource(11)), 0.6)(buf)
+	run(t, env, 10*time.Second, func(p *sim.Proc) {
+		defer func() { done = true }()
+		l, err := cl.Attach(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd, _ := l.Create(p, "/tail")
+		for off := 0; off < len(buf); off += 16 << 10 {
+			if _, err := l.WriteAt(p, fd, uint64(off), buf[off:off+16<<10]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(frame.SubLens) != cfg.Spec.NICCores {
+		t.Errorf("the %d-byte sync chunk's frame has %d table entries, want one per NIC core (%d)",
+			frame.RawLen, len(frame.SubLens), cfg.Spec.NICCores)
+	}
+	pool := time.Duration(cfg.Spec.NICCores - 1)
+	for i, h := range hold {
+		bw, what := cfg.Spec.CompressBW, "codes"
+		if i > 0 {
+			bw, what = 2*bw, "decodes"
+		}
+		limit := cl.Machines[i].NICCPU.Scale(codecCost(frame.RawLen, bw)) * 11 / 10 / pool
+		t.Logf("node %d %s the %d-byte tail in %v (bound %v)", i, what, frame.RawLen, h, limit)
+		if h == 0 || h > limit {
+			t.Errorf("node %d %s the %d-byte tail in %v, want at most 1.1 x its codec time over %d cores (%v)",
+				i, what, frame.RawLen, h, pool, limit)
+		}
 	}
 }
