@@ -11,16 +11,18 @@ import (
 // TestClusterResidentBytes is the memory gate for the simulated PM: on the
 // quick-scale LineFS cluster (3 x 1600 MiB of PM) one client writes and
 // fsyncs 16 MiB, which every node holds twice — once in the client's log,
-// once published. Host memory behind the three devices must follow those
-// bytes, not the device size. The count is per device and deterministic, so
-// the gate holds beside parallel tests and is pinned exactly; a change to
-// the on-PM format moves it and updates the two constants.
+// once published. The three devices share one page store, so each
+// replicated page is held in host memory once: beyond the format, the
+// store must hold at most 1.25x the 32 MiB of distinct bytes. The count is
+// the store's and deterministic, so the gate holds beside parallel tests and
+// is pinned exactly; a change to the on-PM format or to what the devices
+// share moves it and updates the two constants.
 func TestClusterResidentBytes(t *testing.T) {
 	t.Parallel()
 	const (
 		total        = 16 << 20
-		wantFormat   = 12730368
-		wantResident = 113627136
+		wantFormat   = 12656640
+		wantResident = 46358528
 	)
 	o := DefaultOptions()
 	cl, err := newLineFS(o, o.layout(1), nil)
@@ -29,12 +31,8 @@ func TestClusterResidentBytes(t *testing.T) {
 	}
 	env := cl.Env
 	defer env.Shutdown()
-	resident := func() (n int64) {
-		for _, m := range cl.Machines {
-			n += m.PM.ResidentBytes()
-		}
-		return n
-	}
+	// Every machine reports the store they share.
+	resident := func() int64 { return cl.Machines[0].PM.ResidentBytes() }
 	format := resident()
 	g := newGroup(env, 1)
 	env.Go("bench", func(p *sim.Proc) {
@@ -53,8 +51,13 @@ func TestClusterResidentBytes(t *testing.T) {
 		t.Fatal("run stalled")
 	}
 	got := resident()
-	if distinct := int64(len(cl.Machines) * 2 * total); got-format > distinct*5/4 {
+	if distinct := int64(2 * total); got-format > distinct*5/4 {
 		t.Errorf("%d bytes resident beyond the format's %d for %d distinct bytes written: more than 1.25x", got-format, format, distinct)
+	}
+	for _, m := range cl.Machines[1:] {
+		if m.PM.ResidentBytes() != got {
+			t.Errorf("%s reports %d resident bytes, %s %d: not one store", m.Name, m.PM.ResidentBytes(), cl.Machines[0].Name, got)
+		}
 	}
 	if format != wantFormat || got != wantResident {
 		t.Errorf("resident bytes: %d after format, %d after the workload; pinned %d and %d", format, got, wantFormat, wantResident)
@@ -64,14 +67,16 @@ func TestClusterResidentBytes(t *testing.T) {
 // TestChurnResidentBytes is the same gate under deletes: on the quick-scale
 // cluster one client runs 2000 rounds of create, 16 KiB write, fsync and
 // unlink, so every node publishes 31 MiB of file data and frees all of it.
-// What stays live on each device is the used part of the client's log ring
-// (primary) or its mirror (replicas); freed blocks must hand their pages
-// back, so residency beyond the format stays within 1.25x of that. Pinned
-// exactly per device.
+// What stays live is the used part of the client's log ring on the primary
+// and its mirror on each replica, which share their pages; freed blocks
+// must hand their pages back, so the store's residency beyond the format
+// stays within 2x the log. Pinned exactly.
 func TestChurnResidentBytes(t *testing.T) {
 	t.Parallel()
-	const rounds = 2000
-	want := [...]int64{29458432, 29458432, 29458432}
+	const (
+		rounds = 2000
+		want   = 50335744
+	)
 	o := DefaultOptions()
 	l := o.layout(1)
 	cl, err := newLineFS(o, l, nil)
@@ -80,10 +85,7 @@ func TestChurnResidentBytes(t *testing.T) {
 	}
 	env := cl.Env
 	defer env.Shutdown()
-	format := make([]int64, len(cl.Machines))
-	for i, m := range cl.Machines {
-		format[i] = m.PM.ResidentBytes()
-	}
+	format := cl.Machines[0].PM.ResidentBytes()
 	var logged int64
 	g := newGroup(env, 1)
 	env.Go("bench", func(p *sim.Proc) {
@@ -120,14 +122,12 @@ func TestChurnResidentBytes(t *testing.T) {
 	if !g.wait(600 * time.Second) {
 		t.Fatal("run stalled")
 	}
-	for i, m := range cl.Machines {
-		got := m.PM.ResidentBytes()
-		if got-format[i] > logged*5/4 {
-			t.Errorf("node %d: %d bytes resident beyond the format's %d for a %d-byte log and no live data: more than 1.25x",
-				i, got-format[i], format[i], logged)
-		}
-		if got != want[i] {
-			t.Errorf("node %d: %d bytes resident, pinned %d", i, got, want[i])
-		}
+	got := cl.Machines[0].PM.ResidentBytes()
+	if got-format > logged*2 {
+		t.Errorf("%d bytes resident beyond the format's %d for a %d-byte log and no live data: more than 2x",
+			got-format, format, logged)
+	}
+	if got != want {
+		t.Errorf("%d bytes resident, pinned %d", got, want)
 	}
 }

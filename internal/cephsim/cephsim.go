@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"time"
 
+	"linefs/internal/hw"
 	"linefs/internal/node"
 	"linefs/internal/rdma"
 	"linefs/internal/sim"
@@ -64,9 +65,10 @@ type Cluster struct {
 // NewCluster builds the deployment.
 func NewCluster(env *sim.Env, cfg Config) *Cluster {
 	cl := &Cluster{Env: env, Cfg: cfg, Fabric: node.NewFabric(env, cfg.Spec)}
-	cl.ClientM = node.NewMachine(env, cl.Fabric, "client", cfg.Spec)
+	store := new(hw.PageStore)
+	cl.ClientM = node.NewMachine(env, cl.Fabric, store, "client", cfg.Spec)
 	for i := 0; i < cfg.Servers; i++ {
-		cl.Servers = append(cl.Servers, node.NewMachine(env, cl.Fabric, fmt.Sprintf("osd%d", i), cfg.Spec))
+		cl.Servers = append(cl.Servers, node.NewMachine(env, cl.Fabric, store, fmt.Sprintf("osd%d", i), cfg.Spec))
 	}
 	return cl
 }

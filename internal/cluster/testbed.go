@@ -6,6 +6,7 @@ import (
 
 	"linefs/internal/dfs"
 	"linefs/internal/fs"
+	"linefs/internal/hw"
 	"linefs/internal/node"
 	"linefs/internal/rdma"
 	"linefs/internal/sim"
@@ -88,7 +89,8 @@ type Testbed struct {
 	started bool
 }
 
-// NewTestbed builds the machines and formats their volumes.
+// NewTestbed builds the machines, their PMs on one page store, and formats
+// their volumes.
 func NewTestbed(env *sim.Env, l Layout) (*Testbed, error) {
 	if l.Replicas >= l.Nodes {
 		return nil, fmt.Errorf("cluster: %d replicas need more than %d nodes", l.Replicas, l.Nodes)
@@ -103,8 +105,9 @@ func NewTestbed(env *sim.Env, l Layout) (*Testbed, error) {
 		Mgr:    NewManager(env, l.HeartbeatEvery),
 		layout: l,
 	}
+	store := new(hw.PageStore)
 	for i := 0; i < l.Nodes; i++ {
-		m := node.NewMachine(env, tb.Fabric, fmt.Sprintf("node%d", i), l.Spec)
+		m := node.NewMachine(env, tb.Fabric, store, fmt.Sprintf("node%d", i), l.Spec)
 		v, err := fs.Format(env, m.PM, 0, l.VolSize, l.InodesPerVol)
 		if err != nil {
 			return nil, err

@@ -1,6 +1,8 @@
 package hw
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
@@ -17,9 +19,8 @@ import (
 //
 // Storage is sparse and paged, so host memory follows the bytes a run
 // touches and not the device size. A directory maps each 4 KiB page to a
-// slot in slabs that are appended on demand; a page materializes on first
-// write and an absent page reads as zeros. A page is in one of three
-// states:
+// slot of a PageStore; a page materializes on first write and an absent
+// page reads as zeros. A page is in one of three states:
 //
 //	absent  cur == 0            unwritten or discarded: reads zeros, durably
 //	clean   cur > 0, img == 0   every byte of the cur slot is durable
@@ -32,6 +33,13 @@ import (
 // where a mirrored device moves bytes, and a write covering a whole page
 // (the data path: 16 KiB and 4 MiB block-aligned stores) is copied once
 // between the caller's buffer and durability.
+//
+// The PMs of one cluster share a store, and a slot may back pages of
+// several of them: a whole-page write whose bytes another device of the
+// store already holds takes a reference to that slot instead of a copy
+// (writePage). Every write into a slot that more than one page names copies
+// it first, so sharing is invisible to every reader, and it costs no
+// virtual time. A device alone in its store (NewPM) never shares.
 //
 // The directory and the free list hold slot indices, not pointers, and the
 // slabs are pointer-free, so the garbage collector marks one pointer per
@@ -46,10 +54,9 @@ type PM struct {
 	Name string
 
 	size  int64
+	store *PageStore
+	id    int32    // the device's index in store.pms
 	dir   []pmPage // one per 4 KiB page of the device
-	slabs [][]byte // slot k (from 1) is page (k-1)%slabPages of slab (k-1)/slabPages
-	slots int32    // slots carved from the slabs so far
-	free  []int32  // released slots; their bytes are stale, never zero
 	dirty []pmSpan // sorted non-overlapping spans of unpersisted bytes
 	spare []pmSpan // scratch for persist-time span rebuilds
 
@@ -57,6 +64,26 @@ type PM struct {
 	WriteLat time.Duration
 	link     *Link
 }
+
+// PageStore holds the host memory behind the pages of one or more PMs:
+// slabs carved into 4 KiB slots on demand, a free list, and a reference
+// count per slot — how many directory entries (cur or img, of any of its
+// devices) name it. A slot goes back on the free list when its count drops
+// to zero. The per-slot arrays grow with the slabs, so a store costs what
+// its devices hold, not what they could. The zero value is an empty store.
+type PageStore struct {
+	slabs [][]byte // slot k (from 1) is page (k-1)%slabPages of slab (k-1)/slabPages
+	slots int32    // slots carved from the slabs so far
+	free  []int32  // released slots; their bytes are stale, never zero
+	refs  []int32  // directory entries naming each slot
+	pms   []*PM
+	// index nominates by pageKey the slot a whole-page write last filled;
+	// direct-mapped, a power of two long, empty while there is one device.
+	index []pageHint
+}
+
+// pageHint is one index entry: a slot and the device whose write filled it.
+type pageHint struct{ slot, pm int32 }
 
 // The page is the file system's block and the host's page: block-aligned
 // stores cover pages exactly, and a materialized slot costs the host one
@@ -113,25 +140,37 @@ func newPMLink(env *sim.Env, name string, bw float64) *Link {
 	return l
 }
 
-// NewPM creates a PM device.
+// NewPM creates a PM device with a page store of its own.
 func NewPM(env *sim.Env, name string, cfg PMConfig) *PM {
-	return &PM{
+	return new(PageStore).NewPM(env, name, cfg)
+}
+
+// NewPM creates a PM device whose pages live in st.
+func (st *PageStore) NewPM(env *sim.Env, name string, cfg PMConfig) *PM {
+	pm := &PM{
 		Env:      env,
 		Name:     name,
 		size:     cfg.Size,
+		store:    st,
+		id:       int32(len(st.pms)),
 		dir:      make([]pmPage, (cfg.Size+pageSize-1)>>pageShift),
 		ReadLat:  cfg.ReadLat,
 		WriteLat: cfg.WriteLat,
 		link:     newPMLink(env, name, cfg.Bandwidth),
 	}
+	st.pms = append(st.pms, pm)
+	st.grow()
+	return pm
 }
 
 // Size returns the device capacity in bytes.
 func (pm *PM) Size() int64 { return pm.size }
 
 // ResidentBytes reports the host memory behind the device's bytes: every
-// slot carved so far, released ones included (they stay mapped for reuse).
-func (pm *PM) ResidentBytes() int64 { return int64(pm.slots) << pageShift }
+// slot its store has carved, released ones included (they stay mapped for
+// reuse). The PMs of a cluster share one store, so each reports the
+// cluster's total; count it once.
+func (pm *PM) ResidentBytes() int64 { return int64(pm.store.slots) << pageShift }
 
 // Link exposes the device bandwidth link so co-located engines (DMA) can
 // share it.
@@ -145,33 +184,69 @@ func (pm *PM) check(off int64, n int) {
 }
 
 // slot returns the page-sized window of slot k.
-func (pm *PM) slot(k int32) []byte {
+func (st *PageStore) slot(k int32) []byte {
 	i := int(k - 1)
 	base := i % slabPages << pageShift
-	return pm.slabs[i/slabPages][base : base+pageSize]
+	return st.slabs[i/slabPages][base : base+pageSize]
 }
 
-// takeSlot returns a slot whose bytes are unspecified: a released slot if
-// there is one, else the next page of the newest slab.
-func (pm *PM) takeSlot() int32 {
-	if n := len(pm.free); n > 0 {
-		k := pm.free[n-1]
-		pm.free = pm.free[:n-1]
-		return k
+// take returns a slot with one reference and unspecified bytes: a released
+// slot if there is one, else the next page of the newest slab.
+func (st *PageStore) take() int32 {
+	k := st.slots + 1
+	if n := len(st.free); n > 0 {
+		k, st.free = st.free[n-1], st.free[:n-1]
+	} else {
+		st.carve()
+		st.slots = k
 	}
-	pm.carve()
-	pm.slots++
-	return pm.slots
+	st.refs[k] = 1
+	return k
+}
+
+// release drops one reference to slot k, freeing it with the last.
+func (st *PageStore) release(k int32) {
+	st.refs[k]--
+	if st.refs[k] == 0 {
+		st.free = append(st.free, k)
+	}
 }
 
 // carve extends the slabs by one page. A slab's length is its bump pointer;
 // a new slab is appended when the newest is full.
-func (pm *PM) carve() {
-	if n := len(pm.slabs) - 1; n >= 0 && len(pm.slabs[n]) < cap(pm.slabs[n]) {
-		pm.slabs[n] = pm.slabs[n][:len(pm.slabs[n])+pageSize]
+func (st *PageStore) carve() {
+	if n := len(st.slabs) - 1; n >= 0 && len(st.slabs[n]) < cap(st.slabs[n]) {
+		st.slabs[n] = st.slabs[n][:len(st.slabs[n])+pageSize]
 		return
 	}
-	pm.slabs = append(pm.slabs, make([]byte, pageSize, slabSize))
+	st.slabs = append(st.slabs, make([]byte, pageSize, slabSize))
+	st.grow()
+}
+
+// grow sizes the per-slot counts for the slots the slabs hold (at least 16
+// slabs' worth) and, from a store's second device, the index at four
+// entries per slot, at least doubling either. Live hints move along.
+func (st *PageStore) grow() {
+	n := max(len(st.slabs), 16) * slabPages
+	if len(st.refs) <= n {
+		refs := make([]int32, max(n+1, 2*len(st.refs)))
+		copy(refs, st.refs)
+		st.refs = refs
+	}
+	if len(st.pms) < 2 || len(st.index) >= 4*n {
+		return
+	}
+	size := max(slabPages, len(st.index)) // a power of two: key & mask
+	for size < 4*n {
+		size <<= 1
+	}
+	old := st.index
+	st.index = make([]pageHint, size)
+	for _, h := range old {
+		if h.slot != 0 && st.refs[h.slot] > 0 {
+			st.index[pageKey(st.slot(h.slot))&uint64(len(st.index)-1)] = h
+		}
+	}
 }
 
 // Read copies n=len(dst) bytes at off into dst, charging media latency and
@@ -193,7 +268,7 @@ func (pm *PM) ReadNoCost(off int64, dst []byte) {
 		in := int(off & (pageSize - 1))
 		n := min(len(dst), pageSize-in)
 		if k := pm.dir[off>>pageShift].cur; k != 0 {
-			copy(dst[:n], pm.slot(k)[in:])
+			copy(dst[:n], pm.store.slot(k)[in:])
 		} else {
 			clear(dst[:n])
 		}
@@ -222,7 +297,8 @@ func (pm *PM) WriteAmp(p *sim.Proc, off int64, src []byte, amp int) {
 
 // WriteNoCost stores bytes without charging time: one copy into the read
 // view plus a span-list update, no allocation in steady state (src is not
-// retained).
+// retained). A whole page another device of the store holds is not copied
+// at all.
 //
 //linefs:hotpath
 func (pm *PM) WriteNoCost(off int64, src []byte) {
@@ -232,33 +308,97 @@ func (pm *PM) WriteNoCost(off int64, src []byte) {
 		pg := &pm.dir[off>>pageShift]
 		in := int(off & (pageSize - 1))
 		n := min(len(src), pageSize-in)
-		if pg.img == 0 {
-			pm.setAside(pg, in, in+n)
+		if n == pageSize && len(pm.store.index) > 0 {
+			pm.writePage(pg, off>>pageShift, src[:n])
+		} else {
+			pm.writeSlot(pg, in, src[:n])
 		}
-		copy(pm.slot(pg.cur)[in:], src[:n])
 		src, off = src[n:], off+int64(n)
 	}
 }
 
-// setAside makes a clean or absent page dirty ahead of a write to its bytes
-// [lo, hi): the current slot becomes the durable image and the read view
-// moves to another slot, which inherits the bytes outside [lo, hi) — none
-// when the write covers the page. The new slot may be a recycled one, so
-// an absent page's surroundings are cleared explicitly.
-func (pm *PM) setAside(pg *pmPage, lo, hi int) {
-	k := pm.takeSlot()
-	dst := pm.slot(k)
-	if pg.cur == 0 {
+// writeSlot copies src into the page's read view at in, first giving the
+// page a slot of its own: a clean or absent page is set aside, and a dirty
+// page whose read view other pages name copies it.
+func (pm *PM) writeSlot(pg *pmPage, in int, src []byte) {
+	if pg.img == 0 || pm.store.refs[pg.cur] > 1 {
+		pm.retire(pg, pm.moveCur(pg, in, in+len(src)))
+	}
+	copy(pm.store.slot(pg.cur)[in:], src)
+}
+
+// retire disposes of old, the slot a page's read view just left: it
+// becomes the durable image of a page that was clean or absent (imgZero
+// for none) and loses the page's reference if the page was already dirty.
+func (pm *PM) retire(pg *pmPage, old int32) {
+	switch {
+	case pg.img != 0:
+		pm.store.release(old)
+	case old == 0:
 		pg.img = imgZero
+	default:
+		pg.img = old
+	}
+}
+
+// moveCur points the page's read view at a fresh slot that inherits the
+// bytes outside [lo, hi) — none when the write covers the page — and
+// returns the slot it left, still referenced. The new slot may be a
+// recycled one, so an absent page's surroundings are cleared explicitly.
+func (pm *PM) moveCur(pg *pmPage, lo, hi int) int32 {
+	st := pm.store
+	k := st.take()
+	dst := st.slot(k)
+	if pg.cur == 0 {
 		clear(dst[:lo])
 		clear(dst[hi:])
 	} else {
-		pg.img = pg.cur
-		old := pm.slot(pg.cur)
+		old := st.slot(pg.cur)
 		copy(dst[:lo], old)
 		copy(dst[hi:], old[hi:])
 	}
+	old := pg.cur
 	pg.cur = k
+	return old
+}
+
+// writePage stores the whole page src at page p of a device that shares its
+// store. When another device holds the same bytes — its page p (replicas
+// keep their log mirrors, and mostly their public blocks, at the primary's
+// offsets), or else the slot the index nominates — the page takes a
+// reference to that slot and copies nothing; otherwise it is written as
+// any page and indexed. bytes.Equal decides a match, never the key.
+func (pm *PM) writePage(pg *pmPage, p int64, src []byte) {
+	st := pm.store
+	var k int32
+	for _, sib := range st.pms {
+		if sib != pm && p < int64(len(sib.dir)) && sib.dir[p].cur != 0 && bytes.Equal(st.slot(sib.dir[p].cur), src) {
+			k = sib.dir[p].cur
+			break
+		}
+	}
+	key := pageKey(src)
+	h := st.index[key&uint64(len(st.index)-1)]
+	if k == 0 && h.slot != 0 && h.pm != pm.id && st.refs[h.slot] > 0 && bytes.Equal(st.slot(h.slot), src) {
+		k = h.slot
+	}
+	if k == 0 {
+		pm.writeSlot(pg, 0, src) // may grow the index
+		st.index[key&uint64(len(st.index)-1)] = pageHint{slot: pg.cur, pm: pm.id}
+		return
+	}
+	st.refs[k]++
+	pm.retire(pg, pg.cur)
+	pg.cur = k
+}
+
+// pageKey mixes eight words sampled across a page into an index key.
+func pageKey(src []byte) uint64 {
+	var h uint64
+	for i := 0; i < 8; i++ {
+		h = (h ^ binary.LittleEndian.Uint64(src[i*(pageSize-8)/7:])) * 0x9e3779b97f4a7c15
+	}
+	return h ^ h>>32
 }
 
 // markDirty records [lo, hi) as possibly differing from durable data,
@@ -339,7 +479,7 @@ func (pm *PM) PersistNoCost(off, n int64) {
 			pg := &pm.dir[ps>>pageShift]
 			if k == len(kept) || kept[k].off >= pageLo+pageSize {
 				if pg.img > 0 {
-					pm.free = append(pm.free, pg.img)
+					pm.store.release(pg.img)
 				}
 				pg.img = 0
 			} else {
@@ -372,7 +512,7 @@ func (pm *PM) dirtyOutside(lo, hi int64) []pmSpan {
 }
 
 // Discard makes every whole page in [off, off+n) absent, dirty or not: it
-// reads zeros, also after a Crash, and its slots go back to the free list.
+// reads zeros, also after a Crash, and drops its references to its slots.
 // Partial edge pages are untouched. It charges no time: real PM keeps dead
 // bytes for free, only the host memory behind them is released. Callers
 // discard only ranges nothing durable references any more.
@@ -391,23 +531,31 @@ func (pm *PM) Discard(off, n int64) {
 	for p := lo >> pageShift; p < hi>>pageShift; p++ {
 		pg := &pm.dir[p]
 		if pg.cur != 0 {
-			pm.free = append(pm.free, pg.cur)
+			pm.store.release(pg.cur)
 		}
 		if pg.img > 0 {
-			pm.free = append(pm.free, pg.img)
+			pm.store.release(pg.img)
 		}
 		*pg = pmPage{}
 	}
 }
 
 // persistInto copies bytes [lo, hi) of a page that stays dirty from the
-// read view into its durable image, materializing an all-zero image first.
+// read view into its durable image, materializing an all-zero image first
+// and copying an image other pages name.
 func (pm *PM) persistInto(pg *pmPage, lo, hi int) {
-	if pg.img == imgZero {
-		pg.img = pm.takeSlot()
-		clear(pm.slot(pg.img))
+	st := pm.store
+	switch {
+	case pg.img == imgZero:
+		pg.img = st.take()
+		clear(st.slot(pg.img))
+	case st.refs[pg.img] > 1:
+		k := st.take()
+		copy(st.slot(k), st.slot(pg.img))
+		st.release(pg.img)
+		pg.img = k
 	}
-	copy(pm.slot(pg.img)[lo:hi], pm.slot(pg.cur)[lo:])
+	copy(st.slot(pg.img)[lo:hi], st.slot(pg.cur)[lo:])
 }
 
 // PersistAll flushes every pending write at no virtual cost: a full fence
@@ -426,7 +574,7 @@ func (pm *PM) Crash() {
 			if pg.img == 0 {
 				continue // rewound under an earlier span
 			}
-			pm.free = append(pm.free, pg.cur)
+			pm.store.release(pg.cur)
 			pg.cur, pg.img = max(pg.img, 0), 0 // imgZero: absent again
 		}
 	}

@@ -198,6 +198,149 @@ func TestPMMatchesModel(t *testing.T) {
 	}
 }
 
+// TestSharedPMsMatchModel drives two PMs on one page store, each against
+// its own model, with whole-page writes drawn mostly from a small pool of
+// pages (so they often equal a page the other device holds, at the same
+// offset or another), random partial writes into shared pages, persists,
+// full fences, discards and crashes on either device. After every operation
+// both read views match their models, so an operation on one device never
+// shows in the other, and every crash compares the durable view. The same
+// operations on two devices with stores of their own bound the shared
+// store: it never has more slots in use than the two of them, and its
+// reference counts always equal the directory entries that name each slot.
+func TestSharedPMsMatchModel(t *testing.T) {
+	t.Parallel()
+	const size = 16*pageSize + 1234
+	cfg := PMConfig{Size: size, Bandwidth: 1e9}
+
+	// The two rules by hand. One page written whole by a at page 0, then by
+	// b at page 0 and page 2 (the index), is one slot; a third copy by a
+	// itself is a second, since a device never shares with itself. A page a
+	// fills by partial writes is never indexed, so b finds it at the same
+	// offset only (rule 1): a third slot for both.
+	st := new(PageStore)
+	a, b := st.NewPM(sim.NewEnv(1), "a", cfg), st.NewPM(sim.NewEnv(1), "b", cfg)
+	page, log := bytes.Repeat([]byte{7}, pageSize), bytes.Repeat([]byte{9}, pageSize)
+	for i, w := range []struct {
+		pm       *PM
+		off      int64
+		src      []byte
+		wantUsed int32
+	}{
+		{a, 0, page, 1}, {b, 0, page, 1}, {b, 2 * pageSize, page, 1}, {a, 4 * pageSize, page, 2},
+		{a, 6 * pageSize, log[:100], 3}, {a, 6*pageSize + 100, log[100:], 3}, {b, 6 * pageSize, log, 3},
+	} {
+		w.pm.WriteNoCost(w.off, w.src)
+		if used := st.slots - int32(len(st.free)); used != w.wantUsed {
+			t.Fatalf("write %d (%s at %d): %d slots in use, want %d", i, w.pm.Name, w.off, used, w.wantUsed)
+		}
+	}
+
+	shared := 0
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st := new(PageStore)
+		var pps [2]*pmPair
+		var alone [2]*PM
+		for i := range pps {
+			pps[i] = &pmPair{t: t, pm: st.NewPM(sim.NewEnv(1), fmt.Sprintf("pm%d", i), cfg), model: newPMModel(size), got: make([]byte, size)}
+			alone[i] = NewPM(sim.NewEnv(1), "alone", cfg)
+		}
+		pool := make([]byte, 4*pageSize)
+		rng.Read(pool)
+		poison := bytes.Repeat([]byte{0xA5}, size)
+		buf := make([]byte, 3*pageSize)
+		for op := 0; op < 600; op++ {
+			i := rng.Intn(2)
+			pp, ref := pps[i], alone[i]
+			where := fmt.Sprintf("seed %d op %d on pm %d", seed, op, i)
+			pps[0].where, pps[1].where = where, where
+			switch rng.Intn(10) {
+			case 0, 1, 2, 3: // whole pages, mostly from the pool
+				n := (1 + rng.Intn(3)) * pageSize
+				off := int64(rng.Intn(size/pageSize-n/pageSize+1)) * pageSize
+				for k := 0; k < n; k += pageSize {
+					if rng.Intn(4) == 0 {
+						rng.Read(buf[k : k+pageSize])
+					} else {
+						copy(buf[k:], pool[rng.Intn(4)*pageSize:][:pageSize])
+					}
+				}
+				pp.write(off, buf[:n])
+				ref.WriteNoCost(off, buf[:n])
+			case 4, 5: // a partial write, often into a shared page
+				n := 1 + rng.Intn(2*pageSize)
+				off := int64(rng.Intn(size - n + 1))
+				rng.Read(buf[:n])
+				pp.write(off, buf[:n])
+				ref.WriteNoCost(off, buf[:n])
+			case 6: // partial persist
+				n := int64(1 + rng.Intn(2*pageSize))
+				off := int64(rng.Intn(size - int(n) + 1))
+				pp.persist(off, n)
+				ref.PersistNoCost(off, n)
+			case 7: // full fence
+				pp.persistAll()
+				ref.PersistAll()
+			case 8: // crash
+				pp.crash()
+				ref.Crash()
+			case 9: // discard, whole pages inside ragged edges
+				n := 1 + rng.Intn(4*pageSize)
+				off := int64(rng.Intn(size - n + 1))
+				pp.discard(off, int64(n))
+				ref.Discard(off, int64(n))
+			}
+			for _, pp := range pps {
+				copy(pp.got, poison) // a read must overwrite every byte
+				pp.pm.ReadNoCost(0, pp.got)
+				if !bytes.Equal(pp.got, pp.model.volatile) {
+					t.Fatalf("%s: %s's read view diverged", where, pp.pm.Name)
+				}
+			}
+			inUse := st.slots - int32(len(st.free))
+			apart := alone[0].store.slots - int32(len(alone[0].store.free)) + alone[1].store.slots - int32(len(alone[1].store.free))
+			if inUse > apart {
+				t.Fatalf("%s: %d slots in use, two separate stores hold %d", where, inUse, apart)
+			}
+			checkRefs(t, where, st)
+			shared = max(shared, int(apart-inUse))
+		}
+		pps[0].crash()
+		pps[1].crash()
+	}
+	if shared == 0 {
+		t.Fatal("no page was ever shared")
+	}
+}
+
+// checkRefs compares every slot's reference count with the directory
+// entries of the store's devices that name it: a free slot has none, every
+// other slot at least one.
+func checkRefs(t *testing.T, where string, st *PageStore) {
+	t.Helper()
+	named := make([]int32, st.slots+1)
+	for _, pm := range st.pms {
+		for _, pg := range pm.dir {
+			if pg.cur != 0 {
+				named[pg.cur]++
+			}
+			if pg.img > 0 {
+				named[pg.img]++
+			}
+		}
+	}
+	free := make([]bool, st.slots+1)
+	for _, k := range st.free {
+		free[k] = true
+	}
+	for k := int32(1); k <= st.slots; k++ {
+		if st.refs[k] != named[k] || free[k] != (named[k] == 0) {
+			t.Fatalf("%s: slot %d has %d references and free=%v, the directories name it %d times", where, k, st.refs[k], free[k], named[k])
+		}
+	}
+}
+
 // TestPMFreshDeviceIsFree checks that a device costs nothing until it is
 // written: 64 GiB can be created, holds no slot, and reads zeros anywhere;
 // one byte written makes one page resident.
@@ -252,7 +395,7 @@ func TestPMDiscard(t *testing.T) {
 	pp.persistAll()
 	pp.write(pageSize-50, fill(100))  // page 0 over a slot, page 1 over imgZero
 	pp.write(5*pageSize-30, fill(60)) // pages 4 and 5 over slots
-	resident, freed := pp.pm.ResidentBytes(), len(pp.pm.free)
+	resident, freed := pp.pm.ResidentBytes(), len(pp.pm.store.free)
 	pp.discard(100, 5*pageSize)
 	pp.checkRead(0, size)
 	for p := 1; p <= 4; p++ {
@@ -261,7 +404,7 @@ func TestPMDiscard(t *testing.T) {
 		}
 	}
 	// Page 1's cur, page 3's cur, page 4's cur and image.
-	if got := len(pp.pm.free) - freed; got != 4 {
+	if got := len(pp.pm.store.free) - freed; got != 4 {
 		t.Fatalf("discard freed %d slots, want 4", got)
 	}
 	if got := pp.pm.PendingBytes(); got != 50+30 {

@@ -142,14 +142,15 @@ type Machine struct {
 	HostUp bool
 }
 
-// NewMachine builds a machine named name on the given cluster fabric.
-func NewMachine(env *sim.Env, fabric *rdma.Fabric, name string, spec Spec) *Machine {
+// NewMachine builds a machine named name on the given cluster fabric, with
+// its PM's pages in store (one per cluster, shared by its machines).
+func NewMachine(env *sim.Env, fabric *rdma.Fabric, store *hw.PageStore, name string, spec Spec) *Machine {
 	m := &Machine{
 		Env:     env,
 		Name:    name,
 		Spec:    spec,
 		HostCPU: hw.NewCPU(env, name+"/host", spec.HostCores, spec.HostSpeed),
-		PM:      hw.NewPM(env, name+"/pm", hw.PMConfig{Size: spec.PMSize, ReadLat: spec.PM.ReadLat, WriteLat: spec.PM.WriteLat, Bandwidth: spec.PM.Bandwidth}),
+		PM:      store.NewPM(env, name+"/pm", hw.PMConfig{Size: spec.PMSize, ReadLat: spec.PM.ReadLat, WriteLat: spec.PM.WriteLat, Bandwidth: spec.PM.Bandwidth}),
 		NICCPU:  hw.NewCPU(env, name+"/nic", spec.NICCores, spec.NICSpeed),
 		PCIe:    hw.NewLink(env, name+"/pcie", spec.PCIeLat, spec.PCIeBW),
 		Fetch:   hw.NewLink(env, name+"/fetch", spec.PCIeLat, spec.FetchBW),
