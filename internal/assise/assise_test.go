@@ -278,3 +278,62 @@ func TestTwoClientsSeparateFiles(t *testing.T) {
 		}
 	})
 }
+
+// TestMirrorRingBoundsIngest is ROADMAP item 10: on busy replicas, a write
+// stream with no fsync runs many times around a small mirror ring. A
+// replica's ring takes no frame that would overwrite what it has not
+// digested, so every replica's public area ends equal to the primary's.
+func TestMirrorRingBoundsIngest(t *testing.T) {
+	t.Parallel()
+	cfg := testConfig(BgRepl)
+	cfg.LogSize = 1 << 20
+	cfg.ChunkSize = 128 << 10
+	cfg.DFSPrio = 1 // the busy-replica setting: the daemon above the co-tenant
+	env, cl := newTestCluster(t, cfg)
+	for _, m := range cl.Machines[1:] {
+		for range m.HostCPU.NumCores() {
+			env.Go(m.Name+"/hog", func(p *sim.Proc) {
+				for {
+					m.HostCPU.Compute(p, 10*time.Millisecond, 0, "app")
+				}
+			})
+		}
+	}
+	const total = 8 << 20
+	run(t, env, 10*time.Second, func(p *sim.Proc) {
+		l, _ := cl.Attach(p, 0)
+		fd, _ := l.Create(p, "/f")
+		buf := make([]byte, 16<<10)
+		for off := 0; off < total; off += len(buf) {
+			for i := range buf {
+				buf[i] = byte(off>>14 + i)
+			}
+			if _, err := l.WriteAt(p, fd, uint64(off), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(time.Second)
+		var want []byte
+		for mi := range cl.Machines {
+			ctx := fs.NoCostCtx(cl.Machines[mi].PM)
+			got := make([]byte, total)
+			ino, err := cl.Vols[mi].Resolve(ctx, "/f")
+			if err == nil {
+				_, err = cl.Vols[mi].ReadFile(ctx, ino, 0, got)
+			}
+			switch {
+			case err != nil:
+				t.Errorf("node %d: %v", mi, err)
+			case mi == 0:
+				want = got
+			case !bytes.Equal(got, want):
+				ms := cl.Shared[mi].mirrors[0]
+				t.Errorf("node %d: public area differs from the primary's; mirror digested %d of %d",
+					mi, ms.digested, ms.log.Head())
+			}
+		}
+	})
+}

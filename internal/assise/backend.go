@@ -70,28 +70,22 @@ func (b *backend) OpenCheck(p *sim.Proc, pth string) error {
 // count (§5.2.1). Assise replicates at notification granularity, so the
 // doorbell-coalescing marks are ignored.
 func (b *backend) ChunkReady(p *sim.Proc, head uint64, _ []uint64) {
-	ss := b.ss
-	switch b.cl.Cfg.Mode {
-	case BgRepl:
-		b.shared.queueBg(p, ss, head)
-	default: // Pessimistic, Hyperloop
-		from := ss.repQueued
-		if head > from {
-			ss.repQueued = head
-			_ = b.shared.replicateRange(p, ss, from, head)
-		}
-	}
-	ss.kick(b.cl.Env)
+	_ = b.shared.replicateTo(p, b.ss, head)
+	b.shared.kick(&b.ss.digestKick)
 }
 
-// Fsync implements dfs.Backend. The range replicates in the calling thread's
-// context, one transfer: there is no pipeline for pieces to overlap in, so
-// the client is given no FsyncPiece and the cuts are always nil.
+// Fsync implements dfs.Backend: it returns once the log through head is
+// durable on every replica. The range replicates in the calling thread's
+// context (BgRepl: the pool's), one transfer: there is no pipeline for
+// pieces to overlap in, so the client is given no FsyncPiece and the cuts
+// are always nil. Ranges queued earlier may still be in flight, so it waits
+// for the chain to drain to head either way.
 func (b *backend) Fsync(p *sim.Proc, head uint64, _ []uint64) error {
 	b.ipc(p)
-	if err := b.shared.fsyncSlot(p, b.ss, head); err != nil {
+	if err := b.shared.replicateTo(p, b.ss, head); err != nil {
 		return err
 	}
-	b.ss.kick(b.cl.Env)
+	waitRep(p, b.ss, head)
+	b.shared.kick(&b.ss.digestKick)
 	return nil
 }

@@ -2,9 +2,12 @@ package assise
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"linefs/internal/cluster"
+	"linefs/internal/core"
+	"linefs/internal/dfs"
 	"linefs/internal/fs"
 	"linefs/internal/lease"
 	"linefs/internal/rdma"
@@ -27,8 +30,7 @@ type SharedFS struct {
 
 	replQ *sim.Queue[*rdma.Msg]
 
-	// bgQ dispatches background replication ranges (BgRepl mode); bgSem
-	// caps cluster-wide bg thread concurrency.
+	// bgQ dispatches background replication ranges (BgRepl mode).
 	bgQ *sim.Queue[bgJob]
 
 	// Hyperloop WQE credits: operations remaining before the host must
@@ -36,9 +38,8 @@ type SharedFS struct {
 	hlCredits  int
 	hlRefillCh *sim.Event
 
-	peerConns map[int]*rdma.Conn
-
-	procs []*sim.Proc
+	// peers holds a queue pair to every machine's SharedFS, by index.
+	peers []*rdma.Conn
 
 	// DigestedBytes counts locally published bytes (primary + mirrors).
 	DigestedBytes int64
@@ -47,51 +48,41 @@ type SharedFS struct {
 // slotState is the primary-side bookkeeping for one local client.
 type slotState struct {
 	slot   int
-	client attachedClient
+	client *dfs.Client
 	log    *fs.LogArea
 
 	digested   uint64
 	replicated uint64
 	repQueued  uint64
 
-	digestKick *sim.Event
-	repWaiters []repWaiter
+	// digestKick wakes the digest; repKick fires as replicated advances.
+	digestKick, repKick *sim.Event
+
+	// snd is the slot's chain window (Pessimistic, BgRepl): each range is
+	// queued under its end offset, goes on the wire in log order, and is
+	// replicated once every replica acks it.
+	snd *core.ChainSender[uint64]
 
 	// rawBuf is the digest read scratch, reused across rounds (decoded
 	// entries borrow it and are dropped before the next round).
 	rawBuf []byte
 }
 
-type repWaiter struct {
-	off uint64
-	ev  *sim.Event
-}
-
-// attachedClient is the slice of dfs.Client SharedFS needs back-references
-// to (reclaim notifications).
-type attachedClient interface {
-	OnReclaim(p *sim.Proc, upTo uint64)
-	OnRevoke(ino fs.Ino)
-	ID() string
-}
-
-// mirrorState is replica-side per-slot state.
+// mirrorState is replica-side per-slot state: the slot's chain (chain[pos]
+// is this machine) and its receiver, and the mirror's digestion.
 type mirrorState struct {
+	slot  int
+	chain []int
+	pos   int
+	rcv   core.ChainReceiver[*replMsg]
+
 	log        *fs.LogArea
 	digested   uint64
 	digestKick *sim.Event
-
-	// stash reorders chunks that arrived ahead of the mirror head.
-	stash    map[uint64]*stashed
-	draining bool
+	reclaimed  *sim.Event // fires each time the digest reclaims the ring
 
 	// rawBuf is the digest read scratch, reused across rounds.
 	rawBuf []byte
-}
-
-type stashed struct {
-	req *replMsg
-	msg *rdma.Msg
 }
 
 type bgJob struct {
@@ -111,7 +102,9 @@ func newSharedFS(cl *Cluster, machine int) *SharedFS {
 		replQ:     sim.NewQueue[*rdma.Msg](cl.Env, 0),
 		bgQ:       sim.NewQueue[bgJob](cl.Env, 0),
 		hlCredits: hyperloopCredits,
-		peerConns: make(map[int]*rdma.Conn),
+	}
+	for _, m := range cl.Machines {
+		s.peers = append(s.peers, rdma.Dial(cl.Machines[machine].Port, m.Port, svcRepl, false))
 	}
 	cl.Machines[machine].Port.Register(svcRepl, s.replQ)
 	return s
@@ -124,40 +117,36 @@ func (s *SharedFS) Start() {
 	// Replication ingest: one SharedFS service thread persists incoming
 	// chunks with CPU stores — single-thread PM store bandwidth is the
 	// physical ceiling that keeps host-based replication off line rate.
-	s.procs = append(s.procs, env.Go(name+"/sharedfs-repl", s.runRepl))
+	env.Go(name+"/sharedfs-repl", s.runRepl)
 	// Background replication pool (BgRepl mode).
 	for i := 0; i < bgThreads; i++ {
-		s.procs = append(s.procs, env.Go(name+"/sharedfs-bg", s.runBg))
+		env.Go(name+"/sharedfs-bg", s.runBg)
 	}
 }
 
 func (s *SharedFS) hostCompute(p *sim.Proc, work time.Duration, tag string) {
-	m := s.cl.Machines[s.machine]
-	m.HostCPU.Compute(p, work, s.cl.Cfg.DFSPrio, tag)
+	s.cl.Machines[s.machine].HostCPU.Compute(p, work, s.cl.Cfg.DFSPrio, tag)
 }
 
-func (s *SharedFS) peer(i int) *rdma.Conn {
-	if c, ok := s.peerConns[i]; ok {
-		return c
-	}
-	c := rdma.Dial(s.cl.Machines[s.machine].Port, s.cl.Machines[i].Port, svcRepl, false)
-	s.peerConns[i] = c
-	return c
+// kick wakes whoever waits on *ev and arms a fresh event.
+func (s *SharedFS) kick(ev **sim.Event) {
+	(*ev).Trigger(nil)
+	*ev = sim.NewEvent(s.cl.Env)
 }
 
 // register admits a local client and spawns its digestion worker.
-func (s *SharedFS) register(slot int, client attachedClient, log *fs.LogArea) *slotState {
+func (s *SharedFS) register(slot int, client *dfs.Client, log *fs.LogArea) *slotState {
 	ss := &slotState{
 		slot:       slot,
 		client:     client,
 		log:        log,
 		digestKick: sim.NewEvent(s.cl.Env),
+		repKick:    sim.NewEvent(s.cl.Env),
+		snd:        core.NewChainSender[uint64](len(s.cl.Chain(s.machine))),
 	}
 	s.clients[slot] = ss
 	name := s.cl.Machines[s.machine].Name
-	s.procs = append(s.procs, s.cl.Env.Go(fmt.Sprintf("%s/digest%d", name, slot), func(p *sim.Proc) {
-		s.runDigest(p, ss)
-	}))
+	s.cl.Env.Go(fmt.Sprintf("%s/digest%d", name, slot), func(p *sim.Proc) { s.runDigest(p, ss) })
 	return ss
 }
 
@@ -239,78 +228,82 @@ func (s *SharedFS) digestBurn(p *sim.Proc, bytes int64) {
 // maybeReclaim tells the client its log is reusable up to
 // min(digested, replicated).
 func (s *SharedFS) maybeReclaim(p *sim.Proc, ss *slotState) {
-	upTo := ss.digested
-	if ss.replicated < upTo {
-		upTo = ss.replicated
-	}
-	if upTo > ss.log.Tail() {
+	if upTo := min(ss.digested, ss.replicated); upTo > ss.log.Tail() {
 		// SharedFS and LibFS share the host; the notification is a cheap
 		// local call.
 		ss.client.OnReclaim(p, upTo)
 	}
 }
 
-// kickDigest wakes the digestion worker.
-func (ss *slotState) kick(env *sim.Env) {
-	ss.digestKick.Trigger(nil)
-	ss.digestKick = sim.NewEvent(env)
-}
-
 // replicateRange chain-replicates [from, to) of a slot's log, blocking the
-// calling process until every replica has persisted it. sync marks the
-// fsync path.
+// calling process until every replica has persisted it.
 func (s *SharedFS) replicateRange(p *sim.Proc, ss *slotState, from, to uint64) error {
-	if from >= to {
-		return nil
-	}
-	ctx := s.cl.HostCtx(p, s.machine, "dfs")
-	// A fresh buffer, not a scratch: the chain borrows it until the last ack.
-	raw := make([]byte, to-from)
-	ss.log.ReadRawInto(ctx, from, raw)
-
 	chain := s.cl.Chain(s.machine)
-	if len(chain) > 1 {
-		if s.cl.Cfg.Mode == Hyperloop {
-			if err := s.replicateHyperloop(p, ss.slot, chain[1:], from, raw); err != nil {
-				return err
-			}
-		} else {
-			// Host-driven chain: RPC to the first replica, which persists
-			// and forwards; the call returns when the whole chain acked.
-			req := &replMsg{Slot: ss.slot, From: from, To: to, Payload: raw, Chain: chain, Hop: 1}
-			if _, err := s.peer(chain[1]).Call(p, "repl", req, len(raw)); err != nil {
+	if s.cl.Cfg.Mode != Hyperloop || len(chain) == 1 {
+		// Host-driven chain: the window sends each run as one frame to the
+		// first replica, and every replica acks to runRepl.
+		ss.snd.Queue(to, from, to, int(to-from), int(to-from), true)
+		for a := ss.snd.Pump(); a.Op != core.OpIdle; a = ss.snd.Pump() {
+			if a.Op == core.OpRelease {
+				s.advanceRep(ss, a.H)
+			} else if err := s.transmit(p, ss, chain[1]); err != nil {
 				return err
 			}
 		}
+	} else if err := s.replicateHyperloop(p, ss, chain[1:], from, to); err != nil {
+		return err
 	}
-	if to > ss.replicated {
-		ss.replicated = to
-	}
-	for i := 0; i < len(ss.repWaiters); {
-		w := ss.repWaiters[i]
-		if ss.replicated >= w.off {
-			w.ev.Trigger(nil)
-			ss.repWaiters = append(ss.repWaiters[:i], ss.repWaiters[i+1:]...)
-			continue
-		}
-		i++
-	}
+	waitRep(p, ss, to)
 	s.maybeReclaim(p, ss)
 	return nil
 }
 
-// replMsg carries a replication chunk hop by hop.
-type replMsg struct {
-	Slot     int
-	From, To uint64
-	Payload  []byte
-	Chain    []int
-	Hop      int
+// transmit sends the window's open run to first as one frame, read from the
+// log once the window has taken the run: several threads pump one slot. No
+// SharedFS ever leaves, so the send fails only on a broken testbed.
+func (s *SharedFS) transmit(p *sim.Proc, ss *slotState, first int) error {
+	run := ss.snd.Run
+	f := &replMsg{Slot: ss.slot, From: run[0].From, To: run[len(run)-1].To, Settled: ss.snd.Settled(run)}
+	ss.snd.Sent(true, time.Duration(p.Now()))
+	// A fresh buffer, not a scratch: the chain borrows it until the last ack.
+	f.Payload = make([]byte, f.To-f.From)
+	ss.log.ReadRawInto(s.cl.HostCtx(p, s.machine, "dfs"), f.From, f.Payload)
+	return s.peers[first].Send(p, "repl", f, len(f.Payload))
 }
 
-// runRepl serves incoming replication chunks on a replica: persist into the
-// local mirror with host CPU, forward down the chain, acknowledge. All on
-// host cores, subject to dispatch jitter under co-running load.
+// advanceRep marks a slot replicated through to and wakes the ranges
+// waiting for it.
+func (s *SharedFS) advanceRep(ss *slotState, to uint64) {
+	ss.replicated = max(ss.replicated, to)
+	s.kick(&ss.repKick)
+}
+
+// waitRep blocks until a slot is replicated through off.
+func waitRep(p *sim.Proc, ss *slotState, off uint64) {
+	for ss.replicated < off {
+		p.Wait(ss.repKick)
+	}
+}
+
+// replMsg is a chain frame: a slot's log bytes [From, To), sent when the
+// window had released everything below Settled. A Hyperloop note carries
+// the range alone.
+type replMsg struct {
+	Slot              int
+	From, To, Settled uint64
+	Payload           []byte
+}
+
+// replAck is a replica's cumulative ack: chain position Pos holds the
+// slot's log through To.
+type replAck struct {
+	Slot, Pos int
+	To        uint64
+}
+
+// runRepl serves the daemon's replication traffic on host cores, subject
+// to dispatch jitter under co-running load: chain frames and Hyperloop
+// notes as a replica, acks as a primary.
 func (s *SharedFS) runRepl(p *sim.Proc) {
 	for {
 		msg, ok := s.replQ.Get(p)
@@ -319,8 +312,14 @@ func (s *SharedFS) runRepl(p *sim.Proc) {
 		}
 		switch msg.Op {
 		case "repl":
-			req := msg.Arg.(*replMsg)
-			s.handleRepl(p, msg, req)
+			s.handleRepl(p, msg.Arg.(*replMsg))
+		case "repl-ack":
+			ack := msg.Arg.(*replAck)
+			ss := s.clients[ack.Slot]
+			rel, _ := ss.snd.Ack(ack.Pos, ack.To, time.Duration(p.Now()))
+			for _, a := range rel {
+				s.advanceRep(ss, a.H)
+			}
 		case "hl-note":
 			req := msg.Arg.(*replMsg)
 			// Hyperloop already placed the bytes with one-sided writes;
@@ -334,7 +333,7 @@ func (s *SharedFS) runRepl(p *sim.Proc) {
 					// kernel is single-threaded between the check and here.
 					panic(fmt.Sprintf("assise: hyperloop advance: %v", err))
 				}
-				s.digestMirror(p, ms)
+				s.kick(&ms.digestKick)
 			}
 			if msg.NeedsReply() {
 				msg.Respond(p, true, 8)
@@ -343,87 +342,99 @@ func (s *SharedFS) runRepl(p *sim.Proc) {
 	}
 }
 
-func (s *SharedFS) handleRepl(p *sim.Proc, msg *rdma.Msg, req *replMsg) {
+// handleRepl executes the mirror's chain decisions for frame f on host
+// cores: a dispatch, then for each frame at the mirror head CPU stores into
+// the mirror, the relay downstream (mid-chain) and the ack to the primary.
+func (s *SharedFS) handleRepl(p *sim.Proc, f *replMsg) {
 	spec := s.cl.Cfg.Spec
-	// Request dispatch on a contended host.
 	s.hostCompute(p, spec.HostRPCCost, "dfs")
-
-	ms := s.mirror(req.Slot)
-	// Arrivals can be out of order (several chunks pipeline through the
-	// chain); stash and drain contiguously from the mirror head.
-	ms.stash[req.From] = &stashed{req: req, msg: msg}
-	if ms.draining {
-		return
-	}
-	ms.draining = true
-	defer func() { ms.draining = false }()
-	for {
-		st, ok := ms.stash[ms.log.Head()]
-		if !ok {
-			return
+	ms := s.mirror(f.Slot)
+	ctx := s.cl.HostCtx(p, s.machine, "dfs")
+	for _, a := range ms.rcv.Arrive(f, f.From, f.To, f.Settled) {
+		switch a.Op {
+		case core.OpAdopt: // released without this mirror: digest what it holds, then start at From
+			s.makeRoom(p, ms, int(ms.log.Cap()))
+			ms.log.ResetTo(ctx, a.From)
+			ms.log.Reclaim(ctx, a.From)
+			ms.digested = a.From
+		case core.OpReAck:
+			s.ack(p, ms, a.To)
+		case core.OpForward:
+			s.relay(ms, f, 0)
 		}
-		delete(ms.stash, st.req.From)
-		s.persistAndForward(p, ms, st)
+	}
+	for sp, ok := ms.rcv.Next(); ok; sp, ok = ms.rcv.Next() {
+		data := sp.H.Payload[sp.From-sp.H.From:]
+		s.makeRoom(p, ms, len(data))
+		// CPU stores into PM: the single-thread Optane store ceiling.
+		s.hostCompute(p, time.Duration(float64(len(data))/spec.PMStoreBW*float64(time.Second)), "dfs")
+		if err := ms.log.MirrorRaw(ctx, sp.From, data); err != nil {
+			// Unreachable: the receiver hands out frames at the head only.
+			panic(fmt.Sprintf("assise: mirror: %v", err))
+		}
+		// Replicas digest mirrors too (keeping their public areas current),
+		// lazily once enough log accumulates.
+		if ms.log.Used() > ms.log.Cap()/3 {
+			s.kick(&ms.digestKick)
+		}
+		if to := ms.rcv.Persisted(sp.To).To; ms.rcv.Tail {
+			s.ack(p, ms, to)
+		} else {
+			s.relay(ms, sp.H, to)
+		}
 	}
 }
 
-// persistAndForward is one chain hop for one chunk: persist into the local
-// mirror with host-CPU stores, then forward downstream without holding the
-// ingest thread; the upstream ack fires once the whole downstream chain is
-// durable.
-func (s *SharedFS) persistAndForward(p *sim.Proc, ms *mirrorState, st *stashed) {
-	spec := s.cl.Cfg.Spec
-	req, msg := st.req, st.msg
-	ctx := s.cl.HostCtx(p, s.machine, "dfs")
-	// CPU stores into PM: the single-thread Optane store ceiling.
-	s.hostCompute(p, time.Duration(float64(len(req.Payload))/spec.PMStoreBW*float64(time.Second)), "dfs")
-	if err := ms.log.MirrorRaw(ctx, req.From, req.Payload); err != nil {
-		msg.RespondErr(p, err)
-		return
+// makeRoom holds a frame of n bytes until the ring can take it without
+// overwriting what is not digested: it kicks the digest and waits for the
+// reclaim. The ack it withholds holds the primary's window back.
+func (s *SharedFS) makeRoom(p *sim.Proc, ms *mirrorState, n int) {
+	for ms.log.Free() < int64(n) {
+		ev := ms.reclaimed
+		s.kick(&ms.digestKick)
+		p.Wait(ev)
 	}
-	// Replicas digest mirrors too (keeping their public areas current),
-	// lazily once enough log accumulates.
-	if ms.log.Used() > ms.log.Cap()/3 {
-		s.digestMirror(p, ms)
-	}
-	if req.Hop+1 >= len(req.Chain) {
-		msg.Respond(p, true, 8)
-		return
-	}
-	// Forward in a helper so the ingest thread keeps draining; the caller
-	// hears back once every downstream copy is durable.
-	fwd := *req
-	fwd.Hop = req.Hop + 1
+}
+
+// relay forwards frame f to the next replica on a helper process, which
+// then acks through ack, if not 0: the ingest thread never waits on this
+// replica's egress link, which the forwards keep busy.
+func (s *SharedFS) relay(ms *mirrorState, f *replMsg, ack uint64) {
+	next := s.peers[ms.chain[ms.pos+1]]
 	s.cl.Env.Go(s.cl.Machines[s.machine].Name+"/repl-fwd", func(fp *sim.Proc) {
-		if _, err := s.peer(fwd.Chain[fwd.Hop]).Call(fp, "repl", &fwd, len(fwd.Payload)); err != nil {
-			msg.RespondErr(fp, err)
-			return
+		_ = next.Send(fp, "repl", f, len(f.Payload))
+		if ack != 0 {
+			s.ack(fp, ms, ack)
 		}
-		msg.Respond(fp, true, 8)
 	})
+}
+
+// ack tells the slot's primary that this replica holds its log through to.
+func (s *SharedFS) ack(p *sim.Proc, ms *mirrorState, to uint64) {
+	_ = s.peers[ms.chain[0]].Send(p, "repl-ack", &replAck{Slot: ms.slot, Pos: ms.pos, To: to}, 8)
 }
 
 // mirror returns (creating lazily) replica-side state for a slot.
 func (s *SharedFS) mirror(slot int) *mirrorState {
 	ms, ok := s.mirrors[slot]
 	if !ok {
+		primary, _ := s.cl.SlotMachine(slot)
+		chain := s.cl.Chain(primary)
+		pos := slices.Index(chain, s.machine)
 		ms = &mirrorState{
+			slot:       slot,
+			chain:      chain,
+			pos:        pos,
+			rcv:        core.ChainReceiver[*replMsg]{Tail: pos == len(chain)-1},
 			log:        fs.NewLogArea(s.cl.Machines[s.machine].PM, s.cl.LogBase(slot), s.cl.Cfg.LogSize),
 			digestKick: sim.NewEvent(s.cl.Env),
-			stash:      make(map[uint64]*stashed),
+			reclaimed:  sim.NewEvent(s.cl.Env),
 		}
 		s.mirrors[slot] = ms
 		name := s.cl.Machines[s.machine].Name
-		s.procs = append(s.procs, s.cl.Env.Go(fmt.Sprintf("%s/mdigest%d", name, slot), func(p *sim.Proc) {
-			s.runMirrorDigest(p, ms)
-		}))
+		s.cl.Env.Go(fmt.Sprintf("%s/mdigest%d", name, slot), func(p *sim.Proc) { s.runMirrorDigest(p, ms) })
 	}
 	return ms
-}
-
-func (s *SharedFS) digestMirror(p *sim.Proc, ms *mirrorState) {
-	ms.digestKick.Trigger(nil)
-	ms.digestKick = sim.NewEvent(s.cl.Env)
 }
 
 // runMirrorDigest publishes replicated log content on a replica: eagerly
@@ -440,10 +451,19 @@ func (s *SharedFS) runMirrorDigest(p *sim.Proc, ms *mirrorState) {
 		to := ms.log.Head()
 		ctx := s.cl.HostCtx(p, s.machine, "dfs")
 		if !s.digest(ctx, ms.log, &ms.rawBuf, ms.digested, to) {
-			return
+			if s.cl.Cfg.Mode == Hyperloop {
+				// One-sided writes do not wait for the ring and can overrun
+				// it, which ends this slot's digestion (ROADMAP item 26).
+				return
+			}
+			// Unreachable: no frame overwrites what is not digested
+			// (makeRoom), so the mirror holds the primary's log as sent.
+			panic(fmt.Sprintf("assise: %s: mirror digest of slot %d [%d, %d) failed",
+				s.cl.Machines[s.machine].Name, ms.slot, ms.digested, to))
 		}
 		ms.digested = to
 		ms.log.Reclaim(ctx, to)
+		s.kick(&ms.reclaimed)
 	}
 }
 
@@ -452,13 +472,15 @@ func (s *SharedFS) runMirrorDigest(p *sim.Proc, ms *mirrorState) {
 // pre-posted WQE credit at this node; when credits run out the *host* must
 // re-post the chain — the periodic participation that produces Hyperloop's
 // 99.9th-percentile spikes (Table 3).
-func (s *SharedFS) replicateHyperloop(p *sim.Proc, slot int, replicas []int, from uint64, raw []byte) error {
+func (s *SharedFS) replicateHyperloop(p *sim.Proc, ss *slotState, replicas []int, from, to uint64) error {
+	raw := make([]byte, to-from)
+	ss.log.ReadRawInto(s.cl.HostCtx(p, s.machine, "dfs"), from, raw)
 	s.hlConsume(p)
 	// Posting the chained WRITE/WAIT verbs is cheap.
 	s.hostCompute(p, 2*time.Microsecond, "dfs")
-	view := fs.NewLogView(s.cl.LogBase(slot), s.cl.Cfg.LogSize)
+	view := fs.NewLogView(s.cl.LogBase(ss.slot), s.cl.Cfg.LogSize)
 	for _, mi := range replicas {
-		conn := s.peer(mi)
+		conn := s.peers[mi]
 		for off := 0; off < len(raw); {
 			seg := view.SegmentAt(from+uint64(off), len(raw)-off)
 			if err := conn.RDMAWrite(p, "pm", seg.PhysOff, raw[off:off+seg.Len]); err != nil {
@@ -472,10 +494,11 @@ func (s *SharedFS) replicateHyperloop(p *sim.Proc, slot int, replicas []int, fro
 	// Notify replica hosts so mirrors advance and digestion proceeds
 	// (Assise+Hyperloop still needs periodic host participation for
 	// publication, §5.2.1).
-	note := &replMsg{Slot: slot, From: from, To: from + uint64(len(raw))}
+	note := &replMsg{Slot: ss.slot, From: from, To: to}
 	for _, mi := range replicas {
-		_ = s.peer(mi).Send(p, "hl-note", note, 32)
+		_ = s.peers[mi].Send(p, "hl-note", note, 32)
 	}
+	s.advanceRep(ss, to)
 	return nil
 }
 
@@ -505,43 +528,22 @@ func (s *SharedFS) runBg(p *sim.Proc) {
 		if !ok {
 			return
 		}
-		ss := s.clients[job.slot]
-		if ss == nil {
-			continue
-		}
-		_ = s.replicateRange(p, ss, job.from, job.to)
+		_ = s.replicateRange(p, s.clients[job.slot], job.from, job.to)
 	}
 }
 
-// queueBg schedules [queued, head) for background replication.
-func (s *SharedFS) queueBg(p *sim.Proc, ss *slotState, head uint64) {
-	if head <= ss.repQueued {
-		return
-	}
+// replicateTo hands a slot's log through head to replication: to the
+// background pool under BgRepl, else in the caller's context (Pessimistic
+// and Hyperloop).
+func (s *SharedFS) replicateTo(p *sim.Proc, ss *slotState, head uint64) error {
 	from := ss.repQueued
+	if head <= from {
+		return nil
+	}
 	ss.repQueued = head
-	s.bgQ.Put(p, bgJob{slot: ss.slot, from: from, to: head})
-}
-
-// fsyncSlot replicates everything through head and returns once durable on
-// all replicas.
-func (s *SharedFS) fsyncSlot(p *sim.Proc, ss *slotState, head uint64) error {
 	if s.cl.Cfg.Mode == BgRepl {
-		// Queue the remainder for the background pool.
-		s.queueBg(p, ss, head)
-	} else if from := ss.repQueued; head > from {
-		// Pessimistic and Hyperloop: replicate in the caller's context.
-		ss.repQueued = head
-		if err := s.replicateRange(p, ss, from, head); err != nil {
-			return err
-		}
+		s.bgQ.Put(p, bgJob{slot: ss.slot, from: from, to: head})
+		return nil
 	}
-	// Either way, ranges queued earlier may still be in flight: wait for
-	// the pipeline to drain to head.
-	if ss.replicated < head {
-		ev := sim.NewEvent(s.cl.Env)
-		ss.repWaiters = append(ss.repWaiters, repWaiter{off: head, ev: ev})
-		p.Wait(ev)
-	}
-	return nil
+	return s.replicateRange(p, ss, from, head)
 }

@@ -21,8 +21,8 @@ func TestClusterResidentBytes(t *testing.T) {
 	t.Parallel()
 	const (
 		total        = 16 << 20
-		wantFormat   = 12656640
-		wantResident = 46358528
+		wantFormat   = 81920
+		wantResident = 33787904
 	)
 	o := DefaultOptions()
 	cl, err := newLineFS(o, o.layout(1), nil)
@@ -75,7 +75,7 @@ func TestChurnResidentBytes(t *testing.T) {
 	t.Parallel()
 	const (
 		rounds = 2000
-		want   = 50335744
+		want   = 37765120
 	)
 	o := DefaultOptions()
 	l := o.layout(1)

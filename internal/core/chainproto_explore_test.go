@@ -87,8 +87,8 @@ type exConf struct {
 
 type exState struct {
 	exConf
-	snd  *chainSender[int]
-	rcv  [3]*chainReceiver[int] // replicas 1 and 2
+	snd  *ChainSender[int]
+	rcv  [3]*ChainReceiver[int] // replicas 1 and 2
 	conn [nConns][]int
 	now  time.Duration
 
@@ -100,9 +100,9 @@ type exState struct {
 }
 
 func newExState(cf exConf) *exState {
-	s := &exState{exConf: cf, snd: &chainSender[int]{water: make([]uint64, 3), dead: make([]bool, 3)}}
-	s.rcv[1] = &chainReceiver[int]{}
-	s.rcv[2] = &chainReceiver[int]{tail: true}
+	s := &exState{exConf: cf, snd: &ChainSender[int]{water: make([]uint64, 3), dead: make([]bool, 3)}}
+	s.rcv[1] = &ChainReceiver[int]{}
+	s.rcv[2] = &ChainReceiver[int]{Tail: true}
 	return s
 }
 
@@ -110,7 +110,7 @@ func (s *exState) clone() *exState {
 	c := *s
 	snd := *s.snd
 	snd.queued.held = cloneMap(s.snd.queued.held)
-	snd.run = slices.Clone(s.snd.run)
+	snd.Run = slices.Clone(s.snd.Run)
 	snd.win = slices.Clone(s.snd.win)
 	snd.water = slices.Clone(s.snd.water)
 	snd.dead = slices.Clone(s.snd.dead)
@@ -128,11 +128,11 @@ func (s *exState) clone() *exState {
 	return &c
 }
 
-func cloneMap(m map[uint64]span[int]) map[uint64]span[int] {
+func cloneMap(m map[uint64]Span[int]) map[uint64]Span[int] {
 	if m == nil {
 		return nil
 	}
-	c := make(map[uint64]span[int], len(m))
+	c := make(map[uint64]Span[int], len(m))
 	for k, v := range m {
 		c[k] = v
 	}
@@ -143,18 +143,18 @@ func cloneMap(m map[uint64]span[int]) map[uint64]span[int] {
 // timer (sentAt, the ack sample, the backoff), since a tick always comes late
 // enough to resend. The window and the open run are contiguous ranges.
 func (s *exState) key(b []byte) []byte {
-	rng := func(sp []span[int]) {
+	rng := func(sp []Span[int]) {
 		if len(sp) == 0 {
 			b = append(b, 9, 9)
 			return
 		}
-		b = append(b, byte(sp[0].from), byte(sp[len(sp)-1].to))
+		b = append(b, byte(sp[0].From), byte(sp[len(sp)-1].To))
 	}
-	held := func(in inOrder[span[int]]) {
+	held := func(in inOrder[Span[int]]) {
 		b = append(b, byte(in.next))
 		for k := uint64(0); k < 4; k++ {
 			h, ok := in.held[k]
-			b = append(b, byte(h.h), byte(h.to))
+			b = append(b, byte(h.H), byte(h.To))
 			if !ok {
 				b[len(b)-1] = 9
 			}
@@ -162,7 +162,7 @@ func (s *exState) key(b []byte) []byte {
 	}
 	sn := s.snd
 	held(sn.queued)
-	rng(sn.run)
+	rng(sn.Run)
 	rng(sn.win)
 	b = append(b, byte(sn.water[1]), byte(sn.water[2]), byte(sn.stuckAt))
 	if sn.since != 0 {
@@ -204,20 +204,20 @@ func (s *exState) apply(op, arg int) bool {
 			return false
 		}
 		s.arrived |= 1 << arg
-		s.snd.queue(arg, uint64(arg), uint64(arg+1), 1, 400<<10, s.invalid&(1<<arg) == 0)
+		s.snd.Queue(arg, uint64(arg), uint64(arg+1), 1, 400<<10, s.invalid&(1<<arg) == 0)
 		s.apply(exPump, 0)
 	case exPump: // to idle, as runSender does
-		a := s.snd.pump()
-		if a.op == opIdle {
+		a := s.snd.Pump()
+		if a.Op == OpIdle {
 			return false
 		}
-		for ; a.op != opIdle; a = s.snd.pump() {
-			if a.op == opRelease {
-				s.release(a.h)
+		for ; a.Op != OpIdle; a = s.snd.Pump() {
+			if a.Op == OpRelease {
+				s.release(a.H)
 				continue
 			}
-			s.send(s.snd.run)
-			s.snd.sent(true, s.now)
+			s.send(s.snd.Run)
+			s.snd.Sent(true, s.now)
 		}
 	case exDeliver, exDrop, exDup, exCorrupt:
 		if arg >= nConns || len(s.conn[arg]) == 0 || op == exCorrupt && arg >= c1Ack {
@@ -243,14 +243,14 @@ func (s *exState) apply(op, arg int) bool {
 		s.deliver(c, m)
 	case exTick:
 		s.now += time.Hour
-		for run := s.snd.tick(s.now, s.snd.owed); len(run) > 0; run = s.snd.resend(run[len(run)-1].to) {
+		for run := s.snd.Tick(s.now, s.snd.owed); len(run) > 0; run = s.snd.Resend(run[len(run)-1].To) {
 			s.send(run)
 		}
 	case exRestart:
 		if arg != 1 && arg != 2 {
 			return false
 		}
-		s.rcv[arg] = &chainReceiver[int]{tail: arg == 2}
+		s.rcv[arg] = &ChainReceiver[int]{Tail: arg == 2}
 		s.conn[2*arg-2], s.conn[2*arg-1] = nil, nil // crash closes its lanes
 		s.held[arg] |= s.held[3-arg]
 		s.head[arg] = 0
@@ -288,15 +288,15 @@ func (s *exState) release(i int) {
 }
 
 // send puts a run on the primary's connection of its class.
-func (s *exState) send(run []span[int]) {
+func (s *exState) send(run []Span[int]) {
 	sync := false
 	for _, sp := range run {
-		sync = sync || s.sync&(1<<sp.h) != 0
-		if s.invalid&(1<<sp.h) != 0 {
-			s.viol = fmt.Sprintf("invalid frame %d goes on the wire", sp.h)
+		sync = sync || s.sync&(1<<sp.H) != 0
+		if s.invalid&(1<<sp.H) != 0 {
+			s.viol = fmt.Sprintf("invalid frame %d goes on the wire", sp.H)
 		}
 	}
-	s.post(cP1Bulk, exMsg(run[0].from, run[len(run)-1].to, s.snd.settled(run), sync))
+	s.post(cP1Bulk, exMsg(run[0].From, run[len(run)-1].To, s.snd.Settled(run), sync))
 }
 
 func (s *exState) post(c, m int) {
@@ -310,41 +310,41 @@ func (s *exState) post(c, m int) {
 // do: the primary's handleReplAck, the mirror's run and handleBatch.
 func (s *exState) deliver(c, m int) {
 	if c >= c1Ack {
-		rel, _ := s.snd.ack(c-c1Ack+1, uint64(m), s.now)
+		rel, _ := s.snd.Ack(c-c1Ack+1, uint64(m), s.now)
 		for _, a := range rel {
-			s.release(a.h)
+			s.release(a.H)
 		}
 		return
 	}
 	r := 1 + c/2
 	from, to, settled, _, _ := exSpan(m)
-	for _, a := range s.rcv[r].arrive(m, from, to, settled) {
-		switch a.op {
-		case opAdopt:
-			if a.from <= s.head[r] {
-				s.viol = fmt.Sprintf("replica %d moves its head from %d to %d", r, s.head[r], a.from)
+	for _, a := range s.rcv[r].Arrive(m, from, to, settled) {
+		switch a.Op {
+		case OpAdopt:
+			if a.From <= s.head[r] {
+				s.viol = fmt.Sprintf("replica %d moves its head from %d to %d", r, s.head[r], a.From)
 			}
-			s.head[r] = a.from
-		case opReAck:
-			s.ack(r, a.to)
-		case opForward:
+			s.head[r] = a.From
+		case OpReAck:
+			s.ack(r, a.To)
+		case OpForward:
 			s.post(c12Bulk, m)
 		}
 	}
-	for sp, ok := s.rcv[r].next(); ok; sp, ok = s.rcv[r].next() {
-		_, to, settled, bad, sync := exSpan(sp.h)
+	for sp, ok := s.rcv[r].Next(); ok; sp, ok = s.rcv[r].Next() {
+		_, to, settled, bad, sync := exSpan(sp.H)
 		if bad {
 			continue // the integrity gate: never relayed, persisted or acked
 		}
 		if r == 1 {
-			s.post(c12Bulk, exMsg(sp.from, to, settled, sync))
+			s.post(c12Bulk, exMsg(sp.From, to, settled, sync))
 		}
-		if sp.from != s.head[r] {
-			s.viol = fmt.Sprintf("replica %d persists [%d,%d) past a gap at %d", r, sp.from, to, s.head[r])
+		if sp.From != s.head[r] {
+			s.viol = fmt.Sprintf("replica %d persists [%d,%d) past a gap at %d", r, sp.From, to, s.head[r])
 		}
-		s.held[r] |= exBits(sp.from, to)
+		s.held[r] |= exBits(sp.From, to)
 		s.head[r] = to
-		s.ack(r, s.rcv[r].persisted(to).to)
+		s.ack(r, s.rcv[r].Persisted(to).To)
 	}
 }
 

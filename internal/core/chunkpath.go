@@ -71,7 +71,7 @@ type clientState struct {
 	// process hands them to snd, the slot's chain window, and executes what
 	// it decides. chain is the slot's static chain of machines.
 	xferQ *sim.Queue[*chunk]
-	snd   *chainSender[*chunk]
+	snd   *ChainSender[*chunk]
 	chain []int
 
 	// freeCk is the chunk freelist fed by runCompletion.
@@ -122,7 +122,7 @@ func newClientState(n *NICFS, slot int, id string, la *fs.LogArea) *clientState 
 		xferQ:    sim.NewQueue[*chunk](n.cl.Env, 0),
 		chain:    n.cl.Chain(n.machine),
 	}
-	cs.snd = &chainSender[*chunk]{water: make([]uint64, len(cs.chain)), dead: make([]bool, len(cs.chain))}
+	cs.snd = NewChainSender[*chunk](len(cs.chain))
 	for i, mi := range cs.chain[1:] {
 		cs.snd.dead[i+1] = !n.cl.Mgr.Alive(n.cl.Machines[mi].Name)
 	}
@@ -161,13 +161,13 @@ const (
 
 // runRetransmit is the replication retry layer: every resendFloor it shows
 // the window's timer the time, and resends the window when the timer says
-// so (chainSender.tick). Chunk buffers stay alive until replication
+// so (ChainSender.Tick). Chunk buffers stay alive until replication
 // completes, so resending reuses them without copies.
 func (cs *clientState) runRetransmit(p *sim.Proc) {
 	for {
 		p.Sleep(resendFloor)
-		run := cs.snd.tick(time.Duration(p.Now()), cs.n.inFlight())
-		for ; len(run) > 0; run = cs.snd.resend(run[len(run)-1].to) {
+		run := cs.snd.Tick(time.Duration(p.Now()), cs.n.inFlight())
+		for ; len(run) > 0; run = cs.snd.Resend(run[len(run)-1].To) {
 			_ = cs.transmit(p, run)
 			cs.n.cl.Robust.RepResends++
 		}
@@ -554,14 +554,14 @@ func (cs *clientState) runSender(p *sim.Proc) {
 			return
 		}
 		for ; ok; ck, ok = cs.xferQ.TryGet() {
-			cs.snd.queue(ck, ck.from, ck.to, len(ck.raw), ck.frame().wireLen(), ck.valid)
+			cs.snd.Queue(ck, ck.from, ck.to, len(ck.raw), ck.frame().wireLen(), ck.valid)
 		}
-		for a := cs.snd.pump(); a.op != opIdle; a = cs.snd.pump() {
-			if a.op == opSend {
+		for a := cs.snd.Pump(); a.Op != OpIdle; a = cs.snd.Pump() {
+			if a.Op == OpSend {
 				cs.flushBatch(p)
 			} else {
-				a.h.sent.Trigger(nil)
-				cs.advanceRep(a.h)
+				a.H.sent.Trigger(nil)
+				cs.advanceRep(a.H)
 			}
 		}
 	}
@@ -621,15 +621,15 @@ func fsyncPieceOf(cfg Config) int {
 // replica; a batch of one is still a batch. Payloads are lent, not copied:
 // chunk buffers stay alive until replication completes, which is also what
 // lets a retransmission frame them again.
-func (cs *clientState) transmit(p *sim.Proc, run []span[*chunk]) error {
+func (cs *clientState) transmit(p *sim.Proc, run []Span[*chunk]) error {
 	n := cs.n
 	msg := &replChunkBatch{
-		Slot: cs.slot, From: run[0].from, To: run[len(run)-1].to,
-		Settled: cs.snd.settled(run), Chunks: make([]batchChunk, len(run)),
+		Slot: cs.slot, From: run[0].From, To: run[len(run)-1].To,
+		Settled: cs.snd.Settled(run), Chunks: make([]batchChunk, len(run)),
 	}
 	for i := range run {
-		msg.Sync = msg.Sync || run[i].h.sync
-		msg.Chunks[i] = run[i].h.frame()
+		msg.Sync = msg.Sync || run[i].H.sync
+		msg.Chunks[i] = run[i].H.frame()
 	}
 	err := n.peer(cs.chain[1], msg.Sync).Send(p, "repl-chunk-batch", msg, wireOf(run))
 	n.RepMsgs++
@@ -640,7 +640,7 @@ func (cs *clientState) transmit(p *sim.Proc, run []span[*chunk]) error {
 func (cs *clientState) flushBatch(p *sim.Proc) {
 	n := cs.n
 	start := p.Now()
-	run := cs.snd.run
+	run := cs.snd.Run
 	for i := range run {
 		n.RepBytes += int64(run[i].raw)
 	}
@@ -648,9 +648,9 @@ func (cs *clientState) flushBatch(p *sim.Proc) {
 	err := cs.transmit(p, run)
 	n.RepChunksSent += int64(len(run))
 	for i := range run {
-		run[i].h.sent.Trigger(nil)
+		run[i].H.sent.Trigger(nil)
 	}
-	cs.release(cs.snd.sent(err == nil, time.Duration(start)))
+	cs.release(cs.snd.Sent(err == nil, time.Duration(start)))
 	n.StageTimes["transfer"].add(time.Duration(p.Now() - start))
 }
 
@@ -665,9 +665,9 @@ func (cs *clientState) pos(name string) int {
 }
 
 // release completes the chunks the window released.
-func (cs *clientState) release(acts []chainAct[*chunk]) {
+func (cs *clientState) release(acts []ChainAct[*chunk]) {
 	for _, a := range acts {
-		cs.advanceRep(a.h)
+		cs.advanceRep(a.H)
 	}
 }
 

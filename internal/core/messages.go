@@ -183,7 +183,7 @@ func (bc *batchChunk) checkTable() error {
 type replChunkBatch struct {
 	Slot     int
 	From, To uint64
-	// Settled is chainSender.settled: a mirror's head below it moves up to
+	// Settled is ChainSender.Settled: a mirror's head below it moves up to
 	// it. It rides in the header rdma charges every message.
 	Settled uint64
 	// Sync is set when any member chunk is fsync-path (the batch then rides

@@ -25,7 +25,7 @@ type mirrorState struct {
 	chain    []int
 
 	q    *sim.Queue[*replChunkBatch]
-	rcv  chainReceiver[*replChunkBatch]
+	rcv  ChainReceiver[*replChunkBatch]
 	proc *sim.Proc
 	fwds []*sim.Proc // forwards, which die with the mirror (kill)
 
@@ -110,7 +110,7 @@ func (n *NICFS) newMirror(slot int) *mirrorState {
 		chain:    chain,
 		q:        sim.NewQueue[*replChunkBatch](cl.Env, 0),
 		pubQ:     sim.NewQueue[pubJob](cl.Env, 0),
-		rcv:      chainReceiver[*replChunkBatch]{tail: pos == len(chain)-1},
+		rcv:      ChainReceiver[*replChunkBatch]{Tail: pos == len(chain)-1},
 	}
 	ms.proc = cl.Env.Go(n.Name()+"/mirror", ms.run)
 	ms.pubProc = cl.Env.Go(n.Name()+"/mirror-pub", ms.runPublisher)
@@ -155,19 +155,19 @@ func (ms *mirrorState) run(p *sim.Proc) {
 		if !ok {
 			return
 		}
-		for _, a := range ms.rcv.arrive(rb, rb.From, rb.To, rb.Settled) {
-			switch a.op {
-			case opAdopt: // released without this mirror: it was down, or behind one that was
-				ms.log.ResetTo(ms.n.cl.nicCtx(p, ms.n.machine, "nicfs"), a.from)
-			case opReAck:
+		for _, a := range ms.rcv.Arrive(rb, rb.From, rb.To, rb.Settled) {
+			switch a.Op {
+			case OpAdopt: // released without this mirror: it was down, or behind one that was
+				ms.log.ResetTo(ms.n.cl.nicCtx(p, ms.n.machine, "nicfs"), a.From)
+			case OpReAck:
 				ms.n.cl.Robust.DupDelivered++
-				ms.ack(p, a.to)
-			case opForward:
+				ms.ack(p, a.To)
+			case OpForward:
 				ms.relay(rb)
 			}
 		}
-		for sp, ok := ms.rcv.next(); ok; sp, ok = ms.rcv.next() {
-			ms.handleBatch(p, sp.h, sp.from)
+		for sp, ok := ms.rcv.Next(); ok; sp, ok = ms.rcv.Next() {
+			ms.handleBatch(p, sp.H, sp.From)
 		}
 	}
 }
@@ -289,7 +289,7 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch, from uint64)
 	// so safe down-chain — unlike our pooled copy); compressed chunks stay
 	// compressed on the wire for every hop (the bandwidth saving is the
 	// point).
-	if !ms.rcv.tail {
+	if !ms.rcv.Tail {
 		ms.relay(rb)
 	}
 	for i := range rb.Chunks {
@@ -303,7 +303,7 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch, from uint64)
 	ms.persistRaw(p, rb.From, raw, rdma.ClassPrio(rb.Sync))
 
 	// One cumulative acknowledgment covers every chunk in the batch.
-	ms.ack(p, ms.rcv.persisted(rb.To).to)
+	ms.ack(p, ms.rcv.Persisted(rb.To).To)
 
 	// Publish locally in the background so the replica's public area keeps
 	// up and the mirror ring can be reclaimed.

@@ -169,7 +169,7 @@ func (n *NICFS) PeerDown(p *sim.Proc, name string) {
 func (n *NICFS) member(name string, alive bool) {
 	for slot := range n.cl.Cfg.MaxClients {
 		if cs := n.clients[slot]; cs != nil {
-			cs.release(cs.snd.member(cs.pos(name), alive))
+			cs.release(cs.snd.Member(cs.pos(name), alive))
 		}
 	}
 }
@@ -457,7 +457,7 @@ func (n *NICFS) runDetector(p *sim.Proc) {
 func (n *NICFS) handleReplAck(p *sim.Proc, ack *replAck) {
 	n.AckMsgs++
 	if cs := n.clients[ack.Slot]; cs != nil {
-		if rel, stale := cs.snd.ack(cs.pos(ack.Node), ack.To, time.Duration(p.Now())); !stale {
+		if rel, stale := cs.snd.Ack(cs.pos(ack.Node), ack.To, time.Duration(p.Now())); !stale {
 			cs.release(rel)
 			return
 		}

@@ -137,9 +137,6 @@ func NewClient(env *sim.Env, backend Backend, cfg Config) *Client {
 	}
 }
 
-// ID returns the client identity string.
-func (l *Client) ID() string { return l.cfg.ID }
-
 // Log exposes the client's private log (diagnostics and backends).
 func (l *Client) Log() *fs.LogArea { return l.log }
 

@@ -124,11 +124,8 @@ func Format(env *sim.Env, pm *hw.PM, base, size int64, nInodes int) (*Vol, error
 	c.Write(base+v.sb.BitmapOff, v.bitmap)
 	// Reserve data block 0: extent chains use block number 0 as "none".
 	v.markRange(c, 0, 1, true)
-	// Zero the inode table.
-	zero := make([]byte, InodeSize)
-	for i := 0; i < nInodes; i++ {
-		c.Write(v.inodeOff(Ino(i)), zero)
-	}
+	// Zero the inode table: an absent page reads zeros, durably.
+	pm.Discard(base+v.sb.ITabOff, itabBlocks*BlockSize)
 	// Create the root directory.
 	root := Inode{Ino: RootIno, Type: TypeDir, Nlink: 2}
 	v.writeInode(c, &root)
