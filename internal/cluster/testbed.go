@@ -163,9 +163,11 @@ func (tb *Testbed) LogBase(slot int) int64 {
 	return tb.layout.VolSize + int64(slot)*tb.layout.LogSize
 }
 
-// InoRange returns the private inode number range of a slot's client.
+// InoRange returns the private inode number range of a slot's client, cut
+// at the end of the inode table: past it, Create reports the range exhausted.
 func (tb *Testbed) InoRange(slot int) (base fs.Ino, count int) {
-	return fs.Ino(16 + slot*tb.layout.InoRangePerClient), tb.layout.InoRangePerClient
+	start := 16 + slot*tb.layout.InoRangePerClient
+	return fs.Ino(start), max(0, min(tb.layout.InoRangePerClient, tb.layout.InodesPerVol-start))
 }
 
 // HostCtx builds an fs.Ctx for a host-core actor on machine i.

@@ -75,8 +75,13 @@ func TestTestbedSlotsAndGeometry(t *testing.T) {
 	if got, want := tb.LogBase(1), l.VolSize+l.LogSize; got != want {
 		t.Errorf("LogBase(1) = %d, want %d", got, want)
 	}
-	if base, n := tb.InoRange(1); base != 16+fs.Ino(l.InoRangePerClient) || n != l.InoRangePerClient {
-		t.Errorf("InoRange(1) = %d, %d", base, n)
+	// 2 048 inodes hold 16 reserved and part of one 4 096-number range: slot
+	// 0's stops at the table's end, and slot 1's is empty.
+	if base, n := tb.InoRange(0); base != 16 || n != l.InodesPerVol-16 {
+		t.Errorf("InoRange(0) = %d, %d; want 16, %d", base, n, l.InodesPerVol-16)
+	}
+	if base, n := tb.InoRange(1); base != 16+fs.Ino(l.InoRangePerClient) || n != 0 {
+		t.Errorf("InoRange(1) = %d, %d; want %d, 0", base, n, 16+l.InoRangePerClient)
 	}
 	cfg := tb.LibFS(2, 1)
 	if cfg.ID != "node2/c1" || cfg.Vol != tb.Vols[2] || cfg.ChunkSize != l.ChunkSize || cfg.LeaseTTL != LeaseTTL || cfg.Log != nil {

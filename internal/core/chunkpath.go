@@ -103,8 +103,6 @@ type clientState struct {
 	pubPl  *pipeline.Pipeline[*chunk]
 
 	clientConn *rdma.Conn // NICFS -> LibFS service (reclaim, revoke)
-
-	procs []*sim.Proc
 }
 
 type repWaiter struct {
@@ -146,9 +144,9 @@ func newClientState(n *NICFS, slot int, id string, la *fs.LogArea) *clientState 
 		cs.pubPl = pipeline.New(env, id+"/pub", pipeline.Config{},
 			pipeline.Stage[*chunk]{Name: "publish", Work: cs.stagePublish})
 	}
-	cs.procs = append(cs.procs, env.Go(id+"/sender", cs.runSender))
-	cs.procs = append(cs.procs, env.Go(id+"/completion", cs.runCompletion))
-	cs.procs = append(cs.procs, env.Go(id+"/retransmit", cs.runRetransmit))
+	env.Go(id+"/sender", cs.runSender)
+	env.Go(id+"/completion", cs.runCompletion)
+	env.Go(id+"/retransmit", cs.runRetransmit)
 	return cs
 }
 
@@ -181,19 +179,6 @@ func (n *NICFS) inFlight() (bytes int64) {
 		bytes += cs.snd.owed
 	}
 	return bytes
-}
-
-func (cs *clientState) kill() {
-	for _, pl := range []*pipeline.Pipeline[*chunk]{cs.mainPl, cs.repPl, cs.pubPl} {
-		if pl != nil {
-			pl.Kill()
-		}
-	}
-	cs.xferQ.Close()
-	for _, p := range cs.procs {
-		p.Kill()
-	}
-	cs.procs = nil
 }
 
 // notifyClient sends a one-way message to the owning LibFS host service.
@@ -399,8 +384,8 @@ func (cs *clientState) stageCompress(p *sim.Proc, ck *chunk) {
 // time-slicing the cores between several, and it keeps the clients' chunks
 // apart on the chain instead of letting them collide at every hop.
 //
-// The helpers die with the caller: when a NICFS crash kills it mid-chunk,
-// its unwinding kills them and frees the gate.
+// The helpers join the caller's group and die with it in a NICFS crash; the
+// caller's unwinding frees the gate.
 func (n *NICFS) codeTime(p *sim.Proc, rawLen, k int, bw float64) {
 	if !n.cl.Cfg.Parallel {
 		n.nicCompute(p, codecCost(rawLen, bw))
@@ -408,19 +393,13 @@ func (n *NICFS) codeTime(p *sim.Proc, rawLen, k int, bw float64) {
 	}
 	env := n.cl.Env
 	n.codecGate.Acquire(p, 0)
-	helpers := make([]*sim.Proc, k)
-	defer func() {
-		for _, h := range helpers {
-			h.Kill()
-		}
-		n.codecGate.Release()
-	}()
-	n.codecPeak = max(n.codecPeak, len(helpers))
-	left := len(helpers)
+	defer n.codecGate.Release()
+	n.codecPeak = max(n.codecPeak, k)
+	left := k
 	done := sim.NewEvent(env)
-	for i := range helpers {
+	for i := range k {
 		lo, hi := subBlockSpan(rawLen, k, i)
-		helpers[i] = env.Go(n.Name()+"/codec", func(hp *sim.Proc) {
+		env.Go(n.Name()+"/codec", func(hp *sim.Proc) {
 			n.nicCompute(hp, codecCost(hi-lo, bw))
 			if left--; left == 0 {
 				done.Trigger(nil)
@@ -550,9 +529,6 @@ func (cs *clientState) publishChunk(p *sim.Proc, ck *chunk) {
 func (cs *clientState) runSender(p *sim.Proc) {
 	for {
 		ck, ok := cs.xferQ.Get(p)
-		if !ok {
-			return
-		}
 		for ; ok; ck, ok = cs.xferQ.TryGet() {
 			cs.snd.Queue(ck, ck.from, ck.to, len(ck.raw), ck.frame().wireLen(), ck.valid)
 		}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -347,6 +349,39 @@ func TestSequentialModeWorks(t *testing.T) {
 // process per stage that works on its chunks, and none that only moves a
 // chunk from one queue to the next. Counted as the Env.Live delta, net of
 // the client's service process and the lanes its attach call started.
+// TestInoRangeStopsAtTable attaches three clients under testConfig, whose
+// 8 192-inode table holds two 4 096-number ranges after the 16 reserved
+// inodes but not a third: the second client's range is cut at the table's
+// end, and the third's is empty, so its Create reports the range exhausted
+// instead of handing publication an inode the table does not have.
+func TestInoRangeStopsAtTable(t *testing.T) {
+	t.Parallel()
+	env, cl := newTestCluster(t, testConfig())
+	defer env.Shutdown()
+	run(t, env, 10*time.Second, func(p *sim.Proc) {
+		for i := range 3 {
+			l, err := cl.Attach(p, 0)
+			if err != nil {
+				t.Fatalf("attach %d: %v", i, err)
+			}
+			fd, err := l.Create(p, fmt.Sprintf("/c%d", i))
+			if i < 2 && err != nil {
+				t.Errorf("client %d: Create: %v", i, err)
+			}
+			if i == 2 && (err == nil || !strings.Contains(err.Error(), "inode range exhausted")) {
+				t.Errorf("client 2: Create = %v, want the inode range exhausted", err)
+			}
+			if err == nil {
+				_ = l.Fsync(p, fd)
+			}
+		}
+		p.Sleep(100 * time.Millisecond) // publication applies both creates
+	})
+	if base, n := cl.InoRange(1); int(base)+n != testConfig().InodesPerVol {
+		t.Errorf("slot 1's range [%d, +%d) does not end at the table's end", base, n)
+	}
+}
+
 func TestAttachStartsWorkingProcesses(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {

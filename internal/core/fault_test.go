@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -168,7 +169,9 @@ func TestCorruptedCompressedFrameRepaired(t *testing.T) {
 }
 
 // TestCrashKillsMirrorForwards crashes replica 1 while its forward of a raw
-// batch is on the wire. The forward dies with its NICFS: replica 2 never
+// batch is on the wire: the moment replica 1 counts its first replication
+// message, which only a forward sends there. The forward, a process its
+// mirror started, dies with its NICFS's group: replica 2 never
 // receives that batch, so it persists and acknowledges nothing, and the fsync
 // stays parked (the chain after the resweep does not hold the bytes). A
 // forward that outlived its node finished the relay from a dead SmartNIC,
@@ -193,8 +196,7 @@ func TestCrashKillsMirrorForwards(t *testing.T) {
 	})
 	env.Go("crasher", func(p *sim.Proc) {
 		for ; !crashed; p.Sleep(5 * time.Microsecond) {
-			ms := cl.NICs[1].mirrors[0]
-			if ms != nil && len(ms.fwds) > 0 && !ms.fwds[len(ms.fwds)-1].Done.Triggered() {
+			if cl.NICs[1].RepMsgs > 0 {
 				cl.NICs[1].Crash()
 				crashed = true
 			}
@@ -209,6 +211,56 @@ func TestCrashKillsMirrorForwards(t *testing.T) {
 	}
 	if fsyncDone {
 		t.Error("fsync completed though replica 2 never got the batch")
+	}
+}
+
+// TestNICFSCrashIsDeterministic crashes node 0's NICFS under seven clients'
+// writes: three attached there, so it runs three slots' pipelines, and two on
+// each other node, so it mirrors their chains. Each crash time runs eight
+// times with the sanitizer on, and every run of a time must fold one digest.
+// A crash that walked the clients and mirrors in map order killed them, and
+// so ran everything after, in a different order on each run. About 4 s.
+func TestNICFSCrashIsDeterministic(t *testing.T) {
+	t.Parallel()
+	data := bytes.Repeat([]byte{0x6E}, 64<<10)
+	digest := func(at time.Duration) sim.Digest {
+		cfg := testConfig()
+		cfg.MaxClients = 7
+		cfg.InoRangePerClient = 1024
+		env, cl := newTestCluster(t, cfg)
+		defer env.Shutdown()
+		env.EnableTrace()
+		for i, machine := range []int{0, 0, 0, 1, 1, 2, 2} {
+			env.Go(fmt.Sprintf("client%d", i), func(p *sim.Proc) {
+				l, err := cl.Attach(p, machine)
+				if err != nil {
+					t.Errorf("attach %d: %v", i, err)
+					return
+				}
+				fd, _ := l.Create(p, fmt.Sprintf("/f%d", i))
+				for off := uint64(0); off < 6<<20; off += uint64(len(data)) {
+					if _, err := l.WriteAt(p, fd, off, data); err != nil {
+						return
+					}
+				}
+				_ = l.Fsync(p, fd)
+			})
+		}
+		env.Go("crash", func(p *sim.Proc) {
+			p.Sleep(at)
+			cl.NICs[0].Crash()
+		})
+		env.RunUntil(40 * time.Millisecond)
+		return env.TraceDigest()
+	}
+	for _, at := range []time.Duration{2 * time.Millisecond, 5 * time.Millisecond, 9 * time.Millisecond} {
+		seen := map[sim.Digest]int{}
+		for range 8 {
+			seen[digest(at)]++
+		}
+		if len(seen) != 1 {
+			t.Errorf("crash at %v: %d different digests in 8 runs: %v", at, len(seen), seen)
+		}
 	}
 }
 

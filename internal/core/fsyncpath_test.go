@@ -90,9 +90,7 @@ func TestFsyncDoesNotWaitForKernelWorker(t *testing.T) {
 	defer env.Shutdown()
 	payload := bytes.Repeat([]byte{0x5A}, workerBatch)
 	run(t, env, 10*time.Second, func(p *sim.Proc) {
-		for _, kp := range cl.KWs[0].procs {
-			kp.Kill()
-		}
+		cl.KWs[0].g.Kill()
 		if trip := fsyncOnce(t, p, cl, "/wedged", payload); trip.took >= time.Millisecond || !trip.sync {
 			t.Errorf("fsync behind a wedged kernel worker: %+v, want the sync path in under 1ms", trip)
 		}
@@ -130,9 +128,7 @@ func TestFsyncDoesNotWaitForReplicaKernelWorkers(t *testing.T) {
 		env, cl = newTestCluster(t, cfg)
 		run(t, env, 10*time.Second, func(p *sim.Proc) {
 			for _, mi := range []int{1, 2} {
-				for _, kp := range cl.KWs[mi].procs {
-					kp.Kill()
-				}
+				cl.KWs[mi].g.Kill()
 			}
 			trip := fsyncOnce(t, p, cl, "/wedged", payload)
 			if trip.took != serving || !trip.sync || cl.Robust.RPCTimeouts != 0 {
@@ -159,9 +155,7 @@ func TestFsyncDoesNotWaitForReplicaKernelWorkers(t *testing.T) {
 // request 60 ms, past publishItems' 50 ms deadline, then serves it.
 func slowKWorkers(env *sim.Env, cl *Cluster) {
 	for _, kw := range cl.KWs {
-		for _, kp := range kw.procs {
-			kp.Kill()
-		}
+		kw.g.Kill()
 		env.Go("slow-kworker", func(kp *sim.Proc) {
 			for {
 				msg, ok := kw.q.Get(kp)

@@ -16,8 +16,8 @@ type KWorker struct {
 	cl      *Cluster
 	machine int
 
-	q     *sim.Queue[*rdma.Msg]
-	procs []*sim.Proc
+	q *sim.Queue[*rdma.Msg]
+	g *sim.Group // the threads
 
 	// CopiedBytes counts data published through this worker.
 	CopiedBytes int64
@@ -32,6 +32,7 @@ func newKWorker(cl *Cluster, machine int) *KWorker {
 		cl:      cl,
 		machine: machine,
 		q:       sim.NewQueue[*rdma.Msg](cl.Env, 0),
+		g:       cl.Env.NewGroup(),
 	}
 	cl.Machines[machine].HostPort.Register(kworkerService, kw.q)
 	return kw
@@ -43,18 +44,14 @@ func (kw *KWorker) Start() {
 	// One kernel thread per DMA channel so concurrent clients' chunks
 	// publish in parallel.
 	for i := 0; i < kw.cl.Cfg.Spec.DMA.Channels; i++ {
-		p := kw.cl.Env.Go(m.Name+"/kworker", kw.run)
-		kw.procs = append(kw.procs, p)
+		kw.g.Go(m.Name+"/kworker", kw.run)
 	}
 }
 
 // Crash kills the worker's processes and unregisters its service (host OS
 // failure).
 func (kw *KWorker) Crash() {
-	for _, p := range kw.procs {
-		p.Kill()
-	}
-	kw.procs = nil
+	kw.g.Kill()
 	kw.cl.Machines[kw.machine].HostPort.Unregister(kworkerService)
 	kw.q.Close()
 }

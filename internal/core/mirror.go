@@ -24,14 +24,11 @@ type mirrorState struct {
 	chainPos int
 	chain    []int
 
-	q    *sim.Queue[*replChunkBatch]
-	rcv  ChainReceiver[*replChunkBatch]
-	proc *sim.Proc
-	fwds []*sim.Proc // forwards, which die with the mirror (kill)
+	q   *sim.Queue[*replChunkBatch]
+	rcv ChainReceiver[*replChunkBatch]
 
 	// pubQ decouples local publication from the chain critical path.
-	pubQ    *sim.Queue[pubJob]
-	pubProc *sim.Proc
+	pubQ *sim.Queue[pubJob]
 
 	// dec is the decompression dictionary, reused across sub-blocks (every
 	// call starts a fresh dictionary).
@@ -112,20 +109,10 @@ func (n *NICFS) newMirror(slot int) *mirrorState {
 		pubQ:     sim.NewQueue[pubJob](cl.Env, 0),
 		rcv:      ChainReceiver[*replChunkBatch]{Tail: pos == len(chain)-1},
 	}
-	ms.proc = cl.Env.Go(n.Name()+"/mirror", ms.run)
-	ms.pubProc = cl.Env.Go(n.Name()+"/mirror-pub", ms.runPublisher)
+	cl.Env.Go(n.Name()+"/mirror", ms.run)
+	cl.Env.Go(n.Name()+"/mirror-pub", ms.runPublisher)
 	n.mirrors[slot] = ms
 	return ms
-}
-
-func (ms *mirrorState) kill() {
-	ms.q.Close()
-	ms.pubQ.Close()
-	ms.proc.Kill()
-	ms.pubProc.Kill()
-	for _, f := range ms.fwds {
-		f.Kill()
-	}
 }
 
 // runPublisher applies replicated chunks to the replica's public area in
@@ -134,10 +121,7 @@ func (ms *mirrorState) kill() {
 // still read, which is never recycled (the primary's rule for its chunks).
 func (ms *mirrorState) runPublisher(p *sim.Proc) {
 	for {
-		job, ok := ms.pubQ.Get(p)
-		if !ok {
-			return
-		}
+		job, _ := ms.pubQ.Get(p)
 		if !ms.publishLocal(p, job.raw, job.to) {
 			ms.putBuf(job.raw)
 		}
@@ -151,10 +135,7 @@ func (ms *mirrorState) runPublisher(p *sim.Proc) {
 // in log order.
 func (ms *mirrorState) run(p *sim.Proc) {
 	for {
-		rb, ok := ms.q.Get(p)
-		if !ok {
-			return
-		}
+		rb, _ := ms.q.Get(p)
 		for _, a := range ms.rcv.Arrive(rb, rb.From, rb.To, rb.Settled) {
 			switch a.Op {
 			case OpAdopt: // released without this mirror: it was down, or behind one that was
@@ -173,10 +154,10 @@ func (ms *mirrorState) run(p *sim.Proc) {
 }
 
 // relay forwards rb down the chain on a process of its own, which dies with
-// the mirror.
+// its NICFS.
 func (ms *mirrorState) relay(rb *replChunkBatch) {
 	n, next := ms.n, ms.chain[ms.chainPos+1]
-	ms.fwds = append(slices.DeleteFunc(ms.fwds, finished), n.cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) { ms.forward(fp, next, rb) }))
+	n.cl.Env.Go(n.Name()+"/fwd", func(fp *sim.Proc) { ms.forward(fp, next, rb) })
 }
 
 // decodeBatchChunk places one batch frame's raw bytes into dst, which the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -68,8 +67,10 @@ type NICFS struct {
 	leaseDrained *sim.Event
 	leaseKick    *sim.Event
 
-	procs []*sim.Proc
-	down  bool
+	// g holds every process this NICFS runs (sim.Group): Start's, the
+	// lanes, and all they start. They die together in Crash.
+	g    *sim.Group
+	down bool
 
 	// Metrics.
 	PubBytes       int64
@@ -125,6 +126,7 @@ func newNICFS(cl *Cluster, machine int) *NICFS {
 	n.leaseKick = sim.NewEvent(cl.Env)
 	n.codecGate = sim.NewResource(cl.Env, 1)
 	n.leaseGate = sim.NewResource(cl.Env, 1)
+	n.g = cl.Env.NewGroup()
 	return n
 }
 
@@ -187,10 +189,9 @@ func (n *NICFS) Start() {
 	m.NICPort.RegisterPerConn(svcNICFS, n.lane)
 	n.kwConn = rdma.Dial(m.NICPort, m.HostPort, kworkerService, true)
 
-	env := n.cl.Env
-	n.procs = append(n.procs, env.Go(n.Name()+"/nicfs-low", n.holdLowCore))
-	n.procs = append(n.procs, env.Go(n.Name()+"/nicfs-detector", n.runDetector))
-	n.procs = append(n.procs, env.Go(n.Name()+"/nicfs-leases", n.runLeasePersister))
+	n.g.Go(n.Name()+"/nicfs-low", n.holdLowCore)
+	n.g.Go(n.Name()+"/nicfs-detector", n.runDetector)
+	n.g.Go(n.Name()+"/nicfs-leases", n.runLeasePersister)
 }
 
 // peer returns (dialing lazily) the connection of class low to machine i's
@@ -229,7 +230,8 @@ func (n *NICFS) lane(c *rdma.Conn) *sim.Queue[*rdma.Msg] {
 		if c.LowLat {
 			name = n.Name() + "/nicfs-low"
 		}
-		n.procs = append(n.procs, n.cl.Env.Go(name, func(p *sim.Proc) { n.runLane(p, c.LowLat, q) }))
+		// The sender's process starts the lane; it is NICFS's all the same.
+		n.g.Go(name, func(p *sim.Proc) { n.runLane(p, c.LowLat, q) })
 	}
 	return q
 }
@@ -268,9 +270,9 @@ func (n *NICFS) runLane(p *sim.Proc, lowLat bool, q *sim.Queue[*rdma.Msg]) {
 			n.handleLeaseAcquire(p, msg)
 		case "fsync":
 			req := msg.Arg.(*fsyncReq)
-			n.procs = append(slices.DeleteFunc(n.procs, finished), n.cl.Env.Go(n.Name()+"/fsync", func(hp *sim.Proc) {
+			n.cl.Env.Go(n.Name()+"/fsync", func(hp *sim.Proc) {
 				n.handleFsync(hp, msg, req)
-			}))
+			})
 		case "chunk-ready":
 			req := msg.Arg.(*chunkReady)
 			if cs := n.clients[req.Slot]; cs != nil {
@@ -574,10 +576,8 @@ func extendInto(a, b []byte) ([]byte, bool) {
 	return a[:n+len(b)], true
 }
 
-// finished is what a list of processes to kill drops before it grows.
-func finished(p *sim.Proc) bool { return p.Done.Triggered() }
-
-// Crash takes the NICFS down (SmartNIC failure injection for tests).
+// Crash takes the NICFS down (SmartNIC failure injection for tests): every
+// process it runs dies, in the order they started (sim.Group.Kill).
 func (n *NICFS) Crash() {
 	if n.down {
 		return
@@ -586,15 +586,6 @@ func (n *NICFS) Crash() {
 	m := n.cl.Machines[n.machine]
 	m.Port.Unregister(svcNICFS)
 	m.NICPort.Unregister(svcNICFS)
-	for _, p := range n.procs {
-		p.Kill()
-	}
-	n.procs = nil
+	n.g.Kill()
 	n.lowCore = nil
-	for _, cs := range n.clients {
-		cs.kill()
-	}
-	for _, ms := range n.mirrors {
-		ms.kill()
-	}
 }

@@ -54,22 +54,13 @@ const hotallocMaxDepth = 6
 func runHotAlloc(pass *Pass) {
 	ha := &hotAllocChecker{
 		pass:  pass,
-		decls: make(map[types.Object]*ast.FuncDecl),
+		decls: funcDecls(pass), // for the transitive walk
 		deps:  make(map[string]*Package),
 	}
-	// Index this package's function declarations by object for the
-	// transitive walk.
-	var roots []*ast.FuncDecl
+	var roots []*ast.FuncDecl // in source order
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj := pass.Info.Defs[fd.Name]; obj != nil {
-				ha.decls[obj] = fd
-			}
-			if hasHotpathDirective(fd) {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && hasHotpathDirective(fd) {
 				roots = append(roots, fd)
 			}
 		}

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // MapOrder flags `for ... range` loops over maps whose bodies have
@@ -11,6 +12,10 @@ import (
 // sim.Proc/Env/Event/Queue/Resource). Go randomizes map iteration order, so
 // any such loop leaks host entropy into results or into the simulated event
 // stream — the class of bug PR 1 fixed in Result.Print.
+//
+// The simulation check also looks one call down: a body that calls a
+// function or method of the same package whose own body drives the
+// simulation is flagged too. A clock read (Now) there is not driving it.
 //
 // The one sanctioned shape is collect-then-sort: a loop that only appends
 // keys/values to a slice which is passed to a sort call later in the same
@@ -22,6 +27,7 @@ var MapOrder = &Analyzer{
 }
 
 func runMapOrder(pass *Pass) {
+	decls := funcDecls(pass)
 	for _, f := range pass.Files {
 		for _, fb := range funcBodies(f) {
 			fb := fb
@@ -44,7 +50,7 @@ func runMapOrder(pass *Pass) {
 				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 					return true
 				}
-				checkMapRange(pass, rng, fb.body)
+				checkMapRange(pass, rng, fb.body, decls)
 				return true
 			})
 		}
@@ -52,8 +58,8 @@ func runMapOrder(pass *Pass) {
 }
 
 // checkMapRange classifies the loop body's effects and reports if any are
-// order-sensitive.
-func checkMapRange(pass *Pass, rng *ast.RangeStmt, fnBody *ast.BlockStmt) {
+// order-sensitive. decls are the package's function declarations (funcDecls).
+func checkMapRange(pass *Pass, rng *ast.RangeStmt, fnBody *ast.BlockStmt, decls map[types.Object]*ast.FuncDecl) {
 	var appendTargets []types.Object
 	reported := false
 	report := func(format string, args ...any) {
@@ -80,8 +86,13 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt, fnBody *ast.BlockStmt) {
 				}
 			}
 			// Effect 2: simulation activity — methods on kernel types.
-			if recv := funcSignature(fn).Recv(); recv != nil && isSimType(recv.Type()) {
+			if isSimMethod(fn) {
 				report("map-range body calls sim method %s; event order follows map iteration order — iterate sorted keys", fn.Name())
+				return false
+			}
+			// ... or a function of this package that drives it itself.
+			if fd := decls[fn.Origin()]; fd != nil && drivesSim(pass, fd.Body) {
+				report("map-range body calls %s, which drives the simulation; event order follows map iteration order — iterate sorted keys", fn.Name())
 				return false
 			}
 		}
@@ -113,6 +124,20 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt, fnBody *ast.BlockStmt) {
 			return
 		}
 	}
+}
+
+// drivesSim reports whether body calls a sim method other than a clock read
+// or passes a *sim.Proc to a call.
+func drivesSim(pass *Pass, body *ast.BlockStmt) (found bool) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			fn := calleeFunc(pass.Info, call)
+			found = fn != nil && fn.Name() != "Now" && isSimMethod(fn) ||
+				slices.ContainsFunc(call.Args, func(a ast.Expr) bool { return isProcType(pass.Info.TypeOf(a)) })
+		}
+		return !found
+	})
+	return found
 }
 
 // appendTargetOutside returns the object a grown slice is appended into, if

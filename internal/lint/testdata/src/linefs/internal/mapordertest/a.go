@@ -90,3 +90,19 @@ func allowed(m map[string]int) {
 		fmt.Println(v)
 	}
 }
+
+type slot struct{ p *sim.Proc }
+
+func (s *slot) kill()                { s.p.Sleep(0) }
+func (s *slot) late(t sim.Time) bool { return s.p.Now() > t }
+
+// NICFS.Crash's old shape: kill drives the simulation one call down. A clock
+// read one call down does not.
+func killsInMapOrder(slots map[int]*slot, t sim.Time) {
+	for _, s := range slots { // want `map-range body calls kill, which drives the simulation`
+		s.kill()
+	}
+	for _, s := range slots {
+		_ = s.late(t)
+	}
+}

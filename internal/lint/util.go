@@ -85,6 +85,26 @@ func isSimType(t types.Type) bool {
 	return path == simPkgPath
 }
 
+// isSimMethod reports whether fn is a method on a simulation-kernel type.
+func isSimMethod(fn *types.Func) bool {
+	recv := funcSignature(fn).Recv()
+	return recv != nil && isSimType(recv.Type())
+}
+
+// funcDecls indexes a package's function declarations with bodies by their
+// objects.
+func funcDecls(pass *Pass) map[types.Object]*ast.FuncDecl {
+	decls := make(map[types.Object]*ast.FuncDecl)
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				decls[pass.Info.Defs[fd.Name]] = fd
+			}
+		}
+	}
+	return decls
+}
+
 // isProcType reports whether t is *sim.Proc (or sim.Proc).
 func isProcType(t types.Type) bool {
 	path, name := namedFrom(t)

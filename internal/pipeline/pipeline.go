@@ -47,32 +47,27 @@ type Pipeline[T any] struct {
 
 	inflight int
 	idle     *sim.Event
-
-	procs  []*sim.Proc
-	closed bool
 }
 
-// New builds and starts a pipeline.
+// New builds and starts a pipeline. Its workers belong to the caller's
+// process group (sim.Group), and die with it.
 func New[T any](env *sim.Env, name string, cfg Config, stages ...Stage[T]) *Pipeline[T] {
 	pl := &Pipeline[T]{env: env, stages: stages, idle: sim.NewEvent(env)}
 	pl.idle.Trigger(nil)
 	for si, s := range stages {
 		pl.in = append(pl.in, sim.NewQueue[T](env, cfg.QueueCap))
-		pl.procs = append(pl.procs, env.Go(name+"/"+s.Name, func(p *sim.Proc) {
+		env.Go(name+"/"+s.Name, func(p *sim.Proc) {
 			pl.runWorker(p, si)
-		}))
+		})
 	}
 	return pl
 }
 
-// runWorker serves stage si until its queue closes: each item goes on to
-// the next stage, or leaves the pipeline after the last stage or a drop.
+// runWorker serves stage si until it is killed: each item goes on to the
+// next stage, or leaves the pipeline after the last stage or a drop.
 func (pl *Pipeline[T]) runWorker(p *sim.Proc, si int) {
 	for {
-		it, ok := pl.in[si].Get(p)
-		if !ok {
-			return
-		}
+		it, _ := pl.in[si].Get(p)
 		if pl.stages[si].Work(p, it) && si+1 < len(pl.stages) {
 			pl.in[si+1].Put(p, it)
 			continue
@@ -87,9 +82,6 @@ func (pl *Pipeline[T]) runWorker(p *sim.Proc, si int) {
 // Submit inserts an item at the head of the pipeline, blocking under
 // backpressure.
 func (pl *Pipeline[T]) Submit(p *sim.Proc, item T) {
-	if pl.closed {
-		return
-	}
 	if pl.inflight == 0 {
 		pl.idle = sim.NewEvent(pl.env)
 	}
@@ -101,17 +93,5 @@ func (pl *Pipeline[T]) Submit(p *sim.Proc, item T) {
 func (pl *Pipeline[T]) Drain(p *sim.Proc) {
 	for pl.inflight > 0 {
 		p.Wait(pl.idle)
-	}
-}
-
-// Kill terminates the pipeline (node crash): later submissions are ignored,
-// the queues close and every worker dies.
-func (pl *Pipeline[T]) Kill() {
-	pl.closed = true
-	for _, q := range pl.in {
-		q.Close()
-	}
-	for _, p := range pl.procs {
-		p.Kill()
 	}
 }

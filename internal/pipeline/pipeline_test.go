@@ -30,7 +30,6 @@ func TestItemsFlowThroughStages(t *testing.T) {
 			pl.Submit(p, item{i})
 		}
 		pl.Drain(p)
-		pl.Kill()
 	})
 	e.RunUntil(10 * time.Second)
 	if len(got) != 10 {
@@ -54,7 +53,6 @@ func TestPipelineOverlapsStages(t *testing.T) {
 		}
 		pl.Drain(p)
 		done = p.Now()
-		pl.Kill()
 	})
 	e.RunUntil(10 * time.Second)
 	if done > sim.Time(12*time.Millisecond) {
@@ -86,7 +84,6 @@ func TestInOrderCommit(t *testing.T) {
 			pl.Submit(p, item{i})
 		}
 		pl.Drain(p)
-		pl.Kill()
 	})
 	e.RunUntil(10 * time.Second)
 	if len(order) != 4 {
@@ -115,7 +112,6 @@ func TestDropFiltersItem(t *testing.T) {
 			pl.Submit(p, item{i})
 		}
 		pl.Drain(p)
-		pl.Kill()
 	})
 	e.RunUntil(10 * time.Second)
 	if len(got) != 3 {
@@ -140,7 +136,6 @@ func TestInOrderDropStillAdvances(t *testing.T) {
 			pl.Submit(p, item{i})
 		}
 		pl.Drain(p)
-		pl.Kill()
 	})
 	e.RunUntil(10 * time.Second)
 	want := []int{0, 2, 3}
@@ -176,7 +171,6 @@ func TestDynamicScaling(t *testing.T) {
 		}
 		pl.Drain(p)
 		done = p.Now()
-		pl.Kill()
 	})
 	e.RunUntil(10 * time.Second)
 	if peak != 1 {
@@ -207,7 +201,6 @@ func TestThreadBudgetCapsScaling(t *testing.T) {
 			pl.Submit(p, item{i})
 		}
 		pl.Drain(p)
-		pl.Kill()
 	})
 	e.RunUntil(10 * time.Second)
 	if peak != 3 {
@@ -232,22 +225,29 @@ func TestDrainOnEmptyPipelineReturns(t *testing.T) {
 	}
 }
 
+// TestKillStopsWorkers builds a pipeline from a group's member, as NICFS
+// builds a client's: its workers join the group, and killing the group
+// mid-item leaves no process behind.
 func TestKillStopsWorkers(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
-	pl := New(e, "p", DefaultConfig(),
-		Stage[item]{Name: "a", Work: func(p *sim.Proc, it item) bool {
-			p.Sleep(time.Hour)
-			return true
-		}},
-	)
-	e.Go("sub", func(p *sim.Proc) {
+	g := e.NewGroup()
+	g.Go("owner", func(p *sim.Proc) {
+		pl := New(e, "p", DefaultConfig(),
+			Stage[item]{Name: "a", Work: func(p *sim.Proc, it item) bool {
+				p.Sleep(time.Hour)
+				return true
+			}},
+		)
 		pl.Submit(p, item{1})
+		pl.Drain(p)
+	})
+	e.Go("crash", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		pl.Kill()
+		g.Kill()
 	})
 	e.RunUntil(10 * time.Second)
 	if e.Live() != 0 {
-		t.Fatalf("%d processes still live after Kill", e.Live())
+		t.Fatalf("%d processes still live after the group's Kill", e.Live())
 	}
 }

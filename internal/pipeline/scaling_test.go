@@ -30,7 +30,6 @@ func TestScaleUpBoundedByEnqueue(t *testing.T) {
 			t.Error("submissions advanced virtual time")
 		}
 		pl.Drain(p)
-		pl.Kill()
 	})
 	e.RunUntil(10 * time.Second)
 	if len(starts) != 13 {
@@ -72,7 +71,6 @@ func TestScaleDownAfterDrain(t *testing.T) {
 	if burned := e.TracedEvents() - before; burned != 0 {
 		t.Fatalf("drained pipeline burned %d events in an hour", burned)
 	}
-	pl.Kill()
 }
 
 // TestSharedBudgetContention runs two bursting pipelines on one env: each
@@ -99,8 +97,6 @@ func TestSharedBudgetContention(t *testing.T) {
 		}
 		a.Drain(p)
 		b.Drain(p)
-		a.Kill()
-		b.Kill()
 		drained = true
 	})
 	e.RunUntil(10 * time.Second)
@@ -139,7 +135,6 @@ func TestInOrderCommitAcrossWorkerCountChange(t *testing.T) {
 			pl.Submit(p, item{i})
 		}
 		pl.Drain(p)
-		pl.Kill()
 	})
 	e.RunUntil(10 * time.Second)
 	if len(order) != 48 {
@@ -158,7 +153,7 @@ func TestIdleBurnsNoEvents(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
 	e.EnableTrace()
-	pl := New(e, "p", DefaultConfig(),
+	New(e, "p", DefaultConfig(),
 		Stage[item]{Name: "a", Work: func(p *sim.Proc, it item) bool { return true }},
 	)
 	e.RunUntil(time.Second)
@@ -167,5 +162,4 @@ func TestIdleBurnsNoEvents(t *testing.T) {
 	if burned := e.TracedEvents() - before; burned != 0 {
 		t.Fatalf("idle pipeline burned %d events in an hour", burned)
 	}
-	pl.Kill()
 }

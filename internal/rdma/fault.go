@@ -27,6 +27,10 @@ type FaultPlane struct {
 
 	rules map[linkKey]FaultRule
 	parts map[linkKey]bool
+
+	// wire runs deferred deliveries. A delayed frame is already on the
+	// wire, so it is nobody's process: no crash of its sender kills it.
+	wire *sim.Group
 }
 
 // linkKey names a directed link for rules, or a sorted pair for partitions.
@@ -73,6 +77,7 @@ func NewFaultPlane(env *sim.Env, rs *stats.Robustness) *FaultPlane {
 		Stats: rs,
 		rules: make(map[linkKey]FaultRule),
 		parts: make(map[linkKey]bool),
+		wire:  env.NewGroup(),
 	}
 }
 
@@ -182,7 +187,7 @@ func (fp *FaultPlane) injectSend(p *sim.Proc, c *Conn, q *sim.Queue[*Msg], m *Ms
 			fp.Stats.FramesDuplicated++
 			q.Put(p, dupMsg(m))
 		}
-		fp.env.Go("fault/delay", func(dp *sim.Proc) {
+		fp.wire.Go("fault/delay", func(dp *sim.Proc) {
 			dp.Sleep(f.delay)
 			q.Put(dp, m)
 		})

@@ -107,6 +107,49 @@ func TestFaultRuleDropThenDuplicate(t *testing.T) {
 	}
 }
 
+// TestDelayedFrameOutlivesSenderCrash delays a frame, then kills its
+// sender's whole process group while the frame is held back: the frame is
+// already on the wire, so it still reaches the receiver.
+func TestDelayedFrameOutlivesSenderCrash(t *testing.T) {
+	t.Parallel()
+	e, f, fp, rs, q := testLink(3)
+	a, b := f.Lookup("a"), f.Lookup("b")
+	var got *Msg
+	var at sim.Time
+	e.Go("server", func(p *sim.Proc) {
+		got, _ = q.Get(p)
+		at = p.Now()
+	})
+	sender := e.NewGroup()
+	sent := false
+	sender.Go("client", func(p *sim.Proc) {
+		fp.SetRule("a", "b", FaultRule{Delay: 1, DelayMax: 10 * time.Millisecond})
+		if err := Dial(a, b, "svc", false).Send(p, "late", nil, 8); err != nil {
+			t.Errorf("delayed send: %v", err)
+		}
+		sent = true
+		p.Sleep(time.Hour)
+	})
+	var crashedAt sim.Time
+	e.Go("crash", func(p *sim.Proc) {
+		for !sent {
+			p.Sleep(time.Nanosecond)
+		}
+		crashedAt = p.Now()
+		sender.Kill()
+	})
+	e.Run()
+	if rs.FramesDelayed != 1 {
+		t.Fatalf("FramesDelayed = %d, want 1", rs.FramesDelayed)
+	}
+	if got == nil || got.Op != "late" {
+		t.Fatalf("receiver got %v, want the delayed frame after its sender's crash", got)
+	}
+	if at <= crashedAt {
+		t.Errorf("frame arrived at %v, not after the crash at %v: it was never held back", at, crashedAt)
+	}
+}
+
 // corruptible is a Corrupter payload for tests: the copy flips one byte.
 type corruptible struct{ b []byte }
 

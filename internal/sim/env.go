@@ -134,8 +134,10 @@ type Env struct {
 	driver  chan struct{}
 	rng     *rand.Rand
 	procSeq int
-	live    int // number of live processes
-	procs   []*Proc
+	live    int   // number of live processes
+	all     Group // every process, for Shutdown
+	// cur is the process that holds control, nil on the driver.
+	cur *Proc
 
 	// stopped aborts Run at the next event boundary.
 	stopped bool
@@ -203,6 +205,7 @@ func (e *Env) run(limit Time) {
 		next.resume <- struct{}{}
 		<-e.driver
 	}
+	e.cur = nil
 }
 
 // loop is the migrating event loop. It processes events on the calling
@@ -231,8 +234,10 @@ func (e *Env) loop(self *Proc) *Proc {
 				continue // stale wake-up
 			}
 			p.blocked = false
+			e.cur = p
 			return p
 		case evStart:
+			e.cur = it.p
 			go it.p.top()
 			return it.p
 		}
@@ -263,13 +268,11 @@ func (e *Env) Live() int { return e.live }
 func (e *Env) Shutdown() {
 	for e.live > 0 {
 		prev := e.live
-		for _, p := range e.procs {
-			p.Kill()
-		}
+		e.all.Kill()
 		e.run(maxTime)
 		if e.live >= prev {
 			var stuck []string
-			for _, p := range e.procs {
+			for _, p := range e.all.procs {
 				if !p.terminated {
 					stuck = append(stuck, p.name)
 				}
@@ -277,7 +280,7 @@ func (e *Env) Shutdown() {
 			panic(fmt.Sprintf("sim: Shutdown made no progress; %d stuck processes: %v", len(stuck), stuck))
 		}
 	}
-	e.procs = nil
+	e.all.procs = nil
 	e.eq.a = nil
 	// Return freed pages to the OS: simulations touch GBs of PM arrays and
 	// back-to-back experiments would otherwise accumulate resident memory.

@@ -32,14 +32,26 @@ type Proc struct {
 	// Acquire allocation-free.
 	rw rwaiter
 
+	g *Group // the group it dies with, if any
+
 	// Done triggers when the process function returns or is killed.
 	Done *Event
 }
 
 // Go starts a new process running fn. The process begins at the current
-// virtual time (after already-queued events at this timestamp).
+// virtual time (after already-queued events at this timestamp). Started by
+// a process, it joins that process's group.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
+	if e.cur != nil {
+		return e.spawn(e.cur.g, name, fn)
+	}
+	return e.spawn(nil, name, fn)
+}
+
+// spawn starts a process in group g (nil for none).
+func (e *Env) spawn(g *Group, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
+		g:      g,
 		env:    e,
 		name:   name,
 		fn:     fn,
@@ -52,7 +64,10 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	if e.tracing {
 		e.traceSpawn(p)
 	}
-	e.procs = append(e.procs, p)
+	e.all.add(p)
+	if g != nil {
+		g.add(p)
+	}
 	e.seq++
 	e.eq.push(item{t: e.now, seq: e.seq, kind: evStart, p: p})
 	return p
