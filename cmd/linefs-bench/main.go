@@ -14,6 +14,12 @@
 //	linefs-bench -selfcheck           # run each experiment twice, fail on digest divergence
 //	linefs-bench -chaos               # 200 seeded fault schedules, fail on invariant violations
 //	linefs-bench -chaos -chaos-seed 7 # replay one chaos schedule (minimal reproducer)
+//	linefs-bench -exp fig4 -cpuprofile cpu.pprof -memprofile heap.pprof
+//
+// -cpuprofile and -memprofile work with every mode: the CPU profile covers
+// the run, and the heap profile is written at exit after a final GC, so its
+// in-use view is what the process still holds and its alloc view every
+// allocation the run made (go tool pprof -sample_index=alloc_space).
 //
 // Every experiment owns a self-contained sim.Env with a deterministic seed,
 // so -j N produces byte-identical tables to -j 1; only wall-clock changes.
@@ -31,6 +37,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -52,7 +59,7 @@ type mode struct {
 
 // run is main minus the process boundary, so tests can drive the CLI with
 // captured streams and compare stdout bytes across -j values.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("linefs-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -63,6 +70,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		j      = fs.Int("j", runtime.GOMAXPROCS(0), "experiments to run concurrently")
 		chaosN = fs.Int("chaos-n", 200, "number of seeded fault schedules for -chaos")
 		chaosS = fs.Int64("chaos-seed", -1, "replay exactly this chaos seed (reproducer mode); -1 runs -chaos-n schedules")
+		cpuOut = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memOut = fs.String("memprofile", "", "write a heap profile to this file at exit, after a final GC")
 		opts   bench.Options
 		toRun  []bench.Experiment
 	)
@@ -104,6 +113,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	stop, err := startProfiles(*cpuOut, *memOut)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintln(stderr, err)
+			code = max(code, 1)
+		}
+	}()
 
 	if *list {
 		for _, e := range append(bench.All(), bench.Ablations()...) {
@@ -156,6 +176,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "ran %d experiment(s) with -j %d in %s\n",
 		len(toRun), *j, time.Since(start).Round(time.Millisecond))
 	return 0
+}
+
+// startProfiles starts a CPU profile into cpu, if named, and returns the
+// function that ends it and then, if mem is named, collects garbage and
+// writes the heap profile there: its in-use view is what the run still holds.
+func startProfiles(cpu, mem string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpu != "" {
+		if cpuFile, err = os.Create(cpu); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+		}
+		if mem == "" {
+			return nil
+		}
+		f, err := os.Create(mem)
+		if err != nil {
+			return err
+		}
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("memprofile: %w", err)
+		}
+		return f.Close()
+	}, nil
 }
 
 // benchMode is a mode that measures, writes its report as JSON to the path

@@ -139,3 +139,30 @@ selfcheck fig# ok: digest # over # events`},
 		t.Errorf("-repbench to an unwritable path exited %d, want 1", code)
 	}
 }
+
+// TestProfiles runs one experiment with -cpuprofile and -memprofile: both
+// files are written and non-empty, and stdout is the same bytes as without
+// them.
+func TestProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "heap.pprof")
+	runCLI := func(args ...string) string {
+		var out bytes.Buffer
+		if code := run(append([]string{"-exp", "fig5", "-j", "1"}, args...), &out, io.Discard); code != 0 {
+			t.Fatalf("%v exited %d", args, code)
+		}
+		return out.String()
+	}
+	plain := runCLI()
+	if profiled := runCLI("-cpuprofile", cpu, "-memprofile", mem); profiled != plain {
+		t.Errorf("stdout with profiles differs:\n--- plain ---\n%s--- profiled ---\n%s", plain, profiled)
+	}
+	for _, f := range []string{cpu, mem} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", f, err)
+		}
+	}
+	if code := run([]string{"-list", "-memprofile", filepath.Join(dir, "no", "such")}, io.Discard, io.Discard); code != 1 {
+		t.Errorf("-memprofile to an unwritable path exited %d, want 1", code)
+	}
+}

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"linefs/internal/fs"
+	"linefs/internal/rdma"
 	"linefs/internal/sim"
+	"linefs/internal/stats"
 )
 
 func testConfig(mode Mode) Config {
@@ -302,38 +304,131 @@ func TestMirrorRingBoundsIngest(t *testing.T) {
 	const total = 8 << 20
 	run(t, env, 10*time.Second, func(p *sim.Proc) {
 		l, _ := cl.Attach(p, 0)
-		fd, _ := l.Create(p, "/f")
-		buf := make([]byte, 16<<10)
-		for off := 0; off < total; off += len(buf) {
-			for i := range buf {
-				buf[i] = byte(off>>14 + i)
-			}
-			if _, err := l.WriteAt(p, fd, uint64(off), buf); err != nil {
+		writeStream(t, p, l, "/f", total, total)
+		p.Sleep(time.Second)
+		sameVolumes(t, cl, "/f", total)
+	})
+}
+
+// writeStream writes total bytes of a position-dependent pattern to path in
+// 16 KiB writes, fsyncing every fsyncEvery bytes and at the end.
+func writeStream(t *testing.T, p *sim.Proc, a *Attachment, path string, total, fsyncEvery int) {
+	t.Helper()
+	fd, err := a.Create(p, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 16<<10)
+	for off := 0; off < total; off += len(buf) {
+		for i := range buf {
+			buf[i] = byte(off>>14 + i)
+		}
+		if _, err := a.WriteAt(p, fd, uint64(off), buf); err != nil {
+			t.Fatal(err)
+		}
+		if (off+len(buf))%fsyncEvery == 0 || off+len(buf) == total {
+			if err := a.Fsync(p, fd); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := l.Fsync(p, fd); err != nil {
-			t.Fatal(err)
+	}
+}
+
+// sameVolumes checks that every replica's public area holds what the
+// primary's does at path's first total bytes.
+func sameVolumes(t *testing.T, cl *Cluster, path string, total int) {
+	t.Helper()
+	var want []byte
+	for mi := range cl.Machines {
+		ctx := fs.NoCostCtx(cl.Machines[mi].PM)
+		got := make([]byte, total)
+		ino, err := cl.Vols[mi].Resolve(ctx, path)
+		if err == nil {
+			_, err = cl.Vols[mi].ReadFile(ctx, ino, 0, got)
 		}
-		p.Sleep(time.Second)
-		var want []byte
-		for mi := range cl.Machines {
-			ctx := fs.NoCostCtx(cl.Machines[mi].PM)
-			got := make([]byte, total)
-			ino, err := cl.Vols[mi].Resolve(ctx, "/f")
-			if err == nil {
-				_, err = cl.Vols[mi].ReadFile(ctx, ino, 0, got)
+		switch {
+		case err != nil:
+			t.Errorf("node %d: %v", mi, err)
+		case mi == 0:
+			want = got
+		case !bytes.Equal(got, want):
+			ms := cl.Shared[mi].mirrors[0]
+			t.Errorf("node %d: public area differs from the primary's; mirror digested %d of %d",
+				mi, ms.digested, ms.log.Head())
+		}
+	}
+}
+
+// TestFramesReturnToThePool streams 16 MiB through a Pessimistic slot with
+// fsyncs while a watcher samples the slot's frames: once the stream is
+// replicated no frame is still lent, and the free list never held more
+// buffers than the slot once had frames in flight.
+func TestFramesReturnToThePool(t *testing.T) {
+	env, cl := newTestCluster(t, testConfig(Pessimistic))
+	var ss *slotState
+	done := false
+	peakLent, peakFree := 0, 0
+	env.Go("watch", func(p *sim.Proc) {
+		for !done {
+			if ss != nil {
+				peakLent = max(peakLent, len(ss.lent))
+				peakFree = max(peakFree, len(ss.frames))
 			}
-			switch {
-			case err != nil:
-				t.Errorf("node %d: %v", mi, err)
-			case mi == 0:
-				want = got
-			case !bytes.Equal(got, want):
-				ms := cl.Shared[mi].mirrors[0]
-				t.Errorf("node %d: public area differs from the primary's; mirror digested %d of %d",
-					mi, ms.digested, ms.log.Head())
-			}
+			p.Sleep(time.Microsecond)
 		}
 	})
+	run(t, env, 60*time.Second, func(p *sim.Proc) {
+		a, err := cl.Attach(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss = a.backend.ss
+		writeStream(t, p, a, "/f", 16<<20, 1<<20)
+		done = true
+	})
+	t.Logf("peak lent %d, peak free %d, now free %d", peakLent, peakFree, len(ss.frames))
+	if len(ss.lent) != 0 || peakLent == 0 {
+		t.Errorf("%d frames still lent after the stream (peak %d), want 0", len(ss.lent), peakLent)
+	}
+	if peakFree > peakLent || len(ss.frames) > peakLent {
+		t.Errorf("free list held %d buffers (now %d) with at most %d frames in flight", peakFree, len(ss.frames), peakLent)
+	}
+}
+
+// TestLateFrameCopyAfterReuse duplicates every frame from the primary to
+// the first replica and delays the original by up to 2 ms, so that a
+// frame's buffer is back in the pool, and carries a later range, before its
+// late copy lands. The copy lies below the replica's head: it is re-acked,
+// relayed, and never persisted, and every replica's volume ends equal to the
+// primary's.
+func TestLateFrameCopyAfterReuse(t *testing.T) {
+	cfg := testConfig(BgRepl)
+	cfg.ChunkSize = 64 << 10
+	env, cl := newTestCluster(t, cfg)
+	var rs stats.Robustness
+	cl.Fabric.Faults = rdma.NewFaultPlane(env, &rs)
+	cl.Fabric.Faults.SetRule(cl.Machines[0].Name, cl.Machines[1].Name,
+		rdma.FaultRule{Dup: 1, Delay: 1, DelayMax: 2 * time.Millisecond})
+	const total = 4 << 20
+	var ss *slotState
+	run(t, env, 60*time.Second, func(p *sim.Proc) {
+		a, err := cl.Attach(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss = a.backend.ss
+		writeStream(t, p, a, "/f", total, 1<<20)
+		p.Sleep(time.Second) // every late copy lands; replicas digest
+		sameVolumes(t, cl, "/f", total)
+	})
+	// Every frame went twice, and a few buffers carried them all: each was
+	// reused while late copies of what it held were still in flight.
+	frames, bufs := int(rs.FramesDelayed), len(ss.frames)+len(ss.lent)
+	t.Logf("%d frames, each duplicated and delayed, in %d buffers", frames, bufs)
+	if frames < 32 || rs.FramesDuplicated != rs.FramesDelayed {
+		t.Errorf("delayed %d, duplicated %d frames; want at least 32, every one both", rs.FramesDelayed, rs.FramesDuplicated)
+	}
+	if bufs*4 > frames {
+		t.Errorf("%d frame buffers for %d frames: too few reuses to test", bufs, frames)
+	}
 }

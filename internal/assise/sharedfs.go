@@ -66,6 +66,12 @@ type slotState struct {
 	// rawBuf is the digest read scratch, reused across rounds (decoded
 	// entries borrow it and are dropped before the next round).
 	rawBuf []byte
+
+	// lent are the chain frames whose payloads the replicas may still read,
+	// in log order; frames is the free list their buffers return to once
+	// the window releases them.
+	lent   []*replMsg
+	frames [][]byte
 }
 
 // mirrorState is replica-side per-slot state: the slot's chain (chain[pos]
@@ -265,16 +271,41 @@ func (s *SharedFS) transmit(p *sim.Proc, ss *slotState, first int) error {
 	run := ss.snd.Run
 	f := &replMsg{Slot: ss.slot, From: run[0].From, To: run[len(run)-1].To, Settled: ss.snd.Settled(run)}
 	ss.snd.Sent(true, time.Duration(p.Now()))
-	// A fresh buffer, not a scratch: the chain borrows it until the last ack.
-	f.Payload = make([]byte, f.To-f.From)
+	// The chain borrows the buffer until the window releases the frame.
+	f.Payload = ss.takeFrame(int(f.To - f.From))
+	ss.lent = append(ss.lent, f)
 	ss.log.ReadRawInto(s.cl.HostCtx(p, s.machine, "dfs"), f.From, f.Payload)
 	return s.peers[first].Send(p, "repl", f, len(f.Payload))
 }
 
+// takeFrame returns an n-byte buffer from the slot's free list, replacing
+// the one on top if it is too small: the slot never holds more buffers than
+// it once had frames in flight.
+func (ss *slotState) takeFrame(n int) []byte {
+	k := len(ss.frames) - 1
+	if k < 0 {
+		return make([]byte, n)
+	}
+	b := ss.frames[k]
+	ss.frames[k] = nil
+	ss.frames = ss.frames[:k]
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
+}
+
 // advanceRep marks a slot replicated through to and wakes the ranges
-// waiting for it.
+// waiting for it. Every frame that ends there is on every replica, so its
+// buffer goes back to the free list: a late copy of it still in flight lies
+// below each replica's head, which re-acks it and reads none of its bytes.
 func (s *SharedFS) advanceRep(ss *slotState, to uint64) {
 	ss.replicated = max(ss.replicated, to)
+	n := 0
+	for ; n < len(ss.lent) && ss.lent[n].To <= to; n++ {
+		ss.frames = append(ss.frames, ss.lent[n].Payload)
+	}
+	ss.lent = slices.Delete(ss.lent, 0, n)
 	s.kick(&ss.repKick)
 }
 
@@ -473,7 +504,8 @@ func (s *SharedFS) runMirrorDigest(p *sim.Proc, ms *mirrorState) {
 // re-post the chain — the periodic participation that produces Hyperloop's
 // 99.9th-percentile spikes (Table 3).
 func (s *SharedFS) replicateHyperloop(p *sim.Proc, ss *slotState, replicas []int, from, to uint64) error {
-	raw := make([]byte, to-from)
+	raw := ss.takeFrame(int(to - from))
+	defer func() { ss.frames = append(ss.frames, raw) }()
 	ss.log.ReadRawInto(s.cl.HostCtx(p, s.machine, "dfs"), from, raw)
 	s.hlConsume(p)
 	// Posting the chained WRITE/WAIT verbs is cheap.

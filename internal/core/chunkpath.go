@@ -27,9 +27,11 @@ type chunk struct {
 	// order: cbuf collects the LZW streams back to back and zipLens their
 	// lengths (both pooled). Sealing the chunk makes subLens zipLens (and
 	// cbuf the wire payload, sum its frameSum) if that saves wire bytes, and
-	// leaves it nil (the chunk travels raw) if not.
+	// leaves it nil (the chunk travels raw) if not. zipLens starts out in
+	// lensBuf, room for one sub-block per core of the default SmartNIC.
 	cbuf    []byte
 	zipLens []uint32
+	lensBuf [16]uint32
 	subLens []uint32
 	sum     uint32
 
@@ -425,8 +427,19 @@ func (n *NICFS) CompressPeakWorkers() int {
 	return n.codecPeak
 }
 
-// zipAll codes ck as k sub-blocks, in turn, and seals it.
+// zipAll codes ck as k sub-blocks, in turn, and seals it. The payload
+// buffer is reserved at the raw length before anything is coded, so a fresh
+// chunk's output is allocated once rather than regrown by append, and a
+// recycled one's not at all; only a chunk that does not compress outgrows it.
+//
+//linefs:hotpath
 func (ck *chunk) zipAll(enc *compress.Encoder, k int) {
+	if cap(ck.cbuf) < len(ck.raw) {
+		ck.cbuf = make([]byte, 0, len(ck.raw))
+	}
+	if ck.zipLens == nil {
+		ck.zipLens = ck.lensBuf[:0]
+	}
 	for i := range k {
 		ck.cbuf, ck.zipLens = zipSubBlock(enc, ck.cbuf, ck.zipLens, ck.raw, k, i)
 	}

@@ -332,3 +332,35 @@ func TestFsyncTailCodesOnEveryCore(t *testing.T) {
 		}
 	}
 }
+
+// TestZipAllReservesItsPayloadOnce codes a fresh 4 MiB chunk of the
+// zipwrite shape into its sixteen sub-blocks, then the same chunk again as
+// the pool recycles it: the fresh one allocates only its payload buffer,
+// reserved at the raw length before the first sub-block, and the recycled
+// one nothing. Not parallel: AllocsPerRun reads process-wide counters.
+func TestZipAllReservesItsPayloadOnce(t *testing.T) {
+	if compress.BorrowSanitizerEnabled() {
+		t.Skip("borrow-sanitizer forces fresh allocations by design")
+	}
+	raw := logOf(poolBlocks(rand.New(rand.NewSource(1))), 4<<20)
+	enc := compress.NewEncoder()
+	k := subBlocksFor(len(raw), 16)
+	ck := &chunk{raw: raw}
+	fresh := testing.AllocsPerRun(3, func() {
+		ck.cbuf, ck.zipLens, ck.subLens = nil, nil, nil
+		ck.zipAll(enc, k)
+	})
+	if ck.subLens == nil {
+		t.Fatalf("corpus did not compress: %d -> %d bytes", len(raw), len(ck.cbuf))
+	}
+	if fresh > 1 {
+		t.Errorf("zipAll on a fresh chunk: %v allocs, want at most 1", fresh)
+	}
+	recycled := testing.AllocsPerRun(3, func() {
+		ck.cbuf, ck.zipLens, ck.subLens = ck.cbuf[:0], ck.zipLens[:0], nil
+		ck.zipAll(enc, k)
+	})
+	if recycled != 0 {
+		t.Errorf("zipAll on a recycled chunk: %v allocs, want 0", recycled)
+	}
+}

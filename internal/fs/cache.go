@@ -49,8 +49,8 @@ func (v *Vol) loadExtents(c *Ctx, in *Inode) []Extent {
 	blk := in.ExtHead
 	for blk != 0 {
 		c.Compute(extLookupCost)
-		h, blkEnts := v.readExtBlock(c, blk)
-		ents = append(ents, blkEnts...)
+		var h extHdr
+		h, ents = v.readExtBlock(c, blk, ents)
 		blk = h.Next
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i].FileBlk < ents[j].FileBlk })

@@ -26,35 +26,43 @@ type extHdr struct {
 	Count uint16
 }
 
-func (v *Vol) readExtBlock(c *Ctx, blk uint64) (extHdr, []Extent) {
-	buf := make([]byte, BlockSize)
-	c.Read(v.blockOff(blk), buf)
+// readExtBlock reads extent block blk and appends its entries to ents,
+// which the caller owns: the block is read into a stack buffer, so a read
+// allocates nothing once ents has the room.
+//
+//linefs:hotpath
+func (v *Vol) readExtBlock(c *Ctx, blk uint64, ents []Extent) (extHdr, []Extent) {
+	var buf [BlockSize]byte
+	c.Read(v.blockOff(blk), buf[:])
 	var h extHdr
 	h.Next = binary.LittleEndian.Uint64(buf[0:])
 	h.Count = binary.LittleEndian.Uint16(buf[8:])
-	ents := make([]Extent, h.Count)
-	for i := range ents {
+	for i := range int(h.Count) {
 		off := extHdrSize + i*extEntrySize
-		ents[i].FileBlk = binary.LittleEndian.Uint64(buf[off:])
-		ents[i].BlkNo = binary.LittleEndian.Uint64(buf[off+8:])
-		ents[i].Count = binary.LittleEndian.Uint32(buf[off+16:])
+		ents = append(ents, Extent{
+			FileBlk: binary.LittleEndian.Uint64(buf[off:]),
+			BlkNo:   binary.LittleEndian.Uint64(buf[off+8:]),
+			Count:   binary.LittleEndian.Uint32(buf[off+16:]),
+		})
 	}
 	return h, ents
 }
 
+//linefs:hotpath
 func (v *Vol) writeExtHdr(c *Ctx, blk uint64, h extHdr) {
-	buf := make([]byte, extHdrSize)
+	var buf [extHdrSize]byte
 	binary.LittleEndian.PutUint64(buf[0:], h.Next)
 	binary.LittleEndian.PutUint16(buf[8:], h.Count)
-	c.Write(v.blockOff(blk), buf)
+	c.Write(v.blockOff(blk), buf[:])
 }
 
+//linefs:hotpath
 func (v *Vol) writeExtEntry(c *Ctx, blk uint64, idx int, e Extent) {
-	buf := make([]byte, extEntrySize)
+	var buf [extEntrySize]byte
 	binary.LittleEndian.PutUint64(buf[0:], e.FileBlk)
 	binary.LittleEndian.PutUint64(buf[8:], e.BlkNo)
 	binary.LittleEndian.PutUint32(buf[16:], e.Count)
-	c.Write(v.blockOff(blk)+int64(extHdrSize+idx*extEntrySize), buf)
+	c.Write(v.blockOff(blk)+int64(extHdrSize+idx*extEntrySize), buf[:])
 }
 
 // ExtentAppend records that file blocks [e.FileBlk, e.FileBlk+e.Count) live
@@ -73,7 +81,8 @@ func (v *Vol) ExtentAppend(c *Ctx, in *Inode, e Extent) error {
 		v.cacheExtentAppend(in.Ino, e, false)
 		return nil
 	}
-	h, ents := v.readExtBlockTail(c, in)
+	var tail [extPerBlock]Extent
+	h, ents := v.readExtBlock(c, in.ExtTail, tail[:0])
 	if h.Count > 0 {
 		last := ents[h.Count-1]
 		if last.FileBlk+uint64(last.Count) == e.FileBlk &&
@@ -103,12 +112,6 @@ func (v *Vol) ExtentAppend(c *Ctx, in *Inode, e Extent) error {
 	in.ExtTail = blk
 	v.cacheExtentAppend(in.Ino, e, false)
 	return nil
-}
-
-// readExtBlockTail reads the tail extent block (a small cached read cost:
-// the tail is hot in the NIC DRAM cache).
-func (v *Vol) readExtBlockTail(c *Ctx, in *Inode) (extHdr, []Extent) {
-	return v.readExtBlock(c, in.ExtTail)
 }
 
 // ExtentLookup resolves one file block to its data block via the cached,
@@ -186,10 +189,11 @@ func (v *Vol) LookupRange(c *Ctx, in *Inode, fileBlk, count uint64) []MappedRun 
 
 // ExtentCount returns the number of extent entries (test/diagnostic).
 func (v *Vol) ExtentCount(c *Ctx, in *Inode) int {
+	var buf [extPerBlock]Extent
 	n := 0
 	blk := in.ExtHead
 	for blk != 0 {
-		h, ents := v.readExtBlock(c, blk)
+		h, ents := v.readExtBlock(c, blk, buf[:0])
 		n += len(ents)
 		blk = h.Next
 	}

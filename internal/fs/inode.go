@@ -18,8 +18,7 @@ type Inode struct {
 	Mtime   int64
 }
 
-func (in *Inode) encode() []byte {
-	b := make([]byte, InodeSize)
+func (in *Inode) encode(b *[InodeSize]byte) {
 	binary.LittleEndian.PutUint32(b[0:], uint32(in.Ino))
 	b[4] = byte(in.Type)
 	binary.LittleEndian.PutUint16(b[6:], in.Nlink)
@@ -27,10 +26,9 @@ func (in *Inode) encode() []byte {
 	binary.LittleEndian.PutUint64(b[16:], in.ExtHead)
 	binary.LittleEndian.PutUint64(b[24:], in.ExtTail)
 	binary.LittleEndian.PutUint64(b[32:], uint64(in.Mtime))
-	return b
 }
 
-func (in *Inode) decode(b []byte) {
+func (in *Inode) decode(b *[InodeSize]byte) {
 	in.Ino = Ino(binary.LittleEndian.Uint32(b[0:]))
 	in.Type = FileType(b[4])
 	in.Nlink = binary.LittleEndian.Uint16(b[6:])
@@ -44,22 +42,27 @@ func (in *Inode) decode(b []byte) {
 var ErrNoInode = fmt.Errorf("fs: no such inode")
 
 // ReadInode loads an inode from PM.
+//
+//linefs:hotpath
 func (v *Vol) ReadInode(c *Ctx, ino Ino) (Inode, error) {
 	if uint32(ino) >= v.sb.NInodes || ino == 0 {
 		return Inode{}, ErrNoInode
 	}
-	buf := make([]byte, InodeSize)
-	c.Read(v.inodeOff(ino), buf)
+	var buf [InodeSize]byte
+	c.Read(v.inodeOff(ino), buf[:])
 	var in Inode
-	in.decode(buf)
+	in.decode(&buf)
 	if in.Type == TypeFree {
 		return Inode{}, ErrNoInode
 	}
 	return in, nil
 }
 
+//linefs:hotpath
 func (v *Vol) writeInode(c *Ctx, in *Inode) {
-	c.Write(v.inodeOff(in.Ino), in.encode())
+	var buf [InodeSize]byte
+	in.encode(&buf)
+	c.Write(v.inodeOff(in.Ino), buf[:])
 }
 
 // FreeInode releases an inode and its extent chain's blocks.
@@ -82,8 +85,8 @@ func (v *Vol) FreeInode(c *Ctx, ino Ino) error {
 func (v *Vol) chainRuns(c *Ctx, blk uint64) []Extent {
 	v.freed = v.freed[:0]
 	for blk != 0 {
-		hdr, ents := v.readExtBlock(c, blk)
-		v.freed = append(v.freed, ents...)
+		var hdr extHdr
+		hdr, v.freed = v.readExtBlock(c, blk, v.freed)
 		v.freed = append(v.freed, Extent{BlkNo: blk, Count: 1})
 		blk = hdr.Next
 	}

@@ -401,13 +401,14 @@ func (l *LogArea) AdvanceHead(c *Ctx, at uint64, n int) error {
 }
 
 // readScratch reads the raw bytes of [from, to) into scratch, grown as
-// needed. Under the borrow sanitizer the old scratch is poisoned and dropped
-// first, so an entry still borrowing it reads poison.
+// needed: at least doubled, so rounds of slowly growing length reuse it. Under
+// the borrow sanitizer the old scratch is poisoned and dropped first, so an
+// entry still borrowing it reads poison.
 func (l *LogArea) readScratch(c *Ctx, scratch []byte, from, to uint64) []byte {
 	scratch = poisonScratch(scratch)
 	n := int(to - from)
 	if cap(scratch) < n {
-		scratch = make([]byte, n)
+		scratch = make([]byte, n, max(n, 2*cap(scratch)))
 	}
 	raw := scratch[:n]
 	l.ReadRawInto(c, from, raw)

@@ -292,3 +292,39 @@ func TestIsAncestor(t *testing.T) {
 		t.Error("/a/b is not an ancestor of /a")
 	}
 }
+
+// TestMetadataCodecsAllocateNothing holds the extent and inode codecs to
+// the hot-path contract (DESIGN.md §10): an append that extends the tail's
+// last extent, and an inode read-modify-write, decode and encode on the
+// stack. Not parallel: AllocsPerRun reads process-wide counters.
+func TestMetadataCodecsAllocateNothing(t *testing.T) {
+	_, v, c := newTestVol(t)
+	in := Inode{Ino: 5, Type: TypeFile, Nlink: 1}
+	v.writeInode(c, &in)
+	next := uint64(0)
+	extend := func() {
+		if err := v.ExtentAppend(c, &in, Extent{FileBlk: next, BlkNo: 100 + next, Count: 1}); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	extend()
+	v.ExtentLookup(c, &in, 0) // the cache is loaded, as on the write path
+	if n := testing.AllocsPerRun(100, extend); n != 0 {
+		t.Errorf("ExtentAppend extending the tail: %v allocs/op, want 0", n)
+	}
+	if n := v.ExtentCount(c, &in); n != 1 {
+		t.Fatalf("extent count = %d, want 1 (every append merged)", n)
+	}
+	roundTrip := func() {
+		got, err := v.ReadInode(c, in.Ino)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Size++
+		v.writeInode(c, &got)
+	}
+	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
+		t.Errorf("ReadInode/writeInode: %v allocs/op, want 0", n)
+	}
+}
