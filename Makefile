@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build bench-module lint lint-fix-list loc prodcover test-short test race fuzz-smoke explore selfcheck test-full bench kernelbench databench databench-smoke repbench repbench-smoke chaos clean
+.PHONY: ci vet build bench-module lint lint-fix-list loc prodcover test-short test race borrowsan fuzz-smoke explore selfcheck test-full bench kernelbench databench databench-smoke repbench repbench-smoke chaos clean
 
-ci: vet build bench-module lint test race fuzz-smoke selfcheck databench-smoke repbench-smoke chaos
+ci: vet build bench-module lint test race borrowsan fuzz-smoke selfcheck databench-smoke repbench-smoke chaos
 
 vet:
 	$(GO) vet ./...
@@ -95,6 +95,12 @@ test-short:
 # are -short-gated.
 race:
 	$(GO) test -race -short ./...
+
+# The borrow sanitizer (DESIGN.md §10) over the packages that hand scratch
+# buffers back for reuse: a spent scratch is poisoned and replaced, so an
+# entry or frame still borrowing it reads poison and fails. About a minute.
+borrowsan:
+	$(GO) test -tags linefs_borrowsan ./internal/compress ./internal/fs ./internal/core ./internal/assise
 
 # Ten seconds of native fuzzing on each wire decoder that has a target: the
 # replication frame (sub-block table, payload, declared length), the LZW

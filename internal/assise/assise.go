@@ -22,7 +22,6 @@ import (
 
 	"linefs/internal/cluster"
 	"linefs/internal/dfs"
-	"linefs/internal/rdma"
 	"linefs/internal/sim"
 )
 
@@ -94,13 +93,7 @@ func NewCluster(env *sim.Env, cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := &Cluster{Testbed: tb, Cfg: cfg, clients: make([]*Attachment, cfg.MaxClients)}
-	for _, m := range cl.Machines {
-		// Remote log slots are written with one-sided RDMA into host PM
-		// (Assise's replication path and Hyperloop's NIC-driven writes).
-		m.Port.RegisterRegion("pm", &rdma.PMRegion{PM: m.PM, Base: 0})
-	}
-	return cl, nil
+	return &Cluster{Testbed: tb, Cfg: cfg, clients: make([]*Attachment, cfg.MaxClients)}, nil
 }
 
 // Start launches the per-node SharedFS daemons.

@@ -190,8 +190,8 @@ func TestHyperloopReplicaContent(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Sleep(3 * time.Second)
-		// One-sided writes + hl-note must have produced identical replica
-		// public state.
+		// The NIC-driven chain placed the frames and the replicas' hosts
+		// digested them: every replica's public area holds the payload.
 		for _, mi := range []int{1, 2} {
 			ctx := fs.NoCostCtx(cl.Machines[mi].PM)
 			ino, err := cl.Vols[mi].Resolve(ctx, "/hl")
@@ -284,30 +284,36 @@ func TestTwoClientsSeparateFiles(t *testing.T) {
 // TestMirrorRingBoundsIngest is ROADMAP item 10: on busy replicas, a write
 // stream with no fsync runs many times around a small mirror ring. A
 // replica's ring takes no frame that would overwrite what it has not
-// digested, so every replica's public area ends equal to the primary's.
+// digested, so every replica's public area ends equal to the primary's —
+// under BgRepl's host-driven chain and Hyperloop's NIC-driven one alike.
 func TestMirrorRingBoundsIngest(t *testing.T) {
 	t.Parallel()
-	cfg := testConfig(BgRepl)
-	cfg.LogSize = 1 << 20
-	cfg.ChunkSize = 128 << 10
-	cfg.DFSPrio = 1 // the busy-replica setting: the daemon above the co-tenant
-	env, cl := newTestCluster(t, cfg)
-	for _, m := range cl.Machines[1:] {
-		for range m.HostCPU.NumCores() {
-			env.Go(m.Name+"/hog", func(p *sim.Proc) {
-				for {
-					m.HostCPU.Compute(p, 10*time.Millisecond, 0, "app")
+	for _, mode := range []Mode{BgRepl, Hyperloop} {
+		t.Run(mode.String(), func(t *testing.T) {
+			t.Parallel()
+			cfg := testConfig(mode)
+			cfg.LogSize = 1 << 20
+			cfg.ChunkSize = 128 << 10
+			cfg.DFSPrio = 1 // the busy-replica setting: the daemon above the co-tenant
+			env, cl := newTestCluster(t, cfg)
+			for _, m := range cl.Machines[1:] {
+				for range m.HostCPU.NumCores() {
+					env.Go(m.Name+"/hog", func(p *sim.Proc) {
+						for {
+							m.HostCPU.Compute(p, 10*time.Millisecond, 0, "app")
+						}
+					})
 				}
+			}
+			const total = 8 << 20
+			run(t, env, 10*time.Second, func(p *sim.Proc) {
+				l, _ := cl.Attach(p, 0)
+				writeStream(t, p, l, "/f", total, total)
+				p.Sleep(time.Second)
+				sameVolumes(t, cl, "/f", total)
 			})
-		}
+		})
 	}
-	const total = 8 << 20
-	run(t, env, 10*time.Second, func(p *sim.Proc) {
-		l, _ := cl.Attach(p, 0)
-		writeStream(t, p, l, "/f", total, total)
-		p.Sleep(time.Second)
-		sameVolumes(t, cl, "/f", total)
-	})
 }
 
 // writeStream writes total bytes of a position-dependent pattern to path in

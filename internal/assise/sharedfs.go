@@ -58,9 +58,9 @@ type slotState struct {
 	// digestKick wakes the digest; repKick fires as replicated advances.
 	digestKick, repKick *sim.Event
 
-	// snd is the slot's chain window (Pessimistic, BgRepl): each range is
-	// queued under its end offset, goes on the wire in log order, and is
-	// replicated once every replica acks it.
+	// snd is the slot's chain window: each range is queued under its end
+	// offset, goes on the wire in log order, and is replicated once every
+	// replica acks it.
 	snd *core.ChainSender[uint64]
 
 	// rawBuf is the digest read scratch, reused across rounds (decoded
@@ -122,7 +122,8 @@ func (s *SharedFS) Start() {
 	name := s.cl.Machines[s.machine].Name
 	// Replication ingest: one SharedFS service thread persists incoming
 	// chunks with CPU stores — single-thread PM store bandwidth is the
-	// physical ceiling that keeps host-based replication off line rate.
+	// physical ceiling that keeps host-based replication off line rate
+	// (under Hyperloop the NIC places them and no host core is charged).
 	env.Go(name+"/sharedfs-repl", s.runRepl)
 	// Background replication pool (BgRepl mode).
 	for i := 0; i < bgThreads; i++ {
@@ -242,22 +243,23 @@ func (s *SharedFS) maybeReclaim(p *sim.Proc, ss *slotState) {
 }
 
 // replicateRange chain-replicates [from, to) of a slot's log, blocking the
-// calling process until every replica has persisted it.
+// calling process until every replica has persisted it. The window sends
+// each run as one frame to the first replica, and every replica acks to
+// runRepl. Under Hyperloop the replicas' NICs run the chain, but each range
+// first takes a pre-posted WQE credit and posts the chained verbs.
 func (s *SharedFS) replicateRange(p *sim.Proc, ss *slotState, from, to uint64) error {
 	chain := s.cl.Chain(s.machine)
-	if s.cl.Cfg.Mode != Hyperloop || len(chain) == 1 {
-		// Host-driven chain: the window sends each run as one frame to the
-		// first replica, and every replica acks to runRepl.
-		ss.snd.Queue(to, from, to, int(to-from), int(to-from), true)
-		for a := ss.snd.Pump(); a.Op != core.OpIdle; a = ss.snd.Pump() {
-			if a.Op == core.OpRelease {
-				s.advanceRep(ss, a.H)
-			} else if err := s.transmit(p, ss, chain[1]); err != nil {
-				return err
-			}
+	if s.cl.Cfg.Mode == Hyperloop && len(chain) > 1 {
+		s.hlConsume(p)
+		s.hostCompute(p, 2*time.Microsecond, "dfs") // posting the chained verbs is cheap
+	}
+	ss.snd.Queue(to, from, to, int(to-from), int(to-from), true)
+	for a := ss.snd.Pump(); a.Op != core.OpIdle; a = ss.snd.Pump() {
+		if a.Op == core.OpRelease {
+			s.advanceRep(ss, a.H)
+		} else if err := s.transmit(p, ss, chain[1]); err != nil {
+			return err
 		}
-	} else if err := s.replicateHyperloop(p, ss, chain[1:], from, to); err != nil {
-		return err
 	}
 	waitRep(p, ss, to)
 	s.maybeReclaim(p, ss)
@@ -317,8 +319,7 @@ func waitRep(p *sim.Proc, ss *slotState, off uint64) {
 }
 
 // replMsg is a chain frame: a slot's log bytes [From, To), sent when the
-// window had released everything below Settled. A Hyperloop note carries
-// the range alone.
+// window had released everything below Settled.
 type replMsg struct {
 	Slot              int
 	From, To, Settled uint64
@@ -332,9 +333,9 @@ type replAck struct {
 	To        uint64
 }
 
-// runRepl serves the daemon's replication traffic on host cores, subject
-// to dispatch jitter under co-running load: chain frames and Hyperloop
-// notes as a replica, acks as a primary.
+// runRepl serves the daemon's replication traffic, subject to dispatch
+// jitter under co-running load: chain frames as a replica, acks as a
+// primary.
 func (s *SharedFS) runRepl(p *sim.Proc) {
 	for {
 		msg, ok := s.replQ.Get(p)
@@ -351,36 +352,24 @@ func (s *SharedFS) runRepl(p *sim.Proc) {
 			for _, a := range rel {
 				s.advanceRep(ss, a.H)
 			}
-		case "hl-note":
-			req := msg.Arg.(*replMsg)
-			// Hyperloop already placed the bytes with one-sided writes;
-			// the host only advances mirror state and digests.
-			s.hostCompute(p, 2*time.Microsecond, "dfs")
-			ms := s.mirror(req.Slot)
-			if req.From == ms.log.Head() {
-				ctx := s.cl.HostCtx(p, s.machine, "dfs")
-				if err := ms.log.AdvanceHead(ctx, req.From, int(req.To-req.From)); err != nil {
-					// Unreachable: From == Head() was just checked, and the
-					// kernel is single-threaded between the check and here.
-					panic(fmt.Sprintf("assise: hyperloop advance: %v", err))
-				}
-				s.kick(&ms.digestKick)
-			}
-			if msg.NeedsReply() {
-				msg.Respond(p, true, 8)
-			}
 		}
 	}
 }
 
-// handleRepl executes the mirror's chain decisions for frame f on host
-// cores: a dispatch, then for each frame at the mirror head CPU stores into
-// the mirror, the relay downstream (mid-chain) and the ack to the primary.
+// handleRepl executes the mirror's chain decisions for frame f: a
+// dispatch, then for each frame at the mirror head a persist into the
+// mirror, the relay downstream (mid-chain) and the ack to the primary. The
+// mode decides only who pays for the dispatch and the persist: a host core,
+// with CPU stores, in a host-driven chain; under Hyperloop the NIC places
+// the frame into PM and no host core is charged.
 func (s *SharedFS) handleRepl(p *sim.Proc, f *replMsg) {
 	spec := s.cl.Cfg.Spec
-	s.hostCompute(p, spec.HostRPCCost, "dfs")
-	ms := s.mirror(f.Slot)
 	ctx := s.cl.HostCtx(p, s.machine, "dfs")
+	if s.cl.Cfg.Mode == Hyperloop {
+		ctx = &fs.Ctx{P: p, PM: s.cl.Machines[s.machine].PM}
+	}
+	ctx.Compute(spec.HostRPCCost)
+	ms := s.mirror(f.Slot)
 	for _, a := range ms.rcv.Arrive(f, f.From, f.To, f.Settled) {
 		switch a.Op {
 		case core.OpAdopt: // released without this mirror: digest what it holds, then start at From
@@ -397,8 +386,9 @@ func (s *SharedFS) handleRepl(p *sim.Proc, f *replMsg) {
 	for sp, ok := ms.rcv.Next(); ok; sp, ok = ms.rcv.Next() {
 		data := sp.H.Payload[sp.From-sp.H.From:]
 		s.makeRoom(p, ms, len(data))
-		// CPU stores into PM: the single-thread Optane store ceiling.
-		s.hostCompute(p, time.Duration(float64(len(data))/spec.PMStoreBW*float64(time.Second)), "dfs")
+		// A host's CPU stores into PM run at the single-thread Optane store
+		// ceiling; a Hyperloop NIC's placement charges no core.
+		ctx.Compute(time.Duration(float64(len(data)) / spec.PMStoreBW * float64(time.Second)))
 		if err := ms.log.MirrorRaw(ctx, sp.From, data); err != nil {
 			// Unreachable: the receiver hands out frames at the head only.
 			panic(fmt.Sprintf("assise: mirror: %v", err))
@@ -418,7 +408,8 @@ func (s *SharedFS) handleRepl(p *sim.Proc, f *replMsg) {
 
 // makeRoom holds a frame of n bytes until the ring can take it without
 // overwriting what is not digested: it kicks the digest and waits for the
-// reclaim. The ack it withholds holds the primary's window back.
+// reclaim. The ack it withholds holds the primary's window back: under
+// Hyperloop it stands for the receive WQEs the replica's host must re-post.
 func (s *SharedFS) makeRoom(p *sim.Proc, ms *mirrorState, n int) {
 	for ms.log.Free() < int64(n) {
 		ev := ms.reclaimed
@@ -482,11 +473,6 @@ func (s *SharedFS) runMirrorDigest(p *sim.Proc, ms *mirrorState) {
 		to := ms.log.Head()
 		ctx := s.cl.HostCtx(p, s.machine, "dfs")
 		if !s.digest(ctx, ms.log, &ms.rawBuf, ms.digested, to) {
-			if s.cl.Cfg.Mode == Hyperloop {
-				// One-sided writes do not wait for the ring and can overrun
-				// it, which ends this slot's digestion (ROADMAP item 26).
-				return
-			}
 			// Unreachable: no frame overwrites what is not digested
 			// (makeRoom), so the mirror holds the primary's log as sent.
 			panic(fmt.Sprintf("assise: %s: mirror digest of slot %d [%d, %d) failed",
@@ -498,44 +484,10 @@ func (s *SharedFS) runMirrorDigest(p *sim.Proc, ms *mirrorState) {
 	}
 }
 
-// replicateHyperloop performs the chain with NIC-driven one-sided writes:
-// no remote host CPU touches the data path, but each hop consumes a
-// pre-posted WQE credit at this node; when credits run out the *host* must
-// re-post the chain — the periodic participation that produces Hyperloop's
-// 99.9th-percentile spikes (Table 3).
-func (s *SharedFS) replicateHyperloop(p *sim.Proc, ss *slotState, replicas []int, from, to uint64) error {
-	raw := ss.takeFrame(int(to - from))
-	defer func() { ss.frames = append(ss.frames, raw) }()
-	ss.log.ReadRawInto(s.cl.HostCtx(p, s.machine, "dfs"), from, raw)
-	s.hlConsume(p)
-	// Posting the chained WRITE/WAIT verbs is cheap.
-	s.hostCompute(p, 2*time.Microsecond, "dfs")
-	view := fs.NewLogView(s.cl.LogBase(ss.slot), s.cl.Cfg.LogSize)
-	for _, mi := range replicas {
-		conn := s.peers[mi]
-		for off := 0; off < len(raw); {
-			seg := view.SegmentAt(from+uint64(off), len(raw)-off)
-			if err := conn.RDMAWrite(p, "pm", seg.PhysOff, raw[off:off+seg.Len]); err != nil {
-				return err
-			}
-			off += seg.Len
-		}
-		// Completion propagation through the chained WQEs.
-		p.Sleep(2 * time.Microsecond)
-	}
-	// Notify replica hosts so mirrors advance and digestion proceeds
-	// (Assise+Hyperloop still needs periodic host participation for
-	// publication, §5.2.1).
-	note := &replMsg{Slot: ss.slot, From: from, To: to}
-	for _, mi := range replicas {
-		_ = s.peers[mi].Send(p, "hl-note", note, 32)
-	}
-	s.advanceRep(ss, to)
-	return nil
-}
-
-// hlConsume takes one WQE credit, re-posting (a host-CPU operation that
-// can be delayed arbitrarily under contention) when the window empties.
+// hlConsume takes one of the pre-posted WQE credits Hyperloop's NIC-driven
+// chain consumes, re-posting (a host-CPU operation that can be delayed
+// arbitrarily under contention) when the window empties: the periodic host
+// participation behind Hyperloop's 99.9th-percentile spikes (Table 3).
 func (s *SharedFS) hlConsume(p *sim.Proc) {
 	for s.hlCredits <= 0 {
 		if s.hlRefillCh == nil {

@@ -187,6 +187,11 @@ func decodeBatchChunk(dec *compress.Decoder, dst []byte, bc *batchChunk) error {
 		if len(out) != hi-lo {
 			return errBatchFrame
 		}
+		if hi > lo && &out[0] != &dst[lo] {
+			// The borrow sanitizer poisoned the empty dst and decoded into a
+			// fresh buffer; the default build decodes in place.
+			copy(dst[lo:hi], out)
+		}
 		at += int(l)
 	}
 	return nil

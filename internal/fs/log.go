@@ -258,7 +258,7 @@ func NewLogArea(pm *hw.PM, base, size int64) *LogArea {
 	if size <= 2*BlockSize {
 		panic("fs: log area too small")
 	}
-	l := &LogArea{LogView: NewLogView(base, size)}
+	l := &LogArea{LogView: newLogView(base, size)}
 	l.writeHeader(NoCostCtx(pm))
 	return l
 }
@@ -266,7 +266,7 @@ func NewLogArea(pm *hw.PM, base, size int64) *LogArea {
 // OpenLogArea mounts an existing log ring (e.g. after a crash), trusting
 // the persisted header, which is updated only after entry bytes persist.
 func OpenLogArea(ctx *Ctx, base, size int64) (*LogArea, error) {
-	l := &LogArea{LogView: NewLogView(base, size)}
+	l := &LogArea{LogView: newLogView(base, size)}
 	buf := make([]byte, logHdrSize)
 	ctx.Read(base, buf)
 	if binary.LittleEndian.Uint32(buf[0:]) != logMagic {
@@ -365,14 +365,13 @@ type RingSeg struct {
 
 // LogView is the geometry of a log ring at [base, base+size) of a machine's
 // PM: a header block, then cap bytes of entries addressed by logical offset
-// modulo cap. A LogArea holds the view of its own ring; a chain hop builds
-// one of the next replica's ring to aim a one-sided write at it.
+// modulo cap. A LogArea holds the view of its own ring.
 type LogView struct {
 	base, cap int64
 }
 
-// NewLogView describes a log ring at [base, base+size).
-func NewLogView(base, size int64) LogView {
+// newLogView describes a log ring at [base, base+size).
+func newLogView(base, size int64) LogView {
 	return LogView{base: base, cap: size - BlockSize}
 }
 
@@ -380,17 +379,16 @@ func NewLogView(base, size int64) LogView {
 // begins with the physical piece it returns, which stops at the ring end at
 // the latest; the rest of the range, if any, is found by asking again at
 // at+Len. Every ring read and write, and every copy engine addressing the
-// ring's PM directly (mirror persist, Hyperloop's one-sided writes), walks a
-// range this way — two pieces at most for a range that fits the ring — and
-// the piece comes back by value, so none allocates.
+// ring's PM directly (a mirror's persist), walks a range this way — two
+// pieces at most for a range that fits the ring — and the piece comes back
+// by value, so none allocates.
 func (v LogView) SegmentAt(at uint64, n int) RingSeg {
 	start := int64(at % uint64(v.cap))
 	return RingSeg{PhysOff: v.base + BlockSize + start, Len: min(n, int(v.cap-start))}
 }
 
 // AdvanceHead moves the head to cover externally-placed bytes (the data
-// was written by a DMA engine or a one-sided RDMA from the previous chain
-// hop) and persists the header.
+// was written by a DMA engine) and persists the header.
 func (l *LogArea) AdvanceHead(c *Ctx, at uint64, n int) error {
 	if at != l.head {
 		return fmt.Errorf("fs: advance gap: at=%d head=%d", at, l.head)

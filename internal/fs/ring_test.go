@@ -14,7 +14,7 @@ import (
 // (at+i) mod cap. A range that fits the ring is at most two pieces.
 func checkSplit(t *testing.T, base, ringCap int64, at uint64, n int) {
 	t.Helper()
-	v := NewLogView(base, BlockSize+ringCap)
+	v := newLogView(base, BlockSize+ringCap)
 	pieces := 0
 	for i := 0; i < n; pieces++ {
 		seg := v.SegmentAt(at+uint64(i), n-i)

@@ -9,16 +9,16 @@ import (
 )
 
 // FaultPlane is the deterministic fault-injection layer of a fabric: per
-// directed link it can drop, duplicate, delay, or corrupt two-sided frames
-// and fail or corrupt one-sided writes, and per unordered pair it can cut a
-// bidirectional partition. Every random draw comes from the simulation
-// environment's seeded RNG, and draws happen only for links a rule or
-// partition actually covers — so a fabric with a fault plane but no active
-// rules executes the exact event sequence of a fabric without one, and a
-// given seed replays the same fault schedule bit-identically.
+// directed link it can drop, duplicate, delay, or corrupt frames, and per
+// unordered pair it can cut a bidirectional partition. Every random draw
+// comes from the simulation environment's seeded RNG, and draws happen only
+// for links a rule or partition actually covers — so a fabric with a fault
+// plane but no active rules executes the exact event sequence of a fabric
+// without one, and a given seed replays the same fault schedule
+// bit-identically.
 //
-// The plane sits at post (Send/Call/CallTimeout) and RDMAWrite: a
-// nil Fabric.Faults (the default) adds zero work to every path.
+// The plane sits at post (Send/Call/CallTimeout), the fabric's one
+// dispatch point: a nil Fabric.Faults (the default) adds zero work to it.
 type FaultPlane struct {
 	env *sim.Env
 	// Stats receives injection counters; shared with the cluster's
@@ -97,8 +97,8 @@ func (fp *FaultPlane) ClearRules() {
 	fp.rules = make(map[linkKey]FaultRule)
 }
 
-// Partition cuts the bidirectional link between a and b: every frame and
-// one-sided write between them fails until Heal.
+// Partition cuts the bidirectional link between a and b: every frame
+// between them is lost until Heal.
 func (fp *FaultPlane) Partition(a, b string) {
 	fp.parts[pairKey(a, b)] = true
 }
@@ -210,36 +210,4 @@ func dupMsg(m *Msg) *Msg {
 	d := *m
 	d.reply = nil
 	return &d
-}
-
-// injectOneSided applies the fault mix to a one-sided write. A drop or
-// partition surfaces as ErrUnreachable — the reliable-connection transport
-// retries lost packets itself, so a persistent loss is a completion error,
-// not silence. Delay stalls the issuing process; corruption is left to the
-// caller, which owns a scratch copy of the payload. Returns corrupt=true
-// when the caller must flip payload bytes.
-func (fp *FaultPlane) injectOneSided(p *sim.Proc, c *Conn) (err error, corrupt bool) {
-	f := fp.frameVerdict(c.Local.Name, c.Remote.Name)
-	if f.drop {
-		fp.Stats.OneSidedFaults++
-		return ErrUnreachable, false
-	}
-	if f.delay > 0 {
-		fp.Stats.FramesDelayed++
-		p.Sleep(f.delay)
-	}
-	if f.corrupt {
-		fp.Stats.OneSidedFaults++
-	}
-	return nil, f.corrupt
-}
-
-// CorruptBytes flips one random byte of buf in place (for one-sided writes,
-// where the caller owns a scratch copy of the payload).
-func (fp *FaultPlane) CorruptBytes(buf []byte) {
-	if len(buf) == 0 {
-		return
-	}
-	i := fp.env.Rand().Intn(len(buf))
-	buf[i] ^= 0xA5
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"linefs/internal/hw"
 	"linefs/internal/sim"
 	"linefs/internal/stats"
 )
@@ -204,15 +203,12 @@ func TestFaultCorruptionLandsOnCopy(t *testing.T) {
 	}
 }
 
-// TestPartitionCutsBothPathsAndHeals checks that a partition eats two-sided
-// frames and fails one-sided verbs in both directions, and that Heal
-// restores delivery and counts once.
+// TestPartitionCutsBothPathsAndHeals checks that a partition eats frames in
+// both directions, and that Heal restores delivery and counts once.
 func TestPartitionCutsBothPathsAndHeals(t *testing.T) {
 	t.Parallel()
 	e, f, fp, rs, q := testLink(4)
 	a, b := f.Lookup("a"), f.Lookup("b")
-	pm := hw.NewPM(e, "pm", hw.PMConfig{Size: 1 << 20, Bandwidth: 1e12})
-	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0})
 	var got []*Msg
 	e.Go("server", func(p *sim.Proc) {
 		for {
@@ -232,16 +228,10 @@ func TestPartitionCutsBothPathsAndHeals(t *testing.T) {
 		if err := c.Send(p, "cut", nil, 8); err != nil {
 			t.Errorf("partitioned send surfaced error %v; must be silent loss", err)
 		}
-		if err := c.RDMAWrite(p, "r", 0, make([]byte, 64)); err != ErrUnreachable {
-			t.Errorf("partitioned RDMAWrite: %v, want ErrUnreachable", err)
-		}
 		fp.Heal("a", "b")
 		fp.Heal("a", "b") // second heal of a healthy link must not count
 		if err := c.Send(p, "healed", nil, 8); err != nil {
 			t.Errorf("post-heal send: %v", err)
-		}
-		if err := c.RDMAWrite(p, "r", 0, make([]byte, 64)); err != nil {
-			t.Errorf("post-heal RDMAWrite: %v", err)
 		}
 		p.Sleep(time.Millisecond)
 		q.Close()
@@ -281,7 +271,7 @@ func TestIdlePlaneDrawsNoRandomness(t *testing.T) {
 				if !ok {
 					return
 				}
-				if m.NeedsReply() {
+				if m.reply != nil {
 					m.Respond(p, "ok", 8)
 				}
 			}

@@ -1,6 +1,5 @@
 // Package rdma models an RDMA-over-converged-Ethernet fabric: NIC ports
-// with finite bandwidth, verbs-style one-sided WRITE into registered PM
-// regions, and two-sided send/receive RPC onto service queues.
+// with finite bandwidth and two-sided send/receive RPC onto service queues.
 //
 // All transfer time is charged to the calling simulation process — exactly
 // the thread that posts and waits for the verb in the real system. Each
@@ -54,7 +53,6 @@ type NIC struct {
 	RX stats.Counter
 
 	services map[string]func(*Conn) *sim.Queue[*Msg]
-	regions  map[string]*PMRegion
 }
 
 // msgOverhead is charged per message on the wire (headers, CRC).
@@ -70,7 +68,6 @@ func (f *Fabric) NewNIC(name string, bytesPerSec float64) *NIC {
 		Name:     name,
 		TX:       hw.NewLink(f.Env, name+"/tx", 0, bytesPerSec),
 		services: make(map[string]func(*Conn) *sim.Queue[*Msg]),
-		regions:  make(map[string]*PMRegion),
 	}
 	f.ports[name] = n
 	return n
@@ -99,11 +96,6 @@ func (n *NIC) RegisterPerConn(service string, queueOf func(*Conn) *sim.Queue[*Ms
 // Unregister removes a service (e.g. when its node crashes).
 func (n *NIC) Unregister(service string) {
 	delete(n.services, service)
-}
-
-// RegisterRegion exposes a PM region for one-sided writes.
-func (n *NIC) RegisterRegion(name string, r *PMRegion) {
-	n.regions[name] = r
 }
 
 // Msg is a two-sided message delivered to a service queue.
@@ -279,48 +271,5 @@ func (m *Msg) respond(p *sim.Proc, rep Reply, size int) {
 	m.reply.Trigger(rep)
 }
 
-// NeedsReply reports whether the sender is waiting on a response.
-func (m *Msg) NeedsReply() bool { return m.reply != nil }
-
 // Abandoned reports whether the sender timed out on this call and moved on.
 func (m *Msg) Abandoned() bool { return m.abandoned }
-
-// RDMAWrite places src into the named remote region at off using a
-// one-sided WRITE: no remote CPU involvement.
-func (c *Conn) RDMAWrite(p *sim.Proc, region string, off int64, src []byte) error {
-	r, ok := c.Remote.regions[region]
-	if !ok {
-		return ErrUnreachable
-	}
-	if fp := c.Local.Fab.Faults; fp != nil {
-		err, corrupt := fp.injectOneSided(p, c)
-		if err != nil {
-			return err
-		}
-		if corrupt {
-			// The source buffer belongs to the sender (it may be a pooled
-			// chunk still referenced elsewhere), so corruption lands on a
-			// scratch copy, never the original.
-			bad := make([]byte, len(src))
-			copy(bad, src)
-			fp.CorruptBytes(bad)
-			src = bad
-		}
-	}
-	c.sendCost(p, len(src))
-	r.WriteAt(p, off, src)
-	return nil
-}
-
-// PMRegion exposes a PM device from Base on. Writing into it charges the
-// PM's cost, and the write is durable at once (RDMA into PM with DDIO
-// disabled / flush-on-write), which chain replication relies on.
-type PMRegion struct {
-	PM   *hw.PM
-	Base int64
-}
-
-// WriteAt places src at off.
-func (r *PMRegion) WriteAt(p *sim.Proc, off int64, src []byte) {
-	r.PM.WritePersist(p, r.Base+off, src)
-}

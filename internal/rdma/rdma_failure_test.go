@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"linefs/internal/hw"
 	"linefs/internal/sim"
 )
 
@@ -79,25 +78,23 @@ func TestLowLatPriorityBeatsBulkQueueing(t *testing.T) {
 	f := NewFabric(e, 0)
 	a := f.NewNIC("a", 1e9) // 1 GB/s: 4 MB takes 4 ms
 	b := f.NewNIC("b", 1e9)
-	pm := hw.NewPM(e, "pm", hw.PMConfig{Size: 32 << 20, Bandwidth: 1e12})
-	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0})
-	bulk := Dial(a, b, "", false)
-	low := Dial(a, b, "", true)
+	sink(e, b)
+	bulk := Dial(a, b, "sink", false)
+	low := Dial(a, b, "sink", true)
 	var lowDone sim.Time
 	for i := 0; i < 4; i++ {
 		e.Go("bulk", func(p *sim.Proc) {
-			bulk.RDMAWrite(p, "r", 0, make([]byte, 4<<20))
+			bulk.Send(p, "bulk", nil, 4<<20)
 		})
 	}
 	const arrive = 100 * time.Microsecond // bulk queued, a 256 KiB segment in service
 	e.Go("low", func(p *sim.Proc) {
 		p.Sleep(arrive)
-		low.RDMAWrite(p, "r", 1<<20, make([]byte, 256))
+		low.Send(p, "low", nil, 256)
 		lowDone = p.Now()
 	})
 	e.Run()
-	// The PM at 1 TB/s adds no whole nanosecond to 256 bytes.
 	if want := sim.Time(arrive + a.TX.SerializeTime(256+msgOverhead)); lowDone != want {
-		t.Fatalf("low-latency write finished at %v, want %v: its arrival plus its own serialization", lowDone, want)
+		t.Fatalf("low-latency send finished at %v, want %v: its arrival plus its own serialization", lowDone, want)
 	}
 }

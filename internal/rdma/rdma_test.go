@@ -116,7 +116,7 @@ func TestSendDeliversWithoutReply(t *testing.T) {
 	e.Go("server", func(p *sim.Proc) {
 		m, _ := q.Get(p)
 		got = m.Op
-		if m.NeedsReply() {
+		if m.reply != nil {
 			t.Error("one-way send should not need a reply")
 		}
 	})
@@ -132,25 +132,33 @@ func TestSendDeliversWithoutReply(t *testing.T) {
 	}
 }
 
+// sink registers a service on n whose queue nobody drains: a Send to it
+// pays the wire and is delivered, which is all a load needs.
+func sink(e *sim.Env, n *NIC) *sim.Queue[*Msg] {
+	q := sim.NewQueue[*Msg](e, 0)
+	n.Register("sink", q)
+	return q
+}
+
+// TestRDMAWriteReadPMRegion sends a payload to a handler that persists it
+// into PM: the bytes arrive exact, and once persisted they survive a crash.
 func TestRDMAWriteReadPMRegion(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
 	_, a, b := testFabric(e)
 	pm := hw.NewPM(e, "pm", hw.DefaultPMConfig(1<<20))
-	b.RegisterRegion("log", &PMRegion{PM: pm, Base: 4096})
+	q := sink(e, b)
+	e.Go("server", func(p *sim.Proc) {
+		m, _ := q.Get(p)
+		pm.WritePersist(p, 4096+100, m.Arg.([]byte))
+	})
 	e.Go("client", func(p *sim.Proc) {
-		c := Dial(a, b, "", false)
-		if err := c.RDMAWrite(p, "log", 100, []byte("chunkdata")); err != nil {
-			t.Fatal(err)
-		}
-		dst := make([]byte, 9)
-		pm.Read(p, 4096+100, dst)
-		if string(dst) != "chunkdata" {
-			t.Errorf("read back %q", dst)
+		src := []byte("chunkdata")
+		if err := Dial(a, b, "sink", false).Send(p, "put", src, len(src)); err != nil {
+			t.Error(err)
 		}
 	})
 	e.Run()
-	// A one-sided write is durable: it survives a crash.
 	pm.Crash()
 	buf := make([]byte, 9)
 	pm.ReadNoCost(4096+100, buf)
@@ -159,22 +167,24 @@ func TestRDMAWriteReadPMRegion(t *testing.T) {
 	}
 }
 
+// TestRDMAWriteChargesWireTime: a 1 MB Send on a 1 GB/s egress costs its
+// serialization, headers included, plus the switch: about 1 ms.
 func TestRDMAWriteChargesWireTime(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
-	_, a, b := testFabric(e) // 1 GB/s
-	pm := hw.NewPM(e, "pm", hw.PMConfig{Size: 1 << 20, Bandwidth: 100e9})
-	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0})
+	f, a, b := testFabric(e) // 1 GB/s
+	sink(e, b)
 	var took sim.Time
 	e.Go("client", func(p *sim.Proc) {
-		c := Dial(a, b, "", false)
-		c.RDMAWrite(p, "r", 0, make([]byte, 1_000_000))
+		if err := Dial(a, b, "sink", false).Send(p, "bulk", nil, 1_000_000); err != nil {
+			t.Error(err)
+		}
 		took = p.Now()
 	})
 	e.Run()
-	// ~1 MB at 1 GB/s ≈ 1 ms; allow for header overhead and switch latency.
-	if took < sim.Time(time.Millisecond) || took > sim.Time(1100*time.Microsecond) {
-		t.Fatalf("1MB write took %v, want ≈1ms", took)
+	want := sim.Time(a.TX.SerializeTime(1_000_000+msgOverhead) + f.SwitchLat)
+	if took != want || took < sim.Time(time.Millisecond) || took > sim.Time(1100*time.Microsecond) {
+		t.Fatalf("1MB send took %v, want %v ≈ 1ms", took, want)
 	}
 }
 
@@ -182,13 +192,11 @@ func TestSharedEgressSaturation(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
 	_, a, b := testFabric(e) // 1 GB/s egress on a
-	pm := hw.NewPM(e, "pm", hw.PMConfig{Size: 8 << 20, Bandwidth: 100e9})
-	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0})
+	sink(e, b)
 	var last sim.Time
 	for i := 0; i < 4; i++ {
 		e.Go("tx", func(p *sim.Proc) {
-			c := Dial(a, b, "", false)
-			c.RDMAWrite(p, "r", 0, make([]byte, 1_000_000))
+			Dial(a, b, "sink", false).Send(p, "bulk", nil, 1_000_000)
 			if p.Now() > last {
 				last = p.Now()
 			}
@@ -197,13 +205,13 @@ func TestSharedEgressSaturation(t *testing.T) {
 	e.Run()
 	// 4 MB through a shared 1 GB/s egress ≈ 4 ms.
 	if last < sim.Time(4*time.Millisecond) || last > sim.Time(4400*time.Microsecond) {
-		t.Fatalf("4 concurrent 1MB writes done at %v, want ≈4ms", last)
+		t.Fatalf("4 concurrent 1MB sends done at %v, want ≈4ms", last)
 	}
 }
 
 // TestQPCachePenalty pins that no NIC connection cache is modeled: an 8-byte
-// RDMA write over one of five open queue pairs costs exactly what it costs
-// with one open.
+// send over one of five open queue pairs costs exactly what it costs with
+// one open.
 func TestQPCachePenalty(t *testing.T) {
 	t.Parallel()
 	took := func(open int) sim.Time {
@@ -211,15 +219,14 @@ func TestQPCachePenalty(t *testing.T) {
 		f := NewFabric(e, time.Microsecond)
 		a := f.NewNIC("a", 1e9)
 		b := f.NewNIC("b", 1e9)
+		sink(e, b)
 		conns := make([]*Conn, open)
 		for i := range conns {
-			conns[i] = Dial(a, b, "", false)
+			conns[i] = Dial(a, b, "sink", false)
 		}
-		pm := hw.NewPM(e, "pm", hw.PMConfig{Size: 1 << 12, Bandwidth: 1e9})
-		b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0})
 		var end sim.Time
 		e.Go("c", func(p *sim.Proc) {
-			conns[0].RDMAWrite(p, "r", 0, make([]byte, 8))
+			conns[0].Send(p, "n", nil, 8)
 			end = p.Now()
 		})
 		e.Run()
@@ -227,7 +234,7 @@ func TestQPCachePenalty(t *testing.T) {
 	}
 	one, five := took(1), took(5)
 	if one == 0 || five != one {
-		t.Fatalf("8-byte write took %v over one of five open queue pairs, %v with one open: want equal and nonzero", five, one)
+		t.Fatalf("8-byte send took %v over one of five open queue pairs, %v with one open: want equal and nonzero", five, one)
 	}
 }
 
@@ -235,11 +242,9 @@ func TestFabricByteAccounting(t *testing.T) {
 	t.Parallel()
 	e := sim.NewEnv(1)
 	f, a, b := testFabric(e)
-	pm := hw.NewPM(e, "pm", hw.PMConfig{Size: 1 << 16, Bandwidth: 1e12})
-	b.RegisterRegion("r", &PMRegion{PM: pm, Base: 0})
+	sink(e, b)
 	e.Go("c", func(p *sim.Proc) {
-		c := Dial(a, b, "", false)
-		c.RDMAWrite(p, "r", 0, make([]byte, 1000))
+		Dial(a, b, "sink", false).Send(p, "n", nil, 1000)
 	})
 	e.Run()
 	if f.Total.Total() < 1000 {

@@ -16,7 +16,6 @@ type Robustness struct {
 	FramesDuplicated int64 // two-sided frames delivered twice
 	FramesCorrupted  int64 // payloads bit-flipped in flight
 	FramesDelayed    int64 // frames deferred past later traffic
-	OneSidedFaults   int64 // one-sided verbs failed or corrupted
 	PartitionsHealed int64 // bidirectional partitions lifted
 
 	// Survival-layer reactions.
@@ -35,7 +34,6 @@ func (r *Robustness) Add(other *Robustness) {
 	r.FramesDuplicated += other.FramesDuplicated
 	r.FramesCorrupted += other.FramesCorrupted
 	r.FramesDelayed += other.FramesDelayed
-	r.OneSidedFaults += other.OneSidedFaults
 	r.PartitionsHealed += other.PartitionsHealed
 	r.RPCRetries += other.RPCRetries
 	r.RPCTimeouts += other.RPCTimeouts
@@ -67,7 +65,6 @@ func (r *Robustness) Summary() string {
 	add("duplicated", r.FramesDuplicated)
 	add("corrupted", r.FramesCorrupted)
 	add("delayed", r.FramesDelayed)
-	add("onesided-faults", r.OneSidedFaults)
 	add("partitions-healed", r.PartitionsHealed)
 	add("rpc-retries", r.RPCRetries)
 	add("rpc-timeouts", r.RPCTimeouts)
