@@ -287,6 +287,9 @@ func TestTwoClientsSeparateFiles(t *testing.T) {
 // digested, so every replica's public area ends equal to the primary's —
 // under BgRepl's host-driven chain and Hyperloop's NIC-driven one alike.
 func TestMirrorRingBoundsIngest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs each ring around many times on hogged cores: about 95 s a case under the race detector")
+	}
 	t.Parallel()
 	for _, mode := range []Mode{BgRepl, Hyperloop} {
 		t.Run(mode.String(), func(t *testing.T) {

@@ -60,7 +60,7 @@ func (b *backend) AcquireLease(p *sim.Proc, ino fs.Ino, mode lease.Mode) (bool, 
 func (b *backend) OpenCheck(p *sim.Proc, pth string) error {
 	b.ipc(p)
 	ctx := b.cl.HostCtx(p, b.machine, "dfs")
-	_, err := b.cl.Vols[b.machine].Resolve(ctx, pth)
+	_, err := b.cl.Vols[b.machine].Resolve(&ctx, pth)
 	return err
 }
 

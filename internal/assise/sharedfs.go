@@ -168,7 +168,8 @@ func (s *SharedFS) runDigest(p *sim.Proc, ss *slotState) {
 			p.Wait(ss.digestKick)
 		}
 		to := ss.log.Head()
-		if !s.digest(s.cl.HostCtx(p, s.machine, "dfs"), ss.log, &ss.rawBuf, ss.digested, to) {
+		ctx := s.cl.HostCtx(p, s.machine, "dfs")
+		if !s.digest(&ctx, ss.log, &ss.rawBuf, ss.digested, to) {
 			// Corrupt region: stop digesting this client.
 			return
 		}
@@ -276,7 +277,8 @@ func (s *SharedFS) transmit(p *sim.Proc, ss *slotState, first int) error {
 	// The chain borrows the buffer until the window releases the frame.
 	f.Payload = ss.takeFrame(int(f.To - f.From))
 	ss.lent = append(ss.lent, f)
-	ss.log.ReadRawInto(s.cl.HostCtx(p, s.machine, "dfs"), f.From, f.Payload)
+	ctx := s.cl.HostCtx(p, s.machine, "dfs")
+	ss.log.ReadRawInto(&ctx, f.From, f.Payload)
 	return s.peers[first].Send(p, "repl", f, len(f.Payload))
 }
 
@@ -366,7 +368,7 @@ func (s *SharedFS) handleRepl(p *sim.Proc, f *replMsg) {
 	spec := s.cl.Cfg.Spec
 	ctx := s.cl.HostCtx(p, s.machine, "dfs")
 	if s.cl.Cfg.Mode == Hyperloop {
-		ctx = &fs.Ctx{P: p, PM: s.cl.Machines[s.machine].PM}
+		ctx = fs.Ctx{P: p, PM: s.cl.Machines[s.machine].PM}
 	}
 	ctx.Compute(spec.HostRPCCost)
 	ms := s.mirror(f.Slot)
@@ -374,8 +376,8 @@ func (s *SharedFS) handleRepl(p *sim.Proc, f *replMsg) {
 		switch a.Op {
 		case core.OpAdopt: // released without this mirror: digest what it holds, then start at From
 			s.makeRoom(p, ms, int(ms.log.Cap()))
-			ms.log.ResetTo(ctx, a.From)
-			ms.log.Reclaim(ctx, a.From)
+			ms.log.ResetTo(&ctx, a.From)
+			ms.log.Reclaim(&ctx, a.From)
 			ms.digested = a.From
 		case core.OpReAck:
 			s.ack(p, ms, a.To)
@@ -389,7 +391,7 @@ func (s *SharedFS) handleRepl(p *sim.Proc, f *replMsg) {
 		// A host's CPU stores into PM run at the single-thread Optane store
 		// ceiling; a Hyperloop NIC's placement charges no core.
 		ctx.Compute(time.Duration(float64(len(data)) / spec.PMStoreBW * float64(time.Second)))
-		if err := ms.log.MirrorRaw(ctx, sp.From, data); err != nil {
+		if err := ms.log.MirrorRaw(&ctx, sp.From, data); err != nil {
 			// Unreachable: the receiver hands out frames at the head only.
 			panic(fmt.Sprintf("assise: mirror: %v", err))
 		}
@@ -472,14 +474,14 @@ func (s *SharedFS) runMirrorDigest(p *sim.Proc, ms *mirrorState) {
 		}
 		to := ms.log.Head()
 		ctx := s.cl.HostCtx(p, s.machine, "dfs")
-		if !s.digest(ctx, ms.log, &ms.rawBuf, ms.digested, to) {
+		if !s.digest(&ctx, ms.log, &ms.rawBuf, ms.digested, to) {
 			// Unreachable: no frame overwrites what is not digested
 			// (makeRoom), so the mirror holds the primary's log as sent.
 			panic(fmt.Sprintf("assise: %s: mirror digest of slot %d [%d, %d) failed",
 				s.cl.Machines[s.machine].Name, ms.slot, ms.digested, to))
 		}
 		ms.digested = to
-		ms.log.Reclaim(ctx, to)
+		ms.log.Reclaim(&ctx, to)
 		s.kick(&ms.reclaimed)
 	}
 }

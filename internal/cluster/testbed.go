@@ -171,9 +171,9 @@ func (tb *Testbed) InoRange(slot int) (base fs.Ino, count int) {
 }
 
 // HostCtx builds an fs.Ctx for a host-core actor on machine i.
-func (tb *Testbed) HostCtx(p *sim.Proc, i int, tag string) *fs.Ctx {
+func (tb *Testbed) HostCtx(p *sim.Proc, i int, tag string) fs.Ctx {
 	m := tb.Machines[i]
-	return &fs.Ctx{P: p, PM: m.PM, CPU: m.HostCPU, Prio: tb.layout.DFSPrio, Tag: tag, MemAmp: hostStoreAmp}
+	return fs.Ctx{P: p, PM: m.PM, CPU: m.HostCPU, Prio: tb.layout.DFSPrio, Tag: tag, MemAmp: hostStoreAmp}
 }
 
 // LibFS fills in the client library's configuration for slot's client on
@@ -184,7 +184,7 @@ func (tb *Testbed) LibFS(machine, slot int) dfs.Config {
 	return dfs.Config{
 		ID:  fmt.Sprintf("%s/c%d", m.Name, slot),
 		Vol: tb.Vols[machine],
-		HostCtx: func(p *sim.Proc) *fs.Ctx {
+		HostCtx: func(p *sim.Proc) fs.Ctx {
 			return tb.HostCtx(p, machine, "dfs")
 		},
 		Syscall: func(p *sim.Proc) {

@@ -22,6 +22,8 @@ type chunk struct {
 
 	raw     []byte // pooled: grown once, reused across chunks
 	entries []*fs.Entry
+	// decoded holds the entries validation decodes raw into (pooled).
+	decoded fs.EntryList
 
 	// The compression stage codes raw one sub-block at a time, in index
 	// order: cbuf collects the LZW streams back to back and zipLens their
@@ -210,7 +212,7 @@ func (cs *clientState) getChunk(from, to uint64, sync bool) *chunk {
 	// Everything resets except the pooled buffers.
 	*ck = chunk{
 		from: from, to: to, sync: sync,
-		raw: ck.raw[:0], cbuf: ck.cbuf[:0], zipLens: ck.zipLens[:0],
+		raw: ck.raw[:0], decoded: ck.decoded, cbuf: ck.cbuf[:0], zipLens: ck.zipLens[:0],
 		sent: sim.NewEvent(env), published: sim.NewEvent(env), replicated: sim.NewEvent(env),
 	}
 	return ck
@@ -223,6 +225,7 @@ func (cs *clientState) putChunk(ck *chunk) {
 		return
 	}
 	ck.entries = nil
+	ck.decoded.Reset()
 	ck.subLens = nil
 	cs.freeCk = append(cs.freeCk, ck)
 }
@@ -270,7 +273,8 @@ func (cs *clientState) stageFetch(p *sim.Proc, ck *chunk) bool {
 	// fsync's chunk preempts bulk fetches on it.
 	m.Fetch.Transfer(p, int(size), rdma.ClassPrio(ck.sync))
 	ck.raw = growBuf(ck.raw, int(size))
-	cs.log.ReadRawInto(fs.NoCostCtx(m.PM), ck.from, ck.raw)
+	fetch := fs.Ctx{PM: m.PM, NoCost: true} // the Transfer above charged it
+	cs.log.ReadRawInto(&fetch, ck.from, ck.raw)
 	n.StageTimes["fetch"].add(time.Duration(p.Now() - start))
 	return true
 }
@@ -285,7 +289,7 @@ func (cs *clientState) stageValidate(p *sim.Proc, ck *chunk) bool {
 	// Scan cost across the wimpy cores.
 	n.nicCompute(p, validateCost(len(ck.raw), spec.ValidatePerMiB))
 
-	entries, err := fs.DecodeAll(ck.raw)
+	entries, err := fs.DecodeAll(ck.raw, &ck.decoded)
 	if err != nil {
 		// Corrupt chunk: reject; the client's log is not reclaimed and the
 		// fault is surfaced on its next fsync.
@@ -511,7 +515,7 @@ func (cs *clientState) publishChunk(p *sim.Proc, ck *chunk) {
 	cp := func(dst int64, src []byte) {
 		items = append(items, copyItem{Dst: dst, Data: src})
 	}
-	if err := n.vol.ApplyAll(ctx, ck.entries, cp); err != nil {
+	if err := n.vol.ApplyAll(&ctx, ck.entries, cp); err != nil {
 		// Publication cannot proceed (e.g. the public area is out of
 		// space). Record the fault; the client sees an error on its next
 		// fsync, once the chain has the chunk.

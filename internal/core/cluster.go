@@ -3,7 +3,6 @@ package core
 import (
 	"linefs/internal/cluster"
 	"linefs/internal/fs"
-	"linefs/internal/hw"
 	"linefs/internal/rdma"
 	"linefs/internal/sim"
 	"linefs/internal/stats"
@@ -100,14 +99,14 @@ func (cl *Cluster) Attach(p *sim.Proc, machine int) (*Attachment, error) {
 // nicCtx builds an fs.Ctx for a SmartNIC actor on machine i: writes cross
 // PCIe to host PM, and reads are charged as host PM reads at priority 0, not
 // as hits in a NIC DRAM cache (which of the two is right: ROADMAP 5(b)).
-func (cl *Cluster) nicCtx(p *sim.Proc, i int, tag string) *fs.Ctx {
+func (cl *Cluster) nicCtx(p *sim.Proc, i int, tag string) fs.Ctx {
 	m := cl.Machines[i]
-	return &fs.Ctx{
-		P:          p,
-		PM:         m.PM,
-		ExtraWrite: []*hw.Link{m.PCIe},
-		CPU:        m.NICCPU,
-		Prio:       0,
-		Tag:        tag,
+	return fs.Ctx{
+		P:         p,
+		PM:        m.PM,
+		WriteLink: m.PCIe,
+		CPU:       m.NICCPU,
+		Prio:      0,
+		Tag:       tag,
 	}
 }

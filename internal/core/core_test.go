@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -76,6 +77,67 @@ func TestWriteFsyncReadBack(t *testing.T) {
 			t.Fatal("read-back mismatch")
 		}
 	})
+}
+
+// TestReadAtAllocatesNothing holds the §3.2 read of a published file to
+// the allocation contract (DESIGN.md §10): with none of the file left in the
+// log, a ReadAt is one public-area read, and the context, the inode and the
+// extent runs it resolves live on the caller's stack. Not parallel: the
+// malloc counter is process-wide.
+func TestReadAtAllocatesNothing(t *testing.T) {
+	// On one thread, as the benchmark runs: a hand-over between simulation
+	// processes never makes the runtime start an OS thread, whose
+	// bookkeeping the counter would see.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	env, cl := newTestCluster(t, testConfig())
+	const size, reads = 1 << 20, 2000
+	var perOp float64
+	run(t, env, 30*time.Second, func(p *sim.Proc) {
+		l, err := cl.Attach(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd, err := l.Create(p, "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := bytes.Repeat([]byte("published"), size/9+1)[:size]
+		if _, err := l.WriteAt(p, fd, 0, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Fsync(p, fd); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(2 * time.Second) // publication drains and the log is reclaimed
+		if used := l.Log().Used(); used != 0 {
+			t.Fatalf("log holds %d bytes; the reads would not take the fast path", used)
+		}
+		dst := make([]byte, 16<<10)
+		read := func(i int) {
+			off := uint64(i*len(dst)) % size
+			if n, err := l.ReadAt(p, fd, off, dst); err != nil || n != len(dst) {
+				t.Fatalf("ReadAt(%d) = %d, %v", off, n, err)
+			}
+		}
+		// One pass over the file first: it takes the read lease and loads
+		// the extent cache, and the NIC's lanes serve the lease traffic.
+		for i := range size / len(dst) {
+			read(i)
+		}
+		if !bytes.Equal(dst, data[size-len(dst):]) {
+			t.Fatal("read-back mismatch")
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range reads {
+			read(i)
+		}
+		runtime.ReadMemStats(&after)
+		perOp = float64(after.Mallocs-before.Mallocs) / reads
+	})
+	if perOp != 0 {
+		t.Errorf("fast-path ReadAt of a published file: %v mallocs/op, want 0", perOp)
+	}
 }
 
 func TestFsyncReplicatesToAllReplicas(t *testing.T) {

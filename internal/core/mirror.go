@@ -40,8 +40,9 @@ type mirrorState struct {
 	// acks, which can be before this replica's background publication runs.
 	bufs [][]byte
 	// pubItems is publishLocal's copy list, reused unless a timed-out kernel
-	// worker may still read it.
+	// worker may still read it; decoded holds the entries it decodes.
 	pubItems []copyItem
+	decoded  fs.EntryList
 }
 
 type pubJob struct {
@@ -49,15 +50,23 @@ type pubJob struct {
 	to  uint64
 }
 
-// getBuf pops a pooled length-n buffer (or makes one).
+// getBuf takes the newest pooled buffer with room for n bytes. When none
+// has, it makes one, and the newest pooled buffer, too small, goes with it,
+// so that small buffers do not keep the pool full.
 func (ms *mirrorState) getBuf(n int) []byte {
-	if k := len(ms.bufs); k > 0 {
-		b := ms.bufs[k-1]
-		ms.bufs[k-1] = nil
-		ms.bufs = ms.bufs[:k-1]
-		return growBuf(b, n)
+	if len(ms.bufs) == 0 {
+		return make([]byte, n)
 	}
-	return make([]byte, n)
+	k := len(ms.bufs) - 1
+	for i := k; i >= 0; i-- {
+		if cap(ms.bufs[i]) >= n {
+			k = i
+			break
+		}
+	}
+	b := ms.bufs[k]
+	ms.bufs = slices.Delete(ms.bufs, k, k+1)
+	return growBuf(b, n)
 }
 
 func (ms *mirrorState) putBuf(b []byte) {
@@ -139,7 +148,8 @@ func (ms *mirrorState) run(p *sim.Proc) {
 		for _, a := range ms.rcv.Arrive(rb, rb.From, rb.To, rb.Settled) {
 			switch a.Op {
 			case OpAdopt: // released without this mirror: it was down, or behind one that was
-				ms.log.ResetTo(ms.n.cl.nicCtx(p, ms.n.machine, "nicfs"), a.From)
+				ctx := ms.n.cl.nicCtx(p, ms.n.machine, "nicfs")
+				ms.log.ResetTo(&ctx, a.From)
 			case OpReAck:
 				ms.n.cl.Robust.DupDelivered++
 				ms.ack(p, a.To)
@@ -333,7 +343,7 @@ func (ms *mirrorState) persistRaw(p *sim.Proc, at uint64, raw []byte, prio int) 
 	// means chunk arrival order diverged from log order — a chain-protocol
 	// bug that must not be papered over by silently skipping the advance.
 	ctx := n.cl.nicCtx(p, n.machine, "nicfs")
-	if err := ms.log.AdvanceHead(ctx, at, len(raw)); err != nil {
+	if err := ms.log.AdvanceHead(&ctx, at, len(raw)); err != nil {
 		panic(fmt.Sprintf("core: mirror advance: %v", err))
 	}
 }
@@ -343,7 +353,7 @@ func (ms *mirrorState) persistRaw(p *sim.Proc, at uint64, raw []byte, prio int) 
 // kernel worker may still read raw (see publishItems).
 func (ms *mirrorState) publishLocal(p *sim.Proc, raw []byte, to uint64) (retained bool) {
 	n := ms.n
-	entries, err := fs.DecodeAll(raw)
+	entries, err := fs.DecodeAll(raw, &ms.decoded)
 	if err != nil {
 		return false
 	}
@@ -351,7 +361,7 @@ func (ms *mirrorState) publishLocal(p *sim.Proc, raw []byte, to uint64) (retaine
 	ctx := n.cl.nicCtx(p, n.machine, "nicfs")
 	items := ms.pubItems[:0]
 	cp := func(dst int64, src []byte) { items = append(items, copyItem{Dst: dst, Data: src}) }
-	if err := n.vol.ApplyAll(ctx, entries, cp); err == nil {
+	if err := n.vol.ApplyAll(&ctx, entries, cp); err == nil {
 		n.recordHistory(n.epoch, entries)
 		retained = n.publishItems(p, items)
 		n.PubBytes += int64(len(raw))
@@ -362,6 +372,7 @@ func (ms *mirrorState) publishLocal(p *sim.Proc, raw []byte, to uint64) (retaine
 		clear(items)
 		ms.pubItems = items
 	}
-	ms.log.Reclaim(ctx, to)
+	ms.decoded.Reset()
+	ms.log.Reclaim(&ctx, to)
 	return retained
 }

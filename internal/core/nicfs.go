@@ -327,12 +327,12 @@ func (n *NICFS) handleAttach(p *sim.Proc, msg *rdma.Msg) {
 func (n *NICFS) handleOpen(p *sim.Proc, msg *rdma.Msg) {
 	req := msg.Arg.(*openReq)
 	ctx := n.cl.nicCtx(p, n.machine, "nicfs")
-	ino, err := n.vol.Resolve(ctx, req.Path)
+	ino, err := n.vol.Resolve(&ctx, req.Path)
 	if err != nil {
 		msg.RespondErr(p, err)
 		return
 	}
-	in, err := n.vol.ReadInode(ctx, ino)
+	in, err := n.vol.ReadInode(&ctx, ino)
 	if err != nil {
 		msg.RespondErr(p, err)
 		return

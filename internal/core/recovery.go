@@ -63,7 +63,7 @@ func (n *NICFS) handleHistory(p *sim.Proc, msg *rdma.Msg) {
 func (n *NICFS) handleFetchFile(p *sim.Proc, msg *rdma.Msg) {
 	req := msg.Arg.(*fetchFileReq)
 	ctx := n.cl.nicCtx(p, n.machine, "nicfs")
-	in, err := n.vol.ReadInode(ctx, req.Ino)
+	in, err := n.vol.ReadInode(&ctx, req.Ino)
 	if err != nil {
 		msg.Respond(p, &fetchFileResp{}, 16)
 		return
@@ -71,10 +71,10 @@ func (n *NICFS) handleFetchFile(p *sim.Proc, msg *rdma.Msg) {
 	resp := &fetchFileResp{Exists: true, Type: in.Type}
 	switch {
 	case in.Type == fs.TypeDir:
-		resp.Entries, err = n.vol.DirList(ctx, req.Ino)
+		resp.Entries, err = n.vol.DirList(&ctx, req.Ino)
 	case in.Size > 0:
 		resp.Data = make([]byte, in.Size)
-		_, err = n.vol.ReadFile(ctx, req.Ino, 0, resp.Data)
+		_, err = n.vol.ReadFile(&ctx, req.Ino, 0, resp.Data)
 	}
 	if err != nil {
 		msg.RespondErr(p, err)
@@ -126,7 +126,7 @@ func (n *NICFS) Recover(p *sim.Proc, peerMachine int) error {
 	for _, ino := range hist.Inos {
 		fv, err := peer.Call(p, "fetch-file", &fetchFileReq{Ino: ino}, 16)
 		if err == nil {
-			err = n.copyInode(ctx, ino, fv.(*fetchFileResp))
+			err = n.copyInode(&ctx, ino, fv.(*fetchFileResp))
 		}
 		if err != nil {
 			return fmt.Errorf("core: recover inode %d: %w", ino, err)

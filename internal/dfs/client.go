@@ -47,10 +47,12 @@ type Backend interface {
 
 // Config wires a client to its node's resources.
 type Config struct {
-	ID      string
-	Log     *fs.LogArea
-	Vol     *fs.Vol
-	HostCtx func(p *sim.Proc) *fs.Ctx
+	ID  string
+	Log *fs.LogArea
+	Vol *fs.Vol
+	// HostCtx builds the context of a host-core actor, by value: the
+	// caller keeps it in its own frame (DESIGN.md §10).
+	HostCtx func(p *sim.Proc) fs.Ctx
 	// Syscall charges one intercepted call's CPU cost.
 	Syscall func(p *sim.Proc)
 	InoBase fs.Ino
@@ -187,7 +189,7 @@ func newDirtyNS() *dirtyNS {
 	}
 }
 
-func (l *Client) hostCtx(p *sim.Proc) *fs.Ctx { return l.cfg.HostCtx(p) }
+func (l *Client) hostCtx(p *sim.Proc) fs.Ctx { return l.cfg.HostCtx(p) }
 
 func (l *Client) syscall(p *sim.Proc) {
 	if l.cfg.Syscall != nil {
@@ -202,7 +204,7 @@ func (l *Client) OnReclaim(p *sim.Proc, upTo uint64) {
 		return
 	}
 	ctx := l.hostCtx(p)
-	l.log.Reclaim(ctx, upTo)
+	l.log.Reclaim(&ctx, upTo)
 	l.prune(upTo)
 	l.spaceFreed.Trigger(nil)
 	l.spaceFreed = sim.NewEvent(l.env)
@@ -276,7 +278,7 @@ func (l *Client) ensureLease(p *sim.Proc, ino fs.Ino, mode lease.Mode) error {
 func (l *Client) append(p *sim.Proc, e *fs.Entry) (uint64, error) {
 	ctx := l.hostCtx(p)
 	for {
-		at, err := l.log.Append(ctx, e)
+		at, err := l.log.Append(&ctx, e)
 		if err == nil {
 			if piece := uint64(l.cfg.FsyncPiece); piece > 0 && at > l.pieceFrom && l.log.Head()-l.pieceFrom > piece {
 				l.cuts = append(l.cuts, at)
@@ -365,7 +367,7 @@ func (l *Client) resolve(p *sim.Proc, pth string) (fs.Ino, fs.FileType, error) {
 				continue
 			}
 		}
-		ent, err := l.vol.DirLookup(ctx, cur, part)
+		ent, err := l.vol.DirLookup(&ctx, cur, part)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -406,7 +408,7 @@ func splitDir(pth string) (string, string) {
 func (l *Client) statIno(p *sim.Proc, ino fs.Ino) (typ fs.FileType, size uint64, err error) {
 	di := l.dirty.inodes[ino]
 	ctx := l.hostCtx(p)
-	in, verr := l.vol.ReadInode(ctx, ino)
+	in, verr := l.vol.ReadInode(&ctx, ino)
 	switch {
 	case di != nil && !di.exists:
 		return 0, 0, fs.ErrNoInode

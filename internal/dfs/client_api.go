@@ -299,7 +299,7 @@ func (l *Client) WriteAt(p *sim.Proc, fd int, off uint64, data []byte) (int, err
 	if !di.hasSz {
 		// Seed the dirty size from the published size.
 		ctx := l.hostCtx(p)
-		if in, err := l.vol.ReadInode(ctx, f.ino); err == nil {
+		if in, err := l.vol.ReadInode(&ctx, f.ino); err == nil {
 			di.size = in.Size
 		}
 		di.hasSz = true
@@ -384,7 +384,7 @@ func (l *Client) ReadAt(p *sim.Proc, fd int, off uint64, dst []byte) (int, error
 		}
 	}
 	if !anyPieces {
-		if _, err := l.vol.ReadFile(ctx, f.ino, off, dst[:n]); err != nil {
+		if _, err := l.vol.ReadFile(&ctx, f.ino, off, dst[:n]); err != nil {
 			if err != fs.ErrNoInode {
 				return 0, err
 			}
@@ -411,21 +411,21 @@ func (l *Client) ReadAt(p *sim.Proc, fd int, off uint64, dst []byte) (int, error
 			// Common fast path: the newest piece alone covers the request.
 			last := pieces[len(pieces)-1]
 			if uint64(last.blkOff) <= inBlk && uint64(last.blkOff)+uint64(last.ln) >= inBlk+chunk {
-				l.log.ReadRawInto(ctx, last.payloadOff+(inBlk-uint64(last.blkOff)), out)
+				l.log.ReadRawInto(&ctx, last.payloadOff+(inBlk-uint64(last.blkOff)), out)
 				covered = true
 			}
 		}
 		if !covered {
 			if len(pieces) == 0 {
-				if _, err := l.vol.ReadFile(ctx, f.ino, off+read, out); err != nil {
+				if _, err := l.vol.ReadFile(&ctx, f.ino, off+read, out); err != nil {
 					return int(read), err
 				}
 			} else {
 				// Merge: published base, then pieces in log order.
 				base := make([]byte, fs.BlockSize)
-				_, _ = l.vol.ReadFile(ctx, f.ino, blk*fs.BlockSize, base)
+				_, _ = l.vol.ReadFile(&ctx, f.ino, blk*fs.BlockSize, base)
 				for _, pc := range pieces {
-					l.log.ReadRawInto(ctx, pc.payloadOff, base[pc.blkOff:pc.blkOff+pc.ln])
+					l.log.ReadRawInto(&ctx, pc.payloadOff, base[pc.blkOff:pc.blkOff+pc.ln])
 				}
 				copy(out, base[inBlk:inBlk+chunk])
 			}
@@ -503,7 +503,7 @@ func (l *Client) ReadDir(p *sim.Proc, pth string) ([]fs.DirEnt, error) {
 		return nil, fs.ErrNotDir
 	}
 	ctx := l.hostCtx(p)
-	ents, err := l.vol.DirList(ctx, ino)
+	ents, err := l.vol.DirList(&ctx, ino)
 	if err != nil && err != fs.ErrNoInode {
 		return nil, err
 	}

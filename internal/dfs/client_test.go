@@ -91,8 +91,8 @@ func newFake(t *testing.T, opts ...func(*Config)) (*sim.Env, *fakeBackend, *Clie
 		ID:  "test",
 		Log: la,
 		Vol: vol,
-		HostCtx: func(p *sim.Proc) *fs.Ctx {
-			return &fs.Ctx{P: p, PM: pm}
+		HostCtx: func(p *sim.Proc) fs.Ctx {
+			return fs.Ctx{P: p, PM: pm}
 		},
 		InoBase:   16,
 		InoMax:    1024,

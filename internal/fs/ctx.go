@@ -19,15 +19,19 @@ import (
 )
 
 // Ctx identifies who is touching PM and over which interconnect, so costs
-// land on the right timeline. A zero Extra/CPU Ctx is a host-core actor; a
-// NICFS actor carries the PCIe link in Extra and the SmartNIC CPU.
+// land on the right timeline. A Ctx with no WriteLink is a host-core actor;
+// a NICFS actor carries the PCIe link in WriteLink and the SmartNIC CPU.
+//
+// A Ctx is a value: its builders return one, the caller keeps it in its own
+// frame and passes its address down, and no function here retains the
+// pointer, so a per-operation context never reaches the heap (DESIGN.md §10).
 type Ctx struct {
 	P  *sim.Proc
 	PM *hw.PM
-	// ExtraWrite are links crossed on each write (e.g. PCIe from SmartNIC to
-	// host PM). Reads cross none: a NICFS metadata read is charged as a host
-	// PM read (ROADMAP 5(b)).
-	ExtraWrite []*hw.Link
+	// WriteLink, when set, is crossed by each write (PCIe from a SmartNIC to
+	// host PM). Reads cross no link: a NICFS metadata read is charged as a
+	// host PM read (ROADMAP 5(b)).
+	WriteLink *hw.Link
 	// CPU, when set, is charged for Compute work.
 	CPU  *hw.CPU
 	Prio int
@@ -62,8 +66,8 @@ func (c *Ctx) Write(off int64, src []byte) {
 	// PCIe writes are posted and tiny (metadata write-back from the NIC
 	// DRAM cache): account their bytes without serializing them behind
 	// bulk chunk fetches.
-	for _, l := range c.ExtraWrite {
-		l.Bytes.Add(int64(len(src)))
+	if c.WriteLink != nil {
+		c.WriteLink.Bytes.Add(int64(len(src)))
 	}
 	c.PM.WriteAmp(c.P, off, src, c.MemAmp)
 	c.PM.Persist(c.P, off, int64(len(src)))

@@ -139,24 +139,29 @@ type MappedRun struct {
 }
 
 // LookupRange resolves file blocks [fileBlk, fileBlk+count) into maximal
-// runs, marking holes, with one chain walk.
-func (v *Vol) LookupRange(c *Ctx, in *Inode, fileBlk, count uint64) []MappedRun {
-	// Collect the extents overlapping the window from the sorted cache.
+// runs, marking holes, and appends them to runs, which the caller owns. It
+// walks the cached extent list in place, so a lookup allocates nothing
+// while runs has the room.
+//
+//linefs:hotpath
+func (v *Vol) LookupRange(c *Ctx, in *Inode, fileBlk, count uint64, runs []MappedRun) []MappedRun {
+	// The extents overlapping the window: a subslice of the sorted cache.
 	all := v.loadExtents(c, in)
 	c.Compute(extLookupCost)
-	start := sort.Search(len(all), func(i int) bool {
+	end := fileBlk + count
+	lo := sort.Search(len(all), func(i int) bool {
 		return all[i].FileBlk+uint64(all[i].Count) > fileBlk
 	})
-	var overlapping []Extent
-	for i := start; i < len(all) && all[i].FileBlk < fileBlk+count; i++ {
-		overlapping = append(overlapping, all[i])
+	hi := lo
+	for hi < len(all) && all[hi].FileBlk < end {
+		hi++
 	}
+	overlapping := all[lo:hi]
 	// Walk the window left to right, emitting mapped runs and holes.
-	var runs []MappedRun
 	pos := fileBlk
-	for pos < fileBlk+count {
+	for pos < end {
 		var best *Extent
-		var nextStart = fileBlk + count
+		var nextStart = end
 		for i := range overlapping {
 			e := &overlapping[i]
 			if pos >= e.FileBlk && pos < e.FileBlk+uint64(e.Count) {
@@ -168,17 +173,14 @@ func (v *Vol) LookupRange(c *Ctx, in *Inode, fileBlk, count uint64) []MappedRun 
 			}
 		}
 		if best != nil {
-			end := best.FileBlk + uint64(best.Count)
-			if end > fileBlk+count {
-				end = fileBlk + count
-			}
+			runEnd := min(best.FileBlk+uint64(best.Count), end)
 			runs = append(runs, MappedRun{
 				FileBlk: pos,
-				Count:   end - pos,
+				Count:   runEnd - pos,
 				BlkNo:   best.BlkNo + (pos - best.FileBlk),
 				Mapped:  true,
 			})
-			pos = end
+			pos = runEnd
 		} else {
 			runs = append(runs, MappedRun{FileBlk: pos, Count: nextStart - pos})
 			pos = nextStart

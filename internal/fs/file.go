@@ -37,9 +37,10 @@ func (v *Vol) PublishWrite(c *Ctx, ino Ino, off uint64, data []byte, cp CopyFunc
 		v.Unlock(c.P)
 		return err
 	}
-	runs := v.LookupRange(c, &in, firstBlk, lastBlk-firstBlk)
+	var runBuf, resolvedBuf [4]MappedRun
+	runs := v.LookupRange(c, &in, firstBlk, lastBlk-firstBlk, runBuf[:0])
 	// Fill holes with fresh allocations.
-	var resolved []MappedRun
+	resolved := resolvedBuf[:0]
 	for _, r := range runs {
 		if r.Mapped {
 			resolved = append(resolved, r)
@@ -93,6 +94,8 @@ func (v *Vol) PublishWrite(c *Ctx, ino Ino, off uint64, data []byte, cp CopyFunc
 
 // ReadFile reads up to len(dst) bytes at byte offset off from the published
 // file, returning the count (short at EOF).
+//
+//linefs:hotpath
 func (v *Vol) ReadFile(c *Ctx, ino Ino, off uint64, dst []byte) (int, error) {
 	in, err := v.ReadInode(c, ino)
 	if err != nil {
@@ -109,8 +112,8 @@ func (v *Vol) ReadFile(c *Ctx, ino Ino, off uint64, dst []byte) (int, error) {
 	// mapped run contiguously (runs span many blocks for sequential data).
 	firstBlk := off / BlockSize
 	lastBlk := (off + n + BlockSize - 1) / BlockSize
-	runs := v.LookupRange(c, &in, firstBlk, lastBlk-firstBlk)
-	for _, r := range runs {
+	var runBuf [4]MappedRun
+	for _, r := range v.LookupRange(c, &in, firstBlk, lastBlk-firstBlk, runBuf[:0]) {
 		runStart := r.FileBlk * BlockSize
 		runEnd := (r.FileBlk + r.Count) * BlockSize
 		lo, hi := off, off+n

@@ -165,7 +165,7 @@ func TestRecycledBlockReadsZero(t *testing.T) {
 	v.CreateInode(c, 9, TypeFile)
 	writeRead(t, v, c, 9, 0, bytes.Repeat([]byte{0xAB}, BlockSize))
 	a, _ := v.ReadInode(c, 9)
-	old := v.LookupRange(c, &a, 0, 1)[0].BlkNo
+	old := v.LookupRange(c, &a, 0, 1, nil)[0].BlkNo
 	if err := v.FreeInode(c, 9); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestRecycledBlockReadsZero(t *testing.T) {
 	v.CreateInode(c, 10, TypeFile)
 	writeRead(t, v, c, 10, 100, []byte{1})
 	b, _ := v.ReadInode(c, 10)
-	if blk := v.LookupRange(c, &b, 0, 1)[0].BlkNo; blk != old {
+	if blk := v.LookupRange(c, &b, 0, 1, nil)[0].BlkNo; blk != old {
 		t.Fatalf("the new file got block %d, not the freed block %d", blk, old)
 	}
 	got := make([]byte, 100)
@@ -259,7 +259,7 @@ func TestFreePathCrashOrder(t *testing.T) {
 			pm := v.pm
 			wl := hw.NewLink(env, "writes", 0, 1e12)
 			proc := env.Go(op.name, func(p *sim.Proc) {
-				_ = op.run(v, &Ctx{P: p, PM: pm, ExtraWrite: []*hw.Link{wl}})
+				_ = op.run(v, &Ctx{P: p, PM: pm, WriteLink: wl})
 			})
 			env.RunUntil(time.Duration(env.Now()) + at)
 			proc.Kill()

@@ -420,27 +420,58 @@ func (l *LogArea) readScratch(c *Ctx, scratch []byte, from, to uint64) []byte {
 // drop them before passing it back in.
 func (l *LogArea) DecodeRangeScratch(c *Ctx, scratch []byte, from, to uint64) ([]*Entry, []byte, error) {
 	raw := l.readScratch(c, scratch, from, to)
-	entries, err := DecodeAll(raw)
+	entries, err := DecodeAll(raw, new(EntryList))
 	//lint:allow borrowcheck the doc contract: entries borrow the scratch buffer handed back to the caller
 	return entries, raw, err
 }
 
-// DecodeAll parses a concatenation of encoded entries. Entry Data slices
-// borrow raw's storage (DecodeEntryInto): callers must keep raw alive and
-// unmutated while the entries are in use.
-func DecodeAll(raw []byte) ([]*Entry, error) {
-	var out []*Entry
+// EntryList is the storage DecodeAll decodes into: the entries themselves
+// and the list of pointers to them it returns. Its owner keeps one per
+// stream of decodes, so a decode reuses both lists' room instead of
+// allocating an entry per record.
+type EntryList struct {
+	ents []Entry
+	ptrs []*Entry
+}
+
+// Reset drops every entry the list holds, keeping its room, so that no entry
+// still borrows a buffer the owner hands back.
+func (l *EntryList) Reset() {
+	clear(l.ents[:cap(l.ents)])
+	clear(l.ptrs[:cap(l.ptrs)])
+	l.ents, l.ptrs = l.ents[:0], l.ptrs[:0]
+}
+
+// DecodeAll parses a concatenation of encoded entries into l, replacing what
+// l held, and returns them in order; on a corrupt entry it returns the ones
+// before it and an error positioned at it. Entry Data slices borrow raw's
+// storage (DecodeEntryInto): callers must keep raw alive and unmutated while
+// the entries are in use, and the entries are valid until the next decode
+// into l.
+//
+//linefs:hotpath
+func DecodeAll(raw []byte, l *EntryList) ([]*Entry, error) {
+	l.ents = l.ents[:0]
 	for off := 0; off < len(raw); {
-		e := &Entry{}
-		n, err := DecodeEntryInto(e, raw[off:])
+		l.ents = append(l.ents, Entry{})
+		n, err := DecodeEntryInto(&l.ents[len(l.ents)-1], raw[off:])
 		if err != nil {
-			return out, fmt.Errorf("at byte %d: %w", off, err)
+			l.ents = l.ents[:len(l.ents)-1]
+			return l.point(), fmt.Errorf("at byte %d: %w", off, err)
 		}
-		out = append(out, e)
 		off += n
 	}
-	//lint:allow borrowcheck the doc contract: entries borrow raw, which the caller owns
-	return out, nil
+	return l.point(), nil
+}
+
+// point lists the addresses of l's entries. It runs once they are all in
+// place, because an append while decoding may move them.
+func (l *EntryList) point() []*Entry {
+	l.ptrs = l.ptrs[:0]
+	for i := range l.ents {
+		l.ptrs = append(l.ptrs, &l.ents[i])
+	}
+	return l.ptrs
 }
 
 // VisitRange decodes the entries in [from, to), invoking fn on each. The

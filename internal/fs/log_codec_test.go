@@ -121,7 +121,7 @@ func TestLogCodecRoundTripProperty(t *testing.T) {
 			t.Fatalf("seed %d: %d bytes undecoded", seed, len(stream)-off)
 		}
 		// DecodeAll must agree entry by entry.
-		all, err := DecodeAll(stream)
+		all, err := DecodeAll(stream, new(EntryList))
 		if err != nil || len(all) != len(entries) {
 			t.Fatalf("seed %d: DecodeAll: %d entries, err=%v", seed, len(all), err)
 		}
@@ -180,7 +180,7 @@ func TestNonCanonicalFrameRejected(t *testing.T) {
 		if err := VerifyWire(ranged); err != ErrNonCanonical {
 			t.Errorf("byte %d set: VerifyWire = %v, want ErrNonCanonical", at, err)
 		}
-		if ents, err := DecodeAll(ranged); !errors.Is(err, ErrNonCanonical) || len(ents) != 1 {
+		if ents, err := DecodeAll(ranged, new(EntryList)); !errors.Is(err, ErrNonCanonical) || len(ents) != 1 {
 			t.Errorf("byte %d set: DecodeAll = %d entries, %v, want the one before and ErrNonCanonical", at, len(ents), err)
 		}
 	}

@@ -126,7 +126,7 @@ func FuzzVerifyWire(f *testing.F) {
 			sealFrames(raw)
 		}
 		verr := VerifyWire(raw)
-		entries, derr := DecodeAll(raw)
+		entries, derr := DecodeAll(raw, new(EntryList))
 		if verr != nil {
 			if !errors.Is(derr, verr) {
 				t.Fatalf("VerifyWire says %v, DecodeAll says %v", verr, derr)

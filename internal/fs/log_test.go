@@ -248,7 +248,7 @@ func TestDecodeAllStopsAtGarbage(t *testing.T) {
 	t.Parallel()
 	good := (&Entry{Type: OpWrite, Ino: 1, Data: []byte("ok")}).AppendWire(nil)
 	garbage := bytes.Repeat([]byte{0xEE}, 64)
-	ents, err := DecodeAll(append(append([]byte{}, good...), garbage...))
+	ents, err := DecodeAll(append(append([]byte{}, good...), garbage...), new(EntryList))
 	if err == nil {
 		t.Fatal("garbage accepted")
 	}

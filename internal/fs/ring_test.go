@@ -142,7 +142,7 @@ func FuzzVisitRangeWrap(f *testing.F) {
 			same("DecodeRangeScratch", ranged, err, want)
 			raw := make([]byte, l.Used())
 			l.ReadRawInto(c, l.Tail(), raw)
-			all, err := DecodeAll(raw)
+			all, err := DecodeAll(raw, new(EntryList))
 			errs[2] = err
 			same("DecodeAll", all, err, want)
 			return errs

@@ -176,7 +176,7 @@ func TestLookupRangeRunsAndHoles(t *testing.T) {
 	v.writeInode(c, &in)
 	v.ExtentAppend(c, &in, Extent{FileBlk: 2, BlkNo: 200, Count: 3})
 	v.ExtentAppend(c, &in, Extent{FileBlk: 8, BlkNo: 300, Count: 2})
-	runs := v.LookupRange(c, &in, 0, 12)
+	runs := v.LookupRange(c, &in, 0, 12, nil)
 	want := []MappedRun{
 		{FileBlk: 0, Count: 2},
 		{FileBlk: 2, Count: 3, BlkNo: 200, Mapped: true},
@@ -296,7 +296,9 @@ func TestIsAncestor(t *testing.T) {
 // TestMetadataCodecsAllocateNothing holds the extent and inode codecs to
 // the hot-path contract (DESIGN.md §10): an append that extends the tail's
 // last extent, and an inode read-modify-write, decode and encode on the
-// stack. Not parallel: AllocsPerRun reads process-wide counters.
+// stack; a file read over a cached extent list resolves its runs on the
+// stack; and a log decode into a reused entry list allocates no entry. Not
+// parallel: AllocsPerRun reads process-wide counters.
 func TestMetadataCodecsAllocateNothing(t *testing.T) {
 	_, v, c := newTestVol(t)
 	in := Inode{Ino: 5, Type: TypeFile, Nlink: 1}
@@ -326,5 +328,33 @@ func TestMetadataCodecsAllocateNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, roundTrip); n != 0 {
 		t.Errorf("ReadInode/writeInode: %v allocs/op, want 0", n)
+	}
+
+	in.Size = next * BlockSize
+	v.writeInode(c, &in)
+	buf := make([]byte, 4*BlockSize)
+	read := func() {
+		if n, err := v.ReadFile(c, in.Ino, BlockSize/2, buf); err != nil || n != len(buf) {
+			t.Fatalf("ReadFile = %d, %v", n, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, read); n != 0 {
+		t.Errorf("ReadFile over a cached extent list: %v allocs/op, want 0", n)
+	}
+
+	var wire []byte
+	for i := range 8 {
+		e := Entry{Seq: uint64(i), Type: OpWrite, Ino: in.Ino, Off: uint64(i) * 64, Data: buf[:64]}
+		wire = e.AppendWire(wire)
+	}
+	var list EntryList
+	decode := func() {
+		if ents, err := DecodeAll(wire, &list); err != nil || len(ents) != 8 {
+			t.Fatalf("DecodeAll = %d entries, %v", len(ents), err)
+		}
+	}
+	decode()
+	if n := testing.AllocsPerRun(100, decode); n != 0 {
+		t.Errorf("DecodeAll into a reused list: %v allocs/op, want 0", n)
 	}
 }

@@ -90,6 +90,8 @@ func (c *CPU) Scale(work time.Duration) time.Duration {
 // Compute executes work (reference-core time) on one core, charging busy
 // time to tag. The core is shared round-robin with equal-or-higher-priority
 // contenders at Slice granularity.
+//
+//linefs:hotpath
 func (c *CPU) Compute(p *sim.Proc, work time.Duration, prio int, tag string) {
 	remaining := c.Scale(work)
 	if remaining <= 0 {
@@ -98,14 +100,9 @@ func (c *CPU) Compute(p *sim.Proc, work time.Duration, prio int, tag string) {
 	if c.Jitter != nil && c.Cores.InUse() >= c.Cores.Cap() {
 		p.Sleep(c.Jitter.Sample())
 	}
-	held := false
 	c.Cores.Acquire(p, prio)
-	held = true
-	defer func() {
-		if held {
-			c.Cores.Release()
-		}
-	}()
+	held := true
+	defer c.releaseHeld(&held)
 	for remaining > 0 {
 		run := c.Slice
 		if remaining < run {
@@ -124,6 +121,14 @@ func (c *CPU) Compute(p *sim.Proc, work time.Duration, prio int, tag string) {
 				held = true
 			}
 		}
+	}
+}
+
+// releaseHeld gives back the core Compute holds, if it holds one, when
+// Compute returns or its process is killed.
+func (c *CPU) releaseHeld(held *bool) {
+	if *held {
+		c.Cores.Release()
 	}
 }
 

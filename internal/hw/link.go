@@ -68,14 +68,25 @@ func (l *Link) Transfer(p *sim.Proc, n int, prio int) {
 }
 
 func (l *Link) class(prio int) *linkClass {
-	for _, c := range l.classes {
-		if c.prio == prio {
-			return c
+	var c *linkClass
+	for _, o := range l.classes {
+		if o.prio == prio {
+			c = o
+			break
 		}
 	}
-	c := &linkClass{prio: prio, ch: sim.NewResource(l.Env, 1)}
-	l.classes = append(l.classes, c)
+	if c == nil { // the first segment at prio
+		c = &linkClass{prio: prio, ch: sim.NewResource(l.Env, 1)}
+		l.classes = append(l.classes, c)
+	}
 	return c
+}
+
+// done takes c's segment out of service and frees its channel, when the
+// sender is served or killed.
+func (c *linkClass) done() {
+	c.end = 0
+	c.ch.Release()
 }
 
 // segment serves one grant of d on c: after every higher-priority segment in
@@ -83,7 +94,7 @@ func (l *Link) class(prio int) *linkClass {
 // and sleeps the difference.
 func (l *Link) segment(p *sim.Proc, c *linkClass, d time.Duration) {
 	c.ch.Acquire(p, c.prio)
-	defer func() { c.end = 0; c.ch.Release() }()
+	defer c.done()
 	now := p.Now()
 	start := now
 	for _, o := range l.classes {

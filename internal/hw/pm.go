@@ -251,6 +251,8 @@ func (st *PageStore) grow() {
 
 // Read copies n=len(dst) bytes at off into dst, charging media latency and
 // bandwidth to p. The read observes unpersisted writes (program order).
+//
+//linefs:hotpath
 func (pm *PM) Read(p *sim.Proc, off int64, dst []byte) {
 	p.Sleep(pm.ReadLat)
 	pm.link.Transfer(p, len(dst), 0)
@@ -286,6 +288,8 @@ func (pm *PM) Write(p *sim.Proc, off int64, src []byte) {
 // into PM cost several times their payload in memory traffic (read-modify-
 // write at cacheline granularity, write-combining misses, cache pollution),
 // which is how a host-based DFS interferes with memory-bound co-runners.
+//
+//linefs:hotpath
 func (pm *PM) WriteAmp(p *sim.Proc, off int64, src []byte, amp int) {
 	if amp < 1 {
 		amp = 1
@@ -450,6 +454,8 @@ func (pm *PM) WritePersist(p *sim.Proc, off int64, src []byte) {
 
 // Persist makes all writes overlapping [off, off+n) durable, charging a
 // flush cost proportional to the range.
+//
+//linefs:hotpath
 func (pm *PM) Persist(p *sim.Proc, off, n int64) {
 	p.Sleep(pm.WriteLat) // fence cost
 	pm.PersistNoCost(off, n)

@@ -125,7 +125,9 @@ func inRanges(rs []posRange, p int) bool {
 // whose condition tests cap(...) or compares against nil, plus — for the
 // grow-helper shape, where a cap-guard if *returns early* and the
 // allocation follows it — the remainder of the enclosing block after such
-// an if.
+// an if. Only a cap guard exempts the remainder: a nil test that returns
+// early (`if c.P == nil { …; return }`) picks a path, it does not amortize
+// the one that follows.
 func collectGuardRanges(body *ast.BlockStmt) []posRange {
 	var out []posRange
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -139,7 +141,7 @@ func collectGuardRanges(body *ast.BlockStmt) []posRange {
 				continue
 			}
 			out = append(out, posRange{int(ifs.Body.Pos()), int(ifs.Body.End())})
-			if endsInReturn(ifs.Body) && i+1 < len(blk.List) {
+			if endsInReturn(ifs.Body) && i+1 < len(blk.List) && mentionsCap(ifs.Cond) {
 				out = append(out, posRange{int(blk.List[i+1].Pos()), int(blk.End())})
 			}
 		}
@@ -151,17 +153,29 @@ func collectGuardRanges(body *ast.BlockStmt) []posRange {
 // isAmortGuardCond reports whether an if condition is an amortization
 // guard: it mentions cap(...), len-vs-cap, or a nil comparison.
 func isAmortGuardCond(cond ast.Expr) bool {
+	return mentionsCap(cond) || mentionsIdent(cond, "nil")
+}
+
+// mentionsCap reports whether an expression calls cap(...).
+func mentionsCap(e ast.Expr) bool {
 	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(v.Fun).(*ast.Ident); ok && id.Name == "cap" {
+	ast.Inspect(e, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "cap" {
 				found = true
 			}
-		case *ast.Ident:
-			if v.Name == "nil" {
-				found = true
-			}
+		}
+		return !found
+	})
+	return found
+}
+
+// mentionsIdent reports whether an expression names the identifier name.
+func mentionsIdent(e ast.Expr, name string) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && id.Name == name {
+			found = true
 		}
 		return !found
 	})

@@ -48,6 +48,19 @@ func grow(b []byte, n int) []byte {
 	return nb[:n]
 }
 
+// costed is the path-pick shape: a nil test returning early takes the
+// cost-free path, which is exempt like any guard body; the costed path after
+// it is not amortized by that test and is still checked.
+//
+//linefs:hotpath
+func costed(la *fs.LogArea, ctx *fs.Ctx, e *fs.Entry, noCost bool) []byte {
+	if noCost || ctx == nil {
+		return make([]byte, 1)
+	}
+	la.Append(ctx, e)      // want `calls linefs/internal/fs\.Append, which is not marked`
+	return make([]byte, 1) // want `make allocates in hot path`
+}
+
 //linefs:hotpath
 func appendBad(c *codec, x byte) []byte {
 	out := append(c.buf, x) // want `append may grow in hot path`

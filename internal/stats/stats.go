@@ -77,6 +77,8 @@ type Counter struct {
 }
 
 // Add increments the counter.
+//
+//linefs:hotpath
 func (c *Counter) Add(n int64) { c.total += n }
 
 // Total returns the accumulated value.
@@ -132,6 +134,8 @@ func NewUtilization() *Utilization {
 }
 
 // Add charges busy time d to tag.
+//
+//linefs:hotpath
 func (u *Utilization) Add(tag string, d time.Duration) {
 	u.busy[tag] += d
 }
