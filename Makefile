@@ -1,12 +1,14 @@
 # Developer entry points. `make ci` is the gate every change must pass and
-# includes `make test`, the full suite (tier-1); `make bench` regenerates
-# the DES kernel microbenchmark numbers.
+# includes `make test`, the full suite (tier-1). Host-clock speed of each
+# layer is measured by the benchmark module's per-layer rows (`bash
+# benchmark/run.sh`); `make repbench` regenerates the virtual-time
+# replication-chain record.
 
 GO ?= go
 
-.PHONY: ci vet build bench-module lint lint-fix-list loc prodcover test-short test race borrowsan fuzz-smoke explore selfcheck test-full bench kernelbench databench databench-smoke repbench repbench-smoke chaos clean
+.PHONY: ci vet build bench-module lint lint-fix-list loc prodcover test-short test race borrowsan fuzz-smoke explore selfcheck test-full kernelbench repbench repbench-smoke chaos clean
 
-ci: vet build bench-module lint test race borrowsan fuzz-smoke selfcheck databench-smoke repbench-smoke chaos
+ci: vet build bench-module lint test race borrowsan fuzz-smoke selfcheck repbench-smoke chaos
 
 vet:
 	$(GO) vet ./...
@@ -45,15 +47,14 @@ loc:
 # Does any harness run this? Builds linefs-bench, linefs-check and the
 # benchmark with count-mode coverage of every linefs package into a temporary
 # directory (never the checkout), runs every experiment, the ablations,
-# chaos and one chaos reproducer, a selfcheck of fig5, the kernel bench, the
-# repbench/databench smokes, linefs-check on the five systems and the six
-# benchmark workloads for a second each, merges the counters, and
-# writes the functions no run reached (internal/lint aside: only its tests
-# drive it) to unreached.txt, as file:function. It diffs that list against
-# the committed UNREACHED.txt, one function and its owner a line (a ROADMAP
-# item number, observer, tool, or fig8a -full): it prints what is new or
-# gone, and fails on a new function, which has no owner yet, or a line
-# without one. The merged count profile stays in the printed directory for
+# chaos and one chaos reproducer, a selfcheck of fig5, the repbench,
+# linefs-check on the five systems and the six benchmark workloads for a
+# second each, merges the counters, and writes the functions no run reached
+# (internal/lint aside: only its tests drive it) to unreached.txt, as
+# file:function. It diffs that list against the committed UNREACHED.txt,
+# one function and its owner a line (a ROADMAP item number, observer, tool,
+# or fig8a -full): it prints what is new or gone, and fails on a new
+# function, which has no owner yet, or a line without one. The merged count profile stays in the printed directory for
 # per-block questions. Not part of `ci`: 5 minutes on a 2-core, 7 GB
 # machine, and 4.1 GB in its largest process (-exp all, for fig4).
 prodcover:
@@ -68,9 +69,7 @@ prodcover:
 	$$d/linefs-bench -chaos >/dev/null; \
 	$$d/linefs-bench -chaos -chaos-seed 1 >/dev/null; \
 	$$d/linefs-bench -selfcheck -exp fig5 -j 1 >/dev/null; \
-	$$d/linefs-bench -kernelbench -kernelbench-out $$d/kernel.json >/dev/null; \
-	$$d/linefs-bench -repbench -repbench-time 25ms -repbench-out $$d/rep.json >/dev/null; \
-	$$d/linefs-bench -databench -databench-time 25ms -databench-out $$d/data.json >/dev/null; \
+	$$d/linefs-bench -repbench -repbench-out $$d/rep.json >/dev/null; \
 	for s in linefs linefs-np assise assise-bg assise-hl; do $$d/linefs-check -system $$s >/dev/null; done; \
 	$$d/benchmark -seed 1 -seconds 1 >/dev/null; \
 	$(GO) tool covdata textfmt -i=$$d/cov -o=$$d/all.out; \
@@ -138,40 +137,21 @@ test:
 kernelbench:
 	$(GO) test -bench=Kernel -benchmem -run='^$$' ./internal/sim/
 
-# Regenerate BENCH_kernel.json (baseline vs current events/sec).
-bench:
-	$(GO) build -o linefs-bench ./cmd/linefs-bench
-	./linefs-bench -kernelbench
-
-# Regenerate BENCH_dataplane.json (current LZW / log codec / PM throughput
-# against the recorded seed column).
-databench:
-	$(GO) build -o linefs-bench ./cmd/linefs-bench
-	./linefs-bench -databench -databench-time 2s
-
-# CI smoke: tiny measurement windows, but the same harness — it still
-# asserts the steady-state compress/decompress/encode/decode/PM-write
-# paths run at 0 allocs/op. The report itself goes to a scratch file.
-databench-smoke:
-	$(GO) run ./cmd/linefs-bench -databench -databench-time 25ms -databench-out /tmp/BENCH_dataplane_smoke.json
-
 # Regenerate BENCH_replication.json (the recorded seed per-chunk column vs
-# the chain protocol down the 3-replica chain, plus the pooled-path
-# allocation gate). The chain numbers are simulated time, so they are
-# deterministic; only the allocs/op loop is wall clock.
+# the chain protocol down the 3-replica chain). The numbers are simulated
+# time, so they are deterministic.
 repbench:
 	$(GO) build -o linefs-bench ./cmd/linefs-bench
-	./linefs-bench -repbench -repbench-time 2s
+	./linefs-bench -repbench
 
-# CI smoke: same harness, tiny allocation window. Still asserts the pooled
-# replication hot path runs at 0 allocs/op, that the chain workloads
-# complete, that an fsync which forms its own chunk costs less than the
-# value recorded before it stopped waiting for local publication, and that a
-# large fsync costs at least 45 % less than the value recorded before its
-# range went down the chain in pieces; prints the fan-in row (2 and 4 clients'
-# small fsyncs per second) beside them. The report goes to a scratch file.
+# CI smoke: the same run, its report to a scratch file. Asserts that the
+# chain workloads complete, that an fsync which forms its own chunk costs
+# less than the value recorded before it stopped waiting for local
+# publication, and that a large fsync costs at least 45 % less than the value
+# recorded before its range went down the chain in pieces; prints the fan-in
+# row (2 and 4 clients' small fsyncs per second) beside them.
 repbench-smoke:
-	$(GO) run ./cmd/linefs-bench -repbench -repbench-time 25ms -repbench-out /tmp/BENCH_replication_smoke.json
+	$(GO) run ./cmd/linefs-bench -repbench -repbench-out /tmp/BENCH_replication_smoke.json
 
 # Seeded fault-schedule explorer (DESIGN.md §12): a fault-free control
 # schedule (no robustness counter may move — what checks that the

@@ -8,8 +8,6 @@
 //	linefs-bench -exp all -j 4        # four experiments concurrently
 //	linefs-bench -exp table3 -full    # paper-scale sizes (slow)
 //	linefs-bench -list                # enumerate experiments
-//	linefs-bench -kernelbench         # DES kernel microbench -> BENCH_kernel.json
-//	linefs-bench -databench           # data-plane microbench -> BENCH_dataplane.json
 //	linefs-bench -repbench            # replication-chain bench -> BENCH_replication.json
 //	linefs-bench -selfcheck           # run each experiment twice, fail on digest divergence
 //	linefs-bench -chaos               # 200 seeded fault schedules, fail on invariant violations
@@ -75,7 +73,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		opts   bench.Options
 		toRun  []bench.Experiment
 	)
-	modes := append(benchModes(fs),
+	modes := []mode{
+		repbenchMode(fs),
 		mode{fs.Bool("chaos", false, "run the seeded fault-schedule explorer and fail on any invariant violation"), func() ([]string, error) {
 			if bad := bench.Chaos(opts, *chaosN, *chaosS, stdout, stderr); bad > 0 {
 				return nil, fmt.Errorf("chaos: %d schedule(s) violated invariants", bad)
@@ -109,7 +108,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				err = fmt.Errorf("selfcheck: %d experiment(s) nondeterministic or failing", failed)
 			}
 			return rows, err
-		}})
+		}},
+	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -215,60 +215,27 @@ func startProfiles(cpu, mem string) (stop func() error, err error) {
 	}, nil
 }
 
-// benchMode is a mode that measures, writes its report as JSON to the path
-// its -name-out flag gives, and prints the report's headline rows.
-func benchMode(fs *flag.FlagSet, name, usage, file string, run func(out string) ([]string, error)) mode {
-	out := fs.String(name+"-out", file, "output path for -"+name)
-	return mode{fs.Bool(name, false, usage+" and write "+file), func() ([]string, error) {
-		rows, err := run(*out)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		return append(rows, "wrote "+*out), nil
-	}}
-}
-
-func benchModes(fs *flag.FlagSet) []mode {
-	dtime := fs.Duration("databench-time", time.Second, "per-metric measurement window for -databench")
-	rtime := fs.Duration("repbench-time", time.Second, "pooled-path allocation measurement window for -repbench")
+// repbenchMode measures the replication chain in virtual time, writes the
+// report as JSON to the path -repbench-out gives, and prints its rows.
+func repbenchMode(fs *flag.FlagSet) mode {
+	out := fs.String("repbench-out", "BENCH_replication.json", "output path for -repbench")
 	row := fmt.Sprintf
-	return []mode{
-		benchMode(fs, "kernelbench", "run DES kernel microbenchmarks", "BENCH_kernel.json", func(out string) ([]string, error) {
-			cur, err := bench.WriteKernelBench(out)
-			base := bench.KernelBaseline
-			return []string{
-				row("kernel events/sec:          %12.0f (baseline %12.0f, %.1fx)", cur.EventsPerSec, base.EventsPerSec, cur.EventsPerSec/base.EventsPerSec),
-				row("kernel handoff events/sec:  %12.0f (baseline %12.0f, %.1fx)", cur.HandoffEventsPerSec, base.HandoffEventsPerSec, cur.HandoffEventsPerSec/base.HandoffEventsPerSec),
-				row("resource grants/sec:        %12.0f (baseline %12.0f, %.1fx)", cur.ResourceGrantsPerSec, base.ResourceGrantsPerSec, cur.ResourceGrantsPerSec/base.ResourceGrantsPerSec),
-				row("queue put+get pairs/sec:    %12.0f (baseline %12.0f, %.1fx)", cur.QueueOpsPerSec, base.QueueOpsPerSec, cur.QueueOpsPerSec/base.QueueOpsPerSec),
-			}, err
-		}),
-		benchMode(fs, "databench", "run data-plane microbenchmarks", "BENCH_dataplane.json", func(out string) ([]string, error) {
-			rep, err := bench.WriteDataBench(out, *dtime)
-			cur, base, x := rep.Current, rep.Baseline, rep.Speedup
-			return []string{
-				row("lzw compress MB/s:          %12.1f (baseline %12.1f, %.1fx)", cur.LZWCompressMBps, base.LZWCompressMBps, x.LZWCompressMBps),
-				row("lzw decompress MB/s:        %12.1f (baseline %12.1f, %.1fx)", cur.LZWDecompressMBps, base.LZWDecompressMBps, x.LZWDecompressMBps),
-				row("log encode entries/sec:     %12.0f (baseline %12.0f, %.1fx)", cur.LogEncodePerSec, base.LogEncodePerSec, x.LogEncodePerSec),
-				row("log decode entries/sec:     %12.0f (baseline %12.0f, %.1fx)", cur.LogDecodePerSec, base.LogDecodePerSec, x.LogDecodePerSec),
-				row("pm write+persist GB/s:      %12.2f (baseline %12.2f, %.1fx)", cur.PMWriteGBps, base.PMWriteGBps, x.PMWriteGBps),
-				row("aggregate speedup (lzw+log geomean): %.1fx", rep.SpeedupAggregate),
-			}, err
-		}),
-		benchMode(fs, "repbench", "run replication-chain benchmarks", "BENCH_replication.json", func(out string) ([]string, error) {
-			rep, err := bench.WriteRepBench(out, *rtime)
-			cur, base := rep.Current, rep.Baseline
-			return []string{
-				row("chain chunks/sec:           %12.0f (baseline %12.0f, %.1fx)", cur.ChunksPerSec, base.ChunksPerSec, rep.ChunksPerSecSpeedup),
-				row("wire messages/chunk:        %12.2f (baseline %12.2f, %.1fx fewer)", cur.WireMsgsPerChunk, base.WireMsgsPerChunk, rep.WireMsgReduction),
-				row("fsync p50 us:               %12.1f (baseline %12.1f)", cur.FsyncP50Micros, base.FsyncP50Micros),
-				row("fsync p99 us:               %12.1f (baseline %12.1f, %.2fx)", cur.FsyncP99Micros, base.FsyncP99Micros, rep.FsyncP99Speedup),
-				row("sync-path fsync p50 us:     %12.1f (baseline %12.1f)", cur.SyncPathFsyncP50Micros, base.SyncPathFsyncP50Micros),
-				row("large fsync p50 us:         %12.1f (baseline %12.1f)", cur.LargeFsyncP50Micros, base.LargeFsyncP50Micros),
-				row("fan-in fsyncs/sec, 2 | 4 clients: %8.0f | %.0f (baseline %.0f | %.0f)", cur.FanInFsyncOpsPerSec[0], cur.FanInFsyncOpsPerSec[1], base.FanInFsyncOpsPerSec[0], base.FanInFsyncOpsPerSec[1]),
-				row("sync beside bulk fsync p99 us: %7.1f (baseline %12.1f)", cur.SyncBesideBulkFsyncP99Micros, base.SyncBesideBulkFsyncP99Micros),
-				row("pooled path allocs/op:      %12.3f", rep.PooledAllocsPerOp),
-			}, err
-		}),
-	}
+	return mode{fs.Bool("repbench", false, "run replication-chain benchmarks and write BENCH_replication.json"), func() ([]string, error) {
+		rep, err := bench.WriteRepBench(*out)
+		if err != nil {
+			return nil, fmt.Errorf("repbench: %w", err)
+		}
+		cur, base := rep.Current, rep.Baseline
+		return []string{
+			row("chain chunks/sec:           %12.0f (baseline %12.0f, %.1fx)", cur.ChunksPerSec, base.ChunksPerSec, rep.ChunksPerSecSpeedup),
+			row("wire messages/chunk:        %12.2f (baseline %12.2f, %.1fx fewer)", cur.WireMsgsPerChunk, base.WireMsgsPerChunk, rep.WireMsgReduction),
+			row("fsync p50 us:               %12.1f (baseline %12.1f)", cur.FsyncP50Micros, base.FsyncP50Micros),
+			row("fsync p99 us:               %12.1f (baseline %12.1f, %.2fx)", cur.FsyncP99Micros, base.FsyncP99Micros, rep.FsyncP99Speedup),
+			row("sync-path fsync p50 us:     %12.1f (baseline %12.1f)", cur.SyncPathFsyncP50Micros, base.SyncPathFsyncP50Micros),
+			row("large fsync p50 us:         %12.1f (baseline %12.1f)", cur.LargeFsyncP50Micros, base.LargeFsyncP50Micros),
+			row("fan-in fsyncs/sec, 2 | 4 clients: %8.0f | %.0f (baseline %.0f | %.0f)", cur.FanInFsyncOpsPerSec[0], cur.FanInFsyncOpsPerSec[1], base.FanInFsyncOpsPerSec[0], base.FanInFsyncOpsPerSec[1]),
+			row("sync beside bulk fsync p99 us: %7.1f (baseline %12.1f)", cur.SyncBesideBulkFsyncP99Micros, base.SyncBesideBulkFsyncP99Micros),
+			"wrote " + *out,
+		}, nil
+	}}
 }

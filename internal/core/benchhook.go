@@ -14,9 +14,10 @@ import (
 // coding into the chunk-owned compression buffer and length table, through
 // the inline compress path, sealed with its frame sum), and decodeBatchChunk
 // (mirror-side batch frame decode into a pooled receive buffer). The
-// repbench drives the closure under a MemStats window to assert that the
-// //linefs:hotpath annotations hold at runtime: zero allocations per op once
-// every buffer is warm.
+// benchmark's core.repl_hotloop rows time the closure and count its
+// allocations; TestReplHotLoopAllocatesNothing holds the //linefs:hotpath
+// annotations to it at run time: zero allocations per op once every buffer
+// is warm.
 func ReplHotLoop() (func(), error) {
 	// A chunk's worth of wire-encoded write entries — the byte stream the
 	// pipeline fetches and compresses and the mirror decodes.

@@ -273,7 +273,7 @@ func (cs *clientState) stageFetch(p *sim.Proc, ck *chunk) bool {
 	// fsync's chunk preempts bulk fetches on it.
 	m.Fetch.Transfer(p, int(size), rdma.ClassPrio(ck.sync))
 	ck.raw = growBuf(ck.raw, int(size))
-	fetch := fs.Ctx{PM: m.PM, NoCost: true} // the Transfer above charged it
+	fetch := fs.Ctx{PM: m.PM} // no process: the Transfer above charged it
 	cs.log.ReadRawInto(&fetch, ck.from, ck.raw)
 	n.StageTimes["fetch"].add(time.Duration(p.Now() - start))
 	return true

@@ -364,3 +364,21 @@ func TestZipAllReservesItsPayloadOnce(t *testing.T) {
 		t.Errorf("zipAll on a recycled chunk: %v allocs, want 0", recycled)
 	}
 }
+
+// TestReplHotLoopAllocatesNothing runs the pooled replication hot path —
+// payload staging, sub-block coding and a mirror's frame decode, every
+// buffer warm — and wants 0 allocs per iteration: the //linefs:hotpath
+// annotations hold at run time. Not parallel: AllocsPerRun reads
+// process-wide counters.
+func TestReplHotLoopAllocatesNothing(t *testing.T) {
+	if compress.BorrowSanitizerEnabled() || fs.BorrowSanitizerEnabled() {
+		t.Skip("borrow-sanitizer forces fresh allocations by design")
+	}
+	loop, err := ReplHotLoop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(10, loop); a != 0 {
+		t.Errorf("ReplHotLoop steady state: %v allocs/op, want 0", a)
+	}
+}

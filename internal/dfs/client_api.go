@@ -363,7 +363,7 @@ func (l *Client) ReadAt(p *sim.Proc, fd int, off uint64, dst []byte) (int, error
 	if err != nil {
 		return 0, err
 	}
-	if off >= size {
+	if off >= size || len(dst) == 0 {
 		return 0, nil
 	}
 	n := uint64(len(dst))

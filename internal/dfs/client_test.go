@@ -170,6 +170,24 @@ func TestOverlayPrunedAfterReclaim(t *testing.T) {
 	})
 }
 
+// TestEmptyReadReturns reads nothing at the start of a published file. An
+// empty window has no last byte: off+n-1 wraps below zero, and a scan for
+// pieces up to its block would walk about 4.5e15 blocks.
+func TestEmptyReadReturns(t *testing.T) {
+	t.Parallel()
+	env, _, c := newFake(t)
+	run(t, env, func(p *sim.Proc) {
+		fd, _ := c.Create(p, "/e")
+		c.WriteAt(p, fd, 0, bytes.Repeat([]byte{3}, 100))
+		if err := c.Fsync(p, fd); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := c.ReadAt(p, fd, 0, nil); n != 0 || err != nil {
+			t.Fatalf("empty read = %d, %v", n, err)
+		}
+	})
+}
+
 func TestReadMergesLogOverPublished(t *testing.T) {
 	t.Parallel()
 	env, _, c := newFake(t)

@@ -20,7 +20,8 @@ import (
 
 // Ctx identifies who is touching PM and over which interconnect, so costs
 // land on the right timeline. A Ctx with no WriteLink is a host-core actor;
-// a NICFS actor carries the PCIe link in WriteLink and the SmartNIC CPU.
+// a NICFS actor carries the PCIe link in WriteLink and the SmartNIC CPU. A
+// Ctx with no process charges nothing (setup and test inspection).
 //
 // A Ctx is a value: its builders return one, the caller keeps it in its own
 // frame and passes its address down, and no function here retains the
@@ -39,16 +40,14 @@ type Ctx struct {
 	// MemAmp amplifies write traffic on the PM's memory system (CPU-store
 	// actors; 0/1 = none). See hw.PM.WriteAmp.
 	MemAmp int
-	// NoCost disables all time charging (setup and test inspection).
-	NoCost bool
 }
 
 // NoCostCtx returns a cost-free context for pm (setup and verification).
-func NoCostCtx(pm *hw.PM) *Ctx { return &Ctx{PM: pm, NoCost: true} }
+func NoCostCtx(pm *hw.PM) *Ctx { return &Ctx{PM: pm} }
 
 // Read copies PM bytes at off into dst, charging access cost.
 func (c *Ctx) Read(off int64, dst []byte) {
-	if c.NoCost || c.P == nil {
+	if c.P == nil {
 		c.PM.ReadNoCost(off, dst)
 		return
 	}
@@ -58,7 +57,7 @@ func (c *Ctx) Read(off int64, dst []byte) {
 // Write stores src at off and persists it (metadata and log writes on the
 // persistence-critical path flush eagerly).
 func (c *Ctx) Write(off int64, src []byte) {
-	if c.NoCost || c.P == nil {
+	if c.P == nil {
 		c.PM.WriteNoCost(off, src)
 		c.PM.PersistNoCost(off, int64(len(src)))
 		return
@@ -75,7 +74,7 @@ func (c *Ctx) Write(off int64, src []byte) {
 
 // Compute charges reference-core work to the acting CPU.
 func (c *Ctx) Compute(work time.Duration) {
-	if c.NoCost || c.P == nil || c.CPU == nil || work <= 0 {
+	if c.P == nil || c.CPU == nil || work <= 0 {
 		return
 	}
 	c.CPU.Compute(c.P, work, c.Prio, c.Tag)

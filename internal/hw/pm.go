@@ -163,9 +163,6 @@ func (st *PageStore) NewPM(env *sim.Env, name string, cfg PMConfig) *PM {
 	return pm
 }
 
-// Size returns the device capacity in bytes.
-func (pm *PM) Size() int64 { return pm.size }
-
 // ResidentBytes reports the host memory behind the device's bytes: every
 // slot its store has carved, released ones included (they stay mapped for
 // reuse). The PMs of a cluster share one store, so each reports the

@@ -104,7 +104,7 @@ func (pp *pmPair) crash() {
 	if pp.pm.PendingBytes() != 0 {
 		pp.t.Fatalf("%s: %d bytes pending after crash", pp.where, pp.pm.PendingBytes())
 	}
-	pp.checkRead(0, pp.pm.Size())
+	pp.checkRead(0, pp.pm.size)
 }
 
 // TestPMMatchesModel drives the paged PM and the naive model with the same
@@ -348,8 +348,8 @@ func TestPMFreshDeviceIsFree(t *testing.T) {
 	t.Parallel()
 	const size = 64 << 30
 	pm := NewPM(sim.NewEnv(1), "pm", DefaultPMConfig(size))
-	if pm.Size() != size || pm.ResidentBytes() != 0 {
-		t.Fatalf("fresh device: size %d, %d bytes resident", pm.Size(), pm.ResidentBytes())
+	if pm.size != size || pm.ResidentBytes() != 0 {
+		t.Fatalf("fresh device: size %d, %d bytes resident", pm.size, pm.ResidentBytes())
 	}
 	buf := make([]byte, 3*pageSize)
 	for _, off := range []int64{0, 12345, size / 2, size - int64(len(buf))} {
@@ -441,7 +441,7 @@ func TestPMWriteNoCostAllocFree(t *testing.T) {
 		pm.WriteNoCost(off, blk)
 		pm.PersistNoCost(off, int64(len(blk)))
 		off += int64(len(blk))
-		if off+int64(len(blk)) > pm.Size() {
+		if off+int64(len(blk)) > pm.size {
 			off = 0
 		}
 	}); a != 0 {
@@ -460,7 +460,7 @@ func TestPMOverwriteAllocFree(t *testing.T) {
 		pm.WriteNoCost(off, blk[:n])
 		pm.PersistNoCost(off, int64(n))
 	}
-	for off := int64(0); off < pm.Size(); off += int64(len(blk)) {
+	for off := int64(0); off < pm.size; off += int64(len(blk)) {
 		step(off, len(blk))
 	}
 	step(0, len(blk))
@@ -470,7 +470,7 @@ func TestPMOverwriteAllocFree(t *testing.T) {
 	if a := testing.AllocsPerRun(200, func() {
 		step(off, len(blk))
 		step(off+100, 200)
-		off = (off + int64(len(blk))) % pm.Size()
+		off = (off + int64(len(blk))) % pm.size
 	}); a != 0 {
 		t.Errorf("overwrite steady state: %v allocs/op, want 0", a)
 	}
@@ -487,10 +487,10 @@ func TestPMDiscardAllocFree(t *testing.T) {
 	pm := NewPM(sim.NewEnv(1), "pm", PMConfig{Size: 1 << 20, Bandwidth: 1e9})
 	blk := make([]byte, 16<<10)
 	n := int64(len(blk))
-	for off := int64(0); off < pm.Size(); off += n {
+	for off := int64(0); off < pm.size; off += n {
 		pm.WriteNoCost(off, blk)
 	}
-	pm.Discard(0, pm.Size())
+	pm.Discard(0, pm.size)
 	pm.WriteNoCost(0, blk)
 	resident := pm.ResidentBytes()
 	off := int64(0)
@@ -499,7 +499,7 @@ func TestPMDiscardAllocFree(t *testing.T) {
 		pm.PersistNoCost(off, n)
 		pm.WriteNoCost(off+100, blk[:200])
 		pm.Discard(off, n)
-		off = (off + n) % pm.Size()
+		off = (off + n) % pm.size
 	}); a != 0 {
 		t.Errorf("write+discard steady state: %v allocs/op, want 0", a)
 	}
@@ -521,7 +521,7 @@ func BenchmarkPMWritePersist(b *testing.B) {
 		pm.WriteNoCost(off, blk)
 		pm.PersistNoCost(off, int64(len(blk)))
 		off += int64(len(blk))
-		if off+int64(len(blk)) > pm.Size() {
+		if off+int64(len(blk)) > pm.size {
 			off = 0
 		}
 	}

@@ -8,7 +8,8 @@ import (
 // BenchmarkKernelEventsPerSec measures raw event-loop throughput: one
 // process sleeping in a tight loop, so every iteration is one timer event
 // (schedule, heap pop, wake). Reported as events/sec via the inverse of
-// ns/op. This is the headline kernel number tracked in BENCH_kernel.json.
+// ns/op. The benchmark module's sim.timer_events_per_s row runs the same
+// loop and is the number tracked from change to change.
 func BenchmarkKernelEventsPerSec(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEnv(1)
