@@ -151,10 +151,14 @@ func TestFsyncDoesNotWaitForReplicaKernelWorkers(t *testing.T) {
 	}
 }
 
-// slowKWorkers makes every kernel worker slow, not dead: it holds each copy
-// request 60 ms, past publishItems' 50 ms deadline, then serves it.
-func slowKWorkers(env *sim.Env, cl *Cluster) {
-	for _, kw := range cl.KWs {
+// slowKWorkers makes the kernel workers of machines slow, not dead: each
+// holds every copy request for hold (60 ms is past publishItems' 50 ms
+// deadline), then serves it. It returns each machine's copy requests, in
+// arrival order.
+func slowKWorkers(env *sim.Env, cl *Cluster, hold time.Duration, machines ...int) map[int][]*copyReq {
+	reqs := make(map[int][]*copyReq)
+	for _, mi := range machines {
+		kw := cl.KWs[mi]
 		kw.g.Kill()
 		env.Go("slow-kworker", func(kp *sim.Proc) {
 			for {
@@ -163,20 +167,33 @@ func slowKWorkers(env *sim.Env, cl *Cluster) {
 					return
 				}
 				if msg.Op == "copy" {
-					kp.Sleep(60 * time.Millisecond)
+					reqs[mi] = append(reqs[mi], msg.Arg.(*copyReq))
+					kp.Sleep(hold)
 				}
 				kw.serve(kp, msg)
 			}
 		})
 	}
+	return reqs
+}
+
+// inside reports whether d's first byte lies in b's storage.
+func inside(b, d []byte) bool {
+	full := b[:cap(b)]
+	for i := range full {
+		if &full[i] == &d[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // TestLateKernelWorkerCopyRetainsBuffers runs on slow kernel workers. NICFS
 // has published across PCIe itself by the time they answer, and the late
 // answers are discarded; the buffers those copies may read — the primary's
-// chunk, each mirror's pooled buffer, and each node's copy list — must not
-// have gone back to their pools, where the next chunk would overwrite what a
-// late copy reads.
+// chunk, the mirror buffer a range was published from, and each node's copy
+// list — must not have gone back to their pools, where the next chunk would
+// overwrite what a late copy reads.
 func TestLateKernelWorkerCopyRetainsBuffers(t *testing.T) {
 	t.Parallel()
 	env, cl := newTestCluster(t, testConfig())
@@ -200,7 +217,7 @@ func TestLateKernelWorkerCopyRetainsBuffers(t *testing.T) {
 		if cs.pubItems == nil || mirrors[0].pubItems == nil || mirrors[1].pubItems == nil {
 			t.Fatal("a publication left no copy list to reuse")
 		}
-		slowKWorkers(env, cl)
+		late := slowKWorkers(env, cl, 60*time.Millisecond, 0, 1, 2)
 		if _, err := l.WriteAt(p, fd, 0, payload); err != nil {
 			t.Fatal(err)
 		}
@@ -215,8 +232,17 @@ func TestLateKernelWorkerCopyRetainsBuffers(t *testing.T) {
 			t.Error("the primary recycled a chunk or a copy list a timed-out copy read")
 		}
 		for i, ms := range mirrors {
-			if len(ms.bufs) != 0 || ms.pubItems != nil {
-				t.Errorf("node %d's mirror recycled a buffer or a copy list a timed-out copy read", i+1)
+			if len(late[i+1]) == 0 || ms.pubItems != nil {
+				t.Errorf("node %d's mirror sent no late copy, or recycled the copy list one read", i+1)
+			}
+			for _, req := range late[i+1] {
+				for _, it := range req.Items {
+					for _, b := range ms.bufs {
+						if inside(b, it.Data) {
+							t.Errorf("node %d's mirror pooled a buffer a timed-out copy read", i+1)
+						}
+					}
+				}
 			}
 		}
 		assertReplicasHold(t, cl, "/late", payload)
@@ -240,7 +266,7 @@ func TestLateKernelWorkerCopyNeverLandsOverNewer(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Sleep(10 * time.Millisecond)
-		slowKWorkers(env, cl)
+		slowKWorkers(env, cl, 60*time.Millisecond, 0, 1, 2)
 		for _, payload := range [][]byte{older, newer} {
 			if _, err := l.WriteAt(p, fd, 0, payload); err != nil {
 				t.Fatal(err)

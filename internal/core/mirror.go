@@ -27,8 +27,12 @@ type mirrorState struct {
 	q   *sim.Queue[*replChunkBatch]
 	rcv ChainReceiver[*replChunkBatch]
 
-	// pubQ decouples local publication from the chain critical path.
-	pubQ *sim.Queue[pubJob]
+	// backlog holds, oldest first, the ranges persisted and acknowledged but
+	// not yet published, the one being published included; pubQ wakes the
+	// publisher once per range, decoupling publication from the chain
+	// critical path.
+	backlog []pubJob
+	pubQ    *sim.Queue[struct{}]
 
 	// dec is the decompression dictionary, reused across sub-blocks (every
 	// call starts a fresh dictionary).
@@ -39,33 +43,39 @@ type mirrorState struct {
 	// aliased — the primary recycles its chunk buffers as soon as the chain
 	// acks, which can be before this replica's background publication runs.
 	bufs [][]byte
+	// spills counts waiting ranges read back early, before a persist
+	// overwrote their ring bytes.
+	spills int
 	// pubItems is publishLocal's copy list, reused unless a timed-out kernel
 	// worker may still read it; decoded holds the entries it decodes.
 	pubItems []copyItem
 	decoded  fs.EntryList
 }
 
+// pubJob is the log range [from, to) of one persisted batch. raw holds its
+// bytes once the publisher reaches it; a batch that waits for the publisher
+// gives its receive buffer back and is read from the ring (readBack), which
+// holds the same bytes persisted.
 type pubJob struct {
-	raw []byte
-	to  uint64
+	raw      []byte
+	from, to uint64
 }
 
 // getBuf takes the newest pooled buffer with room for n bytes. When none
 // has, it makes one, and the newest pooled buffer, too small, goes with it,
 // so that small buffers do not keep the pool full.
 func (ms *mirrorState) getBuf(n int) []byte {
-	if len(ms.bufs) == 0 {
-		return make([]byte, n)
-	}
-	k := len(ms.bufs) - 1
-	for i := k; i >= 0; i-- {
-		if cap(ms.bufs[i]) >= n {
-			k = i
-			break
+	var b []byte
+	if k := len(ms.bufs) - 1; k >= 0 {
+		for i := k; i >= 0; i-- {
+			if cap(ms.bufs[i]) >= n {
+				k = i
+				break
+			}
 		}
+		b = ms.bufs[k]
+		ms.bufs = slices.Delete(ms.bufs, k, k+1)
 	}
-	b := ms.bufs[k]
-	ms.bufs = slices.Delete(ms.bufs, k, k+1)
 	return growBuf(b, n)
 }
 
@@ -115,7 +125,7 @@ func (n *NICFS) newMirror(slot int) *mirrorState {
 		chainPos: pos,
 		chain:    chain,
 		q:        sim.NewQueue[*replChunkBatch](cl.Env, 0),
-		pubQ:     sim.NewQueue[pubJob](cl.Env, 0),
+		pubQ:     sim.NewQueue[struct{}](cl.Env, 0),
 		rcv:      ChainReceiver[*replChunkBatch]{Tail: pos == len(chain)-1},
 	}
 	cl.Env.Go(n.Name()+"/mirror", ms.run)
@@ -130,9 +140,42 @@ func (n *NICFS) newMirror(slot int) *mirrorState {
 // still read, which is never recycled (the primary's rule for its chunks).
 func (ms *mirrorState) runPublisher(p *sim.Proc) {
 	for {
-		job, _ := ms.pubQ.Get(p)
-		if !ms.publishLocal(p, job.raw, job.to) {
-			ms.putBuf(job.raw)
+		ms.pubQ.Get(p)
+		job := &ms.backlog[0]
+		if job.raw == nil {
+			ms.readBack(job)
+		}
+		raw, to := job.raw, job.to // handleBatch may grow the backlog meanwhile
+		if !ms.publishLocal(p, raw, to) {
+			ms.putBuf(raw)
+		}
+		ms.backlog = slices.Delete(ms.backlog, 0, 1)
+	}
+}
+
+// readBack fills job's buffer from the mirror ring, where its range lies
+// persisted. It is the simulator's host copy, not a modelled one: the
+// context has no process, so it charges no virtual time and crosses no
+// link, and publication costs what publishing from NIC memory costs.
+//
+//linefs:hotpath
+func (ms *mirrorState) readBack(job *pubJob) {
+	job.raw = ms.getBuf(int(job.to - job.from))
+	ctx := fs.Ctx{PM: ms.n.cl.Machines[ms.n.machine].PM}
+	ms.log.ReadRawInto(&ctx, job.from, job.raw)
+}
+
+// spill reads back every waiting range that a persist ending at to would
+// overwrite in a ring of capacity c: one that starts below to − c. Nothing
+// bounds a LineFS mirror's ring lag by its publication, so the persist goes
+// ahead; the range is published from the copy.
+//
+//linefs:hotpath
+func (ms *mirrorState) spill(to uint64, c int64) {
+	for i := range ms.backlog {
+		if job := &ms.backlog[i]; job.raw == nil && job.from+uint64(c) < to {
+			ms.readBack(job)
+			ms.spills++
 		}
 	}
 }
@@ -295,15 +338,26 @@ func (ms *mirrorState) handleBatch(p *sim.Proc, rb *replChunkBatch, from uint64)
 		}
 	}
 
-	// Persist the batch into the local PM log mirror.
+	// Persist the batch into the local PM log mirror, after reading out what
+	// it would overwrite of the ranges still waiting to be published.
+	ms.spill(rb.To, ms.log.Cap())
 	ms.persistRaw(p, rb.From, raw, rdma.ClassPrio(rb.Sync))
 
 	// One cumulative acknowledgment covers every chunk in the batch.
 	ms.ack(p, ms.rcv.Persisted(rb.To).To)
 
 	// Publish locally in the background so the replica's public area keeps
-	// up and the mirror ring can be reclaimed.
-	ms.pubQ.Put(p, pubJob{raw: raw, to: rb.To})
+	// up and the mirror ring can be reclaimed. An idle publisher takes the
+	// buffer the batch arrived in; a batch that waits gives it back and is
+	// read from the ring when its turn comes.
+	job := pubJob{from: rb.From, to: rb.To}
+	if len(ms.backlog) == 0 {
+		job.raw = raw
+	} else {
+		ms.putBuf(raw)
+	}
+	ms.backlog = append(ms.backlog, job)
+	ms.pubQ.Put(p, struct{}{})
 }
 
 // ack tells the primary that everything through to is durable here. Acks

@@ -166,7 +166,8 @@ func TestMirrorFramingGates(t *testing.T) {
 			}
 			mirror := cl.NICs[1]
 			ms := mirror.newMirror(0)
-			ms.putBuf(make([]byte, 0, 2*len(raw))) // the buffer every case must hand back
+			lent := make([]byte, 0, 2*len(raw)) // the buffer every case must hand back
+			ms.putBuf(lent)
 			acks := func() (total int64) {
 				for _, nic := range cl.NICs {
 					total += nic.AckMsgs
@@ -192,8 +193,9 @@ func TestMirrorFramingGates(t *testing.T) {
 						t.Errorf("%s: node %d mirror head moved to %d", tc.name, mi, m.log.Head())
 					}
 				}
-				if len(ms.bufs) != 1 {
-					t.Errorf("%s: %d buffers pooled, want the one lent back", tc.name, len(ms.bufs))
+				if len(ms.bufs) != 1 || !inside(ms.bufs[0], lent[:1]) || len(ms.backlog) != 0 {
+					t.Errorf("%s: %d buffers pooled and %d ranges waiting to publish, want the one lent back and none",
+						tc.name, len(ms.bufs), len(ms.backlog))
 				}
 				// A sender-made CRC-bad frame is rejected at both hops.
 				want := int64(0)
@@ -547,5 +549,80 @@ func TestFirstChunkSurvivesAnOvertakingFsync(t *testing.T) {
 			assertReplicasHold(t, cl, "/f", payload)
 		})
 		env.Shutdown()
+	}
+}
+
+// TestMirrorPublishesItsBacklogFromTheRing holds both replicas' publishers
+// back — their kernel workers take 40 ms a copy, inside publishItems'
+// deadline — while a client writes, so every batch a mirror persists waits
+// for its publisher as a log range with no buffer. In a ring the write fits,
+// a mirror holds at most two buffers however many batches queue. In a ring
+// the write wraps three times, each persist that would overwrite a waiting
+// range reads it out first (a spill), and after the drain every replica's
+// public area holds what the primary's does.
+func TestMirrorPublishesItsBacklogFromTheRing(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name    string
+		logSize int64
+		write   int
+		spills  bool
+	}{
+		{"backlog within the ring", 8 << 20, 4 << 20, false},
+		{"ring wraps over the backlog", 2 << 20, 6 << 20, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.LogSize, cfg.ChunkSize = tc.logSize, 256<<10
+			env, cl := newTestCluster(t, cfg)
+			defer env.Shutdown()
+			payload := make([]byte, tc.write)
+			rand.New(rand.NewSource(1)).Read(payload)
+			run(t, env, 20*time.Second, func(p *sim.Proc) {
+				l, err := cl.Attach(p, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fd, _ := l.Create(p, "/backlog")
+				if err := l.Fsync(p, fd); err != nil {
+					t.Fatal(err)
+				}
+				p.Sleep(10 * time.Millisecond)
+				slowKWorkers(env, cl, 40*time.Millisecond, 1, 2)
+				for off := 0; off < len(payload); off += 64 << 10 {
+					if _, err := l.WriteAt(p, fd, uint64(off), payload[off:off+64<<10]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := l.Fsync(p, fd); err != nil {
+					t.Fatal(err)
+				}
+				mirrors := []*mirrorState{cl.NICs[1].mirrors[0], cl.NICs[2].mirrors[0]}
+				var queued [2]int
+				for i, ms := range mirrors {
+					queued[i] = len(ms.backlog)
+				}
+				for len(mirrors[0].backlog)+len(mirrors[1].backlog) > 0 {
+					p.Sleep(10 * time.Millisecond)
+				}
+				for i, ms := range mirrors {
+					if queued[i] < 4 {
+						t.Errorf("node %d: %d batches queued at the fsync's return, want a backlog of 4 or more", i+1, queued[i])
+					}
+					if (ms.spills > 0) != tc.spills {
+						t.Errorf("node %d: %d ranges spilled, want some: %v", i+1, ms.spills, tc.spills)
+					}
+					if held := len(ms.bufs); held > 2+ms.spills {
+						t.Errorf("node %d: %d buffers after %d batches queued and %d spilled, want at most 2 + the spilled",
+							i+1, held, queued[i], ms.spills)
+					}
+					if cl.NICs[i+1].Isolated {
+						t.Errorf("node %d NICFS isolated: a copy outran its deadline", i+1)
+					}
+					t.Logf("node %d: %d batches queued, %d spilled, %d buffers", i+1, queued[i], ms.spills, len(ms.bufs))
+				}
+				assertReplicasHold(t, cl, "/backlog", payload)
+			})
+		})
 	}
 }

@@ -90,7 +90,10 @@ type Client struct {
 	// blockIdx locates unpublished file data in the log: the fast-read
 	// hash table of §4.
 	blockIdx map[blockKey][]logPiece
-	dirty    *dirtyNS
+	// freePieces keeps the emptied piece lists of dropped index keys for
+	// indexWrite to take for new ones.
+	freePieces [][]logPiece
+	dirty      *dirtyNS
 
 	fds    map[int]*fileFD
 	nextFD int
@@ -216,6 +219,8 @@ func (l *Client) OnRevoke(ino fs.Ino) {
 }
 
 // prune drops index and dirty entries whose log records were published.
+//
+//linefs:hotpath
 func (l *Client) prune(upTo uint64) {
 	for k, pieces := range l.blockIdx {
 		kept := pieces[:0]
@@ -225,7 +230,7 @@ func (l *Client) prune(upTo uint64) {
 			}
 		}
 		if len(kept) == 0 {
-			delete(l.blockIdx, k)
+			l.dropKey(k, pieces)
 		} else {
 			l.blockIdx[k] = kept
 		}

@@ -266,11 +266,17 @@ func (l *Client) Truncate(p *sim.Proc, pth string, size uint64) error {
 }
 
 func (l *Client) dropBlockIdx(ino fs.Ino) {
-	for k := range l.blockIdx {
+	for k, pieces := range l.blockIdx {
 		if k.ino == ino {
-			delete(l.blockIdx, k)
+			l.dropKey(k, pieces)
 		}
 	}
+}
+
+// dropKey deletes k from the index and keeps its piece list for reuse.
+func (l *Client) dropKey(k blockKey, pieces []logPiece) {
+	delete(l.blockIdx, k)
+	l.freePieces = append(l.freePieces, pieces[:0])
 }
 
 // WriteAt logs a write at an absolute offset.
@@ -323,7 +329,10 @@ func (l *Client) Write(p *sim.Proc, fd int, data []byte) (int, error) {
 	return n, err
 }
 
-// indexWrite records the new log pieces in the fast-read hash table.
+// indexWrite records the new log pieces in the fast-read hash table. A new
+// key takes a piece list that a dropped key left behind.
+//
+//linefs:hotpath
 func (l *Client) indexWrite(ino fs.Ino, entryOff, off uint64, data []byte) {
 	// The payload begins after the entry header and name fields (none for
 	// writes).
@@ -339,12 +348,17 @@ func (l *Client) indexWrite(ino fs.Ino, entryOff, off uint64, data []byte) {
 			hi = blkStart + fs.BlockSize
 		}
 		k := blockKey{ino: ino, blk: blk}
-		l.blockIdx[k] = append(l.blockIdx[k], logPiece{
+		pieces, ok := l.blockIdx[k]
+		if n := len(l.freePieces); !ok && n > 0 {
+			pieces, l.freePieces = l.freePieces[n-1], l.freePieces[:n-1]
+		}
+		pieces = append(pieces, logPiece{
 			entryOff:   entryOff,
 			payloadOff: payloadBase + (lo - off),
 			blkOff:     uint32(lo - blkStart),
 			ln:         uint32(hi - lo),
 		})
+		l.blockIdx[k] = pieces
 	}
 }
 

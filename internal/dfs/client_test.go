@@ -170,6 +170,30 @@ func TestOverlayPrunedAfterReclaim(t *testing.T) {
 	})
 }
 
+// TestIndexReusesPieceLists writes eight blocks of one file over and over,
+// dropping its index entries after each write — by reclaim, then by
+// truncation to zero — and wants the index to allocate nothing: a new key
+// takes the piece list a dropped one left behind.
+func TestIndexReusesPieceLists(t *testing.T) {
+	_, _, c := newFake(t)
+	data := make([]byte, 8*fs.BlockSize)
+	at := uint64(0)
+	cycle := func() {
+		c.indexWrite(16, at, 0, data)
+		at += uint64(len(data)) + fs.EntryHeaderSize
+		c.prune(at)
+		c.indexWrite(16, at, 0, data)
+		c.dropBlockIdx(16)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a write and reclaim cycle allocates %v times in the index, want 0", allocs)
+	}
+	if len(c.blockIdx) != 0 || len(c.freePieces) != 8 {
+		t.Errorf("index holds %d keys and %d free piece lists, want 0 and 8", len(c.blockIdx), len(c.freePieces))
+	}
+}
+
 // TestEmptyReadReturns reads nothing at the start of a published file. An
 // empty window has no last byte: off+n-1 wraps below zero, and a scan for
 // pieces up to its block would walk about 4.5e15 blocks.

@@ -337,6 +337,8 @@ func (l *LogArea) Append(c *Ctx, e *Entry) (uint64, error) {
 // ReadRawInto reads the raw bytes at a logical offset into dst: a chunk for
 // transfer, a range to decode, or unpublished data the fast-read path
 // resolves through the block index.
+//
+//linefs:hotpath
 func (l *LogArea) ReadRawInto(c *Ctx, from uint64, dst []byte) {
 	for len(dst) > 0 {
 		seg := l.SegmentAt(from, len(dst))
